@@ -32,12 +32,9 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/compress"
-	"repro/internal/diag"
+	"repro/cmd/internal/runflags"
 	"repro/internal/enzo"
-	"repro/internal/faultfs"
 	"repro/internal/iotrace"
-	"repro/internal/machine"
 	"repro/internal/pfs"
 )
 
@@ -48,162 +45,55 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("enzosim", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	machName := fl.String("machine", "origin2000", "platform model: origin2000, sp2, chiba, cluster1024")
-	fsKind := fl.String("fs", "xfs", "file system model: xfs, gpfs, pvfs, local")
-	np := fl.Int("np", 8, "number of MPI ranks")
-	problem := fl.String("problem", "AMR64", "problem size: AMR64, AMR128, AMR256, AMR512, tiny")
-	membudget := fl.Int64("membudget", 0, "host-memory footprint budget in MiB (0 = 16384 default, negative = unlimited; AMR512 needs this raised)")
-	backendName := fl.String("backend", "mpiio", "I/O backend: hdf4, mpiio, mpiio-cb, hdf5")
+	rf := runflags.Register(fl, runflags.Defaults{Machine: "origin2000", FS: "xfs", Problem: "AMR64", Faults: true})
 	dumps := fl.Int("dumps", 1, "checkpoint dumps per run")
 	refine := fl.Int("refine", 0, "dynamic refinement passes during evolution")
-	codec := fl.String("codec", "none", "transparent field compression: none, rle, delta, lzss")
-	async := fl.Bool("async", false, "write-behind checkpoint I/O: overlap dumps with the next step's compute")
-	autotune := fl.Bool("autotune", false, "tune the MPI-IO hint vector off a short probe run before the main run")
-	scrub := fl.Bool("scrub", false, "read-back scrub after each dump, with re-dump and generation-fallback recovery")
 	generations := fl.Int("generations", 0, "dump generations the restart fallback scans, newest first (0 = all; needs -scrub)")
-	castore := fl.Bool("castore", false, "content-addressed checkpoint store: chunked dumps with cross-generation dedup (not with -backend hdf4)")
-	replicas := fl.Int("replicas", 1, "data servers each castore chunk/manifest is replicated on (needs -castore)")
-	straggler := fl.Float64("straggler", 1, "degrade one data server of a striped fs by this service-time factor")
-	corrupt := fl.Int64("corrupt", 0, "silently corrupt every Nth sizeable checkpoint write (0 = off)")
 	trace := fl.Bool("trace", false, "print a Pablo-style I/O characterization of the run")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
 
-	fail := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, format+"\n", a...)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "enzosim:", err)
 		fl.Usage()
 		return 2
 	}
-
-	switch *machName {
-	case "origin2000", "sp2", "chiba", "cluster1024":
-	default:
-		return fail("unknown machine %q (known: origin2000, sp2, chiba, cluster1024)", *machName)
-	}
-	if *np < 1 {
-		return fail("-np must be >= 1 (got %d)", *np)
-	}
-
-	var cfg enzo.Config
-	switch *problem {
-	case "AMR64":
-		cfg = enzo.AMR64()
-	case "AMR128":
-		cfg = enzo.AMR128()
-	case "AMR256":
-		cfg = enzo.AMR256()
-	case "AMR512":
-		cfg = enzo.AMR512()
-	case "tiny":
-		cfg = enzo.Tiny()
-	default:
-		return fail("unknown problem %q", *problem)
-	}
-	switch {
-	case *membudget > 0:
-		cfg.MemBudget = *membudget << 20
-	case *membudget < 0:
-		cfg.MemBudget = -1
-	}
-	cfg.Dumps = *dumps
-	cfg.RefineCycles = *refine
-	if _, err := compress.Resolve(*codec); err != nil {
-		return fail("%v", err)
-	}
-	cfg.Codec = *codec
-	cfg.AsyncIO = *async
-	cfg.ScrubOnDump = *scrub
-	cfg.Generations = *generations
-	if *generations < 0 {
-		return fail("-generations must be >= 0 (got %d)", *generations)
-	}
-	if *generations > 0 && !*scrub {
-		return fail("-generations needs -scrub")
-	}
-	cfg.CAStore = *castore
-	cfg.Replicas = *replicas
-	if *replicas < 1 {
-		return fail("-replicas must be >= 1 (got %d)", *replicas)
-	}
-	if *replicas > 1 && !*castore {
-		return fail("-replicas needs -castore")
-	}
-	if *castore && *backendName == "hdf4" {
-		return fail("-castore does not apply to the hdf4 backend")
-	}
-	if *straggler < 1 {
-		return fail("-straggler must be >= 1 (got %g)", *straggler)
-	}
-	if *corrupt < 0 {
-		return fail("-corrupt must be >= 0 (got %d)", *corrupt)
-	}
-
-	backend, err := enzo.BackendByName(*backendName)
+	spec, err := rf.Resolve()
 	if err != nil {
-		return fail("%v", err)
+		return fail(err)
 	}
+	if *generations < 0 {
+		return fail(fmt.Errorf("-generations must be >= 0 (got %d)", *generations))
+	}
+	if *generations > 0 && !rf.Scrub {
+		return fail(fmt.Errorf("-generations needs -scrub"))
+	}
+	spec.Config.Dumps = *dumps
+	spec.Config.RefineCycles = *refine
+	spec.Config.Generations = *generations
 
 	var rec *iotrace.Recorder
-	var wraps []func(pfs.FileSystem) pfs.FileSystem
-	// The straggler hook must see the bare striped file system, so it runs
-	// before any wrapper is layered on.
-	if *straggler > 1 {
-		switch *fsKind {
-		case "pvfs", "gpfs":
-		default:
-			return fail("-straggler needs a striped file system (pvfs, gpfs); got %q", *fsKind)
-		}
-		wraps = append(wraps, func(fs pfs.FileSystem) pfs.FileSystem {
-			fs.(pfs.StripeFaultInjector).DegradeDataServer(0, *straggler)
-			return fs
-		})
-	}
-	if *corrupt > 0 {
-		wraps = append(wraps, func(fs pfs.FileSystem) pfs.FileSystem {
-			// Checkpoint files only ("dump..."), sizeable writes only, so
-			// the initial-conditions read stays intact; a bounded number of
-			// faults keeps recovery (with -scrub) terminating.
-			return faultfs.Wrap(fs, faultfs.Config{
-				Mode: faultfs.CorruptWrite, EveryN: *corrupt,
-				MinBytes: 2048, FileSubstr: "dump", MaxInject: 4,
-			})
-		})
-	}
 	if *trace {
 		rec = iotrace.NewRecorder()
-		wraps = append(wraps, func(fs pfs.FileSystem) pfs.FileSystem { return iotrace.Wrap(fs, rec) })
+		spec.Wrap = runflags.Chain(spec.Wrap, func(fs pfs.FileSystem) pfs.FileSystem { return iotrace.Wrap(fs, rec) })
 	}
-	var wrap func(pfs.FileSystem) pfs.FileSystem
-	if len(wraps) > 0 {
-		wrap = func(fs pfs.FileSystem) pfs.FileSystem {
-			for _, w := range wraps {
-				fs = w(fs)
-			}
-			return fs
-		}
+	tuneDeltas, _, err := rf.Tune(&spec)
+	if err != nil {
+		fmt.Fprintln(stderr, "autotune failed:", err)
+		return 1
 	}
-	var tuneDeltas []diag.HintsDelta
-	if *autotune {
-		var tuned enzo.Config
-		tuned, tuneDeltas, _, err = diag.AutoTune(machine.ByName(*machName), *fsKind, *np, cfg, backend)
-		if err != nil {
-			fmt.Fprintln(stderr, "autotune failed:", err)
-			return 1
-		}
-		cfg = tuned
-	}
-	res, err := enzo.RunOnceWrapped(machine.ByName(*machName), *fsKind, *np, cfg, backend, wrap)
+	res, err := enzo.Run(spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "simulation failed:", err)
 		return 1
 	}
 
 	fmt.Fprintf(stdout, "problem      %s (%d grids)\n", res.Problem, res.Grids)
-	fmt.Fprintf(stdout, "platform     %s / %s, %d ranks\n", *machName, *fsKind, *np)
+	fmt.Fprintf(stdout, "platform     %s / %s, %d ranks\n", rf.Machine, rf.FS, rf.Procs)
 	fmt.Fprintf(stdout, "backend      %s\n", res.Backend)
 	fmt.Fprintf(stdout, "codec        %s\n", res.Codec)
-	if *autotune {
+	if rf.AutoTune {
 		if len(tuneDeltas) == 0 {
 			fmt.Fprintln(stdout, "autotune     defaults already optimal (no deltas)")
 		}
@@ -214,15 +104,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, p := range res.Phases {
 		fmt.Fprintf(stdout, "  %-10s %10.3f s\n", p.Name, p.Seconds)
 	}
-	if *async {
+	if rf.Async {
 		fmt.Fprintf(stdout, "async dump   exposed %.3f s, hidden %.3f s (%.1f%% of device time hidden)\n",
 			res.ExposedWrite, res.HiddenWrite, 100*res.HiddenFraction())
 	}
-	if *scrub {
+	if rf.Scrub {
 		fmt.Fprintf(stdout, "scrub        failures %d, redumps %d, restart fallbacks %d\n",
 			res.ScrubFailures, res.Redumps, res.RestartFallbacks)
 	}
-	if *castore {
+	if rf.CAStore {
 		fmt.Fprintf(stdout, "castore      %d chunks put, %d dedup hits; logical %.1f MB, physical %.1f MB, deduped %.1f MB; %d failovers\n",
 			res.CASChunkPuts, res.CASChunkHits,
 			float64(res.CASLogicalBytes)/(1<<20), float64(res.CASPhysicalBytes)/(1<<20),

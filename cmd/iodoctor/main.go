@@ -38,13 +38,10 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/compress"
+	"repro/cmd/internal/runflags"
 	"repro/internal/diag"
 	"repro/internal/enzo"
-	"repro/internal/faultfs"
-	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/pfs"
 )
 
 func main() {
@@ -54,23 +51,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("iodoctor", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	mach := fl.String("machine", "chiba", "platform: origin2000, sp2, chiba or cluster1024")
-	fsKind := fl.String("fs", "pvfs", "file system: xfs, gpfs, pvfs or local")
-	backendName := fl.String("backend", "mpiio", "I/O backend: hdf4, mpiio, hdf5 or mpiio-cb")
-	problem := fl.String("problem", "AMR128", "problem size: tiny, AMR64, AMR128, AMR256 or AMR512")
-	np := fl.Int("np", 8, "number of MPI ranks")
-	membudget := fl.Int64("membudget", 0, "host-memory footprint budget in MiB (0 = 16384 default, negative = unlimited; AMR512 needs this raised)")
-	quick := fl.Bool("quick", false, "shrink the problem for a fast smoke run")
-	codec := fl.String("codec", "none", "transparent field compression: none, rle, delta, lzss")
-	async := fl.Bool("async", false, "write-behind checkpoint I/O")
-	scrub := fl.Bool("scrub", false, "read-back scrub after each dump")
-	castore := fl.Bool("castore", false, "content-addressed checkpoint store with cross-generation dedup")
-	replicas := fl.Int("replicas", 1, "data servers each castore chunk/manifest is replicated on (needs -castore)")
+	rf := runflags.Register(fl, runflags.Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR128", Quick: true, Faults: true})
 	cbnodes := fl.Int("cbnodes", 0, "override the cb_nodes hint (0 = ROMIO default, one aggregator per node)")
-	autotune := fl.Bool("autotune", false, "tune the MPI-IO hint vector off a short probe run before the main run")
 	probeReport := fl.String("probe-report", "", "write the -autotune probe's diagnosis document (report + chosen deltas) here")
-	straggler := fl.Float64("straggler", 1, "degrade one data server of a striped fs by this service-time factor")
-	corrupt := fl.Int64("corrupt", 0, "silently corrupt every Nth sizeable checkpoint write (0 = off)")
 	format := fl.String("format", "text", "output format: text, json or metrics (OpenMetrics)")
 	outPath := fl.String("o", "", "write the formatted output here (default stdout)")
 	reportPath := fl.String("report", "", "load a saved -format json document instead of running")
@@ -81,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fail := func(format string, args ...any) int {
-		fmt.Fprintf(stderr, "error: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "iodoctor: "+format+"\n", args...)
 		fl.Usage()
 		return 2
 	}
@@ -89,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *format {
 	case "text", "json", "metrics":
 	default:
-		return fail("iodoctor: unknown -format %q (want text, json or metrics)", *format)
+		return fail("unknown -format %q (want text, json or metrics)", *format)
 	}
 	var failSev diag.Severity
 	switch *failOn {
@@ -100,17 +83,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "critical":
 		failSev = diag.SevCritical
 	default:
-		return fail("iodoctor: unknown -fail-on %q (want none, warning or critical)", *failOn)
+		return fail("unknown -fail-on %q (want none, warning or critical)", *failOn)
 	}
 
 	var rep *diag.Report
 	var tuneDeltas []diag.HintsDelta
 	if *reportPath != "" {
-		if *autotune {
-			return fail("iodoctor: -autotune needs a simulation run, not -report")
+		if rf.AutoTune {
+			return fail("-autotune needs a simulation run, not -report")
 		}
 		if *probeReport != "" {
-			return fail("iodoctor: -probe-report needs -autotune, not -report")
+			return fail("-probe-report needs -autotune, not -report")
 		}
 		var err error
 		rep, err = loadReport(*reportPath)
@@ -119,121 +102,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	} else {
-		if *probeReport != "" && !*autotune {
-			return fail("iodoctor: -probe-report needs -autotune")
+		if *probeReport != "" && !rf.AutoTune {
+			return fail("-probe-report needs -autotune")
 		}
-		cfg, err := configByName(*problem)
+		spec, err := rf.Resolve()
 		if err != nil {
 			return fail("%v", err)
 		}
-		switch {
-		case *membudget > 0:
-			cfg.MemBudget = *membudget << 20
-		case *membudget < 0:
-			cfg.MemBudget = -1
-		}
-		if *quick {
-			n := cfg.Dims[0] / 4
-			if n < 8 {
-				n = 8
-			}
-			cfg.Dims = [3]int{n, n, n}
-			cfg.NParticles = n * n * n / 2
-		}
-		if _, err := compress.Resolve(*codec); err != nil {
-			return fail("%v", err)
-		}
-		cfg.Codec = *codec
-		cfg.AsyncIO = *async
-		cfg.ScrubOnDump = *scrub
-		cfg.CAStore = *castore
-		cfg.Replicas = *replicas
-		if *replicas < 1 {
-			return fail("iodoctor: -replicas must be >= 1 (got %d)", *replicas)
-		}
-		if *replicas > 1 && !*castore {
-			return fail("iodoctor: -replicas needs -castore")
-		}
-		cfg.CBNodes = *cbnodes
-		backend, err := enzo.BackendByName(*backendName)
-		if err != nil {
-			return fail("%v", err)
-		}
-		machCfg, err := machineByName(*mach)
-		if err != nil {
-			return fail("%v", err)
-		}
-		if *np < 1 {
-			return fail("iodoctor: -np must be at least 1 (got %d)", *np)
-		}
-		if *straggler < 1 {
-			return fail("iodoctor: -straggler must be >= 1 (got %g)", *straggler)
-		}
-		if *corrupt < 0 {
-			return fail("iodoctor: -corrupt must be >= 0 (got %d)", *corrupt)
-		}
-		var wraps []func(pfs.FileSystem) pfs.FileSystem
-		if *straggler > 1 {
-			switch *fsKind {
-			case "pvfs", "gpfs":
-			default:
-				return fail("iodoctor: -straggler needs a striped file system (pvfs, gpfs); got %q", *fsKind)
-			}
-			f := *straggler
-			wraps = append(wraps, func(fs pfs.FileSystem) pfs.FileSystem {
-				fs.(pfs.StripeFaultInjector).DegradeDataServer(0, f)
-				return fs
-			})
-		}
-		if *corrupt > 0 {
-			n := *corrupt
-			wraps = append(wraps, func(fs pfs.FileSystem) pfs.FileSystem {
-				return faultfs.Wrap(fs, faultfs.Config{
-					Mode: faultfs.CorruptWrite, EveryN: n,
-					MinBytes: 2048, FileSubstr: "dump", MaxInject: 4,
-				})
-			})
-		}
-		var wrap func(pfs.FileSystem) pfs.FileSystem
-		if len(wraps) > 0 {
-			ws := wraps
-			wrap = func(fs pfs.FileSystem) pfs.FileSystem {
-				for _, w := range ws {
-					fs = w(fs)
-				}
-				return fs
-			}
-		}
+		spec.Config.CBNodes = *cbnodes
 
-		if *autotune {
-			tuned, deltas, probeRep, err := diag.AutoTune(machCfg, *fsKind, *np, cfg, backend)
+		var probeRep *diag.Report
+		if tuneDeltas, probeRep, err = rf.Tune(&spec); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+			return 1
+		}
+		if *probeReport != "" {
+			doc := diag.Document{Report: probeRep, Suggestions: tuneDeltas}
+			b, err := json.MarshalIndent(doc, "", "  ")
 			if err != nil {
 				fmt.Fprintln(stderr, "error:", err)
 				return 1
 			}
-			cfg = tuned
-			tuneDeltas = deltas
-			if *probeReport != "" {
-				doc := diag.Document{Report: probeRep, Suggestions: deltas}
-				b, err := json.MarshalIndent(doc, "", "  ")
-				if err != nil {
-					fmt.Fprintln(stderr, "error:", err)
-					return 1
-				}
-				if err := os.WriteFile(*probeReport, append(b, '\n'), 0o644); err != nil {
-					fmt.Fprintln(stderr, "error:", err)
-					return 1
-				}
+			if err := os.WriteFile(*probeReport, append(b, '\n'), 0o644); err != nil {
+				fmt.Fprintln(stderr, "error:", err)
+				return 1
 			}
 		}
 
 		tr := obs.NewTracer()
-		res, err := enzo.RunOnceWrappedTraced(machCfg, *fsKind, *np, cfg, backend, wrap, tr)
+		spec.Tracer = tr
+		res, err := enzo.Run(spec)
 		if err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			return 1
 		}
-		rep = diag.Snapshot(tr, diag.MetaFromResult(*mach, res, cfg))
+		rep = diag.Snapshot(tr, diag.MetaFromResult(rf.Machine, res, spec.Config))
 	}
 
 	var findings []diag.Finding
@@ -276,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "metrics":
 		diag.WriteOpenMetrics(out, rep, findings)
 	default:
-		if *autotune {
+		if rf.AutoTune {
 			if len(tuneDeltas) == 0 {
 				fmt.Fprintln(out, "autotune: defaults already optimal (no deltas applied)")
 			}
@@ -316,28 +219,4 @@ func loadReport(path string) (*diag.Report, error) {
 		return nil, fmt.Errorf("iodoctor: %s is neither a document nor a report: %w", path, err)
 	}
 	return &rep, nil
-}
-
-func machineByName(name string) (machine.Config, error) {
-	switch name {
-	case "origin2000", "sp2", "chiba", "cluster1024":
-		return machine.ByName(name), nil
-	}
-	return machine.Config{}, fmt.Errorf("iodoctor: unknown machine %q (want origin2000, sp2, chiba or cluster1024)", name)
-}
-
-func configByName(name string) (enzo.Config, error) {
-	switch name {
-	case "tiny", "Tiny":
-		return enzo.Tiny(), nil
-	case "AMR64":
-		return enzo.AMR64(), nil
-	case "AMR128":
-		return enzo.AMR128(), nil
-	case "AMR256":
-		return enzo.AMR256(), nil
-	case "AMR512":
-		return enzo.AMR512(), nil
-	}
-	return enzo.Config{}, fmt.Errorf("iodoctor: unknown problem %q", name)
 }

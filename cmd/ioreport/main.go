@@ -27,10 +27,9 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/compress"
+	"repro/cmd/internal/runflags"
 	"repro/internal/diag"
 	"repro/internal/enzo"
-	"repro/internal/machine"
 	"repro/internal/obs"
 )
 
@@ -41,19 +40,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("ioreport", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	mach := fl.String("machine", "chiba", "platform: origin2000, sp2, chiba or cluster1024")
-	fsKind := fl.String("fs", "pvfs", "file system: xfs, gpfs, pvfs or local")
-	backendName := fl.String("backend", "mpiio", "I/O backend: hdf4, mpiio, hdf5 or mpiio-cb")
-	problem := fl.String("problem", "AMR64", "problem size: tiny, AMR64, AMR128, AMR256 or AMR512")
-	membudget := fl.Int64("membudget", 0, "host-memory footprint budget in MiB (0 = 16384 default, negative = unlimited; AMR512 needs this raised)")
-	np := fl.Int("np", 8, "number of MPI ranks")
-	quick := fl.Bool("quick", false, "shrink the problem for a fast smoke run")
-	codec := fl.String("codec", "none", "transparent field compression: none, rle, delta, lzss")
-	async := fl.Bool("async", false, "write-behind checkpoint I/O: overlap dumps with the next step's compute")
-	autotune := fl.Bool("autotune", false, "tune the MPI-IO hint vector off a short probe run before the main run")
-	scrub := fl.Bool("scrub", false, "read-back scrub after each dump, with re-dump and generation-fallback recovery")
-	castore := fl.Bool("castore", false, "content-addressed checkpoint store with cross-generation dedup")
-	replicas := fl.Int("replicas", 1, "data servers each castore chunk/manifest is replicated on (needs -castore)")
+	rf := runflags.Register(fl, runflags.Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR64", Quick: true})
 	format := fl.String("format", "text", "output format: text, or json (the iodoctor diagnosis document)")
 	diagnose := fl.Bool("diagnose", false, "append the ranked diagnosis findings to the text report")
 	tracePath := fl.String("trace", "", "write a Perfetto-loadable trace-event JSON timeline here")
@@ -63,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fail := func(err error) int {
-		fmt.Fprintln(stderr, "error:", err)
+		fmt.Fprintln(stderr, "ioreport:", err)
 		fl.Usage()
 		return 2
 	}
@@ -71,64 +58,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *format {
 	case "text", "json":
 	default:
-		return fail(fmt.Errorf("ioreport: unknown -format %q (want text or json)", *format))
+		return fail(fmt.Errorf("unknown -format %q (want text or json)", *format))
 	}
-	cfg, err := configByName(*problem)
+	spec, err := rf.Resolve()
 	if err != nil {
 		return fail(err)
 	}
-	switch {
-	case *membudget > 0:
-		cfg.MemBudget = *membudget << 20
-	case *membudget < 0:
-		cfg.MemBudget = -1
-	}
-	if *quick {
-		n := cfg.Dims[0] / 4
-		if n < 8 {
-			n = 8
-		}
-		cfg.Dims = [3]int{n, n, n}
-		cfg.NParticles = n * n * n / 2
-	}
-	if _, err := compress.Resolve(*codec); err != nil {
-		return fail(err)
-	}
-	cfg.Codec = *codec
-	cfg.AsyncIO = *async
-	cfg.ScrubOnDump = *scrub
-	cfg.CAStore = *castore
-	cfg.Replicas = *replicas
-	if *replicas < 1 {
-		return fail(fmt.Errorf("ioreport: -replicas must be >= 1 (got %d)", *replicas))
-	}
-	if *replicas > 1 && !*castore {
-		return fail(fmt.Errorf("ioreport: -replicas needs -castore"))
-	}
-	backend, err := enzo.BackendByName(*backendName)
+	tuneDeltas, _, err := rf.Tune(&spec)
 	if err != nil {
-		return fail(err)
-	}
-	machCfg, err := machineByName(*mach)
-	if err != nil {
-		return fail(err)
-	}
-	if *np < 1 {
-		return fail(fmt.Errorf("ioreport: -np must be at least 1 (got %d)", *np))
-	}
-
-	var tuneDeltas []diag.HintsDelta
-	if *autotune {
-		var tuned enzo.Config
-		tuned, tuneDeltas, _, err = diag.AutoTune(machCfg, *fsKind, *np, cfg, backend)
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		cfg = tuned
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
 	}
 	tr := obs.NewTracer()
-	res, err := enzo.RunOnceTraced(machCfg, *fsKind, *np, cfg, backend, tr)
+	spec.Tracer = tr
+	res, err := enzo.Run(spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "error:", err)
 		return 1
@@ -146,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *format == "json" {
-		rep := diag.Snapshot(tr, diag.MetaFromResult(*mach, res, cfg))
+		rep := diag.Snapshot(tr, diag.MetaFromResult(rf.Machine, res, spec.Config))
 		doc := diag.Document{
 			Report:      rep,
 			Findings:    diag.Analyze(rep),
@@ -161,8 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return writeTimeline(tr, *tracePath, stderr)
 	}
 	fmt.Fprintf(out, "%s %s/%s backend=%s np=%d verified=%v\n",
-		res.Problem, *mach, *fsKind, res.Backend, res.Procs, res.Verified)
-	if *autotune {
+		res.Problem, rf.Machine, rf.FS, res.Backend, res.Procs, res.Verified)
+	if rf.AutoTune {
 		if len(tuneDeltas) == 0 {
 			fmt.Fprintln(out, "autotune: defaults already optimal (no deltas)")
 		}
@@ -172,14 +115,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(out, "phases: read=%.3fs write=%.3fs restart=%.3fs\n",
 		res.ReadTime(), res.WriteTime(), res.RestartTime())
-	if *scrub {
+	if rf.Scrub {
 		fmt.Fprintf(out, "scrub: %.3fs, failures=%d redumps=%d fallbacks=%d\n",
 			res.Phase("scrub"), res.ScrubFailures, res.Redumps, res.RestartFallbacks)
 	}
 	fmt.Fprintln(out)
 	tr.WriteReport(out, res.Makespan)
 	if *diagnose {
-		rep := diag.Snapshot(tr, diag.MetaFromResult(*mach, res, cfg))
+		rep := diag.Snapshot(tr, diag.MetaFromResult(rf.Machine, res, spec.Config))
 		fmt.Fprintln(out)
 		diag.WriteFindings(out, diag.Analyze(rep))
 	}
@@ -208,28 +151,4 @@ func writeTimeline(tr *obs.Tracer, path string, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "timeline written to %s (load in ui.perfetto.dev)\n", path)
 	return 0
-}
-
-func machineByName(name string) (machine.Config, error) {
-	switch name {
-	case "origin2000", "sp2", "chiba", "cluster1024":
-		return machine.ByName(name), nil
-	}
-	return machine.Config{}, fmt.Errorf("ioreport: unknown machine %q (want origin2000, sp2, chiba or cluster1024)", name)
-}
-
-func configByName(name string) (enzo.Config, error) {
-	switch name {
-	case "tiny", "Tiny":
-		return enzo.Tiny(), nil
-	case "AMR64":
-		return enzo.AMR64(), nil
-	case "AMR128":
-		return enzo.AMR128(), nil
-	case "AMR256":
-		return enzo.AMR256(), nil
-	case "AMR512":
-		return enzo.AMR512(), nil
-	}
-	return enzo.Config{}, fmt.Errorf("ioreport: unknown problem %q", name)
 }

@@ -88,13 +88,15 @@ func TestFaultedRunSnapshot(t *testing.T) {
 	cfg := enzo.Tiny()
 	cfg.ScrubOnDump = true
 	tr := obs.NewTracer()
-	res, err := enzo.RunOnceWrappedTraced(testMach(), "xfs", 4, cfg, enzo.BackendMPIIO,
-		func(fs pfs.FileSystem) pfs.FileSystem {
+	res, err := enzo.Run(enzo.RunSpec{Machine: testMach(), FS: "xfs", Procs: 4, Config: cfg, Backend: enzo.BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			return faultfs.Wrap(fs, faultfs.Config{
 				Mode: faultfs.CorruptWrite, EveryN: 3, MinBytes: 2048,
 				FileSubstr: "dump00.raw", MaxInject: 3,
 			})
-		}, tr)
+		},
+		Tracer: tr,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,12 @@ import (
 func snapshotRun(t *testing.T, fsKind string, np int, cfg Config, backend Backend) (*Result, map[string][]byte) {
 	t.Helper()
 	var fs pfs.FileSystem
-	res, err := RunOnceWrapped(testMachineCfg(), fsKind, np, cfg, backend,
-		func(inner pfs.FileSystem) pfs.FileSystem {
+	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: fsKind, Procs: np, Config: cfg, Backend: backend,
+		Wrap: func(inner pfs.FileSystem) pfs.FileSystem {
 			fs = inner
 			return inner
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,14 +167,15 @@ func TestAsyncScrubRecoversFromCorruption(t *testing.T) {
 	cfg.AsyncIO = true
 	cfg.ScrubOnDump = true
 	var injector *faultfs.FS
-	res, err := RunOnceWrapped(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO,
-		func(fs pfs.FileSystem) pfs.FileSystem {
+	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			injector = faultfs.Wrap(fs, faultfs.Config{
 				Mode: faultfs.CorruptWrite, EveryN: 3, MinBytes: 2048,
 				FileSubstr: "dump00.raw", MaxInject: 3,
 			})
 			return injector
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +242,12 @@ func TestRestartDeadServerFallsBack(t *testing.T) {
 			// Server 3, not 0: rank 0's plain-fs manifest file lands on
 			// stripe 0 and must stay readable — the dump payload is striped
 			// over all servers and cannot avoid the dead one.
-			res, err := RunOnceWrapped(faultMachCfg(), "pvfs", 4, cfg, tc.backend,
-				func(fs pfs.FileSystem) pfs.FileSystem {
+			res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: tc.backend,
+				Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 					fs.(pfs.StripeFaultInjector).FailDataServerAt(3, restartStart+1e-9)
 					return fs
-				})
+				},
+			})
 			var rerr *RestartError
 			if !errors.As(err, &rerr) {
 				t.Fatalf("restart against dead data server: err = %v, want *RestartError", err)

@@ -1,4 +1,4 @@
-// Content-addressed checkpoint path (Config.CAStore): instead of a shared
+// Content-addressed checkpoint layout (Config.CAStore): instead of a shared
 // dump file per generation, every grid array is split into content-defined
 // chunks and handed to the rank's castore.Store, which dedups each chunk
 // against the retained generations and replicates new chunks across the
@@ -12,11 +12,15 @@
 // block-partitioned, so its arrays are per-rank items: rank r dumps its
 // field partitions as g0/f<fi>/r<r> and its globally sorted particle-row
 // block as g0/p/r<r>, and reads the same items back on restart (the
-// particles then redistribute by position, exactly like the raw path).
+// particles then redistribute by position, exactly like the raw layout).
 // Subgrids are wholly owned: the dump owner writes g<ID>/f<fi> and
 // g<ID>/p<k>, and whichever rank restartOwners assigns reads them back —
-// on node-local disks that is the writer itself, so the path composes with
-// localMode unchanged.
+// on node-local disks that is the writer itself, so the layout composes
+// with localMode unchanged.
+//
+// The store blocks on (or defers, see Sim.deferCompletion) its own chunk
+// writes and reads blocking with per-replica deadlines, so this layout
+// issues nothing through the transport and its restart is not pipelined.
 package enzo
 
 import (
@@ -25,23 +29,43 @@ import (
 	"repro/internal/amr"
 	"repro/internal/castore"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 func casManifestName(d int) string { return fmt.Sprintf("dump%02d.cas", d) }
 
-// casPut chunks one named array and stores it, appending the item to
-// items. Chunk payloads go through the codec (pack runs only on dedup
-// misses, so a hit also skips the compression CPU cost); content keys are
-// over the raw bytes, so dedup is codec-independent.
-func (s *Sim) casPut(items *[]castore.Item, name string, raw []byte) {
+// casLayout routes checkpoints through the chunk store; initial conditions
+// stay in the backend's own layout.
+type casLayout struct {
+	layout
+	*Sim
+}
+
+// casDump is one generation being written: the items this rank stored.
+type casDump struct {
+	*Sim
+	d     int
+	items []castore.Item
+}
+
+// createDump: a re-dump of a generation the store has already seen bypasses
+// the dedup index entirely — see Store.BeginGeneration.
+func (l casLayout) createDump(d int) dumpWriter {
+	l.cas.BeginGeneration(d)
+	return &casDump{Sim: l.Sim, d: d}
+}
+
+// put chunks one named array and stores it. Chunk payloads go through the
+// codec (pack runs only on dedup misses, so a hit also skips the
+// compression CPU cost); content keys are over the raw bytes, so dedup is
+// codec-independent.
+func (w *casDump) put(name string, raw []byte) {
 	item := castore.Item{Name: name, Raw: int64(len(raw))}
-	c := s.client()
-	for _, chunk := range castore.Split(raw, s.cas.Params()) {
+	c := w.client()
+	for _, chunk := range castore.Split(raw, w.cas.Params()) {
 		chunk := chunk
-		ref, err := s.cas.Put(c, chunk, func() []byte {
-			if s.compressed() {
-				return s.squeeze(chunk)
+		ref, err := w.cas.Put(c, chunk, func() []byte {
+			if w.compressed() {
+				return w.squeeze(chunk)
 			}
 			return chunk
 		})
@@ -50,89 +74,100 @@ func (s *Sim) casPut(items *[]castore.Item, name string, raw []byte) {
 		}
 		item.Chunks = append(item.Chunks, ref)
 	}
-	*items = append(*items, item)
+	w.items = append(w.items, item)
 }
 
-// casWriteDump writes generation d through the content-addressed store
-// (collective). A re-dump of a generation the store has already seen
-// bypasses the dedup index entirely — see Store.BeginGeneration.
-func (s *Sim) casWriteDump(d int) {
-	s.cas.BeginGeneration(d)
-	var items []castore.Item
+func (w *casDump) putTopField(fi int) {
+	w.put(fmt.Sprintf("g0/f%d/r%d", fi, w.r.Rank()), w.top.fields[fi])
+}
 
-	// Top grid: per-rank field partitions, then the rank's block of the
-	// globally sorted particle rows (the same parallel sample sort the raw
-	// path runs, so dump cost and row order match it).
-	g := s.meta.Top()
-	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", "0")
+// putTopRows stores the sorted block as rows — no column transpose, so no
+// row offsets to exchange either.
+func (w *casDump) putTopRows(g core.GridMeta, sorted []byte) {
+	w.r.CopyCost(int64(len(sorted)))
+	w.put(fmt.Sprintf("g0/p/r%d", w.r.Rank()), sorted)
+}
+
+func (w *casDump) sealTop() {}
+
+func (w *casDump) collective() bool { return false }
+
+func (w *casDump) putSubgrid(gm core.GridMeta, grid *amr.Grid) {
 	for fi := range amr.FieldNames {
-		s.casPut(&items, fmt.Sprintf("g0/f%d/r%d", fi, s.r.Rank()), s.top.fields[fi])
+		w.put(fmt.Sprintf("g%d/f%d", gm.ID, fi), grid.Fields[fi])
 	}
-	if g.NParticles > 0 {
-		sortedRows := s.parallelSortByID(&s.top.particles)
-		s.r.CopyCost(int64(len(sortedRows)))
-		s.casPut(&items, fmt.Sprintf("g0/p/r%d", s.r.Rank()), sortedRows)
+	if gm.NParticles > 0 {
+		for k := range amr.ParticleArrays {
+			w.put(fmt.Sprintf("g%d/p%d", gm.ID, k), grid.Particles.Arrays[k])
+		}
 	}
-	topSp.End()
+}
 
-	// Subgrids: each owner stores its grids' arrays whole.
-	for _, gm := range s.meta.Subgrids() {
-		grid := s.owned[gm.ID]
-		if grid == nil {
-			continue
-		}
-		sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", fmt.Sprint(gm.ID))
-		for fi := range amr.FieldNames {
-			s.casPut(&items, fmt.Sprintf("g%d/f%d", gm.ID, fi), grid.Fields[fi])
-		}
-		if gm.NParticles > 0 {
-			for k := range amr.ParticleArrays {
-				s.casPut(&items, fmt.Sprintf("g%d/p%d", gm.ID, k), grid.Particles.Arrays[k])
-			}
-		}
-		sp.End()
-	}
-
-	// Manifest: every rank's fragment gathers to rank 0, which stores the
-	// framed, CRC-protected whole as a replicated named object.
-	frags := s.r.Gatherv(0, castore.EncodeItems(items))
-	if s.r.Rank() == 0 {
-		blob := castore.EncodeManifest(d, s.r.Size(), frags)
-		if err := s.cas.PutNamed(s.client(), casManifestName(d), blob); err != nil {
+// finish: every rank's manifest fragment gathers to rank 0, which stores
+// the framed, CRC-protected whole as a replicated named object.
+func (w *casDump) finish() {
+	frags := w.r.Gatherv(0, castore.EncodeItems(w.items))
+	if w.r.Rank() == 0 {
+		blob := castore.EncodeManifest(w.d, w.r.Size(), frags)
+		if err := w.cas.PutNamed(w.client(), casManifestName(w.d), blob); err != nil {
 			panic(err)
 		}
 	}
-	s.r.Barrier()
+	w.r.Barrier()
 }
 
-// casFetch rebuilds one manifest item's raw bytes, fetching each chunk
-// with replica failover, expanding the codec and re-deriving the content
-// key. Any failure is tolerated (nil return, rank damaged) in tolerant
-// mode and fatal otherwise, like every other restart read path.
-func (s *Sim) casFetch(man *castore.Manifest, name string) []byte {
-	if man == nil {
+// casReader reads one generation back. man is nil when a tolerant
+// read-back could not load the manifest: every fetch then fails soft, the
+// arrays stay zero-filled and the walk still runs its collectives.
+type casReader struct {
+	*Sim
+	man *castore.Manifest
+}
+
+func (l casLayout) openDump(d int) gridReader {
+	var raw []byte
+	if l.r.Rank() == 0 {
+		b, err := l.cas.GetNamed(l.client(), casManifestName(d))
+		if !l.tolerate(err) {
+			raw = b
+		}
+	}
+	raw = l.r.Bcast(0, raw)
+	man, err := castore.DecodeManifest(raw)
+	if l.tolerate(err) {
+		man = nil
+	}
+	return &casReader{l.Sim, man}
+}
+
+// fetch rebuilds one manifest item's raw bytes, fetching each chunk with
+// replica failover, expanding the codec and re-deriving the content key.
+// Any failure is tolerated (nil return, rank damaged) in tolerant mode and
+// fatal otherwise, like every other restart read.
+func (rd *casReader) fetch(name string) []byte {
+	if rd.man == nil {
 		return nil
 	}
-	it := man.Item(name)
+	it := rd.man.Item(name)
 	if it == nil {
-		s.tolerate(fmt.Errorf("enzo: castore manifest has no item %q", name))
+		rd.tolerate(fmt.Errorf("enzo: castore manifest has no item %q", name))
 		return nil
 	}
-	c := s.client()
+	c := rd.client()
 	out := make([]byte, 0, it.Raw)
 	for _, ref := range it.Chunks {
-		payload, err := s.cas.Get(c, ref)
-		if s.tolerate(err) {
+		payload, err := rd.cas.Get(c, ref)
+		if rd.tolerate(err) {
 			return nil
 		}
 		chunk := payload
-		if s.compressed() {
-			if chunk = s.expand(payload); chunk == nil {
+		if rd.compressed() {
+			if chunk = rd.expand(payload); chunk == nil {
 				return nil // expand already tolerated the failure
 			}
 		}
 		if castore.KeyOf(chunk) != ref.Key {
-			s.tolerate(fmt.Errorf("enzo: castore chunk key mismatch in %q", name))
+			rd.tolerate(fmt.Errorf("enzo: castore chunk key mismatch in %q", name))
 			return nil
 		}
 		out = append(out, chunk...)
@@ -140,93 +175,41 @@ func (s *Sim) casFetch(man *castore.Manifest, name string) []byte {
 	return out
 }
 
-// casReadRestart restores generation d from the content-addressed store
-// (collective). Damaged items leave zero-filled arrays and the rank's
-// damaged flag set, so scrubs and generation fallbacks reject the
-// generation instead of crashing.
-func (s *Sim) casReadRestart(d int) {
-	var raw []byte
-	if s.r.Rank() == 0 {
-		b, err := s.cas.GetNamed(s.client(), casManifestName(d))
-		if !s.tolerate(err) {
-			raw = b
+// fetchSized is fetch for an array whose size the metadata fixes: anything
+// else is damage, replaced by a zero-filled array.
+func (rd *casReader) fetchSized(name string, want int64) []byte {
+	buf := rd.fetch(name)
+	if int64(len(buf)) != want {
+		if buf != nil {
+			rd.tolerate(fmt.Errorf("enzo: castore item %q: got %d bytes, want %d", name, len(buf), want))
 		}
+		buf = make([]byte, want)
 	}
-	raw = s.r.Bcast(0, raw)
-	man, err := castore.DecodeManifest(raw)
-	if s.tolerate(err) {
-		man = nil
-	}
-
-	// Top grid: this rank's own field partitions and sorted particle-row
-	// block, then the position redistribution (collective).
-	g := s.meta.Top()
-	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", "0")
-	s.top = &partition{gridID: 0, sub: core.FieldSubarray(g, s.pz, s.py, s.px, s.r.Rank())}
-	s.top.fields = make([][]byte, len(amr.FieldNames))
-	for fi := range amr.FieldNames {
-		buf := s.casFetch(man, fmt.Sprintf("g0/f%d/r%d", fi, s.r.Rank()))
-		if int64(len(buf)) != s.top.sub.Bytes() {
-			if buf != nil {
-				s.tolerate(fmt.Errorf("enzo: castore top field %d: got %d bytes, want %d",
-					fi, len(buf), s.top.sub.Bytes()))
-			}
-			buf = make([]byte, s.top.sub.Bytes())
-		}
-		s.top.fields[fi] = buf
-	}
-	if g.NParticles > 0 {
-		rows := s.casFetch(man, fmt.Sprintf("g0/p/r%d", s.r.Rank()))
-		s.r.CopyCost(int64(len(rows)))
-		s.top.particles = s.redistributeByPosition(rows, g)
-	} else {
-		s.top.particles = amr.NewParticleSet(0)
-	}
-	topSp.End()
-
-	// Subgrids: the restart owner fetches each grid's arrays.
-	owners := s.restartOwners()
-	for _, gm := range s.meta.Subgrids() {
-		if owners[gm.ID] != s.r.Rank() {
-			continue
-		}
-		sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(gm.ID))
-		grid := &amr.Grid{
-			ID: gm.ID, Level: gm.Level, Parent: gm.Parent, Dims: gm.Dims,
-			LeftEdge: gm.LeftEdge, RightEdge: gm.RightEdge,
-		}
-		grid.Fields = make([][]byte, len(amr.FieldNames))
-		for fi := range amr.FieldNames {
-			want := gm.Cells() * amr.FieldElemSize
-			buf := s.casFetch(man, fmt.Sprintf("g%d/f%d", gm.ID, fi))
-			if int64(len(buf)) != want {
-				if buf != nil {
-					s.tolerate(fmt.Errorf("enzo: castore grid %d field %d: got %d bytes, want %d",
-						gm.ID, fi, len(buf), want))
-				}
-				buf = make([]byte, want)
-			}
-			grid.Fields[fi] = buf
-		}
-		if gm.NParticles > 0 {
-			ps := amr.ParticleSet{N: int(gm.NParticles), Arrays: make([][]byte, len(amr.ParticleArrays))}
-			for k, pa := range amr.ParticleArrays {
-				want := gm.NParticles * int64(pa.ElemSize)
-				buf := s.casFetch(man, fmt.Sprintf("g%d/p%d", gm.ID, k))
-				if int64(len(buf)) != want {
-					if buf != nil {
-						s.tolerate(fmt.Errorf("enzo: castore grid %d particle array %d: got %d bytes, want %d",
-							gm.ID, k, len(buf), want))
-					}
-					buf = make([]byte, want)
-				}
-				ps.Arrays[k] = buf
-			}
-			grid.Particles = ps
-		} else {
-			grid.Particles = amr.NewParticleSet(0)
-		}
-		s.owned[gm.ID] = grid
-		sp.End()
-	}
+	return buf
 }
+
+func (rd *casReader) field(g core.GridMeta, fi int, p *partition) func() {
+	p.fields[fi] = rd.fetchSized(fmt.Sprintf("g0/f%d/r%d", fi, rd.r.Rank()), p.sub.Bytes())
+	return settled
+}
+
+// rows returns this rank's dumped block whatever [lo,hi) says: items are
+// per rank, and the redistribution sorts out the rest.
+func (rd *casReader) rows(g core.GridMeta, lo, hi int64) []byte {
+	return rd.fetch(fmt.Sprintf("g0/p/r%d", rd.r.Rank()))
+}
+
+func (rd *casReader) subgrid(gm core.GridMeta) func() *amr.Grid {
+	grid := newGrid(gm)
+	for fi := range amr.FieldNames {
+		grid.Fields[fi] = rd.fetchSized(fmt.Sprintf("g%d/f%d", gm.ID, fi), gm.Cells()*amr.FieldElemSize)
+	}
+	if gm.NParticles > 0 {
+		for k, pa := range amr.ParticleArrays {
+			grid.Particles.Arrays[k] = rd.fetchSized(fmt.Sprintf("g%d/p%d", gm.ID, k), gm.NParticles*int64(pa.ElemSize))
+		}
+	}
+	return func() *amr.Grid { return grid }
+}
+
+func (rd *casReader) close() {}

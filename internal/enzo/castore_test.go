@@ -189,11 +189,12 @@ func TestCAStoreDeadServerFailsOver(t *testing.T) {
 		t.Fatal("no restart phase span in healthy run")
 	}
 
-	res, err := RunOnceWrapped(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO,
-		func(fs pfs.FileSystem) pfs.FileSystem {
+	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			fs.(pfs.StripeFaultInjector).FailDataServerAt(3, restartStart+1e-9)
 			return fs
-		})
+		},
+	})
 	if err != nil {
 		t.Fatalf("restart with one dead replica server did not complete: %v (failovers=%d scrubFailures=%d)",
 			err, res.CASFailovers, res.ScrubFailures)
@@ -229,8 +230,8 @@ func TestSoleGenerationCorruptionSurfacesTypedError(t *testing.T) {
 			cfg.ScrubOnDump = true
 			cfg.Generations = 1
 			var injector *faultfs.FS
-			res, err := RunOnceWrapped(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO,
-				func(fs pfs.FileSystem) pfs.FileSystem {
+			res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+				Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 					// No MaxInject: every write to the sole generation stays
 					// corrupt, so re-dumps cannot repair it.
 					injector = faultfs.Wrap(fs, faultfs.Config{
@@ -238,7 +239,8 @@ func TestSoleGenerationCorruptionSurfacesTypedError(t *testing.T) {
 						FileSubstr: tc.target,
 					})
 					return injector
-				})
+				},
+			})
 			var rerr *RestartError
 			if !errors.As(err, &rerr) {
 				t.Fatalf("err = %v, want *RestartError", err)

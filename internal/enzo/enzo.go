@@ -18,6 +18,18 @@
 // (untimed setup), read the initial grids, evolve/load-balance, dump
 // checkpoints, then restart-read the dump and verify byte-for-byte that
 // the state survived the round trip.
+//
+// The I/O is four orthogonal stages. The walk (layout.go) is the paper's
+// one access strategy, written once: top-grid fields, top-grid particles,
+// subgrids. It drives a layout — how a container stores a field partition,
+// a particle row block and a whole subgrid: fixed offsets (rawio.go), the
+// compressed z-directory (rawzio.go), HDF5 datasets (hdf5io.go), the
+// content-addressed chunk store (casio.go); HDF4's processor-0 funnel
+// (hdf4io.go) implements the same top-level interface without the walk.
+// Every transfer goes through the transport (transport.go): sync or
+// deferred, strict or tolerant. Integrity (scrub.go) sits on top: manifests,
+// read-back scrubs, re-dumps and the generation fallback. layoutFor is the
+// only place that looks at the backend, the codec and the castore switch.
 package enzo
 
 import (
@@ -30,7 +42,6 @@ import (
 	"repro/internal/castore"
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/hdf5"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
@@ -458,8 +469,13 @@ type Sim struct {
 	hints   mpiio.Hints
 	cfg     Config
 
-	meta   *core.HierarchyMeta
-	layout *core.Layout
+	meta    *core.HierarchyMeta
+	offsets *core.Layout // fixed shared-file offsets of every array
+
+	// io is the backend's I/O path (layoutFor); async reports that it has
+	// nonblocking twins and Config.AsyncIO asked for them.
+	io    ioPath
+	async bool
 
 	pz, py, px int
 
@@ -486,12 +502,10 @@ type Sim struct {
 	// chunk store (Config.CAStore; see casio.go).
 	cas *castore.Store
 
-	// pend, when non-nil, redirects dump writes through the write-behind
-	// interfaces (see async.go); nil keeps every write blocking.
-	pend *pendingDump
-
-	// rpend, when non-nil, redirects restart reads through the read-ahead
-	// interfaces (see asyncread.go); nil keeps every read blocking.
+	// Transport state (transport.go, and read only there): pend, when
+	// non-nil, defers dump writes into the pending checkpoint; rpend, when
+	// non-nil, defers restart reads. nil keeps the transfers blocking.
+	pend  *pendingDump
 	rpend *pendingRead
 
 	// tolerant turns read-path integrity failures (codec CRC mismatches,
@@ -514,20 +528,6 @@ func (s *Sim) recordCodecBytes(file string, write bool, logical, physical int64)
 	if cr, ok := s.fs.(pfs.CodecReporter); ok {
 		cr.RecordCodecBytes(file, write, logical, physical)
 	}
-}
-
-// h5cfg is the HDF5 library configuration for file fname: compressed runs
-// wire the codec cost model and route per-dataset codec accounting into
-// the file-system stack under the file's name.
-func (s *Sim) h5cfg(fname string) hdf5.Config {
-	c := hdf5.DefaultConfig()
-	if s.compressed() {
-		c.Cost = s.zcost
-		c.OnCodec = func(write bool, logical, physical int64) {
-			s.recordCodecBytes(fname, write, logical, physical)
-		}
-	}
-	return c
 }
 
 // squeeze/expand run the codec on the calling rank's clock.
@@ -614,38 +614,34 @@ func (s *Sim) timed(name string, f func()) {
 	}
 }
 
-// RunOnce executes the complete experiment for one configuration and
-// returns the timing result. It builds a fresh machine, file system and
-// world, so repeated calls are independent and deterministic.
+// RunSpec names one complete experiment: platform, file system, rank
+// count, problem and backend, plus two optional attachments.
+type RunSpec struct {
+	Machine machine.Config
+	FS      string // xfs, gpfs, pvfs or local (see MakeFS)
+	Procs   int
+	Config  Config
+	Backend Backend
+	// Wrap, when non-nil, interposes on the bare file system before the run
+	// — fault injectors, recorders — without changing the simulation.
+	Wrap func(pfs.FileSystem) pfs.FileSystem
+	// Tracer, when non-nil, receives every rank's spans (application
+	// phases, HDF, MPI-IO, MPI, file system), the Darshan-style per-rank
+	// counters and the server queue events; it instruments the wrapped
+	// stack. Tracing only reads the virtual clock, so the run's timings are
+	// bit-identical to an untraced run.
+	Tracer *obs.Tracer
+}
+
+// RunOnce is Run for the common case: no wrapper, no tracer.
 func RunOnce(machCfg machine.Config, fsKind string, nprocs int, cfg Config, backend Backend) (*Result, error) {
-	return RunOnceWrapped(machCfg, fsKind, nprocs, cfg, backend, nil)
+	return Run(RunSpec{Machine: machCfg, FS: fsKind, Procs: nprocs, Config: cfg, Backend: backend})
 }
 
-// RunOnceWrapped is RunOnce with an optional file-system wrapper applied
-// before the run — used to interpose instrumentation such as the iotrace
-// recorder without changing the simulation.
-func RunOnceWrapped(machCfg machine.Config, fsKind string, nprocs int, cfg Config,
-	backend Backend, wrap func(pfs.FileSystem) pfs.FileSystem) (*Result, error) {
-	return runOnce(machCfg, fsKind, nprocs, cfg, backend, wrap, nil)
-}
-
-// RunOnceTraced is RunOnce with a stack-wide tracer attached: every rank's
-// spans (application phases, HDF, MPI-IO, MPI, file system), the
-// Darshan-style per-rank counters and the server queue events all land in
-// tr. Tracing only reads the virtual clock, so the run's timings are
-// bit-identical to an untraced run.
+// RunOnceTraced is RunOnce with a stack-wide tracer attached.
 func RunOnceTraced(machCfg machine.Config, fsKind string, nprocs int, cfg Config,
 	backend Backend, tr *obs.Tracer) (*Result, error) {
-	return runOnce(machCfg, fsKind, nprocs, cfg, backend, nil, tr)
-}
-
-// RunOnceWrappedTraced combines RunOnceWrapped and RunOnceTraced: the
-// wrapper (fault injector, recorder) sees the bare file system, and the
-// tracer instruments the wrapped stack — diagnosis of fault-injected runs
-// needs both.
-func RunOnceWrappedTraced(machCfg machine.Config, fsKind string, nprocs int, cfg Config,
-	backend Backend, wrap func(pfs.FileSystem) pfs.FileSystem, tr *obs.Tracer) (*Result, error) {
-	return runOnce(machCfg, fsKind, nprocs, cfg, backend, wrap, tr)
+	return Run(RunSpec{Machine: machCfg, FS: fsKind, Procs: nprocs, Config: cfg, Backend: backend, Tracer: tr})
 }
 
 // autoTuner is the probe-based configuration tuner RunOnce consults when
@@ -661,13 +657,16 @@ func RegisterAutoTuner(fn func(machine.Config, string, int, Config, Backend) (Co
 	autoTuner = fn
 }
 
-func runOnce(machCfg machine.Config, fsKind string, nprocs int, cfg Config,
-	backend Backend, wrap func(pfs.FileSystem) pfs.FileSystem, tr *obs.Tracer) (*Result, error) {
+// Run executes the complete experiment for one configuration and returns
+// the timing result. It builds a fresh machine, file system and world, so
+// repeated calls are independent and deterministic.
+func Run(spec RunSpec) (*Result, error) {
+	cfg, tr := spec.Config, spec.Tracer
 	if cfg.AutoTune {
 		if autoTuner == nil {
 			return nil, fmt.Errorf("enzo: Config.AutoTune needs the autotuner registered (import repro/internal/diag)")
 		}
-		tuned, err := autoTuner(machCfg, fsKind, nprocs, cfg, backend)
+		tuned, err := autoTuner(spec.Machine, spec.FS, spec.Procs, cfg, spec.Backend)
 		if err != nil {
 			return nil, fmt.Errorf("enzo: autotune probe failed: %w", err)
 		}
@@ -678,11 +677,11 @@ func runOnce(machCfg machine.Config, fsKind string, nprocs int, cfg Config,
 	if _, err := compress.Resolve(cfg.Codec); err != nil {
 		return nil, err
 	}
-	if err := cfg.checkFootprint(nprocs); err != nil {
+	if err := cfg.checkFootprint(spec.Procs); err != nil {
 		return nil, err
 	}
-	mach := machine.New(machCfg)
-	fs, err := MakeFS(fsKind, mach)
+	mach := machine.New(spec.Machine)
+	fs, err := MakeFS(spec.FS, mach)
 	if err != nil {
 		return nil, err
 	}
@@ -696,8 +695,8 @@ func runOnce(machCfg machine.Config, fsKind string, nprocs int, cfg Config,
 		}
 		tr.SetFSInfo(fi)
 	}
-	if wrap != nil {
-		fs = wrap(fs)
+	if spec.Wrap != nil {
+		fs = spec.Wrap(fs)
 	}
 	if tr != nil {
 		fs = obs.WrapFS(fs, tr)
@@ -710,12 +709,12 @@ func runOnce(machCfg machine.Config, fsKind string, nprocs int, cfg Config,
 	if compress.Active(cfg.Codec) {
 		codecName = cfg.Codec
 	}
-	res := &Result{Problem: cfg.Problem, Backend: backend, FS: fsKind, Procs: nprocs, Codec: codecName}
-	mpi.NewWorld(eng, mach, nprocs, func(r *mpi.Rank) {
+	res := &Result{Problem: cfg.Problem, Backend: spec.Backend, FS: spec.FS, Procs: spec.Procs, Codec: codecName}
+	mpi.NewWorld(eng, mach, spec.Procs, func(r *mpi.Rank) {
 		if tr != nil {
 			tr.Attach(r.Proc(), r.Rank())
 		}
-		s := NewSim(r, fs, backend, cfg, res)
+		s := NewSim(r, fs, spec.Backend, cfg, res)
 		s.Run()
 	})
 	if err := eng.Run(); err != nil {
@@ -788,10 +787,6 @@ func NewSim(r *mpi.Rank, fs pfs.FileSystem, backend Backend, cfg Config, res *Re
 		hints.Retry = cfg.IORetry
 	}
 	pz, py, px := mpi.ProcGrid3D(r.Size())
-	codec, err := compress.Resolve(cfg.Codec)
-	if err != nil {
-		panic(err) // runOnce validates; direct NewSim callers get the panic
-	}
 	s := &Sim{
 		r: r, fs: fs, backend: backend, hints: hints, cfg: cfg,
 		pz: pz, py: py, px: px,
@@ -799,33 +794,8 @@ func NewSim(r *mpi.Rank, fs pfs.FileSystem, backend Backend, cfg Config, res *Re
 		localMode: fs.Name() == "local",
 		res:       res,
 	}
-	if backend != BackendHDF4 { // HDF4 stays the uncompressed baseline
-		s.codec = codec
-		s.zcost = cfg.CostModel()
-	}
 	s.cfg.normalize(dataServers(fs))
-	if s.cfg.CAStore && backend != BackendHDF4 {
-		opt := castore.Options{
-			Rank:     r.Rank(),
-			Replicas: s.cfg.Replicas,
-			Retain:   s.cfg.Generations, // 0 = unlimited, matching the fallback scan
-		}
-		if s.cfg.IORetry.Enabled && s.cfg.IORetry.Timeout > 0 {
-			// Compose with the retry policy: its per-request deadline also
-			// bounds each replica read attempt.
-			opt.ReadTimeout = s.cfg.IORetry.Timeout
-		}
-		s.cas = castore.New(fs, opt)
-		// Compose with AsyncIO: while a dump is pending, chunk-write
-		// completions defer into it and settle at the dump's drain.
-		s.cas.SetDeferSink(func(end float64) bool {
-			if s.pend == nil {
-				return false
-			}
-			s.pend.note(end)
-			return true
-		})
-	}
+	s.io = layoutFor(s)
 	return s
 }
 
@@ -839,19 +809,11 @@ func (s *Sim) Run() {
 
 	snap := s.snapshot()
 
-	if s.asyncDumps() {
-		s.timed("write", func() {
-			for d := 0; d < s.cfg.Dumps; d++ {
-				s.writeDumpAsync(d)
-			}
-		})
-	} else {
-		s.timed("write", func() {
-			for d := 0; d < s.cfg.Dumps; d++ {
-				s.writeDump(d)
-			}
-		})
-	}
+	s.timed("write", func() {
+		for d := 0; d < s.cfg.Dumps; d++ {
+			s.checkpoint(d)
+		}
+	})
 
 	if s.cfg.ScrubOnDump {
 		s.timed("scrub", func() { s.scrubDumps(snap) })
@@ -934,96 +896,21 @@ func (s *Sim) setup() {
 		}
 		s.meta = m
 	}
-	s.layout = core.NewLayout(s.meta)
-	s.writeIC(h)
+	s.offsets = core.NewLayout(s.meta)
+	s.io.writeIC(h)
 	s.r.Barrier()
 }
 
-// dispatch helpers
+func (s *Sim) readInitial() { s.io.readInitial() }
 
-func (s *Sim) writeIC(h *amr.Hierarchy) {
-	switch s.backend {
-	case BackendHDF4:
-		s.hdf4WriteIC(h)
-	case BackendMPIIO, BackendMPIIOCB:
-		switch {
-		case s.compressed():
-			// Compressed initial conditions are provisioned by scatter on
-			// both shared and local file systems: per-rank partitions are
-			// separately packed segments, so each rank writes its own.
-			s.rawzProvisionIC(h)
-		case s.localMode:
-			s.rawProvisionLocalIC(h)
-		default:
-			s.rawWriteIC(h)
-		}
-	case BackendHDF5:
-		if s.localMode || s.compressed() {
-			s.h5ProvisionLocalIC(h)
-		} else {
-			s.h5WriteIC(h)
-		}
-	}
-}
-
-func (s *Sim) readInitial() {
-	switch s.backend {
-	case BackendHDF4:
-		s.hdf4ReadInitial()
-	case BackendMPIIO, BackendMPIIOCB:
-		if s.compressed() {
-			s.rawzReadInitial()
-		} else {
-			s.rawReadInitial()
-		}
-	case BackendHDF5:
-		s.h5ReadInitial()
-	}
-}
-
+// writeDump writes dump generation d through the backend's I/O path, after
+// the dump-time hierarchy metadata.
 func (s *Sim) writeDump(d int) {
 	// Key the span by generation: aggregated counters for "dump" alone
 	// collide across generations, which made re-dump cost unattributable.
 	defer obs.Begin(s.r.Proc(), obs.LayerApp, fmt.Sprintf("dump:%02d", d)).End()
 	s.writeDumpHierarchy(d)
-	if s.cas != nil {
-		s.casWriteDump(d)
-		return
-	}
-	switch s.backend {
-	case BackendHDF4:
-		s.hdf4WriteDump(d)
-	case BackendMPIIO, BackendMPIIOCB:
-		if s.compressed() {
-			s.rawzWriteDump(d)
-		} else {
-			s.rawWriteDump(d)
-		}
-	case BackendHDF5:
-		s.h5WriteDump(d)
-	}
-}
-
-// readRestartImpl dispatches to the backend restart reader; callers go
-// through readRestart (asyncread.go), which adds the read-ahead pipeline
-// bookkeeping when Config.AsyncIO applies.
-func (s *Sim) readRestartImpl(d int) {
-	if s.cas != nil {
-		s.casReadRestart(d)
-		return
-	}
-	switch s.backend {
-	case BackendHDF4:
-		s.hdf4ReadRestart(d)
-	case BackendMPIIO, BackendMPIIOCB:
-		if s.compressed() {
-			s.rawzReadRestart(d)
-		} else {
-			s.rawReadRestart(d)
-		}
-	case BackendHDF5:
-		s.h5ReadRestart(d)
-	}
+	s.io.writeDump(d)
 }
 
 // assignSubgrids maps every subgrid to its post-load-balance owner with
@@ -1085,6 +972,16 @@ func (s *Sim) evolve() {
 		}
 	}
 	s.partials = nil
+	s.r.Compute(s.localCells() * s.cfg.FlopsPerCell)
+	for i := 0; i < s.cfg.RefineCycles; i++ {
+		s.refineOwned()
+	}
+}
+
+// localCells returns the cells this rank evolves per cycle — the count
+// the evolve phase computes on, reused for a deferred dump's overlapped
+// step.
+func (s *Sim) localCells() int64 {
 	var cells int64
 	if s.top != nil {
 		cells += s.top.sub.NumElems()
@@ -1092,10 +989,7 @@ func (s *Sim) evolve() {
 	for _, g := range s.owned {
 		cells += g.Cells()
 	}
-	s.r.Compute(cells * s.cfg.FlopsPerCell)
-	for i := 0; i < s.cfg.RefineCycles; i++ {
-		s.refineOwned()
-	}
+	return cells
 }
 
 // consolidate gathers one block-partitioned subgrid onto its owner,
@@ -1103,11 +997,7 @@ func (s *Sim) evolve() {
 func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 	var grid *amr.Grid
 	if s.r.Rank() == owner {
-		grid = &amr.Grid{
-			ID: g.ID, Level: g.Level, Parent: g.Parent, Dims: g.Dims,
-			LeftEdge: g.LeftEdge, RightEdge: g.RightEdge,
-		}
-		grid.Fields = make([][]byte, len(amr.FieldNames))
+		grid = newGrid(g)
 	}
 	for f := range amr.FieldNames {
 		blocks := s.r.Gatherv(owner, p.fields[f])
@@ -1246,41 +1136,10 @@ func (s *Sim) verify(snap snapshotState) bool {
 		localOK = 0
 	}
 	// Exchange (gridID, hash) pairs via gather on rank 0.
-	enc := func(m map[int]uint64) []byte {
-		ids := make([]int, 0, len(m))
-		for id := range m {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		out := make([]byte, 0, len(ids)*16)
-		for _, id := range ids {
-			var b [16]byte
-			for i := 0; i < 8; i++ {
-				b[i] = byte(uint64(id) >> (8 * i))
-				b[8+i] = byte(m[id] >> (8 * i))
-			}
-			out = append(out, b[:]...)
-		}
-		return out
-	}
-	dec := func(chunks [][]byte) map[int]uint64 {
-		m := make(map[int]uint64)
-		for _, c := range chunks {
-			for p := 0; p+16 <= len(c); p += 16 {
-				var id, h uint64
-				for i := 0; i < 8; i++ {
-					id |= uint64(c[p+i]) << (8 * i)
-					h |= uint64(c[p+8+i]) << (8 * i)
-				}
-				m[int(id)] = h
-			}
-		}
-		return m
-	}
-	before := s.r.Gatherv(0, enc(snap.grids))
-	after := s.r.Gatherv(0, enc(now.grids))
+	before := s.r.Gatherv(0, encGridHashes(snap.grids))
+	after := s.r.Gatherv(0, encGridHashes(now.grids))
 	if s.r.Rank() == 0 {
-		b, a := dec(before), dec(after)
+		b, a := decGridHashes(before), decGridHashes(after)
 		if len(b) != len(a) {
 			localOK = 0
 		}

@@ -175,7 +175,7 @@ func TestParticleHelpersRoundTrip(t *testing.T) {
 			t.Fatalf("row round trip broke particle %d", i)
 		}
 	}
-	cols := columnsFromRows(rows)
+	_, cols := flatColumnsFromRows(rows)
 	rows2 := rowsFromColumns(cols)
 	for i := range rows {
 		if rows[i] != rows2[i] {

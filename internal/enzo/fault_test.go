@@ -56,14 +56,15 @@ func TestScrubDetectsCorruptionAndRecovers(t *testing.T) {
 			cfg.Codec = tc.codec
 			cfg.ScrubOnDump = true
 			var injector *faultfs.FS
-			res, err := RunOnceWrapped(faultMachCfg(), tc.fsKind, 4, cfg, tc.backend,
-				func(fs pfs.FileSystem) pfs.FileSystem {
+			res, err := Run(RunSpec{Machine: faultMachCfg(), FS: tc.fsKind, Procs: 4, Config: cfg, Backend: tc.backend,
+				Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 					injector = faultfs.Wrap(fs, faultfs.Config{
 						Mode: faultfs.CorruptWrite, EveryN: 3, MinBytes: 2048,
 						FileSubstr: tc.target, MaxInject: 3,
 					})
 					return injector
-				})
+				},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,13 +94,14 @@ func TestGenerationFallback(t *testing.T) {
 	cfg.ScrubOnDump = true
 	cfg.Generations = 2
 	cfg.MaxRedumps = 1
-	res, err := RunOnceWrapped(faultMachCfg(), "xfs", 4, cfg, BackendMPIIO,
-		func(fs pfs.FileSystem) pfs.FileSystem {
+	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			return faultfs.Wrap(fs, faultfs.Config{
 				Mode: faultfs.CorruptWrite, EveryN: 1, MinBytes: 2048,
 				FileSubstr: "dump01.raw",
 			})
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +123,8 @@ func TestStaleReadScrub(t *testing.T) {
 	cfg := Tiny()
 	cfg.ScrubOnDump = true
 	cfg.MaxRedumps = 3
-	res, err := RunOnceWrapped(faultMachCfg(), "xfs", 4, cfg, BackendMPIIO,
-		func(fs pfs.FileSystem) pfs.FileSystem {
+	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			// Inner wrapper: every re-dump truncation turns the previous
 			// (corrupted) generation into stale bytes served on re-read.
 			stale := faultfs.Wrap(fs, faultfs.Config{
@@ -133,7 +135,8 @@ func TestStaleReadScrub(t *testing.T) {
 				Mode: faultfs.CorruptWrite, EveryN: 1, MinBytes: 2048,
 				FileSubstr: "dump00.raw", MaxInject: 1,
 			})
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +159,14 @@ func TestStragglerRetryDeterminism(t *testing.T) {
 	run := func(straggle bool) *Result {
 		cfg := Tiny()
 		cfg.IORetry = pol
-		res, err := RunOnceWrapped(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO,
-			func(fs pfs.FileSystem) pfs.FileSystem {
+		res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+			Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 				if straggle {
 					fs.(pfs.StripeFaultInjector).DegradeDataServer(0, 10)
 				}
 				return fs
-			})
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,13 +195,14 @@ func TestDeadServerSurfacesIOError(t *testing.T) {
 	pol.MaxAttempts = 3
 	cfg := Tiny()
 	cfg.IORetry = pol
-	_, err := RunOnceWrapped(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO,
-		func(fs pfs.FileSystem) pfs.FileSystem {
+	_, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			// Server 3, not 0: rank 0's plain-fs hierarchy writes land on
 			// stripe 0 and bypass the MPI-IO retry path.
 			fs.(pfs.StripeFaultInjector).FailDataServerAt(3, 0)
 			return fs
-		})
+		},
+	})
 	if err == nil {
 		t.Fatal("run against a dead data server succeeded")
 	}

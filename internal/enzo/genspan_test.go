@@ -74,13 +74,15 @@ func TestRedumpSpansKeyedByAttempt(t *testing.T) {
 	cfg := Tiny()
 	cfg.ScrubOnDump = true
 	tr := obs.NewTracer()
-	res, err := RunOnceWrappedTraced(faultMachCfg(), "xfs", 4, cfg, BackendMPIIO,
-		func(fs pfs.FileSystem) pfs.FileSystem {
+	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			return faultfs.Wrap(fs, faultfs.Config{
 				Mode: faultfs.CorruptWrite, EveryN: 3, MinBytes: 2048,
 				FileSubstr: "dump00.raw", MaxInject: 3,
 			})
-		}, tr)
+		},
+		Tracer: tr,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

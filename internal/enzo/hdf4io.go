@@ -13,7 +13,12 @@ import (
 // sequential HDF4 containers. Processor 0 performs all top-grid file
 // access and redistributes over the network; subgrid dumps go to
 // individual per-grid files written by their owners in parallel without
-// communication; restart reads assign whole subgrids round-robin.
+// communication; restart reads assign whole subgrids round-robin. There is
+// no partitioned access for the walk (layout.go) to drive, so hdf4IO
+// implements ioPath itself — and stays the uncompressed, synchronous,
+// plain-file baseline: it never touches the transport.
+
+type hdf4IO struct{ *Sim }
 
 func icGridFile(id int) string { return fmt.Sprintf("ic_g%04d.hdf", id) }
 
@@ -43,11 +48,7 @@ func writeGridSD(sd *hdf4.SDFile, g *amr.Grid) {
 
 // readGridSD reads a whole grid back from an HDF4 container.
 func readGridSD(sd *hdf4.SDFile, g core.GridMeta) *amr.Grid {
-	grid := &amr.Grid{
-		ID: g.ID, Level: g.Level, Parent: g.Parent, Dims: g.Dims,
-		LeftEdge: g.LeftEdge, RightEdge: g.RightEdge,
-	}
-	grid.Fields = make([][]byte, len(amr.FieldNames))
+	grid := newGrid(g)
 	for f, name := range amr.FieldNames {
 		_, data, err := sd.ReadSDS(name)
 		if err != nil {
@@ -56,22 +57,19 @@ func readGridSD(sd *hdf4.SDFile, g core.GridMeta) *amr.Grid {
 		grid.Fields[f] = data
 	}
 	if g.NParticles == 0 {
-		grid.Particles = amr.NewParticleSet(0)
 		return grid
 	}
-	ps := amr.ParticleSet{N: int(g.NParticles), Arrays: make([][]byte, len(amr.ParticleArrays))}
 	for k, pa := range amr.ParticleArrays {
 		_, data, err := sd.ReadSDS(pa.Name)
 		if err != nil {
 			panic(err)
 		}
-		ps.Arrays[k] = data
+		grid.Particles.Arrays[k] = data
 	}
-	grid.Particles = ps
 	return grid
 }
 
-func (s *Sim) hdf4WriteIC(h *amr.Hierarchy) {
+func (s hdf4IO) writeIC(h *amr.Hierarchy) {
 	if s.r.Rank() != 0 {
 		return
 	}
@@ -86,11 +84,11 @@ func (s *Sim) hdf4WriteIC(h *amr.Hierarchy) {
 	}
 }
 
-// hdf4ReadGridPartitioned is the original read path for one grid:
+// readPartitioned is the original read path for one grid:
 // processor 0 reads each array from the container and redistributes it —
 // (Block,Block,Block) sub-blocks for the baryon fields, position-owned
 // rows for the particles. Collective: all ranks must call it.
-func (s *Sim) hdf4ReadGridPartitioned(fname string, g core.GridMeta) *partition {
+func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 	defer obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(g.ID)).End()
 	p := &partition{gridID: g.ID, sub: core.FieldSubarray(g, s.pz, s.py, s.px, s.r.Rank())}
 	p.fields = make([][]byte, len(amr.FieldNames))
@@ -165,14 +163,14 @@ func (s *Sim) hdf4ReadGridPartitioned(fname string, g core.GridMeta) *partition 
 	return p
 }
 
-func (s *Sim) hdf4ReadInitial() {
-	s.top = s.hdf4ReadGridPartitioned(icGridFile(0), s.meta.Top())
+func (s hdf4IO) readInitial() {
+	s.top = s.readPartitioned(icGridFile(0), s.meta.Top())
 	for _, g := range s.meta.Subgrids() {
-		s.partials = append(s.partials, s.hdf4ReadGridPartitioned(icGridFile(g.ID), g))
+		s.partials = append(s.partials, s.readPartitioned(icGridFile(g.ID), g))
 	}
 }
 
-func (s *Sim) hdf4WriteDump(d int) {
+func (s hdf4IO) writeDump(d int) {
 	// Top grid: collected by processor 0, combined, and written to a
 	// single file (Section 2.2).
 	g := s.meta.Top()
@@ -209,7 +207,7 @@ func (s *Sim) hdf4WriteDump(d int) {
 		}
 		if g.NParticles > 0 {
 			sorted := s.sortRowsByIDLocal(all)
-			cols := columnsFromRows(sorted)
+			_, cols := flatColumnsFromRows(sorted)
 			s.r.CopyCost(int64(len(sorted)))
 			for k, pa := range amr.ParticleArrays {
 				if err := sd.WriteSDS(pa.Name, []int{int(g.NParticles)}, pa.ElemSize, cols[k]); err != nil {
@@ -239,11 +237,11 @@ func (s *Sim) hdf4WriteDump(d int) {
 	}
 }
 
-func (s *Sim) hdf4ReadRestart(d int) {
+func (s hdf4IO) readRestart(d int) {
 	// "The restart read is pretty much like the new simulation read,
 	// except that every processor reads the subgrids in a round-robin
 	// manner."
-	s.top = s.hdf4ReadGridPartitioned(dumpTopFile(d), s.meta.Top())
+	s.top = s.readPartitioned(dumpTopFile(d), s.meta.Top())
 	owners := s.restartOwners()
 	for _, g := range s.meta.Subgrids() {
 		if owners[g.ID] != s.r.Rank() {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hdf5"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 )
 
 // The parallel HDF5 port (Section 3.4): the same access strategy as the
@@ -40,386 +39,327 @@ func emptySel(dims []int, elemSize int) mpi.Subarray {
 	}
 }
 
-// fieldSel is rank r's (Block,Block,Block) hyperslab of a field dataset.
-func (s *Sim) fieldSel(g core.GridMeta) mpi.Subarray {
-	return core.FieldSubarray(g, s.pz, s.py, s.px, s.r.Rank())
+// rowRangeSel builds a 1-D hyperslab over rows [lo, hi) of an n-row
+// particle array.
+func rowRangeSel(n int64, elemSize int, lo, hi int64) mpi.Subarray {
+	return mpi.Subarray{
+		Sizes:    []int{int(n)},
+		Subsizes: []int{int(hi - lo)},
+		Starts:   []int{int(lo)},
+		ElemSize: elemSize,
+	}
 }
 
-func (s *Sim) h5WriteIC(h *amr.Hierarchy) {
-	hf, err := hdf5.Create(s.r, s.fs, icH5File(), s.h5cfg(icH5File()), s.hints)
+func fieldDims(g core.GridMeta) []int { return []int{g.Dims[0], g.Dims[1], g.Dims[2]} }
+
+// h5Layout stores every array as a dataset of one shared HDF5 file. With a
+// codec, field datasets hold one independently packed segment per writing
+// rank.
+type h5Layout struct{ *Sim }
+
+// h5File is an open container. hf is nil when a tolerant read-back could
+// not open it: every read then leaves its zero-filled buffer in place.
+type h5File struct {
+	*Sim
+	hf *hdf5.File
+	// indep: field partitions are read independently (node-local initial
+	// conditions: each rank reads what it staged at setup).
+	indep bool
+}
+
+// h5cfg is the HDF5 library configuration for file fname: compressed runs
+// wire the codec cost model and route per-dataset codec accounting into
+// the file-system stack under the file's name.
+func (s *Sim) h5cfg(fname string) hdf5.Config {
+	c := hdf5.DefaultConfig()
+	if s.compressed() {
+		c.Cost = s.zcost
+		c.OnCodec = func(write bool, logical, physical int64) {
+			s.recordCodecBytes(fname, write, logical, physical)
+		}
+	}
+	return c
+}
+
+func (l h5Layout) create(name string) *h5File {
+	hf, err := hdf5.Create(l.r, l.fs, name, l.h5cfg(name), l.hints)
 	if err != nil {
 		panic(err)
 	}
-	for _, gm := range s.meta.Grids {
-		var grid *amr.Grid
-		if s.r.Rank() == 0 {
-			grid = h.Grids[gm.ID]
-		}
-		dims3 := []int{gm.Dims[0], gm.Dims[1], gm.Dims[2]}
-		for fi, name := range amr.FieldNames {
-			ds, err := hf.CreateDataset(dsName(gm.ID, name), dims3, amr.FieldElemSize)
-			if err != nil {
-				panic(err)
-			}
-			if s.r.Rank() == 0 {
-				ds.WriteHyperslab(fullSel(dims3, amr.FieldElemSize), grid.Fields[fi])
-			} else {
-				ds.WriteHyperslab(emptySel(dims3, amr.FieldElemSize), nil)
-			}
-			ds.Close()
-		}
-		if gm.NParticles > 0 {
-			dims1 := []int{int(gm.NParticles)}
-			for k, pa := range amr.ParticleArrays {
-				ds, err := hf.CreateDataset(dsName(gm.ID, pa.Name), dims1, pa.ElemSize)
-				if err != nil {
-					panic(err)
-				}
-				if s.r.Rank() == 0 {
-					ds.WriteHyperslab(fullSel(dims1, pa.ElemSize), grid.Particles.Arrays[k])
-				} else {
-					ds.WriteHyperslab(emptySel(dims1, pa.ElemSize), nil)
-				}
-				ds.Close()
-			}
-		}
-	}
-	hf.Close()
+	return &h5File{Sim: l.Sim, hf: hf}
 }
 
-// h5ReadGridPartitioned mirrors rawReadGridPartitioned through hyperslabs.
-func (s *Sim) h5ReadGridPartitioned(hf *hdf5.File, g core.GridMeta) *partition {
-	defer obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(g.ID)).End()
-	p := &partition{gridID: g.ID, sub: s.fieldSel(g)}
-	p.fields = make([][]byte, len(amr.FieldNames))
-	for fi, name := range amr.FieldNames {
-		ds, err := hf.OpenDataset(dsName(g.ID, name))
-		if err != nil {
-			panic(err)
-		}
-		if ds.Compressed() {
-			// Compressed datasets store one independently packed segment
-			// per writing rank; the IC was provisioned with this rank's
-			// partition in its own slot.
-			raw, err := ds.ReadCompressedSeg(s.r.Rank())
-			if err != nil {
-				panic(err)
-			}
-			p.fields[fi] = raw
-			continue
-		}
-		buf := make([]byte, p.sub.Bytes())
-		if s.localMode {
-			// Node-local disks: read the partition staged at setup.
-			ds.ReadHyperslabIndependent(p.sub, buf)
-		} else {
-			ds.ReadHyperslab(p.sub, buf)
-		}
-		p.fields[fi] = buf
+// createDataset creates a dataset collectively — every dataset creation
+// synchronizes all processors even when a single owner writes the data.
+// Field datasets of a compressed run are segment containers.
+func (h *h5File) createDataset(gridID int, name string, dims []int, elemSize int, field bool) *hdf5.Dataset {
+	var ds *hdf5.Dataset
+	var err error
+	if field && h.compressed() {
+		ds, err = h.hf.CreateDatasetZ(dsName(gridID, name), dims, elemSize, h.codec)
+	} else {
+		ds, err = h.hf.CreateDataset(dsName(gridID, name), dims, elemSize)
 	}
-	if g.NParticles == 0 {
-		p.particles = amr.NewParticleSet(0)
-		return p
-	}
-	lo, hi := core.BlockRange(g.NParticles, s.r.Size(), s.r.Rank())
-	if s.localMode || s.compressed() {
-		// Rows staged at provisioning time (both the local-disk mode and
-		// the compressed IC path stage per-rank rows at setup).
-		rng := s.localICRows[g.ID]
-		lo, hi = rng[0], rng[1]
-	}
-	cols := make([][]byte, len(amr.ParticleArrays))
-	for k, pa := range amr.ParticleArrays {
-		ds, err := hf.OpenDataset(dsName(g.ID, pa.Name))
-		if err != nil {
-			panic(err)
-		}
-		sel := mpi.Subarray{Sizes: []int{int(g.NParticles)}, Subsizes: []int{int(hi - lo)},
-			Starts: []int{int(lo)}, ElemSize: pa.ElemSize}
-		buf := make([]byte, sel.Bytes())
-		ds.ReadHyperslabIndependent(sel, buf)
-		cols[k] = buf
-	}
-	rows := rowsFromColumns(cols)
-	s.r.CopyCost(int64(len(rows)))
-	p.particles = s.redistributeByPosition(rows, g)
-	return p
-}
-
-func (s *Sim) h5ReadInitial() {
-	hf, err := hdf5.OpenRead(s.r, s.fs, icH5File(), s.h5cfg(icH5File()), s.hints)
-	if err != nil {
-		panic(err)
-	}
-	s.top = s.h5ReadGridPartitioned(hf, s.meta.Top())
-	for _, g := range s.meta.Subgrids() {
-		s.partials = append(s.partials, s.h5ReadGridPartitioned(hf, g))
-	}
-	hf.Close()
-}
-
-func (s *Sim) h5WriteDump(d int) {
-	hf, err := hdf5.Create(s.r, s.fs, dumpH5File(d), s.h5cfg(dumpH5File(d)), s.hints)
-	if err != nil {
-		panic(err)
-	}
-	s.dH5Open(hf)
-	// Top grid fields: collective hyperslab writes.
-	g := s.meta.Top()
-	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", "0")
-	dims3 := []int{g.Dims[0], g.Dims[1], g.Dims[2]}
-	for fi, name := range amr.FieldNames {
-		if s.compressed() {
-			// Each rank packs and appends its own partition segment.
-			ds, err := hf.CreateDatasetZ(dsName(g.ID, name), dims3, amr.FieldElemSize, s.codec)
-			if err != nil {
-				panic(err)
-			}
-			s.dH5Z(ds, s.top.fields[fi])
-			ds.Close()
-			continue
-		}
-		ds, err := hf.CreateDataset(dsName(g.ID, name), dims3, amr.FieldElemSize)
-		if err != nil {
-			panic(err)
-		}
-		s.dH5Slab(ds, s.top.sub, s.top.fields[fi])
-		ds.Close()
-	}
-	// Top grid particles: parallel sort, then independent 1-D hyperslabs.
-	if g.NParticles > 0 {
-		sortedRows := s.parallelSortByID(&s.top.particles)
-		myCount := int64(len(sortedRows) / rowSize())
-		rowOff := s.r.ExscanInt64(myCount)
-		cols := columnsFromRows(sortedRows)
-		s.r.CopyCost(int64(len(sortedRows)))
-		for k, pa := range amr.ParticleArrays {
-			ds, err := hf.CreateDataset(dsName(g.ID, pa.Name), []int{int(g.NParticles)}, pa.ElemSize)
-			if err != nil {
-				panic(err)
-			}
-			sel := mpi.Subarray{Sizes: []int{int(g.NParticles)}, Subsizes: []int{int(myCount)},
-				Starts: []int{int(rowOff)}, ElemSize: pa.ElemSize}
-			s.dH5SlabIndep(ds, sel, cols[k])
-			ds.Close()
-		}
-		s.localPartRows = [2]int64{rowOff, rowOff + myCount}
-	}
-	topSp.End()
-	// Metadata attributes: only processor 0 may create/write them
-	// (overhead 4 of Section 4.5).
-	hf.WriteAttribute("top_grid_dims", []byte(fmt.Sprintf("%v", g.Dims)))
-	// Subgrids: every dataset creation synchronizes all processors even
-	// though a single owner writes the data.
-	for _, gm := range s.meta.Subgrids() {
-		grid := s.owned[gm.ID] // nil on non-owners
-		sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", fmt.Sprint(gm.ID))
-		gdims := []int{gm.Dims[0], gm.Dims[1], gm.Dims[2]}
-		for fi, name := range amr.FieldNames {
-			if s.compressed() {
-				// Only the owner contributes bytes; everyone still pays
-				// the collective create/close and the length exchange.
-				ds, err := hf.CreateDatasetZ(dsName(gm.ID, name), gdims, amr.FieldElemSize, s.codec)
-				if err != nil {
-					panic(err)
-				}
-				var raw []byte
-				if grid != nil {
-					raw = grid.Fields[fi]
-				}
-				s.dH5Z(ds, raw)
-				ds.Close()
-				continue
-			}
-			ds, err := hf.CreateDataset(dsName(gm.ID, name), gdims, amr.FieldElemSize)
-			if err != nil {
-				panic(err)
-			}
-			if grid != nil {
-				s.dH5SlabIndep(ds, fullSel(gdims, amr.FieldElemSize), grid.Fields[fi])
-			}
-			ds.Close()
-		}
-		if gm.NParticles > 0 {
-			pdims := []int{int(gm.NParticles)}
-			for k, pa := range amr.ParticleArrays {
-				ds, err := hf.CreateDataset(dsName(gm.ID, pa.Name), pdims, pa.ElemSize)
-				if err != nil {
-					panic(err)
-				}
-				if grid != nil {
-					s.dH5SlabIndep(ds, fullSel(pdims, pa.ElemSize), grid.Particles.Arrays[k])
-				}
-				ds.Close()
-			}
-		}
-		hf.WriteAttribute(fmt.Sprintf("g%04d_level", gm.ID), []byte{byte(gm.Level)})
-		sp.End()
-	}
-	s.dH5Close(hf)
-}
-
-// h5DS opens a dataset, or returns nil when the container itself failed a
-// tolerant open (hf == nil) — readers treat a nil dataset as "leave the
-// zero-filled buffer in place".
-func (s *Sim) h5DS(hf *hdf5.File, name string) *hdf5.Dataset {
-	if hf == nil {
-		return nil
-	}
-	ds, err := hf.OpenDataset(name)
 	if err != nil {
 		panic(err)
 	}
 	return ds
 }
 
-func (s *Sim) h5ReadRestart(d int) {
-	hf, err := hdf5.OpenRead(s.r, s.fs, dumpH5File(d), s.h5cfg(dumpH5File(d)), s.hints)
+// writeIC: on a shared file system every dataset is created collectively
+// and written by rank 0; node-local disks and compressed runs (per-rank
+// segments) are provisioned partition by partition (localic.go).
+func (l h5Layout) writeIC(h *amr.Hierarchy) {
+	file := l.create(icH5File())
+	if l.localMode || l.compressed() {
+		l.provisionIC(h,
+			func(gm core.GridMeta, fi int, sub mpi.Subarray, part []byte) {
+				ds := file.createDataset(gm.ID, amr.FieldNames[fi], fieldDims(gm), amr.FieldElemSize, true)
+				if l.compressed() {
+					ds.WriteCompressed(l.codec, part)
+				} else {
+					ds.WriteHyperslabIndependent(sub, part)
+				}
+				ds.Close()
+			},
+			func(gm core.GridMeta, k int, lo, hi int64, col []byte) {
+				pa := amr.ParticleArrays[k]
+				ds := file.createDataset(gm.ID, pa.Name, []int{int(gm.NParticles)}, pa.ElemSize, false)
+				ds.WriteHyperslabIndependent(rowRangeSel(gm.NParticles, pa.ElemSize, lo, hi), col)
+				ds.Close()
+			})
+		file.hf.Close()
+		return
+	}
+	root := l.r.Rank() == 0
+	put := func(gridID int, name string, dims []int, elemSize int, data []byte) {
+		ds := file.createDataset(gridID, name, dims, elemSize, false)
+		if root {
+			ds.WriteHyperslab(fullSel(dims, elemSize), data)
+		} else {
+			ds.WriteHyperslab(emptySel(dims, elemSize), nil)
+		}
+		ds.Close()
+	}
+	// Only rank 0 holds the hierarchy; the others pass nil data.
+	noFields := make([][]byte, len(amr.FieldNames))
+	noCols := make([][]byte, len(amr.ParticleArrays))
+	for _, gm := range l.meta.Grids {
+		fields, cols := noFields, noCols
+		if root {
+			fields, cols = h.Grids[gm.ID].Fields, h.Grids[gm.ID].Particles.Arrays
+		}
+		for fi, name := range amr.FieldNames {
+			put(gm.ID, name, fieldDims(gm), amr.FieldElemSize, fields[fi])
+		}
+		if gm.NParticles > 0 {
+			for k, pa := range amr.ParticleArrays {
+				put(gm.ID, pa.Name, []int{int(gm.NParticles)}, pa.ElemSize, cols[k])
+			}
+		}
+	}
+	file.hf.Close()
+}
+
+func (l h5Layout) openIC() gridReader {
+	hf, err := hdf5.OpenRead(l.r, l.fs, icH5File(), l.h5cfg(icH5File()), l.hints)
 	if err != nil {
-		if !s.tolerant {
+		panic(err)
+	}
+	return &h5File{Sim: l.Sim, hf: hf, indep: l.localMode}
+}
+
+func (l h5Layout) openDump(d int) gridReader {
+	hf, err := hdf5.OpenRead(l.r, l.fs, dumpH5File(d), l.h5cfg(dumpH5File(d)), l.hints)
+	if err != nil {
+		if !l.tolerant {
 			panic(err)
 		}
 		// The metadata index was unreadable — on every rank, since OpenRead
 		// broadcasts its failure. The generation is damaged wholesale; the
-		// loops below degrade to zero-filled buffers (nil datasets) but the
-		// collective particle redistribution still runs so the tolerant walk
-		// stays in step across ranks.
-		s.damaged = true
+		// walk degrades to zero-filled buffers but still runs its collective
+		// particle redistribution, so the ranks stay in step.
+		l.damaged = true
 		hf = nil
 	}
-	g := s.meta.Top()
-	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", "0")
-	s.top = &partition{gridID: 0, sub: s.fieldSel(g)}
-	s.top.fields = make([][]byte, len(amr.FieldNames))
-	// Every field's transfer is issued before any settles, so under the
-	// read-ahead pipeline one dataset's devices drain while the next one's
-	// request exchange (or segment decode) runs. Tolerant read-backs use
-	// independent reads instead of the collective: one rank's exhausted
-	// retries must not desynchronize a two-phase exchange.
-	topSettle := make([]func(), len(amr.FieldNames))
-	for fi, name := range amr.FieldNames {
-		ds := s.h5DS(hf, dsName(g.ID, name))
-		if ds != nil && ds.Compressed() {
-			// Restart uses the dump decomposition: this rank's segment is
-			// exactly its partition.
-			get := s.rH5ZRead(ds, s.r.Rank())
-			fi := fi
-			topSettle[fi] = func() {
-				raw := get()
-				if raw == nil {
-					raw = make([]byte, s.top.sub.Bytes())
-				}
-				s.top.fields[fi] = raw
-			}
-			continue
-		}
-		buf := make([]byte, s.top.sub.Bytes())
-		s.top.fields[fi] = buf
-		switch {
-		case ds == nil:
-			topSettle[fi] = func() {}
-		case s.tolerant:
-			s.tolerantIO(func() { ds.ReadHyperslabIndependent(s.top.sub, buf) })
-			topSettle[fi] = func() {}
-		default:
-			topSettle[fi] = s.rH5Slab(ds, s.top.sub, buf)
+	return &h5File{Sim: l.Sim, hf: hf}
+}
+
+// createDump switches the fresh container into write-behind metadata mode
+// when the dump is deferred (the library's metadata cache: header flushes
+// defer like data writes).
+func (l h5Layout) createDump(d int) dumpWriter {
+	file := l.create(dumpH5File(d))
+	file.hf.SetWriteBehindMeta(l.metaSink())
+	return file
+}
+
+// open opens a dataset for reading (nil when the container is unreadable).
+func (h *h5File) open(gridID int, name string) *hdf5.Dataset {
+	if h.hf == nil {
+		return nil
+	}
+	ds, err := h.hf.OpenDataset(dsName(gridID, name))
+	if err != nil {
+		panic(err)
+	}
+	return ds
+}
+
+// readInto issues an independent read of sel into a fresh buffer.
+func (h *h5File) readInto(ds *hdf5.Dataset, sel mpi.Subarray) (buf []byte, settle func()) {
+	buf = make([]byte, sel.Bytes())
+	if ds == nil {
+		return buf, settled
+	}
+	return buf, h.read(xfer{kind: xSlabIndep, ds: ds, sel: sel, buf: buf})
+}
+
+// readSegs issues the read of a compressed dataset's segment slot (every
+// segment when slot < 0) into *out; a read a tolerant read-back absorbed
+// leaves want zero bytes there instead.
+func (h *h5File) readSegs(ds *hdf5.Dataset, slot int, out *[]byte, want int64) func() {
+	settle := h.read(xfer{kind: xSeg, ds: ds, slot: slot, out: out})
+	return func() {
+		settle()
+		if *out == nil {
+			*out = make([]byte, want)
 		}
 	}
-	for _, settle := range topSettle {
+}
+
+func (h *h5File) field(g core.GridMeta, fi int, p *partition) func() {
+	ds := h.open(g.ID, amr.FieldNames[fi])
+	if ds != nil && ds.Compressed() {
+		// One packed segment per writing rank: the initial conditions were
+		// provisioned with this rank's partition in its own slot, and a
+		// restart uses the dump decomposition.
+		return h.readSegs(ds, h.r.Rank(), &p.fields[fi], p.sub.Bytes())
+	}
+	buf := make([]byte, p.sub.Bytes())
+	p.fields[fi] = buf
+	if ds == nil {
+		return settled
+	}
+	kind := xSlab
+	if h.indep {
+		kind = xSlabIndep
+	}
+	return h.read(xfer{kind: kind, ds: ds, sel: p.sub, buf: buf})
+}
+
+func (h *h5File) rows(g core.GridMeta, lo, hi int64) []byte {
+	cols := make([][]byte, len(amr.ParticleArrays))
+	settles := make([]func(), len(amr.ParticleArrays))
+	for k, pa := range amr.ParticleArrays {
+		cols[k], settles[k] = h.readInto(h.open(g.ID, pa.Name), rowRangeSel(g.NParticles, pa.ElemSize, lo, hi))
+	}
+	for _, settle := range settles {
 		settle()
 	}
-	if g.NParticles > 0 {
-		lo, hi := core.BlockRange(g.NParticles, s.r.Size(), s.r.Rank())
-		if s.localMode {
-			lo, hi = s.localPartRows[0], s.localPartRows[1]
+	return rowsFromColumns(cols)
+}
+
+// subgrid issues every dataset read of the grid together.
+func (h *h5File) subgrid(gm core.GridMeta) func() *amr.Grid {
+	grid := newGrid(gm)
+	settles := make([]func(), 0, len(amr.FieldNames)+len(amr.ParticleArrays))
+	for fi, name := range amr.FieldNames {
+		var settle func()
+		if ds := h.open(gm.ID, name); ds != nil && ds.Compressed() {
+			// The dump owner wrote the whole array as its one segment;
+			// concatenating the non-empty slots recovers it without
+			// knowing who the owner was.
+			settle = h.readSegs(ds, -1, &grid.Fields[fi], gm.Cells()*amr.FieldElemSize)
+		} else {
+			grid.Fields[fi], settle = h.readInto(ds, fullSel(fieldDims(gm), amr.FieldElemSize))
 		}
-		cols := make([][]byte, len(amr.ParticleArrays))
-		colSettle := make([]func(), len(amr.ParticleArrays))
+		settles = append(settles, settle)
+	}
+	if gm.NParticles > 0 {
 		for k, pa := range amr.ParticleArrays {
-			ds := s.h5DS(hf, dsName(g.ID, pa.Name))
-			sel := mpi.Subarray{Sizes: []int{int(g.NParticles)}, Subsizes: []int{int(hi - lo)},
-				Starts: []int{int(lo)}, ElemSize: pa.ElemSize}
-			buf := make([]byte, sel.Bytes())
-			colSettle[k] = s.rH5SlabIndepTol(ds, sel, buf)
-			cols[k] = buf
+			var settle func()
+			grid.Particles.Arrays[k], settle = h.readInto(h.open(gm.ID, pa.Name), fullSel([]int{int(gm.NParticles)}, pa.ElemSize))
+			settles = append(settles, settle)
 		}
-		for _, settle := range colSettle {
+	}
+	return func() *amr.Grid {
+		for _, settle := range settles {
 			settle()
 		}
-		rows := rowsFromColumns(cols)
-		s.r.CopyCost(int64(len(rows)))
-		s.top.particles = s.redistributeByPosition(rows, g)
+		return grid
+	}
+}
+
+func (h *h5File) close() {
+	if h.hf != nil {
+		h.hf.Close()
+	}
+}
+
+func (h *h5File) putTopField(fi int) {
+	g := h.meta.Top()
+	ds := h.createDataset(g.ID, amr.FieldNames[fi], fieldDims(g), amr.FieldElemSize, true)
+	if ds.Compressed() {
+		// Each rank packs and appends its own partition segment.
+		h.write(xfer{kind: xSeg, ds: ds, buf: h.top.fields[fi]})
 	} else {
-		s.top.particles = amr.NewParticleSet(0)
+		h.write(xfer{kind: xSlab, ds: ds, sel: h.top.sub, buf: h.top.fields[fi]})
 	}
-	topSp.End()
-	// Subgrids: every dataset read of a grid is issued together and the
-	// grids are double-buffered — the next grid's transfers are on the
-	// devices while the current one settles and decodes.
-	owners := s.restartOwners()
-	var finishPrev func()
-	for _, gm := range s.meta.Subgrids() {
-		if owners[gm.ID] != s.r.Rank() {
-			continue
+	ds.Close()
+}
+
+func (h *h5File) putTopRows(g core.GridMeta, sorted []byte) {
+	lo, n, _, cols := h.blockColumns(sorted)
+	for k, pa := range amr.ParticleArrays {
+		ds := h.createDataset(g.ID, pa.Name, []int{int(g.NParticles)}, pa.ElemSize, false)
+		h.write(xfer{kind: xSlabIndep, ds: ds, sel: rowRangeSel(g.NParticles, pa.ElemSize, lo, lo+n), buf: cols[k]})
+		ds.Close()
+	}
+}
+
+// sealTop: only processor 0 may create/write attributes (overhead 4 of
+// Section 4.5).
+func (h *h5File) sealTop() {
+	h.hf.WriteAttribute("top_grid_dims", []byte(fmt.Sprintf("%v", h.meta.Top().Dims)))
+}
+
+func (h *h5File) collective() bool { return true }
+
+func (h *h5File) putSubgrid(gm core.GridMeta, grid *amr.Grid) {
+	for fi, name := range amr.FieldNames {
+		ds := h.createDataset(gm.ID, name, fieldDims(gm), amr.FieldElemSize, true)
+		var raw []byte
+		if grid != nil {
+			raw = grid.Fields[fi]
 		}
-		gm := gm
-		sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(gm.ID))
-		grid := &amr.Grid{
-			ID: gm.ID, Level: gm.Level, Parent: gm.Parent, Dims: gm.Dims,
-			LeftEdge: gm.LeftEdge, RightEdge: gm.RightEdge,
+		if ds.Compressed() {
+			// Only the owner contributes bytes; everyone still pays the
+			// length exchange.
+			h.write(xfer{kind: xSeg, ds: ds, buf: raw})
+		} else if grid != nil {
+			h.write(xfer{kind: xSlabIndep, ds: ds, sel: fullSel(fieldDims(gm), amr.FieldElemSize), buf: raw})
 		}
-		grid.Fields = make([][]byte, len(amr.FieldNames))
-		gdims := []int{gm.Dims[0], gm.Dims[1], gm.Dims[2]}
-		var fins []func()
-		for fi, name := range amr.FieldNames {
-			ds := s.h5DS(hf, dsName(gm.ID, name))
-			if ds != nil && ds.Compressed() {
-				// The dump owner wrote the whole array as its one segment;
-				// concatenating the non-empty slots recovers it without
-				// knowing who the owner was.
-				get := s.rH5ZRead(ds, -1)
-				fi := fi
-				fins = append(fins, func() {
-					raw := get()
-					if raw == nil {
-						raw = make([]byte, int64(gm.Cells())*amr.FieldElemSize)
-					}
-					grid.Fields[fi] = raw
-				})
-				continue
+		ds.Close()
+	}
+	if gm.NParticles > 0 {
+		pdims := []int{int(gm.NParticles)}
+		for k, pa := range amr.ParticleArrays {
+			ds := h.createDataset(gm.ID, pa.Name, pdims, pa.ElemSize, false)
+			if grid != nil {
+				h.write(xfer{kind: xSlabIndep, ds: ds, sel: fullSel(pdims, pa.ElemSize), buf: grid.Particles.Arrays[k]})
 			}
-			buf := make([]byte, int64(gm.Cells())*amr.FieldElemSize)
-			grid.Fields[fi] = buf
-			fins = append(fins, s.rH5SlabIndepTol(ds, fullSel(gdims, amr.FieldElemSize), buf))
-		}
-		if gm.NParticles > 0 {
-			pdims := []int{int(gm.NParticles)}
-			ps := amr.ParticleSet{N: int(gm.NParticles), Arrays: make([][]byte, len(amr.ParticleArrays))}
-			for k, pa := range amr.ParticleArrays {
-				ds := s.h5DS(hf, dsName(gm.ID, pa.Name))
-				buf := make([]byte, gm.NParticles*int64(pa.ElemSize))
-				ps.Arrays[k] = buf
-				fins = append(fins, s.rH5SlabIndepTol(ds, fullSel(pdims, pa.ElemSize), buf))
-			}
-			grid.Particles = ps
-		} else {
-			grid.Particles = amr.NewParticleSet(0)
-		}
-		sp.End()
-		if finishPrev != nil {
-			finishPrev()
-		}
-		finishPrev = func() {
-			for _, fin := range fins {
-				fin()
-			}
-			s.owned[gm.ID] = grid
+			ds.Close()
 		}
 	}
-	if finishPrev != nil {
-		finishPrev()
-	}
-	if hf != nil {
-		hf.Close()
-	}
+	h.hf.WriteAttribute(fmt.Sprintf("g%04d_level", gm.ID), []byte{byte(gm.Level)})
+}
+
+func (h *h5File) finish() {
+	h.closeAfterDrain(func() {
+		// The drain already settled every deferred completion; the close's
+		// own superblock write goes back to synchronous.
+		h.hf.SetWriteBehindMeta(nil)
+		h.hf.Close()
+	})
 }

@@ -3,9 +3,7 @@ package enzo
 import (
 	"repro/internal/amr"
 	"repro/internal/core"
-	"repro/internal/hdf5"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
 )
 
 // Node-local disk mode (the paper's fourth experiment) has no shared
@@ -14,6 +12,8 @@ import (
 // each grid's partitions and every rank stores its own partition on its
 // local disk — exactly how a local-disk cluster run would be staged. The
 // timed initial read then reads each rank's partition independently.
+// Compressed runs are provisioned the same way on every file system: their
+// field arrays are per-rank packed segments.
 
 // scatterGridFromRoot distributes grid gm from the rank-0 hierarchy:
 // every rank receives its (Block,Block,Block) field blocks and its
@@ -49,90 +49,29 @@ func (s *Sim) scatterGridFromRoot(h *amr.Hierarchy, gm core.GridMeta) (fields []
 	return fields, rows
 }
 
-// rawProvisionLocalIC stages the MPI-IO initial conditions across the
-// local disks and records each rank's particle row range per grid.
-func (s *Sim) rawProvisionLocalIC(h *amr.Hierarchy) {
-	f, err := mpiio.Open(s.r, s.fs, icRawFile(), mpiio.ModeCreate, s.hints)
-	if err != nil {
-		panic(err)
-	}
+// provisionIC stages the initial conditions partition by partition and
+// records each rank's particle row range per grid: putField stores this
+// rank's block of one field, putColumn its rows [lo,hi) of one particle
+// array.
+func (s *Sim) provisionIC(h *amr.Hierarchy,
+	putField func(gm core.GridMeta, fi int, sub mpi.Subarray, part []byte),
+	putColumn func(gm core.GridMeta, k int, lo, hi int64, col []byte)) {
 	s.localICRows = make(map[int][2]int64)
 	for _, gm := range s.meta.Grids {
 		fields, rows := s.scatterGridFromRoot(h, gm)
 		sub := core.FieldSubarray(gm, s.pz, s.py, s.px, s.r.Rank())
-		for fi, name := range amr.FieldNames {
-			f.WriteRuns(s.fieldRuns(gm, name, sub), fields[fi])
+		for fi := range amr.FieldNames {
+			putField(gm, fi, sub, fields[fi])
 		}
 		if gm.NParticles == 0 {
 			continue
 		}
-		myCount := int64(len(rows) / rowSize())
-		rowOff := s.r.ExscanInt64(myCount)
-		cols := columnsFromRows(rows)
-		for k, pa := range amr.ParticleArrays {
-			base, _ := s.layout.ArrayOffset(gm.ID, pa.Name)
-			f.WriteAt(cols[k], base+rowOff*int64(pa.ElemSize))
+		n := int64(len(rows) / rowSize())
+		lo := s.r.ExscanInt64(n)
+		_, cols := flatColumnsFromRows(rows)
+		for k, col := range cols {
+			putColumn(gm, k, lo, lo+n, col)
 		}
-		s.localICRows[gm.ID] = [2]int64{rowOff, rowOff + myCount}
-	}
-	f.Close()
-}
-
-// h5ProvisionLocalIC stages the HDF5 initial conditions the same way,
-// through independent hyperslab writes.
-func (s *Sim) h5ProvisionLocalIC(h *amr.Hierarchy) {
-	hf, err := hdf5.Create(s.r, s.fs, icH5File(), s.h5cfg(icH5File()), s.hints)
-	if err != nil {
-		panic(err)
-	}
-	s.localICRows = make(map[int][2]int64)
-	for _, gm := range s.meta.Grids {
-		fields, rows := s.scatterGridFromRoot(h, gm)
-		sub := s.fieldSel(gm)
-		dims3 := []int{gm.Dims[0], gm.Dims[1], gm.Dims[2]}
-		for fi, name := range amr.FieldNames {
-			if s.compressed() {
-				ds, err := hf.CreateDatasetZ(dsName(gm.ID, name), dims3, amr.FieldElemSize, s.codec)
-				if err != nil {
-					panic(err)
-				}
-				ds.WriteCompressed(s.codec, fields[fi])
-				ds.Close()
-				continue
-			}
-			ds, err := hf.CreateDataset(dsName(gm.ID, name), dims3, amr.FieldElemSize)
-			if err != nil {
-				panic(err)
-			}
-			ds.WriteHyperslabIndependent(sub, fields[fi])
-			ds.Close()
-		}
-		if gm.NParticles == 0 {
-			continue
-		}
-		myCount := int64(len(rows) / rowSize())
-		rowOff := s.r.ExscanInt64(myCount)
-		cols := columnsFromRows(rows)
-		for k, pa := range amr.ParticleArrays {
-			ds, err := hf.CreateDataset(dsName(gm.ID, pa.Name), []int{int(gm.NParticles)}, pa.ElemSize)
-			if err != nil {
-				panic(err)
-			}
-			ds.WriteHyperslabIndependent(rowRangeSel(gm.NParticles, pa.ElemSize, rowOff, rowOff+myCount), cols[k])
-			ds.Close()
-		}
-		s.localICRows[gm.ID] = [2]int64{rowOff, rowOff + myCount}
-	}
-	hf.Close()
-}
-
-// rowRangeSel builds a 1-D hyperslab over rows [lo, hi) of an n-row
-// particle array.
-func rowRangeSel(n int64, elemSize int, lo, hi int64) mpi.Subarray {
-	return mpi.Subarray{
-		Sizes:    []int{int(n)},
-		Subsizes: []int{int(hi - lo)},
-		Starts:   []int{int(lo)},
-		ElemSize: elemSize,
+		s.localICRows[gm.ID] = [2]int64{lo, lo + n}
 	}
 }

@@ -124,7 +124,9 @@ func matrixCases() []matrixCase {
 }
 
 func (tc matrixCase) run() matrixRow {
-	res, err := RunOnceWrapped(faultMachCfg(), tc.fsKind, 4, tc.cfg, tc.backend, tc.wrap)
+	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: tc.fsKind, Procs: 4, Config: tc.cfg, Backend: tc.backend,
+		Wrap: tc.wrap,
+	})
 	row := matrixRow{Name: tc.name}
 	var rerr *RestartError
 	switch _, isIO := mpiio.ExtractIOError(err); {

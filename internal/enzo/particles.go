@@ -49,29 +49,11 @@ func rowPosition(row []byte) [3]float64 {
 	return [3]float64{pz, py, px}
 }
 
-// columnsFromRows splits row-major particle bytes into one contiguous
-// buffer per particle array (the file storage layout).
-func columnsFromRows(rows []byte) [][]byte {
-	rs := rowSize()
-	n := len(rows) / rs
-	cols := make([][]byte, len(amr.ParticleArrays))
-	for k, a := range amr.ParticleArrays {
-		cols[k] = make([]byte, n*a.ElemSize)
-	}
-	for i := 0; i < n; i++ {
-		off := 0
-		for k, a := range amr.ParticleArrays {
-			copy(cols[k][i*a.ElemSize:], rows[i*rs+off:i*rs+off+a.ElemSize])
-			off += a.ElemSize
-		}
-	}
-	return cols
-}
-
-// flatColumnsFromRows is columnsFromRows into a single backing buffer:
-// column k occupies flat[pos_k : pos_k+n*elem_k] in array order, so the
-// same bytes serve directly as a WriteList payload (entries in array
-// order) without a second gather copy.
+// flatColumnsFromRows splits row-major particle bytes into one column per
+// particle array (the file storage layout), all in a single backing
+// buffer: column k occupies flat[pos_k : pos_k+n*elem_k] in array order,
+// so the same bytes serve directly as a WriteList payload (entries in
+// array order) without a second gather copy.
 func flatColumnsFromRows(rows []byte) (flat []byte, cols [][]byte) {
 	rs := rowSize()
 	n := len(rows) / rs

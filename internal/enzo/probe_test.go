@@ -39,18 +39,19 @@ func TestBreakdownXFS(t *testing.T) {
 			}
 			switch backend {
 			case BackendHDF4:
+				h4 := s.io.(hdf4IO)
 				mark("read top", func() {
-					s.top = s.hdf4ReadGridPartitioned(icGridFile(0), s.meta.Top())
+					s.top = h4.readPartitioned(icGridFile(0), s.meta.Top())
 				})
 				mark("read subgrids", func() {
 					for _, g := range s.meta.Subgrids() {
-						s.partials = append(s.partials, s.hdf4ReadGridPartitioned(icGridFile(g.ID), g))
+						s.partials = append(s.partials, h4.readPartitioned(icGridFile(g.ID), g))
 					}
 				})
 				mark("evolve", s.evolve)
-				mark("write dump", func() { s.hdf4WriteDump(0) })
+				mark("write dump", func() { s.io.writeDump(0) })
 				s.clearState()
-				mark("restart", func() { s.hdf4ReadRestart(0) })
+				mark("restart", func() { s.io.readRestart(0) })
 			case BackendMPIIO:
 				var f *mpiio.File
 				mark("open", func() {
@@ -62,7 +63,7 @@ func TestBreakdownXFS(t *testing.T) {
 				})
 				g := s.meta.Top()
 				mark("read top fields", func() {
-					s.top = &partition{gridID: 0, sub: s.fieldSel(g)}
+					s.top = &partition{gridID: 0, sub: core.FieldSubarray(g, s.pz, s.py, s.px, r.Rank())}
 					s.top.fields = make([][]byte, len(amr.FieldNames))
 					for fi, name := range amr.FieldNames {
 						buf := make([]byte, s.top.sub.Bytes())
@@ -74,7 +75,7 @@ func TestBreakdownXFS(t *testing.T) {
 					lo, hi := core.BlockRange(g.NParticles, r.Size(), r.Rank())
 					cols := make([][]byte, len(amr.ParticleArrays))
 					for k, pa := range amr.ParticleArrays {
-						base, _ := s.layout.ArrayOffset(g.ID, pa.Name)
+						base, _ := s.offsets.ArrayOffset(g.ID, pa.Name)
 						buf := make([]byte, (hi-lo)*int64(pa.ElemSize))
 						f.ReadAt(buf, base+lo*int64(pa.ElemSize))
 						cols[k] = buf
@@ -100,7 +101,7 @@ func TestBreakdownXFS(t *testing.T) {
 							lo, hi := core.BlockRange(sg.NParticles, r.Size(), r.Rank())
 							cols := make([][]byte, len(amr.ParticleArrays))
 							for k, pa := range amr.ParticleArrays {
-								base, _ := s.layout.ArrayOffset(sg.ID, pa.Name)
+								base, _ := s.offsets.ArrayOffset(sg.ID, pa.Name)
 								buf := make([]byte, (hi-lo)*int64(pa.ElemSize))
 								f.ReadAt(buf, base+lo*int64(pa.ElemSize))
 								cols[k] = buf
@@ -137,17 +138,17 @@ func TestBreakdownXFS(t *testing.T) {
 					sortedRows := s.parallelSortByID(&s.top.particles)
 					myCount := int64(len(sortedRows) / rowSize())
 					rowOff := r.ExscanInt64(myCount)
-					cols := columnsFromRows(sortedRows)
+					_, cols := flatColumnsFromRows(sortedRows)
 					r.CopyCost(int64(len(sortedRows)))
 					for k, pa := range amr.ParticleArrays {
-						base, _ := s.layout.ArrayOffset(g.ID, pa.Name)
+						base, _ := s.offsets.ArrayOffset(g.ID, pa.Name)
 						df.WriteAt(cols[k], base+rowOff*int64(pa.ElemSize))
 					}
 					df.Close()
 				})
-				mark("write dump", func() { s.rawWriteDump(0) })
+				mark("write dump", func() { s.io.writeDump(0) })
 				s.clearState()
-				mark("restart", func() { s.rawReadRestart(0) })
+				mark("restart", func() { s.io.readRestart(0) })
 			}
 		})
 		if err := eng.Run(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
-	"repro/internal/obs"
 )
 
 // The paper's direct MPI-IO port (Section 3.2/3.3): all grids live in a
@@ -15,33 +14,99 @@ import (
 // hierarchy metadata (grids in ID order, arrays in the fixed access
 // order, explicit offsets — no in-file directory). Baryon fields use
 // collective two-phase I/O with subarray file views; particle arrays use
-// block-wise independent I/O with a parallel sort (writes) or a
-// position-based redistribution (reads).
+// block-wise independent I/O, moved as one list-I/O pass per grid.
 
 func icRawFile() string { return "ic.raw" }
 
-// gridArray returns the raw bytes of a named array of an in-memory grid.
-func gridArray(g *amr.Grid, name string) []byte {
-	for fi, n := range amr.FieldNames {
-		if n == name {
-			return g.Fields[fi]
-		}
-	}
-	for k, pa := range amr.ParticleArrays {
-		if pa.Name == name {
-			return g.Particles.Arrays[k]
-		}
-	}
-	panic(fmt.Sprintf("enzo: grid %d has no array %q", g.ID, name))
+func dumpRawFile(d int) string { return fmt.Sprintf("dump%02d.raw", d) }
+
+// rawLayout is the fixed-offset shared file.
+type rawLayout struct {
+	*Sim
+	// forceCB routes every subgrid array through MPI_File_write_all with
+	// collective buffering forced, as under romio_cb_write=enable. The
+	// per-array synchronization serializes the owners' writes — the
+	// communication overhead the paper observes on slow networks.
+	forceCB bool
 }
 
-func dumpRawFile(d int) string { return fmt.Sprintf("dump%02d.raw", d) }
+// rawFile is an open shared file of either raw layout (fixed offsets here,
+// z-directory in rawzio.go). Both store the irregular particle arrays raw
+// at fixed in-slot offsets — particles are high-entropy and their
+// block-range accesses need fixed addressing — so everything about them is
+// shared through arrayOff.
+type rawFile struct {
+	*Sim
+	f       *mpiio.File
+	name    string
+	forceCB bool
+	// indep: field partitions are read independently (node-local initial
+	// conditions: each rank reads what it staged at setup).
+	indep    bool
+	arrayOff func(gridID int, name string) (off, length int64)
+}
+
+func (l rawLayout) open(name string, mode mpiio.Mode) *rawFile {
+	f, err := mpiio.Open(l.r, l.fs, name, mode, l.hints)
+	if err != nil {
+		panic(err)
+	}
+	return &rawFile{Sim: l.Sim, f: f, name: name, forceCB: l.forceCB, arrayOff: l.offsets.ArrayOffset}
+}
+
+func (l rawLayout) openIC() gridReader {
+	rf := l.open(icRawFile(), mpiio.ModeRead)
+	rf.indep = l.localMode
+	return rf
+}
+
+func (l rawLayout) createDump(d int) dumpWriter { return l.open(dumpRawFile(d), mpiio.ModeCreate) }
+func (l rawLayout) openDump(d int) gridReader   { return l.open(dumpRawFile(d), mpiio.ModeRead) }
+
+// writeIC: on a shared file system rank 0 writes the whole file; node-local
+// disks are provisioned partition by partition (localic.go).
+func (l rawLayout) writeIC(h *amr.Hierarchy) {
+	if l.localMode {
+		rf := l.open(icRawFile(), mpiio.ModeCreate)
+		l.provisionIC(h,
+			func(gm core.GridMeta, fi int, sub mpi.Subarray, part []byte) {
+				rf.f.WriteRuns(l.fieldRuns(gm, amr.FieldNames[fi], sub), part)
+			},
+			func(gm core.GridMeta, k int, lo, hi int64, col []byte) {
+				base, _ := l.offsets.ArrayOffset(gm.ID, amr.ParticleArrays[k].Name)
+				rf.f.WriteAt(col, base+lo*int64(amr.ParticleArrays[k].ElemSize))
+			})
+		rf.f.Close()
+		return
+	}
+	if l.r.Rank() != 0 {
+		return
+	}
+	f, err := mpiio.OpenIndependent(l.r, l.fs, icRawFile(), mpiio.ModeCreate, l.hints)
+	if err != nil {
+		panic(err)
+	}
+	for _, g := range h.Grids {
+		for fi, name := range amr.FieldNames {
+			off, _ := l.offsets.ArrayOffset(g.ID, name)
+			f.WriteAt(g.Fields[fi], off)
+		}
+		for k, pa := range amr.ParticleArrays {
+			if g.Particles.N == 0 {
+				break
+			}
+			off, _ := l.offsets.ArrayOffset(g.ID, pa.Name)
+			f.WriteAt(g.Particles.Arrays[k], off)
+		}
+	}
+	f.Close()
+}
 
 // fieldRuns returns rank r's file view for one baryon field of grid g in
 // the shared file: the flattened (Block,Block,Block) subarray shifted to
 // the array's offset.
 func (s *Sim) fieldRuns(g core.GridMeta, name string, sub mpi.Subarray) []mpi.Run {
-	base, _ := s.layout.ArrayOffset(g.ID, name)
+	base, _ := s.offsets.ArrayOffset(g.ID, name)
 	runs := sub.Flatten() // fresh slice: safe to shift in place
 	for i := range runs {
 		runs[i].Off += base
@@ -49,17 +114,17 @@ func (s *Sim) fieldRuns(g core.GridMeta, name string, sub mpi.Subarray) []mpi.Ru
 	return runs
 }
 
-// particleColList builds the explicit (offset,length) vector covering
-// rank rows [lo,hi) of every particle array of one grid — the scattered
-// block-wise pattern that list-I/O moves in one file-domain pass instead
-// of one independent request (or sieved extent) per array. arrayOff maps
-// an array name to its base file offset; entries come out in array order,
+// colList builds the explicit (offset,length) vector covering rows [lo,hi)
+// of every particle array of one grid — the scattered block-wise pattern
+// that list-I/O moves in one file-domain pass instead of one independent
+// request (or sieved extent) per array. Entries come out in array order,
 // matching the column layout of flatColumnsFromRows/splitCols.
-func particleColList(arrayOff func(name string) int64, lo, hi int64) (offs, lens []int64, total int64) {
+func (rf *rawFile) colList(gridID int, lo, hi int64) (offs, lens []int64, total int64) {
 	offs = make([]int64, len(amr.ParticleArrays))
 	lens = make([]int64, len(amr.ParticleArrays))
 	for k, pa := range amr.ParticleArrays {
-		offs[k] = arrayOff(pa.Name) + lo*int64(pa.ElemSize)
+		base, _ := rf.arrayOff(gridID, pa.Name)
+		offs[k] = base + lo*int64(pa.ElemSize)
 		lens[k] = (hi - lo) * int64(pa.ElemSize)
 		total += lens[k]
 	}
@@ -67,7 +132,7 @@ func particleColList(arrayOff func(name string) int64, lo, hi int64) (offs, lens
 }
 
 // splitCols slices one flat list-I/O buffer into per-array columns
-// (entry order = array order, as particleColList builds it).
+// (entry order = array order, as colList builds it).
 func splitCols(flat []byte, lens []int64) [][]byte {
 	cols := make([][]byte, len(lens))
 	var p int64
@@ -78,169 +143,30 @@ func splitCols(flat []byte, lens []int64) [][]byte {
 	return cols
 }
 
-func (s *Sim) rawWriteIC(h *amr.Hierarchy) {
-	if s.r.Rank() != 0 {
-		return
+func (rf *rawFile) field(g core.GridMeta, fi int, p *partition) func() {
+	buf := make([]byte, p.sub.Bytes())
+	p.fields[fi] = buf
+	kind := xAll
+	if rf.indep {
+		kind = xRuns
 	}
-	f, err := mpiio.OpenIndependent(s.r, s.fs, icRawFile(), mpiio.ModeCreate, s.hints)
-	if err != nil {
-		panic(err)
-	}
-	for _, g := range h.Grids {
-		gm := s.meta.Grids[g.ID]
-		for fi, name := range amr.FieldNames {
-			off, _ := s.layout.ArrayOffset(gm.ID, name)
-			f.WriteAt(g.Fields[fi], off)
-		}
-		for k, pa := range amr.ParticleArrays {
-			if g.Particles.N == 0 {
-				break
-			}
-			off, _ := s.layout.ArrayOffset(gm.ID, pa.Name)
-			f.WriteAt(g.Particles.Arrays[k], off)
-		}
-	}
-	f.Close()
+	return rf.read(xfer{kind: kind, f: rf.f, runs: rf.fieldRuns(g, amr.FieldNames[fi], p.sub), buf: buf})
 }
 
-// rawReadGridPartitioned reads one grid from the shared file into the
-// rank's partition: collective reads for the fields, block-wise
-// independent reads plus position redistribution for the particles.
-// Collective: all ranks must call it in the same order.
-func (s *Sim) rawReadGridPartitioned(f *mpiio.File, g core.GridMeta) *partition {
-	defer obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(g.ID)).End()
-	p := &partition{gridID: g.ID, sub: core.FieldSubarray(g, s.pz, s.py, s.px, s.r.Rank())}
-	p.fields = make([][]byte, len(amr.FieldNames))
-	for fi, name := range amr.FieldNames {
-		buf := make([]byte, p.sub.Bytes())
-		if s.localMode {
-			// Node-local disks: each rank independently reads the
-			// partition it staged at setup.
-			f.ReadRuns(s.fieldRuns(g, name, p.sub), buf)
-		} else {
-			f.ReadAtAll(s.fieldRuns(g, name, p.sub), buf)
-		}
-		p.fields[fi] = buf
-	}
-	if g.NParticles == 0 {
-		p.particles = amr.NewParticleSet(0)
-		return p
-	}
-	lo, hi := core.BlockRange(g.NParticles, s.r.Size(), s.r.Rank())
-	if s.localMode {
-		rng := s.localICRows[g.ID]
-		lo, hi = rng[0], rng[1]
-	}
-	offs, lens, total := particleColList(func(name string) int64 {
-		base, _ := s.layout.ArrayOffset(g.ID, name)
-		return base
-	}, lo, hi)
+func (rf *rawFile) rows(g core.GridMeta, lo, hi int64) []byte {
+	offs, lens, total := rf.colList(g.ID, lo, hi)
 	flat := make([]byte, total)
-	f.ReadList(offs, lens, flat)
-	rows := rowsFromColumns(splitCols(flat, lens))
-	s.r.CopyCost(int64(len(rows)))
-	p.particles = s.redistributeByPosition(rows, g)
-	return p
-}
-
-func (s *Sim) rawReadInitial() {
-	f, err := mpiio.Open(s.r, s.fs, icRawFile(), mpiio.ModeRead, s.hints)
-	if err != nil {
-		panic(err)
-	}
-	s.top = s.rawReadGridPartitioned(f, s.meta.Top())
-	for _, g := range s.meta.Subgrids() {
-		s.partials = append(s.partials, s.rawReadGridPartitioned(f, g))
-	}
-	f.Close()
-}
-
-func (s *Sim) rawWriteDump(d int) {
-	f, err := mpiio.Open(s.r, s.fs, dumpRawFile(d), mpiio.ModeCreate, s.hints)
-	if err != nil {
-		panic(err)
-	}
-	// Top grid fields: collective two-phase writes, one per array.
-	g := s.meta.Top()
-	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", "0")
-	for fi, name := range amr.FieldNames {
-		s.dWriteAtAll(f, s.fieldRuns(g, name, s.top.sub), s.top.fields[fi])
-	}
-	// Top grid particles: parallel sort by ID, then block-wise
-	// non-collective contiguous writes ("the block-wise pattern for 1-D
-	// arrays always results in contiguous access in each processor").
-	if g.NParticles > 0 {
-		sortedRows := s.parallelSortByID(&s.top.particles)
-		myCount := int64(len(sortedRows) / rowSize())
-		rowOff := s.r.ExscanInt64(myCount)
-		flat, _ := flatColumnsFromRows(sortedRows)
-		s.r.CopyCost(int64(len(sortedRows)))
-		offs, lens, _ := particleColList(func(name string) int64 {
-			base, _ := s.layout.ArrayOffset(g.ID, name)
-			return base
-		}, rowOff, rowOff+myCount)
-		s.dWriteList(f, offs, lens, flat)
-		s.localPartRows = [2]int64{rowOff, rowOff + myCount}
-	}
-	topSp.End()
-	// Subgrids: all grids go into the same shared file, but — as in the
-	// original design, which the port preserves — "each processor writes
-	// its own subgrids ... in parallel without communication": the owner
-	// issues independent explicit-offset writes (MPI_File_write_at) at
-	// locations computed from the replicated hierarchy metadata. Wrapping
-	// these single-owner arrays in write_all would serialize the dump on
-	// every platform, since even ROMIO's independent fallback synchronizes
-	// the participants at its offset exchange.
-	if s.backend == BackendMPIIOCB && !s.localMode {
-		// Variant: every array goes through MPI_File_write_all with
-		// collective buffering forced, as under romio_cb_write=enable.
-		// The per-array synchronization serializes the owners' writes —
-		// the communication overhead the paper observes on slow networks.
-		for _, gm := range s.meta.Subgrids() {
-			grid := s.owned[gm.ID] // nil on non-owners
-			sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", fmt.Sprint(gm.ID))
-			for _, a := range gm.Arrays() {
-				var runs []mpi.Run
-				var data []byte
-				if grid != nil {
-					off, length := s.layout.ArrayOffset(gm.ID, a.Name)
-					runs = []mpi.Run{{Off: off, Len: length}}
-					data = gridArray(grid, a.Name)
-				}
-				s.dWriteAtAll(f, runs, data)
-			}
-			sp.End()
-		}
-		s.dClose(f)
-		return
-	}
-	for _, gm := range s.meta.Subgrids() {
-		grid := s.owned[gm.ID] // nil on non-owners
-		if grid == nil {
-			continue
-		}
-		sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", fmt.Sprint(gm.ID))
-		for fi, name := range amr.FieldNames {
-			off, _ := s.layout.ArrayOffset(gm.ID, name)
-			s.dWriteAt(f, grid.Fields[fi], off)
-		}
-		if gm.NParticles > 0 {
-			for k, pa := range amr.ParticleArrays {
-				off, _ := s.layout.ArrayOffset(gm.ID, pa.Name)
-				s.dWriteAt(f, grid.Particles.Arrays[k], off)
-			}
-		}
-		sp.End()
-	}
-	s.dClose(f)
+	rf.read(xfer{kind: xList, f: rf.f, offs: offs, lens: lens, buf: flat})()
+	return rowsFromColumns(splitCols(flat, lens))
 }
 
 // gridExtent is the contiguous shared-file region holding every array of
 // one grid — the layout places a grid's arrays back to back, so a restart
-// reader can fetch the whole grid with one request.
+// reader can fetch the whole grid with one request instead of one per
+// array.
 func (s *Sim) gridExtent(gm core.GridMeta) (lo, hi int64) {
 	for i, a := range gm.Arrays() {
-		off, length := s.layout.ArrayOffset(gm.ID, a.Name)
+		off, length := s.offsets.ArrayOffset(gm.ID, a.Name)
 		if i == 0 || off < lo {
 			lo = off
 		}
@@ -251,105 +177,100 @@ func (s *Sim) gridExtent(gm core.GridMeta) (lo, hi int64) {
 	return lo, hi
 }
 
-// rawSliceGrid assembles a grid from its coalesced [lo,·) extent read.
-func (s *Sim) rawSliceGrid(gm core.GridMeta, buf []byte, lo int64) *amr.Grid {
-	grid := &amr.Grid{
-		ID: gm.ID, Level: gm.Level, Parent: gm.Parent, Dims: gm.Dims,
-		LeftEdge: gm.LeftEdge, RightEdge: gm.RightEdge,
-	}
-	grid.Fields = make([][]byte, len(amr.FieldNames))
-	for fi, name := range amr.FieldNames {
-		off, length := s.layout.ArrayOffset(gm.ID, name)
-		grid.Fields[fi] = buf[off-lo : off-lo+length]
-	}
-	if gm.NParticles > 0 {
-		ps := amr.ParticleSet{N: int(gm.NParticles), Arrays: make([][]byte, len(amr.ParticleArrays))}
-		for k, pa := range amr.ParticleArrays {
-			off, length := s.layout.ArrayOffset(gm.ID, pa.Name)
-			ps.Arrays[k] = buf[off-lo : off-lo+length]
+func (rf *rawFile) subgrid(gm core.GridMeta) func() *amr.Grid {
+	lo, hi := rf.gridExtent(gm)
+	buf := make([]byte, hi-lo)
+	settle := rf.read(xfer{kind: xAt, f: rf.f, buf: buf, off: lo})
+	return func() *amr.Grid {
+		settle()
+		grid := newGrid(gm)
+		for fi, name := range amr.FieldNames {
+			off, length := rf.offsets.ArrayOffset(gm.ID, name)
+			grid.Fields[fi] = buf[off-lo : off-lo+length]
 		}
-		grid.Particles = ps
-	} else {
-		grid.Particles = amr.NewParticleSet(0)
+		rf.sliceParticles(gm, grid, buf, lo)
+		return grid
 	}
-	return grid
 }
 
-func (s *Sim) rawReadRestart(d int) {
-	f, err := mpiio.Open(s.r, s.fs, dumpRawFile(d), mpiio.ModeRead, s.hints)
-	if err != nil {
-		panic(err)
+// sliceParticles points a grid's particle arrays into its coalesced
+// [lo,·) extent read.
+func (rf *rawFile) sliceParticles(gm core.GridMeta, grid *amr.Grid, buf []byte, lo int64) {
+	if gm.NParticles == 0 {
+		return
 	}
-	// Top grid: collective field reads, block-wise particle reads with
-	// redistribution. All fields are issued before any settles, so the
-	// read-ahead pipeline drains one field's devices under the next one's
-	// request exchange. Tolerant read-backs use independent sieved reads
-	// instead of the collective: one rank's exhausted retries must not
-	// desynchronize a two-phase exchange.
-	g := s.meta.Top()
-	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", "0")
-	s.top = &partition{gridID: 0, sub: core.FieldSubarray(g, s.pz, s.py, s.px, s.r.Rank())}
-	s.top.fields = make([][]byte, len(amr.FieldNames))
-	fieldSettle := make([]func(), len(amr.FieldNames))
-	for fi, name := range amr.FieldNames {
-		buf := make([]byte, s.top.sub.Bytes())
-		runs := s.fieldRuns(g, name, s.top.sub)
-		if s.tolerant {
-			s.tolerantIO(func() { f.ReadRuns(runs, buf) })
-			fieldSettle[fi] = func() {}
-		} else {
-			fieldSettle[fi] = s.rReadAtAll(f, runs, buf)
-		}
-		s.top.fields[fi] = buf
+	for k, pa := range amr.ParticleArrays {
+		off, length := rf.arrayOff(gm.ID, pa.Name)
+		grid.Particles.Arrays[k] = buf[off-lo : off-lo+length]
 	}
-	for _, settle := range fieldSettle {
-		settle()
-	}
-	if g.NParticles > 0 {
-		lo, hi := core.BlockRange(g.NParticles, s.r.Size(), s.r.Rank())
-		if s.localMode {
-			lo, hi = s.localPartRows[0], s.localPartRows[1]
-		}
-		offs, lens, total := particleColList(func(name string) int64 {
-			base, _ := s.layout.ArrayOffset(g.ID, name)
-			return base
-		}, lo, hi)
-		flat := make([]byte, total)
-		s.rReadListTol(f, offs, lens, flat)()
-		rows := rowsFromColumns(splitCols(flat, lens))
-		s.r.CopyCost(int64(len(rows)))
-		s.top.particles = s.redistributeByPosition(rows, g)
-	} else {
-		s.top.particles = amr.NewParticleSet(0)
-	}
-	topSp.End()
-	// Subgrids: round-robin whole-grid reads. Each grid's arrays are
-	// adjacent in the shared file, so the per-array loop of independent
-	// reads coalesces into one contiguous request per grid, double-buffered
-	// — the next grid's read is on the devices before the current one is
-	// unpacked.
-	owners := s.restartOwners()
-	var finishPrev func()
-	for _, gm := range s.meta.Subgrids() {
-		if owners[gm.ID] != s.r.Rank() {
-			continue
-		}
-		gm := gm
-		sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(gm.ID))
-		lo, hi := s.gridExtent(gm)
-		buf := make([]byte, hi-lo)
-		settle := s.rReadAtTol(f, buf, lo)
-		sp.End()
-		if finishPrev != nil {
-			finishPrev()
-		}
-		finishPrev = func() {
-			settle()
-			s.owned[gm.ID] = s.rawSliceGrid(gm, buf, lo)
-		}
-	}
-	if finishPrev != nil {
-		finishPrev()
-	}
-	f.Close()
 }
+
+func (rf *rawFile) close() { rf.f.Close() }
+
+func (rf *rawFile) putTopField(fi int) {
+	runs := rf.fieldRuns(rf.meta.Top(), amr.FieldNames[fi], rf.top.sub)
+	rf.write(xfer{kind: xAll, f: rf.f, runs: runs, buf: rf.top.fields[fi]})
+}
+
+// putTopRows: "the block-wise pattern for 1-D arrays always results in
+// contiguous access in each processor".
+func (rf *rawFile) putTopRows(g core.GridMeta, sorted []byte) {
+	lo, n, flat, _ := rf.blockColumns(sorted)
+	offs, lens, _ := rf.colList(g.ID, lo, lo+n)
+	rf.write(xfer{kind: xList, f: rf.f, offs: offs, lens: lens, buf: flat})
+}
+
+func (rf *rawFile) sealTop() {}
+
+func (rf *rawFile) collective() bool { return rf.forceCB }
+
+// putOwned writes one single-owner array at off: independently by its
+// owner (MPI_File_write_at at a location computed from the replicated
+// metadata), or — under forceCB — through a collective every rank joins,
+// non-owners contributing nothing. Wrapping single-owner arrays in
+// write_all serializes the dump on every platform, since even ROMIO's
+// independent fallback synchronizes the participants at its offset
+// exchange; that is the point of the variant.
+func (rf *rawFile) putOwned(data []byte, off int64, owner bool) {
+	if rf.forceCB {
+		var runs []mpi.Run
+		if owner {
+			runs = []mpi.Run{{Off: off, Len: int64(len(data))}}
+		}
+		rf.write(xfer{kind: xAll, f: rf.f, runs: runs, buf: data})
+	} else if owner {
+		rf.write(xfer{kind: xAt, f: rf.f, buf: data, off: off})
+	}
+}
+
+func (rf *rawFile) putSubgrid(gm core.GridMeta, grid *amr.Grid) {
+	for fi, name := range amr.FieldNames {
+		var data []byte
+		var off int64
+		if grid != nil {
+			data = grid.Fields[fi]
+			off, _ = rf.offsets.ArrayOffset(gm.ID, name)
+		}
+		rf.putOwned(data, off, grid != nil)
+	}
+	// The forced-collective variant walks the grid's full array list, which
+	// names the particle arrays even when they are empty; the owner-only
+	// path skips them.
+	if gm.NParticles > 0 || rf.forceCB {
+		rf.putSubgridParticles(gm, grid)
+	}
+}
+
+func (rf *rawFile) putSubgridParticles(gm core.GridMeta, grid *amr.Grid) {
+	for k, pa := range amr.ParticleArrays {
+		var data []byte
+		var off int64
+		if grid != nil {
+			data = grid.Particles.Arrays[k]
+			off, _ = rf.arrayOff(gm.ID, pa.Name)
+		}
+		rf.putOwned(data, off, grid != nil)
+	}
+}
+
+func (rf *rawFile) finish() { rf.closeAfterDrain(rf.f.Close) }

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/mpiio"
-	"repro/internal/obs"
 )
 
 // Compressed variant of the raw MPI-IO shared-file layout. Fixed offsets
@@ -143,13 +141,13 @@ func (z *zLayout) decodeDir(dir []byte) error {
 	return nil
 }
 
-// zExchangeLens distributes every rank's regular-array segment lengths
+// exchangeLens distributes every rank's regular-array segment lengths
 // (one batched allgather — the compressed path's only added collective)
 // and finalizes the layout. mine must hold one length per regular array in
 // global order.
-func (s *Sim) zExchangeLens(z *zLayout, mine []int64) {
+func (z *zLayout) exchangeLens(s *Sim, mine []int64) {
 	if len(mine) != len(z.regSlots) {
-		panic(fmt.Sprintf("enzo: zExchangeLens got %d lengths, want %d", len(mine), len(z.regSlots)))
+		panic(fmt.Sprintf("enzo: exchangeLens got %d lengths, want %d", len(mine), len(z.regSlots)))
 	}
 	buf := make([]byte, 8*len(mine))
 	for i, n := range mine {
@@ -164,394 +162,231 @@ func (s *Sim) zExchangeLens(z *zLayout, mine []int64) {
 	z.finalize()
 }
 
-// zOpenDir reads a dump's directory (rank 0 reads, everyone decodes). In
-// tolerant mode an undecodable directory yields nil — every rank sees the
-// same broadcast bytes, so all ranks agree — and the caller must skip the
-// file's contents.
-func (s *Sim) zOpenDir(f *mpiio.File) *zLayout {
-	z := newZLayout(s.meta, s.r.Size())
-	var dir []byte
-	if s.r.Rank() == 0 {
-		dir = make([]byte, z.dirSize)
-		// A dead data server must not crash a tolerant read-back: an
-		// exhausted-retry failure leaves the buffer zeroed, the magic check
-		// fails in decodeDir and every rank agrees on the nil layout.
-		s.tolerantIO(func() { f.ReadAt(dir, 0) })
-	}
-	dir = s.r.Bcast(0, dir)
-	if err := z.decodeDir(dir); s.tolerate(err) {
-		return nil
-	}
-	return z
+// rawzLayout is the z-directory shared file.
+type rawzLayout struct {
+	*Sim
+	forceCB bool // as rawLayout.forceCB
 }
 
-// rawzProvisionIC stages compressed initial conditions: rank 0 scatters
-// every grid's partitions, each rank packs and writes its own field
-// segments, particles land raw at their fixed in-slot offsets. Used on
-// shared and node-local file systems alike — per-rank segments make the
-// initial read independent either way. Untimed (setup).
-func (s *Sim) rawzProvisionIC(h *amr.Hierarchy) {
-	f, err := mpiio.Open(s.r, s.fs, icRawFile(), mpiio.ModeCreate, s.hints)
-	if err != nil {
-		panic(err)
+// rawzFile is an open z-directory file; its particle arrays go through the
+// embedded rawFile.
+type rawzFile struct {
+	rawFile
+	z *zLayout
+	// Dump writers: every regular array packed ahead of the walk, by grid ID
+	// — this rank's top-grid partitions (grid 0) and the fields of the
+	// subgrids it owns.
+	blobs map[int][][]byte
+}
+
+func (l rawzLayout) open(name string, mode mpiio.Mode) *rawzFile {
+	zf := &rawzFile{rawFile: *rawLayout(l).open(name, mode), z: newZLayout(l.meta, l.r.Size())}
+	zf.arrayOff = zf.z.arraySeg
+	return zf
+}
+
+// openRead opens a file and reads its directory (rank 0 reads, everyone
+// decodes). In tolerant mode an undecodable directory yields nil — every
+// rank sees the same broadcast bytes, so all ranks agree — and nothing of
+// the file is read.
+func (l rawzLayout) openRead(name string) gridReader {
+	zf := l.open(name, mpiio.ModeRead)
+	var dir []byte
+	if l.r.Rank() == 0 {
+		dir = make([]byte, zf.z.dirSize)
+		// A dead data server must not crash a tolerant read-back: an
+		// exhausted-retry failure leaves the buffer zeroed, the magic check
+		// fails in decodeDir and every rank agrees on the nil reader.
+		// Blocking even under the read-ahead pipeline: everything else
+		// waits on the directory.
+		l.tolerantIO(func() { zf.f.ReadAt(dir, 0) })
 	}
-	z := newZLayout(s.meta, s.r.Size())
-	s.localICRows = make(map[int][2]int64)
+	dir = l.r.Bcast(0, dir)
+	if err := zf.z.decodeDir(dir); l.tolerate(err) {
+		zf.f.Close()
+		return nil
+	}
+	return zf
+}
+
+func (l rawzLayout) openIC() gridReader        { return l.openRead(icRawFile()) }
+func (l rawzLayout) openDump(d int) gridReader { return l.openRead(dumpRawFile(d)) }
+
+// writeIC stages compressed initial conditions: rank 0 scatters every
+// grid's partitions, each rank packs and writes its own field segments,
+// particles land raw at their fixed in-slot offsets. Used on shared and
+// node-local file systems alike — per-rank segments make the initial read
+// independent either way. Every grid is packed before any is written, so
+// one batched allgather settles the layout.
+func (l rawzLayout) writeIC(h *amr.Hierarchy) {
+	zf := l.open(icRawFile(), mpiio.ModeCreate)
+	z, f := zf.z, zf.f
+	l.localICRows = make(map[int][2]int64)
 	type staged struct {
 		fields [][]byte // packed containers
 		raws   []int64  // logical sizes
 		rows   []byte
 	}
-	st := make([]staged, len(s.meta.Grids))
+	st := make([]staged, len(l.meta.Grids))
 	mine := make([]int64, 0, len(z.regSlots))
-	for gi, gm := range s.meta.Grids {
-		fields, rows := s.scatterGridFromRoot(h, gm)
+	for gi, gm := range l.meta.Grids {
+		fields, rows := l.scatterGridFromRoot(h, gm)
 		st[gi].fields = make([][]byte, len(fields))
 		st[gi].raws = make([]int64, len(fields))
 		for fi := range fields {
 			st[gi].raws[fi] = int64(len(fields[fi]))
 			if len(fields[fi]) > 0 {
-				st[gi].fields[fi] = s.squeeze(fields[fi])
+				st[gi].fields[fi] = l.squeeze(fields[fi])
 			}
 			mine = append(mine, int64(len(st[gi].fields[fi])))
 		}
 		st[gi].rows = rows
 	}
-	s.zExchangeLens(z, mine)
-	for gi, gm := range s.meta.Grids {
+	z.exchangeLens(l.Sim, mine)
+	for gi, gm := range l.meta.Grids {
 		for fi, name := range amr.FieldNames {
 			if blob := st[gi].fields[fi]; len(blob) > 0 {
-				off, _ := z.fieldSeg(gm.ID, name, s.r.Rank())
+				off, _ := z.fieldSeg(gm.ID, name, l.r.Rank())
 				f.WriteAt(blob, off)
-				s.recordCodecBytes(icRawFile(), true, st[gi].raws[fi], int64(len(blob)))
+				l.recordCodecBytes(icRawFile(), true, st[gi].raws[fi], int64(len(blob)))
 			}
 		}
 		if gm.NParticles == 0 {
 			continue
 		}
 		myCount := int64(len(st[gi].rows) / rowSize())
-		rowOff := s.r.ExscanInt64(myCount)
+		rowOff := l.r.ExscanInt64(myCount)
 		flat, _ := flatColumnsFromRows(st[gi].rows)
-		offs, lens, _ := particleColList(func(name string) int64 {
-			base, _ := z.arraySeg(gm.ID, name)
-			return base
-		}, rowOff, rowOff+myCount)
+		offs, lens, _ := zf.colList(gm.ID, rowOff, rowOff+myCount)
 		f.WriteList(offs, lens, flat)
-		s.localICRows[gm.ID] = [2]int64{rowOff, rowOff + myCount}
+		l.localICRows[gm.ID] = [2]int64{rowOff, rowOff + myCount}
 	}
-	if s.r.Rank() == 0 {
+	if l.r.Rank() == 0 {
 		f.WriteAt(z.encodeDir(), 0)
 	}
 	f.Close()
 }
 
-// rawzReadGridPartitioned reads one grid's rank-local partition from a
-// compressed file: the rank's own field segments (independent reads — the
-// segments are contiguous by construction), then the raw particle rows it
-// staged, redistributed by position.
-func (s *Sim) rawzReadGridPartitioned(f *mpiio.File, fname string, z *zLayout, g core.GridMeta) *partition {
-	defer obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(g.ID)).End()
-	p := &partition{gridID: g.ID, sub: core.FieldSubarray(g, s.pz, s.py, s.px, s.r.Rank())}
-	p.fields = make([][]byte, len(amr.FieldNames))
-	for fi, name := range amr.FieldNames {
-		p.fields[fi] = s.zReadSeg(f, fname, z, g.ID, name, s.r.Rank())
-	}
-	if g.NParticles == 0 {
-		p.particles = amr.NewParticleSet(0)
-		return p
-	}
-	rng := s.localICRows[g.ID]
-	lo, hi := rng[0], rng[1]
-	offs, lens, total := particleColList(func(name string) int64 {
-		base, _ := z.arraySeg(g.ID, name)
-		return base
-	}, lo, hi)
-	flat := make([]byte, total)
-	f.ReadList(offs, lens, flat)
-	rows := rowsFromColumns(splitCols(flat, lens))
-	s.r.CopyCost(int64(len(rows)))
-	p.particles = s.redistributeByPosition(rows, g)
-	return p
-}
-
-// zReadSeg reads and unpacks one rank's segment of a regular array.
-func (s *Sim) zReadSeg(f *mpiio.File, fname string, z *zLayout, gridID int, name string, rk int) []byte {
-	return s.zReadSegStart(f, fname, z, gridID, name, rk)()
-}
-
-// zReadSegStart issues the read of one rank's segment (deferred under the
-// read-ahead pipeline, tolerant of exhausted retries during a read-back);
-// the returned settle decodes it.
-func (s *Sim) zReadSegStart(f *mpiio.File, fname string, z *zLayout, gridID int, name string, rk int) func() []byte {
-	off, n := z.fieldSeg(gridID, name, rk)
-	if n == 0 {
-		return func() []byte { return nil }
-	}
-	blob := make([]byte, n)
-	settle := s.rReadAtTol(f, blob, off)
-	return func() []byte {
-		settle()
-		raw := s.expand(blob)
-		s.recordCodecBytes(fname, false, int64(len(raw)), n)
-		return raw
-	}
-}
-
-// zSliceGrid assembles a grid from its coalesced [lo,·) extent read: the
-// regular arrays' per-rank segments are expanded in slot order, particle
-// arrays are raw slices.
-func (s *Sim) zSliceGrid(gm core.GridMeta, z *zLayout, fname string, buf []byte, lo int64) *amr.Grid {
-	grid := &amr.Grid{
-		ID: gm.ID, Level: gm.Level, Parent: gm.Parent, Dims: gm.Dims,
-		LeftEdge: gm.LeftEdge, RightEdge: gm.RightEdge,
-	}
-	grid.Fields = make([][]byte, len(amr.FieldNames))
-	for fi, name := range amr.FieldNames {
-		// The dump owner's slot is the grid's single non-empty segment;
-		// concatenating the non-empty slots in rank order recovers the
-		// whole array without knowing who owned it.
-		var full []byte
-		for rk := 0; rk < z.np; rk++ {
-			off, n := z.fieldSeg(gm.ID, name, rk)
-			if n == 0 {
-				continue
+// createDump packs every field this rank will write, before the first
+// write and before the particle sort, so that one batched allgather
+// settles every segment's place in the file.
+func (l rawzLayout) createDump(d int) dumpWriter {
+	zf := l.open(dumpRawFile(d), mpiio.ModeCreate)
+	pack := func(fields [][]byte) [][]byte {
+		blobs := make([][]byte, len(fields))
+		for fi, raw := range fields {
+			if len(raw) > 0 {
+				blobs[fi] = l.squeeze(raw)
 			}
-			raw := s.expand(buf[off-lo : off-lo+n])
-			s.recordCodecBytes(fname, false, int64(len(raw)), n)
-			full = append(full, raw...)
 		}
-		grid.Fields[fi] = full
+		return blobs
 	}
-	if gm.NParticles > 0 {
-		ps := amr.ParticleSet{N: int(gm.NParticles), Arrays: make([][]byte, len(amr.ParticleArrays))}
-		for k, pa := range amr.ParticleArrays {
-			off, n := z.arraySeg(gm.ID, pa.Name)
-			ps.Arrays[k] = buf[off-lo : off-lo+n]
-		}
-		grid.Particles = ps
-	} else {
-		grid.Particles = amr.NewParticleSet(0)
-	}
-	return grid
-}
-
-func (s *Sim) rawzReadInitial() {
-	f, err := mpiio.Open(s.r, s.fs, icRawFile(), mpiio.ModeRead, s.hints)
-	if err != nil {
-		panic(err)
-	}
-	z := s.zOpenDir(f)
-	s.top = s.rawzReadGridPartitioned(f, icRawFile(), z, s.meta.Top())
-	for _, g := range s.meta.Subgrids() {
-		s.partials = append(s.partials, s.rawzReadGridPartitioned(f, icRawFile(), z, g))
-	}
-	f.Close()
-}
-
-func (s *Sim) rawzWriteDump(d int) {
-	f, err := mpiio.Open(s.r, s.fs, dumpRawFile(d), mpiio.ModeCreate, s.hints)
-	if err != nil {
-		panic(err)
-	}
-	z := newZLayout(s.meta, s.r.Size())
-	// Pack everything first, so one batched allgather settles the layout.
-	g := s.meta.Top()
-	topBlobs := make([][]byte, len(amr.FieldNames))
-	topRaws := make([]int64, len(amr.FieldNames))
-	for fi := range amr.FieldNames {
-		topRaws[fi] = int64(len(s.top.fields[fi]))
-		if topRaws[fi] > 0 {
-			topBlobs[fi] = s.squeeze(s.top.fields[fi])
+	zf.blobs = map[int][][]byte{0: pack(l.top.fields)}
+	for _, gm := range l.meta.Subgrids() {
+		if grid := l.owned[gm.ID]; grid != nil {
+			zf.blobs[gm.ID] = pack(grid.Fields)
 		}
 	}
-	subBlobs := make(map[int][][]byte)
-	subRaws := make(map[int][]int64)
-	for _, gm := range s.meta.Subgrids() {
-		grid := s.owned[gm.ID]
-		if grid == nil {
-			continue
-		}
-		blobs := make([][]byte, len(amr.FieldNames))
-		raws := make([]int64, len(amr.FieldNames))
+	mine := make([]int64, 0, len(zf.z.regSlots))
+	for _, gm := range l.meta.Grids {
+		blobs := zf.blobs[gm.ID] // nil for subgrids owned elsewhere
 		for fi := range amr.FieldNames {
-			raws[fi] = int64(len(grid.Fields[fi]))
-			blobs[fi] = s.squeeze(grid.Fields[fi])
-		}
-		subBlobs[gm.ID] = blobs
-		subRaws[gm.ID] = raws
-	}
-	mine := make([]int64, 0, len(z.regSlots))
-	for _, gm := range s.meta.Grids {
-		for fi := range amr.FieldNames {
-			switch {
-			case gm.ID == 0:
-				mine = append(mine, int64(len(topBlobs[fi])))
-			case subBlobs[gm.ID] != nil:
-				mine = append(mine, int64(len(subBlobs[gm.ID][fi])))
-			default:
-				mine = append(mine, 0)
-			}
-		}
-	}
-	s.zExchangeLens(z, mine)
-
-	forceCB := s.backend == BackendMPIIOCB && !s.localMode
-	writeSeg := func(blob []byte, off int64) {
-		if forceCB {
-			// Variant: every array write goes through MPI_File_write_all
-			// with collective buffering forced; the per-array offset
-			// exchange serializes the writers exactly as in the
-			// uncompressed mpiio-cb path.
-			var runs []mpi.Run
-			if len(blob) > 0 {
-				runs = []mpi.Run{{Off: off, Len: int64(len(blob))}}
-			}
-			s.dWriteAtAll(f, runs, blob)
-		} else if len(blob) > 0 {
-			s.dWriteAt(f, blob, off)
-		}
-	}
-
-	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", "0")
-	for fi, name := range amr.FieldNames {
-		off, _ := z.fieldSeg(g.ID, name, s.r.Rank())
-		writeSeg(topBlobs[fi], off)
-		if len(topBlobs[fi]) > 0 {
-			s.recordCodecBytes(dumpRawFile(d), true, topRaws[fi], int64(len(topBlobs[fi])))
-		}
-	}
-	// Top-grid particles: parallel sort by ID, then raw block-wise
-	// contiguous writes — identical to the uncompressed path.
-	if g.NParticles > 0 {
-		sortedRows := s.parallelSortByID(&s.top.particles)
-		myCount := int64(len(sortedRows) / rowSize())
-		rowOff := s.r.ExscanInt64(myCount)
-		flat, _ := flatColumnsFromRows(sortedRows)
-		s.r.CopyCost(int64(len(sortedRows)))
-		offs, lens, _ := particleColList(func(name string) int64 {
-			base, _ := z.arraySeg(g.ID, name)
-			return base
-		}, rowOff, rowOff+myCount)
-		s.dWriteList(f, offs, lens, flat)
-		s.localPartRows = [2]int64{rowOff, rowOff + myCount}
-	}
-	topSp.End()
-
-	for _, gm := range s.meta.Subgrids() {
-		blobs := subBlobs[gm.ID] // nil on non-owners
-		if blobs == nil && !forceCB {
-			continue
-		}
-		sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", fmt.Sprint(gm.ID))
-		for fi, name := range amr.FieldNames {
-			var blob []byte
-			var off int64
+			var n int64
 			if blobs != nil {
-				off, _ = z.fieldSeg(gm.ID, name, s.r.Rank())
-				blob = blobs[fi]
+				n = int64(len(blobs[fi]))
 			}
-			writeSeg(blob, off)
-			if len(blob) > 0 {
-				s.recordCodecBytes(dumpRawFile(d), true, subRaws[gm.ID][fi], int64(len(blob)))
-			}
+			mine = append(mine, n)
 		}
-		if gm.NParticles > 0 {
-			grid := s.owned[gm.ID]
-			for k, pa := range amr.ParticleArrays {
-				var runs []mpi.Run
-				var data []byte
-				if grid != nil {
-					off, length := z.arraySeg(gm.ID, pa.Name)
-					runs = []mpi.Run{{Off: off, Len: length}}
-					data = grid.Particles.Arrays[k]
-				}
-				if forceCB {
-					s.dWriteAtAll(f, runs, data)
-				} else if grid != nil {
-					s.dWriteAt(f, data, runs[0].Off)
-				}
-			}
-		}
-		sp.End()
 	}
-	if s.r.Rank() == 0 {
-		s.dWriteAt(f, z.encodeDir(), 0)
-	}
-	s.dClose(f)
+	zf.z.exchangeLens(l.Sim, mine)
+	return zf
 }
 
-func (s *Sim) rawzReadRestart(d int) {
-	f, err := mpiio.Open(s.r, s.fs, dumpRawFile(d), mpiio.ModeRead, s.hints)
-	if err != nil {
-		panic(err)
-	}
-	z := s.zOpenDir(f)
-	if z == nil { // tolerant mode, unreadable directory: no state to read
-		f.Close()
+// putSeg writes this rank's packed segment of one regular array of grid
+// gridID (nothing when blob is empty: a non-owner, or an empty partition).
+func (zf *rawzFile) putSeg(gridID, fi int, raw, blob []byte) {
+	if len(blob) == 0 {
+		zf.putOwned(nil, 0, false)
 		return
 	}
-	g := s.meta.Top()
-	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", "0")
-	s.top = &partition{gridID: 0, sub: core.FieldSubarray(g, s.pz, s.py, s.px, s.r.Rank())}
-	s.top.fields = make([][]byte, len(amr.FieldNames))
-	// Restart uses the dump decomposition, so each rank's own segment is
-	// exactly its partition. All blob reads are issued before any decode,
-	// so under the read-ahead pipeline the next field's transfer drains
-	// while the previous one decompresses.
-	fieldSettle := make([]func() []byte, len(amr.FieldNames))
-	for fi, name := range amr.FieldNames {
-		fieldSettle[fi] = s.zReadSegStart(f, dumpRawFile(d), z, g.ID, name, s.r.Rank())
-	}
+	off, _ := zf.z.fieldSeg(gridID, amr.FieldNames[fi], zf.r.Rank())
+	zf.putOwned(blob, off, true)
+	zf.recordCodecBytes(zf.name, true, int64(len(raw)), int64(len(blob)))
+}
+
+func (zf *rawzFile) putTopField(fi int) { zf.putSeg(0, fi, zf.top.fields[fi], zf.blobs[0][fi]) }
+
+func (zf *rawzFile) putSubgrid(gm core.GridMeta, grid *amr.Grid) {
 	for fi := range amr.FieldNames {
-		s.top.fields[fi] = fieldSettle[fi]()
-	}
-	if g.NParticles > 0 {
-		lo, hi := core.BlockRange(g.NParticles, s.r.Size(), s.r.Rank())
-		if s.localMode {
-			lo, hi = s.localPartRows[0], s.localPartRows[1]
-		}
-		offs, lens, total := particleColList(func(name string) int64 {
-			base, _ := z.arraySeg(g.ID, name)
-			return base
-		}, lo, hi)
-		flat := make([]byte, total)
-		s.rReadListTol(f, offs, lens, flat)()
-		rows := rowsFromColumns(splitCols(flat, lens))
-		s.r.CopyCost(int64(len(rows)))
-		s.top.particles = s.redistributeByPosition(rows, g)
-	} else {
-		s.top.particles = amr.NewParticleSet(0)
-	}
-	topSp.End()
-	// Subgrids: a grid's slots are adjacent in the file, so the per-segment
-	// read loop coalesces into one contiguous request per grid,
-	// double-buffered — the next grid's transfer is on the devices while
-	// the current one's segments decompress.
-	owners := s.restartOwners()
-	var finishPrev func()
-	for _, gm := range s.meta.Subgrids() {
-		if owners[gm.ID] != s.r.Rank() {
-			continue
-		}
-		gm := gm
-		sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(gm.ID))
-		lo, hi := z.gridExtent(gm)
-		buf := make([]byte, hi-lo)
-		settle := func() {}
-		if hi > lo {
-			settle = s.rReadAtTol(f, buf, lo)
-		}
-		sp.End()
-		if finishPrev != nil {
-			finishPrev()
-		}
-		finishPrev = func() {
-			settle()
-			s.owned[gm.ID] = s.zSliceGrid(gm, z, dumpRawFile(d), buf, lo)
+		if grid == nil {
+			zf.putSeg(gm.ID, fi, nil, nil)
+		} else {
+			zf.putSeg(gm.ID, fi, grid.Fields[fi], zf.blobs[gm.ID][fi])
 		}
 	}
-	if finishPrev != nil {
-		finishPrev()
+	if gm.NParticles > 0 {
+		zf.putSubgridParticles(gm, grid)
 	}
-	f.Close()
+}
+
+// finish: rank 0 writes the directory.
+func (zf *rawzFile) finish() {
+	if zf.r.Rank() == 0 {
+		zf.write(xfer{kind: xAt, f: zf.f, buf: zf.z.encodeDir()})
+	}
+	zf.rawFile.finish()
+}
+
+// field reads this rank's own segment of a regular array — the initial
+// conditions were provisioned per rank and a restart uses the dump
+// decomposition, so the segment is exactly the rank's partition — and
+// unpacks it at settle, after the data has arrived.
+func (zf *rawzFile) field(g core.GridMeta, fi int, p *partition) func() {
+	off, n := zf.z.fieldSeg(g.ID, amr.FieldNames[fi], zf.r.Rank())
+	if n == 0 {
+		return settled
+	}
+	blob := make([]byte, n)
+	settle := zf.read(xfer{kind: xAt, f: zf.f, buf: blob, off: off})
+	return func() {
+		settle()
+		p.fields[fi] = zf.expand(blob)
+		zf.recordCodecBytes(zf.name, false, int64(len(p.fields[fi])), n)
+	}
+}
+
+// subgrid: a grid's slots are adjacent in the file, so the per-segment read
+// loop coalesces into one contiguous request per grid. The regular arrays'
+// per-rank segments are expanded in slot order, particle arrays are raw
+// slices.
+func (zf *rawzFile) subgrid(gm core.GridMeta) func() *amr.Grid {
+	z := zf.z
+	lo, hi := z.gridExtent(gm)
+	buf := make([]byte, hi-lo)
+	settle := settled
+	if hi > lo {
+		settle = zf.read(xfer{kind: xAt, f: zf.f, buf: buf, off: lo})
+	}
+	return func() *amr.Grid {
+		settle()
+		grid := newGrid(gm)
+		for fi, name := range amr.FieldNames {
+			// The dump owner's slot is the grid's single non-empty segment;
+			// concatenating the non-empty slots in rank order recovers the
+			// whole array without knowing who owned it.
+			var full []byte
+			for rk := 0; rk < z.np; rk++ {
+				off, n := z.fieldSeg(gm.ID, name, rk)
+				if n == 0 {
+					continue
+				}
+				raw := zf.expand(buf[off-lo : off-lo+n])
+				zf.recordCodecBytes(zf.name, false, int64(len(raw)), n)
+				full = append(full, raw...)
+			}
+			grid.Fields[fi] = full
+		}
+		zf.sliceParticles(gm, grid, buf, lo)
+		return grid
+	}
 }

@@ -126,7 +126,7 @@ func (s *Sim) refineOwned() int {
 		}
 	}
 	// The shared-file layout changes with the hierarchy.
-	s.layout = core.NewLayout(s.meta)
+	s.offsets = core.NewLayout(s.meta)
 	return total
 }
 

@@ -1,9 +1,7 @@
 package enzo
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/amr"
 	"repro/internal/core"
@@ -75,15 +73,9 @@ func (s *Sim) contentHash() ContentHash {
 	for id, g := range s.owned {
 		local2[id] = gridHash(g)
 	}
-	enc := encodeHashes(local2)
-	gathered := s.r.Gatherv(0, enc)
+	gathered := s.r.Gatherv(0, encGridHashes(local2))
 	if s.r.Rank() == 0 {
-		ch.GridHashes = make(map[int]uint64)
-		for _, chunk := range gathered {
-			for id, h := range decodeHashes(chunk) {
-				ch.GridHashes[id] = h
-			}
-		}
+		ch.GridHashes = decGridHashes(gathered)
 	}
 	return ch
 }
@@ -97,30 +89,6 @@ func cellHash(field, elem uint64, data []byte) uint64 {
 		h *= 0x100000001B3
 	}
 	return h
-}
-
-func encodeHashes(m map[int]uint64) []byte {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]byte, 0, 16*len(ids))
-	var b [16]byte
-	for _, id := range ids {
-		binary.LittleEndian.PutUint64(b[:8], uint64(id))
-		binary.LittleEndian.PutUint64(b[8:], m[id])
-		out = append(out, b[:]...)
-	}
-	return out
-}
-
-func decodeHashes(enc []byte) map[int]uint64 {
-	m := make(map[int]uint64)
-	for p := 0; p+16 <= len(enc); p += 16 {
-		m[int(binary.LittleEndian.Uint64(enc[p:]))] = binary.LittleEndian.Uint64(enc[p+8:])
-	}
-	return m
 }
 
 // loadMetaFromFS loads the replicated hierarchy metadata from a
@@ -155,7 +123,7 @@ func (s *Sim) loadMetaFromFS(name string) error {
 		return err
 	}
 	s.meta = m
-	s.layout = core.NewLayout(m)
+	s.offsets = core.NewLayout(m)
 	return nil
 }
 

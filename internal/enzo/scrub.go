@@ -206,13 +206,20 @@ func (s *Sim) manifestCheck(d int) bool {
 func (s *Sim) scrubGeneration(d int) bool {
 	defer obs.Begin(s.r.Proc(), obs.LayerApp, fmt.Sprintf("scrub:%02d", d)).End()
 	savedTop, savedOwned, savedRows := s.top, s.owned, s.localPartRows
+	clean := s.readBack(d)
+	s.top, s.owned, s.localPartRows = savedTop, savedOwned, savedRows
+	return clean
+}
+
+// readBack replaces the in-memory state by a tolerant read of generation d
+// and checks it against the generation's manifest.
+func (s *Sim) readBack(d int) bool {
 	s.clearState()
 	s.tolerant, s.damaged = true, false
 	s.readRestart(d)
 	s.tolerant = false
 	clean := s.manifestCheck(d)
 	s.damaged = false
-	s.top, s.owned, s.localPartRows = savedTop, savedOwned, savedRows
 	return clean
 }
 
@@ -260,13 +267,7 @@ func (s *Sim) restartNewestClean() {
 		lowest = s.cfg.Dumps - s.cfg.Generations
 	}
 	for d := s.cfg.Dumps - 1; d >= lowest; d-- {
-		s.clearState()
-		s.tolerant, s.damaged = true, false
-		s.readRestart(d)
-		s.tolerant = false
-		clean := s.manifestCheck(d)
-		s.damaged = false
-		if clean {
+		if s.readBack(d) {
 			return
 		}
 		if d > lowest && s.r.Rank() == 0 {

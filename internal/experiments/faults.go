@@ -84,13 +84,14 @@ func stragglerSweep(o Options) ([]StragglerRow, error) {
 			for _, slow := range slowdowns {
 				cfg := o.problem("AMR64")
 				cfg.Codec = o.Codec
-				res, err := enzo.RunOnceWrapped(pl.mach, pl.fs, np, cfg, backend,
-					func(fs pfs.FileSystem) pfs.FileSystem {
+				res, err := enzo.Run(enzo.RunSpec{Machine: pl.mach, FS: pl.fs, Procs: np, Config: cfg, Backend: backend,
+					Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 						if slow > 1 {
 							fs.(pfs.StripeFaultInjector).DegradeDataServer(0, slow)
 						}
 						return fs
-					})
+					},
+				})
 				if err != nil {
 					return nil, fmt.Errorf("faults straggler %s/%s x%g: %w", pl.fs, backend, slow, err)
 				}
@@ -132,7 +133,9 @@ func recoverySweep(o Options) ([]RecoveryRow, error) {
 				})
 				return injector
 			}
-			res, err := enzo.RunOnceWrapped(mach, "pvfs", np, cfg, enzo.BackendMPIIO, wrap)
+			res, err := enzo.Run(enzo.RunSpec{Machine: mach, FS: "pvfs", Procs: np, Config: cfg, Backend: enzo.BackendMPIIO,
+				Wrap: wrap,
+			})
 			if err != nil {
 				return nil, fmt.Errorf("faults recovery codec=%s everyN=%d: %w", codec, everyN, err)
 			}
@@ -159,14 +162,15 @@ func recoverySweep(o Options) ([]RecoveryRow, error) {
 	cfg.Generations = 2
 	cfg.MaxRedumps = 1
 	var injector *faultfs.FS
-	res, err := enzo.RunOnceWrapped(mach, "pvfs", np, cfg, enzo.BackendMPIIO,
-		func(fs pfs.FileSystem) pfs.FileSystem {
+	res, err := enzo.Run(enzo.RunSpec{Machine: mach, FS: "pvfs", Procs: np, Config: cfg, Backend: enzo.BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			injector = faultfs.Wrap(fs, faultfs.Config{
 				Mode: faultfs.CorruptWrite, EveryN: 1, MinBytes: 2048,
 				FileSubstr: "dump01.raw",
 			})
 			return injector
-		})
+		},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("faults fallback: %w", err)
 	}

@@ -74,14 +74,15 @@ func TestVerifierCatchesInjectedFaults(t *testing.T) {
 		mode := mode
 		t.Run(fmt.Sprintf("mode%d", mode), func(t *testing.T) {
 			var injector *FS
-			res, err := enzo.RunOnceWrapped(machCfg, "xfs", 4, enzo.Tiny(), enzo.BackendMPIIO,
-				func(fs pfs.FileSystem) pfs.FileSystem {
+			res, err := enzo.Run(enzo.RunSpec{Machine: machCfg, FS: "xfs", Procs: 4, Config: enzo.Tiny(), Backend: enzo.BackendMPIIO,
+				Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 					// Target large-ish data writes late in the stream so
 					// the fault lands in dump data, not IC files that get
 					// rewritten: every 5th write of >= 4KB.
 					injector = Wrap(fs, Config{Mode: mode, EveryN: 5, MinBytes: 4096})
 					return injector
-				})
+				},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,10 +104,11 @@ func TestCleanRunStillVerifies(t *testing.T) {
 		WireLatency: 20e-6, LinkBW: 150e6, SendOverhead: 2e-6, RecvOverhead: 2e-6,
 		MemLatency: 1e-6, MemCopyBW: 800e6, ComputeRate: 1e9,
 	}
-	res, err := enzo.RunOnceWrapped(machCfg, "xfs", 4, enzo.Tiny(), enzo.BackendMPIIO,
-		func(fs pfs.FileSystem) pfs.FileSystem {
+	res, err := enzo.Run(enzo.RunSpec{Machine: machCfg, FS: "xfs", Procs: 4, Config: enzo.Tiny(), Backend: enzo.BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			return Wrap(fs, Config{Mode: CorruptWrite, EveryN: 1 << 40})
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
