@@ -42,8 +42,9 @@ func benchOptions() experiments.Options {
 //
 // AMR64/np=8 is the headline case every optimization in DESIGN.md is
 // quoted against; the np=64 and np=256 columns track how the scheduler
-// holds up as the ready set deepens, and the AMR256-quick rows exercise
-// the scale sweep's problem shape on the cluster1024 platform.
+// holds up as the ready set deepens, the AMR256-quick rows exercise the
+// scale sweep's problem shape on the cluster1024 platform, and AMR128/np=256
+// is that sweep's largest AMR128 row itself.
 func BenchmarkEngine(b *testing.B) {
 	amr256quick := enzo.AMR256()
 	amr256quick.Dims = [3]int{64, 64, 64}
@@ -55,11 +56,16 @@ func BenchmarkEngine(b *testing.B) {
 		np      int
 	}{
 		{"AMR64", benchProblem(), machine.ChibaCity(), 8},
-		{"AMR64", benchProblem(), machine.ChibaCity(), 64},
-		{"AMR64", benchProblem(), machine.ChibaCity(), 256},
+		// Chiba City models 16 nodes; the wider rows need the 1024-node cluster.
+		{"AMR64", benchProblem(), machine.Cluster1024(), 64},
+		{"AMR64", benchProblem(), machine.Cluster1024(), 256},
 		{"AMR256-quick", amr256quick, machine.Cluster1024(), 8},
 		{"AMR256-quick", amr256quick, machine.Cluster1024(), 64},
 		{"AMR256-quick", amr256quick, machine.Cluster1024(), 256},
+		// The scale sweep's largest AMR128 row, full size whatever REPRO_QUICK
+		// says: CI holds its events/op under a budget (scale-smoke), so a
+		// collective that grows O(np²) again fails there within a minute.
+		{"AMR128", enzo.AMR128(), machine.Cluster1024(), 256},
 	}
 	for _, c := range cases {
 		c := c

@@ -11,6 +11,10 @@
 //
 //	benchdiff              compare a fresh run against the baselines
 //	benchdiff -update      re-run and overwrite all the baselines
+//	benchdiff -only scale,hints   compare (or, with -update, overwrite) just
+//	                       the named families: baseline, faults, reads,
+//	                       dedup, hints, tenants, scale. Families run, and
+//	                       are written, one at a time.
 //	benchdiff -checkdedup  assert the committed dedup baseline's invariant
 //	                       (castore device bytes strictly below plain at
 //	                       retention depth >= 2) without running anything
@@ -41,6 +45,8 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 )
@@ -109,6 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checkDedup := fl.Bool("checkdedup", false, "only check the committed dedup baseline's savings invariant (no simulations)")
 	checkHints := fl.Bool("checkhints", false, "only check the committed hints baseline's tuned-beats-default invariant (no simulations)")
 	checkTenants := fl.Bool("checktenants", false, "only check the committed tenants baseline's fairness invariant (no simulations)")
+	only := fl.String("only", "", "comma-separated families to run and write or compare (baseline, faults, reads, dedup, hints, tenants, scale); empty means all")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
@@ -116,6 +123,77 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unexpected arguments: %v\n", fl.Args())
 		fl.Usage()
 		return 2
+	}
+
+	o := experiments.Options{}
+	// scale runs last: it is the family most likely to die of memory.
+	families := []family{
+		newFamily("baseline", basePath, "table1, codec and overlap sweeps (AMR128, np=8)",
+			func() (Baseline, error) {
+				b := Baseline{Table1: experiments.Table1(o)}
+				var err error
+				if b.Codecs, err = experiments.CodecSweep(o); err != nil {
+					return b, err
+				}
+				b.Overlap, err = experiments.OverlapSweep(o)
+				return b, err
+			}, nil, func(base, fresh Baseline) []string {
+				return slices.Concat(
+					CompareRows("table1", base.Table1, fresh.Table1),
+					CompareRows("codecs", base.Codecs, fresh.Codecs),
+					CompareRows("overlap", base.Overlap, fresh.Overlap))
+			}),
+		newFamily("faults", faultPath, "fault sweep (AMR64, np=8)",
+			func() (f Faults, err error) {
+				f.Stragglers, f.Recovery, err = experiments.FaultSweep(o)
+				return f, err
+			}, nil, func(base, fresh Faults) []string {
+				return slices.Concat(
+					CompareRows("faults/stragglers", base.Stragglers, fresh.Stragglers),
+					CompareRows("faults/recovery", base.Recovery, fresh.Recovery))
+			}),
+		newFamily("reads", readPath, "read sweep (AMR128, np=8)",
+			func() (r Reads, err error) {
+				r.Reads, err = experiments.ReadSweep(o)
+				return r, err
+			}, nil, func(base, fresh Reads) []string { return CompareRows("reads", base.Reads, fresh.Reads) }),
+		newFamily("dedup", dedupPath, "dedup sweep (AMR64+AMR128, np=8)",
+			func() (d Dedup, err error) {
+				d.Dedup, err = experiments.DedupSweep(o)
+				return d, err
+			}, func(d Dedup) []string { return checkDedupInvariant(d.Dedup) },
+			func(base, fresh Dedup) []string { return CompareRows("dedup", base.Dedup, fresh.Dedup) }),
+		newFamily("hints", hintsPath, "hints sweep (AMR64, np=8)",
+			func() (h Hints, err error) {
+				h.Hints, err = experiments.HintsSweep(o)
+				return h, err
+			}, func(h Hints) []string { return checkHintsInvariant(h.Hints) },
+			func(base, fresh Hints) []string { return CompareRows("hints", base.Hints, fresh.Hints) }),
+		newFamily("tenants", tenantsPath, "multi-tenant sweep (fifo vs fair, np=4-8)",
+			func() (t Tenants, err error) {
+				t.Tenants, err = experiments.MultiTenantSweep(o)
+				return t, err
+			}, func(t Tenants) []string { return checkTenantsInvariant(t.Tenants) },
+			func(base, fresh Tenants) []string { return CompareRows("tenants", base.Tenants, fresh.Tenants) }),
+		newFamily("scale", scalePath, "scale sweep (AMR128/AMR256, np=8-256)",
+			func() (Scale, error) {
+				rows, err := experiments.ScaleSweep(o)
+				return Scale{Scale: experiments.StripWallClock(rows)}, err
+			}, nil, func(base, fresh Scale) []string { return CompareRows("scale", base.Scale, fresh.Scale) }),
+	}
+	selected := make(map[string]bool)
+	for _, f := range families {
+		selected[f.name] = *only == ""
+	}
+	if *only != "" {
+		for _, name := range strings.Split(*only, ",") {
+			if _, known := selected[name]; !known {
+				fmt.Fprintf(stderr, "unknown family %q in -only\n", name)
+				fl.Usage()
+				return 2
+			}
+			selected[name] = true
+		}
 	}
 
 	if *checkDedup {
@@ -169,176 +247,85 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	o := experiments.Options{}
-	fmt.Fprintln(stderr, "running table1...")
-	table1 := experiments.Table1(o)
-	fmt.Fprintln(stderr, "running codec sweep (AMR128, np=8)...")
-	codecs, err := experiments.CodecSweep(o)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	fmt.Fprintln(stderr, "running overlap sweep (AMR128, np=8)...")
-	overlap, err := experiments.OverlapSweep(o)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	fmt.Fprintln(stderr, "running read sweep (AMR128, np=8)...")
-	reads, err := experiments.ReadSweep(o)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	fmt.Fprintln(stderr, "running fault sweep (AMR64, np=8)...")
-	stragglers, recovery, err := experiments.FaultSweep(o)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	fmt.Fprintln(stderr, "running dedup sweep (AMR64+AMR128, np=8)...")
-	dedup, err := experiments.DedupSweep(o)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	fmt.Fprintln(stderr, "running scale sweep (AMR128/AMR256, np=8-256)...")
-	scale, err := experiments.ScaleSweep(o)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	fmt.Fprintln(stderr, "running hints sweep (AMR64, np=8)...")
-	hints, err := experiments.HintsSweep(o)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	fmt.Fprintln(stderr, "running multi-tenant sweep (fifo vs fair, np=4-8)...")
-	tenants, err := experiments.MultiTenantSweep(o)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	fresh := Baseline{Table1: table1, Codecs: codecs, Overlap: overlap}
-	freshFaults := Faults{Stragglers: stragglers, Recovery: recovery}
-	freshReads := Reads{Reads: reads}
-	freshDedup := Dedup{Dedup: dedup}
-	freshScale := Scale{Scale: experiments.StripWallClock(scale)}
-	freshHints := Hints{Hints: hints}
-	freshTenants := Tenants{Tenants: tenants}
-	if problems := checkDedupInvariant(dedup); len(problems) > 0 {
-		fmt.Fprintln(stdout, "DEDUP INVARIANT VIOLATED in the fresh sweep:")
-		for _, p := range problems {
-			fmt.Fprintln(stdout, " ", p)
+	// One family at a time — run, check its invariant, then write or
+	// compare — so a sweep that dies (the scale family's largest rows can be
+	// OOM-killed on a small box) costs only itself, not the families already
+	// done.
+	var ran, drifted []string
+	for _, f := range families {
+		if !selected[f.name] {
+			continue
 		}
-		return 1
-	}
-	if problems := checkHintsInvariant(hints); len(problems) > 0 {
-		fmt.Fprintln(stdout, "HINTS INVARIANT VIOLATED in the fresh sweep:")
-		for _, p := range problems {
-			fmt.Fprintln(stdout, " ", p)
+		ran = append(ran, *f.path)
+		fmt.Fprintf(stderr, "running %s: %s...\n", f.name, f.sweeps)
+		violations, drift, err := f.process(*f.path, *update)
+		if err != nil {
+			fmt.Fprintf(stderr, "error: %s: %v\n", f.name, err)
+			return 1
 		}
-		return 1
-	}
-	if problems := checkTenantsInvariant(tenants); len(problems) > 0 {
-		fmt.Fprintln(stdout, "TENANTS INVARIANT VIOLATED in the fresh sweep:")
-		for _, p := range problems {
-			fmt.Fprintln(stdout, " ", p)
+		if len(violations) > 0 {
+			fmt.Fprintf(stdout, "%s INVARIANT VIOLATED in the fresh sweep:\n", strings.ToUpper(f.name))
+			for _, v := range violations {
+				fmt.Fprintln(stdout, " ", v)
+			}
+			return 1
 		}
-		return 1
+		if len(drift) > 0 {
+			drifted = append(drifted, f.name)
+			fmt.Fprintf(stdout, "BENCHMARK DRIFT in %s: %d difference(s) against %s\n\n", f.name, len(drift), *f.path)
+			for _, d := range drift {
+				fmt.Fprintln(stdout, d)
+			}
+			fmt.Fprintln(stdout)
+		}
 	}
-
 	if *update {
-		if err := writeJSON(*basePath, fresh); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		if err := writeJSON(*faultPath, freshFaults); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		if err := writeJSON(*readPath, freshReads); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		if err := writeJSON(*dedupPath, freshDedup); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		if err := writeJSON(*scalePath, freshScale); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		if err := writeJSON(*hintsPath, freshHints); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		if err := writeJSON(*tenantsPath, freshTenants); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "baselines updated: %s, %s, %s, %s, %s, %s, %s\n", *basePath, *faultPath, *readPath, *dedupPath, *scalePath, *hintsPath, *tenantsPath)
+		fmt.Fprintf(stdout, "baselines updated: %s\n", strings.Join(ran, ", "))
 		return 0
 	}
-
-	var base Baseline
-	if err := readJSON(*basePath, &base); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
+	if len(drifted) > 0 {
+		fmt.Fprintf(stdout, "If the change is intended, re-baseline with: go run ./cmd/benchdiff -update -only %s\n",
+			strings.Join(drifted, ","))
 		return 1
 	}
-	var baseFaults Faults
-	if err := readJSON(*faultPath, &baseFaults); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	var baseReads Reads
-	if err := readJSON(*readPath, &baseReads); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	var baseDedup Dedup
-	if err := readJSON(*dedupPath, &baseDedup); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	var baseScale Scale
-	if err := readJSON(*scalePath, &baseScale); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	var baseHints Hints
-	if err := readJSON(*hintsPath, &baseHints); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	var baseTenants Tenants
-	if err := readJSON(*tenantsPath, &baseTenants); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	var drift []string
-	drift = append(drift, CompareRows("table1", base.Table1, fresh.Table1)...)
-	drift = append(drift, CompareRows("codecs", base.Codecs, fresh.Codecs)...)
-	drift = append(drift, CompareRows("overlap", base.Overlap, fresh.Overlap)...)
-	drift = append(drift, CompareRows("faults/stragglers", baseFaults.Stragglers, freshFaults.Stragglers)...)
-	drift = append(drift, CompareRows("faults/recovery", baseFaults.Recovery, freshFaults.Recovery)...)
-	drift = append(drift, CompareRows("reads", baseReads.Reads, freshReads.Reads)...)
-	drift = append(drift, CompareRows("dedup", baseDedup.Dedup, freshDedup.Dedup)...)
-	drift = append(drift, CompareRows("scale", baseScale.Scale, freshScale.Scale)...)
-	drift = append(drift, CompareRows("hints", baseHints.Hints, freshHints.Hints)...)
-	drift = append(drift, CompareRows("tenants", baseTenants.Tenants, freshTenants.Tenants)...)
-	if len(drift) > 0 {
-		fmt.Fprintf(stdout, "BENCHMARK DRIFT: %d difference(s) against %s / %s / %s / %s / %s / %s / %s\n\n",
-			len(drift), *basePath, *faultPath, *readPath, *dedupPath, *scalePath, *hintsPath, *tenantsPath)
-		for _, d := range drift {
-			fmt.Fprintln(stdout, d)
-		}
-		fmt.Fprintln(stdout, "\nIf the change is intended, re-baseline with: go run ./cmd/benchdiff -update")
-		return 1
-	}
-	fmt.Fprintln(stdout, "benchmarks match the baselines exactly")
+	fmt.Fprintf(stdout, "benchmarks match the baselines exactly (%s)\n", strings.Join(ran, ", "))
 	return 0
+}
+
+// family is one independently re-baselined sweep group: its name for -only,
+// its baseline file, and process, which runs the sweeps, checks the family's
+// invariant (if it has one) on the fresh rows and then either writes the
+// baseline (update) or compares against it.
+type family struct {
+	name    string
+	path    *string
+	sweeps  string // progress line
+	process func(path string, update bool) (violations, drift []string, err error)
+}
+
+// newFamily builds a family from its typed parts; invariant may be nil.
+func newFamily[T any](name string, path *string, sweeps string, sweep func() (T, error),
+	invariant func(T) []string, diff func(base, fresh T) []string) family {
+	process := func(path string, update bool) (violations, drift []string, err error) {
+		fresh, err := sweep()
+		if err != nil {
+			return nil, nil, err
+		}
+		if invariant != nil {
+			if violations = invariant(fresh); len(violations) > 0 {
+				return violations, nil, nil
+			}
+		}
+		if update {
+			return nil, nil, writeJSON(path, fresh)
+		}
+		var base T
+		if err := readJSON(path, &base); err != nil {
+			return nil, nil, err
+		}
+		return nil, diff(base, fresh), nil
+	}
+	return family{name: name, path: path, sweeps: sweeps, process: process}
 }
 
 // checkDedupInvariant asserts the dedup sweep's headline claim: every

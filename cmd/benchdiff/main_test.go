@@ -204,11 +204,18 @@ func TestCheckFlagsFailLoudly(t *testing.T) {
 }
 
 func TestBadFlagsRejected(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-bogus"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if code := run([]string{"extra-arg"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code for stray argument = %d, want 2", code)
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"extra-arg"},
+		{"-only", "bogus"},
+		{"-update", "-only", "scale,bogus"}, // one bad name refuses the whole list, before anything runs
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit code = %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), "Usage of benchdiff") {
+			t.Errorf("%v: no usage on stderr: %q", args, stderr.String())
+		}
 	}
 }

@@ -93,19 +93,22 @@ func ProbeConfig(cfg enzo.Config) enzo.Config {
 // AutoTune closes the tuning loop for one configuration: it runs the
 // short deterministic probe (ProbeConfig — one dump step plus one restart
 // read at reduced depth), snapshots the traced run through the detector
-// registry's input, derives the hint deltas with Suggest (the single
-// source of truth for the detector→hint mapping), verifies the candidate
-// vector against the probe itself, and returns cfg with the surviving
-// deltas applied, alongside the deltas and the probe's report. Tuning an
+// registry's input, derives the candidate hint deltas with Suggest (the
+// single source of truth for the detector→hint mapping), verifies each
+// against the probe itself, and returns cfg with the surviving deltas
+// applied, alongside those deltas and the probe's report. Tuning an
 // already-tuned configuration applies no deltas and returns it unchanged.
 //
 // The verification pass is what makes the loop closed rather than
-// open-loop heuristics: the tuned probe must not spend more I/O time than
-// the default probe did. A candidate set that regresses peels its last
-// delta and retries — Suggest appends the speculative config-level
-// async_io rule after the detector-backed hint deltas, so it is the first
-// to go (write-behind's memcpy tax can exceed its overlap gain when dumps
-// are fast); the empty set is the identity and always terminates the loop.
+// open-loop heuristics: a delta is kept only if the probe, rerun with it on
+// top of the deltas already kept, spends strictly less I/O time. That drops
+// a delta that regresses (write-behind's memcpy tax can exceed its overlap
+// gain when dumps are fast) and, as firmly, a delta the probe cannot see:
+// virtual time is exact, so an identical I/O time means the hint changed
+// nothing at probe scale — cb_nodes on a probe whose arrays all fit one
+// MinFDSize file domain, say — and a rule nobody measured is not applied.
+// The two-phase exchange is sparse, so an aggregator more is a message more
+// per rank and collective; such a change has to earn its place.
 func AutoTune(machCfg machine.Config, fsKind string, nprocs int,
 	cfg enzo.Config, backend enzo.Backend) (enzo.Config, []HintsDelta, *Report, error) {
 	probeCfg := ProbeConfig(cfg)
@@ -115,17 +118,17 @@ func AutoTune(machCfg machine.Config, fsKind string, nprocs int,
 		return cfg, nil, nil, fmt.Errorf("autotune probe: %w", err)
 	}
 	rep := Snapshot(tr, MetaFromResult(machCfg.Name, res, probeCfg))
-	deltas := Suggest(rep)
-	for len(deltas) > 0 {
-		cand := ApplyAllConfig(deltas, probeCfg)
-		vres, err := enzo.RunOnce(machCfg, fsKind, nprocs, cand, backend)
+	var deltas []HintsDelta
+	best := res.IOTime()
+	for _, d := range Suggest(rep) {
+		cand := append(deltas[:len(deltas):len(deltas)], d)
+		vres, err := enzo.RunOnce(machCfg, fsKind, nprocs, ApplyAllConfig(cand, probeCfg), backend)
 		if err != nil {
 			return cfg, nil, rep, fmt.Errorf("autotune verify: %w", err)
 		}
-		if vres.IOTime() <= res.IOTime() {
-			break
+		if vres.IOTime() < best {
+			deltas, best = cand, vres.IOTime()
 		}
-		deltas = deltas[:len(deltas)-1]
 	}
 	tuned := ApplyAllConfig(deltas, cfg)
 	tuned.AutoTune = false

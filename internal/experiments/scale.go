@@ -56,8 +56,7 @@ func ScaleSweep(o Options) ([]ScaleRow, error) {
 	nps := []int{8, 64, 256}
 	if o.Quick {
 		// The smoke run keeps the shape (two problems, rising np) but stops
-		// before the np=256 rows, whose quadratic collective message counts
-		// dominate the sweep's wall-clock.
+		// before the np=256 rows, the slowest of the sweep.
 		nps = []int{8, 64}
 	}
 	var cells []cell

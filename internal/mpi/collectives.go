@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -175,8 +176,9 @@ func (r *Rank) Allgatherv(data []byte) [][]byte {
 }
 
 // Alltoallv sends parts[i] to rank i and returns the per-source received
-// buffers, using the classic rotated pairwise exchange (deadlock-free under
-// buffered sends).
+// buffers. Every rank first learns how much each peer has for it (a
+// log-round count exchange), then payloads move point-to-point between the
+// non-empty pairs only — an empty part costs no message.
 func (r *Rank) Alltoallv(parts [][]byte) [][]byte {
 	return r.alltoallv(parts, false)
 }
@@ -200,30 +202,113 @@ func (r *Rank) alltoallv(parts [][]byte, scratch bool) [][]byte {
 		panic(fmt.Sprintf("mpi: Alltoallv got %d parts for %d ranks", len(parts), size))
 	}
 	var total int64
-	for _, p := range parts {
+	counts := make([]int64, size)
+	var sendTo, recvFrom []int
+	for d, p := range parts {
 		total += int64(len(p))
+		counts[d] = int64(len(p))
+		if len(p) > 0 {
+			sendTo = append(sendTo, d)
+		}
 	}
 	defer obs.Begin(r.proc, obs.LayerMPI, "alltoallv").Bytes(total).End()
+	for s, n := range r.alltoallInt64(counts) {
+		if n > 0 {
+			recvFrom = append(recvFrom, s)
+		}
+	}
+	return r.exchange(parts, sendTo, recvFrom, scratch)
+}
+
+// alltoallInt64 delivers send[d] to rank d and returns, per source rank, the
+// value it had for this rank, using Bruck's algorithm: ceil(log2 P) rounds in
+// which round k forwards, k ranks ahead, every block whose remaining distance
+// has bit k set. Each block travels exactly its distance, staying at the
+// index that names that distance, and no rank sends more than P/2 values per
+// round.
+func (r *Rank) alltoallInt64(send []int64) []int64 {
 	tag := r.collTag()
-	out := make([][]byte, size)
+	size := r.Size()
+	buf := make([]int64, size) // buf[i] is bound for the rank i ahead of its holder
+	for i := range buf {
+		buf[i] = send[(r.rank+i)%size]
+	}
+	for k := 1; k < size; k <<= 1 {
+		msg := make([]byte, 0, 8*(size/2))
+		for i := k; i < size; i++ {
+			if i&k != 0 {
+				msg = binary.LittleEndian.AppendUint64(msg, uint64(buf[i]))
+			}
+		}
+		r.sendScratch((r.rank+k)%size, tag, msg) // msg is never touched again
+		in, _, _ := r.Recv((r.rank-k+size)%size, tag)
+		for i := k; i < size; i++ {
+			if i&k != 0 {
+				buf[i] = decI64(in)
+				in = in[8:]
+			}
+		}
+	}
+	recv := make([]int64, size)
+	for i, v := range buf {
+		recv[(r.rank-i+size)%size] = v // buf[i] started i ranks behind
+	}
+	return recv
+}
+
+// ExchangeScratch is the sparse personalized exchange under two-phase I/O:
+// parts[d] goes to every rank d listed in sendTo, and the result holds one
+// message for every rank listed in recvFrom (nil elsewhere). Unlike
+// Alltoallv there is no count round — the caller must already know both
+// lists, and they must agree across ranks (d is in s's sendTo exactly when s
+// is in d's recvFrom), or the exchange deadlocks. Both lists are ascending.
+// The caller's own part is always handed back, listed or not. Payloads
+// travel by reference: AlltoallvScratch's aliasing contract applies.
+func (r *Rank) ExchangeScratch(parts [][]byte, sendTo, recvFrom []int) [][]byte {
+	size := r.Size()
+	if len(parts) != size {
+		panic(fmt.Sprintf("mpi: ExchangeScratch got %d parts for %d ranks", len(parts), size))
+	}
+	var total int64
+	for _, d := range sendTo {
+		total += int64(len(parts[d]))
+	}
+	defer obs.Begin(r.proc, obs.LayerMPI, "exchange").Bytes(total).End()
+	return r.exchange(parts, sendTo, recvFrom, true)
+}
+
+// exchange posts one send per listed destination — in rotated order starting
+// after the caller, so the ranks do not all hit the same destination first —
+// and then receives from each listed source by name, nearest predecessor
+// first (the order their sends were posted in).
+func (r *Rank) exchange(parts [][]byte, sendTo, recvFrom []int, scratch bool) [][]byte {
+	tag := r.collTag()
+	out := make([][]byte, len(parts))
 	own := parts[r.rank]
 	if !scratch {
-		own = append([]byte{}, parts[r.rank]...)
+		own = append([]byte{}, own...)
 	}
 	// The local copy is still charged in scratch mode so both variants keep
 	// identical virtual times.
 	r.CopyCost(int64(len(own)))
 	out[r.rank] = own
-	for step := 1; step < size; step++ {
-		dst := (r.rank + step) % size
-		src := (r.rank - step + size) % size
-		if scratch {
+	after, _ := slices.BinarySearch(sendTo, r.rank+1)
+	for i := range sendTo {
+		dst := sendTo[(after+i)%len(sendTo)]
+		switch {
+		case dst == r.rank:
+		case scratch:
 			r.sendScratch(dst, tag, parts[dst])
-		} else {
+		default:
 			r.Send(dst, tag, parts[dst])
 		}
-		msg, _, _ := r.Recv(src, tag)
-		out[src] = msg
+	}
+	before, _ := slices.BinarySearch(recvFrom, r.rank)
+	for i := len(recvFrom) - 1; i >= 0; i-- {
+		src := recvFrom[(before+i)%len(recvFrom)]
+		if src != r.rank {
+			out[src], _, _ = r.Recv(src, tag)
+		}
 	}
 	return out
 }
@@ -343,10 +428,45 @@ func (r *Rank) AllreduceFloat64(v float64, op Op) float64 {
 
 // AllgatherInt64 gathers one int64 per rank on every rank.
 func (r *Rank) AllgatherInt64(v int64) []int64 {
-	parts := r.Allgatherv(encI64(v))
-	out := make([]int64, len(parts))
-	for i, p := range parts {
-		out[i] = decI64(p)
+	return r.AllgatherInt64s([]int64{v})
+}
+
+// AllgatherInt64s gathers a fixed-size block of int64s from every rank on
+// every rank: the result holds rank i's block at [i*len(vals), (i+1)*len(vals)).
+// Every rank must pass the same number of values. It runs Bruck's algorithm —
+// ceil(log2 P) rounds for any P, round k shipping the 2^k blocks gathered so
+// far to the rank 2^k ahead — which suits these small latency-bound blocks;
+// Allgatherv keeps the bandwidth-friendly ring for variable, larger payloads.
+// Blocks flow towards higher ranks, as in Barrier: the engine runs equal
+// clocks in rank order, so a receive from a lower rank usually finds its
+// message already posted and does not have to park.
+func (r *Rank) AllgatherInt64s(vals []int64) []int64 {
+	n := len(vals)
+	defer obs.Begin(r.proc, obs.LayerMPI, "allgather").Bytes(int64(8 * n)).End()
+	tag := r.collTag()
+	size := r.Size()
+	if size == 1 {
+		r.proc.Yield()
+		return slices.Clone(vals)
+	}
+	// buf holds the blocks of ranks rank, rank-1, rank-2, ... in that order;
+	// a sent prefix is never written again, so it can travel by reference.
+	buf := make([]byte, 0, 8*n*size)
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	for have := 1; have < size; have *= 2 {
+		cnt := min(have, size-have)
+		r.sendScratch((r.rank+have)%size, tag, buf[:8*n*cnt])
+		in, _, _ := r.Recv((r.rank-have+size)%size, tag)
+		buf = append(buf, in...)
+	}
+	out := make([]int64, n*size)
+	for j := 0; j < size; j++ {
+		from := (r.rank - j + size) % size
+		for k := 0; k < n; k++ {
+			out[from*n+k] = decI64(buf[8*(j*n+k):])
+		}
 	}
 	return out
 }

@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // Request is the handle of a nonblocking operation started by Isend or
 // Irecv. It is owned by the rank that started it and must only be used from
 // that rank's body function. Complete it with Wait (or Waitall), or poll it
@@ -65,9 +63,9 @@ func (q *Request) Wait() (data []byte, fromSrc, fromTag int) {
 			r.world.putMsg(m)
 			return q.data, q.fromSrc, q.fromTag
 		}
-		r.waiting = recvWait{src: q.src, tag: q.tag}
+		r.waiting = recvWait{src: q.src, tag: q.tag, irecv: true}
 		r.hasWaiting = true
-		r.proc.Block(fmt.Sprintf("Wait(Irecv src=%d, tag=%d)", q.src, q.tag))
+		r.proc.BlockOn(&r.waiting)
 	}
 }
 

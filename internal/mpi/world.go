@@ -169,6 +169,17 @@ type Rank struct {
 
 type recvWait struct {
 	src, tag int
+	irecv    bool // parked in Request.Wait rather than Recv (deadlock text only)
+}
+
+// String is the deadlock-report reason of a parked receive. The rank hands
+// sim.Proc.BlockOn a pointer to its waiting field, so this only runs when a
+// deadlock is actually reported.
+func (w *recvWait) String() string {
+	if w.irecv {
+		return fmt.Sprintf("Wait(Irecv src=%d, tag=%d)", w.src, w.tag)
+	}
+	return fmt.Sprintf("Recv(src=%d, tag=%d)", w.src, w.tag)
 }
 
 // Rank returns this process's rank id.
@@ -284,7 +295,7 @@ func (r *Rank) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 		}
 		r.waiting = recvWait{src: src, tag: tag}
 		r.hasWaiting = true
-		r.proc.Block(fmt.Sprintf("Recv(src=%d, tag=%d)", src, tag))
+		r.proc.BlockOn(&r.waiting)
 	}
 }
 

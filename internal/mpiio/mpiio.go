@@ -124,6 +124,8 @@ type fileScratch struct {
 	extData   [][]byte
 	order     []int
 	srcCounts []int
+	sendTo    []int // two-phase partner lists (see partners)
+	recvFrom  []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(fileScratch) }}
@@ -419,36 +421,38 @@ func (f *File) myAggIndex(naggs, rot int) int {
 	return -1
 }
 
-// accessRange exchanges every rank's file extent and decides, as ROMIO's
-// automatic collective-buffering heuristic does, whether the accesses
-// interleave. It returns the global [lo, hi) and whether two-phase I/O is
-// worthwhile (extents of different ranks overlap). Ranks with no data
-// report an inverted extent and are ignored for the interleaving check.
-func (f *File) accessRange(runs []mpi.Run) (lo, hi int64, interleaved bool) {
-	myLo := int64(math.MaxInt64)
-	myHi := int64(0)
+// accessRange gathers every rank's file extent — one (lo, hi) block per
+// rank, in one log-round allgather — and decides, as ROMIO's automatic
+// collective-buffering heuristic does, whether the accesses interleave. It
+// returns the global [lo, hi), whether two-phase I/O is worthwhile (extents
+// of different ranks overlap) and the gathered extents themselves: rank s
+// accesses [ext[2s], ext[2s+1]), which is what partners derives the
+// exchange's send and receive lists from. Ranks with no data report an
+// inverted extent and are ignored for the interleaving check.
+func (f *File) accessRange(runs []mpi.Run) (lo, hi int64, interleaved bool, ext []int64) {
+	my := [2]int64{math.MaxInt64, 0}
 	if len(runs) > 0 {
-		myLo = runs[0].Off
-		myHi = runs[len(runs)-1].Off + runs[len(runs)-1].Len
+		my[0] = runs[0].Off
+		my[1] = runs[len(runs)-1].Off + runs[len(runs)-1].Len
 	}
-	allLo := f.r.AllgatherInt64(myLo)
-	allHi := f.r.AllgatherInt64(myHi)
+	ext = f.r.AllgatherInt64s(my[:])
 	lo, hi = int64(math.MaxInt64), 0
-	type ext struct{ lo, hi int64 }
-	var exts []ext
-	for i := range allLo {
-		if allHi[i] <= allLo[i] {
+	type span struct{ lo, hi int64 }
+	var spans []span
+	for i := 0; i < len(ext); i += 2 {
+		sLo, sHi := ext[i], ext[i+1]
+		if sHi <= sLo {
 			continue // empty participant
 		}
-		if allLo[i] < lo {
-			lo = allLo[i]
+		if sLo < lo {
+			lo = sLo
 		}
-		if allHi[i] > hi {
-			hi = allHi[i]
+		if sHi > hi {
+			hi = sHi
 		}
-		exts = append(exts, ext{allLo[i], allHi[i]})
+		spans = append(spans, span{sLo, sHi})
 	}
-	slices.SortFunc(exts, func(a, b ext) int {
+	slices.SortFunc(spans, func(a, b span) int {
 		switch {
 		case a.lo < b.lo:
 			return -1
@@ -457,13 +461,46 @@ func (f *File) accessRange(runs []mpi.Run) (lo, hi int64, interleaved bool) {
 		}
 		return 0
 	})
-	for i := 1; i < len(exts); i++ {
-		if exts[i].lo < exts[i-1].hi {
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
 			interleaved = true
 			break
 		}
 	}
-	return lo, hi, interleaved
+	return lo, hi, interleaved, ext
+}
+
+// partners derives the two sides of the communication phase from what
+// accessRange left on every rank, appending to sendTo the aggregator ranks
+// this rank ships pieces (or read requests) to and to recvFrom the ranks
+// this rank, as an aggregator, hears from — both ascending. The rule is one
+// predicate evaluated identically on both sides: rank s talks to aggregator
+// a exactly when s's extent [ext[2s], ext[2s+1]) intersects domain(a). So s
+// is in a's recvFrom precisely when a is in s's sendTo, and the exchange
+// needs no count round. The predicate looks at extents, not runs: a rank
+// whose runs leave a hole over a whole domain still sends that aggregator
+// one (empty) message, because the aggregator cannot know about the hole.
+func (f *File) partners(sendTo, recvFrom []int, ext []int64, lo, hi int64, naggs, rot int) ([]int, []int) {
+	size, me := f.r.Size(), f.r.Rank()
+	touches := func(s int, dLo, dHi int64) bool {
+		return max64(ext[2*s], dLo) < min64(ext[2*s+1], dHi)
+	}
+	for d := 0; d < size; d++ {
+		if a := (d - rot + size) % size; a < naggs {
+			if dLo, dHi := domain(lo, hi, naggs, a); touches(me, dLo, dHi) {
+				sendTo = append(sendTo, d)
+			}
+		}
+	}
+	if a := f.myAggIndex(naggs, rot); a >= 0 {
+		dLo, dHi := domain(lo, hi, naggs, a)
+		for s := 0; s < size; s++ {
+			if touches(s, dLo, dHi) {
+				recvFrom = append(recvFrom, s)
+			}
+		}
+	}
+	return sendTo, recvFrom
 }
 
 // piece wire format: u32 count, count x (i64 off, i64 len), payloads.
@@ -689,7 +726,7 @@ func (f *File) WriteAtAll(runs []mpi.Run, data []byte) {
 	all := obs.Begin(proc, obs.LayerMPIIO, "write_all").Bytes(int64(len(data)))
 	defer all.End()
 	off := obs.Begin(proc, obs.LayerMPIIO, "offsets")
-	lo, hi, interleaved := f.accessRange(runs)
+	lo, hi, interleaved, ext := f.accessRange(runs)
 	off.End()
 	if hi <= lo {
 		f.r.Barrier()
@@ -724,7 +761,8 @@ func (f *File) WriteAtAll(runs []mpi.Run, data []byte) {
 	// next collective entry — after this call's trailing barrier, by which
 	// time every aggregator has consumed its pieces.
 	exch := obs.Begin(proc, obs.LayerMPIIO, "exchange")
-	recvd := f.r.AlltoallvScratch(parts)
+	f.sendTo, f.recvFrom = f.partners(f.sendTo[:0], f.recvFrom[:0], ext, lo, hi, naggs, rot)
+	recvd := f.r.ExchangeScratch(parts, f.sendTo, f.recvFrom)
 	exch.End()
 
 	// I/O phase (aggregators only): assemble, coalesce, write in
@@ -819,7 +857,7 @@ func (f *File) ReadAtAll(runs []mpi.Run, buf []byte) {
 	allSp := obs.Begin(proc, obs.LayerMPIIO, "read_all").Bytes(int64(len(buf)))
 	defer allSp.End()
 	offSp := obs.Begin(proc, obs.LayerMPIIO, "offsets")
-	lo, hi, interleaved := f.accessRange(runs)
+	lo, hi, interleaved, ext := f.accessRange(runs)
 	offSp.End()
 	if hi <= lo {
 		f.r.Barrier()
@@ -855,7 +893,8 @@ func (f *File) ReadAtAll(runs []mpi.Run, buf []byte) {
 	// Scratch exchange: reqs live in f.scratch, reset only at the next
 	// collective entry — after this call's trailing barrier.
 	exch := obs.Begin(proc, obs.LayerMPIIO, "exchange")
-	reqsRecvd := f.r.AlltoallvScratch(reqs)
+	f.sendTo, f.recvFrom = f.partners(f.sendTo[:0], f.recvFrom[:0], ext, lo, hi, naggs, rot)
+	reqsRecvd := f.r.ExchangeScratch(reqs, f.sendTo, f.recvFrom)
 	exch.End()
 
 	// I/O phase: aggregators read the coalesced union of requested
@@ -986,8 +1025,10 @@ func (f *File) ReadAtAll(runs []mpi.Run, buf []byte) {
 		f.srcCounts, f.rpieces = srcStart[:0], all[:0]
 		iop.End()
 	}
+	// Replies retrace the request phase: every aggregator answers exactly
+	// the ranks it heard from (an empty reply to an empty request).
 	exch = obs.Begin(proc, obs.LayerMPIIO, "exchange")
-	got := f.r.AlltoallvScratch(replies)
+	got := f.r.ExchangeScratch(replies, f.recvFrom, f.sendTo)
 	exch.End()
 
 	// Place the received pieces into buf, in the order we requested them.

@@ -114,7 +114,7 @@ func (f *File) WriteAtAllBegin(runs []mpi.Run, data []byte) *SplitWrite {
 	all := obs.Begin(proc, obs.LayerMPIIO, "write_all_begin").Bytes(int64(len(data)))
 	defer all.End()
 	off := obs.Begin(proc, obs.LayerMPIIO, "offsets")
-	lo, hi, interleaved := f.accessRange(runs)
+	lo, hi, interleaved, ext := f.accessRange(runs)
 	off.End()
 	if hi <= lo {
 		f.r.Barrier()
@@ -152,7 +152,8 @@ func (f *File) WriteAtAllBegin(runs []mpi.Run, data []byte) *SplitWrite {
 		parts[f.aggRank(a, rot)] = encodePieces(offs, lens, payload)
 	}
 	exch := obs.Begin(proc, obs.LayerMPIIO, "exchange")
-	recvd := f.r.AlltoallvScratch(parts) // parts are fresh encodePieces messages, garbage after this call
+	sendTo, recvFrom := f.partners(nil, nil, ext, lo, hi, naggs, rot)
+	recvd := f.r.ExchangeScratch(parts, sendTo, recvFrom) // parts are fresh encodePieces messages, garbage after this call
 	exch.End()
 
 	end := proc.Now()

@@ -87,7 +87,7 @@ func (f *File) ReadAtAllBegin(runs []mpi.Run, buf []byte) *SplitRead {
 	all := obs.Begin(proc, obs.LayerMPIIO, "read_all_begin").Bytes(int64(len(buf)))
 	defer all.End()
 	offSp := obs.Begin(proc, obs.LayerMPIIO, "offsets")
-	lo, hi, interleaved := f.accessRange(runs)
+	lo, hi, interleaved, ext := f.accessRange(runs)
 	offSp.End()
 	if hi <= lo {
 		f.r.Barrier()
@@ -125,8 +125,11 @@ func (f *File) ReadAtAllBegin(runs []mpi.Run, buf []byte) *SplitRead {
 		wants[a] = want{bpos: bpos}
 		reqs[f.aggRank(a, rot)] = encodePieces(offs, lens, make([][]byte, len(offs)))
 	}
+	// The partner lists are this call's own (not the handle's scratch): the
+	// reply exchange in finish reuses them, swapped, after Begin has returned.
 	exch := obs.Begin(proc, obs.LayerMPIIO, "exchange")
-	reqsRecvd := f.r.AlltoallvScratch(reqs) // reqs are fresh encodePieces messages, garbage after this call
+	sendTo, recvFrom := f.partners(nil, nil, ext, lo, hi, naggs, rot)
+	reqsRecvd := f.r.ExchangeScratch(reqs, sendTo, recvFrom) // reqs are fresh encodePieces messages, garbage after this call
 	exch.End()
 
 	// I/O phase: aggregators issue the coalesced union of requested extents
@@ -230,7 +233,7 @@ func (f *File) ReadAtAllBegin(runs []mpi.Run, buf []byte) *SplitRead {
 			}
 		}
 		exch := obs.Begin(f.client.Proc, obs.LayerMPIIO, "exchange")
-		got := f.r.AlltoallvScratch(replies) // replies are fresh encodePieces messages, garbage after this call
+		got := f.r.ExchangeScratch(replies, recvFrom, sendTo) // replies are fresh encodePieces messages, garbage after this call
 		exch.End()
 		for a := 0; a < naggs; a++ {
 			if len(wants[a].bpos) == 0 {

@@ -73,8 +73,9 @@ type Proc struct {
 
 	now    float64
 	state  procState
-	reason string // why blocked, for deadlock reports
-	woken  bool   // Wake delivered, dispatch pending (duplicate detection)
+	reason string       // why blocked, for deadlock reports
+	why    fmt.Stringer // BlockOn's reason, formatted only if a deadlock is reported
+	woken  bool         // Wake delivered, dispatch pending (duplicate detection)
 
 	resume chan struct{}
 
@@ -177,12 +178,26 @@ func (p *Proc) AdvanceTo(t float64) {
 // reason appears in deadlock reports. On return the clock has been moved
 // to max(previous now, wake time).
 func (p *Proc) Block(reason string) {
+	p.reason = reason
+	p.block()
+	p.reason = ""
+}
+
+// BlockOn is Block with a reason that is only formatted if a deadlock report
+// needs it — for hot paths (message receives) that would otherwise build a
+// string on every park. why must stay valid until BlockOn returns.
+func (p *Proc) BlockOn(why fmt.Stringer) {
+	p.why = why
+	p.block()
+	p.why = nil
+}
+
+func (p *Proc) block() {
 	e := p.engine
 	if e.dead.Load() {
 		panic(killed{})
 	}
 	p.state = stateBlocked
-	p.reason = reason
 	next := e.pick()
 	if next == nil {
 		// Every unfinished process is blocked, this one included: declare
@@ -191,7 +206,6 @@ func (p *Proc) Block(reason string) {
 		panic(killed{})
 	}
 	e.handoff(p, next)
-	p.reason = ""
 	p.woken = false
 }
 
@@ -408,7 +422,11 @@ func (e *Engine) failDeadlock(self *Proc) {
 	var blocked []string
 	for _, p := range e.procs {
 		if p.state == stateBlocked {
-			blocked = append(blocked, fmt.Sprintf("%s@%.6f: %s", p.name, p.now, p.reason))
+			reason := p.reason
+			if p.why != nil {
+				reason = p.why.String()
+			}
+			blocked = append(blocked, fmt.Sprintf("%s@%.6f: %s", p.name, p.now, reason))
 		}
 	}
 	sort.Strings(blocked)
