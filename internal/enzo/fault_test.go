@@ -2,6 +2,7 @@ package enzo
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -248,5 +249,58 @@ func TestScrubCleanRunNoOverhead(t *testing.T) {
 	}
 	if scrub <= 0 {
 		t.Fatal("scrub phase cost not accounted")
+	}
+}
+
+// TestAsyncDumpKeepsRetryArmed: write-behind requests carry no deadline, so
+// a dump issued behind would bypass an armed retry policy — a data server
+// dying mid-dump then leaves a request that never completes (Makespan +Inf,
+// err == nil) where the synchronous run ends in a typed error. With IORetry
+// armed the dump must therefore stay blocking, AsyncIO or not, exactly as
+// restart reads already do; a healthy AsyncIO+IORetry run still verifies.
+func TestAsyncDumpKeepsRetryArmed(t *testing.T) {
+	run := func(async bool, failAt float64) (*Result, error) {
+		cfg := Tiny()
+		cfg.IORetry = testRetryPolicy()
+		cfg.AsyncIO = async
+		return Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+			Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
+				if failAt > 0 {
+					fs.(pfs.StripeFaultInjector).FailDataServerAt(3, failAt)
+				}
+				return fs
+			},
+		})
+	}
+	phase := func(res *Result, name string) float64 {
+		for _, p := range res.Phases {
+			if p.Name == name {
+				return p.Seconds
+			}
+		}
+		t.Fatalf("no phase %q", name)
+		return 0
+	}
+
+	healthy, err := run(true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !healthy.Verified || math.IsInf(healthy.Makespan, 0) {
+		t.Fatalf("healthy AsyncIO+IORetry run: verified=%v makespan=%g", healthy.Verified, healthy.Makespan)
+	}
+
+	// The phases end at the makespan, write before restart: kill the server
+	// a little way into the dump.
+	dumpStart := healthy.Makespan - phase(healthy, "restart") - phase(healthy, "write")
+	for _, async := range []bool{false, true} {
+		res, err := run(async, dumpStart+0.05)
+		ioe, ok := mpiio.ExtractIOError(err)
+		if !ok {
+			t.Fatalf("async=%v: want a typed *mpiio.IOError, got err=%v result=%+v", async, err, res)
+		}
+		if ioe.Op != "write" {
+			t.Fatalf("async=%v: IOError.Op = %q, want write", async, ioe.Op)
+		}
 	}
 }

@@ -1,15 +1,18 @@
 // Transport: how one array transfer of the checkpoint walk reaches its
 // container. Two independent choices are made here and nowhere else:
 //
-//   - sync vs deferred (Config.AsyncIO): a deferred write goes through the
-//     nonblocking/split-collective twin of the blocking call and settles when
-//     the dump drains, after the rank has overlapped the next evolution
+//   - sync vs deferred (Config.AsyncIO): the same call is issued blocking or
+//     behind (mpiio's issue mode, DESIGN.md §8). A deferred write settles
+//     when the dump drains, after the rank has overlapped the next evolution
 //     step's compute; a deferred read settles just before its buffer is
 //     consumed, so the next batch's device time drains underneath the current
-//     batch's decode/scatter/redistribution work. Both twins stay because
-//     they time differently — the chunks of a blocking collective serialise,
-//     deferred ones are all charged at issue — while the file bytes and the
-//     restart state are identical.
+//     batch's decode/scatter/redistribution work. The modes time differently
+//     — the chunks of a blocking collective serialise, deferred ones are all
+//     charged at issue — while the file bytes and the restart state are
+//     identical. Deferred requests carry no deadline, so a run with the retry
+//     policy armed stays blocking in both directions (asyncWrites,
+//     asyncReads): only a blocking request can turn a dead data server into
+//     a typed *mpiio.IOError.
 //   - strict vs tolerant (scrubs and generation-fallback restarts): a
 //     tolerant read absorbs an exhausted-retry failure into the rank's
 //     damaged flag, and replaces a collective read by its independent form —
@@ -86,52 +89,26 @@ type pendingRead struct {
 // write performs one data write: blocking when no dump is pending,
 // write-behind while one is.
 func (s *Sim) write(x xfer) {
-	if s.pend == nil {
-		switch x.kind {
-		case xAt:
-			x.f.WriteAt(x.buf, x.off)
-		case xList:
-			x.f.WriteList(x.offs, x.lens, x.buf)
-		case xAll:
-			x.f.WriteAtAll(x.runs, x.buf)
-		case xRuns:
-			x.f.WriteRuns(x.runs, x.buf)
-		case xSlab:
-			x.ds.WriteHyperslab(x.sel, x.buf)
-		case xSlabIndep:
-			x.ds.WriteHyperslabIndependent(x.sel, x.buf)
-		case xSeg:
-			x.ds.WriteCompressed(s.codec, x.buf)
-		}
-		return
-	}
-	var end float64
-	var settle func()
+	behind := s.pend != nil
+	var p *mpiio.Pending
 	switch x.kind {
 	case xAt:
-		p := x.f.IwriteAt(x.buf, x.off)
-		end, settle = p.Completion(), p.Wait
+		p = x.f.IssueWriteAt(behind, x.buf, x.off)
 	case xList:
-		p := x.f.IwriteList(x.offs, x.lens, x.buf)
-		end, settle = p.Completion(), p.Wait
+		p = x.f.IssueWriteList(behind, x.offs, x.lens, x.buf)
 	case xAll:
-		sw := x.f.WriteAtAllBegin(x.runs, x.buf)
-		end, settle = sw.Completion(), sw.End
+		p = x.f.IssueWriteAtAll(behind, x.runs, x.buf)
 	case xRuns:
-		p := x.f.IwriteRuns(x.runs, x.buf)
-		end, settle = p.Completion(), p.Wait
-	case xSlab:
-		sw := x.ds.WriteHyperslabBegin(x.sel, x.buf)
-		end, settle = sw.Completion(), sw.End
-	case xSlabIndep:
-		p := x.ds.WriteHyperslabIndependentAsync(x.sel, x.buf)
-		end, settle = p.Completion(), p.Wait
+		p = x.f.IssueWriteRuns(behind, x.runs, x.buf)
+	case xSlab, xSlabIndep:
+		p = x.ds.IssueWriteHyperslab(behind, x.kind == xSlab, x.sel, x.buf)
 	case xSeg:
-		p := x.ds.WriteCompressedAsync(s.codec, x.buf)
-		end, settle = p.Completion(), p.Wait
+		p = x.ds.IssueWriteCompressed(behind, s.codec, x.buf)
 	}
-	s.pend.note(end)
-	s.pend.drains = append(s.pend.drains, settle)
+	if behind {
+		s.pend.note(p.Completion())
+		s.pend.drains = append(s.pend.drains, p.Wait)
+	}
 }
 
 // closeAfterDrain closes a dump container: now, or once the pending dump's
@@ -179,84 +156,38 @@ func (s *Sim) read(x xfer) func() {
 			x.kind = xSlabIndep
 		}
 	}
-	if s.rpend == nil {
-		s.tolerantIO(func() {
-			switch x.kind {
-			case xAt:
-				x.f.ReadAt(x.buf, x.off)
-			case xList:
-				x.f.ReadList(x.offs, x.lens, x.buf)
-			case xAll:
-				x.f.ReadAtAll(x.runs, x.buf)
-			case xRuns:
-				x.f.ReadRuns(x.runs, x.buf)
-			case xSlab:
-				x.ds.ReadHyperslab(x.sel, x.buf)
-			case xSlabIndep:
-				x.ds.ReadHyperslabIndependent(x.sel, x.buf)
-			case xSeg:
-				var raw []byte
-				var err error
-				if x.slot < 0 {
-					raw, err = x.ds.ReadCompressedAll()
-				} else {
-					raw, err = x.ds.ReadCompressedSeg(x.slot)
-				}
-				if !s.tolerate(err) {
-					*x.out = raw
-				}
-			}
-		})
+	// Read-ahead never runs tolerant (see asyncReads), so behind, tolerantIO
+	// and tolerate absorb nothing and failures below stay fatal.
+	behind := s.rpend != nil
+	t0 := s.r.Now()
+	var p *mpiio.Pending
+	s.tolerantIO(func() {
+		switch x.kind {
+		case xAt:
+			p = x.f.IssueReadAt(behind, x.buf, x.off)
+		case xList:
+			p = x.f.IssueReadList(behind, x.offs, x.lens, x.buf)
+		case xAll:
+			p = x.f.IssueReadAtAll(behind, x.runs, x.buf)
+		case xRuns:
+			p = x.f.IssueReadRuns(behind, x.runs, x.buf)
+		case xSlab, xSlabIndep:
+			p = x.ds.IssueReadHyperslab(behind, x.kind == xSlab, x.sel, x.buf)
+		case xSeg:
+			var err error
+			p, err = x.ds.IssueReadCompressed(behind, x.slot, x.out)
+			s.tolerate(err)
+		}
+	})
+	if !behind {
 		return settled
 	}
-	// Read-ahead never runs tolerant (see asyncReads), so failures below
-	// stay fatal.
-	t0 := s.r.Now()
-	var end float64
-	var fin func()
-	switch x.kind {
-	case xAt:
-		p := x.f.IreadAt(x.buf, x.off)
-		end, fin = p.Completion(), p.Wait
-	case xList:
-		p := x.f.IreadList(x.offs, x.lens, x.buf)
-		end, fin = p.Completion(), p.Wait
-	case xAll:
-		sr := x.f.ReadAtAllBegin(x.runs, x.buf)
-		end, fin = sr.Completion(), sr.End
-	case xRuns:
-		p := x.f.IreadRuns(x.runs, x.buf)
-		end, fin = p.Completion(), p.Wait
-	case xSlab:
-		sr := x.ds.ReadHyperslabBegin(x.sel, x.buf)
-		end, fin = sr.Completion(), sr.End
-	case xSlabIndep:
-		sr := x.ds.ReadHyperslabIndependentAsync(x.sel, x.buf)
-		end, fin = sr.Completion(), sr.End
-	case xSeg:
-		var sr *hdf5.SegRead
-		var err error
-		if x.slot < 0 {
-			sr, err = x.ds.ReadCompressedAllAsync()
-		} else {
-			sr, err = x.ds.ReadCompressedSegAsync(x.slot)
-		}
-		if err != nil {
-			panic(err)
-		}
-		out := x.out
-		end, fin = sr.Completion(), func() {
-			raw, err := sr.Wait()
-			if err != nil {
-				panic(err)
-			}
-			*out = raw
-		}
-	}
 	// The settle, called just before the buffer is consumed, splits the
-	// elapsed device time into exposed wait and hidden overlap and runs fin
-	// (whose AdvanceTo moves the clock).
-	rp := s.rpend
+	// elapsed device time into exposed wait and hidden overlap and runs the
+	// handle's Wait (whose AdvanceTo moves the clock).
+	// (h, not p: the settle must capture a variable that is assigned once,
+	// or p moves to the heap on every read, blocking ones included.)
+	rp, h, end := s.rpend, p, p.Completion()
 	if end > rp.maxEnd {
 		rp.maxEnd = end
 	}
@@ -269,7 +200,7 @@ func (s *Sim) read(x xfer) func() {
 			rp.hidden += hid
 		}
 		rp.exposed += wait
-		fin()
+		h.Wait()
 	}
 }
 
@@ -279,7 +210,7 @@ func (s *Sim) read(x xfer) func() {
 // the result how much dump wall-time stayed exposed (issue + drain) versus
 // how much device time hid under the compute.
 func (s *Sim) checkpoint(d int) {
-	if !s.async {
+	if !s.asyncWrites() {
 		s.writeDump(d)
 		return
 	}
@@ -326,13 +257,19 @@ func (s *Sim) checkpoint(d int) {
 	}
 }
 
-// asyncReads reports whether this restart uses the read-ahead pipeline.
-// Tolerant read-backs and runs with the retry policy armed stay blocking —
-// deferred reads carry no deadline, so only the blocking path can turn a
-// dead data server into a typed *mpiio.IOError instead of a
-// never-completing request.
+// asyncWrites reports whether dumps use the write-behind pipeline. Runs with
+// the retry policy armed stay blocking — deferred requests carry no
+// deadline, so only a blocking request can turn a dead data server into a
+// typed *mpiio.IOError instead of a never-completing one.
+func (s *Sim) asyncWrites() bool {
+	return s.async && !s.hints.Retry.Enabled
+}
+
+// asyncReads reports whether this restart uses the read-ahead pipeline:
+// under the same condition as asyncWrites, and never for tolerant
+// read-backs, whose failures must be absorbable.
 func (s *Sim) asyncReads() bool {
-	return s.async && !s.tolerant && !s.hints.Retry.Enabled
+	return s.asyncWrites() && !s.tolerant
 }
 
 // readRestart restores dump generation d; with the read-ahead pipeline

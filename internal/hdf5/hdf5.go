@@ -131,19 +131,29 @@ type File struct {
 	index map[string]*datasetInfo
 	order []string
 	// metaNote, when set by SetWriteBehindMeta, puts rank 0's internal
-	// metadata writes into write-behind mode (see async.go).
+	// metadata writes into write-behind mode.
 	metaNote func(end float64)
 }
+
+// SetWriteBehindMeta puts the file's internal rank-0 metadata writes
+// (dataset object headers, superblock updates, attribute records) into
+// write-behind mode: each is issued deferred and its completion reported to
+// note. This models the library's metadata cache — dirty headers are
+// flushed lazily instead of synchronously per create/close — and is only
+// meaningful while the caller drains the reported completions before
+// reading the file. The eager per-dataset create/close synchronizations
+// are elided too (as with DisableCreateSync): with headers write-behind
+// there is no per-dataset consistency point to enforce, the drain settles
+// the whole file at once. Pass nil to restore synchronous metadata.
+func (h *File) SetWriteBehindMeta(note func(end float64)) { h.metaNote = note }
 
 // metaWrite performs one rank-0 internal metadata write (object header,
 // superblock, attribute record): synchronously by default, deferred with
 // the completion reported to metaNote in write-behind mode.
 func (h *File) metaWrite(data []byte, off int64) {
-	if h.metaNote != nil {
-		h.metaNote(h.mf.IwriteAt(data, off).Completion())
-		return
+	if p := h.mf.IssueWriteAt(h.metaNote != nil, data, off); p != nil {
+		h.metaNote(p.Completion())
 	}
-	h.mf.WriteAt(data, off)
 }
 
 // eagerMetaSync reports whether dataset create/close run their eager
@@ -493,36 +503,81 @@ func (d *Dataset) slabRuns(sel mpi.Subarray) []mpi.Run {
 // WriteHyperslab collectively writes a hyperslab selection; every rank of
 // the communicator must call it (possibly with an empty selection).
 func (d *Dataset) WriteHyperslab(sel mpi.Subarray, data []byte) {
-	defer obs.Begin(d.h.r.Proc(), obs.LayerHDF, "data_write").Bytes(int64(len(data))).End()
-	runs := d.slabRuns(sel)
-	d.packCost(runs)
-	d.h.mf.WriteAtAll(runs, data)
+	d.IssueWriteHyperslab(false, true, sel, data)
 }
 
 // WriteHyperslabIndependent writes a selection without collective
 // coordination (used for the irregular particle arrays, where each rank's
 // block is contiguous).
 func (d *Dataset) WriteHyperslabIndependent(sel mpi.Subarray, data []byte) {
-	defer obs.Begin(d.h.r.Proc(), obs.LayerHDF, "data_write_indep").Bytes(int64(len(data))).End()
+	d.IssueWriteHyperslab(false, false, sel, data)
+}
+
+// IssueWriteHyperslab writes a hyperslab selection, collectively or
+// independently, in either MPI-IO issue mode. Blocking, it returns nil.
+// Behind, the pack cost and (collectively) the two-phase exchange run now
+// and the device time is deferred to the returned handle's Wait; every rank
+// of a collective write must Wait its handles in the same order.
+func (d *Dataset) IssueWriteHyperslab(behind, collective bool, sel mpi.Subarray, data []byte) *mpiio.Pending {
+	sp := d.dataSpan(behind, slabOp(collective, "data_write", "data_write_indep")).Bytes(int64(len(data)))
+	defer sp.End()
 	runs := d.slabRuns(sel)
 	d.packCost(runs)
-	d.h.mf.WriteRuns(runs, data)
+	if collective {
+		return d.h.mf.IssueWriteAtAll(behind, runs, data)
+	}
+	return d.h.mf.IssueWriteRuns(behind, runs, data)
 }
 
 // ReadHyperslab collectively reads a selection.
 func (d *Dataset) ReadHyperslab(sel mpi.Subarray, buf []byte) {
-	defer obs.Begin(d.h.r.Proc(), obs.LayerHDF, "data_read").Bytes(int64(len(buf))).End()
-	runs := d.slabRuns(sel)
-	d.h.mf.ReadAtAll(runs, buf)
-	d.packCost(runs) // scatter back through the selection iterator
+	d.IssueReadHyperslab(false, true, sel, buf)
 }
 
 // ReadHyperslabIndependent reads a selection without coordination.
 func (d *Dataset) ReadHyperslabIndependent(sel mpi.Subarray, buf []byte) {
-	defer obs.Begin(d.h.r.Proc(), obs.LayerHDF, "data_read_indep").Bytes(int64(len(buf))).End()
+	d.IssueReadHyperslab(false, false, sel, buf)
+}
+
+// IssueReadHyperslab reads a hyperslab selection, collectively or
+// independently, in either MPI-IO issue mode. The scatter back through the
+// selection iterator is causally downstream of the data: blocking, it is
+// charged before the call returns (nil); behind, it runs at the end of the
+// returned handle's Wait, and buf is valid only after that.
+func (d *Dataset) IssueReadHyperslab(behind, collective bool, sel mpi.Subarray, buf []byte) *mpiio.Pending {
+	sp := d.dataSpan(behind, slabOp(collective, "data_read", "data_read_indep")).Bytes(int64(len(buf)))
+	defer sp.End()
 	runs := d.slabRuns(sel)
-	d.h.mf.ReadRuns(runs, buf)
-	d.packCost(runs)
+	var p *mpiio.Pending
+	if collective {
+		p = d.h.mf.IssueReadAtAll(behind, runs, buf)
+	} else {
+		p = d.h.mf.IssueReadRuns(behind, runs, buf)
+	}
+	if !behind {
+		d.packCost(runs)
+		return nil
+	}
+	return p.Then(func() { d.packCost(runs) })
+}
+
+// slabOp picks a hyperslab transfer's span name (constants: building the
+// name would allocate on every call).
+func slabOp(collective bool, coll, indep string) string {
+	if collective {
+		return coll
+	}
+	return indep
+}
+
+// dataSpan opens the HDF-layer span of a bulk data transfer, marked
+// deferred when it is only issued here.
+func (d *Dataset) dataSpan(behind bool, op string) *obs.Active {
+	sp := obs.Begin(d.h.r.Proc(), obs.LayerHDF, op)
+	if behind {
+		sp.Attr("deferred", "1")
+	}
+	return sp
 }
 
 // Compressed reports whether the dataset was created with CreateDatasetZ.
@@ -536,21 +591,36 @@ func (d *Dataset) Compressed() bool { return d.info.Codec != 0 }
 // directory. Ranks without data pass raw == nil and contribute an empty
 // segment.
 func (d *Dataset) WriteCompressed(c compress.Codec, raw []byte) {
+	d.IssueWriteCompressed(false, c, raw)
+}
+
+// IssueWriteCompressed is WriteCompressed in either MPI-IO issue mode.
+// Behind, the compression CPU and the segment-length allgather still run at
+// issue (they need the rank on the CPU and keep the broadcast index
+// consistent); only the device time of the segment and directory writes is
+// deferred to the returned handle's Wait.
+func (d *Dataset) IssueWriteCompressed(behind bool, c compress.Codec, raw []byte) *mpiio.Pending {
 	if !d.Compressed() || c == nil || c.ID() != d.info.Codec {
 		panic(fmt.Sprintf("hdf5: dataset %q: WriteCompressed codec mismatch", d.info.Name))
 	}
-	defer obs.Begin(d.h.r.Proc(), obs.LayerHDF, "data_write_z").Bytes(int64(len(raw))).End()
+	defer d.dataSpan(behind, "data_write_z").Bytes(int64(len(raw))).End()
 	var blob []byte
 	if len(raw) > 0 {
 		blob = compress.Squeeze(d.h.r.Proc(), c, d.h.cfg.Cost, raw)
 	}
 	plens := d.h.r.AllgatherInt64(int64(len(blob)))
 	segBase := d.info.DataOff + zDirSize(d.info.Segs)
+	end := d.h.r.Now() // behind: the latest deferred completion
+	write := func(data []byte, off int64) {
+		if p := d.h.mf.IssueWriteAt(behind, data, off); p != nil && p.Completion() > end {
+			end = p.Completion()
+		}
+	}
 	off := segBase
 	var total int64
 	for rk, n := range plens {
 		if rk == d.h.r.Rank() && n > 0 {
-			d.h.mf.WriteAt(blob, off)
+			write(blob, off)
 		}
 		off += n
 		total += n
@@ -564,7 +634,7 @@ func (d *Dataset) WriteCompressed(c compress.Codec, raw []byte) {
 			binary.LittleEndian.PutUint64(dir[16+16*rk:], uint64(n))
 			at += n
 		}
-		d.h.mf.WriteAt(dir, d.info.DataOff)
+		write(dir, d.info.DataOff)
 	}
 	d.info.ZLens = plens
 	d.info.DataLen = zDirSize(d.info.Segs) + total
@@ -572,6 +642,10 @@ func (d *Dataset) WriteCompressed(c compress.Codec, raw []byte) {
 	if len(raw) > 0 && d.h.cfg.OnCodec != nil {
 		d.h.cfg.OnCodec(true, int64(len(raw)), int64(len(blob)))
 	}
+	if !behind {
+		return nil
+	}
+	return d.h.mf.NewPending(end)
 }
 
 // readZDir fetches the segment directory — from the index when it was
@@ -607,66 +681,110 @@ func (d *Dataset) readZDir() ([]int64, []int64, error) {
 // ReadCompressedSeg independently reads and unpacks one rank's segment of
 // a compressed dataset (nil for an empty segment). Checksums are verified;
 // corruption surfaces as an error.
-func (d *Dataset) ReadCompressedSeg(slot int) ([]byte, error) {
-	if !d.Compressed() {
-		return nil, fmt.Errorf("hdf5: dataset %q is not compressed", d.info.Name)
-	}
-	if slot < 0 || slot >= d.info.Segs {
+func (d *Dataset) ReadCompressedSeg(slot int) (raw []byte, err error) {
+	if slot < 0 {
 		return nil, fmt.Errorf("hdf5: dataset %q has no segment %d", d.info.Name, slot)
 	}
-	sp := obs.Begin(d.h.r.Proc(), obs.LayerHDF, "data_read_z")
-	defer sp.End()
-	offs, lens, err := d.readZDir()
-	if err != nil {
-		return nil, err
-	}
-	if lens[slot] == 0 {
-		return nil, nil
-	}
-	blob := make([]byte, lens[slot])
-	d.h.mf.ReadAt(blob, offs[slot])
-	raw, err := compress.Expand(d.h.r.Proc(), d.h.cfg.Cost, blob)
-	if err != nil {
-		return nil, fmt.Errorf("hdf5: dataset %q segment %d: %w", d.info.Name, slot, err)
-	}
-	sp.Bytes(int64(len(raw)))
-	if d.h.cfg.OnCodec != nil {
-		d.h.cfg.OnCodec(false, int64(len(raw)), lens[slot])
-	}
-	return raw, nil
+	_, err = d.IssueReadCompressed(false, slot, &raw)
+	return raw, err
 }
 
 // ReadCompressedAll independently reads every non-empty segment in slot
 // order and concatenates the decoded bytes — for single-writer datasets
 // (one owner rank wrote the whole array) this recovers the full array.
-func (d *Dataset) ReadCompressedAll() ([]byte, error) {
+func (d *Dataset) ReadCompressedAll() (raw []byte, err error) {
+	_, err = d.IssueReadCompressed(false, -1, &raw)
+	return raw, err
+}
+
+// IssueReadCompressed is the one compressed-segment reader: it reads
+// segment slot — every non-empty segment in slot order when slot is
+// negative — verifies and unpacks the containers, and leaves the decoded
+// bytes, concatenated, in *out (nil if the segments are empty, or on error).
+//
+// Blocking, each segment is read and then decoded in turn, and failures
+// return as errors. Behind, every blob transfer is charged now and the
+// returned handle's Wait settles the clock and then unpacks — the codec CPU
+// runs after the data has arrived, exactly as when blocking. *out is valid
+// only after that Wait, which has nowhere to return a decode failure and
+// panics with the error instead; its callers are read-ahead pipelines,
+// which never run in a tolerant mode that could absorb one.
+func (d *Dataset) IssueReadCompressed(behind bool, slot int, out *[]byte) (*mpiio.Pending, error) {
+	*out = nil
 	if !d.Compressed() {
 		return nil, fmt.Errorf("hdf5: dataset %q is not compressed", d.info.Name)
 	}
-	sp := obs.Begin(d.h.r.Proc(), obs.LayerHDF, "data_read_z")
-	defer sp.End()
+	if slot >= d.info.Segs {
+		return nil, fmt.Errorf("hdf5: dataset %q has no segment %d", d.info.Name, slot)
+	}
+	var sp *obs.Active // blocking: one span around the reads and the decodes
+	if !behind {
+		sp = obs.Begin(d.h.r.Proc(), obs.LayerHDF, "data_read_z")
+		defer sp.End()
+	}
 	offs, lens, err := d.readZDir()
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
-	for i := range lens {
+	lo, hi := slot, slot+1
+	if slot < 0 {
+		lo, hi = 0, d.info.Segs
+	}
+	end := d.h.r.Now() // behind: the latest deferred completion
+	type fetchedSeg struct {
+		slot int
+		blob []byte
+	}
+	var fetched []fetchedSeg // behind: the containers on their way, for Wait
+	for i := lo; i < hi; i++ {
 		if lens[i] == 0 {
 			continue
 		}
 		blob := make([]byte, lens[i])
-		d.h.mf.ReadAt(blob, offs[i])
-		raw, err := compress.Expand(d.h.r.Proc(), d.h.cfg.Cost, blob)
-		if err != nil {
-			return nil, fmt.Errorf("hdf5: dataset %q segment %d: %w", d.info.Name, i, err)
+		if p := d.h.mf.IssueReadAt(behind, blob, offs[i]); p != nil {
+			if p.Completion() > end {
+				end = p.Completion()
+			}
+			fetched = append(fetched, fetchedSeg{i, blob})
+		} else if err := d.decodeSeg(i, blob, out); err != nil {
+			*out = nil
+			return nil, err
 		}
-		if d.h.cfg.OnCodec != nil {
-			d.h.cfg.OnCodec(false, int64(len(raw)), lens[i])
-		}
-		out = append(out, raw...)
 	}
-	sp.Bytes(int64(len(out)))
-	return out, nil
+	if !behind {
+		sp.Bytes(int64(len(*out)))
+		return nil, nil
+	}
+	segs := fetched // assigned once, so the closure captures it by value and fetched stays on the stack
+	return d.h.mf.NewPending(end).Then(func() {
+		sp := obs.Begin(d.h.r.Proc(), obs.LayerHDF, "data_read_z")
+		defer sp.End()
+		for _, seg := range segs {
+			if err := d.decodeSeg(seg.slot, seg.blob, out); err != nil {
+				panic(err)
+			}
+		}
+		sp.Bytes(int64(len(*out)))
+	}), nil
+}
+
+// decodeSeg verifies and unpacks one segment's container on the caller's
+// clock and appends the decoded bytes to *out (adopting the first
+// segment's buffer instead of copying it).
+func (d *Dataset) decodeSeg(slot int, blob []byte, out *[]byte) error {
+	raw, err := compress.Expand(d.h.r.Proc(), d.h.cfg.Cost, blob)
+	if err != nil {
+		return fmt.Errorf("hdf5: dataset %q segment %d: %w", d.info.Name, slot, err)
+	}
+	if d.h.cfg.OnCodec != nil {
+		d.h.cfg.OnCodec(false, int64(len(raw)), int64(len(blob)))
+	}
+	if *out == nil {
+		*out = raw
+	} else {
+		*out = append(*out, raw...)
+	}
+	return nil
 }
 
 // Close collectively closes the dataset: another sync plus a rank-0

@@ -8,11 +8,11 @@
 // exactly-adjacent entries are coalesced into single device requests —
 // no holes are ever transferred.
 //
-// All blocking device traffic goes through devWriteAt/devReadAt, so a
-// RetryPolicy in the hints covers list-I/O like every other path and
-// exhaustion surfaces the same typed *IOError. The nonblocking variants
-// (IwriteList/IreadList) issue through the pfs write-behind/read-behind
-// helpers and return the usual Pending handle.
+// Device traffic goes through the operation's issuer like every other
+// access kind: blocking, a RetryPolicy in the hints covers list-I/O and
+// exhaustion surfaces the same typed *IOError; behind (IwriteList/
+// IreadList), the same flattened requests are charged at issue and the
+// usual Pending handle completes when the slowest one finishes.
 package mpiio
 
 import (
@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/pfs"
 )
 
 // listEnt is one validated entry of an (offset,length) vector: n bytes at
@@ -93,15 +92,15 @@ func listGroups(op string, ents []listEnt, forbidOverlap bool, emit func(listGro
 	}
 }
 
-// writeListPass flattens the sorted entries into file order and hands each
-// coalesced group to issue as one request. A group whose bytes are already
+// writeListPass flattens the sorted entries into file order and issues each
+// coalesced group as one request. A group whose bytes are already
 // consecutive in data goes out zero-copy; otherwise it is gathered into a
 // fresh buffer at memcpy cost, like the pack into a collective buffer.
-func (f *File) writeListPass(op string, ents []listEnt, data []byte, issue func(seg []byte, off int64)) {
+func (f *File) writeListPass(is *issuer, op string, ents []listEnt, data []byte) {
 	listGroups(op, ents, true, func(g listGroup) {
 		if g.contig {
 			b := ents[g.i].bpos
-			issue(data[b:b+g.glen], g.off)
+			is.write(data[b:b+g.glen], g.off)
 			return
 		}
 		buf := make([]byte, g.glen)
@@ -110,23 +109,24 @@ func (f *File) writeListPass(op string, ents []listEnt, data []byte, issue func(
 			copy(buf[e.off-g.off:], data[e.bpos:e.bpos+e.n])
 		}
 		f.r.CopyCost(g.glen)
-		issue(buf, g.off)
+		is.write(buf, g.off)
 	})
 }
 
 // readListPass mirrors writeListPass for reads: contiguous groups land
 // directly in the caller's buffer; the rest read into a scratch extent and
-// scatter out at memcpy cost. Reads never amplify — the extent is exactly
-// the union of requested bytes.
-func (f *File) readListPass(op string, ents []listEnt, buf []byte, issue func(seg []byte, off int64)) {
+// scatter out at memcpy cost (eagerly in both modes — a behind read fills
+// its buffer at issue, only the clock settle is deferred). Reads never
+// amplify — the extent is exactly the union of requested bytes.
+func (f *File) readListPass(is *issuer, op string, ents []listEnt, buf []byte) {
 	listGroups(op, ents, false, func(g listGroup) {
 		if g.contig {
 			b := ents[g.i].bpos
-			issue(buf[b:b+g.glen], g.off)
+			is.read(buf[b:b+g.glen], g.off)
 			return
 		}
 		scratch := make([]byte, g.glen)
-		issue(scratch, g.off)
+		is.read(scratch, g.off)
 		var copied int64
 		for k := g.i; k < g.j; k++ {
 			e := ents[k]
@@ -142,57 +142,33 @@ func (f *File) readListPass(op string, ents []listEnt, buf []byte, issue func(se
 // are sorted by file offset, exactly-adjacent entries coalesce into single
 // requests, and nothing outside the named byte ranges is touched. Entries
 // must not overlap. Honors the hints' RetryPolicy.
-func (f *File) WriteList(offs, lens []int64, data []byte) {
-	ents, total := listEntries("WriteList", offs, lens, len(data))
-	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "write_list").Bytes(total)
+func (f *File) WriteList(offs, lens []int64, data []byte) { f.IssueWriteList(false, offs, lens, data) }
+
+// IssueWriteList is WriteList in either issue mode.
+func (f *File) IssueWriteList(behind bool, offs, lens []int64, data []byte) *Pending {
+	const op = "WriteList"
+	ents, total := listEntries(op, offs, lens, len(data))
+	is := f.issuer(behind)
+	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, pick(behind, "write_list", "iwrite_list")).Bytes(total)
 	defer sp.End()
-	f.writeListPass("WriteList", ents, data, func(seg []byte, off int64) {
-		f.devWriteAt(seg, off)
-	})
+	f.writeListPass(&is, op, ents, data)
+	return is.pending("iwrite_wait")
 }
 
 // ReadList reads an explicit (offset,length) vector in one file-domain
 // pass into buf (entry bytes back to back in list order). Unlike the data
 // sieving path this transfers no hole bytes, so scattered reads pay no
 // read amplification. Honors the hints' RetryPolicy.
-func (f *File) ReadList(offs, lens []int64, buf []byte) {
-	ents, total := listEntries("ReadList", offs, lens, len(buf))
-	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "read_list").Bytes(total)
-	defer sp.End()
-	f.readListPass("ReadList", ents, buf, func(seg []byte, off int64) {
-		f.devReadAt(seg, off)
-	})
-}
+func (f *File) ReadList(offs, lens []int64, buf []byte) { f.IssueReadList(false, offs, lens, buf) }
 
-// IwriteList starts a nonblocking WriteList: the same flattened requests
-// are issued write-behind and the Pending completes when the slowest one
-// finishes. On file systems without write-behind support it degrades to
-// blocking requests whose Pending completes immediately.
-func (f *File) IwriteList(offs, lens []int64, data []byte) *Pending {
-	ents, total := listEntries("IwriteList", offs, lens, len(data))
-	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "iwrite_list").Bytes(total)
+// IssueReadList is ReadList in either issue mode; behind, buf is valid
+// after Wait.
+func (f *File) IssueReadList(behind bool, offs, lens []int64, buf []byte) *Pending {
+	const op = "ReadList"
+	ents, total := listEntries(op, offs, lens, len(buf))
+	is := f.issuer(behind)
+	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, pick(behind, "read_list", "iread_list")).Bytes(total)
 	defer sp.End()
-	end := f.client.Proc.Now()
-	f.writeListPass("IwriteList", ents, data, func(seg []byte, off int64) {
-		if e := pfs.WriteAtAsync(f.f, f.client, seg, off); e > end {
-			end = e
-		}
-	})
-	return &Pending{f: f, end: end}
-}
-
-// IreadList starts a nonblocking ReadList issued read-behind. buf is
-// valid after Wait (the store fills deferred reads at issue, so scatter
-// copies run eagerly; only the clock settle is deferred).
-func (f *File) IreadList(offs, lens []int64, buf []byte) *Pending {
-	ents, total := listEntries("IreadList", offs, lens, len(buf))
-	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "iread_list").Bytes(total)
-	defer sp.End()
-	end := f.client.Proc.Now()
-	f.readListPass("IreadList", ents, buf, func(seg []byte, off int64) {
-		if e := pfs.ReadAtAsync(f.f, f.client, seg, off); e > end {
-			end = e
-		}
-	})
-	return &Pending{f: f, end: end, op: "iread_wait"}
+	f.readListPass(&is, op, ents, buf)
+	return is.pending("iread_wait")
 }

@@ -101,25 +101,29 @@ type File struct {
 	// rank it identifies a request for deterministic retry jitter.
 	reqs int64
 
-	// Scratch reused across blocking collective calls so the two-phase hot
-	// path stops allocating per call; pooled across handles, since files
-	// are opened and closed every dump cycle. The split-collective ops
-	// deliberately do not touch any of it: they hold pieces across
-	// Begin/End, and everything here is recycled at the next blocking call.
+	// Scratch reused across blocking calls so the two-phase hot path stops
+	// allocating per call; pooled across handles, since files are opened
+	// and closed every dump cycle. Everything in it is recycled at the next
+	// blocking call on this handle, so only blocking operations may use it:
+	// a two-phase Begin takes its own bundle from the same pool and keeps
+	// it until its Wait (see twoPhaseScratch), which is what lets any
+	// number of Begins stay outstanding across other operations on the
+	// handle.
 	*fileScratch
 }
 
-// fileScratch is the recycled scratch bundle behind a File. Open takes one
-// from a pool and Close returns it (nil afterwards, so use-after-close
-// fails loudly); the grown buffers then amortize across every handle of
-// the process instead of being rebuilt per open.
+// fileScratch is the recycled scratch bundle behind a File, and behind every
+// outstanding two-phase Begin. Open takes one from a pool and Close returns
+// it (nil afterwards, so use-after-close fails loudly); the grown buffers
+// then amortize across every handle of the process instead of being rebuilt
+// per open.
 type fileScratch struct {
 	scratch   arena    // wire messages + aggregator collective buffers
 	i64s      arena64  // run bookkeeping that does not escape the call
 	cbBuf     []byte   // writeCoalesced assembly buffer (cap CBBufferSize)
 	dsBuf     []byte   // ReadRuns sieving buffer (cap DSBufferSize)
-	pieces    []piece  // WriteAtAll assembly list
-	rpieces   []rpiece // ReadAtAll aggregator request list
+	pieces    []piece  // two-phase write assembly list
+	rpieces   []rpiece // two-phase read aggregator request list
 	extents   []mpi.Run
 	extData   [][]byte
 	order     []int
@@ -130,12 +134,12 @@ type fileScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(fileScratch) }}
 
-// arena is a grow-only scratch allocator for the blocking collective I/O
-// paths: alloc returns an UNINITIALIZED slice that the caller fully
-// overwrites, and reset recycles the whole block at the next collective
-// entry. Allocations are only valid until that reset — safe here because
-// mpi.Send copies payloads at post time and every wire message and
-// collective buffer dies when the call returns.
+// arena is a grow-only scratch allocator for the collective I/O paths: alloc
+// returns an UNINITIALIZED slice that the caller fully overwrites, and reset
+// recycles the whole block at the next two-phase entry on the same bundle.
+// Allocations are only valid until that reset — safe because every wire
+// message and collective buffer dies at the operation's trailing barrier,
+// and the bundle is not reused before it (twoPhaseScratch).
 type arena struct {
 	buf []byte
 	off int
@@ -274,17 +278,33 @@ func (f *File) Close() {
 }
 
 // WriteAt writes a contiguous buffer at an explicit offset (independent).
-func (f *File) WriteAt(data []byte, off int64) {
-	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "write_indep").Bytes(int64(len(data)))
-	f.devWriteAt(data, off)
+func (f *File) WriteAt(data []byte, off int64) { f.IssueWriteAt(false, data, off) }
+
+// IssueWriteAt is WriteAt in either issue mode (see issuer): blocking, it
+// returns nil once the write is on the device; behind, it returns the
+// handle of a write charged at issue and settled at Wait. On file systems
+// without write-behind support a behind write degrades to a blocking one
+// whose handle completes immediately.
+func (f *File) IssueWriteAt(behind bool, data []byte, off int64) *Pending {
+	is := f.issuer(behind)
+	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, pick(behind, "write_indep", "iwrite_indep")).Bytes(int64(len(data)))
+	is.write(data, off)
 	sp.End()
+	return is.pending("iwrite_wait")
 }
 
 // ReadAt reads a contiguous extent at an explicit offset (independent).
-func (f *File) ReadAt(buf []byte, off int64) {
-	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "read_indep").Bytes(int64(len(buf)))
-	f.devReadAt(buf, off)
+func (f *File) ReadAt(buf []byte, off int64) { f.IssueReadAt(false, buf, off) }
+
+// IssueReadAt is ReadAt in either issue mode. The store holds real bytes,
+// so a behind read fills buf at issue; buf must simply not be consumed
+// before Wait settles the clock.
+func (f *File) IssueReadAt(behind bool, buf []byte, off int64) *Pending {
+	is := f.issuer(behind)
+	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, pick(behind, "read_indep", "iread_indep")).Bytes(int64(len(buf)))
+	is.read(buf, off)
 	sp.End()
+	return is.pending("iread_wait")
 }
 
 // WriteRuns performs an independent noncontiguous write described by the
@@ -292,41 +312,46 @@ func (f *File) ReadAt(buf []byte, off int64) {
 // would optionally use read-modify-write data sieving here; we issue one
 // write per run, which is what its default does for writes without
 // file-system locking support.
-func (f *File) WriteRuns(runs []mpi.Run, data []byte) {
+func (f *File) WriteRuns(runs []mpi.Run, data []byte) { f.IssueWriteRuns(false, runs, data) }
+
+// IssueWriteRuns is WriteRuns in either issue mode; a behind handle
+// completes when the slowest run's device work finishes.
+func (f *File) IssueWriteRuns(behind bool, runs []mpi.Run, data []byte) *Pending {
 	if mpi.TotalLen(runs) != int64(len(data)) {
 		panic(fmt.Sprintf("mpiio: WriteRuns data %d bytes for %d bytes of runs",
 			len(data), mpi.TotalLen(runs)))
 	}
-	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "write_runs").Bytes(int64(len(data)))
+	is := f.issuer(behind)
+	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, pick(behind, "write_runs", "iwrite_runs")).Bytes(int64(len(data)))
 	defer sp.End()
-	var p int64
-	for _, run := range runs {
-		f.devWriteAt(data[p:p+run.Len], run.Off)
-		p += run.Len
-	}
+	is.writeRuns(runs, data)
+	return is.pending("iwrite_wait")
 }
 
 // ReadRuns performs an independent noncontiguous read of the flattened
 // view `runs` into buf (in run order). With hints.DataSieving it reads the
 // covering extent in DSBufferSize chunks and extracts the requested pieces
 // — few large requests instead of many small ones.
-func (f *File) ReadRuns(runs []mpi.Run, buf []byte) {
+func (f *File) ReadRuns(runs []mpi.Run, buf []byte) { f.IssueReadRuns(false, runs, buf) }
+
+// IssueReadRuns is ReadRuns in either issue mode. Only the blocking mode
+// sieves: sieving chains each chunk's extraction pass behind its read, so a
+// behind read issues one request per run instead (all charged at issue) and
+// never transfers hole bytes.
+func (f *File) IssueReadRuns(behind bool, runs []mpi.Run, buf []byte) *Pending {
 	total := mpi.TotalLen(runs)
 	if total != int64(len(buf)) {
 		panic(fmt.Sprintf("mpiio: ReadRuns buf %d bytes for %d bytes of runs", len(buf), total))
 	}
-	if len(runs) == 0 {
-		return
+	if len(runs) == 0 && !behind {
+		return nil // nothing to read, and no handle owed: not even a span
 	}
-	if len(runs) == 1 || !f.hints.DataSieving {
-		sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "read_runs").Bytes(total)
+	is := f.issuer(behind)
+	if behind || len(runs) == 1 || !f.hints.DataSieving {
+		sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, pick(behind, "read_runs", "iread_runs")).Bytes(total)
 		defer sp.End()
-		var p int64
-		for _, run := range runs {
-			f.devReadAt(buf[p:p+run.Len], run.Off)
-			p += run.Len
-		}
-		return
+		is.readRuns(runs, buf)
+		return is.pending("iread_wait")
 	}
 	// Data sieving: read [first, last) in chunks, extract pieces.
 	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "read_sieve").Bytes(total).
@@ -339,18 +364,13 @@ func (f *File) ReadRuns(runs []mpi.Run, buf []byte) {
 	}
 	chunk := f.dsBuf[:f.hints.DSBufferSize]
 	f.i64s.reset()
-	bufOff := f.i64s.alloc(len(runs)) // prefix of buf positions per run
-	var acc int64
-	for i, run := range runs {
-		bufOff[i] = acc
-		acc += run.Len
-	}
+	bufOff := bufPrefixInto(f.i64s.alloc(len(runs)), runs)
 	for base := lo; base < hi; base += f.hints.DSBufferSize {
 		n := f.hints.DSBufferSize
 		if base+n > hi {
 			n = hi - base
 		}
-		f.devReadAt(chunk[:n], base)
+		is.read(chunk[:n], base)
 		// Extract the overlap of every run with [base, base+n).
 		for i, run := range runs {
 			s := max64(run.Off, base)
@@ -362,6 +382,7 @@ func (f *File) ReadRuns(runs []mpi.Run, buf []byte) {
 		}
 		f.r.CopyCost(n) // extraction pass over the sieving buffer
 	}
+	return nil
 }
 
 // --- Two-phase collective I/O ---
@@ -503,61 +524,17 @@ func (f *File) partners(sendTo, recvFrom []int, ext []int64, lo, hi int64, naggs
 	return sendTo, recvFrom
 }
 
-// piece wire format: u32 count, count x (i64 off, i64 len), payloads.
-func encodePieces(offs, lens []int64, payload [][]byte) []byte {
-	var total int64
-	for _, p := range payload {
-		total += int64(len(p))
-	}
-	out := make([]byte, 4+16*len(offs)+int(total))
-	binary.LittleEndian.PutUint32(out, uint32(len(offs)))
-	p := 4
-	for i := range offs {
-		binary.LittleEndian.PutUint64(out[p:], uint64(offs[i]))
-		binary.LittleEndian.PutUint64(out[p+8:], uint64(lens[i]))
-		p += 16
-	}
-	for _, pl := range payload {
-		p += copy(out[p:], pl)
-	}
-	return out
-}
-
+// piece is one contiguous extent of a two-phase write on its aggregator.
+// Wire format of a piece message: u32 count, count x (i64 off, i64 len),
+// then the payloads back to back (none for read requests).
 type piece struct {
 	off  int64
-	data []byte // nil for header-only (read requests)
+	data []byte
 }
 
-func decodePieces(msg []byte, withPayload bool) []piece {
-	if len(msg) < 4 {
-		return nil
-	}
-	count := int(binary.LittleEndian.Uint32(msg))
-	out := make([]piece, 0, count)
-	p := 4
-	offs := make([]int64, count)
-	lens := make([]int64, count)
-	for i := 0; i < count; i++ {
-		offs[i] = int64(binary.LittleEndian.Uint64(msg[p:]))
-		lens[i] = int64(binary.LittleEndian.Uint64(msg[p+8:]))
-		p += 16
-	}
-	for i := 0; i < count; i++ {
-		pc := piece{off: offs[i]}
-		if withPayload {
-			pc.data = msg[p : p+int(lens[i])]
-			p += int(lens[i])
-		} else {
-			pc.data = make([]byte, lens[i]) // placeholder for reads
-		}
-		out = append(out, pc)
-	}
-	return out
-}
-
-// appendPieces is decodePieces(msg, true) without the intermediate
-// offs/lens allocations: payload slices alias msg, headers are walked in
-// place, and the pieces land in dst (reused across calls).
+// appendPieces decodes a piece message without allocating: payload slices
+// alias msg, headers are walked in place, and the pieces land in dst (reused
+// across calls).
 func appendPieces(dst []piece, msg []byte) []piece {
 	if len(msg) < 4 {
 		return dst
@@ -640,11 +617,10 @@ func (a *arena) encodeRPieces(ps []rpiece) []byte {
 	return out
 }
 
-// intersectInto is intersectRuns on the handle's int64 arena: the result
-// slices die with the enclosing blocking collective call, so they need no
-// allocation of their own. The split-collective paths keep the allocating
-// intersectRuns — they hold bpos across Begin/End, past the next reset.
-func (f *File) intersectInto(runs []mpi.Run, bufOff []int64, dLo, dHi int64) (offs, lens, bpos []int64) {
+// intersectInto returns, for each of this rank's runs, its overlap with
+// [dLo,dHi): file offsets, lengths and the matching buffer positions, on
+// the int64 arena — the slices die with the enclosing two-phase operation.
+func intersectInto(i64s *arena64, runs []mpi.Run, bufOff []int64, dLo, dHi int64) (offs, lens, bpos []int64) {
 	k := 0
 	for _, run := range runs {
 		if max64(run.Off, dLo) < min64(run.Off+run.Len, dHi) {
@@ -654,9 +630,9 @@ func (f *File) intersectInto(runs []mpi.Run, bufOff []int64, dLo, dHi int64) (of
 	if k == 0 {
 		return nil, nil, nil
 	}
-	offs = f.i64s.alloc(k)[:0]
-	lens = f.i64s.alloc(k)[:0]
-	bpos = f.i64s.alloc(k)[:0]
+	offs = i64s.alloc(k)[:0]
+	lens = i64s.alloc(k)[:0]
+	bpos = i64s.alloc(k)[:0]
 	for i, run := range runs {
 		s := max64(run.Off, dLo)
 		e := min64(run.Off+run.Len, dHi)
@@ -670,39 +646,8 @@ func (f *File) intersectInto(runs []mpi.Run, bufOff []int64, dLo, dHi int64) (of
 	return
 }
 
-// intersectRuns returns, for each of this rank's runs, its overlap with
-// [dLo,dHi): file offsets, lengths and the matching buffer positions. The
-// counting pass keeps the result slices exactly sized (no append growth).
-func intersectRuns(runs []mpi.Run, bufOff []int64, dLo, dHi int64) (offs, lens, bpos []int64) {
-	k := 0
-	for _, run := range runs {
-		if max64(run.Off, dLo) < min64(run.Off+run.Len, dHi) {
-			k++
-		}
-	}
-	if k == 0 {
-		return nil, nil, nil
-	}
-	offs = make([]int64, 0, k)
-	lens = make([]int64, 0, k)
-	bpos = make([]int64, 0, k)
-	for i, run := range runs {
-		s := max64(run.Off, dLo)
-		e := min64(run.Off+run.Len, dHi)
-		if s >= e {
-			continue
-		}
-		offs = append(offs, s)
-		lens = append(lens, e-s)
-		bpos = append(bpos, bufOff[i]+(s-run.Off))
-	}
-	return
-}
-
-func bufPrefix(runs []mpi.Run) []int64 {
-	return bufPrefixInto(make([]int64, len(runs)), runs)
-}
-
+// bufPrefixInto fills bufOff[i] with the buffer position of run i (runs are
+// packed back to back in run order).
 func bufPrefixInto(bufOff []int64, runs []mpi.Run) []int64 {
 	var acc int64
 	for i, run := range runs {
@@ -712,64 +657,104 @@ func bufPrefixInto(bufOff []int64, runs []mpi.Run) []int64 {
 	return bufOff
 }
 
+// twoPhaseScratch returns the scratch bundle a two-phase operation works
+// in, reset for a new message set. A blocking operation borrows the
+// handle's: its trailing barrier runs before it returns, so everything in
+// the bundle is dead by the next call. A behind operation returns from
+// Begin with its barrier still to come — peers may yet be reading the wire
+// messages it built (the exchange passes payloads by reference), its own
+// reply phase is outstanding, and the caller is free to start any other
+// operation on the handle meanwhile — so it takes a bundle of its own from
+// the pool and gives it back only after its Wait's barrier.
+func (f *File) twoPhaseScratch(behind bool) *fileScratch {
+	sc := f.fileScratch
+	if behind {
+		sc = scratchPool.Get().(*fileScratch)
+	}
+	sc.scratch.reset()
+	sc.i64s.reset()
+	return sc
+}
+
 // WriteAtAll is a collective write: every rank of the communicator must
 // call it. Each rank contributes the file extents `runs` (sorted,
 // non-overlapping across ranks) with data in run order. The two-phase
 // strategy redistributes the data to aggregators (communication phase),
 // which then issue large contiguous writes over their file domains (I/O
 // phase).
-func (f *File) WriteAtAll(runs []mpi.Run, data []byte) {
+func (f *File) WriteAtAll(runs []mpi.Run, data []byte) { f.IssueWriteAtAll(false, runs, data) }
+
+// IssueWriteAtAll is WriteAtAll in either issue mode. Behind, it is the
+// split-collective MPI_File_write_all_begin: the offset exchange and the
+// communication phase run now (they need every participant on the CPU
+// anyway), the aggregators issue their coalesced file writes write-behind,
+// and the call returns as soon as the exchange is done. The caller may
+// compute — or start other operations on this handle — until the returned
+// handle's Wait (MPI_File_write_all_end), which every rank must call, in
+// the same order across ranks: it settles the clock against the deferred
+// completions and, on the two-phase path, runs the trailing barrier.
+func (f *File) IssueWriteAtAll(behind bool, runs []mpi.Run, data []byte) *Pending {
 	if mpi.TotalLen(runs) != int64(len(data)) {
 		panic("mpiio: WriteAtAll data/runs length mismatch")
 	}
 	proc := f.client.Proc
-	all := obs.Begin(proc, obs.LayerMPIIO, "write_all").Bytes(int64(len(data)))
+	all := obs.Begin(proc, obs.LayerMPIIO, pick(behind, "write_all", "write_all_begin")).Bytes(int64(len(data)))
 	defer all.End()
 	off := obs.Begin(proc, obs.LayerMPIIO, "offsets")
 	lo, hi, interleaved, ext := f.accessRange(runs)
 	off.End()
 	if hi <= lo {
 		f.r.Barrier()
-		return
+		is := f.issuer(behind)
+		return is.pending("write_all_end")
 	}
 	if !interleaved && !f.hints.CBForce {
 		// romio_cb_write=automatic: disjoint extents gain nothing from
 		// aggregation — write independently. The offset exchange above
 		// already synchronized entry; like ROMIO, there is no trailing
-		// barrier, so different ranks' writes pipeline across calls.
+		// barrier in either mode, so different ranks' writes pipeline
+		// across calls.
 		all.Attr("path", "independent")
-		f.WriteRuns(runs, data)
-		return
+		if !behind {
+			f.WriteRuns(runs, data)
+			return nil
+		}
+		is := f.issuer(behind)
+		is.writeRuns(runs, data)
+		return is.pending("write_all_end")
 	}
 	all.Attr("path", "two-phase")
-	f.scratch.reset()
-	f.i64s.reset()
+	sc := f.twoPhaseScratch(behind)
 	naggs, rot := f.aggregators(lo, hi)
-	bufOff := bufPrefixInto(f.i64s.alloc(len(runs)), runs)
+	bufOff := bufPrefixInto(sc.i64s.alloc(len(runs)), runs)
 
 	// Communication phase: ship each aggregator its domain's pieces.
 	parts := make([][]byte, f.r.Size())
 	for a := 0; a < naggs; a++ {
 		dLo, dHi := domain(lo, hi, naggs, a)
-		offs, lens, bpos := f.intersectInto(runs, bufOff, dLo, dHi)
+		offs, lens, bpos := intersectInto(&sc.i64s, runs, bufOff, dLo, dHi)
 		if len(offs) == 0 {
 			continue
 		}
-		parts[f.aggRank(a, rot)] = f.scratch.encodeRuns(offs, lens, bpos, data)
+		parts[f.aggRank(a, rot)] = sc.scratch.encodeRuns(offs, lens, bpos, data)
 	}
-	// Scratch exchange: parts live in f.scratch, which is only reset at the
-	// next collective entry — after this call's trailing barrier, by which
-	// time every aggregator has consumed its pieces.
+	// Scratch exchange: parts live in sc.scratch, which is not reset before
+	// this operation's trailing barrier — by which time every aggregator
+	// has consumed its pieces.
 	exch := obs.Begin(proc, obs.LayerMPIIO, "exchange")
-	f.sendTo, f.recvFrom = f.partners(f.sendTo[:0], f.recvFrom[:0], ext, lo, hi, naggs, rot)
-	recvd := f.r.ExchangeScratch(parts, f.sendTo, f.recvFrom)
+	sc.sendTo, sc.recvFrom = f.partners(sc.sendTo[:0], sc.recvFrom[:0], ext, lo, hi, naggs, rot)
+	recvd := f.r.ExchangeScratch(parts, sc.sendTo, sc.recvFrom)
 	exch.End()
 
 	// I/O phase (aggregators only): assemble, coalesce, write in
 	// CBBufferSize chunks.
+	is := f.issuer(behind)
 	if f.myAggIndex(naggs, rot) >= 0 {
 		iop := obs.Begin(proc, obs.LayerMPIIO, "io")
-		pieces := f.pieces[:0]
+		if behind {
+			iop.Attr("deferred", "1")
+		}
+		pieces := sc.pieces[:0]
 		var assembled int64
 		for _, msg := range recvd {
 			pieces = appendPieces(pieces, msg)
@@ -790,29 +775,40 @@ func (f *File) WriteAtAll(runs []mpi.Run, data []byte) {
 				}
 				return 0
 			})
-			f.writeCoalesced(pieces)
+			writeCoalesced(&is, sc, pieces)
 		}
-		f.pieces = pieces[:0]
+		sc.pieces = pieces[:0]
 		iop.Bytes(assembled).End()
 	}
 	// Keep the participants in lockstep (ROMIO's two-phase iterations
-	// synchronize implicitly; a trailing barrier models that).
-	f.r.Barrier()
+	// synchronize implicitly; a trailing barrier models that): at call end
+	// when blocking, inside Wait once the clock has settled when behind.
+	if !behind {
+		f.r.Barrier()
+		return nil
+	}
+	p := is.pending("write_all_end")
+	p.tail = func() {
+		f.r.Barrier()
+		scratchPool.Put(sc)
+	}
+	return p
 }
 
 // writeCoalesced merges offset-sorted pieces into contiguous extents and
-// writes them in chunks of at most CBBufferSize.
-func (f *File) writeCoalesced(pieces []piece) {
-	cb := f.hints.CBBufferSize
-	if int64(cap(f.cbBuf)) < cb {
-		f.cbBuf = make([]byte, 0, cb)
+// hands them to the issuer in chunks of at most CBBufferSize. The assembly
+// buffer is free again when it returns: a write stores its bytes at issue.
+func writeCoalesced(is *issuer, sc *fileScratch, pieces []piece) {
+	cb := is.f.hints.CBBufferSize
+	if int64(cap(sc.cbBuf)) < cb {
+		sc.cbBuf = make([]byte, 0, cb)
 	}
-	buf := f.cbBuf[:0]
-	defer func() { f.cbBuf = buf[:0] }()
+	buf := sc.cbBuf[:0]
+	defer func() { sc.cbBuf = buf[:0] }()
 	var start int64 = -1
 	flush := func() {
 		if start >= 0 && len(buf) > 0 {
-			f.devWriteAt(buf, start)
+			is.write(buf, start)
 		}
 		buf = buf[:0]
 		start = -1
@@ -830,7 +826,7 @@ func (f *File) writeCoalesced(pieces []piece) {
 			if space == 0 {
 				// flush a full chunk and continue at the next offset
 				nextStart := start + int64(len(buf))
-				f.devWriteAt(buf, start)
+				is.write(buf, start)
 				buf = buf[:0]
 				start = nextStart
 				space = cb
@@ -849,33 +845,51 @@ func (f *File) writeCoalesced(pieces []piece) {
 // ReadAtAll is the collective read: aggregators read large contiguous
 // extents of their file domains and redistribute the pieces to the
 // requesting ranks.
-func (f *File) ReadAtAll(runs []mpi.Run, buf []byte) {
+func (f *File) ReadAtAll(runs []mpi.Run, buf []byte) { f.IssueReadAtAll(false, runs, buf) }
+
+// IssueReadAtAll is ReadAtAll in either issue mode. Behind, it is the
+// split-collective MPI_File_read_all_begin: the offset exchange and the
+// request phase run now, the aggregators issue their coalesced extent
+// reads read-behind, and the call returns as soon as the requests are on
+// the devices. Everything causally downstream of the data having arrived —
+// the scatter out of the collective buffer, the reply exchange, the
+// placement into buf, the trailing barrier — runs in the returned handle's
+// Wait (MPI_File_read_all_end), which every rank must call, in the same
+// order across ranks; buf is valid only after it. On the independent path
+// a behind read issues one request per run and does not sieve (see
+// IssueReadRuns).
+func (f *File) IssueReadAtAll(behind bool, runs []mpi.Run, buf []byte) *Pending {
 	if mpi.TotalLen(runs) != int64(len(buf)) {
 		panic("mpiio: ReadAtAll buf/runs length mismatch")
 	}
 	proc := f.client.Proc
-	allSp := obs.Begin(proc, obs.LayerMPIIO, "read_all").Bytes(int64(len(buf)))
+	allSp := obs.Begin(proc, obs.LayerMPIIO, pick(behind, "read_all", "read_all_begin")).Bytes(int64(len(buf)))
 	defer allSp.End()
 	offSp := obs.Begin(proc, obs.LayerMPIIO, "offsets")
 	lo, hi, interleaved, ext := f.accessRange(runs)
 	offSp.End()
 	if hi <= lo {
 		f.r.Barrier()
-		return
+		is := f.issuer(behind)
+		return is.pending("read_all_end")
 	}
 	if !interleaved && !f.hints.CBForce {
 		// romio_cb_read=automatic: disjoint extents read independently
-		// (with data sieving for noncontiguous views), no trailing
-		// barrier.
+		// (blocking: with data sieving for noncontiguous views), no
+		// trailing barrier in either mode.
 		allSp.Attr("path", "independent")
-		f.ReadRuns(runs, buf)
-		return
+		if !behind {
+			f.ReadRuns(runs, buf)
+			return nil
+		}
+		is := f.issuer(behind)
+		is.readRuns(runs, buf)
+		return is.pending("read_all_end")
 	}
 	allSp.Attr("path", "two-phase")
-	f.scratch.reset()
-	f.i64s.reset()
+	sc := f.twoPhaseScratch(behind)
 	naggs, rot := f.aggregators(lo, hi)
-	bufOff := bufPrefixInto(f.i64s.alloc(len(runs)), runs)
+	bufOff := bufPrefixInto(sc.i64s.alloc(len(runs)), runs)
 
 	// Request phase: tell each aggregator which extents we need and
 	// remember the matching buffer positions, in order.
@@ -883,161 +897,220 @@ func (f *File) ReadAtAll(runs []mpi.Run, buf []byte) {
 	reqs := make([][]byte, f.r.Size())
 	for a := 0; a < naggs; a++ {
 		dLo, dHi := domain(lo, hi, naggs, a)
-		offs, lens, bpos := f.intersectInto(runs, bufOff, dLo, dHi)
+		offs, lens, bpos := intersectInto(&sc.i64s, runs, bufOff, dLo, dHi)
 		if len(offs) == 0 {
 			continue
 		}
 		wants[a] = bpos
-		reqs[f.aggRank(a, rot)] = f.scratch.encodeHdrs(offs, lens)
+		reqs[f.aggRank(a, rot)] = sc.scratch.encodeHdrs(offs, lens)
 	}
-	// Scratch exchange: reqs live in f.scratch, reset only at the next
-	// collective entry — after this call's trailing barrier.
+	// Scratch exchange: reqs live in sc.scratch, which is not reset before
+	// this operation's trailing barrier.
 	exch := obs.Begin(proc, obs.LayerMPIIO, "exchange")
-	f.sendTo, f.recvFrom = f.partners(f.sendTo[:0], f.recvFrom[:0], ext, lo, hi, naggs, rot)
-	reqsRecvd := f.r.ExchangeScratch(reqs, f.sendTo, f.recvFrom)
+	sc.sendTo, sc.recvFrom = f.partners(sc.sendTo[:0], sc.recvFrom[:0], ext, lo, hi, naggs, rot)
+	reqsRecvd := f.r.ExchangeScratch(reqs, sc.sendTo, sc.recvFrom)
 	exch.End()
 
-	// I/O phase: aggregators read the coalesced union of requested
-	// extents and build per-requester replies.
-	replies := make([][]byte, f.r.Size())
+	// I/O phase: aggregators read the coalesced union of requested extents.
+	// What they read stays in sc (rpieces, srcCounts, extents, extData) for
+	// the reply phase.
+	is := f.issuer(behind)
+	sc.rpieces = sc.rpieces[:0]
+	var scatter int64 // the aggregator's copy out of its collective buffer, when that waits for Wait
 	if f.myAggIndex(naggs, rot) >= 0 {
 		iop := obs.Begin(proc, obs.LayerMPIIO, "io")
-		// Collect every requested extent (header walk, no decode allocs).
-		// The walk visits sources in rank order, so all lands naturally
-		// grouped by src, and within one group the pieces are both idx- and
-		// off-ascending (intersectRuns emits offsets in request order) —
-		// which is why no sort appears below.
-		size := f.r.Size()
-		all := f.rpieces[:0]
-		srcStart := f.srcCounts
-		if cap(srcStart) < size+1 {
-			srcStart = make([]int, size+1)
+		if behind {
+			iop.Attr("deferred", "1")
 		}
-		srcStart = srcStart[:size+1]
-		for src, msg := range reqsRecvd {
-			srcStart[src] = len(all)
-			if len(msg) < 4 {
+		readBytes := f.readRequested(&is, sc, reqsRecvd)
+		switch {
+		case behind:
+			// The scatter waits for the data: it is charged in Wait, after
+			// the clock has settled, not at issue.
+			iop.Bytes(readBytes)
+			scatter = readBytes
+		case readBytes > 0:
+			f.r.CopyCost(readBytes)
+		}
+		iop.End()
+	}
+	t := readTail{sc: sc, buf: buf, wants: wants, naggs: naggs, rot: rot, scatter: scatter}
+	if !behind {
+		f.replyAndPlace(t)
+		return nil
+	}
+	p := is.pending("read_all_end")
+	p.tail = func() {
+		f.replyAndPlace(t)
+		scratchPool.Put(sc)
+	}
+	return p
+}
+
+// readRequested is the aggregator half of a two-phase read's I/O phase: it
+// collects every extent the request messages name into sc.rpieces, grouped
+// by source (group s is rpieces[srcCounts[s]:srcCounts[s+1]]), coalesces
+// them into sc.extents and issues those reads, CBBufferSize at a time,
+// into sc.extData. It returns the bytes read.
+func (f *File) readRequested(is *issuer, sc *fileScratch, reqsRecvd [][]byte) int64 {
+	// Header walk, no decode allocs. The walk visits sources in rank order,
+	// so all lands naturally grouped by src, and within one group the
+	// pieces are both idx- and off-ascending (intersectInto emits offsets
+	// in request order) — which is why no sort appears below.
+	size := f.r.Size()
+	all := sc.rpieces[:0]
+	srcStart := sc.srcCounts
+	if cap(srcStart) < size+1 {
+		srcStart = make([]int, size+1)
+	}
+	srcStart = srcStart[:size+1]
+	for src, msg := range reqsRecvd {
+		srcStart[src] = len(all)
+		if len(msg) < 4 {
+			continue
+		}
+		count := int(binary.LittleEndian.Uint32(msg))
+		p := 4
+		for i := 0; i < count; i++ {
+			all = append(all, rpiece{
+				src: src,
+				idx: i,
+				off: int64(binary.LittleEndian.Uint64(msg[p:])),
+				n:   int64(binary.LittleEndian.Uint64(msg[p+8:])),
+			})
+			p += 16
+		}
+	}
+	srcStart[size] = len(all)
+	sc.srcCounts, sc.rpieces = srcStart, all
+	sc.extents, sc.extData = sc.extents[:0], sc.extData[:0]
+	if len(all) == 0 {
+		return 0
+	}
+	// Coalesce the requested extents without materializing a globally
+	// sorted piece list: a k-way merge over the per-src groups visits
+	// offsets in nondecreasing order, which is all interval union needs
+	// (the order among equal offsets cannot change the union). heads is a
+	// binary min-heap of one cursor per non-empty group, keyed by the head
+	// piece's offset.
+	heads := sc.order[:0]
+	for s := 0; s < size; s++ {
+		if srcStart[s] < srcStart[s+1] {
+			heads = append(heads, srcStart[s])
+		}
+	}
+	sift := func(i int) {
+		for {
+			l, r, m := 2*i+1, 2*i+2, i
+			if l < len(heads) && all[heads[l]].off < all[heads[m]].off {
+				m = l
+			}
+			if r < len(heads) && all[heads[r]].off < all[heads[m]].off {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			heads[i], heads[m] = heads[m], heads[i]
+			i = m
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		sift(i)
+	}
+	extents := sc.extents
+	for len(heads) > 0 {
+		rp := &all[heads[0]]
+		if n := len(extents); n > 0 && rp.off <= extents[n-1].Off+extents[n-1].Len {
+			if e := rp.off + rp.n; e > extents[n-1].Off+extents[n-1].Len {
+				extents[n-1].Len = e - extents[n-1].Off
+			}
+		} else {
+			extents = append(extents, mpi.Run{Off: rp.off, Len: rp.n})
+		}
+		if h := heads[0] + 1; h < srcStart[rp.src+1] {
+			heads[0] = h
+		} else {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		sift(0)
+	}
+	// Read the extents chunked into arena scratch (fully overwritten by
+	// the reads, so the uninitialized alloc is safe).
+	extData := sc.extData
+	for _, ext := range extents {
+		data := sc.scratch.alloc(int(ext.Len))
+		for base := int64(0); base < ext.Len; base += f.hints.CBBufferSize {
+			n := min64(f.hints.CBBufferSize, ext.Len-base)
+			is.read(data[base:base+n], ext.Off+base)
+		}
+		extData = append(extData, data)
+	}
+	sc.order, sc.extents, sc.extData = heads[:0], extents, extData
+	return mpi.TotalLen(extents)
+}
+
+// readTail is what a two-phase read still owes once its extent reads are
+// issued: the reply phase, over the state the I/O phase left in sc.
+type readTail struct {
+	sc         *fileScratch
+	buf        []byte
+	wants      [][]int64 // per aggregator: buffer positions of the requested pieces, in request order
+	naggs, rot int
+	scatter    int64 // bytes of collective-buffer scatter still to charge (behind aggregators)
+}
+
+// replyAndPlace is the reply phase of a two-phase read: every aggregator
+// answers the ranks it heard from out of the extents it read, the pieces
+// land in the caller's buffer, and the trailing barrier keeps the
+// participants in lockstep (and the scratch alive until every peer has
+// copied its reply out).
+func (f *File) replyAndPlace(t readTail) {
+	sc, size := t.sc, f.r.Size()
+	if t.scatter > 0 {
+		f.r.CopyCost(t.scatter)
+	}
+	replies := make([][]byte, size)
+	if all := sc.rpieces; len(all) > 0 {
+		// Fill each group's requests from the extents and encode its
+		// reply: group and extents are both off-ascending, so each
+		// group's containing-extent cursor only moves forward, and the
+		// group's natural order is already the idx order the requester
+		// expects.
+		extents, extData, srcStart := sc.extents, sc.extData, sc.srcCounts
+		for s := 0; s < size; s++ {
+			g := all[srcStart[s]:srcStart[s+1]]
+			if len(g) == 0 {
 				continue
 			}
-			count := int(binary.LittleEndian.Uint32(msg))
-			p := 4
-			for i := 0; i < count; i++ {
-				all = append(all, rpiece{
-					src: src,
-					idx: i,
-					off: int64(binary.LittleEndian.Uint64(msg[p:])),
-					n:   int64(binary.LittleEndian.Uint64(msg[p+8:])),
-				})
-				p += 16
+			ei := 0
+			for i := range g {
+				rp := &g[i]
+				for rp.off >= extents[ei].Off+extents[ei].Len {
+					ei++
+				}
+				if rp.off < extents[ei].Off || rp.off+rp.n > extents[ei].Off+extents[ei].Len {
+					panic("mpiio: request outside read extents")
+				}
+				rp.data = extData[ei][rp.off-extents[ei].Off : rp.off-extents[ei].Off+rp.n]
 			}
+			replies[s] = sc.scratch.encodeRPieces(g)
 		}
-		srcStart[size] = len(all)
-		if len(all) > 0 {
-			// Coalesce the requested extents without materializing a
-			// globally sorted piece list: a k-way merge over the per-src
-			// groups visits offsets in nondecreasing order, which is all
-			// interval union needs (the order among equal offsets cannot
-			// change the union). heads is a binary min-heap of one cursor
-			// per non-empty group, keyed by the head piece's offset.
-			heads := f.order[:0]
-			for s := 0; s < size; s++ {
-				if srcStart[s] < srcStart[s+1] {
-					heads = append(heads, srcStart[s])
-				}
-			}
-			sift := func(i int) {
-				for {
-					l, r, m := 2*i+1, 2*i+2, i
-					if l < len(heads) && all[heads[l]].off < all[heads[m]].off {
-						m = l
-					}
-					if r < len(heads) && all[heads[r]].off < all[heads[m]].off {
-						m = r
-					}
-					if m == i {
-						return
-					}
-					heads[i], heads[m] = heads[m], heads[i]
-					i = m
-				}
-			}
-			for i := len(heads)/2 - 1; i >= 0; i-- {
-				sift(i)
-			}
-			extents := f.extents[:0]
-			for len(heads) > 0 {
-				rp := &all[heads[0]]
-				if n := len(extents); n > 0 && rp.off <= extents[n-1].Off+extents[n-1].Len {
-					if e := rp.off + rp.n; e > extents[n-1].Off+extents[n-1].Len {
-						extents[n-1].Len = e - extents[n-1].Off
-					}
-				} else {
-					extents = append(extents, mpi.Run{Off: rp.off, Len: rp.n})
-				}
-				if h := heads[0] + 1; h < srcStart[rp.src+1] {
-					heads[0] = h
-				} else {
-					heads[0] = heads[len(heads)-1]
-					heads = heads[:len(heads)-1]
-				}
-				sift(0)
-			}
-			// Read the extents chunked into arena scratch (fully
-			// overwritten by devReadAt, so the uninitialized alloc is
-			// safe).
-			var readBytes int64
-			extData := f.extData[:0]
-			for _, ext := range extents {
-				data := f.scratch.alloc(int(ext.Len))
-				for base := int64(0); base < ext.Len; base += f.hints.CBBufferSize {
-					n := min64(f.hints.CBBufferSize, ext.Len-base)
-					f.devReadAt(data[base:base+n], ext.Off+base)
-				}
-				extData = append(extData, data)
-				readBytes += ext.Len
-			}
-			f.r.CopyCost(readBytes) // scatter out of the collective buffer
-			// Fill each group's requests from the extents and encode its
-			// reply: group and extents are both off-ascending, so each
-			// group's containing-extent cursor only moves forward, and the
-			// group's natural order is already the idx order the requester
-			// expects.
-			for s := 0; s < size; s++ {
-				g := all[srcStart[s]:srcStart[s+1]]
-				if len(g) == 0 {
-					continue
-				}
-				ei := 0
-				for i := range g {
-					rp := &g[i]
-					for rp.off >= extents[ei].Off+extents[ei].Len {
-						ei++
-					}
-					if rp.off < extents[ei].Off || rp.off+rp.n > extents[ei].Off+extents[ei].Len {
-						panic("mpiio: request outside read extents")
-					}
-					rp.data = extData[ei][rp.off-extents[ei].Off : rp.off-extents[ei].Off+rp.n]
-				}
-				replies[s] = f.scratch.encodeRPieces(g)
-			}
-			f.order, f.extents, f.extData = heads[:0], extents[:0], extData[:0]
-		}
-		f.srcCounts, f.rpieces = srcStart[:0], all[:0]
-		iop.End()
 	}
 	// Replies retrace the request phase: every aggregator answers exactly
 	// the ranks it heard from (an empty reply to an empty request).
-	exch = obs.Begin(proc, obs.LayerMPIIO, "exchange")
-	got := f.r.ExchangeScratch(replies, f.recvFrom, f.sendTo)
+	exch := obs.Begin(f.client.Proc, obs.LayerMPIIO, "exchange")
+	got := f.r.ExchangeScratch(replies, sc.recvFrom, sc.sendTo)
 	exch.End()
 
 	// Place the received pieces into buf, in the order we requested them.
-	for a := 0; a < naggs; a++ {
-		bpos := wants[a]
+	for a := 0; a < t.naggs; a++ {
+		bpos := t.wants[a]
 		if len(bpos) == 0 {
 			continue
 		}
-		msg := got[f.aggRank(a, rot)]
+		msg := got[f.aggRank(a, t.rot)]
 		count := 0
 		if len(msg) >= 4 {
 			count = int(binary.LittleEndian.Uint32(msg))
@@ -1050,7 +1123,7 @@ func (f *File) ReadAtAll(runs []mpi.Run, buf []byte) {
 		for i := 0; i < count; i++ {
 			n := int(binary.LittleEndian.Uint64(msg[hp+8:]))
 			hp += 16
-			copy(buf[bpos[i]:bpos[i]+int64(n)], msg[dp:dp+n])
+			copy(t.buf[bpos[i]:bpos[i]+int64(n)], msg[dp:dp+n])
 			dp += n
 		}
 	}

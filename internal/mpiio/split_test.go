@@ -48,7 +48,7 @@ func TestSplitCollectiveMatchesBlocking(t *testing.T) {
 			if split {
 				sw := f.WriteAtAllBegin(sub.Flatten(), mine)
 				r.Compute(1_000_000)
-				sw.End()
+				sw.Wait()
 			} else {
 				f.WriteAtAll(sub.Flatten(), mine)
 			}
@@ -85,7 +85,7 @@ func TestSplitCollectiveOverlapSavesTime(t *testing.T) {
 			if split {
 				sw := f.WriteAtAllBegin(sub.Flatten(), mine)
 				r.Compute(work)
-				sw.End()
+				sw.Wait()
 			} else {
 				f.WriteAtAll(sub.Flatten(), mine)
 				r.Compute(work)
@@ -191,7 +191,7 @@ func TestSplitCollectiveEveryCBNodes(t *testing.T) {
 			}
 			sw := f.WriteAtAllBegin(sub.Flatten(), mine)
 			r.Compute(int64(1000 * (r.Rank() + 1))) // skewed overlap
-			sw.End()
+			sw.Wait()
 			f.Close()
 		})
 		got := readWholeFile(t, fs, "cb.dat", fileSize)
@@ -223,7 +223,7 @@ func TestSplitCollectiveInterleavedCollectives(t *testing.T) {
 		sw := f.WriteAtAllBegin(runs, pattern(r.Rank(), chunk))
 		r.Barrier()
 		r.AllreduceFloat64(float64(r.Rank()), mpi.OpMax)
-		sw.End()
+		sw.Wait()
 		f.Close()
 	})
 	got := readWholeFile(t, fs, "x.dat", int64(nprocs)*chunk)
@@ -244,8 +244,8 @@ func TestSplitCollectiveEmptyRange(t *testing.T) {
 			panic(err)
 		}
 		sw := f.WriteAtAllBegin(nil, nil)
-		sw.End()
-		sw.End() // idempotent
+		sw.Wait()
+		sw.Wait() // idempotent
 		f.Close()
 	})
 	if got := readWholeFile(t, fs, "e.dat", 0); len(got) != 0 {
@@ -264,7 +264,7 @@ func TestSplitDeterministic(t *testing.T) {
 				runs := []mpi.Run{{Off: int64(r.Rank()*3+i) * 8192, Len: 8192}}
 				sw := f.WriteAtAllBegin(runs, pattern(r.Rank()+i, 8192))
 				r.Compute(2_000_000)
-				sw.End()
+				sw.Wait()
 			}
 			f.Close()
 		})
@@ -334,7 +334,7 @@ func TestSplitWritePreservesArrivalInvariant(t *testing.T) {
 			runs := []mpi.Run{{Off: int64(r.Rank()) * 65536, Len: 65536}}
 			sw := f.WriteAtAllBegin(runs, pattern(r.Rank(), 65536))
 			r.Compute(work)
-			sw.End()
+			sw.Wait()
 			f.WriteAt(pattern(9, 4096), int64(200000+r.Rank()*4096))
 			f.Close()
 		})

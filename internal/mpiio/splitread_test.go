@@ -125,8 +125,8 @@ func TestSplitReadMatchesBlocking(t *testing.T) {
 						if split {
 							sr := f.ReadAtAllBegin(sub.Flatten(), buf)
 							r.Compute(1_000_000)
-							sr.End()
-							sr.End() // idempotent
+							sr.Wait()
+							sr.Wait() // idempotent
 						} else {
 							f.ReadAtAll(sub.Flatten(), buf)
 						}
@@ -170,7 +170,7 @@ func TestSplitReadOverlapSavesTime(t *testing.T) {
 			if split {
 				sr := f.ReadAtAllBegin(sub.Flatten(), buf)
 				r.Compute(work)
-				sr.End()
+				sr.Wait()
 			} else {
 				f.ReadAtAll(sub.Flatten(), buf)
 				r.Compute(work)
@@ -194,8 +194,8 @@ func TestSplitReadEmptyRange(t *testing.T) {
 			panic(err)
 		}
 		sr := f.ReadAtAllBegin(nil, nil)
-		sr.End()
-		sr.End() // idempotent
+		sr.Wait()
+		sr.Wait() // idempotent
 		f.Close()
 	})
 }
@@ -213,7 +213,7 @@ func TestSplitReadDeterministic(t *testing.T) {
 				runs := []mpi.Run{{Off: int64(r.Rank()*3+i) * 8192, Len: 8192}}
 				sr := f.ReadAtAllBegin(runs, make([]byte, 8192))
 				r.Compute(2_000_000)
-				sr.End()
+				sr.Wait()
 			}
 			f.Close()
 		})
@@ -239,7 +239,7 @@ func TestSplitReadPreservesArrivalInvariant(t *testing.T) {
 			runs := []mpi.Run{{Off: int64(r.Rank()) * 65536, Len: 65536}}
 			sr := f.ReadAtAllBegin(runs, make([]byte, 65536))
 			r.Compute(work)
-			sr.End()
+			sr.Wait()
 			f.ReadAt(make([]byte, 4096), int64(200000+r.Rank()*4096))
 			f.Close()
 		})
