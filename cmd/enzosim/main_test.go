@@ -72,3 +72,39 @@ func TestTinyFaultRunRecovers(t *testing.T) {
 		t.Fatalf("faulted run did not verify:\n%s", stdout.String())
 	}
 }
+
+// TestTraceIsZeroPerturbation: -trace layers the iotrace recorder into the
+// file-system stack, and a recorder must not move virtual time — every
+// request passes through it in its own mode, read-ahead included. The phase
+// lines of an -async run are byte-identical with and without it.
+func TestTraceIsZeroPerturbation(t *testing.T) {
+	phases := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args = append([]string{"-problem", "tiny", "-np", "4", "-fs", "pvfs", "-machine", "chiba"}, args...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit code = %d, stderr: %s", args, code, stderr.String())
+		}
+		var out []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "  ") && strings.HasSuffix(line, " s") {
+				out = append(out, line)
+			}
+		}
+		if len(out) < 4 {
+			t.Fatalf("%v: no phase lines in:\n%s", args, stdout.String())
+		}
+		return strings.Join(out, "\n")
+	}
+	for _, extra := range [][]string{
+		{"-async"},
+		{"-async", "-codec", "lzss"},
+		{"-async", "-backend", "hdf5"},
+	} {
+		plain := phases(extra...)
+		traced := phases(append(extra, "-trace")...)
+		if plain != traced {
+			t.Errorf("%v: -trace moved virtual time:\nwithout:\n%s\nwith:\n%s", extra, plain, traced)
+		}
+	}
+}

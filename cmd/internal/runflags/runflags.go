@@ -136,7 +136,8 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 			return spec, fmt.Errorf("-straggler needs a striped file system (pvfs, gpfs); got %q", f.FS)
 		}
 		degrade = func(fs pfs.FileSystem) pfs.FileSystem {
-			fs.(pfs.StripeFaultInjector).DegradeDataServer(0, f.Straggler)
+			inj, _ := pfs.As[pfs.StripeFaultInjector](fs) // f.FS is striped: checked above
+			inj.DegradeDataServer(0, f.Straggler)
 			return fs
 		}
 	}
@@ -151,8 +152,6 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 			})
 		}
 	}
-	// The straggler hook must see the bare striped file system, so it runs
-	// before any wrapper is layered on.
 	spec.Wrap = Chain(degrade, corrupt)
 	return spec, nil
 }

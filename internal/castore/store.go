@@ -32,6 +32,11 @@ type Store struct {
 	fs  pfs.FileSystem
 	opt Options
 
+	// The volume's placement capabilities, resolved through the wrapper
+	// chain once (nil on a volume without data servers of its own).
+	rv     pfs.ReplicaVolume
+	placer pfs.PlacementRestorer
+
 	nsrv int // placed data servers (0: unplaced volume)
 	reps int // effective replica count
 
@@ -104,8 +109,9 @@ func New(fs pfs.FileSystem, opt Options) *Store {
 		heads: make(map[string]*container),
 		reads: make(map[string]pfs.File),
 	}
-	if rv, ok := fs.(pfs.ReplicaVolume); ok {
-		s.nsrv = rv.NumDataServers()
+	s.placer, _ = pfs.As[pfs.PlacementRestorer](fs)
+	if s.rv, _ = pfs.As[pfs.ReplicaVolume](fs); s.rv != nil {
+		s.nsrv = s.rv.NumDataServers()
 	}
 	s.reps = opt.Replicas
 	if s.nsrv == 0 {
@@ -167,9 +173,7 @@ func (s *Store) head(c pfs.Client, server int) (*container, error) {
 	)
 	switch {
 	case s.fs.Exists(name): // staged from a previous run: append after it
-		if server >= 0 {
-			pfs.PlaceExistingOn(s.fs, name, server)
-		}
+		s.placeExisting(name, server)
 		f, err = s.fs.Open(c, name)
 		if err == nil {
 			off = f.Size(c)
@@ -197,29 +201,33 @@ func (s *Store) readHandle(c pfs.Client, server, rank int) (pfs.File, error) {
 	if f, ok := s.reads[name]; ok {
 		return f, nil
 	}
-	if server >= 0 {
-		// Re-assert the container's placement: out-of-band staging copies
-		// bytes but loses layout, and the placement is deterministic from
-		// the name.
-		pfs.PlaceExistingOn(s.fs, name, server)
-	}
+	s.placeExisting(name, server)
 	f, err := s.fs.Open(c, name)
 	if err != nil {
-		return nil, err
+		return pfs.File{}, err
 	}
 	s.reads[name] = f
 	return f, nil
+}
+
+// placeExisting re-asserts a placed file's data server before it is opened:
+// out-of-band staging copies bytes but loses layout, and the placement is
+// deterministic from the name. Unplaced files (server < 0) and volumes
+// without placement are left alone.
+func (s *Store) placeExisting(name string, server int) {
+	if server >= 0 && s.placer != nil {
+		s.placer.PlaceExisting(name, server)
+	}
 }
 
 // serverDead reports whether a data server is already failed at the
 // caller's current virtual time (placement and routing skip it). A server
 // that fails later is not predicted — the read path's deadline catches it.
 func (s *Store) serverDead(c pfs.Client, server int) bool {
-	rv, ok := s.fs.(pfs.ReplicaVolume)
-	if !ok || server < 0 {
+	if s.rv == nil || server < 0 {
 		return false
 	}
-	return rv.DataServerFailAt(server) <= c.Proc.Now()
+	return s.rv.DataServerFailAt(server) <= c.Proc.Now()
 }
 
 // placement returns up to s.reps target servers for key: consecutive
@@ -315,16 +323,15 @@ func (e *ReadError) Error() string {
 // least-loaded (earliest device FreeAt) first among them, known-dead
 // servers last. Ties break on server index for determinism.
 func (s *Store) orderReps(c pfs.Client, reps []Rep) []Rep {
-	rv, _ := s.fs.(pfs.ReplicaVolume)
 	out := append([]Rep(nil), reps...)
 	loadOf := func(r Rep) (dead bool, load float64) {
-		if rv == nil || r.Server < 0 {
+		if s.rv == nil || r.Server < 0 {
 			return false, 0
 		}
-		if rv.DataServerFailAt(r.Server) <= c.Proc.Now() {
+		if s.serverDead(c, r.Server) {
 			return true, 0
 		}
-		return false, rv.DataServerFreeAt(r.Server)
+		return false, s.rv.DataServerFreeAt(r.Server)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		di, li := loadOf(out[i])
@@ -373,12 +380,8 @@ func (s *Store) Get(c pfs.Client, ref ChunkRef) ([]byte, error) {
 			if err != nil {
 				continue
 			}
-			if ff, ok := f.(pfs.FallibleFile); ok {
-				if err := ff.ReadAtDeadline(c, buf, rep.Off, c.Proc.Now()+timeout); err != nil {
-					continue
-				}
-			} else {
-				f.ReadAt(c, buf, rep.Off)
+			if err := pfs.ReadAtDeadline(f, c, buf, rep.Off, c.Proc.Now()+timeout); err != nil {
+				continue
 			}
 			s.stats.Failovers += int64(failovers)
 			obs.RecordChunkGet(c.Proc, failovers)
@@ -472,19 +475,13 @@ func (s *Store) GetNamed(c pfs.Client, name string) ([]byte, error) {
 			if s.serverDead(c, rep.Server) || !s.fs.Exists(repName) {
 				continue
 			}
-			if rep.Server >= 0 {
-				pfs.PlaceExistingOn(s.fs, repName, rep.Server)
-			}
+			s.placeExisting(repName, rep.Server)
 			f, err := s.fs.Open(c, repName)
 			if err != nil {
 				continue
 			}
 			buf := make([]byte, f.Size(c))
-			if ff, ok := f.(pfs.FallibleFile); ok {
-				err = ff.ReadAtDeadline(c, buf, 0, c.Proc.Now()+timeout)
-			} else {
-				f.ReadAt(c, buf, 0)
-			}
+			err = pfs.ReadAtDeadline(f, c, buf, 0, c.Proc.Now()+timeout)
 			f.Close(c)
 			if err != nil {
 				continue

@@ -469,6 +469,10 @@ type Sim struct {
 	hints   mpiio.Hints
 	cfg     Config
 
+	// codecReporter is the layer of fs that wants compressed-transfer
+	// accounting (nil when none does), resolved once in NewSim.
+	codecReporter pfs.CodecReporter
+
 	meta    *core.HierarchyMeta
 	offsets *core.Layout // fixed shared-file offsets of every array
 
@@ -525,8 +529,8 @@ func (s *Sim) compressed() bool { return s.codec != nil }
 // recordCodecBytes forwards logical/physical byte accounting to the file
 // system stack when an instrumentation wrapper wants it.
 func (s *Sim) recordCodecBytes(file string, write bool, logical, physical int64) {
-	if cr, ok := s.fs.(pfs.CodecReporter); ok {
-		cr.RecordCodecBytes(file, write, logical, physical)
+	if s.codecReporter != nil {
+		s.codecReporter.RecordCodecBytes(file, write, logical, physical)
 	}
 }
 
@@ -685,24 +689,11 @@ func Run(spec RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		// Record geometry from the bare model: wrappers (fault injectors,
-		// recorders) may hide the capability interfaces.
-		fi := obs.FSInfo{Name: fs.Name()}
-		if sv, ok := fs.(pfs.StripedVolume); ok {
-			fi.DataServers = sv.NumDataServers()
-			fi.StripeUnit = sv.StripeUnit()
-		}
-		tr.SetFSInfo(fi)
-	}
 	if spec.Wrap != nil {
 		fs = spec.Wrap(fs)
 	}
 	if tr != nil {
 		fs = obs.WrapFS(fs, tr)
-		if so, ok := fs.(pfs.ServeObservable); ok {
-			so.SetServeObserver(tr)
-		}
 		mach.SetServeObserver(tr)
 	}
 	codecName := "none"
@@ -734,7 +725,7 @@ func Run(spec RunSpec) (*Result, error) {
 // dataServers returns the volume's independent data-server count (0 when
 // the capability is absent).
 func dataServers(fs pfs.FileSystem) int {
-	if rv, ok := fs.(pfs.ReplicaVolume); ok {
+	if rv, ok := pfs.As[pfs.ReplicaVolume](fs); ok {
 		return rv.NumDataServers()
 	}
 	return 0
@@ -794,6 +785,7 @@ func NewSim(r *mpi.Rank, fs pfs.FileSystem, backend Backend, cfg Config, res *Re
 		localMode: fs.Name() == "local",
 		res:       res,
 	}
+	s.codecReporter, _ = pfs.As[pfs.CodecReporter](fs)
 	s.cfg.normalize(dataServers(fs))
 	s.io = layoutFor(s)
 	return s

@@ -3,11 +3,13 @@ package enzo
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultfs"
 	"repro/internal/machine"
 	"repro/internal/mpiio"
+	"repro/internal/obs"
 	"repro/internal/pfs"
 )
 
@@ -216,6 +218,71 @@ func TestDeadServerSurfacesIOError(t *testing.T) {
 	}
 	if ioe.Attempts != 3 {
 		t.Fatalf("IOError.Attempts = %d, want 3", ioe.Attempts)
+	}
+}
+
+// TestTransparentWrappersKeepRetryArmed: a wrapper that changes nothing — a
+// fault injector that never fires, with and without the tracer on top —
+// must not disarm IORetry. The deadline has to reach the device through
+// every layer: the dead-server run ends in the bare run's typed error (not
+// err == nil at Makespan +Inf with Verified true), and a straggler run
+// retries its way to the bare run's exact Result.
+func TestTransparentWrappersKeepRetryArmed(t *testing.T) {
+	neverFires := func(fs pfs.FileSystem) pfs.FileSystem {
+		return faultfs.Wrap(fs, faultfs.Config{Mode: faultfs.CorruptWrite, FileSubstr: "no-such-file"})
+	}
+	run := func(cfg Config, fault func(pfs.StripeFaultInjector), wrapped, traced bool) (*Result, error) {
+		spec := RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+			Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
+				fault(fs.(pfs.StripeFaultInjector))
+				if wrapped {
+					fs = neverFires(fs)
+				}
+				return fs
+			},
+		}
+		if traced {
+			spec.Tracer = obs.NewTracer()
+		}
+		return Run(spec)
+	}
+
+	dead := Tiny()
+	dead.IORetry = testRetryPolicy()
+	dead.IORetry.MaxAttempts = 3
+	kill := func(inj pfs.StripeFaultInjector) { inj.FailDataServerAt(3, 0) }
+	_, bareErr := run(dead, kill, false, false)
+	want, ok := mpiio.ExtractIOError(bareErr)
+	if !ok {
+		t.Fatalf("bare dead-server run: want *mpiio.IOError, got %v", bareErr)
+	}
+	for _, traced := range []bool{false, true} {
+		res, err := run(dead, kill, true, traced)
+		got, ok := mpiio.ExtractIOError(err)
+		if !ok {
+			t.Fatalf("traced=%v: wrapped dead-server run: want *mpiio.IOError, got err=%v result=%+v", traced, err, res)
+		}
+		if got.Error() != want.Error() {
+			t.Errorf("traced=%v: wrapped run failed differently:\n got %v\nwant %v", traced, got, want)
+		}
+	}
+
+	slow := Tiny()
+	slow.IORetry = testRetryPolicy()
+	straggle := func(inj pfs.StripeFaultInjector) { inj.DegradeDataServer(0, 10) }
+	bare, err := run(slow, straggle, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := run(slow, straggle, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wrapped.Verified {
+		t.Fatal("wrapped straggler run did not verify")
+	}
+	if !reflect.DeepEqual(wrapped, bare) {
+		t.Errorf("never-firing wrapper changed the straggler run:\n got %+v\nwant %+v", wrapped, bare)
 	}
 }
 

@@ -87,7 +87,8 @@ func stragglerSweep(o Options) ([]StragglerRow, error) {
 				res, err := enzo.Run(enzo.RunSpec{Machine: pl.mach, FS: pl.fs, Procs: np, Config: cfg, Backend: backend,
 					Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 						if slow > 1 {
-							fs.(pfs.StripeFaultInjector).DegradeDataServer(0, slow)
+							inj, _ := pfs.As[pfs.StripeFaultInjector](fs) // both platforms are striped
+							inj.DegradeDataServer(0, slow)
 						}
 						return fs
 					},

@@ -4,11 +4,12 @@
 // end-to-end verification actually detects storage misbehaviour — a
 // verifier that never fails is no verifier.
 //
-// The wrapper deliberately does NOT implement pfs.FallibleFile: injected
-// faults are silent (the device acknowledges the request normally), which
-// is exactly the failure class timeouts cannot see and scrubbing exists
-// for. Timeout/retry faults are modelled at the device layer instead
-// (sim.Server slowdown/fail-after plus pfs.StripeFaultInjector).
+// Injected faults are silent (the device acknowledges the request
+// normally), which is exactly the failure class timeouts cannot see and
+// scrubbing exists for. Timeout/retry faults are modelled at the device
+// layer instead (sim.Server slowdown/fail-after plus
+// pfs.StripeFaultInjector); the wrapper carries a request's mode and
+// deadline through to it unchanged.
 package faultfs
 
 import (
@@ -16,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/pfs"
-	"repro/internal/sim"
 )
 
 // Mode selects the injected failure.
@@ -109,6 +109,9 @@ func (f *FS) matchFile(name string) bool {
 	return f.cfg.FileSubstr == "" || strings.Contains(name, f.cfg.FileSubstr)
 }
 
+// Unwrap implements pfs.Wrapper.
+func (f *FS) Unwrap() pfs.FileSystem { return f.inner }
+
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return f.inner.Name() }
 
@@ -117,14 +120,6 @@ func (f *FS) Stats() pfs.Stats { return f.inner.Stats() }
 
 // Exists implements pfs.FileSystem.
 func (f *FS) Exists(n string) bool { return f.inner.Exists(n) }
-
-// SetServeObserver implements pfs.ServeObservable by delegation, so fault
-// injection stays transparent to observability.
-func (f *FS) SetServeObserver(o sim.ServeObserver) {
-	if so, ok := f.inner.(pfs.ServeObservable); ok {
-		so.SetServeObserver(o)
-	}
-}
 
 // Snapshot implements pfs.FileSystem.
 func (f *FS) Snapshot() map[string][]byte { return f.inner.Snapshot() }
@@ -138,54 +133,22 @@ func (f *FS) Restore(files map[string][]byte) { f.inner.Restore(files) }
 func (f *FS) Create(c pfs.Client, name string) (pfs.File, error) {
 	inner, err := f.inner.Create(c, name)
 	if err != nil {
-		return nil, err
+		return pfs.File{}, err
 	}
 	f.noteCreate(name)
-	return &faultFile{inner: inner, fs: f}, nil
+	return pfs.File{Handle: &faultFile{inner: inner, fs: f}}, nil
 }
 
-// CreatePlaced implements pfs.PlacedCreator by delegation (plain create
-// when the inner file system cannot place), with the same StaleRead
-// truncation bookkeeping as Create.
+// CreatePlaced implements pfs.PlacedCreator (plain create when the inner
+// file system cannot place), with the same StaleRead truncation bookkeeping
+// as Create.
 func (f *FS) CreatePlaced(c pfs.Client, name string, server int) (pfs.File, error) {
 	inner, err := pfs.CreatePlacedOn(f.inner, c, name, server)
 	if err != nil {
-		return nil, err
+		return pfs.File{}, err
 	}
 	f.noteCreate(name)
-	return &faultFile{inner: inner, fs: f}, nil
-}
-
-// PlaceExisting implements pfs.PlacementRestorer by delegation.
-func (f *FS) PlaceExisting(name string, server int) bool {
-	if pr, ok := f.inner.(pfs.PlacementRestorer); ok {
-		return pr.PlaceExisting(name, server)
-	}
-	return false
-}
-
-// NumDataServers implements pfs.ReplicaVolume by delegation.
-func (f *FS) NumDataServers() int {
-	if rv, ok := f.inner.(pfs.ReplicaVolume); ok {
-		return rv.NumDataServers()
-	}
-	return 0
-}
-
-// DataServerFreeAt implements pfs.ReplicaVolume by delegation.
-func (f *FS) DataServerFreeAt(i int) float64 {
-	if rv, ok := f.inner.(pfs.ReplicaVolume); ok {
-		return rv.DataServerFreeAt(i)
-	}
-	return 0
-}
-
-// DataServerFailAt implements pfs.ReplicaVolume by delegation.
-func (f *FS) DataServerFailAt(i int) float64 {
-	if rv, ok := f.inner.(pfs.ReplicaVolume); ok {
-		return rv.DataServerFailAt(i)
-	}
-	return 0
+	return pfs.File{Handle: &faultFile{inner: inner, fs: f}}, nil
 }
 
 // noteCreate records a file (re)creation for StaleRead mode: the truncated
@@ -217,9 +180,9 @@ func (f *FS) noteCreate(name string) {
 func (f *FS) Open(c pfs.Client, name string) (pfs.File, error) {
 	inner, err := f.inner.Open(c, name)
 	if err != nil {
-		return nil, err
+		return pfs.File{}, err
 	}
-	return &faultFile{inner: inner, fs: f}, nil
+	return pfs.File{Handle: &faultFile{inner: inner, fs: f}}, nil
 }
 
 type faultFile struct {
@@ -231,14 +194,31 @@ func (ff *faultFile) Name() string            { return ff.inner.Name() }
 func (ff *faultFile) Size(c pfs.Client) int64 { return ff.inner.Size(c) }
 func (ff *faultFile) Close(c pfs.Client)      { ff.inner.Close(c) }
 
-func (ff *faultFile) ReadAt(c pfs.Client, buf []byte, off int64) {
-	ff.inner.ReadAt(c, buf, off)
-	ff.maybeServeStale(buf, off)
+// Do implements pfs.Handle: a selected write is injected, everything else
+// is the inner request in its own mode. The stale-read overlay and the
+// mirror bookkeeping apply only to requests that reached the store — a
+// request abandoned at its deadline moved no bytes.
+func (ff *faultFile) Do(c pfs.Client, r pfs.Req) (float64, error) {
+	name := ff.inner.Name()
+	if r.Write && ff.shouldInject(name, int64(len(r.Buf))) {
+		return ff.injectWrite(c, r)
+	}
+	end, err := ff.inner.Do(c, r)
+	if err != nil {
+		return end, err
+	}
+	if r.Write {
+		ff.fs.noteWrite(name, r.Buf, r.Off)
+	} else {
+		ff.maybeServeStale(r.Buf, r.Off)
+	}
+	return end, nil
 }
 
 // maybeServeStale overlays previously overwritten bytes onto every Nth
 // eligible read in StaleRead mode. The read already charged the device
-// normally; only the returned contents lie.
+// normally; only the returned contents lie. For a Behind read the overlay
+// applies at issue, when the bytes land in buf.
 func (ff *faultFile) maybeServeStale(buf []byte, off int64) {
 	f := ff.fs
 	if f.cfg.Mode != StaleRead {
@@ -334,65 +314,31 @@ func (ff *faultFile) shouldInject(name string, n int64) bool {
 	return true
 }
 
-// ReadAtDeferred implements pfs.DeferredReader by delegation; the stale-read
-// overlay applies at issue, when the bytes land in buf.
-func (ff *faultFile) ReadAtDeferred(c pfs.Client, buf []byte, off int64) float64 {
-	dr, ok := ff.inner.(pfs.DeferredReader)
-	if !ok {
-		ff.ReadAt(c, buf, off)
-		return c.Proc.Now()
+// injectWrite performs the configured corruption of one selected write. An
+// injected write-behind is issued blocking (fault handling is not worth
+// modelling asynchronously); a deadline stays in force.
+func (ff *faultFile) injectWrite(c pfs.Client, r pfs.Req) (float64, error) {
+	if r.Mode == pfs.Behind {
+		r.Mode = pfs.Block
 	}
-	end := dr.ReadAtDeferred(c, buf, off)
-	ff.maybeServeStale(buf, off)
-	return end
-}
-
-// WriteAtDeferred implements pfs.DeferredWriter by delegation so fault
-// injection stays transparent to write-behind callers; injected writes fall
-// back to the synchronous path (fault handling is not worth modelling
-// asynchronously).
-func (ff *faultFile) WriteAtDeferred(c pfs.Client, data []byte, off int64) float64 {
-	dw, ok := ff.inner.(pfs.DeferredWriter)
-	if !ok {
-		ff.WriteAt(c, data, off)
-		return c.Proc.Now()
-	}
-	if !ff.shouldInject(ff.inner.Name(), int64(len(data))) {
-		ff.fs.noteWrite(ff.inner.Name(), data, off)
-		return dw.WriteAtDeferred(c, data, off)
-	}
-	ff.injectWrite(c, data, off)
-	return c.Proc.Now()
-}
-
-func (ff *faultFile) WriteAt(c pfs.Client, data []byte, off int64) {
-	if !ff.shouldInject(ff.inner.Name(), int64(len(data))) {
-		ff.fs.noteWrite(ff.inner.Name(), data, off)
-		ff.inner.WriteAt(c, data, off)
-		return
-	}
-	ff.injectWrite(c, data, off)
-}
-
-// injectWrite performs the configured corruption of one selected write.
-func (ff *faultFile) injectWrite(c pfs.Client, data []byte, off int64) {
-	switch ff.fs.cfg.Mode {
+	switch data := r.Buf; ff.fs.cfg.Mode {
 	case CorruptWrite:
-		corrupted := make([]byte, len(data))
-		copy(corrupted, data)
-		corrupted[len(corrupted)/2] ^= 0xA5
-		ff.inner.WriteAt(c, corrupted, off)
+		r.Buf = make([]byte, len(data))
+		copy(r.Buf, data)
+		r.Buf[len(data)/2] ^= 0xA5
 	case DropWrite:
 		// The write costs time (the device acknowledged it) but stores
 		// nothing: model by writing the existing contents back.
-		old := make([]byte, len(data))
-		ff.inner.ReadAt(c, old, off)
-		ff.inner.WriteAt(c, old, off)
-	case TornWrite:
-		half := data[:len(data)/2]
-		if len(half) == 0 {
-			half = data
+		rd := r
+		rd.Write, rd.Buf = false, make([]byte, len(data))
+		if end, err := ff.inner.Do(c, rd); err != nil {
+			return end, err
 		}
-		ff.inner.WriteAt(c, half, off)
+		r.Buf = rd.Buf
+	case TornWrite:
+		if half := data[:len(data)/2]; len(half) > 0 {
+			r.Buf = half
+		}
 	}
+	return ff.inner.Do(c, r)
 }

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"repro/internal/pfs"
-	"repro/internal/sim"
 )
 
 // Op is the traced operation kind.
@@ -57,8 +56,9 @@ type Event struct {
 	Start  float64 // virtual seconds
 	End    float64 // when the caller's clock resumed (issue end for async)
 	// Completion is the virtual time the operation finished on the device.
-	// For synchronous calls it equals End; for deferred (write-behind)
-	// calls it is later, and Completion-End is the per-call hidden time.
+	// For synchronous calls it equals End; for deferred (write-behind,
+	// read-ahead) calls it is later, and Completion-End is the per-call
+	// hidden time.
 	Completion float64
 }
 
@@ -107,7 +107,7 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Record appends one event. A zero Completion (every synchronous call
-// site) is normalized to End, so Hidden() is 0 unless a deferred write
+// site) is normalized to End, so Hidden() is 0 unless a deferred request
 // recorded a later device completion.
 func (r *Recorder) Record(ev Event) {
 	if ev.Completion < ev.End {
@@ -362,7 +362,7 @@ func (r *Recorder) Report(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	if fo := r.FileOverlap(); len(fo) > 0 {
-		fmt.Fprintln(w, "per-file exposed vs hidden I/O time (hidden = write-behind work outstanding past issue):")
+		fmt.Fprintln(w, "per-file exposed vs hidden I/O time (hidden = write-behind and read-ahead work outstanding past issue):")
 		for _, o := range fo {
 			pct := 0.0
 			if tot := o.Exposed + o.Hidden; tot > 0 {
@@ -426,7 +426,8 @@ func sizeLabel(bucket int) string {
 
 // Wrap returns a pfs.FileSystem that records every call into rec before
 // delegating to fs. Timing is unchanged — the wrapper observes the virtual
-// clock around the delegate call.
+// clock around the delegate call and passes every request down in its own
+// mode.
 func Wrap(fs pfs.FileSystem, rec *Recorder) pfs.FileSystem {
 	return &tracedFS{inner: fs, rec: rec}
 }
@@ -436,90 +437,48 @@ type tracedFS struct {
 	rec   *Recorder
 }
 
+// Unwrap implements pfs.Wrapper.
+func (t *tracedFS) Unwrap() pfs.FileSystem { return t.inner }
+
 func (t *tracedFS) Name() string         { return t.inner.Name() }
 func (t *tracedFS) Stats() pfs.Stats     { return t.inner.Stats() }
 func (t *tracedFS) Exists(n string) bool { return t.inner.Exists(n) }
-
-// SetServeObserver implements pfs.ServeObservable by delegation, so the
-// tracing wrapper stays transparent to server observability.
-func (t *tracedFS) SetServeObserver(o sim.ServeObserver) {
-	if so, ok := t.inner.(pfs.ServeObservable); ok {
-		so.SetServeObserver(o)
-	}
-}
 
 // RecordCodecBytes implements pfs.CodecReporter: the application layer
 // reports every compressed array transfer so the characterization can show
 // logical vs physical bytes and the achieved compression ratio per file.
 func (t *tracedFS) RecordCodecBytes(file string, write bool, logical, physical int64) {
 	t.rec.RecordCodecBytes(file, write, logical, physical)
-	if cr, ok := t.inner.(pfs.CodecReporter); ok {
-		cr.RecordCodecBytes(file, write, logical, physical)
-	}
 }
 
 func (t *tracedFS) Create(c pfs.Client, name string) (pfs.File, error) {
 	start := c.Proc.Now()
 	f, err := t.inner.Create(c, name)
-	t.rec.Record(Event{Op: OpCreate, File: name, Node: c.Node, Start: start, End: c.Proc.Now()})
-	if err != nil {
-		return nil, err
-	}
-	return &tracedFile{inner: f, fs: t}, nil
+	return t.opened(c, OpCreate, name, start, f, err)
 }
 
-// CreatePlaced implements pfs.PlacedCreator by delegation (plain create
-// when the inner file system cannot place), recorded like any create.
+// CreatePlaced implements pfs.PlacedCreator (plain create when the inner
+// file system cannot place), recorded like any create.
 func (t *tracedFS) CreatePlaced(c pfs.Client, name string, server int) (pfs.File, error) {
 	start := c.Proc.Now()
 	f, err := pfs.CreatePlacedOn(t.inner, c, name, server)
-	t.rec.Record(Event{Op: OpCreate, File: name, Node: c.Node, Start: start, End: c.Proc.Now()})
-	if err != nil {
-		return nil, err
-	}
-	return &tracedFile{inner: f, fs: t}, nil
-}
-
-// PlaceExisting implements pfs.PlacementRestorer by delegation.
-func (t *tracedFS) PlaceExisting(name string, server int) bool {
-	if pr, ok := t.inner.(pfs.PlacementRestorer); ok {
-		return pr.PlaceExisting(name, server)
-	}
-	return false
-}
-
-// NumDataServers implements pfs.ReplicaVolume by delegation.
-func (t *tracedFS) NumDataServers() int {
-	if rv, ok := t.inner.(pfs.ReplicaVolume); ok {
-		return rv.NumDataServers()
-	}
-	return 0
-}
-
-// DataServerFreeAt implements pfs.ReplicaVolume by delegation.
-func (t *tracedFS) DataServerFreeAt(i int) float64 {
-	if rv, ok := t.inner.(pfs.ReplicaVolume); ok {
-		return rv.DataServerFreeAt(i)
-	}
-	return 0
-}
-
-// DataServerFailAt implements pfs.ReplicaVolume by delegation.
-func (t *tracedFS) DataServerFailAt(i int) float64 {
-	if rv, ok := t.inner.(pfs.ReplicaVolume); ok {
-		return rv.DataServerFailAt(i)
-	}
-	return 0
+	return t.opened(c, OpCreate, name, start, f, err)
 }
 
 func (t *tracedFS) Open(c pfs.Client, name string) (pfs.File, error) {
 	start := c.Proc.Now()
 	f, err := t.inner.Open(c, name)
-	t.rec.Record(Event{Op: OpOpen, File: name, Node: c.Node, Start: start, End: c.Proc.Now()})
+	return t.opened(c, OpOpen, name, start, f, err)
+}
+
+// opened records a create or open that began at start (failed ones too)
+// and wraps the handle.
+func (t *tracedFS) opened(c pfs.Client, op Op, name string, start float64, f pfs.File, err error) (pfs.File, error) {
+	t.rec.Record(Event{Op: op, File: name, Node: c.Node, Start: start, End: c.Proc.Now()})
 	if err != nil {
-		return nil, err
+		return pfs.File{}, err
 	}
-	return &tracedFile{inner: f, fs: t}, nil
+	return pfs.File{Handle: &tracedFile{inner: f, fs: t}}, nil
 }
 
 type tracedFile struct {
@@ -530,73 +489,25 @@ type tracedFile struct {
 func (f *tracedFile) Name() string            { return f.inner.Name() }
 func (f *tracedFile) Size(c pfs.Client) int64 { return f.inner.Size(c) }
 
-func (f *tracedFile) ReadAt(c pfs.Client, buf []byte, off int64) {
+// Do implements pfs.Handle: one event per request. Start..End is the
+// interval the caller's clock spent in the call — the issue interval of a
+// Behind request, whose device completion is recorded separately so the
+// report can attribute exposed vs hidden time per file. A request abandoned
+// at its deadline moved no data and is recorded with zero bytes; its wait
+// still shows as the event duration.
+func (f *tracedFile) Do(c pfs.Client, r pfs.Req) (float64, error) {
 	start := c.Proc.Now()
-	f.inner.ReadAt(c, buf, off)
-	f.fs.rec.Record(Event{Op: OpRead, File: f.inner.Name(), Node: c.Node,
-		Offset: off, Bytes: int64(len(buf)), Start: start, End: c.Proc.Now()})
-}
-
-func (f *tracedFile) WriteAt(c pfs.Client, data []byte, off int64) {
-	start := c.Proc.Now()
-	f.inner.WriteAt(c, data, off)
-	f.fs.rec.Record(Event{Op: OpWrite, File: f.inner.Name(), Node: c.Node,
-		Offset: off, Bytes: int64(len(data)), Start: start, End: c.Proc.Now()})
-}
-
-// WriteAtDeferred implements pfs.DeferredWriter by delegation, recording
-// the issue interval as the event's Start..End and the device completion
-// separately, so the report can attribute exposed vs hidden time per file.
-func (f *tracedFile) WriteAtDeferred(c pfs.Client, data []byte, off int64) float64 {
-	dw, ok := f.inner.(pfs.DeferredWriter)
-	if !ok {
-		f.WriteAt(c, data, off)
-		return c.Proc.Now()
+	end, err := f.inner.Do(c, r)
+	ev := Event{Op: OpRead, File: f.inner.Name(), Node: c.Node,
+		Offset: r.Off, Bytes: int64(len(r.Buf)), Start: start, End: c.Proc.Now(), Completion: end}
+	if r.Write {
+		ev.Op = OpWrite
 	}
-	start := c.Proc.Now()
-	end := dw.WriteAtDeferred(c, data, off)
-	f.fs.rec.Record(Event{Op: OpWrite, File: f.inner.Name(), Node: c.Node,
-		Offset: off, Bytes: int64(len(data)), Start: start, End: c.Proc.Now(), Completion: end})
-	return end
-}
-
-// ReadAtDeadline implements pfs.FallibleFile by delegation, recording the
-// attempt with its true byte count only when it succeeded (a timed-out
-// attempt moved no data; its wait still shows as the event duration).
-func (f *tracedFile) ReadAtDeadline(c pfs.Client, buf []byte, off int64, deadline float64) error {
-	ff, ok := f.inner.(pfs.FallibleFile)
-	if !ok {
-		f.ReadAt(c, buf, off)
-		return nil
-	}
-	start := c.Proc.Now()
-	err := ff.ReadAtDeadline(c, buf, off, deadline)
-	n := int64(len(buf))
 	if err != nil {
-		n = 0
+		ev.Bytes, ev.Completion = 0, 0
 	}
-	f.fs.rec.Record(Event{Op: OpRead, File: f.inner.Name(), Node: c.Node,
-		Offset: off, Bytes: n, Start: start, End: c.Proc.Now()})
-	return err
-}
-
-// WriteAtDeadline implements pfs.FallibleFile by delegation (see
-// ReadAtDeadline).
-func (f *tracedFile) WriteAtDeadline(c pfs.Client, data []byte, off int64, deadline float64) error {
-	ff, ok := f.inner.(pfs.FallibleFile)
-	if !ok {
-		f.WriteAt(c, data, off)
-		return nil
-	}
-	start := c.Proc.Now()
-	err := ff.WriteAtDeadline(c, data, off, deadline)
-	n := int64(len(data))
-	if err != nil {
-		n = 0
-	}
-	f.fs.rec.Record(Event{Op: OpWrite, File: f.inner.Name(), Node: c.Node,
-		Offset: off, Bytes: n, Start: start, End: c.Proc.Now()})
-	return err
+	f.fs.rec.Record(ev)
+	return end, err
 }
 
 func (f *tracedFile) Close(c pfs.Client) {

@@ -150,10 +150,9 @@ func TestFileOverlapSplitsExposedAndHidden(t *testing.T) {
 
 func near(a, b float64) bool { return a-b < 1e-9 && b-a < 1e-9 }
 
-// TestDeferredWriteTraced drives the wrapper's WriteAtDeferred path on a
-// file system that implements it (PVFS charges the devices at issue and
-// returns a later completion) and checks the trace separates the issue
-// interval from the device completion.
+// TestDeferredWriteTraced drives a Behind write through the wrapper (PVFS
+// charges the devices at issue and returns a later completion) and checks
+// the trace separates the issue interval from the device completion.
 func TestDeferredWriteTraced(t *testing.T) {
 	mach := machine.New(machine.ByName("chiba"))
 	rec := NewRecorder()

@@ -122,29 +122,27 @@ func jitter01(rank int, req int64, attempt int) float64 {
 }
 
 // devWriteAt issues one raw write to the underlying file, retrying under
-// the hints' policy when the handle supports deadlines. With the policy
-// disabled — or on a file system whose servers are client-local and
-// cannot straggle — it is exactly the blocking write.
+// the hints' policy. With the policy disabled it is exactly the blocking
+// write — as it is in effect on a file system whose servers are
+// client-local and cannot straggle, where no deadline is ever missed.
 func (f *File) devWriteAt(data []byte, off int64) {
-	ff, fallible := f.f.(pfs.FallibleFile)
-	if !f.hints.Retry.Enabled || !fallible {
+	if !f.hints.Retry.Enabled {
 		f.f.WriteAt(f.client, data, off)
 		return
 	}
 	f.retryLoop("write", int64(len(data)), off, func(deadline float64) error {
-		return ff.WriteAtDeadline(f.client, data, off, deadline)
+		return pfs.WriteAtDeadline(f.f, f.client, data, off, deadline)
 	})
 }
 
 // devReadAt is the read counterpart of devWriteAt.
 func (f *File) devReadAt(buf []byte, off int64) {
-	ff, fallible := f.f.(pfs.FallibleFile)
-	if !f.hints.Retry.Enabled || !fallible {
+	if !f.hints.Retry.Enabled {
 		f.f.ReadAt(f.client, buf, off)
 		return
 	}
 	f.retryLoop("read", int64(len(buf)), off, func(deadline float64) error {
-		return ff.ReadAtDeadline(f.client, buf, off, deadline)
+		return pfs.ReadAtDeadline(f.f, f.client, buf, off, deadline)
 	})
 }
 

@@ -10,8 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// runPVFS is runIO on a PVFS volume, whose files implement DeferredWriter
-// (XFS does too; PVFS exercises the striped multi-server path).
+// runPVFS is runIO on a PVFS volume (every model takes Behind requests;
+// PVFS exercises the striped multi-server path).
 func runPVFS(t *testing.T, nprocs int, body func(r *mpi.Rank, fs pfs.FileSystem)) (float64, pfs.FileSystem) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -276,8 +276,7 @@ func TestSplitDeterministic(t *testing.T) {
 }
 
 func TestIwriteOnEveryFileSystem(t *testing.T) {
-	// Every fs kind must round-trip deferred writes (local/xfs/pvfs/gpfs
-	// implement DeferredWriter; the generic fallback covers the rest).
+	// Every fs kind must round-trip deferred (pfs.Behind) writes.
 	mk := func(kind string, mach *machine.Machine) pfs.FileSystem {
 		switch kind {
 		case "xfs":

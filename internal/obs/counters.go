@@ -118,7 +118,18 @@ func (t *Tracer) Counters() []*FileCounters {
 // pfs-layer spans into tr around every call, then delegates to fs. Like
 // every obs hook it only reads the virtual clock. Procs without a tracer
 // attached pass through uncounted.
+//
+// It is the one place a tracer is attached to a file-system stack: it also
+// records the stack's geometry (the model's name, its striping when some
+// layer has one) and puts tr on every layer's servers.
 func WrapFS(fs pfs.FileSystem, tr *Tracer) pfs.FileSystem {
+	fi := FSInfo{Name: pfs.Base(fs).Name()}
+	if sv, ok := pfs.As[pfs.StripedVolume](fs); ok {
+		fi.DataServers = sv.NumDataServers()
+		fi.StripeUnit = sv.StripeUnit()
+	}
+	tr.SetFSInfo(fi)
+	pfs.Observe(fs, tr)
 	return &obsFS{inner: fs, tr: tr}
 }
 
@@ -127,28 +138,14 @@ type obsFS struct {
 	tr    *Tracer
 }
 
+// Unwrap implements pfs.Wrapper.
+func (o *obsFS) Unwrap() pfs.FileSystem { return o.inner }
+
 func (o *obsFS) Name() string                    { return o.inner.Name() }
 func (o *obsFS) Stats() pfs.Stats                { return o.inner.Stats() }
 func (o *obsFS) Exists(n string) bool            { return o.inner.Exists(n) }
 func (o *obsFS) Snapshot() map[string][]byte     { return o.inner.Snapshot() }
 func (o *obsFS) Restore(files map[string][]byte) { o.inner.Restore(files) }
-
-// SetServeObserver implements pfs.ServeObservable by delegation, so server
-// observation reaches the real file system through the wrapper.
-func (o *obsFS) SetServeObserver(so sim.ServeObserver) {
-	if obsable, ok := o.inner.(pfs.ServeObservable); ok {
-		obsable.SetServeObserver(so)
-	}
-}
-
-// RecordCodecBytes implements pfs.CodecReporter by delegation, so the
-// iotrace recorder (or any other wrapper below) still sees the
-// logical-vs-physical accounting when the obs wrapper sits on top.
-func (o *obsFS) RecordCodecBytes(file string, write bool, logical, physical int64) {
-	if cr, ok := o.inner.(pfs.CodecReporter); ok {
-		cr.RecordCodecBytes(file, write, logical, physical)
-	}
-}
 
 // rank returns the rank attached to p, or -1 if p carries no tracer state.
 func rankOf(p *sim.Proc) int {
@@ -159,89 +156,53 @@ func rankOf(p *sim.Proc) int {
 }
 
 func (o *obsFS) Create(c pfs.Client, name string) (pfs.File, error) {
-	sp := Begin(c.Proc, LayerPFS, "create").Attr("file", name)
-	start := c.Proc.Now()
+	sp, start := Begin(c.Proc, LayerPFS, "create").Attr("file", name), c.Proc.Now()
 	f, err := o.inner.Create(c, name)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := o.tr.fileCounters(r, name)
-		fc.Creates++
-		fc.MetaTime += c.Proc.Now() - start
-		o.tr.recordDur("create", c.Proc.Now()-start)
-	}
-	return &obsFile{inner: f, fs: o}, nil
+	return o.opened(c, sp, start, "create", f, name, err)
 }
 
-// CreatePlaced implements pfs.PlacedCreator by delegation (falling back to
-// a plain create when the inner file system cannot place), counted like any
-// other create.
+// CreatePlaced implements pfs.PlacedCreator (falling back to a plain create
+// when the inner file system cannot place), counted like any other create.
 func (o *obsFS) CreatePlaced(c pfs.Client, name string, server int) (pfs.File, error) {
-	sp := Begin(c.Proc, LayerPFS, "create").Attr("file", name)
-	start := c.Proc.Now()
+	sp, start := Begin(c.Proc, LayerPFS, "create").Attr("file", name), c.Proc.Now()
 	f, err := pfs.CreatePlacedOn(o.inner, c, name, server)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := o.tr.fileCounters(r, name)
-		fc.Creates++
-		fc.MetaTime += c.Proc.Now() - start
-		o.tr.recordDur("create", c.Proc.Now()-start)
-	}
-	return &obsFile{inner: f, fs: o}, nil
-}
-
-// PlaceExisting implements pfs.PlacementRestorer by delegation.
-func (o *obsFS) PlaceExisting(name string, server int) bool {
-	if pr, ok := o.inner.(pfs.PlacementRestorer); ok {
-		return pr.PlaceExisting(name, server)
-	}
-	return false
-}
-
-// NumDataServers implements pfs.ReplicaVolume by delegation.
-func (o *obsFS) NumDataServers() int {
-	if rv, ok := o.inner.(pfs.ReplicaVolume); ok {
-		return rv.NumDataServers()
-	}
-	return 0
-}
-
-// DataServerFreeAt implements pfs.ReplicaVolume by delegation.
-func (o *obsFS) DataServerFreeAt(i int) float64 {
-	if rv, ok := o.inner.(pfs.ReplicaVolume); ok {
-		return rv.DataServerFreeAt(i)
-	}
-	return 0
-}
-
-// DataServerFailAt implements pfs.ReplicaVolume by delegation.
-func (o *obsFS) DataServerFailAt(i int) float64 {
-	if rv, ok := o.inner.(pfs.ReplicaVolume); ok {
-		return rv.DataServerFailAt(i)
-	}
-	return 0
+	return o.opened(c, sp, start, "create", f, name, err)
 }
 
 func (o *obsFS) Open(c pfs.Client, name string) (pfs.File, error) {
-	sp := Begin(c.Proc, LayerPFS, "open").Attr("file", name)
-	start := c.Proc.Now()
+	sp, start := Begin(c.Proc, LayerPFS, "open").Attr("file", name), c.Proc.Now()
 	f, err := o.inner.Open(c, name)
+	return o.opened(c, sp, start, "open", f, name, err)
+}
+
+// opened closes the span of a create or open that began at start and, if
+// it succeeded, books it and wraps the handle.
+func (o *obsFS) opened(c pfs.Client, sp *Active, start float64, op string, f pfs.File, name string, err error) (pfs.File, error) {
 	sp.End()
 	if err != nil {
-		return nil, err
+		return pfs.File{}, err
 	}
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := o.tr.fileCounters(r, name)
+	o.bookMeta(c, op, name, start)
+	return pfs.File{Handle: &obsFile{inner: f, fs: o}}, nil
+}
+
+// bookMeta counts one create, open or close of file that began at start.
+func (o *obsFS) bookMeta(c pfs.Client, op, file string, start float64) {
+	r := rankOf(c.Proc)
+	if r < 0 {
+		return
+	}
+	fc := o.tr.fileCounters(r, file)
+	switch op {
+	case "create":
+		fc.Creates++
+	case "open":
 		fc.Opens++
-		fc.MetaTime += c.Proc.Now() - start
-		o.tr.recordDur("open", c.Proc.Now()-start)
+	case "close":
+		fc.Closes++
 	}
-	return &obsFile{inner: f, fs: o}, nil
+	fc.MetaTime += c.Proc.Now() - start
+	o.tr.recordDur(op, c.Proc.Now()-start)
 }
 
 type obsFile struct {
@@ -252,231 +213,81 @@ type obsFile struct {
 func (f *obsFile) Name() string            { return f.inner.Name() }
 func (f *obsFile) Size(c pfs.Client) int64 { return f.inner.Size(c) }
 
-func (f *obsFile) ReadAt(c pfs.Client, buf []byte, off int64) {
-	n := int64(len(buf))
-	sp := Begin(c.Proc, LayerPFS, "read").Bytes(n)
-	start := c.Proc.Now()
-	f.inner.ReadAt(c, buf, off)
-	sp.End()
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := f.fs.tr.fileCounters(r, f.inner.Name())
-		fc.Reads++
-		fc.BytesRead += n
-		fc.ReadTime += c.Proc.Now() - start
-		fc.SizeHist[SizeBucket(n)]++
-		if fc.haveRead {
-			if off == fc.lastReadEnd {
-				fc.ConsecReads++
-				fc.SeqReads++
-			} else if off > fc.lastReadEnd {
-				fc.SeqReads++
-			}
-		}
-		fc.haveRead = true
-		fc.lastReadEnd = off + n
-		f.fs.tr.recordDur("read", c.Proc.Now()-start)
-	}
-}
-
-func (f *obsFile) WriteAt(c pfs.Client, data []byte, off int64) {
-	n := int64(len(data))
-	sp := Begin(c.Proc, LayerPFS, "write").Bytes(n)
-	start := c.Proc.Now()
-	f.inner.WriteAt(c, data, off)
-	sp.End()
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := f.fs.tr.fileCounters(r, f.inner.Name())
-		fc.Writes++
-		fc.BytesWritten += n
-		fc.WriteTime += c.Proc.Now() - start
-		fc.SizeHist[SizeBucket(n)]++
-		if fc.haveWrite {
-			if off == fc.lastWriteEnd {
-				fc.ConsecWrites++
-				fc.SeqWrites++
-			} else if off > fc.lastWriteEnd {
-				fc.SeqWrites++
-			}
-		}
-		fc.haveWrite = true
-		fc.lastWriteEnd = off + n
-		f.fs.tr.recordDur("write", c.Proc.Now()-start)
-	}
-}
-
-// WriteAtDeferred implements pfs.DeferredWriter by delegation, so async
-// writes through the observability wrapper keep their write-behind
-// semantics (a traced run must charge the same virtual times as an
-// untraced one). The span covers the issue interval only; the device time
-// past issue is recorded in the file's write-behind counters.
-func (f *obsFile) WriteAtDeferred(c pfs.Client, data []byte, off int64) float64 {
-	dw, ok := f.inner.(pfs.DeferredWriter)
-	if !ok {
-		f.WriteAt(c, data, off)
-		return c.Proc.Now()
-	}
-	n := int64(len(data))
-	sp := Begin(c.Proc, LayerPFS, "write").Bytes(n).Attr("deferred", "1")
-	start := c.Proc.Now()
-	end := dw.WriteAtDeferred(c, data, off)
-	sp.End()
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := f.fs.tr.fileCounters(r, f.inner.Name())
-		fc.Writes++
-		fc.DeferredWrites++
-		fc.BytesWritten += n
-		fc.WriteTime += c.Proc.Now() - start
-		if end > c.Proc.Now() {
-			fc.WriteBehindTime += end - c.Proc.Now()
-		}
-		fc.SizeHist[SizeBucket(n)]++
-		if fc.haveWrite {
-			if off == fc.lastWriteEnd {
-				fc.ConsecWrites++
-				fc.SeqWrites++
-			} else if off > fc.lastWriteEnd {
-				fc.SeqWrites++
-			}
-		}
-		fc.haveWrite = true
-		fc.lastWriteEnd = off + n
-		f.fs.tr.recordDur("write", c.Proc.Now()-start)
-	}
-	return end
-}
-
-// ReadAtDeferred implements pfs.DeferredReader by delegation (the read
-// mirror of WriteAtDeferred): the span covers the issue interval only; the
-// device time past issue is recorded in the file's read-behind counters.
-func (f *obsFile) ReadAtDeferred(c pfs.Client, buf []byte, off int64) float64 {
-	dr, ok := f.inner.(pfs.DeferredReader)
-	if !ok {
-		f.ReadAt(c, buf, off)
-		return c.Proc.Now()
-	}
-	n := int64(len(buf))
-	sp := Begin(c.Proc, LayerPFS, "read").Bytes(n).Attr("deferred", "1")
-	start := c.Proc.Now()
-	end := dr.ReadAtDeferred(c, buf, off)
-	sp.End()
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := f.fs.tr.fileCounters(r, f.inner.Name())
-		fc.Reads++
-		fc.DeferredReads++
-		fc.BytesRead += n
-		fc.ReadTime += c.Proc.Now() - start
-		if end > c.Proc.Now() {
-			fc.ReadBehindTime += end - c.Proc.Now()
-		}
-		fc.SizeHist[SizeBucket(n)]++
-		if fc.haveRead {
-			if off == fc.lastReadEnd {
-				fc.ConsecReads++
-				fc.SeqReads++
-			} else if off > fc.lastReadEnd {
-				fc.SeqReads++
-			}
-		}
-		fc.haveRead = true
-		fc.lastReadEnd = off + n
-		f.fs.tr.recordDur("read", c.Proc.Now()-start)
-	}
-	return end
-}
-
-// ReadAtDeadline implements pfs.FallibleFile by delegation, so the MPI-IO
-// retry machinery still finds the deadline-aware path through the
-// observability wrapper. A timed-out attempt charges its wait to ReadTime
-// and bumps the Timeouts counter; only successful attempts count as Reads.
-func (f *obsFile) ReadAtDeadline(c pfs.Client, buf []byte, off int64, deadline float64) error {
-	ff, ok := f.inner.(pfs.FallibleFile)
-	if !ok {
-		f.ReadAt(c, buf, off)
-		return nil
-	}
-	n := int64(len(buf))
-	sp := Begin(c.Proc, LayerPFS, "read").Bytes(n)
-	start := c.Proc.Now()
-	err := ff.ReadAtDeadline(c, buf, off, deadline)
-	if err != nil {
-		sp.Attr("timeout", "1")
-	}
-	sp.End()
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := f.fs.tr.fileCounters(r, f.inner.Name())
-		fc.ReadTime += c.Proc.Now() - start
-		if err != nil {
-			fc.Timeouts++
-			return err
-		}
-		fc.Reads++
-		fc.BytesRead += n
-		fc.SizeHist[SizeBucket(n)]++
-		if fc.haveRead {
-			if off == fc.lastReadEnd {
-				fc.ConsecReads++
-				fc.SeqReads++
-			} else if off > fc.lastReadEnd {
-				fc.SeqReads++
-			}
-		}
-		fc.haveRead = true
-		fc.lastReadEnd = off + n
-		f.fs.tr.recordDur("read", c.Proc.Now()-start)
-	}
-	return err
-}
-
-// WriteAtDeadline implements pfs.FallibleFile by delegation (see
-// ReadAtDeadline).
-func (f *obsFile) WriteAtDeadline(c pfs.Client, data []byte, off int64, deadline float64) error {
-	ff, ok := f.inner.(pfs.FallibleFile)
-	if !ok {
-		f.WriteAt(c, data, off)
-		return nil
-	}
-	n := int64(len(data))
-	sp := Begin(c.Proc, LayerPFS, "write").Bytes(n)
-	start := c.Proc.Now()
-	err := ff.WriteAtDeadline(c, data, off, deadline)
-	if err != nil {
-		sp.Attr("timeout", "1")
-	}
-	sp.End()
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := f.fs.tr.fileCounters(r, f.inner.Name())
-		fc.WriteTime += c.Proc.Now() - start
-		if err != nil {
-			fc.Timeouts++
-			return err
-		}
-		fc.Writes++
-		fc.BytesWritten += n
-		fc.SizeHist[SizeBucket(n)]++
-		if fc.haveWrite {
-			if off == fc.lastWriteEnd {
-				fc.ConsecWrites++
-				fc.SeqWrites++
-			} else if off > fc.lastWriteEnd {
-				fc.SeqWrites++
-			}
-		}
-		fc.haveWrite = true
-		fc.lastWriteEnd = off + n
-		f.fs.tr.recordDur("write", c.Proc.Now()-start)
-	}
-	return err
-}
-
 func (f *obsFile) Close(c pfs.Client) {
-	sp := Begin(c.Proc, LayerPFS, "close")
-	start := c.Proc.Now()
+	sp, start := Begin(c.Proc, LayerPFS, "close"), c.Proc.Now()
 	f.inner.Close(c)
 	sp.End()
-	if r := rankOf(c.Proc); r >= 0 {
-		fc := f.fs.tr.fileCounters(r, f.inner.Name())
-		fc.Closes++
-		fc.MetaTime += c.Proc.Now() - start
-		f.fs.tr.recordDur("close", c.Proc.Now()-start)
+	f.fs.bookMeta(c, "close", f.inner.Name(), start)
+}
+
+// Do implements pfs.Handle: one span and one counter update per request,
+// keyed on the request's direction, its mode and whether it timed out.
+//
+// A blocking span covers issue and wait. A Behind span covers the issue
+// interval only and carries deferred=1; the device time past issue — which
+// the rank may overlap with compute — is booked into the file's
+// write-behind/read-behind counters. A By request that missed its deadline
+// carries timeout=1 and still charges its wait to ReadTime/WriteTime, but
+// moved no data: it bumps Timeouts and is not counted as a read or write.
+func (f *obsFile) Do(c pfs.Client, r pfs.Req) (float64, error) {
+	n, op := int64(len(r.Buf)), r.Op()
+	sp := Begin(c.Proc, LayerPFS, op).Bytes(n)
+	if r.Mode == pfs.Behind {
+		sp.Attr("deferred", "1")
 	}
+	start := c.Proc.Now()
+	end, err := f.inner.Do(c, r)
+	if err != nil {
+		sp.Attr("timeout", "1")
+	}
+	sp.End()
+	rank := rankOf(c.Proc)
+	if rank < 0 {
+		return end, err
+	}
+	fc := f.fs.tr.fileCounters(rank, f.inner.Name())
+	d := fc.dir(r.Write)
+	now := c.Proc.Now()
+	*d.time += now - start
+	if err != nil {
+		fc.Timeouts++
+		return end, err
+	}
+	*d.ops++
+	*d.bytes += n
+	if r.Mode == pfs.Behind {
+		*d.deferred++
+		if end > now {
+			*d.behind += end - now
+		}
+	}
+	fc.SizeHist[SizeBucket(n)]++
+	if *d.have {
+		if r.Off == *d.lastEnd {
+			*d.consec++
+			*d.seq++
+		} else if r.Off > *d.lastEnd {
+			*d.seq++
+		}
+	}
+	*d.have = true
+	*d.lastEnd = r.Off + n
+	f.fs.tr.recordDur(op, now-start)
+	return end, nil
+}
+
+// dirCounters addresses the read or the write half of a FileCounters.
+type dirCounters struct {
+	ops, bytes, seq, consec, deferred, lastEnd *int64
+	time, behind                               *float64
+	have                                       *bool
+}
+
+func (fc *FileCounters) dir(write bool) dirCounters {
+	if write {
+		return dirCounters{&fc.Writes, &fc.BytesWritten, &fc.SeqWrites, &fc.ConsecWrites, &fc.DeferredWrites,
+			&fc.lastWriteEnd, &fc.WriteTime, &fc.WriteBehindTime, &fc.haveWrite}
+	}
+	return dirCounters{&fc.Reads, &fc.BytesRead, &fc.SeqReads, &fc.ConsecReads, &fc.DeferredReads,
+		&fc.lastReadEnd, &fc.ReadTime, &fc.ReadBehindTime, &fc.haveRead}
 }

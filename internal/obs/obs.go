@@ -16,6 +16,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -224,11 +225,27 @@ func (a *Active) End() {
 	h := a.h
 	n := len(h.stack)
 	if n == 0 || h.stack[n-1] != a.idx {
-		panic("obs: span End out of order (spans must nest)")
+		a.endOutOfOrder(recover())
 	}
 	h.stack = h.stack[:n-1]
 	h.spans[a.idx].End = a.p.Now()
 	h.free = append(h.free, a)
+}
+
+// endOutOfOrder handles an End whose span is not the innermost open one. r
+// is what recover returned in End: non-nil when End is running as a deferred
+// call under a panic, which skipped the Ends of the spans opened under this
+// one (an exhausted *mpiio.IOError leaving a rank body, say). Those spans,
+// and this one, are closed as aborted and the panic continues with its own
+// value — failing here would replace it with the nesting complaint. Any
+// other out-of-order End is a bug in the caller.
+func (a *Active) endOutOfOrder(r any) {
+	pos := slices.Index(a.h.stack, a.idx)
+	if r == nil || pos < 0 {
+		panic("obs: span End out of order (spans must nest)")
+	}
+	Unwind(a.p, pos)
+	panic(r)
 }
 
 // Mark returns p's current span-stack depth (0 when untraced), for use

@@ -31,20 +31,22 @@ func (fakeFS) Snapshot() map[string][]byte { return nil }
 func (fakeFS) Restore(map[string][]byte)   {}
 func (fakeFS) Create(c pfs.Client, name string) (pfs.File, error) {
 	c.Proc.Advance(fakeCreateCost)
-	return &fakeFile{name: name}, nil
+	return pfs.File{Handle: &fakeFile{name: name}}, nil
 }
 func (fakeFS) Open(c pfs.Client, name string) (pfs.File, error) {
 	c.Proc.Advance(fakeOpenCost)
-	return &fakeFile{name: name}, nil
+	return pfs.File{Handle: &fakeFile{name: name}}, nil
 }
 
 func (f *fakeFile) Name() string          { return f.name }
 func (f *fakeFile) Size(pfs.Client) int64 { return 0 }
-func (f *fakeFile) ReadAt(c pfs.Client, buf []byte, off int64) {
-	c.Proc.Advance(fakeReadCost)
-}
-func (f *fakeFile) WriteAt(c pfs.Client, data []byte, off int64) {
-	c.Proc.Advance(fakeWriteCost)
+func (f *fakeFile) Do(c pfs.Client, r pfs.Req) (float64, error) {
+	if r.Write {
+		c.Proc.Advance(fakeWriteCost)
+	} else {
+		c.Proc.Advance(fakeReadCost)
+	}
+	return c.Proc.Now(), nil
 }
 func (f *fakeFile) Close(c pfs.Client) { c.Proc.Advance(fakeCloseCost) }
 

@@ -24,10 +24,10 @@ func DefaultBurst() BurstConfig {
 
 // BurstBuffer is a transparent write-staging tier over any shared
 // FileSystem: every write lands on the writer node's local staging disk at
-// local speed, then drains to the backing file system in the background
-// using the charge-at-issue deferred machinery (the same contract AsyncIO
-// uses), so the shared data servers see exactly the arrivals a direct
-// write issued at the same instants would produce.
+// local speed, then drains to the backing file system as a Behind request
+// (the same charge-at-issue contract AsyncIO uses), so the shared data
+// servers see exactly the arrivals a direct write issued at the same
+// instants would produce.
 //
 // Ordering/aliasing contract: the backing store's *contents* are updated
 // at issue (bytes are captured immediately; callers may reuse buffers),
@@ -37,10 +37,9 @@ func DefaultBurst() BurstConfig {
 // read path. Readers on other nodes never see a torn or stale file; the
 // price is that a read chasing a hot drain stalls until the drain is done.
 //
-// The wrapper implements the optional capability interfaces by delegation
-// (ServeObservable, StripedVolume, StripeFaultInjector, ReplicaVolume,
-// PlacedCreator, PlacementRestorer, CodecReporter) so fault injection,
-// observability and the castore compose with staging unchanged.
+// Of the volume capabilities it implements only what it changes:
+// ServeObservable for its staging disks and PlacedCreator (it wraps the
+// handle); the rest are found below it through Unwrap.
 type BurstBuffer struct {
 	backing FileSystem
 	cfg     BurstConfig
@@ -74,8 +73,8 @@ func WrapBurstBuffer(backing FileSystem, cfg BurstConfig) *BurstBuffer {
 	}
 }
 
-// Backing returns the wrapped shared file system.
-func (bb *BurstBuffer) Backing() FileSystem { return bb.backing }
+// Unwrap implements Wrapper: the shared file system staged writes drain to.
+func (bb *BurstBuffer) Unwrap() FileSystem { return bb.backing }
 
 // Name implements FileSystem.
 func (bb *BurstBuffer) Name() string { return "bb+" + bb.backing.Name() }
@@ -93,35 +92,24 @@ func (bb *BurstBuffer) disk(node int) *Disk {
 	return d
 }
 
-// SetServeObserver implements ServeObservable: the backing file system's
-// servers plus every staging disk, including ones created later.
+// SetServeObserver implements ServeObservable over every staging disk,
+// including ones created later.
 func (bb *BurstBuffer) SetServeObserver(o sim.ServeObserver) {
 	bb.obs = o
 	for _, d := range bb.disks {
 		d.Server().SetObserver(o)
-	}
-	if so, ok := bb.backing.(ServeObservable); ok {
-		so.SetServeObserver(o)
 	}
 }
 
 // Create implements FileSystem (metadata goes to the shared namespace:
 // files must be visible fleet-wide even before their first drain).
 func (bb *BurstBuffer) Create(c Client, name string) (File, error) {
-	f, err := bb.backing.Create(c, name)
-	if err != nil {
-		return nil, err
-	}
-	return &bbFile{bb: bb, f: f}, nil
+	return bb.wrap(bb.backing.Create(c, name))
 }
 
 // Open implements FileSystem.
 func (bb *BurstBuffer) Open(c Client, name string) (File, error) {
-	f, err := bb.backing.Open(c, name)
-	if err != nil {
-		return nil, err
-	}
-	return &bbFile{bb: bb, f: f}, nil
+	return bb.wrap(bb.backing.Open(c, name))
 }
 
 // Exists implements FileSystem.
@@ -156,92 +144,28 @@ func (bb *BurstBuffer) noteDrain(name string, localEnd, end float64) {
 	}
 }
 
-// settle blocks c until every drain issued for name has settled, counting
-// the stall. It returns the caller's clock afterwards.
-func (bb *BurstBuffer) settle(c Client, name string) float64 {
-	if end, ok := bb.drainEnd[name]; ok && end > c.Proc.Now() {
+// awaitDrain blocks c until every drain issued for name has settled,
+// counting the stall.
+func (bb *BurstBuffer) awaitDrain(c Client, name string) {
+	if end := bb.drainEnd[name]; end > c.Proc.Now() {
 		bb.drainStalls++
 		bb.stallTime += end - c.Proc.Now()
 		c.Proc.AdvanceTo(end)
 	}
-	return c.Proc.Now()
 }
 
-// --- capability delegation ---
-
-// NumDataServers implements StripedVolume/StripeFaultInjector/ReplicaVolume
-// by delegation (0 when the backing tier is not striped).
-func (bb *BurstBuffer) NumDataServers() int {
-	if sv, ok := bb.backing.(StripedVolume); ok {
-		return sv.NumDataServers()
-	}
-	if fi, ok := bb.backing.(StripeFaultInjector); ok {
-		return fi.NumDataServers()
-	}
-	return 0
-}
-
-// StripeUnit implements StripedVolume by delegation.
-func (bb *BurstBuffer) StripeUnit() int64 {
-	if sv, ok := bb.backing.(StripedVolume); ok {
-		return sv.StripeUnit()
-	}
-	return 0
-}
-
-// DegradeDataServer implements StripeFaultInjector by delegation.
-func (bb *BurstBuffer) DegradeDataServer(i int, factor float64) {
-	if fi, ok := bb.backing.(StripeFaultInjector); ok {
-		fi.DegradeDataServer(i, factor)
-	}
-}
-
-// FailDataServerAt implements StripeFaultInjector by delegation.
-func (bb *BurstBuffer) FailDataServerAt(i int, t float64) {
-	if fi, ok := bb.backing.(StripeFaultInjector); ok {
-		fi.FailDataServerAt(i, t)
-	}
-}
-
-// DataServerFreeAt implements ReplicaVolume by delegation.
-func (bb *BurstBuffer) DataServerFreeAt(i int) float64 {
-	if rv, ok := bb.backing.(ReplicaVolume); ok {
-		return rv.DataServerFreeAt(i)
-	}
-	return 0
-}
-
-// DataServerFailAt implements ReplicaVolume by delegation.
-func (bb *BurstBuffer) DataServerFailAt(i int) float64 {
-	if rv, ok := bb.backing.(ReplicaVolume); ok {
-		return rv.DataServerFailAt(i)
-	}
-	return 0
-}
-
-// CreatePlaced implements PlacedCreator by delegation (plain create when
-// the backing tier has no placement).
+// CreatePlaced implements PlacedCreator (plain create when the backing
+// tier has no placement).
 func (bb *BurstBuffer) CreatePlaced(c Client, name string, server int) (File, error) {
-	f, err := CreatePlacedOn(bb.backing, c, name, server)
+	return bb.wrap(CreatePlacedOn(bb.backing, c, name, server))
+}
+
+// wrap puts the staging handle around a backing handle.
+func (bb *BurstBuffer) wrap(f File, err error) (File, error) {
 	if err != nil {
-		return nil, err
+		return File{}, err
 	}
-	return &bbFile{bb: bb, f: f}, nil
-}
-
-// PlaceExisting implements PlacementRestorer by delegation.
-func (bb *BurstBuffer) PlaceExisting(name string, server int) bool {
-	if pr, ok := bb.backing.(PlacementRestorer); ok {
-		return pr.PlaceExisting(name, server)
-	}
-	return false
-}
-
-// RecordCodecBytes implements CodecReporter by delegation.
-func (bb *BurstBuffer) RecordCodecBytes(file string, write bool, logical, physical int64) {
-	if cr, ok := bb.backing.(CodecReporter); ok {
-		cr.RecordCodecBytes(file, write, logical, physical)
-	}
+	return File{&bbFile{bb: bb, f: f}}, nil
 }
 
 // bbFile is a handle on a staged file: writes hit the local disk then
@@ -264,97 +188,46 @@ func (f *bbFile) stage(c Client, n, off int64) float64 {
 	return bb.disk(c.Node).AccessClass(c.Proc.Now(), off, n, c.Proc.Class())
 }
 
-// WriteAt implements File: block for the local staging write only, then
-// issue the drain in the background (write-behind when the backing file
-// supports it, synchronous otherwise).
-func (f *bbFile) WriteAt(c Client, data []byte, off int64) {
-	n := int64(len(data))
+// Do implements Handle.
+//
+// A write is staged locally and settled on the *local* completion — a
+// burst-buffer dump is done when the staging disk has it, and that is the
+// completion a deadline guards — then the drain is issued Behind at the
+// clock settle left: after the local wait for a blocking write, at issue
+// for a Behind one. The drain settles via the per-file barrier.
+//
+// A read folds that barrier into its own wait: Block settles the file's
+// drains first, By additionally counts them toward the deadline, and a
+// Behind read completes no earlier than the drain it chases.
+func (f *bbFile) Do(c Client, r Req) (float64, error) {
+	bb, name := f.bb, f.f.Name()
+	n := int64(len(r.Buf))
 	if n == 0 {
-		return
+		return idle(c, r)
 	}
-	c.Proc.AdvanceTo(f.stage(c, n, off))
-	end := WriteAtAsync(f.f, c, data, off)
-	f.bb.noteDrain(f.f.Name(), c.Proc.Now(), end)
-}
-
-// WriteAtDeferred implements DeferredWriter: both tiers are charged at
-// issue (the local disk with the caller's timestamps, the backing tier
-// through its own deferred path) and the returned completion is the
-// *local* one — a burst-buffer dump is done when the staging disk has it.
-// The drain settles via the per-file barrier reads go through.
-func (f *bbFile) WriteAtDeferred(c Client, data []byte, off int64) float64 {
-	n := int64(len(data))
-	if n == 0 {
-		return c.Proc.Now()
+	if r.Write {
+		localEnd := f.stage(c, n, r.Off)
+		if _, err := settle(c, r, localEnd, bb.Name(), name, nil, nil); err != nil {
+			return localEnd, err
+		}
+		bb.noteDrain(name, localEnd, WriteAtAsync(f.f, c, r.Buf, r.Off))
+		return localEnd, nil
 	}
-	localEnd := f.stage(c, n, off)
-	end := WriteAtAsync(f.f, c, data, off)
-	f.bb.noteDrain(f.f.Name(), localEnd, end)
-	return localEnd
-}
-
-// WriteAtDeadline implements FallibleFile: the deadline guards the local
-// staging write (the part the caller waits on); the drain is issued
-// afterwards exactly as in WriteAt.
-func (f *bbFile) WriteAtDeadline(c Client, data []byte, off int64, deadline float64) error {
-	n := int64(len(data))
-	if n == 0 {
-		return nil
+	drain := bb.drainEnd[name]
+	switch r.Mode {
+	case Behind:
+		end, err := f.f.Do(c, r)
+		if drain > end {
+			bb.drainStalls++
+			bb.stallTime += drain - end
+			end = drain
+		}
+		return end, err
+	case By:
+		if drain > r.Deadline {
+			return settle(c, r, drain, bb.Name(), name, nil, nil)
+		}
 	}
-	localEnd := f.stage(c, n, off)
-	if localEnd > deadline {
-		c.Proc.AdvanceTo(deadline)
-		return &DeviceError{FS: f.bb.Name(), File: f.f.Name(), Op: "write",
-			Deadline: deadline, Completion: localEnd}
-	}
-	c.Proc.AdvanceTo(localEnd)
-	end := WriteAtAsync(f.f, c, data, off)
-	f.bb.noteDrain(f.f.Name(), c.Proc.Now(), end)
-	return nil
-}
-
-// ReadAt implements File: settle the file's drains, then read the shared
-// copy.
-func (f *bbFile) ReadAt(c Client, buf []byte, off int64) {
-	if len(buf) == 0 {
-		return
-	}
-	f.bb.settle(c, f.f.Name())
-	f.f.ReadAt(c, buf, off)
-}
-
-// ReadAtDeferred implements DeferredReader: charged at issue like the
-// backing deferred read; the returned completion additionally covers the
-// drain barrier, so a read-behind of a still-draining file settles no
-// earlier than the drain.
-func (f *bbFile) ReadAtDeferred(c Client, buf []byte, off int64) float64 {
-	if len(buf) == 0 {
-		return c.Proc.Now()
-	}
-	end := ReadAtAsync(f.f, c, buf, off)
-	if drain, ok := f.bb.drainEnd[f.f.Name()]; ok && drain > end {
-		f.bb.drainStalls++
-		f.bb.stallTime += drain - end
-		end = drain
-	}
-	return end
-}
-
-// ReadAtDeadline implements FallibleFile: the drain barrier counts toward
-// the deadline, then the backing deadline path runs.
-func (f *bbFile) ReadAtDeadline(c Client, buf []byte, off int64, deadline float64) error {
-	if len(buf) == 0 {
-		return nil
-	}
-	if end, ok := f.bb.drainEnd[f.f.Name()]; ok && end > deadline {
-		c.Proc.AdvanceTo(deadline)
-		return &DeviceError{FS: f.bb.Name(), File: f.f.Name(), Op: "read",
-			Deadline: deadline, Completion: end}
-	}
-	f.bb.settle(c, f.f.Name())
-	if ff, ok := f.f.(FallibleFile); ok {
-		return ff.ReadAtDeadline(c, buf, off, deadline)
-	}
-	f.f.ReadAt(c, buf, off)
-	return nil
+	bb.awaitDrain(c, name)
+	return f.f.Do(c, r)
 }

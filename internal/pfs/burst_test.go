@@ -83,7 +83,7 @@ func TestBurstBufferDeferredWrite(t *testing.T) {
 		c := Client{Proc: p, Node: 0}
 		f, _ := bb.Create(c, "dump")
 		issued := p.Now()
-		end := f.(DeferredWriter).WriteAtDeferred(c, data, 0)
+		end := WriteAtAsync(f, c, data, 0)
 		// Only the client-library CPU cost may land on the caller at issue
 		// (the same contract as the backing deferred writers); the staging
 		// disk and drain waits must both be deferred.
@@ -106,12 +106,12 @@ func TestBurstBufferDeferredWrite(t *testing.T) {
 }
 
 // TestBurstBufferDelegatesCapabilities: striping geometry, fault injection
-// and placement reach the backing tier through the wrapper.
+// and placement reach the backing tier through the wrapper (via Unwrap).
 func TestBurstBufferDelegatesCapabilities(t *testing.T) {
 	pv := NewPVFS(chibaMachine(), DefaultPVFS())
 	bb := WrapBurstBuffer(pv, DefaultBurst())
 	var fs FileSystem = bb
-	sv, ok := fs.(StripedVolume)
+	sv, ok := As[StripedVolume](fs)
 	if !ok {
 		t.Fatal("burst buffer does not delegate StripedVolume")
 	}
@@ -119,8 +119,10 @@ func TestBurstBufferDelegatesCapabilities(t *testing.T) {
 		t.Errorf("striping geometry not delegated: %d/%d servers, %d/%d unit",
 			sv.NumDataServers(), pv.NumDataServers(), sv.StripeUnit(), pv.StripeUnit())
 	}
-	fs.(StripeFaultInjector).FailDataServerAt(0, 1.5)
-	if got := fs.(ReplicaVolume).DataServerFailAt(0); got != 1.5 {
+	inj, _ := As[StripeFaultInjector](fs)
+	inj.FailDataServerAt(0, 1.5)
+	rv, _ := As[ReplicaVolume](fs)
+	if got := rv.DataServerFailAt(0); got != 1.5 {
 		t.Errorf("fault injection not delegated: DataServerFailAt(0) = %g, want 1.5", got)
 	}
 	if bb.Name() != "bb+pvfs" {

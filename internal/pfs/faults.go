@@ -5,29 +5,24 @@ import (
 	"math"
 )
 
-// This file is the fault-injection surface of the file system models.
-//
-// Two optional interfaces mirror the repository's other capability
-// interfaces (ServeObservable, DeferredWriter): they are never part of
-// FileSystem/File themselves, callers type-assert and degrade gracefully.
-//
-//   - StripeFaultInjector marks one of a file system's striped data
-//     servers degraded (a straggler: every service time scaled by a
-//     factor) or dead from a virtual time onward. PVFS and GPFS implement
-//     it; XFS and LocalFS do not (their "servers" are client-local).
-//   - FallibleFile adds deadline-aware read/write variants that surface a
-//     typed *DeviceError instead of blocking past the deadline — the hook
-//     the MPI-IO layer's timeout/retry machinery needs, since the plain
-//     File operations have no error path and a dead server would otherwise
-//     push the caller's clock to +Inf.
+// This file is the fault-injection surface of the file system models:
+// StripeFaultInjector marks one of a file system's striped data servers
+// degraded (a straggler: every service time scaled by a factor) or dead
+// from a virtual time onward, and a By request (pfs.go) surfaces a typed
+// *DeviceError instead of blocking past its deadline — the hook the MPI-IO
+// layer's timeout/retry machinery needs, since a dead server would
+// otherwise push the caller's clock to +Inf.
 //
 // Everything stays deterministic: a fault changes the virtual-time
 // arithmetic of the affected requests, never the scheduling order.
 
-// DeviceError reports that a file operation could not complete by its
+// DeviceError reports that a By request could not complete by its
 // deadline: the device's completion time (possibly +Inf, for a dead
 // server) lies beyond it. The caller's clock has been advanced exactly to
-// the deadline — the virtual cost of waiting out the timeout.
+// the deadline — the virtual cost of waiting out the timeout — and no bytes
+// were transferred. The request still occupied the servers it was issued
+// to: a retry queues behind the abandoned attempt, exactly like a real
+// device queue that cannot revoke submitted work.
 type DeviceError struct {
 	FS       string  // file system name
 	File     string  // file name
@@ -49,22 +44,6 @@ func (e *DeviceError) Error() string {
 // Timeout marks the error as a timeout in the net.Error tradition.
 func (e *DeviceError) Timeout() bool { return true }
 
-// FallibleFile is implemented by file handles that support deadline-aware
-// I/O. The operation charges every shared resource exactly as the plain
-// ReadAt/WriteAt would (so healthy-path arrivals are identical), but if the
-// device completion lands past the absolute virtual deadline the caller's
-// clock advances only to the deadline, no bytes are transferred, and a
-// *DeviceError is returned. On success the clock advances to the
-// completion and the call is indistinguishable from the blocking one.
-//
-// A timed-out request still occupied the servers it was issued to — a
-// retry queues behind the abandoned attempt, exactly like a real device
-// queue that cannot revoke submitted work.
-type FallibleFile interface {
-	ReadAtDeadline(c Client, buf []byte, off int64, deadline float64) error
-	WriteAtDeadline(c Client, data []byte, off int64, deadline float64) error
-}
-
 // StripeFaultInjector is implemented by file systems whose striped data
 // servers can be individually degraded or killed — the paper-era failure
 // modes: PVFS had no redundancy, so one slow or dead iod gates every
@@ -83,8 +62,7 @@ type StripeFaultInjector interface {
 // StripedVolume is implemented by file systems that stripe file data over
 // multiple data servers in fixed-size units. Diagnosis tooling uses it to
 // judge request sizes and collective-buffering configuration against the
-// volume's geometry; like the other capability interfaces it is optional
-// and never part of the core FS contract.
+// volume's geometry.
 type StripedVolume interface {
 	// NumDataServers returns how many striped data servers exist.
 	NumDataServers() int

@@ -60,12 +60,11 @@ func TestDeadlineOpsHealthyMatchBlocking(t *testing.T) {
 			engB.Spawn("c", func(p *sim.Proc) {
 				c := Client{Proc: p, Node: 0}
 				f, _ := fsB.Create(c, "x")
-				ff := f.(FallibleFile)
-				if err := ff.WriteAtDeadline(c, data, 0, math.Inf(1)); err != nil {
+				if err := WriteAtDeadline(f, c, data, 0, math.Inf(1)); err != nil {
 					panic(err)
 				}
 				buf := make([]byte, len(data))
-				if err := ff.ReadAtDeadline(c, buf, 0, math.Inf(1)); err != nil {
+				if err := ReadAtDeadline(f, c, buf, 0, math.Inf(1)); err != nil {
 					panic(err)
 				}
 				if !bytes.Equal(buf, data) {
@@ -93,9 +92,8 @@ func TestDeadlineExceededReturnsDeviceErrorWithoutBytes(t *testing.T) {
 			eng.Spawn("c", func(p *sim.Proc) {
 				c := Client{Proc: p, Node: 0}
 				f, _ := fs.Create(c, "x")
-				ff := f.(FallibleFile)
 				deadline := p.Now() + 1e-4
-				err := ff.WriteAtDeadline(c, data, 0, deadline)
+				err := WriteAtDeadline(f, c, data, 0, deadline)
 				var de *DeviceError
 				if !errors.As(err, &de) {
 					panic("degraded write did not time out")
@@ -138,8 +136,7 @@ func TestDeadServerDeadlineOpsReportDead(t *testing.T) {
 				c := Client{Proc: p, Node: 0}
 				f, _ := fs.Create(c, "x")
 				inj.FailDataServerAt(0, p.Now())
-				ff := f.(FallibleFile)
-				err := ff.WriteAtDeadline(c, data, 0, p.Now()+5)
+				err := WriteAtDeadline(f, c, data, 0, p.Now()+5)
 				var de *DeviceError
 				if !errors.As(err, &de) {
 					panic("dead-server write did not fail")

@@ -160,18 +160,18 @@ func (fs *GPFS) Create(c Client, name string) (File, error) {
 	fs.stats.create()
 	st := fs.ns.create(name)
 	fs.owners[st] = make(map[int64]int)
-	return &gpfsFile{fs: fs, name: name, store: st}, nil
+	return File{&gpfsFile{fs: fs, name: name, store: st}}, nil
 }
 
 // Open implements FileSystem.
 func (fs *GPFS) Open(c Client, name string) (File, error) {
 	st, err := fs.ns.open(name)
 	if err != nil {
-		return nil, err
+		return File{}, err
 	}
 	c.Proc.Advance(fs.cfg.MetaTime)
 	fs.stats.open()
-	return &gpfsFile{fs: fs, name: name, store: st}, nil
+	return File{&gpfsFile{fs: fs, name: name, store: st}}, nil
 }
 
 type gpfsFile struct {
@@ -242,31 +242,29 @@ func (f *gpfsFile) metanodeUpdate(c Client, off, n int64) {
 	mn.seenMax = off + n
 }
 
-func (f *gpfsFile) WriteAt(c Client, data []byte, off int64) {
-	c.Proc.AdvanceTo(f.WriteAtDeferred(c, data, off))
-}
-
-// WriteAtDeferred implements DeferredWriter. The VSD queue, token
-// acquisition and metanode update are synchronous lock traffic and stay on
-// the caller's clock at issue (they really do block the client thread);
-// only the data transfer to the I/O servers and the disk work are deferred
-// to the returned completion time.
-func (f *gpfsFile) WriteAtDeferred(c Client, data []byte, off int64) float64 {
-	n := int64(len(data))
+// Do implements Handle. The VSD queue, token acquisition and metanode
+// update are synchronous lock traffic and stay on the caller's clock at
+// issue in every mode (they really do block the client thread); settle
+// decides how the caller waits for the data transfer and the disk work.
+func (f *gpfsFile) Do(c Client, r Req) (float64, error) {
+	n := int64(len(r.Buf))
 	if n == 0 {
-		return c.Proc.Now()
+		return idle(c, r)
 	}
-	end := f.writeIssue(c, n, off)
-	f.store.WriteAt(data, off)
-	f.fs.stats.write(n)
-	return end
+	var end float64
+	if r.Write {
+		end = f.writeIssue(c, n, r.Off)
+	} else {
+		end = f.readIssue(c, n, r.Off)
+	}
+	return settle(c, r, end, f.fs.Name(), f.name, f.store, &f.fs.stats)
 }
 
 // writeIssue charges the synchronous lock traffic on the caller's clock and
 // the data transfer plus disk work on the servers, returning the slowest
 // server's acknowledged completion. It stores no bytes and touches no
-// stats — the deadline path abandons requests whose completion lies past
-// the budget while the devices stay charged.
+// stats — settle abandons requests whose completion lies past their
+// deadline while the devices stay charged.
 func (f *gpfsFile) writeIssue(c Client, n, off int64) float64 {
 	fs := f.fs
 	c.Proc.Advance(fs.cfg.PerCall)
@@ -284,34 +282,6 @@ func (f *gpfsFile) writeIssue(c Client, n, off int64) float64 {
 		}
 	}
 	return end
-}
-
-// WriteAtDeadline implements FallibleFile.
-func (f *gpfsFile) WriteAtDeadline(c Client, data []byte, off int64, deadline float64) error {
-	n := int64(len(data))
-	if n == 0 {
-		return nil
-	}
-	end := f.writeIssue(c, n, off)
-	if end > deadline {
-		c.Proc.AdvanceTo(deadline)
-		return &DeviceError{FS: f.fs.Name(), File: f.name, Op: "write", Deadline: deadline, Completion: end}
-	}
-	f.store.WriteAt(data, off)
-	f.fs.stats.write(n)
-	c.Proc.AdvanceTo(end)
-	return nil
-}
-
-func (f *gpfsFile) ReadAt(c Client, buf []byte, off int64) {
-	n := int64(len(buf))
-	if n == 0 {
-		return
-	}
-	end := f.readIssue(c, n, off)
-	c.Proc.AdvanceTo(end)
-	f.store.ReadAt(buf, off)
-	f.fs.stats.read(n)
 }
 
 // readIssue is writeIssue's read counterpart: lock traffic synchronously,
@@ -334,38 +304,6 @@ func (f *gpfsFile) readIssue(c Client, n, off int64) float64 {
 		}
 	}
 	return end
-}
-
-// ReadAtDeferred implements DeferredReader: lock traffic and the full
-// server/disk chain are charged at issue (readIssue uses the blocking
-// timestamps) and buf is filled immediately; only the caller's wait for the
-// returned completion is deferred.
-func (f *gpfsFile) ReadAtDeferred(c Client, buf []byte, off int64) float64 {
-	n := int64(len(buf))
-	if n == 0 {
-		return c.Proc.Now()
-	}
-	end := f.readIssue(c, n, off)
-	f.store.ReadAt(buf, off)
-	f.fs.stats.read(n)
-	return end
-}
-
-// ReadAtDeadline implements FallibleFile.
-func (f *gpfsFile) ReadAtDeadline(c Client, buf []byte, off int64, deadline float64) error {
-	n := int64(len(buf))
-	if n == 0 {
-		return nil
-	}
-	end := f.readIssue(c, n, off)
-	if end > deadline {
-		c.Proc.AdvanceTo(deadline)
-		return &DeviceError{FS: f.fs.Name(), File: f.name, Op: "read", Deadline: deadline, Completion: end}
-	}
-	c.Proc.AdvanceTo(end)
-	f.store.ReadAt(buf, off)
-	f.fs.stats.read(n)
-	return nil
 }
 
 // Snapshot implements FileSystem (out-of-band staging).

@@ -113,9 +113,9 @@ func (fs *LocalFS) Create(c Client, name string) (File, error) {
 	c.Proc.Advance(fs.cfg.MetaTime)
 	fs.stats.create()
 	if _, err := fs.partition(name, c.Node, true); err != nil {
-		return nil, err
+		return File{}, err
 	}
-	return &localFile{fs: fs, name: name}, nil
+	return File{&localFile{fs: fs, name: name}}, nil
 }
 
 // Open implements FileSystem.
@@ -124,11 +124,11 @@ func (fs *LocalFS) Open(c Client, name string) (File, error) {
 	_, ok := fs.files[name]
 	fs.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("pfs: open %q: no such file", name)
+		return File{}, fmt.Errorf("pfs: open %q: no such file", name)
 	}
 	c.Proc.Advance(fs.cfg.MetaTime)
 	fs.stats.open()
-	return &localFile{fs: fs, name: name}, nil
+	return File{&localFile{fs: fs, name: name}}, nil
 }
 
 type localFile struct {
@@ -148,48 +148,30 @@ func (f *localFile) Size(c Client) int64 {
 
 func (f *localFile) Close(c Client) {}
 
-func (f *localFile) WriteAt(c Client, data []byte, off int64) {
-	c.Proc.AdvanceTo(f.WriteAtDeferred(c, data, off))
-}
-
-// WriteAtDeferred implements DeferredWriter: call overhead and the memory
-// copy stay on the caller's clock (the CPU really does that work at issue),
-// the disk is charged at issue, and only the wait for the device is
-// deferred to the returned completion time.
-func (f *localFile) WriteAtDeferred(c Client, data []byte, off int64) float64 {
+// Do implements Handle. Call overhead and a write's memory copy stay on the
+// caller's clock (the CPU really does that work at issue) and the disk is
+// charged at issue; a read's completion includes the memory copy out of the
+// buffer cache. The disk is the caller's own and cannot straggle or die, so
+// a deadline is never missed: By is Block here.
+func (f *localFile) Do(c Client, r Req) (float64, error) {
 	fs := f.fs
-	n := int64(len(data))
+	n := int64(len(r.Buf))
 	if n == 0 {
-		return c.Proc.Now()
+		return idle(c, r)
 	}
-	c.Proc.Advance(fs.cfg.PerCall + fs.mach.CopyTime(n))
-	end := fs.disk(c.Node).Access(c.Proc.Now(), off, n)
-	st, _ := fs.partition(f.name, c.Node, true)
-	st.WriteAt(data, off)
-	fs.stats.write(n)
-	return end
-}
-
-func (f *localFile) ReadAt(c Client, buf []byte, off int64) {
-	c.Proc.AdvanceTo(f.ReadAtDeferred(c, buf, off))
-}
-
-// ReadAtDeferred implements DeferredReader: call overhead stays on the
-// caller's clock, the disk is charged at issue, and the returned completion
-// includes the memory copy out of the buffer cache (exactly the blocking
-// ReadAt timing); only the wait is deferred.
-func (f *localFile) ReadAtDeferred(c Client, buf []byte, off int64) float64 {
-	fs := f.fs
-	n := int64(len(buf))
-	if n == 0 {
-		return c.Proc.Now()
+	if r.Mode == By {
+		r.Mode = Block
 	}
-	c.Proc.Advance(fs.cfg.PerCall)
-	end := fs.disk(c.Node).Access(c.Proc.Now(), off, n)
+	var end float64
+	if r.Write {
+		c.Proc.Advance(fs.cfg.PerCall + fs.mach.CopyTime(n))
+		end = fs.disk(c.Node).Access(c.Proc.Now(), r.Off, n)
+	} else {
+		c.Proc.Advance(fs.cfg.PerCall)
+		end = fs.disk(c.Node).Access(c.Proc.Now(), r.Off, n) + fs.mach.CopyTime(n)
+	}
 	st, _ := fs.partition(f.name, c.Node, true)
-	st.ReadAt(buf, off)
-	fs.stats.read(n)
-	return end + fs.mach.CopyTime(n)
+	return settle(c, r, end, fs.Name(), f.name, st, &fs.stats)
 }
 
 // Snapshot implements FileSystem: entries are keyed "node<N>/<name>"

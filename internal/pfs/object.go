@@ -1,9 +1,9 @@
 package pfs
 
 // This file is the placement surface the content-addressed checkpoint
-// store builds on (Grid-Datafarm style replicated objects): two optional
-// capability interfaces in the ServeObservable/StripeFaultInjector
-// tradition — type-asserted, never part of the core FileSystem contract.
+// store builds on (Grid-Datafarm style replicated objects): optional
+// capability interfaces, resolved through As, never part of the core
+// FileSystem contract.
 //
 //   - PlacedCreator creates a file that lives entirely on one chosen data
 //     server instead of being striped. The castore places each replica
@@ -42,15 +42,10 @@ type PlacementRestorer interface {
 	PlaceExisting(name string, server int) bool
 }
 
-// PlaceExistingOn re-pins name onto server when fs supports it.
-func PlaceExistingOn(fs FileSystem, name string, server int) {
-	if pr, ok := fs.(PlacementRestorer); ok {
-		pr.PlaceExisting(name, server)
-	}
-}
-
 // CreatePlacedOn creates name pinned to the given data server when fs
-// supports placement and as a plain (default-layout) file otherwise.
+// supports placement and as a plain (default-layout) file otherwise. Every
+// wrapper implements PlacedCreator (it must wrap the handle it gets back),
+// so the assertion on the outermost layer reaches the model.
 func CreatePlacedOn(fs FileSystem, c Client, name string, server int) (File, error) {
 	if pc, ok := fs.(PlacedCreator); ok {
 		return pc.CreatePlaced(c, name, server)
@@ -88,11 +83,10 @@ func (fs *PVFS) DataServerFailAt(i int) float64 { return fs.disks[i].Server().Fa
 func (fs *GPFS) CreatePlaced(c Client, name string, server int) (File, error) {
 	f, err := fs.Create(c, name)
 	if err != nil {
-		return nil, err
+		return File{}, err
 	}
-	gf := f.(*gpfsFile)
-	fs.placed[gf.store] = ((server % fs.cfg.Servers) + fs.cfg.Servers) % fs.cfg.Servers
-	return gf, nil
+	fs.placed[f.Handle.(*gpfsFile).store] = ((server % fs.cfg.Servers) + fs.cfg.Servers) % fs.cfg.Servers
+	return f, nil
 }
 
 // PlaceExisting implements PlacementRestorer for GPFS.

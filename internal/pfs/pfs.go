@@ -9,6 +9,61 @@
 // so the layers above can verify that data round-trips, while access costs
 // are charged to the calling process's virtual clock through sim.Server
 // queues that model disks, NICs and lock managers.
+//
+// # One request primitive
+//
+// A file handle has one request method, Do, and a request (Req) carries its
+// own Mode; ReadAt, WriteAt, WriteAtAsync, ReadAtAsync, ReadAtDeadline and
+// WriteAtDeadline are spelled once, in this file, as builders of a Req. A
+// model charges its devices (its readIssue/writeIssue) and hands the
+// completion to settle; a wrapper passes the Req down unchanged. What
+// differs between the three modes at the device, exhaustively:
+//
+//  1. Block: the caller's clock advances to the completion.
+//  2. Behind: every server is charged at issue with exactly the timestamps
+//     a blocking request issued now would use, and the bytes move at issue;
+//     the caller's clock stops after the synchronous client-side cost (the
+//     per-call overhead, GPFS's VSD queue, token and metanode traffic, the
+//     XFS and local buffer copy) and the completion is returned. Charging
+//     at issue is what keeps the engine's scheduling invariant intact: the
+//     running process holds the minimum clock, so a server seeing the
+//     request now observes the same nondecreasing arrival order it would
+//     under blocking I/O. Deferral postpones only the caller's own wait.
+//  3. By: as Block, but a completion past the deadline costs the wait to
+//     the deadline, leaves the devices charged (they did the work), moves no
+//     bytes, counts in no stats and returns a *DeviceError.
+//  4. XFS and LocalFS have no server that can straggle or die — their
+//     storage is client-local — so By is Block there.
+//  5. When bytes move: a write is stored at issue in every mode (unless its
+//     deadline was missed); a read fills its buffer at issue when Behind —
+//     the store holds the bytes a blocking read issued now would observe —
+//     and after the wait otherwise. Only a same-byte race between ranks
+//     inside one request window could tell.
+//  6. The burst buffer guards (and returns) the staging completion; the
+//     drain to the backing tier is a Behind request tracked per file, which
+//     the next read of that file settles.
+//  7. A zero-length request touches no device in any mode.
+//
+// The mode travels inside Do rather than the wait being hoisted above the
+// wrapper chain, because a wrapper in the middle must still see it: the
+// obs wrapper's spans and counters distinguish all three.
+//
+// # One wrapper spine
+//
+// Wrappers (prefix, BurstBuffer, obs, iotrace, faultfs) expose Unwrap, and
+// As finds a volume capability by walking the chain. A wrapper implements a
+// capability only when it changes it; everything else is found below it.
+//
+//	capability                         declared on
+//	StripedVolume, ReplicaVolume,      *PVFS, *GPFS
+//	  StripeFaultInjector
+//	ServeObservable                    the four models, BurstBuffer (staging
+//	                                   disks); Observe visits every layer
+//	PlacementRestorer                  *PVFS, *GPFS, prefix (renames)
+//	CodecReporter                      iotrace (receiver), prefix (renames)
+//	PlacedCreator                      *PVFS, *GPFS and every wrapper (each
+//	                                   wraps the handle it gets back; prefix
+//	                                   renames)
 package pfs
 
 import (
@@ -51,21 +106,66 @@ type FileSystem interface {
 	Restore(files map[string][]byte)
 }
 
-// ServeObservable is implemented by file systems (and transparent
-// wrappers) that can attach a sim.ServeObserver to every internal
-// sim.Server — disks, NICs, daemon CPUs, lock managers — including servers
-// created lazily after the call. It is deliberately not part of FileSystem
-// so existing implementations and test fakes keep compiling; callers
-// type-assert and skip file systems that do not support it.
+// Wrapper is implemented by every FileSystem that layers over another one
+// (prefix, burst buffer, obs, iotrace, faultfs). Unwrap returns the next
+// layer down; the chain ends at one of the four models.
+type Wrapper interface {
+	Unwrap() FileSystem
+}
+
+// unwrap returns the layer below fs, or nil when fs is a model.
+func unwrap(fs FileSystem) FileSystem {
+	if w, ok := fs.(Wrapper); ok {
+		return w.Unwrap()
+	}
+	return nil
+}
+
+// As returns the outermost layer of fs's wrapper chain that implements T
+// (the errors.As idiom). Resolve capabilities once, when a run is set up;
+// nothing on the request path calls it.
+func As[T any](fs FileSystem) (T, bool) {
+	for ; fs != nil; fs = unwrap(fs) {
+		if t, ok := fs.(T); ok {
+			return t, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// Base returns the model at the bottom of fs's wrapper chain.
+func Base(fs FileSystem) FileSystem {
+	for {
+		below := unwrap(fs)
+		if below == nil {
+			return fs
+		}
+		fs = below
+	}
+}
+
+// ServeObservable is implemented by the layers that own sim.Servers —
+// disks, NICs, daemon CPUs, lock managers: the four models and the burst
+// buffer's staging disks. SetServeObserver attaches o to every server of
+// that layer alone, including servers created lazily after the call.
 type ServeObservable interface {
 	SetServeObserver(o sim.ServeObserver)
+}
+
+// Observe attaches o to the servers of every layer of fs's chain.
+func Observe(fs FileSystem, o sim.ServeObserver) {
+	for ; fs != nil; fs = unwrap(fs) {
+		if so, ok := fs.(ServeObservable); ok {
+			so.SetServeObserver(o)
+		}
+	}
 }
 
 // CodecReporter is implemented by instrumentation wrappers that want the
 // logical (uncompressed) vs physical (on-disk) byte accounting of
 // transparently compressed transfers. The application layer calls it once
-// per compressed array transfer; the plain file system models do not
-// implement it — like ServeObservable it is type-asserted, never required.
+// per compressed array transfer; the models do not implement it.
 type CodecReporter interface {
 	// RecordCodecBytes reports one compressed transfer on file: logical is
 	// the array's uncompressed size, physical the container bytes actually
@@ -73,71 +173,132 @@ type CodecReporter interface {
 	RecordCodecBytes(file string, write bool, logical, physical int64)
 }
 
-// DeferredWriter is implemented by file handles that support write-behind:
-// WriteAtDeferred performs the complete write — charging every shared
-// resource (servers, disks, NICs, lock managers) at issue time with exactly
-// the timestamps a blocking WriteAt would use, and storing the bytes — but
-// does not advance the caller's clock to the device completion. Instead it
-// returns the virtual completion time; the caller settles by AdvanceTo-ing
-// it (or the max over a batch) when it drains.
-//
-// Charging at issue is what keeps the engine's scheduling invariant intact:
-// the running process holds the minimum clock, so a server seeing the
-// request now observes the same nondecreasing arrival order it would under
-// blocking I/O. Deferral postpones only the caller's own wait.
-//
-// Like ServeObservable this is deliberately not part of File; callers
-// type-assert (or use WriteAtAsync) and fall back to the blocking path.
-type DeferredWriter interface {
-	WriteAtDeferred(c Client, data []byte, off int64) (end float64)
+// Mode says how the caller of a request waits for the device.
+type Mode uint8
+
+const (
+	// Block advances the caller's clock to the device completion.
+	Block Mode = iota
+	// Behind (write-behind, read-ahead) charges every shared resource at
+	// issue and leaves the caller's clock where the synchronous client-side
+	// work ended; the caller settles by AdvanceTo-ing the returned
+	// completion (or the max over a batch) when it drains.
+	Behind
+	// By is Block with an absolute virtual Deadline: a completion past it is
+	// abandoned with a *DeviceError.
+	By
+)
+
+// Req is one read or write of len(Buf) bytes at Off. It travels by value
+// down the wrapper chain, so every layer sees the mode.
+type Req struct {
+	Write    bool
+	Mode     Mode
+	Buf      []byte // filled by a read, stored by a write
+	Off      int64
+	Deadline float64 // By only
 }
 
-// WriteAtAsync issues a write-behind write when f supports it and returns
-// the virtual completion time; otherwise it performs a blocking WriteAt and
-// returns the caller's clock afterwards (completion == now: nothing hidden).
-func WriteAtAsync(f File, c Client, data []byte, off int64) (end float64) {
-	if dw, ok := f.(DeferredWriter); ok {
-		return dw.WriteAtDeferred(c, data, off)
+// Op names the request's direction, "read" or "write" (the Op of a
+// *DeviceError, the span and counter name in obs).
+func (r Req) Op() string {
+	if r.Write {
+		return "write"
 	}
-	f.WriteAt(c, data, off)
-	return c.Proc.Now()
+	return "read"
 }
 
-// DeferredReader is the read-behind mirror of DeferredWriter: ReadAtDeferred
-// charges every shared resource at issue time with the timestamps a blocking
-// ReadAt would use and fills buf immediately (the store holds the bytes a
-// blocking read issued now would observe — writes racing a read would be
-// nondeterministic under blocking I/O too), but does not advance the caller's
-// clock. The returned completion time is when the data has actually arrived;
-// the caller must not consume buf before settling (AdvanceTo) it.
-type DeferredReader interface {
-	ReadAtDeferred(c Client, buf []byte, off int64) (end float64)
-}
-
-// ReadAtAsync issues a read-behind read when f supports it and returns the
-// virtual completion time; otherwise it performs a blocking ReadAt and
-// returns the caller's clock afterwards (completion == now: nothing hidden).
-func ReadAtAsync(f File, c Client, buf []byte, off int64) (end float64) {
-	if dr, ok := f.(DeferredReader); ok {
-		return dr.ReadAtDeferred(c, buf, off)
-	}
-	f.ReadAt(c, buf, off)
-	return c.Proc.Now()
-}
-
-// File is an open file handle. Reads beyond the current size return zero
-// bytes (sparse-file semantics); writes extend the file.
-type File interface {
+// Handle is what a model or wrapper implements per open file: Do is its
+// only request method. Reads beyond the current size return zero bytes
+// (sparse-file semantics); writes extend the file.
+type Handle interface {
 	Name() string
-	// ReadAt fills buf from the file at off, charging the caller.
-	ReadAt(c Client, buf []byte, off int64)
-	// WriteAt stores data at off, charging the caller.
-	WriteAt(c Client, data []byte, off int64)
 	// Size returns the file size as visible to this client (on LocalFS
 	// each node sees only its own partition).
 	Size(c Client) int64
 	// Close releases the handle (may cost metadata time, e.g. flushing).
 	Close(c Client)
+	// Do performs r, charging the caller, and returns the device completion
+	// time. The error is nil or the *DeviceError of a By request that
+	// missed its deadline.
+	Do(c Client, r Req) (end float64, err error)
+}
+
+// File is an open file handle: a Handle plus the named request shapes,
+// which are defined here and nowhere else — each builds a Req for Do.
+type File struct{ Handle }
+
+// ReadAt fills buf from the file at off, charging the caller.
+func (f File) ReadAt(c Client, buf []byte, off int64) {
+	f.Do(c, Req{Buf: buf, Off: off})
+}
+
+// WriteAt stores data at off, charging the caller.
+func (f File) WriteAt(c Client, data []byte, off int64) {
+	f.Do(c, Req{Write: true, Buf: data, Off: off})
+}
+
+// WriteAtAsync issues a write-behind write and returns its virtual
+// completion time.
+func WriteAtAsync(f File, c Client, data []byte, off int64) (end float64) {
+	end, _ = f.Do(c, Req{Write: true, Mode: Behind, Buf: data, Off: off})
+	return end
+}
+
+// ReadAtAsync issues a read-ahead read and returns its virtual completion
+// time. buf is filled at issue; the caller must not consume it before
+// settling the completion.
+func ReadAtAsync(f File, c Client, buf []byte, off int64) (end float64) {
+	end, _ = f.Do(c, Req{Mode: Behind, Buf: buf, Off: off})
+	return end
+}
+
+// WriteAtDeadline is WriteAt abandoned with a *DeviceError if the device
+// would complete past the absolute virtual deadline.
+func WriteAtDeadline(f File, c Client, data []byte, off int64, deadline float64) error {
+	_, err := f.Do(c, Req{Write: true, Mode: By, Buf: data, Off: off, Deadline: deadline})
+	return err
+}
+
+// ReadAtDeadline is the read counterpart of WriteAtDeadline.
+func ReadAtDeadline(f File, c Client, buf []byte, off int64, deadline float64) error {
+	_, err := f.Do(c, Req{Mode: By, Buf: buf, Off: off, Deadline: deadline})
+	return err
+}
+
+// idle is a zero-length request: it touches no device, moves no bytes and
+// counts in no stats. A caller that waits still waits — for a completion
+// that is already in its past, which passes through the scheduler once
+// (sim.Proc.AdvanceTo) and costs no time.
+func idle(c Client, r Req) (float64, error) {
+	if r.Mode != Behind {
+		c.Proc.Yield()
+	}
+	return c.Proc.Now(), nil
+}
+
+// settle finishes a request a model (or staging tier) has charged to its
+// devices, completing at end. It is the only place the three modes differ.
+// st and sc are the store and accounting the bytes move through; a tier
+// that keeps no copy of its own passes nil for both.
+func settle(c Client, r Req, end float64, fs, file string, st *ByteStore, sc *statsCollector) (float64, error) {
+	if r.Mode == By && end > r.Deadline {
+		c.Proc.AdvanceTo(r.Deadline)
+		return end, &DeviceError{FS: fs, File: file, Op: r.Op(), Deadline: r.Deadline, Completion: end}
+	}
+	n := int64(len(r.Buf))
+	if r.Write && st != nil {
+		st.WriteAt(r.Buf, r.Off)
+		sc.write(n)
+	}
+	if r.Mode != Behind {
+		c.Proc.AdvanceTo(end)
+	}
+	if !r.Write && st != nil {
+		st.ReadAt(r.Buf, r.Off)
+		sc.read(n)
+	}
+	return end, nil
 }
 
 // Stats is cumulative I/O accounting.

@@ -1,10 +1,6 @@
 package pfs
 
-import (
-	"strings"
-
-	"repro/internal/sim"
-)
+import "strings"
 
 // WrapPrefix returns a view of fs in which every file name is prefixed
 // with the given string — a per-tenant namespace over a shared file
@@ -20,15 +16,25 @@ func WrapPrefix(fs FileSystem, prefix string) FileSystem {
 	if prefix == "" {
 		return fs
 	}
-	return &prefixFS{inner: fs, prefix: prefix}
+	p := &prefixFS{inner: fs, prefix: prefix}
+	p.placer, _ = As[PlacementRestorer](fs)
+	p.codec, _ = As[CodecReporter](fs)
+	return p
 }
 
 type prefixFS struct {
 	inner  FileSystem
 	prefix string
+	// The two capabilities whose file-name argument must be prefixed,
+	// resolved below this layer once (nil when no layer has them).
+	placer PlacementRestorer
+	codec  CodecReporter
 }
 
 func (p *prefixFS) path(name string) string { return p.prefix + name }
+
+// Unwrap implements Wrapper.
+func (p *prefixFS) Unwrap() FileSystem { return p.inner }
 
 func (p *prefixFS) Name() string                    { return p.inner.Name() }
 func (p *prefixFS) Stats() Stats                    { return p.inner.Stats() }
@@ -36,102 +42,34 @@ func (p *prefixFS) Exists(name string) bool         { return p.inner.Exists(p.pa
 func (p *prefixFS) Snapshot() map[string][]byte     { return p.inner.Snapshot() }
 func (p *prefixFS) Restore(files map[string][]byte) { p.inner.Restore(files) }
 
+// Create, Open and CreatePlaced return the backing handle itself: it
+// already reports the prefixed name, and nothing else about it changes.
+
 func (p *prefixFS) Create(c Client, name string) (File, error) {
-	f, err := p.inner.Create(c, p.path(name))
-	if err != nil {
-		return nil, err
-	}
-	return &prefixFile{inner: f}, nil
+	return p.inner.Create(c, p.path(name))
 }
 
 func (p *prefixFS) Open(c Client, name string) (File, error) {
-	f, err := p.inner.Open(c, p.path(name))
-	if err != nil {
-		return nil, err
-	}
-	return &prefixFile{inner: f}, nil
+	return p.inner.Open(c, p.path(name))
 }
 
-// CreatePlaced implements PlacedCreator by delegation (plain create when
-// the backing tier cannot place).
+// CreatePlaced implements PlacedCreator (plain create when the backing
+// tier cannot place).
 func (p *prefixFS) CreatePlaced(c Client, name string, server int) (File, error) {
-	f, err := CreatePlacedOn(p.inner, c, p.path(name), server)
-	if err != nil {
-		return nil, err
-	}
-	return &prefixFile{inner: f}, nil
+	return CreatePlacedOn(p.inner, c, p.path(name), server)
 }
 
-// PlaceExisting implements PlacementRestorer by delegation.
+// PlaceExisting implements PlacementRestorer under the prefixed name.
 func (p *prefixFS) PlaceExisting(name string, server int) bool {
-	if pr, ok := p.inner.(PlacementRestorer); ok {
-		return pr.PlaceExisting(p.path(name), server)
-	}
-	return false
+	return p.placer != nil && p.placer.PlaceExisting(p.path(name), server)
 }
 
-// RecordCodecBytes implements CodecReporter by delegation, prefixing the
-// file so compressed-transfer accounting lands under the tenant's names.
+// RecordCodecBytes implements CodecReporter, prefixing the file so
+// compressed-transfer accounting lands under the tenant's names.
 func (p *prefixFS) RecordCodecBytes(file string, write bool, logical, physical int64) {
-	if cr, ok := p.inner.(CodecReporter); ok {
-		cr.RecordCodecBytes(p.path(file), write, logical, physical)
+	if p.codec != nil {
+		p.codec.RecordCodecBytes(p.path(file), write, logical, physical)
 	}
-}
-
-// SetServeObserver implements ServeObservable by delegation.
-func (p *prefixFS) SetServeObserver(o sim.ServeObserver) {
-	if so, ok := p.inner.(ServeObservable); ok {
-		so.SetServeObserver(o)
-	}
-}
-
-// NumDataServers implements StripedVolume/ReplicaVolume by delegation.
-func (p *prefixFS) NumDataServers() int {
-	if sv, ok := p.inner.(ReplicaVolume); ok {
-		return sv.NumDataServers()
-	}
-	if sv, ok := p.inner.(StripedVolume); ok {
-		return sv.NumDataServers()
-	}
-	return 0
-}
-
-// StripeUnit implements StripedVolume by delegation.
-func (p *prefixFS) StripeUnit() int64 {
-	if sv, ok := p.inner.(StripedVolume); ok {
-		return sv.StripeUnit()
-	}
-	return 0
-}
-
-// DegradeDataServer implements StripeFaultInjector by delegation.
-func (p *prefixFS) DegradeDataServer(i int, factor float64) {
-	if fi, ok := p.inner.(StripeFaultInjector); ok {
-		fi.DegradeDataServer(i, factor)
-	}
-}
-
-// FailDataServerAt implements StripeFaultInjector by delegation.
-func (p *prefixFS) FailDataServerAt(i int, t float64) {
-	if fi, ok := p.inner.(StripeFaultInjector); ok {
-		fi.FailDataServerAt(i, t)
-	}
-}
-
-// DataServerFreeAt implements ReplicaVolume by delegation.
-func (p *prefixFS) DataServerFreeAt(i int) float64 {
-	if rv, ok := p.inner.(ReplicaVolume); ok {
-		return rv.DataServerFreeAt(i)
-	}
-	return 0
-}
-
-// DataServerFailAt implements ReplicaVolume by delegation.
-func (p *prefixFS) DataServerFailAt(i int) float64 {
-	if rv, ok := p.inner.(ReplicaVolume); ok {
-		return rv.DataServerFailAt(i)
-	}
-	return 0
 }
 
 // TrimPrefix strips a tenant prefix from a reported file name ("job-a/"
@@ -139,46 +77,4 @@ func (p *prefixFS) DataServerFailAt(i int) float64 {
 // code uses it to fold per-tenant names back onto the shared layout.
 func TrimPrefix(name, prefix string) string {
 	return strings.TrimPrefix(name, prefix)
-}
-
-type prefixFile struct {
-	inner File
-}
-
-func (f *prefixFile) Name() string                           { return f.inner.Name() }
-func (f *prefixFile) Size(c Client) int64                    { return f.inner.Size(c) }
-func (f *prefixFile) Close(c Client)                         { f.inner.Close(c) }
-func (f *prefixFile) ReadAt(c Client, buf []byte, off int64) { f.inner.ReadAt(c, buf, off) }
-func (f *prefixFile) WriteAt(c Client, data []byte, off int64) {
-	f.inner.WriteAt(c, data, off)
-}
-
-// WriteAtDeferred implements DeferredWriter by delegation (blocking
-// fallback when the backing handle has no write-behind path).
-func (f *prefixFile) WriteAtDeferred(c Client, data []byte, off int64) float64 {
-	return WriteAtAsync(f.inner, c, data, off)
-}
-
-// ReadAtDeferred implements DeferredReader by delegation.
-func (f *prefixFile) ReadAtDeferred(c Client, buf []byte, off int64) float64 {
-	return ReadAtAsync(f.inner, c, buf, off)
-}
-
-// WriteAtDeadline implements FallibleFile by delegation (infallible
-// blocking fallback, like the other wrappers).
-func (f *prefixFile) WriteAtDeadline(c Client, data []byte, off int64, deadline float64) error {
-	if ff, ok := f.inner.(FallibleFile); ok {
-		return ff.WriteAtDeadline(c, data, off, deadline)
-	}
-	f.inner.WriteAt(c, data, off)
-	return nil
-}
-
-// ReadAtDeadline implements FallibleFile by delegation.
-func (f *prefixFile) ReadAtDeadline(c Client, buf []byte, off int64, deadline float64) error {
-	if ff, ok := f.inner.(FallibleFile); ok {
-		return ff.ReadAtDeadline(c, buf, off, deadline)
-	}
-	f.inner.ReadAt(c, buf, off)
-	return nil
 }

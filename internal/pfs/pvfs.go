@@ -127,7 +127,7 @@ func (fs *PVFS) metaOp(c Client) {
 func (fs *PVFS) Create(c Client, name string) (File, error) {
 	fs.metaOp(c)
 	fs.stats.create()
-	return &pvfsFile{fs: fs, name: name, store: fs.ns.create(name)}, nil
+	return File{&pvfsFile{fs: fs, name: name, store: fs.ns.create(name)}}, nil
 }
 
 // CreateStriped creates a file with application-specific striping — the
@@ -137,18 +137,17 @@ func (fs *PVFS) Create(c Client, name string) (File, error) {
 // starting daemon so small files on few daemons still balance globally.
 func (fs *PVFS) CreateStriped(c Client, name string, unit int64, iods, first int) (File, error) {
 	if unit <= 0 || iods <= 0 {
-		return nil, fmt.Errorf("pfs: invalid striping unit=%d iods=%d for %q", unit, iods, name)
+		return File{}, fmt.Errorf("pfs: invalid striping unit=%d iods=%d for %q", unit, iods, name)
 	}
 	if iods > fs.cfg.IODs {
 		iods = fs.cfg.IODs
 	}
 	f, err := fs.Create(c, name)
 	if err != nil {
-		return nil, err
+		return File{}, err
 	}
-	pf := f.(*pvfsFile)
-	fs.striping[pf.store] = stripeParams{unit: unit, iods: iods, first: ((first % fs.cfg.IODs) + fs.cfg.IODs) % fs.cfg.IODs}
-	return pf, nil
+	fs.striping[f.Handle.(*pvfsFile).store] = stripeParams{unit: unit, iods: iods, first: ((first % fs.cfg.IODs) + fs.cfg.IODs) % fs.cfg.IODs}
+	return f, nil
 }
 
 // params returns a file's striping layout (volume defaults if custom
@@ -164,11 +163,11 @@ func (f *pvfsFile) params() stripeParams {
 func (fs *PVFS) Open(c Client, name string) (File, error) {
 	st, err := fs.ns.open(name)
 	if err != nil {
-		return nil, err
+		return File{}, err
 	}
 	fs.metaOp(c)
 	fs.stats.open()
-	return &pvfsFile{fs: fs, name: name, store: st}, nil
+	return File{&pvfsFile{fs: fs, name: name, store: st}}, nil
 }
 
 type pvfsFile struct {
@@ -190,30 +189,29 @@ func perIOD(spans []stripeSpan, n int) [][]stripeSpan {
 	return out
 }
 
-func (f *pvfsFile) WriteAt(c Client, data []byte, off int64) {
-	c.Proc.AdvanceTo(f.WriteAtDeferred(c, data, off))
-}
-
-// WriteAtDeferred implements DeferredWriter: the client-library call and the
-// request injections onto the wire happen at issue (so iod NICs, CPUs and
-// disks see the same arrivals as a blocking write), and only the wait for
-// the slowest daemon's ack is deferred to the returned completion time.
-func (f *pvfsFile) WriteAtDeferred(c Client, data []byte, off int64) float64 {
-	n := int64(len(data))
+// Do implements Handle: the client-library call and the request injections
+// onto the wire happen at issue (so iod NICs, CPUs and disks see the same
+// arrivals in every mode); settle decides how the caller waits for the
+// slowest daemon.
+func (f *pvfsFile) Do(c Client, r Req) (float64, error) {
+	n := int64(len(r.Buf))
 	if n == 0 {
-		return c.Proc.Now()
+		return idle(c, r)
 	}
-	end := f.writeIssue(c, n, off)
-	f.store.WriteAt(data, off)
-	f.fs.stats.write(n)
-	return end
+	var end float64
+	if r.Write {
+		end = f.writeIssue(c, n, r.Off)
+	} else {
+		end = f.readIssue(c, n, r.Off)
+	}
+	return settle(c, r, end, f.fs.Name(), f.name, f.store, &f.fs.stats)
 }
 
 // writeIssue charges the client library, the wire and every involved iod's
 // CPU and disk for a write of n bytes at off, returning the completion time
 // of the slowest daemon's ack. It does not store bytes or touch stats —
-// the split lets the deadline path abandon a request whose completion lies
-// past its budget while the devices stay charged (they did the work).
+// the split lets settle abandon a request whose completion lies past its
+// deadline while the devices stay charged (they did the work).
 func (f *pvfsFile) writeIssue(c Client, n, off int64) float64 {
 	fs := f.fs
 	class := c.Proc.Class()
@@ -243,34 +241,6 @@ func (f *pvfsFile) writeIssue(c Client, n, off int64) float64 {
 		}
 	}
 	return end
-}
-
-// WriteAtDeadline implements FallibleFile.
-func (f *pvfsFile) WriteAtDeadline(c Client, data []byte, off int64, deadline float64) error {
-	n := int64(len(data))
-	if n == 0 {
-		return nil
-	}
-	end := f.writeIssue(c, n, off)
-	if end > deadline {
-		c.Proc.AdvanceTo(deadline)
-		return &DeviceError{FS: f.fs.Name(), File: f.name, Op: "write", Deadline: deadline, Completion: end}
-	}
-	f.store.WriteAt(data, off)
-	f.fs.stats.write(n)
-	c.Proc.AdvanceTo(end)
-	return nil
-}
-
-func (f *pvfsFile) ReadAt(c Client, buf []byte, off int64) {
-	n := int64(len(buf))
-	if n == 0 {
-		return
-	}
-	end := f.readIssue(c, n, off)
-	c.Proc.AdvanceTo(end)
-	f.store.ReadAt(buf, off)
-	f.fs.stats.read(n)
 }
 
 // readIssue charges every resource for a read of n bytes at off and
@@ -304,38 +274,6 @@ func (f *pvfsFile) readIssue(c Client, n, off int64) float64 {
 		}
 	}
 	return end
-}
-
-// ReadAtDeferred implements DeferredReader: the full request is charged at
-// issue (readIssue uses exactly the blocking timestamps) and the bytes land
-// in buf immediately; only the caller's wait for the returned completion is
-// deferred.
-func (f *pvfsFile) ReadAtDeferred(c Client, buf []byte, off int64) float64 {
-	n := int64(len(buf))
-	if n == 0 {
-		return c.Proc.Now()
-	}
-	end := f.readIssue(c, n, off)
-	f.store.ReadAt(buf, off)
-	f.fs.stats.read(n)
-	return end
-}
-
-// ReadAtDeadline implements FallibleFile.
-func (f *pvfsFile) ReadAtDeadline(c Client, buf []byte, off int64, deadline float64) error {
-	n := int64(len(buf))
-	if n == 0 {
-		return nil
-	}
-	end := f.readIssue(c, n, off)
-	if end > deadline {
-		c.Proc.AdvanceTo(deadline)
-		return &DeviceError{FS: f.fs.Name(), File: f.name, Op: "read", Deadline: deadline, Completion: end}
-	}
-	c.Proc.AdvanceTo(end)
-	f.store.ReadAt(buf, off)
-	f.fs.stats.read(n)
-	return nil
 }
 
 // Snapshot implements FileSystem (out-of-band staging).

@@ -66,18 +66,18 @@ func (fs *XFS) Exists(name string) bool { return fs.ns.exists(name) }
 func (fs *XFS) Create(c Client, name string) (File, error) {
 	c.Proc.Advance(fs.cfg.MetaTime)
 	fs.stats.create()
-	return &xfsFile{fs: fs, name: name, store: fs.ns.create(name)}, nil
+	return File{&xfsFile{fs: fs, name: name, store: fs.ns.create(name)}}, nil
 }
 
 // Open implements FileSystem.
 func (fs *XFS) Open(c Client, name string) (File, error) {
 	st, err := fs.ns.open(name)
 	if err != nil {
-		return nil, err
+		return File{}, err
 	}
 	c.Proc.Advance(fs.cfg.MetaTime)
 	fs.stats.open()
-	return &xfsFile{fs: fs, name: name, store: st}, nil
+	return File{&xfsFile{fs: fs, name: name, store: st}}, nil
 }
 
 type xfsFile struct {
@@ -90,13 +90,10 @@ func (f *xfsFile) Name() string        { return f.name }
 func (f *xfsFile) Size(c Client) int64 { return f.store.Size() }
 func (f *xfsFile) Close(c Client)      { c.Proc.Advance(f.fs.cfg.MetaTime / 2) }
 
-func (f *xfsFile) access(c Client, off, n int64) {
-	c.Proc.AdvanceTo(f.accessDeferred(c, off, n))
-}
-
-// accessDeferred charges the syscall, buffer-cache copy and LUN queues at
-// issue and returns the completion time without advancing the caller to it.
-func (f *xfsFile) accessDeferred(c Client, off, n int64) float64 {
+// issue charges the syscall, buffer-cache copy and LUN queues for an access
+// of n bytes at off (reads and writes cost the same) and returns the
+// completion time without advancing the caller to it.
+func (f *xfsFile) issue(c Client, off, n int64) float64 {
 	fs := f.fs
 	c.Proc.Advance(fs.cfg.PerCall + fs.mach.CopyTime(n)) // syscall + buffer-cache copy
 	end := c.Proc.Now()
@@ -108,36 +105,20 @@ func (f *xfsFile) accessDeferred(c Client, off, n int64) float64 {
 	return end
 }
 
-func (f *xfsFile) WriteAt(c Client, data []byte, off int64) {
-	f.access(c, off, int64(len(data)))
-	f.store.WriteAt(data, off)
-	f.fs.stats.write(int64(len(data)))
-}
-
-// WriteAtDeferred implements DeferredWriter: once the data is in the buffer
-// cache (the copy stays on the caller's clock) the LUN work proceeds on its
-// own; the returned time is when the last stripe hits its LUN.
-func (f *xfsFile) WriteAtDeferred(c Client, data []byte, off int64) float64 {
-	end := f.accessDeferred(c, off, int64(len(data)))
-	f.store.WriteAt(data, off)
-	f.fs.stats.write(int64(len(data)))
-	return end
-}
-
-func (f *xfsFile) ReadAt(c Client, buf []byte, off int64) {
-	f.access(c, off, int64(len(buf)))
-	f.store.ReadAt(buf, off)
-	f.fs.stats.read(int64(len(buf)))
-}
-
-// ReadAtDeferred implements DeferredReader: syscall and buffer-cache copy
-// stay on the caller's clock, the LUN work is charged at issue, and only
-// the wait for the returned completion is deferred.
-func (f *xfsFile) ReadAtDeferred(c Client, buf []byte, off int64) float64 {
-	end := f.accessDeferred(c, off, int64(len(buf)))
-	f.store.ReadAt(buf, off)
-	f.fs.stats.read(int64(len(buf)))
-	return end
+// Do implements Handle: once the data is in the buffer cache (the copy stays
+// on the caller's clock) the LUN work proceeds on its own, so a Behind
+// request defers only the wait for the last stripe. The LUNs are
+// client-local and cannot straggle or die, so a deadline is never missed:
+// By is Block here.
+func (f *xfsFile) Do(c Client, r Req) (float64, error) {
+	n := int64(len(r.Buf))
+	if n == 0 {
+		return idle(c, r)
+	}
+	if r.Mode == By {
+		r.Mode = Block
+	}
+	return settle(c, r, f.issue(c, r.Off, n), f.fs.Name(), f.name, f.store, &f.fs.stats)
 }
 
 // SetServeObserver implements ServeObservable over every LUN queue.

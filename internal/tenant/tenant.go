@@ -162,8 +162,8 @@ func (fr *FleetResult) DiagJobs() []diag.JobIO {
 }
 
 // schedPolicyHost is the capability to install a server-side scheduling
-// policy; pvfs and gpfs implement it (type-asserted, never required —
-// the package's capability idiom).
+// policy; pvfs and gpfs implement it (found through pfs.As, never
+// required).
 type schedPolicyHost interface {
 	SetSchedPolicy(func(server string) sim.SchedPolicy)
 }
@@ -245,7 +245,7 @@ func runJobs(cfg FleetConfig, bases []int, idx []int) ([]jobOutcome, float64, *o
 	case "", "fifo":
 		// The built-in watermark: bit-identical to every historical run.
 	case "fair":
-		host, ok := raw.(schedPolicyHost)
+		host, ok := pfs.As[schedPolicyHost](raw)
 		if !ok {
 			return nil, 0, nil, fmt.Errorf("tenant: file system %q does not support scheduling policies", cfg.FS)
 		}
@@ -263,16 +263,7 @@ func runJobs(cfg FleetConfig, bases []int, idx []int) ([]jobOutcome, float64, *o
 	var tr *obs.Tracer
 	if cfg.Trace {
 		tr = obs.NewTracer()
-		fi := obs.FSInfo{Name: raw.Name()}
-		if sv, ok := raw.(pfs.StripedVolume); ok {
-			fi.DataServers = sv.NumDataServers()
-			fi.StripeUnit = sv.StripeUnit()
-		}
-		tr.SetFSInfo(fi)
 		shared = obs.WrapFS(shared, tr)
-		if so, ok := shared.(pfs.ServeObservable); ok {
-			so.SetServeObserver(tr)
-		}
 		mach.SetServeObserver(tr)
 	}
 
