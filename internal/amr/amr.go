@@ -198,6 +198,19 @@ func (ps *ParticleSet) SetRow(i int, row []byte) {
 	}
 }
 
+// Select returns a new set holding particles idx[0], idx[1], ... of ps, in
+// that order, copied array by array.
+func (ps *ParticleSet) Select(idx []int) ParticleSet {
+	out := NewParticleSet(len(idx))
+	for k, a := range ParticleArrays {
+		src, dst := ps.Arrays[k], out.Arrays[k]
+		for j, i := range idx {
+			copy(dst[j*a.ElemSize:(j+1)*a.ElemSize], src[i*a.ElemSize:(i+1)*a.ElemSize])
+		}
+	}
+	return out
+}
+
 // Hierarchy is the grid tree. Grids are indexed by ID; the root has ID 0.
 // Per the paper, the hierarchy metadata is replicated on every processor
 // while the grids' data are distributed.

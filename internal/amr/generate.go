@@ -341,16 +341,8 @@ func moveParticles(parent, child *Grid) {
 			keep = append(keep, i)
 		}
 	}
-	newChild := NewParticleSet(len(move))
-	for j, i := range move {
-		newChild.SetRow(j, parent.Particles.Row(i))
-	}
-	newParent := NewParticleSet(len(keep))
-	for j, i := range keep {
-		newParent.SetRow(j, parent.Particles.Row(i))
-	}
-	child.Particles = newChild
-	parent.Particles = newParent
+	child.Particles = parent.Particles.Select(move)
+	parent.Particles = parent.Particles.Select(keep)
 }
 
 // RefineLevel refines every grid at the given level of the hierarchy whose

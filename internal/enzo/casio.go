@@ -195,8 +195,8 @@ func (rd *casReader) field(g core.GridMeta, fi int, p *partition) func() {
 
 // rows returns this rank's dumped block whatever [lo,hi) says: items are
 // per rank, and the redistribution sorts out the rest.
-func (rd *casReader) rows(g core.GridMeta, lo, hi int64) []byte {
-	return rd.fetch(fmt.Sprintf("g0/p/r%d", rd.r.Rank()))
+func (rd *casReader) rows(g core.GridMeta, lo, hi int64) amr.ParticleSet {
+	return unpackRows(rd.fetch(fmt.Sprintf("g0/p/r%d", rd.r.Rank())))
 }
 
 func (rd *casReader) subgrid(gm core.GridMeta) func() *amr.Grid {

@@ -176,7 +176,7 @@ func TestParticleHelpersRoundTrip(t *testing.T) {
 		}
 	}
 	_, cols := flatColumnsFromRows(rows)
-	rows2 := rowsFromColumns(cols)
+	rows2 := packRows(&amr.ParticleSet{N: 10, Arrays: cols})
 	for i := range rows {
 		if rows[i] != rows2[i] {
 			t.Fatal("columns round trip failed")

@@ -1,6 +1,7 @@
 package enzo
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/amr"
@@ -50,7 +51,7 @@ func writeGridSD(sd *hdf4.SDFile, g *amr.Grid) {
 func readGridSD(sd *hdf4.SDFile, g core.GridMeta) *amr.Grid {
 	grid := newGrid(g)
 	for f, name := range amr.FieldNames {
-		_, data, err := sd.ReadSDS(name)
+		_, data, err := sd.ReadSDS(name, nil) // the grid adopts the buffer
 		if err != nil {
 			panic(err)
 		}
@@ -60,7 +61,7 @@ func readGridSD(sd *hdf4.SDFile, g core.GridMeta) *amr.Grid {
 		return grid
 	}
 	for k, pa := range amr.ParticleArrays {
-		_, data, err := sd.ReadSDS(pa.Name)
+		_, data, err := sd.ReadSDS(pa.Name, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -101,11 +102,12 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 			panic(err)
 		}
 	}
+	var full []byte // processor 0's staging buffer: one serves every field of the grid
 	for f, name := range amr.FieldNames {
 		var parts [][]byte
 		if s.r.Rank() == 0 {
-			_, full, err := sd.ReadSDS(name)
-			if err != nil {
+			var err error
+			if _, full, err = sd.ReadSDS(name, full); err != nil {
 				panic(err)
 			}
 			parts = make([][]byte, s.r.Size())
@@ -124,30 +126,26 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 		// Processor 0 reads every particle array, determines each
 		// particle's destination from its position, and scatters the
 		// arrays one by one (the fixed access order).
-		var owners []int
+		var owners []int32
+		var counts []int
 		var cols [][]byte
 		if s.r.Rank() == 0 {
 			cols = make([][]byte, len(amr.ParticleArrays))
 			for k, pa := range amr.ParticleArrays {
-				_, data, err := sd.ReadSDS(pa.Name)
+				_, data, err := sd.ReadSDS(pa.Name, nil)
 				if err != nil {
 					panic(err)
 				}
 				cols[k] = data
 			}
-			rows := rowsFromColumns(cols)
-			rs := rowSize()
-			owners = make([]int, int(g.NParticles))
-			for i := range owners {
-				owners[i] = core.OwnerOfPosition(rowPosition(rows[i*rs:(i+1)*rs]), g, s.pz, s.py, s.px)
-			}
-			s.r.CopyCost(int64(len(rows)))
+			owners, counts = s.ownersByPosition(&amr.ParticleSet{N: int(g.NParticles), Arrays: cols}, g)
+			s.r.CopyCost(g.NParticles * amr.BytesPerParticle())
 		}
 		recvCols := make([][]byte, len(amr.ParticleArrays))
 		for k, pa := range amr.ParticleArrays {
 			var parts [][]byte
 			if s.r.Rank() == 0 {
-				parts = make([][]byte, s.r.Size())
+				parts = carve(counts, pa.ElemSize)
 				for i, o := range owners {
 					parts[o] = append(parts[o], cols[k][i*pa.ElemSize:(i+1)*pa.ElemSize]...)
 				}
@@ -176,17 +174,18 @@ func (s hdf4IO) writeDump(d int) {
 	g := s.meta.Top()
 	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", "0")
 	var sd *hdf4.SDFile
+	var full []byte // processor 0's staging buffer: WriteSDS stores a copy, so one serves every field
 	if s.r.Rank() == 0 {
 		var err error
 		sd, err = hdf4.Create(s.client(), s.fs, dumpTopFile(d))
 		if err != nil {
 			panic(err)
 		}
+		full = make([]byte, g.Cells()*amr.FieldElemSize)
 	}
 	for f, name := range amr.FieldNames {
 		blocks := s.r.Gatherv(0, s.top.fields[f])
 		if s.r.Rank() == 0 {
-			full := make([]byte, g.Cells()*amr.FieldElemSize)
 			for rank, blk := range blocks {
 				core.FieldSubarray(g, s.pz, s.py, s.px, rank).ScatterSub(full, blk)
 			}
@@ -199,14 +198,10 @@ func (s hdf4IO) writeDump(d int) {
 	}
 	rows := packRows(&s.top.particles)
 	s.r.CopyCost(int64(len(rows)))
-	gathered := s.r.GathervScratch(0, rows) // rows is a fresh pack, garbage after this call
+	gathered := s.r.Gatherv(0, rows)
 	if s.r.Rank() == 0 {
-		var all []byte
-		for _, chunk := range gathered {
-			all = append(all, chunk...)
-		}
 		if g.NParticles > 0 {
-			sorted := s.sortRowsByIDLocal(all)
+			sorted := s.sortRowsByIDLocal(bytes.Join(gathered, nil))
 			_, cols := flatColumnsFromRows(sorted)
 			s.r.CopyCost(int64(len(sorted)))
 			for k, pa := range amr.ParticleArrays {

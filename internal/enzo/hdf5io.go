@@ -248,7 +248,7 @@ func (h *h5File) field(g core.GridMeta, fi int, p *partition) func() {
 	return h.read(xfer{kind: kind, ds: ds, sel: p.sub, buf: buf})
 }
 
-func (h *h5File) rows(g core.GridMeta, lo, hi int64) []byte {
+func (h *h5File) rows(g core.GridMeta, lo, hi int64) amr.ParticleSet {
 	cols := make([][]byte, len(amr.ParticleArrays))
 	settles := make([]func(), len(amr.ParticleArrays))
 	for k, pa := range amr.ParticleArrays {
@@ -257,7 +257,7 @@ func (h *h5File) rows(g core.GridMeta, lo, hi int64) []byte {
 	for _, settle := range settles {
 		settle()
 	}
-	return rowsFromColumns(cols)
+	return amr.ParticleSet{N: int(hi - lo), Arrays: cols}
 }
 
 // subgrid issues every dataset read of the grid together.

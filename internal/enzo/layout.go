@@ -57,8 +57,9 @@ type gridReader interface {
 	// of field fi of a partitioned grid; the returned settle leaves it in
 	// p.fields[fi].
 	field(g core.GridMeta, fi int, p *partition) (settle func())
-	// rows reads particle rows [lo,hi) of a partitioned grid, row-major.
-	rows(g core.GridMeta, lo, hi int64) []byte
+	// rows reads particle rows [lo,hi) of a partitioned grid, as stored:
+	// one column per particle array.
+	rows(g core.GridMeta, lo, hi int64) amr.ParticleSet
 	// subgrid issues the read of a wholly owned subgrid; finish settles it
 	// and assembles the grid.
 	subgrid(gm core.GridMeta) (finish func() *amr.Grid)
@@ -185,9 +186,9 @@ func (w walk) readPartitioned(rd gridReader, g core.GridMeta, restart bool) *par
 	case !restart && w.localICRows != nil:
 		lo, hi = w.localICRows[g.ID][0], w.localICRows[g.ID][1]
 	}
-	rows := rd.rows(g, lo, hi)
-	w.r.CopyCost(int64(len(rows)))
-	p.particles = w.redistributeByPosition(rows, g)
+	block := rd.rows(g, lo, hi)
+	w.r.CopyCost(int64(block.N * rowSize()))
+	p.particles = w.redistributeByPosition(&block, g)
 	return p
 }
 

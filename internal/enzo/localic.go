@@ -36,14 +36,7 @@ func (s *Sim) scatterGridFromRoot(h *amr.Hierarchy, gm core.GridMeta) (fields []
 	}
 	var rowParts [][]byte
 	if s.r.Rank() == 0 {
-		all := packRows(&h.Grids[gm.ID].Particles)
-		rs := rowSize()
-		rowParts = make([][]byte, s.r.Size())
-		for i := 0; i+rs <= len(all); i += rs {
-			row := all[i : i+rs]
-			o := core.OwnerOfPosition(rowPosition(row), gm, s.pz, s.py, s.px)
-			rowParts[o] = append(rowParts[o], row...)
-		}
+		rowParts = s.rowsByOwner(&h.Grids[gm.ID].Particles, gm)
 	}
 	rows = s.r.Scatterv(0, rowParts)
 	return fields, rows

@@ -17,28 +17,28 @@ import (
 // rowSize is the byte size of one particle row.
 func rowSize() int { return int(amr.BytesPerParticle()) }
 
+// appendRow appends particle i of a column-stored set to dst as one row.
+func appendRow(dst []byte, ps *amr.ParticleSet, i int) []byte {
+	for k, a := range amr.ParticleArrays {
+		dst = append(dst, ps.Arrays[k][i*a.ElemSize:(i+1)*a.ElemSize]...)
+	}
+	return dst
+}
+
 // packRows converts a column-stored particle set into row-major bytes.
 func packRows(ps *amr.ParticleSet) []byte {
-	rs := rowSize()
-	out := make([]byte, ps.N*rs)
+	out := make([]byte, 0, ps.N*rowSize())
 	for i := 0; i < ps.N; i++ {
-		off := i * rs
-		for k, a := range amr.ParticleArrays {
-			off += copy(out[off:], ps.Arrays[k][i*a.ElemSize:(i+1)*a.ElemSize])
-		}
+		out = appendRow(out, ps, i)
 	}
 	return out
 }
 
-// unpackRows converts row-major bytes back into a column-stored set.
-func unpackRows(rows []byte) amr.ParticleSet {
-	rs := rowSize()
-	n := len(rows) / rs
-	ps := amr.NewParticleSet(n)
-	for i := 0; i < n; i++ {
-		ps.SetRow(i, rows[i*rs:(i+1)*rs])
-	}
-	return ps
+// unpackRows converts row-major bytes — one buffer or the chunks of a
+// gather or an exchange, taken in order — back into a column-stored set.
+func unpackRows(chunks ...[]byte) amr.ParticleSet {
+	flat, cols := flatColumnsFromRows(chunks...)
+	return amr.ParticleSet{N: len(flat) / rowSize(), Arrays: cols}
 }
 
 // rowPosition reads the (z,y,x) position out of a row.
@@ -49,87 +49,88 @@ func rowPosition(row []byte) [3]float64 {
 	return [3]float64{pz, py, px}
 }
 
-// flatColumnsFromRows splits row-major particle bytes into one column per
-// particle array (the file storage layout), all in a single backing
-// buffer: column k occupies flat[pos_k : pos_k+n*elem_k] in array order,
-// so the same bytes serve directly as a WriteList payload (entries in
-// array order) without a second gather copy.
-func flatColumnsFromRows(rows []byte) (flat []byte, cols [][]byte) {
+// flatColumnsFromRows splits row-major particle bytes (chunks taken in
+// order, each a whole number of rows) into one column per particle array
+// (the file storage layout), all in a single backing buffer: column k
+// occupies flat[pos_k : pos_k+n*elem_k] in array order, so the same bytes
+// serve directly as a WriteList payload (entries in array order) without a
+// second gather copy.
+func flatColumnsFromRows(chunks ...[]byte) (flat []byte, cols [][]byte) {
 	rs := rowSize()
-	n := len(rows) / rs
-	flat = make([]byte, len(rows))
+	n := 0
+	for _, c := range chunks {
+		n += len(c) / rs
+	}
+	flat = make([]byte, n*rs)
 	cols = make([][]byte, len(amr.ParticleArrays))
 	pos := 0
 	for k, a := range amr.ParticleArrays {
-		cols[k] = flat[pos : pos+n*a.ElemSize]
+		cols[k] = flat[pos : pos+n*a.ElemSize : pos+n*a.ElemSize]
 		pos += n * a.ElemSize
 	}
-	for i := 0; i < n; i++ {
-		off := 0
-		for k, a := range amr.ParticleArrays {
-			copy(cols[k][i*a.ElemSize:], rows[i*rs+off:i*rs+off+a.ElemSize])
-			off += a.ElemSize
+	i := 0
+	for _, c := range chunks {
+		for ; len(c) >= rs; c, i = c[rs:], i+1 {
+			off := 0
+			for k, a := range amr.ParticleArrays {
+				copy(cols[k][i*a.ElemSize:], c[off:off+a.ElemSize])
+				off += a.ElemSize
+			}
 		}
 	}
 	return flat, cols
 }
 
-// rowsFromColumns reassembles row-major bytes from per-array buffers.
-func rowsFromColumns(cols [][]byte) []byte {
-	if len(cols) != len(amr.ParticleArrays) {
-		panic("enzo: wrong column count")
+// ownersByPosition maps every particle of ps to the rank whose sub-domain
+// of grid g contains its position, and counts each rank's share.
+func (s *Sim) ownersByPosition(ps *amr.ParticleSet, g core.GridMeta) (owners []int32, counts []int) {
+	owners = make([]int32, ps.N)
+	counts = make([]int, s.r.Size())
+	for i := range owners {
+		o := core.OwnerOfPosition(ps.Position(i), g, s.pz, s.py, s.px)
+		owners[i] = int32(o)
+		counts[o]++
 	}
-	n := len(cols[0]) / amr.ParticleArrays[0].ElemSize
-	rs := rowSize()
-	out := make([]byte, n*rs)
-	for i := 0; i < n; i++ {
-		off := 0
-		for k, a := range amr.ParticleArrays {
-			copy(out[i*rs+off:], cols[k][i*a.ElemSize:(i+1)*a.ElemSize])
-			off += a.ElemSize
-		}
+	return owners, counts
+}
+
+// carve returns one empty slice per owner with room for exactly counts[o]
+// records of recSize bytes, all in one backing buffer — filling them by
+// append costs no per-owner growth.
+func carve(counts []int, recSize int) [][]byte {
+	total := 0
+	for _, c := range counts {
+		total += c
 	}
-	return out
+	backing := make([]byte, total*recSize)
+	parts := make([][]byte, len(counts))
+	pos := 0
+	for o, c := range counts {
+		parts[o] = backing[pos : pos : pos+c*recSize]
+		pos += c * recSize
+	}
+	return parts
+}
+
+// rowsByOwner packs ps into one row-major part per rank: the rows of the
+// particles whose positions fall in that rank's sub-domain of grid g.
+func (s *Sim) rowsByOwner(ps *amr.ParticleSet, g core.GridMeta) [][]byte {
+	owners, counts := s.ownersByPosition(ps, g)
+	parts := carve(counts, rowSize())
+	for i, o := range owners {
+		parts[o] = appendRow(parts[o], ps, i)
+	}
+	return parts
 }
 
 // redistributeByPosition implements the read half of the paper's irregular
 // access method: after a block-wise contiguous read, each particle is
 // shipped to the processor whose sub-domain of grid g contains its
 // position. The transpose/pack cost is charged as memory copies.
-func (s *Sim) redistributeByPosition(rows []byte, g core.GridMeta) amr.ParticleSet {
-	rs := rowSize()
-	n := len(rows) / rs
-	// Two passes over the rows: count each owner's share, then copy into
-	// exactly sized slices of one backing buffer — no per-owner append
-	// growth.
-	counts := make([]int, s.r.Size())
-	owners := make([]int32, n)
-	for i := 0; i < n; i++ {
-		o := core.OwnerOfPosition(rowPosition(rows[i*rs:(i+1)*rs]), g, s.pz, s.py, s.px)
-		owners[i] = int32(o)
-		counts[o]++
-	}
-	backing := make([]byte, n*rs)
-	parts := make([][]byte, s.r.Size())
-	pos := 0
-	for o, c := range counts {
-		parts[o] = backing[pos*rs : pos*rs : (pos+c)*rs]
-		pos += c
-	}
-	for i := 0; i < n; i++ {
-		parts[owners[i]] = append(parts[owners[i]], rows[i*rs:(i+1)*rs]...)
-	}
-	s.r.CopyCost(int64(len(rows)))
-	recvd := s.r.AlltoallvScratch(parts) // parts and their backing are garbage after this call
-	var total int
-	for _, chunk := range recvd {
-		total += len(chunk)
-	}
-	all := make([]byte, 0, total)
-	for _, chunk := range recvd {
-		all = append(all, chunk...)
-	}
-	return unpackRows(all)
+func (s *Sim) redistributeByPosition(ps *amr.ParticleSet, g core.GridMeta) amr.ParticleSet {
+	parts := s.rowsByOwner(ps, g)
+	s.r.CopyCost(int64(ps.N * rowSize()))
+	return unpackRows(s.r.AlltoallvScratch(parts)...) // parts are garbage after this call
 }
 
 // parallelSortByID implements the write half: a parallel sample sort of

@@ -80,9 +80,9 @@ func TestBreakdownXFS(t *testing.T) {
 						f.ReadAt(buf, base+lo*int64(pa.ElemSize))
 						cols[k] = buf
 					}
-					rows := rowsFromColumns(cols)
-					r.CopyCost(int64(len(rows)))
-					s.top.particles = s.redistributeByPosition(rows, g)
+					block := amr.ParticleSet{N: int(hi - lo), Arrays: cols}
+					r.CopyCost(int64(block.N * rowSize()))
+					s.top.particles = s.redistributeByPosition(&block, g)
 				})
 				var tFields, tPart, tRedist float64
 				mark("read subgrids", func() {
@@ -108,9 +108,9 @@ func TestBreakdownXFS(t *testing.T) {
 							}
 							t2 := r.Now()
 							tPart += t2 - t1
-							rows := rowsFromColumns(cols)
-							r.CopyCost(int64(len(rows)))
-							p.particles = s.redistributeByPosition(rows, sg)
+							block := amr.ParticleSet{N: int(hi - lo), Arrays: cols}
+							r.CopyCost(int64(block.N * rowSize()))
+							p.particles = s.redistributeByPosition(&block, sg)
 							tRedist += r.Now() - t2
 						} else {
 							p.particles = amr.NewParticleSet(0)

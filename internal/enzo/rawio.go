@@ -104,14 +104,13 @@ func (l rawLayout) writeIC(h *amr.Hierarchy) {
 
 // fieldRuns returns rank r's file view for one baryon field of grid g in
 // the shared file: the flattened (Block,Block,Block) subarray shifted to
-// the array's offset.
+// the array's offset. The list lives in the rank's one run buffer and is
+// good until the next call — MPI-IO consumes a view when the access is
+// issued, in either issue mode.
 func (s *Sim) fieldRuns(g core.GridMeta, name string, sub mpi.Subarray) []mpi.Run {
 	base, _ := s.offsets.ArrayOffset(g.ID, name)
-	runs := sub.Flatten() // fresh slice: safe to shift in place
-	for i := range runs {
-		runs[i].Off += base
-	}
-	return runs
+	s.runBuf = sub.AppendRuns(s.runBuf[:0], base)
+	return s.runBuf
 }
 
 // colList builds the explicit (offset,length) vector covering rows [lo,hi)
@@ -153,11 +152,11 @@ func (rf *rawFile) field(g core.GridMeta, fi int, p *partition) func() {
 	return rf.read(xfer{kind: kind, f: rf.f, runs: rf.fieldRuns(g, amr.FieldNames[fi], p.sub), buf: buf})
 }
 
-func (rf *rawFile) rows(g core.GridMeta, lo, hi int64) []byte {
+func (rf *rawFile) rows(g core.GridMeta, lo, hi int64) amr.ParticleSet {
 	offs, lens, total := rf.colList(g.ID, lo, hi)
 	flat := make([]byte, total)
 	rf.read(xfer{kind: xList, f: rf.f, offs: offs, lens: lens, buf: flat})()
-	return rowsFromColumns(splitCols(flat, lens))
+	return amr.ParticleSet{N: int(hi - lo), Arrays: splitCols(flat, lens)}
 }
 
 // gridExtent is the contiguous shared-file region holding every array of

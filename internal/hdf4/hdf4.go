@@ -193,8 +193,13 @@ func (s *SDFile) Lookup(name string) (SDSInfo, error) {
 	return s.index[i], nil
 }
 
-// ReadSDS returns a named array's descriptor and data.
-func (s *SDFile) ReadSDS(name string) (SDSInfo, []byte, error) {
+// ReadSDS returns a named array's descriptor and data. The data is read into
+// dst when dst has the capacity for it — dst's length and contents are
+// ignored, and the returned slice aliases it, so the caller owns both and may
+// hand the same buffer to the next read once it is done with this one's
+// bytes. Otherwise (nil included) ReadSDS allocates, and the returned slice
+// is the caller's to keep.
+func (s *SDFile) ReadSDS(name string, dst []byte) (SDSInfo, []byte, error) {
 	s.check()
 	info, err := s.Lookup(name)
 	if err != nil {
@@ -202,9 +207,12 @@ func (s *SDFile) ReadSDS(name string) (SDSInfo, []byte, error) {
 	}
 	sp := obs.Begin(s.client.Proc, obs.LayerHDF, "sds_read").Bytes(info.DataLen).Attr("sds", name)
 	defer sp.End()
-	buf := make([]byte, info.DataLen)
-	s.f.ReadAt(s.client, buf, info.DataOff)
-	return info, buf, nil
+	if int64(cap(dst)) < info.DataLen {
+		dst = make([]byte, info.DataLen)
+	}
+	dst = dst[:info.DataLen]
+	s.f.ReadAt(s.client, dst, info.DataOff)
+	return info, dst, nil
 }
 
 // List returns the container's datasets in file order.

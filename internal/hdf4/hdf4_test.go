@@ -46,7 +46,7 @@ func TestWriteReadSDSRoundTrip(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		info, data, err := sd2.ReadSDS("density")
+		info, data, err := sd2.ReadSDS("density", nil)
 		if err != nil {
 			panic(err)
 		}
@@ -90,7 +90,7 @@ func TestMultipleSDSPreserveOrderAndContents(t *testing.T) {
 			if info.Name != names[i] {
 				panic("order not preserved: " + info.Name)
 			}
-			_, data, err := sd2.ReadSDS(info.Name)
+			_, data, err := sd2.ReadSDS(info.Name, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -104,7 +104,7 @@ func TestMultipleSDSPreserveOrderAndContents(t *testing.T) {
 func TestReadMissingSDSFails(t *testing.T) {
 	runSolo(t, func(c pfs.Client, fs pfs.FileSystem) {
 		sd, _ := Create(c, fs, "x.hdf")
-		if _, _, err := sd.ReadSDS("nope"); err == nil {
+		if _, _, err := sd.ReadSDS("nope", nil); err == nil {
 			panic("expected error")
 		}
 	})
@@ -230,7 +230,7 @@ func TestContainerRoundTripProperty(t *testing.T) {
 				panic(err)
 			}
 			for _, e := range entries {
-				info, data, err := sd2.ReadSDS(e.name)
+				info, data, err := sd2.ReadSDS(e.name, nil)
 				if err != nil || !bytes.Equal(data, e.data) || info.ElemSize != e.elem {
 					ok = false
 				}

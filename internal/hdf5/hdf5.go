@@ -124,12 +124,13 @@ func zDirSize(segs int) int64 { return 8 + 16*int64(segs) }
 // File is an HDF5-like container opened collectively by every rank of a
 // communicator.
 type File struct {
-	r     *mpi.Rank
-	mf    *mpiio.File
-	cfg   Config
-	eof   int64
-	index map[string]*datasetInfo
-	order []string
+	r      *mpi.Rank
+	mf     *mpiio.File
+	cfg    Config
+	eof    int64
+	index  map[string]*datasetInfo
+	order  []string
+	runBuf []mpi.Run // slabRuns' result, rebuilt per selection
 	// metaNote, when set by SetWriteBehindMeta, puts rank 0's internal
 	// metadata writes into write-behind mode.
 	metaNote func(end float64)
@@ -468,17 +469,20 @@ func (d *Dataset) Dims() []int { return append([]int(nil), d.info.Dims...) }
 func (d *Dataset) ElemSize() int { return d.info.ElemSize }
 
 // packCost charges overhead (3): the recursive hyperslab iterator.
-func (d *Dataset) packCost(runs []mpi.Run) {
-	defer obs.Begin(d.h.r.Proc(), obs.LayerHDF, "pack").Bytes(mpi.TotalLen(runs)).End()
+func (d *Dataset) packCost(nruns int, bytes int64) {
+	defer obs.Begin(d.h.r.Proc(), obs.LayerHDF, "pack").Bytes(bytes).End()
 	if d.h.cfg.DisableRecursivePack {
-		d.h.r.CopyCost(mpi.TotalLen(runs)) // flat memcpy-speed pack
+		d.h.r.CopyCost(bytes) // flat memcpy-speed pack
 		return
 	}
-	cost := float64(len(runs))*d.h.cfg.PackPerRun + float64(mpi.TotalLen(runs))/d.h.cfg.PackRate
+	cost := float64(nruns)*d.h.cfg.PackPerRun + float64(bytes)/d.h.cfg.PackRate
 	d.h.r.Proc().Advance(cost)
 }
 
 // slabRuns converts a selection within the dataset into absolute file runs.
+// The list lives in the file handle's one run buffer and is good until the
+// next selection on that handle — MPI-IO consumes a view when the access is
+// issued, in either issue mode.
 func (d *Dataset) slabRuns(sel mpi.Subarray) []mpi.Run {
 	if err := sel.Validate(); err != nil {
 		panic(err)
@@ -492,12 +496,8 @@ func (d *Dataset) slabRuns(sel mpi.Subarray) []mpi.Run {
 				sel.Sizes, d.info.Dims))
 		}
 	}
-	runs := sel.Flatten()
-	out := make([]mpi.Run, len(runs))
-	for i, run := range runs {
-		out[i] = mpi.Run{Off: run.Off + d.info.DataOff, Len: run.Len}
-	}
-	return out
+	d.h.runBuf = sel.AppendRuns(d.h.runBuf[:0], d.info.DataOff)
+	return d.h.runBuf
 }
 
 // WriteHyperslab collectively writes a hyperslab selection; every rank of
@@ -522,7 +522,7 @@ func (d *Dataset) IssueWriteHyperslab(behind, collective bool, sel mpi.Subarray,
 	sp := d.dataSpan(behind, slabOp(collective, "data_write", "data_write_indep")).Bytes(int64(len(data)))
 	defer sp.End()
 	runs := d.slabRuns(sel)
-	d.packCost(runs)
+	d.packCost(len(runs), int64(len(data)))
 	if collective {
 		return d.h.mf.IssueWriteAtAll(behind, runs, data)
 	}
@@ -554,11 +554,12 @@ func (d *Dataset) IssueReadHyperslab(behind, collective bool, sel mpi.Subarray, 
 	} else {
 		p = d.h.mf.IssueReadRuns(behind, runs, buf)
 	}
+	nruns, nbytes := len(runs), int64(len(buf)) // runs itself is rebuilt by the next selection
 	if !behind {
-		d.packCost(runs)
+		d.packCost(nruns, nbytes)
 		return nil
 	}
-	return p.Then(func() { d.packCost(runs) })
+	return p.Then(func() { d.packCost(nruns, nbytes) })
 }
 
 // slabOp picks a hyperslab transfer's span name (constants: building the

@@ -75,41 +75,23 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 }
 
 // Gatherv collects each rank's buffer at root. On root the result has one
-// entry per rank (root's own entry is a copy of its input); elsewhere the
-// result is nil. Arrivals funnel through the root's NIC, so the incast
-// serialization the original ENZO HDF4 path suffers appears naturally.
+// entry per rank; elsewhere the result is nil. Delivery is by reference (the
+// package's write-once rule): out[src] is the very slice rank src passed in,
+// root's own included, so from the call on both sides own it and neither may
+// write it. The root's local copy is still charged in virtual time. Arrivals
+// funnel through the root's NIC, so the incast serialization the original
+// ENZO HDF4 path suffers appears naturally.
 func (r *Rank) Gatherv(root int, data []byte) [][]byte {
-	return r.gatherv(root, data, false)
-}
-
-// GathervScratch is Gatherv minus the payload clone: the root receives each
-// rank's buffer by reference. Same aliasing contract as AlltoallvScratch —
-// the sender must not touch data until every rank has left the enclosing
-// operation (trivially true for buffers that become garbage right after
-// the call). Virtual times, costs, and stats are identical to Gatherv.
-func (r *Rank) GathervScratch(root int, data []byte) [][]byte {
-	return r.gatherv(root, data, true)
-}
-
-func (r *Rank) gatherv(root int, data []byte, scratch bool) [][]byte {
 	defer obs.Begin(r.proc, obs.LayerMPI, "gatherv").Bytes(int64(len(data))).End()
 	tag := r.collTag()
 	size := r.Size()
 	if r.rank != root {
-		if scratch {
-			r.sendScratch(root, tag, data)
-		} else {
-			r.Send(root, tag, data)
-		}
+		r.sendScratch(root, tag, data)
 		return nil
 	}
 	out := make([][]byte, size)
-	own := data
-	if !scratch {
-		own = append([]byte{}, data...)
-	}
 	r.CopyCost(int64(len(data)))
-	out[root] = own
+	out[root] = data
 	for src := 0; src < size; src++ {
 		if src == root {
 			continue
@@ -121,7 +103,10 @@ func (r *Rank) gatherv(root int, data []byte, scratch bool) [][]byte {
 }
 
 // Scatterv distributes parts[i] from root to rank i; every rank returns its
-// own part. Non-root ranks pass nil.
+// own part. Non-root ranks pass nil. Delivery is by reference (the package's
+// write-once rule): a rank gets root's parts[i] itself, root included, so
+// from the call on both sides own it and neither may write it. The root's
+// local copy is still charged in virtual time.
 func (r *Rank) Scatterv(root int, parts [][]byte) []byte {
 	var total int64
 	for _, p := range parts {
@@ -138,11 +123,10 @@ func (r *Rank) Scatterv(root int, parts [][]byte) []byte {
 			if dst == root {
 				continue
 			}
-			r.Send(dst, tag, parts[dst])
+			r.sendScratch(dst, tag, parts[dst])
 		}
-		own := append([]byte{}, parts[root]...)
-		r.CopyCost(int64(len(own)))
-		return own
+		r.CopyCost(int64(len(parts[root])))
+		return parts[root]
 	}
 	data, _, _ := r.Recv(root, tag)
 	return data

@@ -3,6 +3,17 @@
 // with tag matching, and use the standard collective operations. The
 // subset implemented is the one ENZO's I/O paths and ROMIO's two-phase
 // collective I/O need.
+//
+// Buffer ownership. A payload buffer is write-once: after it is sent,
+// gathered, scattered or handed to pfs nobody mutates it, and a receiver that
+// wants to change it clones it. The copies the modelled machine makes are
+// charged in virtual time (CopyCost, the transfer itself); the host makes one
+// only where a caller may legitimately reuse its buffer. So Gatherv, Scatterv,
+// AlltoallvScratch and ExchangeScratch deliver by reference — the receiver
+// holds the sender's slice — while Send/Isend, Bcast, Allgatherv, Alltoallv
+// and the reductions clone at post time and hand the buffer straight back
+// (MPI's blocking-send contract, which probes and tests rely on; their
+// payloads are small).
 package mpi
 
 import "fmt"
@@ -125,9 +136,16 @@ func (s Subarray) Flatten() []Run {
 	for d := 0; d < s.contigFrom()-1; d++ {
 		count *= s.Subsizes[d]
 	}
-	runs := make([]Run, 0, count)
-	s.visitRuns(func(r Run) { runs = append(runs, r) })
-	return runs
+	return s.AppendRuns(make([]Run, 0, count), 0)
+}
+
+// AppendRuns appends the subarray's run list, every offset shifted by base
+// (the array's position in a file), to dst and returns the extended slice:
+// Flatten into a buffer the caller owns, so a view rebuilt per array — the
+// same block of eight same-shaped fields, say — costs no allocation.
+func (s Subarray) AppendRuns(dst []Run, base int64) []Run {
+	s.visitRuns(func(r Run) { dst = append(dst, Run{Off: r.Off + base, Len: r.Len}) })
+	return dst
 }
 
 // visitRuns calls fn for each coalesced run of the subarray in ascending

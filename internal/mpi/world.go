@@ -254,7 +254,7 @@ func (r *Rank) sendScratch(dst, tag int, data []byte) {
 // matching Wait.
 func (r *Rank) post(dst, tag int, data []byte) (senderFree float64) {
 	// append instead of make+copy: the clone must not pay for zeroing
-	// memory it immediately overwrites — this copy is on every message's
+	// memory it immediately overwrites — this copy is on every cloned message's
 	// path.
 	return r.postRef(dst, tag, append([]byte{}, data...))
 }

@@ -42,6 +42,37 @@ func TestByteStoreHolesReadZero(t *testing.T) {
 	}
 }
 
+// A read destination is whatever the caller had lying around (a reused
+// staging buffer): one read that starts in a written page, crosses a
+// never-written page and runs past the logical size must leave exactly the
+// written bytes and zeros in it, and touch nothing outside it.
+func TestByteStoreReadOverwritesDirtyBuffer(t *testing.T) {
+	st := NewByteStore()
+	head := bytes.Repeat([]byte{0xA1}, 100)
+	tail := []byte{0xB2, 0xB3, 0xB4}
+	st.WriteAt(head, storePageSize-100)  // ends page 0
+	st.WriteAt(tail, 2*storePageSize+10) // page 1 stays a hole; EOF at 2 pages + 13
+	off := int64(storePageSize - 50)
+	n := int(st.Size()-off) + 500 // 500 bytes past EOF, inside the last page and beyond
+	want := make([]byte, n)
+	copy(want, head[50:])
+	copy(want[2*storePageSize+10-off:], tail)
+
+	dirty := bytes.Repeat([]byte{0xEE}, n+2)
+	st.ReadAt(dirty[1:n+1], off)
+	if !bytes.Equal(dirty[1:n+1], want) {
+		t.Fatal("read into a dirty buffer did not return the written bytes and zeros")
+	}
+	if dirty[0] != 0xEE || dirty[n+1] != 0xEE {
+		t.Fatal("read wrote outside its destination")
+	}
+	// Wholly past EOF, on a page that was never touched.
+	st.ReadAt(dirty, 10*storePageSize+7)
+	if !bytes.Equal(dirty, make([]byte, len(dirty))) {
+		t.Fatal("read past EOF left stale bytes in the destination")
+	}
+}
+
 func TestByteStoreCrossPageWrite(t *testing.T) {
 	st := NewByteStore()
 	data := make([]byte, 3*storePageSize+17)
@@ -538,3 +569,42 @@ func TestDiskSeekStats(t *testing.T) {
 		t.Fatalf("seek stats seq=%d near=%d far=%d, want 1,1,2", seq, near, far)
 	}
 }
+
+// BenchmarkByteStoreWrite / BenchmarkByteStoreRead time 1 MiB requests against
+// the store that holds every simulated file's bytes: the one host-side copy
+// per transferred byte the simulator cannot avoid (the store is the file).
+// Aligned requests cover whole pages; unaligned ones start mid-page, so the
+// first and last page of each take the partial-page path.
+func benchByteStore(b *testing.B, write bool) {
+	const req, fileSize = 1 << 20, 64 << 20
+	data := make([]byte, req)
+	rand.New(rand.NewSource(1)).Read(data)
+	for _, tc := range []struct {
+		name  string
+		shift int64
+	}{{"aligned", 0}, {"unaligned", storePageSize/2 + 7}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(req)
+			b.ReportAllocs()
+			st := NewByteStore()
+			if !write {
+				st.WriteAt(make([]byte, fileSize+req), 0)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := int64(i)*req%fileSize + tc.shift
+				if !write {
+					st.ReadAt(data, off)
+					continue
+				}
+				if off == tc.shift {
+					st.Truncate() // every write of a pass lands on missing pages
+				}
+				st.WriteAt(data, off)
+			}
+		})
+	}
+}
+
+func BenchmarkByteStoreWrite(b *testing.B) { benchByteStore(b, true) }
+func BenchmarkByteStoreRead(b *testing.B)  { benchByteStore(b, false) }

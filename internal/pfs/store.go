@@ -82,9 +82,7 @@ func (s *ByteStore) ReadAt(buf []byte, off int64) {
 			if max := int(storePageSize - pageOff); n > max {
 				n = max
 			}
-			for i := 0; i < n; i++ {
-				rem[i] = 0
-			}
+			clear(rem[:n])
 		}
 		rem = rem[n:]
 		pos += int64(n)

@@ -73,18 +73,32 @@ func SampleSort(r *mpi.Rank, rows [][]byte, rowSize int, key Key) [][]byte {
 	}
 
 	// Bucket rows by splitter: bucket i gets keys in (splitters[i-1],
-	// splitters[i]].
+	// splitters[i]]. The rows are sorted, so a bucket is a contiguous range
+	// of them, and the parts are back-to-back pieces of one buffer.
+	backing := make([]byte, 0, len(rows)*rowSize)
 	parts := make([][]byte, size)
-	for _, row := range rows {
-		k := key(row)
-		b := sort.Search(len(splitters), func(i int) bool { return k <= splitters[i] })
-		parts[b] = append(parts[b], row...)
+	lo := 0
+	for b := range parts {
+		hi := len(rows)
+		if b < len(splitters) {
+			hi = sort.Search(len(rows), func(i int) bool { return key(rows[i]) > splitters[b] })
+		}
+		start := len(backing)
+		for _, row := range rows[lo:hi] {
+			backing = append(backing, row...)
+		}
+		parts[b] = backing[start:len(backing):len(backing)]
+		lo = hi
 	}
 	recvd := r.AlltoallvScratch(parts) // freshly bucketed parts, garbage after this call
 
 	// Unpack and merge (received pieces are each sorted; a final sort is
 	// simplest and deterministic).
-	var out [][]byte
+	total := 0
+	for _, chunk := range recvd {
+		total += len(chunk) / rowSize
+	}
+	out := make([][]byte, 0, total)
 	for _, chunk := range recvd {
 		for p := 0; p+rowSize <= len(chunk); p += rowSize {
 			out = append(out, chunk[p:p+rowSize])
