@@ -46,9 +46,7 @@ func benchOptions() experiments.Options {
 // scale sweep's problem shape on the cluster1024 platform, and AMR128/np=256
 // is that sweep's largest AMR128 row itself.
 func BenchmarkEngine(b *testing.B) {
-	amr256quick := enzo.AMR256()
-	amr256quick.Dims = [3]int{64, 64, 64}
-	amr256quick.NParticles = 64 * 64 * 64 / 2
+	amr256quick := enzo.AMR256().Quick()
 	cases := []struct {
 		problem string
 		cfg     enzo.Config
@@ -111,7 +109,7 @@ func benchFigure(b *testing.B, figure string) {
 			var row experiments.Row
 			var err error
 			for i := 0; i < b.N; i++ {
-				row, err = c.Run()
+				row, err = c.Run(experiments.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -365,8 +363,7 @@ func BenchmarkAblationStripeSize(b *testing.B) {
 func benchProblem() enzo.Config {
 	cfg := enzo.AMR64()
 	if os.Getenv("REPRO_QUICK") != "" {
-		cfg.Dims = [3]int{16, 16, 16}
-		cfg.NParticles = 16 * 16 * 16 / 2
+		cfg = cfg.Quick()
 	}
 	return cfg
 }

@@ -83,11 +83,10 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 	}
 	spec.Procs = f.Procs
 
-	problem, ok := problems[f.Problem]
-	if !ok {
-		return spec, fmt.Errorf("unknown problem %q (want tiny, AMR64, AMR128, AMR256 or AMR512)", f.Problem)
+	cfg, err := enzo.ProblemByName(f.Problem)
+	if err != nil {
+		return spec, err
 	}
-	cfg := problem()
 	switch {
 	case f.MemBudget > 0:
 		cfg.MemBudget = f.MemBudget << 20
@@ -95,12 +94,7 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 		cfg.MemBudget = -1
 	}
 	if f.Quick {
-		n := cfg.Dims[0] / 4
-		if n < 8 {
-			n = 8
-		}
-		cfg.Dims = [3]int{n, n, n}
-		cfg.NParticles = n * n * n / 2
+		cfg = cfg.Quick()
 	}
 	if _, err := compress.Resolve(f.Codec); err != nil {
 		return spec, err
@@ -108,7 +102,6 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 	cfg.Codec = f.Codec
 	cfg.AsyncIO = f.Async
 	cfg.ScrubOnDump = f.Scrub
-	var err error
 	if spec.Backend, err = enzo.BackendByName(f.Backend); err != nil {
 		return spec, err
 	}
@@ -189,10 +182,4 @@ func (f *Flags) Tune(spec *enzo.RunSpec) (deltas []diag.HintsDelta, probe *diag.
 		spec.Config = tuned
 	}
 	return deltas, probe, err
-}
-
-// problems are the named problem sizes of -problem.
-var problems = map[string]func() enzo.Config{
-	"tiny": enzo.Tiny, "Tiny": enzo.Tiny, "AMR64": enzo.AMR64,
-	"AMR128": enzo.AMR128, "AMR256": enzo.AMR256, "AMR512": enzo.AMR512,
 }

@@ -1,14 +1,13 @@
-// Command iobench regenerates the paper's evaluation: Table 1 and Figures
-// 6-10, printing each as a table of deterministic virtual-time
-// measurements, plus the repository's extension sweeps (codecs, overlap,
-// reads, faults, dedup).
+// Command iobench regenerates the paper's evaluation — Table 1 and Figures
+// 6-10 — and the repository's extension sweeps, printing each as a table of
+// deterministic virtual-time measurements. What it can run is the
+// experiments registry: one row there is one -exp name here.
 //
 // Usage:
 //
 //	iobench [-exp <sweep>|all] [-quick] [-codec none|rle|delta|lzss] [-async] [-autotune]
 //
-// The sweep names come from the experiments registry; -exp with an unknown
-// name lists them.
+// -exp with an unknown name lists the registered ones.
 package main
 
 import (
@@ -19,6 +18,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 
 	"repro/internal/compress"
@@ -45,11 +45,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exp := fl.String("exp", "all", expUsage())
 	quick := fl.Bool("quick", false, "shrink problems for a fast smoke run")
 	chart := fl.Bool("chart", false, "also render each figure as ASCII bar charts")
-	tracedir := fl.String("tracedir", "", "write per-case Perfetto timelines and counter reports into this directory")
+	tracedir := fl.String("tracedir", "", "write per-case Perfetto timelines and counter reports into this directory (every sweep but table1, which runs nothing, and tenants, which runs fleets)")
 	codec := fl.String("codec", "none", "run the figure cases with transparent field compression: none, rle, delta, lzss")
 	async := fl.Bool("async", false, "run the figure cases with the write-behind dump pipeline")
 	autotune := fl.Bool("autotune", false, "run the figure cases with the probe-based MPI-IO hint autotuner")
-	diagnose := fl.Bool("diagnose", false, "diagnose every figure/codec case and print its findings after each sweep")
+	diagnose := fl.Bool("diagnose", false, "diagnose every case and print its findings after each sweep (the sweeps -tracedir covers)")
 	cpuprofile := fl.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fl.String("memprofile", "", "write an allocation profile to this file at exit")
 	exectrace := fl.String("exectrace", "", "write a runtime execution trace of the run to this file")
@@ -57,6 +57,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// Validate before anything with a side effect: a rejected command line
+	// must not leave a profile file behind.
+	if !slices.Contains(validExps(), *exp) {
+		fmt.Fprintf(stderr, "unknown experiment %q (want one of %v)\n", *exp, validExps())
+		fl.Usage()
+		return 2
+	}
+	if _, err := compress.Resolve(*codec); err != nil {
+		fmt.Fprintln(stderr, err)
+		fl.Usage()
+		return 2
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -98,150 +110,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	valid := false
-	for _, name := range validExps() {
-		if *exp == name {
-			valid = true
-		}
-	}
-	if !valid {
-		fmt.Fprintf(stderr, "unknown experiment %q (want one of %v)\n", *exp, validExps())
-		fl.Usage()
-		return 2
-	}
-	if _, err := compress.Resolve(*codec); err != nil {
-		fmt.Fprintln(stderr, err)
-		fl.Usage()
-		return 2
-	}
 	o := experiments.Options{Quick: *quick, TraceDir: *tracedir, Codec: *codec, Async: *async, AutoTune: *autotune}
 	var findings []experiments.CaseFindings
 	if *diagnose {
 		o.DiagnoseSink = func(cf experiments.CaseFindings) { findings = append(findings, cf) }
 	}
-	flushFindings := func() {
-		if len(findings) == 0 {
-			return
-		}
-		experiments.PrintFindings(stdout, findings)
-		fmt.Fprintln(stdout)
-		findings = findings[:0]
-	}
-	type driver struct {
-		name string
-		fn   func(experiments.Options) ([]experiments.Row, error)
-	}
-	drivers := []driver{
-		{"fig6", experiments.Figure6},
-		{"fig7", experiments.Figure7},
-		{"fig8", experiments.Figure8},
-		{"fig9", experiments.Figure9},
-		{"fig10", experiments.Figure10},
-	}
-
-	if *exp == "table1" || *exp == "all" {
-		fmt.Fprintln(stdout, experiments.SweepTitle("table1"))
-		experiments.PrintTable1(stdout, experiments.Table1(o))
-		fmt.Fprintln(stdout)
-	}
-	if *exp == "overlap" || *exp == "all" {
-		fmt.Fprintln(stdout, experiments.SweepTitle("overlap"))
-		rows, err := experiments.OverlapSweep(o)
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		experiments.PrintOverlapSweep(stdout, rows)
-		fmt.Fprintln(stdout)
-	}
-	if *exp == "codecs" || *exp == "all" {
-		fmt.Fprintln(stdout, experiments.SweepTitle("codecs"))
-		rows, err := experiments.CodecSweep(o)
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		experiments.PrintCodecSweep(stdout, rows)
-		fmt.Fprintln(stdout)
-		flushFindings()
-	}
-	if *exp == "reads" || *exp == "all" {
-		fmt.Fprintln(stdout, experiments.SweepTitle("reads"))
-		rows, err := experiments.ReadSweep(o)
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		experiments.PrintReadSweep(stdout, rows)
-		fmt.Fprintln(stdout)
-	}
-	if *exp == "faults" || *exp == "all" {
-		fmt.Fprintln(stdout, experiments.SweepTitle("faults"))
-		stragglers, recovery, err := experiments.FaultSweep(o)
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		experiments.PrintStragglerSweep(stdout, stragglers)
-		fmt.Fprintln(stdout)
-		experiments.PrintRecoverySweep(stdout, recovery)
-		fmt.Fprintln(stdout)
-	}
-	if *exp == "dedup" || *exp == "all" {
-		fmt.Fprintln(stdout, experiments.SweepTitle("dedup"))
-		rows, err := experiments.DedupSweep(o)
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		experiments.PrintDedupSweep(stdout, rows)
-		fmt.Fprintln(stdout)
-	}
-	if *exp == "scale" || *exp == "all" {
-		fmt.Fprintln(stdout, experiments.SweepTitle("scale"))
-		rows, err := experiments.ScaleSweep(o)
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		experiments.PrintScaleSweep(stdout, rows)
-		fmt.Fprintln(stdout)
-	}
-	if *exp == "hints" || *exp == "all" {
-		fmt.Fprintln(stdout, experiments.SweepTitle("hints"))
-		rows, err := experiments.HintsSweep(o)
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		experiments.PrintHintsSweep(stdout, rows)
-		fmt.Fprintln(stdout)
-	}
-	if *exp == "tenants" || *exp == "all" {
-		fmt.Fprintln(stdout, experiments.SweepTitle("tenants"))
-		rows, err := experiments.MultiTenantSweep(o)
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		experiments.PrintTenantSweep(stdout, rows)
-		fmt.Fprintln(stdout)
-	}
-	for _, d := range drivers {
-		if *exp != "all" && *exp != d.name {
+	for _, sweep := range experiments.Registry() {
+		if *exp != "all" && *exp != sweep.Name {
 			continue
 		}
-		fmt.Fprintln(stdout, experiments.SweepTitle(d.name))
-		rows, err := d.fn(o)
+		fmt.Fprintln(stdout, sweep.Title)
+		tables, err := sweep.Run(o)
 		if err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			return 1
 		}
-		experiments.PrintRows(stdout, rows)
-		fmt.Fprintln(stdout)
-		flushFindings()
-		if *chart {
-			experiments.RenderChart(stdout, rows)
+		for _, t := range tables {
+			t.Print(stdout)
+			fmt.Fprintln(stdout)
+		}
+		if len(findings) > 0 {
+			experiments.WriteFindings(stdout, findings)
+			fmt.Fprintln(stdout)
+			findings = findings[:0]
+		}
+		for _, t := range tables {
+			if *chart && t.Chart != nil {
+				t.Chart(stdout)
+			}
 		}
 	}
 	return 0

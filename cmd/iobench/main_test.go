@@ -106,6 +106,9 @@ func TestBadFlagsRejected(t *testing.T) {
 	// fail fast with exit 2 before any simulation runs (no usage text —
 	// the flag itself is fine, its value is not).
 	noDir := filepath.Join(t.TempDir(), "no-such-dir", "out.pb")
+	// A command line rejected for another reason must not have created the
+	// profile file it names: validation comes before side effects.
+	profile := filepath.Join(t.TempDir(), "profile.out")
 	cases := []struct {
 		name      string
 		args      []string
@@ -117,12 +120,19 @@ func TestBadFlagsRejected(t *testing.T) {
 		{"bad cpuprofile path", []string{"-exp", "table1", "-quick", "-cpuprofile", noDir}, false},
 		{"bad memprofile path", []string{"-exp", "table1", "-quick", "-memprofile", noDir}, false},
 		{"bad exectrace path", []string{"-exp", "table1", "-quick", "-exectrace", noDir}, false},
+		{"bad experiment leaves no cpuprofile", []string{"-exp", "bogus", "-cpuprofile", profile}, true},
+		{"bad experiment leaves no memprofile", []string{"-exp", "bogus", "-memprofile", profile}, true},
+		{"bad experiment leaves no exectrace", []string{"-exp", "bogus", "-exectrace", profile}, true},
+		{"bad codec leaves no cpuprofile", []string{"-codec", "zip", "-cpuprofile", profile}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(tc.args, &stdout, &stderr); code != 2 {
 				t.Fatalf("exit code = %d, want 2 (stderr: %s)", code, stderr.String())
+			}
+			if _, err := os.Stat(profile); err == nil {
+				t.Fatalf("rejected command line left %s behind", profile)
 			}
 			if tc.wantUsage && !strings.Contains(stderr.String(), "Usage of iobench") {
 				t.Fatalf("no usage message on stderr:\n%s", stderr.String())

@@ -322,6 +322,38 @@ func Tiny() Config {
 		PreRefine: 2, Threshold: 2.0, Seed: 1789, Dumps: 1, FlopsPerCell: 40}
 }
 
+// ProblemByName returns the named problem size: tiny (or Tiny), AMR64,
+// AMR128, AMR256 or AMR512.
+func ProblemByName(name string) (Config, error) {
+	switch name {
+	case "tiny", "Tiny":
+		return Tiny(), nil
+	case "AMR64":
+		return AMR64(), nil
+	case "AMR128":
+		return AMR128(), nil
+	case "AMR256":
+		return AMR256(), nil
+	case "AMR512":
+		return AMR512(), nil
+	}
+	return Config{}, fmt.Errorf("unknown problem %q (want tiny, AMR64, AMR128, AMR256 or AMR512)", name)
+}
+
+// Quick returns the problem shrunk for a smoke run: a quarter of the root
+// grid per dimension and half as many particles as cells, so the AMR
+// structure stays and only the resolution drops. The root grid never goes
+// below 8^3, which only Tiny would.
+func (c Config) Quick() Config {
+	n := c.Dims[0] / 4
+	if n < 8 {
+		n = 8
+	}
+	c.Dims = [3]int{n, n, n}
+	c.NParticles = n * n * n / 2
+	return c
+}
+
 // Phase is one timed region of the run.
 type Phase struct {
 	Name    string

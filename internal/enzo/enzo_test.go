@@ -354,3 +354,42 @@ func TestDynamicRefinementOnEveryFileSystem(t *testing.T) {
 		})
 	}
 }
+
+// TestQuickShrinksEveryProblem pins the one quick rule every harness
+// shares (experiments, runflags, bench_test.go) to the sizes the quick
+// sweeps have always run at: a quarter of the root grid, clamped at 8^3 —
+// the clamp bites on Tiny only, so no AMR quick row can move.
+func TestQuickShrinksEveryProblem(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		dim       int
+		particles int
+	}{
+		{"tiny", 8, 256},
+		{"Tiny", 8, 256},
+		{"AMR64", 16, 2048},
+		{"AMR128", 32, 16384},
+		{"AMR256", 64, 131072},
+		{"AMR512", 128, 1048576},
+	} {
+		full, err := ProblemByName(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := full.Quick()
+		if q.Dims != [3]int{tc.dim, tc.dim, tc.dim} || q.NParticles != tc.particles {
+			t.Errorf("%s: quick = %v / %d particles, want %d^3 / %d", tc.name, q.Dims, q.NParticles, tc.dim, tc.particles)
+		}
+		// Only the resolution changes.
+		q.Dims, q.NParticles = full.Dims, full.NParticles
+		if q != full {
+			t.Errorf("%s: Quick changed more than the resolution:\n%+v\n%+v", tc.name, q, full)
+		}
+		if tc.dim != full.Dims[0]/4 && full.Problem != "Tiny" {
+			t.Errorf("%s: the 8^3 clamp bit on a paper problem", tc.name)
+		}
+	}
+	if _, err := ProblemByName("AMR1024"); err == nil {
+		t.Error("unknown problem accepted")
+	}
+}

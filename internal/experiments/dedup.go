@@ -54,14 +54,17 @@ func DedupSweep(o Options) ([]DedupRow, error) {
 
 	run := func(mach machine.Config, fs, problem string, depth, replicas int, castore bool) error {
 		cfg := o.problem(problem)
-		cfg.Codec = o.Codec
 		cfg.Dumps = depth
 		cfg.CAStore = castore
 		cfg.Replicas = replicas
-		res, err := enzo.RunOnce(mach, fs, np, cfg, enzo.BackendMPIIO)
+		variant := fmt.Sprintf("depth%d plain", depth)
+		if castore {
+			variant = fmt.Sprintf("depth%d castore k%d", depth, replicas)
+		}
+		c := Case{"dedup", enzo.RunSpec{Machine: mach, FS: fs, Procs: np, Config: cfg, Backend: enzo.BackendMPIIO}}
+		res, err := runCase(c, variant, o)
 		if err != nil {
-			return fmt.Errorf("dedup %s/%s %s depth=%d castore=%v: %w",
-				mach.Name, fs, problem, depth, castore, err)
+			return err
 		}
 		row := DedupRow{
 			Problem: res.Problem, Machine: mach.Name, FS: fs,
@@ -101,6 +104,46 @@ func DedupSweep(o Options) ([]DedupRow, error) {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// CheckDedupInvariant asserts the dedup sweep's headline claim: every
+// unreplicated castore row at retention depth >= 2 lands strictly fewer
+// device bytes than the plain row of the same case. An empty row set is a
+// violation — the gate must never pass vacuously.
+func CheckDedupInvariant(rows []DedupRow) []string {
+	type key struct {
+		Machine, FS, Problem string
+		Depth                int
+	}
+	plain := make(map[key]DedupRow)
+	for _, r := range rows {
+		if !r.CAStore {
+			plain[key{r.Machine, r.FS, r.Problem, r.Depth}] = r
+		}
+	}
+	var problems []string
+	checked := 0
+	for _, r := range rows {
+		if !r.CAStore || r.Replicas > 1 || r.Depth < 2 {
+			continue
+		}
+		p, ok := plain[key{r.Machine, r.FS, r.Problem, r.Depth}]
+		if !ok {
+			problems = append(problems, fmt.Sprintf(
+				"%s/%s %s depth=%d: castore row has no plain twin", r.Machine, r.FS, r.Problem, r.Depth))
+			continue
+		}
+		checked++
+		if r.DeviceMB >= p.DeviceMB {
+			problems = append(problems, fmt.Sprintf(
+				"%s/%s %s depth=%d: castore device MB %.3f not strictly below plain %.3f",
+				r.Machine, r.FS, r.Problem, r.Depth, r.DeviceMB, p.DeviceMB))
+		}
+	}
+	if checked == 0 {
+		problems = append(problems, "no castore rows at depth >= 2 to check")
+	}
+	return problems
 }
 
 // PrintDedupSweep renders the dedup sweep, plain and castore rows

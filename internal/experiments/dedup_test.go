@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -64,5 +65,67 @@ func TestDedupSweepQuick(t *testing.T) {
 	PrintDedupSweep(&buf, rows)
 	if !strings.Contains(buf.String(), "castore") || !strings.Contains(buf.String(), "plain") {
 		t.Fatalf("printer output missing paths:\n%s", buf.String())
+	}
+}
+
+// TestDedupSweepHonoursTraceAndDiagnose runs a sweep that used to call
+// enzo.RunOnce itself, and so was deaf to Options.TraceDir and DiagnoseSink,
+// under both: every row must leave one trace + report pair under a name of
+// its own and hand one CaseFindings to the sink, and the rows must equal the
+// plain sweep's — the instruments do not perturb virtual time.
+func TestDedupSweepHonoursTraceAndDiagnose(t *testing.T) {
+	plain, err := DedupSweep(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var findings []CaseFindings
+	rows, err := DedupSweep(Options{Quick: true, TraceDir: dir,
+		DiagnoseSink: func(cf CaseFindings) { findings = append(findings, cf) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(plain) {
+		t.Fatalf("instrumented sweep has %d rows, plain %d", len(rows), len(plain))
+	}
+	for i := range rows {
+		if rows[i] != plain[i] {
+			t.Errorf("row %d moved under tracing:\n  %+v\n  %+v", i, rows[i], plain[i])
+		}
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, reports := 0, 0
+	for _, e := range entries {
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, "dedup_") && strings.HasSuffix(name, ".trace.json"):
+			traces++
+		case strings.HasPrefix(name, "dedup_") && strings.HasSuffix(name, ".report.txt"):
+			reports++
+		default:
+			t.Errorf("unexpected artefact %s", name)
+		}
+		if fi, err := e.Info(); err != nil || fi.Size() == 0 {
+			t.Errorf("artefact %s is empty (%v)", e.Name(), err)
+		}
+	}
+	// ReadDir returns distinct names, so a pair per row means no row
+	// overwrote another's files.
+	if traces != len(rows) || reports != len(rows) {
+		t.Errorf("%d rows left %d traces and %d reports", len(rows), traces, reports)
+	}
+
+	seen := make(map[string]bool)
+	for _, cf := range findings {
+		if seen[cf.Case] {
+			t.Errorf("two rows were diagnosed under the name %q", cf.Case)
+		}
+		seen[cf.Case] = true
+	}
+	if len(findings) != len(rows) {
+		t.Errorf("%d rows handed %d findings sets to the sink", len(rows), len(findings))
 	}
 }

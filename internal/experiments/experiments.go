@@ -11,9 +11,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"text/tabwriter"
 
 	"repro/internal/amr"
@@ -21,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/enzo"
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // Row is one measured configuration.
@@ -55,16 +51,18 @@ type Row struct {
 type Options struct {
 	Quick bool
 
-	// TraceDir, when non-empty, runs every case with a stack-wide tracer
-	// attached and writes two files per case into the directory: a
-	// Perfetto-loadable "<case>.trace.json" timeline and a
-	// "<case>.report.txt" counter report. Tracing never changes virtual
-	// timings, so the measured rows are identical either way.
+	// TraceDir, when non-empty, runs every case of every run-based sweep
+	// (all but table1, which runs nothing, and tenants, which goes through
+	// tenant.RunFleet) with a stack-wide tracer attached and writes two
+	// files per case into the directory: a Perfetto-loadable
+	// "<case>.trace.json" timeline and a "<case>.report.txt" counter
+	// report. Tracing never changes virtual timings, so the measured rows
+	// are identical either way.
 	TraceDir string
 
-	// Codec, when non-empty and not "none", runs every figure case with
-	// transparent field compression (the codec sweep ignores this and
-	// sweeps all codecs itself).
+	// Codec, when non-empty and not "none", runs every case with
+	// transparent field compression (the codec and recovery sweeps ignore
+	// this and fix the codec of each row themselves).
 	Codec string
 
 	// Async runs every figure case with the write-behind dump pipeline
@@ -79,8 +77,8 @@ type Options struct {
 	// and runs both modes itself.
 	AutoTune bool
 
-	// DiagnoseSink, when non-nil, runs every figure/codec case with the
-	// tracer attached, diagnoses the run (internal/diag) and hands the
+	// DiagnoseSink, when non-nil, runs the same cases TraceDir covers with
+	// the tracer attached, diagnoses each run (internal/diag) and hands the
 	// ranked findings to the sink in case order — the iobench -diagnose
 	// flag. Like TraceDir it never changes virtual timings.
 	DiagnoseSink func(CaseFindings)
@@ -89,40 +87,20 @@ type Options struct {
 // problem returns the named configuration, shrunk in Quick mode (the
 // shrunken problems keep the AMR structure, just at lower resolution).
 func (o Options) problem(name string) enzo.Config {
-	var cfg enzo.Config
-	switch name {
-	case "AMR64":
-		cfg = enzo.AMR64()
-	case "AMR128":
-		cfg = enzo.AMR128()
-	case "AMR256":
-		cfg = enzo.AMR256()
-	case "AMR512":
-		cfg = enzo.AMR512()
-	default:
-		panic("experiments: unknown problem " + name)
+	cfg, err := enzo.ProblemByName(name)
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
 	if o.Quick {
-		n := cfg.Dims[0] / 4
-		cfg.Dims = [3]int{n, n, n}
-		cfg.NParticles = n * n * n / 2
+		cfg = cfg.Quick()
 	}
+	cfg.Codec = o.Codec
 	cfg.AsyncIO = o.Async
 	cfg.AutoTune = o.AutoTune
 	return cfg
 }
 
 func mb(b int64) float64 { return float64(b) / (1 << 20) }
-
-// run executes one configuration and converts the result to a Row.
-func run(figure string, machCfg machine.Config, fsKind string, procs int,
-	cfg enzo.Config, backend enzo.Backend) (Row, error) {
-	res, err := enzo.RunOnce(machCfg, fsKind, procs, cfg, backend)
-	if err != nil {
-		return Row{}, fmt.Errorf("%s %s/%s %s np=%d: %w", figure, machCfg.Name, fsKind, backend, procs, err)
-	}
-	return rowFromResult(figure, machCfg.Name, res), nil
-}
 
 // rowFromResult converts a run result into a Row.
 func rowFromResult(figure, machineName string, res *enzo.Result) Row {
@@ -146,15 +124,11 @@ func rowFromResult(figure, machineName string, res *enzo.Result) Row {
 	}
 }
 
-// Case is one (platform, file system, processor count, problem, backend)
-// configuration of a figure.
+// Case is one configuration of a sweep: the sweep (figure) it belongs to
+// around the enzo.RunSpec it runs.
 type Case struct {
-	Figure  string
-	Machine machine.Config
-	FS      string
-	Procs   int
-	Config  enzo.Config
-	Backend enzo.Backend
+	Figure string
+	enzo.RunSpec
 }
 
 // Name returns a stable identifier for the case.
@@ -166,51 +140,19 @@ func (c Case) Name() string {
 	return n
 }
 
-// Run executes the case.
-func (c Case) Run() (Row, error) {
-	return run(c.Figure, c.Machine, c.FS, c.Procs, c.Config, c.Backend)
-}
-
-// RunTraced executes the case with a stack-wide tracer attached and
-// returns it alongside the row. The row is identical to Run()'s — tracing
+// Run executes the case under o's TraceDir and DiagnoseSink and converts
+// the result to a Row. The row is the same with or without them — tracing
 // only reads the virtual clock.
-func (c Case) RunTraced() (Row, *obs.Tracer, error) {
-	tr := obs.NewTracer()
-	res, err := enzo.RunOnceTraced(c.Machine, c.FS, c.Procs, c.Config, c.Backend, tr)
+func (c Case) Run(o Options) (Row, error) {
+	res, err := runCase(c, "", o)
 	if err != nil {
-		return Row{}, nil, fmt.Errorf("%s %s/%s %s np=%d: %w",
-			c.Figure, c.Machine.Name, c.FS, c.Backend, c.Procs, err)
+		return Row{}, err
 	}
-	return rowFromResult(c.Figure, c.Machine.Name, res), tr, nil
+	return rowFromResult(c.Figure, c.Machine.Name, res), nil
 }
 
-// writeCaseArtifacts dumps a traced case's timeline and report files.
-func writeCaseArtifacts(dir string, c Case, tr *obs.Tracer, makespan float64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	base := strings.ReplaceAll(c.Figure+"_"+c.Name(), "/", "_")
-	tf, err := os.Create(filepath.Join(dir, base+".trace.json"))
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteTrace(tf); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	rf, err := os.Create(filepath.Join(dir, base+".report.txt"))
-	if err != nil {
-		return err
-	}
-	tr.WriteReport(rf, makespan)
-	return rf.Close()
-}
-
-// FigureCases enumerates the configurations of one figure; the Figure6..10
-// drivers and the repository benchmarks share these lists.
+// FigureCases enumerates the configurations of one figure; the registry's
+// figure sweeps and the repository benchmarks share these lists.
 func FigureCases(figure string, o Options) []Case {
 	type sweep struct {
 		problem  string
@@ -223,6 +165,8 @@ func FigureCases(figure string, o Options) []Case {
 	var sweeps []sweep
 	switch figure {
 	case "fig6":
+		// The Origin2000/XFS comparison: HDF4 vs MPI-IO at increasing
+		// processor counts, for AMR64 and AMR128.
 		mach, fs = machine.Origin2000(), "xfs"
 		sweeps = []sweep{
 			{"AMR64", []int{2, 4, 8, 16, 32}, hdf4VsMPIIO},
@@ -232,6 +176,9 @@ func FigureCases(figure string, o Options) []Case {
 			sweeps = []sweep{{"AMR64", []int{2, 4, 8}, hdf4VsMPIIO}}
 		}
 	case "fig7":
+		// The IBM SP-2/GPFS comparison: 32 and 64 processors, AMR64 and
+		// AMR128 — the platform where the access-pattern/striping mismatch
+		// makes MPI-IO lose to the original HDF4 design.
 		mach, fs = machine.SP2(), "gpfs"
 		sweeps = []sweep{
 			{"AMR64", []int{32, 64}, hdf4VsMPIIO},
@@ -241,6 +188,13 @@ func FigureCases(figure string, o Options) []Case {
 			sweeps = []sweep{{"AMR64", []int{8}, hdf4VsMPIIO}}
 		}
 	case "fig8":
+		// The Chiba City PVFS experiment: 8 compute nodes and 8 I/O nodes
+		// over fast Ethernet. Three backends run: the original HDF4, the
+		// MPI-IO port with ROMIO's (later) automatic collective-buffering
+		// heuristic, and the mpiio-cb variant that forces collective
+		// buffering on every array (romio_cb_write=enable, the default of
+		// the paper's era) — the configuration whose write times reproduce
+		// the paper's Ethernet degradation.
 		mach, fs = machine.ChibaCity(), "pvfs"
 		three := []enzo.Backend{enzo.BackendHDF4, enzo.BackendMPIIO, enzo.BackendMPIIOCB}
 		sweeps = []sweep{
@@ -251,6 +205,8 @@ func FigureCases(figure string, o Options) []Case {
 			sweeps = sweeps[:1]
 		}
 	case "fig9":
+		// The node-local disk experiment on the same cluster: each compute
+		// node accesses its own disk through the PVFS interface.
 		mach, fs = machine.ChibaCity(), "local"
 		sweeps = []sweep{
 			{"AMR64", []int{2, 4, 8}, hdf4VsMPIIO},
@@ -260,6 +216,7 @@ func FigureCases(figure string, o Options) []Case {
 			sweeps = sweeps[:1]
 		}
 	case "fig10":
+		// The HDF5 vs MPI-IO write comparison on the Origin2000/XFS.
 		mach, fs = machine.Origin2000(), "xfs"
 		mpiioVsHDF5 := []enzo.Backend{enzo.BackendMPIIO, enzo.BackendHDF5}
 		sweeps = []sweep{
@@ -276,24 +233,20 @@ func FigureCases(figure string, o Options) []Case {
 	for _, s := range sweeps {
 		for _, np := range s.procs {
 			for _, b := range s.backends {
-				cfg := o.problem(s.problem)
-				cfg.Codec = o.Codec
-				cases = append(cases, Case{
-					Figure: figure, Machine: mach, FS: fs, Procs: np,
-					Config: cfg, Backend: b,
-				})
+				cases = append(cases, Case{figure, enzo.RunSpec{
+					Machine: mach, FS: fs, Procs: np, Config: o.problem(s.problem), Backend: b,
+				}})
 			}
 		}
 	}
 	return cases
 }
 
-// runFigure executes every case of a figure, optionally emitting timeline
-// artifacts per case (Options.TraceDir).
+// runFigure executes every case of a figure.
 func runFigure(figure string, o Options) ([]Row, error) {
 	var rows []Row
 	for _, c := range FigureCases(figure, o) {
-		row, err := runCase(c, o)
+		row, err := c.Run(o)
 		if err != nil {
 			return nil, err
 		}
@@ -334,32 +287,6 @@ func Table1(o Options) []Table1Row {
 	return rows
 }
 
-// Figure6 regenerates the Origin2000/XFS comparison: HDF4 vs MPI-IO at
-// increasing processor counts, for AMR64 and AMR128.
-func Figure6(o Options) ([]Row, error) { return runFigure("fig6", o) }
-
-// Figure7 regenerates the IBM SP-2/GPFS comparison: 32 and 64 processors,
-// AMR64 and AMR128 — the platform where the access-pattern/striping
-// mismatch makes MPI-IO lose to the original HDF4 design.
-func Figure7(o Options) ([]Row, error) { return runFigure("fig7", o) }
-
-// Figure8 regenerates the Chiba City PVFS experiment: 8 compute nodes and
-// 8 I/O nodes over fast Ethernet. Three backends run: the original HDF4,
-// the MPI-IO port with ROMIO's (later) automatic collective-buffering
-// heuristic, and the mpiio-cb variant that forces collective buffering on
-// every array (romio_cb_write=enable, the default of the paper's era) —
-// the configuration whose write times reproduce the paper's Ethernet
-// degradation.
-func Figure8(o Options) ([]Row, error) { return runFigure("fig8", o) }
-
-// Figure9 regenerates the node-local disk experiment on the same cluster:
-// each compute node accesses its own disk through the PVFS interface.
-func Figure9(o Options) ([]Row, error) { return runFigure("fig9", o) }
-
-// Figure10 regenerates the HDF5 vs MPI-IO write comparison on the
-// Origin2000/XFS.
-func Figure10(o Options) ([]Row, error) { return runFigure("fig10", o) }
-
 // CodecSweep measures transparent compression across codecs and file
 // systems: every registered codec (plus the uncompressed baseline) on the
 // Chiba City cluster over PVFS (shared storage behind fast Ethernet, where
@@ -372,11 +299,10 @@ func CodecSweep(o Options) ([]Row, error) {
 		for _, codec := range compress.Names() {
 			cfg := o.problem("AMR128")
 			cfg.Codec = codec
-			c := Case{
-				Figure: "codecs", Machine: machine.ChibaCity(), FS: fs, Procs: 8,
-				Config: cfg, Backend: enzo.BackendMPIIO,
-			}
-			row, err := runCase(c, o)
+			c := Case{"codecs", enzo.RunSpec{
+				Machine: machine.ChibaCity(), FS: fs, Procs: 8, Config: cfg, Backend: enzo.BackendMPIIO,
+			}}
+			row, err := c.Run(o)
 			if err != nil {
 				return nil, err
 			}
@@ -444,36 +370,24 @@ func OverlapSweep(o Options) ([]OverlapRow, error) {
 	const np = 8
 	for _, fs := range []string{"pvfs", "local"} {
 		for _, backend := range []enzo.Backend{enzo.BackendMPIIO, enzo.BackendHDF5} {
-			cfg := o.problem("AMR128")
-			cfg.Codec = o.Codec
-			cfg.AsyncIO = false // the sweep runs both modes itself
-			syncRes, err := enzo.RunOnce(mach, fs, np, cfg, backend)
+			c := Case{"overlap", enzo.RunSpec{Machine: mach, FS: fs, Procs: np, Config: o.problem("AMR128"), Backend: backend}}
+			c.Config.AsyncIO = false // the sweep runs both modes itself
+			// The calibration run is not the one traced or diagnosed.
+			syncRes, err := runCase(c, "sync", Options{})
 			if err != nil {
-				return nil, fmt.Errorf("overlap %s/%s sync: %w", fs, backend, err)
+				return nil, err
 			}
 			// Calibrate: compute >= I/O. The evolve phase measures one
 			// cycle's compute at the current FlopsPerCell; scale it to 1.5x
 			// the synchronous dump time so the drain has headroom.
 			if ev := syncRes.Phase("evolve"); ev > 0 && syncRes.WriteTime() > ev {
 				scale := 1.5 * syncRes.WriteTime() / ev
-				cfg.FlopsPerCell = int64(float64(cfg.FlopsPerCell)*scale) + 1
+				c.Config.FlopsPerCell = int64(float64(c.Config.FlopsPerCell)*scale) + 1
 			}
-			acfg := cfg
-			acfg.AsyncIO = true
-			var asyncRes *enzo.Result
-			if o.TraceDir != "" {
-				tr := obs.NewTracer()
-				asyncRes, err = enzo.RunOnceTraced(mach, fs, np, acfg, backend, tr)
-				if err == nil {
-					c := Case{Figure: "overlap", Machine: mach, FS: fs, Procs: np,
-						Config: acfg, Backend: backend}
-					err = writeCaseArtifacts(o.TraceDir, c, tr, asyncRes.Makespan)
-				}
-			} else {
-				asyncRes, err = enzo.RunOnce(mach, fs, np, acfg, backend)
-			}
+			c.Config.AsyncIO = true
+			asyncRes, err := runCase(c, "", o)
 			if err != nil {
-				return nil, fmt.Errorf("overlap %s/%s async: %w", fs, backend, err)
+				return nil, err
 			}
 			// The headline number: how much of the synchronous dump's
 			// wall-time no longer shows up on the critical path.

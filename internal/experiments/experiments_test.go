@@ -36,10 +36,8 @@ func TestTable1MonotoneInProblemSize(t *testing.T) {
 
 func TestQuickSuiteRunsAndVerifies(t *testing.T) {
 	o := Options{Quick: true}
-	for name, fn := range map[string]func(Options) ([]Row, error){
-		"fig6": Figure6, "fig7": Figure7, "fig8": Figure8, "fig9": Figure9, "fig10": Figure10,
-	} {
-		rows, err := fn(o)
+	for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "fig10"} {
+		rows, err := runFigure(name, o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -239,23 +237,23 @@ func TestRenderChart(t *testing.T) {
 }
 
 func TestRunTracedWritesArtifacts(t *testing.T) {
-	c := Case{
-		Figure:  "figX",
+	c := Case{"figX", enzo.RunSpec{
 		Machine: machine.ChibaCity(),
 		FS:      "pvfs",
 		Procs:   2,
 		Config:  enzo.Tiny(),
 		Backend: enzo.BackendMPIIO,
-	}
-	row, tr, err := c.RunTraced()
+	}}
+	dir := t.TempDir()
+	row, err := c.Run(Options{TraceDir: dir})
 	if err != nil {
-		t.Fatalf("RunTraced: %v", err)
+		t.Fatalf("traced Run: %v", err)
 	}
 	if !row.Verified || row.Makespan <= 0 {
 		t.Fatalf("row = %+v", row)
 	}
 	// The traced row matches the untraced one exactly (zero perturbation).
-	plain, err := c.Run()
+	plain, err := c.Run(Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -264,10 +262,6 @@ func TestRunTracedWritesArtifacts(t *testing.T) {
 		t.Errorf("traced row differs from plain row:\n  %+v\n  %+v", row, plain)
 	}
 
-	dir := t.TempDir()
-	if err := writeCaseArtifacts(dir, c, tr, row.Makespan); err != nil {
-		t.Fatalf("writeCaseArtifacts: %v", err)
-	}
 	for _, name := range []string{
 		"figX_Tiny_pvfs_mpiio_np2.trace.json",
 		"figX_Tiny_pvfs_mpiio_np2.report.txt",

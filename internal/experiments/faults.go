@@ -47,24 +47,10 @@ type RecoveryRow struct {
 	Verified      bool
 }
 
-// FaultSweep runs the fault-tolerance evaluation: the straggler sweep
-// (one degraded data server at increasing slowdown factors, MPI-IO and
-// HDF5 on PVFS and GPFS) and the recovery sweep (scrub + re-dump cost at
-// increasing silent-corruption rates, plus a generation-fallback case).
-// Everything is deterministic virtual time — two invocations produce
-// bit-identical rows.
-func FaultSweep(o Options) ([]StragglerRow, []RecoveryRow, error) {
-	stragglers, err := stragglerSweep(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	recovery, err := recoverySweep(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return stragglers, recovery, nil
-}
-
+// stragglerSweep is the first half of the fault-tolerance evaluation: one
+// degraded data server at increasing slowdown factors, MPI-IO and HDF5 on
+// PVFS and GPFS. Like the recovery half it is deterministic virtual time —
+// two invocations produce bit-identical rows.
 func stragglerSweep(o Options) ([]StragglerRow, error) {
 	type platform struct {
 		mach machine.Config
@@ -82,9 +68,7 @@ func stragglerSweep(o Options) ([]StragglerRow, error) {
 		for _, backend := range backends {
 			var healthyWrite float64
 			for _, slow := range slowdowns {
-				cfg := o.problem("AMR64")
-				cfg.Codec = o.Codec
-				res, err := enzo.Run(enzo.RunSpec{Machine: pl.mach, FS: pl.fs, Procs: np, Config: cfg, Backend: backend,
+				c := Case{"faults", enzo.RunSpec{Machine: pl.mach, FS: pl.fs, Procs: np, Config: o.problem("AMR64"), Backend: backend,
 					Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 						if slow > 1 {
 							inj, _ := pfs.As[pfs.StripeFaultInjector](fs) // both platforms are striped
@@ -92,9 +76,10 @@ func stragglerSweep(o Options) ([]StragglerRow, error) {
 						}
 						return fs
 					},
-				})
+				}}
+				res, err := runCase(c, fmt.Sprintf("straggler x%g", slow), o)
 				if err != nil {
-					return nil, fmt.Errorf("faults straggler %s/%s x%g: %w", pl.fs, backend, slow, err)
+					return nil, err
 				}
 				if slow == 1 {
 					healthyWrite = res.WriteTime()
@@ -114,6 +99,9 @@ func stragglerSweep(o Options) ([]StragglerRow, error) {
 	return rows, nil
 }
 
+// recoverySweep is the second half: scrub + re-dump cost at increasing
+// silent-corruption rates, plus a generation-fallback case. It fixes the
+// codec of every row itself, so Options.Codec does not apply.
 func recoverySweep(o Options) ([]RecoveryRow, error) {
 	mach := machine.ChibaCity()
 	const np = 8
@@ -134,11 +122,14 @@ func recoverySweep(o Options) ([]RecoveryRow, error) {
 				})
 				return injector
 			}
-			res, err := enzo.Run(enzo.RunSpec{Machine: mach, FS: "pvfs", Procs: np, Config: cfg, Backend: enzo.BackendMPIIO,
-				Wrap: wrap,
-			})
+			c := Case{"faults", enzo.RunSpec{Machine: mach, FS: "pvfs", Procs: np, Config: cfg, Backend: enzo.BackendMPIIO, Wrap: wrap}}
+			variant := "recovery clean"
+			if everyN > 0 {
+				variant = fmt.Sprintf("recovery 1in%d", everyN)
+			}
+			res, err := runCase(c, variant, o)
 			if err != nil {
-				return nil, fmt.Errorf("faults recovery codec=%s everyN=%d: %w", codec, everyN, err)
+				return nil, err
 			}
 			row := RecoveryRow{
 				Problem: res.Problem, FS: "pvfs", Backend: res.Backend.String(),
@@ -158,12 +149,13 @@ func recoverySweep(o Options) ([]RecoveryRow, error) {
 	// medium corrupts every eligible write, one re-dump allowed), so the
 	// restart must recover from the older clean one.
 	cfg := o.problem("AMR64")
+	cfg.Codec = "none"
 	cfg.Dumps = 2
 	cfg.ScrubOnDump = true
 	cfg.Generations = 2
 	cfg.MaxRedumps = 1
 	var injector *faultfs.FS
-	res, err := enzo.Run(enzo.RunSpec{Machine: mach, FS: "pvfs", Procs: np, Config: cfg, Backend: enzo.BackendMPIIO,
+	c := Case{"faults", enzo.RunSpec{Machine: mach, FS: "pvfs", Procs: np, Config: cfg, Backend: enzo.BackendMPIIO,
 		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			injector = faultfs.Wrap(fs, faultfs.Config{
 				Mode: faultfs.CorruptWrite, EveryN: 1, MinBytes: 2048,
@@ -171,9 +163,10 @@ func recoverySweep(o Options) ([]RecoveryRow, error) {
 			})
 			return injector
 		},
-	})
+	}}
+	res, err := runCase(c, "fallback", o)
 	if err != nil {
-		return nil, fmt.Errorf("faults fallback: %w", err)
+		return nil, err
 	}
 	rows = append(rows, RecoveryRow{
 		Problem: res.Problem, FS: "pvfs", Backend: res.Backend.String(),

@@ -7,7 +7,11 @@ import (
 
 func TestFaultSweepQuick(t *testing.T) {
 	o := Options{Quick: true}
-	stragglers, recovery, err := FaultSweep(o)
+	stragglers, err := stragglerSweep(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovery, err := recoverySweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,11 @@ func TestFaultSweepQuick(t *testing.T) {
 	}
 
 	// The sweep is deterministic: a second invocation is bit-identical.
-	stragglers2, recovery2, err := FaultSweep(o)
+	stragglers2, err := stragglerSweep(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovery2, err := recoverySweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,20 +58,21 @@ func HintsSweep(o Options) ([]HintsRow, error) {
 	for _, mach := range []machine.Config{machine.Origin2000(), machine.SP2(), machine.ChibaCity()} {
 		for _, fs := range []string{"pvfs", "gpfs"} {
 			for _, backend := range []enzo.Backend{enzo.BackendMPIIO, enzo.BackendHDF5} {
-				cfg := o.problem("AMR64")
-				cfg.Codec = o.Codec
-				cfg.AutoTune = false // the sweep probes explicitly, below
-				defRes, err := enzo.RunOnce(mach, fs, np, cfg, backend)
+				c := Case{"hints", enzo.RunSpec{Machine: mach, FS: fs, Procs: np, Config: o.problem("AMR64"), Backend: backend}}
+				c.Config.AutoTune = false // the sweep probes explicitly, below
+				// Name() does not carry the machine, and each row runs twice.
+				defRes, err := runCase(c, mach.Name+" default", o)
 				if err != nil {
-					return nil, fmt.Errorf("hints %s/%s/%s default: %w", mach.Name, fs, backend, err)
+					return nil, err
 				}
-				tunedCfg, deltas, _, err := diag.AutoTune(mach, fs, np, cfg, backend)
+				var deltas []diag.HintsDelta
+				c.Config, deltas, _, err = diag.AutoTune(mach, fs, np, c.Config, backend)
 				if err != nil {
-					return nil, fmt.Errorf("hints %s/%s/%s probe: %w", mach.Name, fs, backend, err)
+					return nil, fmt.Errorf("hints %s %s probe: %w", c.Name(), mach.Name, err)
 				}
-				tunedRes, err := enzo.RunOnce(mach, fs, np, tunedCfg, backend)
+				tunedRes, err := runCase(c, mach.Name+" tuned", o)
 				if err != nil {
-					return nil, fmt.Errorf("hints %s/%s/%s tuned: %w", mach.Name, fs, backend, err)
+					return nil, err
 				}
 				rows = append(rows, HintsRow{
 					Machine: mach.Name, FS: fs, Backend: backend.String(),
@@ -87,6 +88,37 @@ func HintsSweep(o Options) ([]HintsRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// CheckHintsInvariant asserts the hints sweep's headline claim: the
+// autotuned hint vector's total I/O time is never above the hand-picked
+// defaults on any row, and strictly below on at least one pvfs row (the
+// paper's tuning target). Every row must also still verify. An empty row
+// set is a violation — the gate must never pass vacuously.
+func CheckHintsInvariant(rows []HintsRow) []string {
+	var problems []string
+	checked, pvfsWins := 0, 0
+	for _, r := range rows {
+		checked++
+		if !r.Verified {
+			problems = append(problems, fmt.Sprintf(
+				"%s/%s %s: tuned run failed verification", r.Machine, r.FS, r.Backend))
+		}
+		if r.TunedIOSec > r.DefaultIOSec {
+			problems = append(problems, fmt.Sprintf(
+				"%s/%s %s: tuned I/O %.3fs above default %.3fs",
+				r.Machine, r.FS, r.Backend, r.TunedIOSec, r.DefaultIOSec))
+		}
+		if r.FS == "pvfs" && r.TunedIOSec < r.DefaultIOSec {
+			pvfsWins++
+		}
+	}
+	if checked == 0 {
+		problems = append(problems, "no hints rows to check")
+	} else if pvfsWins == 0 {
+		problems = append(problems, "no pvfs row where tuned I/O is strictly below the default")
+	}
+	return problems
 }
 
 // PrintHintsSweep renders the hints sweep with the tuned I/O time against

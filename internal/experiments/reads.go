@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/enzo"
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // ReadRow is one configuration of the restart-read sweep: the blocking
@@ -46,29 +45,17 @@ func ReadSweep(o Options) ([]ReadRow, error) {
 	const np = 8
 	for _, fs := range []string{"pvfs", "local"} {
 		for _, backend := range []enzo.Backend{enzo.BackendHDF4, enzo.BackendMPIIO, enzo.BackendHDF5} {
-			cfg := o.problem("AMR128")
-			cfg.Codec = o.Codec
-			cfg.AsyncIO = false
-			syncRes, err := enzo.RunOnce(mach, fs, np, cfg, backend)
+			c := Case{"reads", enzo.RunSpec{Machine: mach, FS: fs, Procs: np, Config: o.problem("AMR128"), Backend: backend}}
+			c.Config.AsyncIO = false
+			// The pipelined run is the one traced and diagnosed.
+			syncRes, err := runCase(c, "blocking", Options{})
 			if err != nil {
-				return nil, fmt.Errorf("reads %s/%s blocking: %w", fs, backend, err)
+				return nil, err
 			}
-			acfg := cfg
-			acfg.AsyncIO = true
-			var asyncRes *enzo.Result
-			if o.TraceDir != "" {
-				tr := obs.NewTracer()
-				asyncRes, err = enzo.RunOnceTraced(mach, fs, np, acfg, backend, tr)
-				if err == nil {
-					c := Case{Figure: "reads", Machine: mach, FS: fs, Procs: np,
-						Config: acfg, Backend: backend}
-					err = writeCaseArtifacts(o.TraceDir, c, tr, asyncRes.Makespan)
-				}
-			} else {
-				asyncRes, err = enzo.RunOnce(mach, fs, np, acfg, backend)
-			}
+			c.Config.AsyncIO = true
+			asyncRes, err := runCase(c, "", o)
 			if err != nil {
-				return nil, fmt.Errorf("reads %s/%s pipelined: %w", fs, backend, err)
+				return nil, err
 			}
 			rows = append(rows, ReadRow{
 				Problem: syncRes.Problem, FS: fs, Backend: backend.String(), Procs: np,

@@ -71,15 +71,14 @@ func ScaleSweep(o Options) ([]ScaleRow, error) {
 	var rows []ScaleRow
 	for _, c := range cells {
 		cfg := o.problem(c.problem)
-		cfg.Codec = o.Codec
 		if c.xl {
 			// The explicit env opt-in stands in for raising the budget.
 			cfg.MemBudget = -1
 		}
 		start := time.Now()
-		res, err := enzo.RunOnce(mach, fs, c.np, cfg, backend)
+		res, err := runCase(Case{"scale", enzo.RunSpec{Machine: mach, FS: fs, Procs: c.np, Config: cfg, Backend: backend}}, "", o)
 		if err != nil {
-			return nil, fmt.Errorf("scale %s np=%d: %w", c.problem, c.np, err)
+			return nil, err
 		}
 		wall := time.Since(start).Seconds()
 		row := ScaleRow{

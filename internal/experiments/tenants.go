@@ -57,10 +57,8 @@ type tenantCase struct {
 // shared-cluster story needs.
 func tenantCases(o Options) []tenantCase {
 	amr := func(name, problem string, procs int, start float64) tenant.JobSpec {
-		cfg := o.problem(problem)
-		cfg.Codec = o.Codec
 		return tenant.JobSpec{Name: name, Kind: tenant.KindEnzo, Procs: procs,
-			StartAt: start, Config: cfg, Backend: enzo.BackendMPIIO}
+			StartAt: start, Config: o.problem(problem), Backend: enzo.BackendMPIIO}
 	}
 	return []tenantCase{
 		{
@@ -122,7 +120,7 @@ func tenantCases(o Options) []tenantCase {
 // weighted fair queueing and reports per-job slowdown versus run-alone.
 // The headline invariant — fair queueing never worsens, and on PVFS
 // strictly improves, the worst-job slowdown of a contended fleet — is
-// what BENCH_tenants.json gates in CI (benchdiff -checktenants).
+// what BENCH_tenants.json gates in CI (CheckTenantsInvariant, benchdiff -check).
 func MultiTenantSweep(o Options) ([]TenantRow, error) {
 	var rows []TenantRow
 	for _, tc := range tenantCases(o) {
@@ -147,6 +145,75 @@ func MultiTenantSweep(o Options) ([]TenantRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// CheckTenantsInvariant asserts the multi-tenant sweep's headline claim:
+// on every contended fleet, fair queueing's worst-job slowdown is no
+// worse than FIFO's, and on at least one contended pvfs fleet it is
+// strictly better. Every row must verify, every contended case needs
+// both policy groups, and an empty row set is a violation — the gate
+// must never pass vacuously.
+func CheckTenantsInvariant(rows []TenantRow) []string {
+	type group struct {
+		worst float64
+		rows  int
+	}
+	type caseInfo struct {
+		fs        string
+		contended bool
+		policies  map[string]*group
+	}
+	var problems []string
+	cases := make(map[string]*caseInfo)
+	order := []string{}
+	for _, r := range rows {
+		if !r.Verified {
+			problems = append(problems, fmt.Sprintf(
+				"%s/%s %s job %s failed verification", r.Case, r.Policy, r.Problem, r.Job))
+		}
+		ci, ok := cases[r.Case]
+		if !ok {
+			ci = &caseInfo{fs: r.FS, contended: r.Contended, policies: make(map[string]*group)}
+			cases[r.Case] = ci
+			order = append(order, r.Case)
+		}
+		g, ok := ci.policies[r.Policy]
+		if !ok {
+			g = &group{}
+			ci.policies[r.Policy] = g
+		}
+		g.rows++
+		if r.Slowdown > g.worst {
+			g.worst = r.Slowdown
+		}
+	}
+	checked, pvfsWins := 0, 0
+	for _, name := range order {
+		ci := cases[name]
+		if !ci.contended {
+			continue
+		}
+		fifo, fair := ci.policies["fifo"], ci.policies["fair"]
+		if fifo == nil || fair == nil {
+			problems = append(problems, fmt.Sprintf(
+				"%s: contended case is missing a policy group (fifo=%v fair=%v)", name, fifo != nil, fair != nil))
+			continue
+		}
+		checked++
+		if fair.worst > fifo.worst {
+			problems = append(problems, fmt.Sprintf(
+				"%s: fair worst slowdown %.6f above fifo's %.6f", name, fair.worst, fifo.worst))
+		}
+		if ci.fs == "pvfs" && fair.worst < fifo.worst {
+			pvfsWins++
+		}
+	}
+	if checked == 0 {
+		problems = append(problems, "no contended tenant cases to check")
+	} else if pvfsWins == 0 {
+		problems = append(problems, "no contended pvfs case where fair queueing strictly improves the worst slowdown")
+	}
+	return problems
 }
 
 // PrintTenantSweep renders the multi-tenant sweep, one row per
