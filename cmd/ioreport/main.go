@@ -135,17 +135,7 @@ func writeTimeline(tr *obs.Tracer, path string, stderr io.Writer) int {
 	if path == "" {
 		return 0
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	if err := tr.WriteTrace(f); err != nil {
-		f.Close()
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	if err := f.Close(); err != nil {
+	if err := obs.WriteFile(path, tr.WriteTrace); err != nil {
 		fmt.Fprintln(stderr, "error:", err)
 		return 1
 	}

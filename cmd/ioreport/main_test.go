@@ -98,3 +98,35 @@ func TestDiagnoseAppendsFindings(t *testing.T) {
 		t.Fatalf("-diagnose did not append a findings table:\n%s", stdout.String())
 	}
 }
+
+// TestTraceFileWritten: -trace writes a loadable timeline, and a path that
+// cannot be created (its directory is a regular file) exits 1 after the
+// report, leaving nothing behind.
+func TestTraceFileWritten(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "t.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-problem", "tiny", "-np", "4", "-trace", good}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("timeline does not parse (%v) or is empty (%d events)", err, len(doc.TraceEvents))
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	bad := filepath.Join(good, "x")
+	if code := run([]string{"-problem", "tiny", "-np", "4", "-trace", bad}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "error:") || !strings.Contains(stdout.String(), "verified=true") {
+		t.Fatalf("want the report on stdout and an error on stderr, got\n%s\n%s", stdout.String(), stderr.String())
+	}
+}

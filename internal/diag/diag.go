@@ -317,36 +317,28 @@ func snapshotDedup(tr *obs.Tracer, rep *Report) {
 
 // snapshotSpans walks the span forest once per rank, computing the
 // phase×layer exclusive-time matrix, per-rank I/O time, logical mpiio
-// traffic and the per-generation checkpoint stats.
+// traffic and the per-generation checkpoint stats. It reads the tracer's own
+// per-rank slices (Span.Parent indexes within one), ranks ascending and
+// spans in begin order: every float below sums in that order.
 func snapshotSpans(tr *obs.Tracer, rep *Report) {
-	spans := tr.Spans()
-	// Split into per-rank slices; Span.Parent indexes within a rank's own
-	// slice, and Spans() preserves per-rank creation order.
-	byRank := map[int][]obs.Span{}
-	var rankIDs []int
-	for _, sp := range spans {
-		if _, ok := byRank[sp.Rank]; !ok {
-			rankIDs = append(rankIDs, sp.Rank)
-		}
-		byRank[sp.Rank] = append(byRank[sp.Rank], sp)
-	}
-	sort.Ints(rankIDs)
-
 	cells := map[[2]string]*Cell{}
 	gens := map[string]*GenStat{}
-	for _, rank := range rankIDs {
-		rs := byRank[rank]
+	for rank, rs := range tr.SpansByRank() {
+		if len(rs) == 0 {
+			continue
+		}
 		childDur := make([]float64, len(rs))
 		phase := make([]string, len(rs))     // owning phase name, "" outside phases
 		underData := make([]bool, len(rs))   // has an mpiio data-span ancestor
 		underRedump := make([]bool, len(rs)) // has a redump:* ancestor
 		var io RankIO
 		io.Rank = rank
-		for i, sp := range rs {
+		for i := range rs {
+			sp := &rs[i]
 			if sp.Parent >= 0 {
 				childDur[sp.Parent] += sp.Dur()
 				phase[i] = phase[sp.Parent]
-				p := rs[sp.Parent]
+				p := &rs[sp.Parent]
 				underData[i] = underData[sp.Parent] ||
 					(p.Layer == obs.LayerMPIIO && mpiioDataOps[p.Name])
 				underRedump[i] = underRedump[sp.Parent] ||
@@ -356,7 +348,8 @@ func snapshotSpans(tr *obs.Tracer, rep *Report) {
 				phase[i] = strings.TrimPrefix(sp.Name, "phase:")
 			}
 		}
-		for i, sp := range rs {
+		for i := range rs {
+			sp := &rs[i]
 			excl := sp.Dur() - childDur[i]
 			if excl < 0 {
 				excl = 0
@@ -468,7 +461,7 @@ func snapshotCounters(tr *obs.Tracer, rep *Report) {
 // digit runs from the name ("pvfs/iod3/disk" -> "pvfs/iod/disk") so
 // detectors can compare a server against its peers.
 func snapshotServers(tr *obs.Tracer, rep *Report) {
-	names, events := tr.Servers()
+	names, events := tr.ServerStreams()
 	for i, name := range names {
 		sl := ServerLoad{Name: name, Class: serverClass(name)}
 		for _, ev := range events[i] {

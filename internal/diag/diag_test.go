@@ -263,3 +263,22 @@ func TestOpenMetricsJobRows(t *testing.T) {
 		t.Fatalf("text report missing the jobs section:\n%s", txt1.String())
 	}
 }
+
+// BenchmarkSnapshot distills one traced Tiny/np=4 run: the span-forest walk,
+// the counters and the server streams.
+func BenchmarkSnapshot(b *testing.B) {
+	cfg := enzo.Tiny()
+	tr := obs.NewTracer()
+	res, err := enzo.RunOnceTraced(machine.ChibaCity(), "pvfs", 4, cfg, enzo.BackendMPIIO, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	meta := MetaFromResult("chiba", res, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := Snapshot(tr, meta); len(rep.Matrix) == 0 {
+			b.Fatal("empty report")
+		}
+	}
+}

@@ -59,24 +59,14 @@ func writeCaseArtifacts(dir, label string, tr *obs.Tracer, makespan float64) err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	base := strings.NewReplacer("/", "_", " ", "_").Replace(label)
-	tf, err := os.Create(filepath.Join(dir, base+".trace.json"))
-	if err != nil {
+	base := filepath.Join(dir, strings.NewReplacer("/", "_", " ", "_").Replace(label))
+	if err := obs.WriteFile(base+".trace.json", tr.WriteTrace); err != nil {
 		return err
 	}
-	if err := tr.WriteTrace(tf); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	rf, err := os.Create(filepath.Join(dir, base+".report.txt"))
-	if err != nil {
-		return err
-	}
-	tr.WriteReport(rf, makespan)
-	return rf.Close()
+	return obs.WriteFile(base+".report.txt", func(w io.Writer) error {
+		tr.WriteReport(w, makespan)
+		return nil
+	})
 }
 
 // WriteFindings renders every case's findings table after a sweep's rows.

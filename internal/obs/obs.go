@@ -277,17 +277,35 @@ func Unwind(p *sim.Proc, mark int) {
 	}
 }
 
-// Spans returns every recorded span, ordered by rank and then by span begin
-// order within the rank. The order — and every field — is deterministic
-// across runs.
-func (t *Tracer) Spans() []Span {
+// SpansByRank returns the recorder's own per-rank span slices, indexed by
+// rank (nil for a rank never attached), each in span begin order — the
+// forest without the copy Spans makes. The views are read-only and valid only
+// once the engine has stopped: while it runs, End writes into these slices
+// and Begin may move them.
+func (t *Tracer) SpansByRank() [][]Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Span
-	for _, h := range t.ranks {
+	out := make([][]Span, len(t.ranks))
+	for r, h := range t.ranks {
 		if h != nil {
-			out = append(out, h.spans...)
+			out[r] = h.spans
 		}
+	}
+	return out
+}
+
+// Spans returns a copy of every recorded span, ordered by rank and then by
+// span begin order within the rank. The order — and every field — is
+// deterministic across runs.
+func (t *Tracer) Spans() []Span {
+	byRank := t.SpansByRank()
+	n := 0
+	for _, rs := range byRank {
+		n += len(rs)
+	}
+	out := make([]Span, 0, n)
+	for _, rs := range byRank {
+		out = append(out, rs...)
 	}
 	return out
 }
@@ -314,8 +332,8 @@ func (t *Tracer) ObserveServe(s *sim.Server, arrive, start, end float64) {
 	t.serves[i] = append(t.serves[i], ServeEvent{Arrive: arrive, Start: start, End: end})
 }
 
-// Servers returns the observed server names (first-observation order) and
-// their per-server request streams.
+// Servers returns a copy of the observed server names (first-observation
+// order) and of their per-server request streams.
 func (t *Tracer) Servers() ([]string, [][]ServeEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -326,6 +344,16 @@ func (t *Tracer) Servers() ([]string, [][]ServeEvent) {
 		events[i] = append([]ServeEvent(nil), evs...)
 	}
 	return names, events
+}
+
+// ServerStreams returns what Servers returns without the copy: the
+// recorder's own name list and request streams. Like SpansByRank, the views
+// are read-only and valid only once the engine has stopped — ObserveServe
+// appends to them while it runs.
+func (t *Tracer) ServerStreams() ([]string, [][]ServeEvent) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.serverNames, t.serves
 }
 
 // recordDur appends one per-call duration for percentile computation.

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"slices"
 	"sort"
 )
 
@@ -23,27 +26,20 @@ type LayerStat struct {
 
 // LayerStats aggregates spans by (layer, name), ordered by layer then name.
 func (t *Tracer) LayerStats() []LayerStat {
-	t.mu.Lock()
-	ranks := t.ranks
-	t.mu.Unlock()
-
 	agg := make(map[Layer]map[string]*LayerStat)
-	for _, h := range ranks {
-		if h == nil {
-			continue
-		}
+	for _, spans := range t.SpansByRank() {
 		// Exclusive time: subtract each span's duration from its parent's.
-		excl := make([]float64, len(h.spans))
-		for i := range h.spans {
-			excl[i] = h.spans[i].Dur()
+		excl := make([]float64, len(spans))
+		for i := range spans {
+			excl[i] = spans[i].Dur()
 		}
-		for i := range h.spans {
-			if p := h.spans[i].Parent; p >= 0 {
-				excl[p] -= h.spans[i].Dur()
+		for i := range spans {
+			if p := spans[i].Parent; p >= 0 {
+				excl[p] -= spans[i].Dur()
 			}
 		}
-		for i := range h.spans {
-			sp := &h.spans[i]
+		for i := range spans {
+			sp := &spans[i]
 			byName := agg[sp.Layer]
 			if byName == nil {
 				byName = make(map[string]*LayerStat)
@@ -89,11 +85,16 @@ func (t *Tracer) LayerTotals() map[Layer]float64 {
 // nearest-rank method. It returns 0 for an empty slice. durs need not be
 // sorted.
 func Percentile(durs []float64, q float64) float64 {
-	if len(durs) == 0 {
+	sorted := slices.Clone(durs)
+	sort.Float64s(sorted)
+	return percentileSorted(sorted, q)
+}
+
+// percentileSorted is Percentile over samples already in ascending order.
+func percentileSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), durs...)
-	sort.Float64s(sorted)
 	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if rank < 0 {
 		rank = 0
@@ -121,22 +122,23 @@ func (t *Tracer) OpLatencies() []OpLatency {
 		ops = append(ops, op)
 	}
 	sort.Strings(ops)
-	durs := make(map[string][]float64, len(ops))
-	for _, op := range ops {
-		durs[op] = append([]float64(nil), t.durs[op]...)
+	durs := make([][]float64, len(ops))
+	for i, op := range ops {
+		durs[i] = slices.Clone(t.durs[op])
 	}
 	t.mu.Unlock()
 
-	out := make([]OpLatency, 0, len(ops))
-	for _, op := range ops {
-		d := durs[op]
-		out = append(out, OpLatency{
+	out := make([]OpLatency, len(ops))
+	for i, op := range ops {
+		d := durs[i]
+		sort.Float64s(d)
+		out[i] = OpLatency{
 			Op:    op,
 			Count: int64(len(d)),
-			P50:   Percentile(d, 0.50),
-			P95:   Percentile(d, 0.95),
-			P99:   Percentile(d, 0.99),
-		})
+			P50:   percentileSorted(d, 0.50),
+			P95:   percentileSorted(d, 0.95),
+			P99:   percentileSorted(d, 0.99),
+		}
 	}
 	return out
 }
@@ -152,9 +154,10 @@ type ServerStat struct {
 }
 
 // ServerStats aggregates the observed serve events per server, in
-// first-observation order.
+// first-observation order. It reads the recorder's own streams (see
+// ServerStreams): call it once the engine has stopped.
 func (t *Tracer) ServerStats() []ServerStat {
-	names, events := t.Servers()
+	names, events := t.ServerStreams()
 	out := make([]ServerStat, len(names))
 	for i, name := range names {
 		st := ServerStat{Name: name}
@@ -340,4 +343,29 @@ func histLabel(bucket int) string {
 		return fmt.Sprintf("%dK", v>>10)
 	}
 	return fmt.Sprintf("%dB", v)
+}
+
+// WriteFile creates the file at path and hands write a buffered writer on
+// it. If write, the final flush or the close fails — a buffered writer keeps
+// the first error of any write made through it, so a write that returns
+// nothing (WriteReport) is covered too — the partial file is removed (a
+// device such as /dev/null is not) and that error returned.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	fi, statErr := f.Stat()
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil && statErr == nil && fi.Mode().IsRegular() {
+		os.Remove(path) // best effort: the error that matters is err
+	}
+	return err
 }
