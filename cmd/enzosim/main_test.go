@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 func TestBadFlagsRejected(t *testing.T) {
 	cases := []struct {
@@ -106,5 +111,61 @@ func TestTraceIsZeroPerturbation(t *testing.T) {
 		if plain != traced {
 			t.Errorf("%v: -trace moved virtual time:\nwithout:\n%s\nwith:\n%s", extra, plain, traced)
 		}
+	}
+}
+
+// traceReport runs enzosim -trace on Tiny/np=4, chiba/pvfs with the extra
+// flags and returns everything printed after the run summary: the I/O
+// characterization and the access-pattern table.
+func traceReport(t *testing.T, extra ...string) string {
+	t.Helper()
+	args := append([]string{"-problem", "tiny", "-np", "4", "-machine", "chiba", "-fs", "pvfs", "-trace"}, extra...)
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("%v: exit code = %d, stderr: %s", args, code, stderr.String())
+	}
+	out := stdout.String()
+	i := strings.Index(out, "\nI/O characterization")
+	if i < 0 {
+		t.Fatalf("%v: no characterization in:\n%s", args, out)
+	}
+	return out[i+1:]
+}
+
+// TestTraceReportGolden pins what -trace prints — the characterization
+// (per-op totals and percentiles, exposed vs hidden time per file,
+// compression ratios, the size histogram) and the pattern table — byte for
+// byte over blocking, behind, compressed, HDF5, placed-create and
+// faulted/re-dumped traffic. Regenerate with:
+// go test ./cmd/enzosim -run TraceReportGolden -update-golden
+func TestTraceReportGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, extra := range [][]string{
+		nil,
+		{"-async"},
+		{"-async", "-codec", "lzss"},
+		{"-async", "-backend", "hdf5"},
+		{"-castore", "-replicas", "2"},
+		{"-scrub", "-corrupt", "3", "-straggler", "2"},
+	} {
+		got.WriteString(strings.Join(append([]string{"== -trace"}, extra...), " ") + "\n")
+		got.WriteString(traceReport(t, extra...))
+	}
+
+	golden := filepath.Join("testdata", "trace_tiny.txt")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-trace output drifted from %s; if intentional, regenerate with -update-golden\ngot:\n%s", golden, got.String())
 	}
 }
