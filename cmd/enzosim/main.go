@@ -118,8 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			float64(res.CASLogicalBytes)/(1<<20), float64(res.CASPhysicalBytes)/(1<<20),
 			float64(res.CASDedupedBytes)/(1<<20), res.CASFailovers)
 	}
-	fmt.Fprintf(stdout, "bytes read   %d (%.1f MB)\n", res.BytesRead, float64(res.BytesRead)/(1<<20))
-	fmt.Fprintf(stdout, "bytes written%d (%.1f MB)\n", res.BytesWritten, float64(res.BytesWritten)/(1<<20))
+	fmt.Fprintf(stdout, "bytes read    %d (%.1f MB)\n", res.BytesRead, float64(res.BytesRead)/(1<<20))
+	fmt.Fprintf(stdout, "bytes written %d (%.1f MB)\n", res.BytesWritten, float64(res.BytesWritten)/(1<<20))
 	fmt.Fprintf(stdout, "verified     %v\n", res.Verified)
 	if rec != nil {
 		fmt.Fprintln(stdout)

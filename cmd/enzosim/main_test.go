@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,7 +60,7 @@ func TestTinyRunSucceeds(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
 	}
-	for _, want := range []string{"verified     true", "scrub        failures 0"} {
+	for _, want := range []string{"verified     true", "scrub        failures 0", "\nbytes written 842267 (0.8 MB)\n"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Fatalf("stdout missing %q:\n%s", want, stdout.String())
 		}
@@ -167,5 +168,43 @@ func TestTraceReportGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("-trace output drifted from %s; if intentional, regenerate with -update-golden\ngot:\n%s", golden, got.String())
+	}
+}
+
+// TestTraceReportsCompression follows the codec channel end to end: enzo
+// reports each compressed transfer to the pfs.CodecReporter it finds in the
+// stack, which is the iotrace recorder -trace put there, which prints it.
+// The section names the initial-conditions and the dump file, every written
+// ratio exceeds 1, and without -codec there is no section.
+func TestTraceReportsCompression(t *testing.T) {
+	const section = "compression (logical vs physical bytes per file):\n"
+	for _, backend := range []string{"mpiio", "hdf5"} {
+		out := traceReport(t, "-backend", backend, "-codec", "lzss")
+		i := strings.Index(out, section)
+		if i < 0 {
+			t.Fatalf("%s: -trace -codec lzss prints no compression section:\n%s", backend, out)
+		}
+		files := map[string]bool{}
+		for _, line := range strings.Split(out[i+len(section):], "\n") {
+			if !strings.HasPrefix(line, "  ") {
+				break
+			}
+			var file string
+			var logical, physical int64
+			var ratio float64
+			if _, err := fmt.Sscanf(line, " %s write %d -> %d (%fx)", &file, &logical, &physical, &ratio); err != nil {
+				t.Fatalf("%s: unparsable compression line %q: %v", backend, line, err)
+			}
+			if physical > 0 && ratio <= 1 {
+				t.Errorf("%s: %s written at ratio %.2f, want > 1", backend, file, ratio)
+			}
+			files[strings.SplitN(file, ".", 2)[0]] = true
+		}
+		if !files["ic"] || !files["dump00"] {
+			t.Errorf("%s: compression section names %v, want ic.* and dump00.*", backend, files)
+		}
+		if out := traceReport(t, "-backend", backend); strings.Contains(out, section) {
+			t.Errorf("%s: compression section printed without -codec", backend)
+		}
 	}
 }

@@ -17,7 +17,7 @@ func main() {
 
 	fmt.Printf("ENZO I/O quickstart: %s on origin2000/xfs, %d ranks\n\n", cfg.Problem, nprocs)
 	for _, backend := range []enzo.Backend{enzo.BackendHDF4, enzo.BackendMPIIO} {
-		res, err := enzo.RunOnce(machine.Origin2000(), "xfs", nprocs, cfg, backend)
+		res, err := enzo.Run(enzo.RunSpec{Machine: machine.Origin2000(), FS: "xfs", Procs: nprocs, Config: cfg, Backend: backend})
 		if err != nil {
 			log.Fatal(err)
 		}

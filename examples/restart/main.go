@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("Checkpoint/restart cycle: %s (+1 dynamic refinement), %d dumps, %d ranks, sp2/gpfs\n\n",
 		cfg.Problem, cfg.Dumps, nprocs)
 	for _, backend := range []enzo.Backend{enzo.BackendHDF4, enzo.BackendMPIIO, enzo.BackendHDF5} {
-		res, err := enzo.RunOnce(machine.SP2(), "gpfs", nprocs, cfg, backend)
+		res, err := enzo.Run(enzo.RunSpec{Machine: machine.SP2(), FS: "gpfs", Procs: nprocs, Config: cfg, Backend: backend})
 		if err != nil {
 			log.Fatal(err)
 		}

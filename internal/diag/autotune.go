@@ -112,17 +112,19 @@ func ProbeConfig(cfg enzo.Config) enzo.Config {
 func AutoTune(machCfg machine.Config, fsKind string, nprocs int,
 	cfg enzo.Config, backend enzo.Backend) (enzo.Config, []HintsDelta, *Report, error) {
 	probeCfg := ProbeConfig(cfg)
-	tr := obs.NewTracer()
-	res, err := enzo.RunOnceTraced(machCfg, fsKind, nprocs, probeCfg, backend, tr)
+	spec := enzo.RunSpec{Machine: machCfg, FS: fsKind, Procs: nprocs, Config: probeCfg, Backend: backend, Tracer: obs.NewTracer()}
+	res, err := enzo.Run(spec)
 	if err != nil {
 		return cfg, nil, nil, fmt.Errorf("autotune probe: %w", err)
 	}
-	rep := Snapshot(tr, MetaFromResult(machCfg.Name, res, probeCfg))
+	rep := Snapshot(spec.Tracer, MetaFromResult(machCfg.Name, res, probeCfg))
+	spec.Tracer = nil // the verify runs are untraced
 	var deltas []HintsDelta
 	best := res.IOTime()
 	for _, d := range Suggest(rep) {
 		cand := append(deltas[:len(deltas):len(deltas)], d)
-		vres, err := enzo.RunOnce(machCfg, fsKind, nprocs, ApplyAllConfig(cand, probeCfg), backend)
+		spec.Config = ApplyAllConfig(cand, probeCfg)
+		vres, err := enzo.Run(spec)
 		if err != nil {
 			return cfg, nil, rep, fmt.Errorf("autotune verify: %w", err)
 		}

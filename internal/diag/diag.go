@@ -461,19 +461,9 @@ func snapshotCounters(tr *obs.Tracer, rep *Report) {
 // digit runs from the name ("pvfs/iod3/disk" -> "pvfs/iod/disk") so
 // detectors can compare a server against its peers.
 func snapshotServers(tr *obs.Tracer, rep *Report) {
-	names, events := tr.ServerStreams()
-	for i, name := range names {
-		sl := ServerLoad{Name: name, Class: serverClass(name)}
-		for _, ev := range events[i] {
-			sl.Requests++
-			sl.BusySeconds += ev.End - ev.Start
-			w := ev.Start - ev.Arrive
-			sl.WaitSeconds += w
-			if w > sl.WaitMax {
-				sl.WaitMax = w
-			}
-		}
-		rep.Servers = append(rep.Servers, sl)
+	for _, st := range tr.ServerStats() {
+		rep.Servers = append(rep.Servers, ServerLoad{Name: st.Name, Class: serverClass(st.Name),
+			Requests: int(st.Requests), BusySeconds: st.Busy, WaitSeconds: st.WaitSum, WaitMax: st.WaitMax})
 	}
 	sort.Slice(rep.Servers, func(i, j int) bool { return rep.Servers[i].Name < rep.Servers[j].Name })
 }

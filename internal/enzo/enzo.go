@@ -670,12 +670,14 @@ type RunSpec struct {
 	Tracer *obs.Tracer
 }
 
-// RunOnce is Run for the common case: no wrapper, no tracer.
+// RunOnce is Run with no wrapper and no tracer, kept for the frozen bench/
+// only (and the tests that predate RunSpec): new code calls Run.
 func RunOnce(machCfg machine.Config, fsKind string, nprocs int, cfg Config, backend Backend) (*Result, error) {
 	return Run(RunSpec{Machine: machCfg, FS: fsKind, Procs: nprocs, Config: cfg, Backend: backend})
 }
 
-// RunOnceTraced is RunOnce with a stack-wide tracer attached.
+// RunOnceTraced is RunOnce with a stack-wide tracer attached, kept for the
+// frozen bench/ only.
 func RunOnceTraced(machCfg machine.Config, fsKind string, nprocs int, cfg Config,
 	backend Backend, tr *obs.Tracer) (*Result, error) {
 	return Run(RunSpec{Machine: machCfg, FS: fsKind, Procs: nprocs, Config: cfg, Backend: backend, Tracer: tr})

@@ -2,19 +2,22 @@
 // instrumentation the paper's analysis was built on (its reference [20],
 // "Analysis of I/O Activity of the ENZO Code", used the Pablo toolkit).
 // A Recorder collects one event per file-system call (operation, offset,
-// request size, virtual start/end time, calling node) through a
-// transparent pfs.FileSystem wrapper, and produces the summaries an I/O
-// study needs: request-size histograms, per-operation totals, bandwidth,
+// request size, virtual start/end time, calling node) as a sink of the pfs
+// tap (Wrap), and produces the summaries an I/O study needs: request-size histograms, per-operation totals, bandwidth,
 // and inter-arrival gaps that reveal sequential vs strided access.
 package iotrace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/pfs"
 )
 
@@ -87,12 +90,7 @@ type CodecFileStats struct {
 
 // Ratio returns logical/physical for the given direction sums, or 0 when
 // no physical bytes moved (an all-raw or untouched file).
-func Ratio(logical, physical int64) float64 {
-	if physical <= 0 {
-		return 0
-	}
-	return float64(logical) / float64(physical)
-}
+func Ratio(logical, physical int64) float64 { return obs.Ratio(logical, physical) }
 
 // Recorder accumulates events. It is safe for use from the (serialized)
 // simulation and from tests.
@@ -232,11 +230,7 @@ func (r *Recorder) Summarize() Summary {
 				st.Sequential++
 			}
 			lastEnd[ev.File] = ev.Offset + ev.Bytes
-			bucket := 0
-			for b := ev.Bytes; b > 1; b >>= 1 {
-				bucket++
-			}
-			s.SizeHistogram[bucket]++
+			s.SizeHistogram[obs.SizeBucket(ev.Bytes)]++
 		}
 		files[ev.File] = true
 		if i == 0 || ev.Start < s.Span[0] {
@@ -249,9 +243,9 @@ func (r *Recorder) Summarize() Summary {
 	s.Files = len(files)
 	for op, d := range durs {
 		st := s.PerOp[op]
-		st.P50 = percentile(d, 0.50)
-		st.P95 = percentile(d, 0.95)
-		st.P99 = percentile(d, 0.99)
+		st.P50 = obs.Percentile(d, 0.50)
+		st.P95 = obs.Percentile(d, 0.95)
+		st.P99 = obs.Percentile(d, 0.99)
 	}
 	return s
 }
@@ -291,8 +285,17 @@ func (r *Recorder) FileOverlap() []FileOverlapStats {
 			pending[k] = append(pending[k], [2]float64{ev.End, ev.Completion})
 		}
 	}
-	for k, ivs := range pending {
-		agg[k.file].Hidden += unionLen(ivs)
+	// Sum per-node hidden time in (file, node) order: map order would make
+	// the float depend on the iteration order of this call.
+	keys := make([]key, 0, len(pending))
+	for k := range pending {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(strings.Compare(a.file, b.file), cmp.Compare(a.node, b.node))
+	})
+	for _, k := range keys {
+		agg[k.file].Hidden += unionLen(pending[k])
 	}
 	sort.Strings(names)
 	out := make([]FileOverlapStats, 0, len(names))
@@ -319,24 +322,6 @@ func unionLen(ivs [][2]float64) float64 {
 		end = iv[1]
 	}
 	return total
-}
-
-// percentile returns the q-quantile (0 < q <= 1) of durs by the
-// nearest-rank method, or 0 for an empty slice.
-func percentile(durs []float64, q float64) float64 {
-	if len(durs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), durs...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // Report writes a human-readable characterization, in the style of the
@@ -397,7 +382,7 @@ func (r *Recorder) Report(w io.Writer) {
 		for _, b := range buckets {
 			n := s.SizeHistogram[b]
 			bar := int(40 * n / maxCount)
-			fmt.Fprintf(w, "  %8s-%-8s %7d ", sizeLabel(b), sizeLabel(b+1), n)
+			fmt.Fprintf(w, "  %8s-%-8s %7d ", obs.SizeLabel(b), obs.SizeLabel(b+1), n)
 			for i := 0; i < bar; i++ {
 				fmt.Fprint(w, "#")
 			}
@@ -406,120 +391,41 @@ func (r *Recorder) Report(w io.Writer) {
 	}
 }
 
-func sizeLabel(bucket int) string {
-	if bucket == 0 {
-		// Bucket 0 holds 0- and 1-byte requests, so its lower bound is 0,
-		// not 2^0.
-		return "0B"
-	}
-	v := int64(1) << bucket
-	switch {
-	case v >= 1<<30:
-		return fmt.Sprintf("%dG", v>>30)
-	case v >= 1<<20:
-		return fmt.Sprintf("%dM", v>>20)
-	case v >= 1<<10:
-		return fmt.Sprintf("%dK", v>>10)
-	}
-	return fmt.Sprintf("%dB", v)
-}
-
-// Wrap returns a pfs.FileSystem that records every call into rec before
-// delegating to fs. Timing is unchanged — the wrapper observes the virtual
-// clock around the delegate call and passes every request down in its own
-// mode.
+// Wrap returns a pfs.FileSystem that records every call into rec — the pfs
+// tap with the recorder as its sink — and receives the application's codec
+// accounting for it. Timing is unchanged: the tap observes the virtual clock
+// around the delegate call and passes every request down in its own mode.
 func Wrap(fs pfs.FileSystem, rec *Recorder) pfs.FileSystem {
-	return &tracedFS{inner: fs, rec: rec}
+	return tracedFS{TapFS: pfs.Tap(fs, rec.observe), rec: rec}
 }
 
+// tracedFS embeds the tap's concrete type, not pfs.FileSystem: Unwrap and
+// CreatePlaced must stay visible to the capability walk.
 type tracedFS struct {
-	inner pfs.FileSystem
-	rec   *Recorder
+	*pfs.TapFS
+	rec *Recorder
 }
-
-// Unwrap implements pfs.Wrapper.
-func (t *tracedFS) Unwrap() pfs.FileSystem { return t.inner }
-
-func (t *tracedFS) Name() string         { return t.inner.Name() }
-func (t *tracedFS) Stats() pfs.Stats     { return t.inner.Stats() }
-func (t *tracedFS) Exists(n string) bool { return t.inner.Exists(n) }
 
 // RecordCodecBytes implements pfs.CodecReporter: the application layer
 // reports every compressed array transfer so the characterization can show
 // logical vs physical bytes and the achieved compression ratio per file.
-func (t *tracedFS) RecordCodecBytes(file string, write bool, logical, physical int64) {
+func (t tracedFS) RecordCodecBytes(file string, write bool, logical, physical int64) {
 	t.rec.RecordCodecBytes(file, write, logical, physical)
 }
 
-func (t *tracedFS) Create(c pfs.Client, name string) (pfs.File, error) {
-	start := c.Proc.Now()
-	f, err := t.inner.Create(c, name)
-	return t.opened(c, OpCreate, name, start, f, err)
-}
+var opByName = map[string]Op{"read": OpRead, "write": OpWrite, "create": OpCreate, "open": OpOpen, "close": OpClose}
 
-// CreatePlaced implements pfs.PlacedCreator (plain create when the inner
-// file system cannot place), recorded like any create.
-func (t *tracedFS) CreatePlaced(c pfs.Client, name string, server int) (pfs.File, error) {
-	start := c.Proc.Now()
-	f, err := pfs.CreatePlacedOn(t.inner, c, name, server)
-	return t.opened(c, OpCreate, name, start, f, err)
-}
-
-func (t *tracedFS) Open(c pfs.Client, name string) (pfs.File, error) {
-	start := c.Proc.Now()
-	f, err := t.inner.Open(c, name)
-	return t.opened(c, OpOpen, name, start, f, err)
-}
-
-// opened records a create or open that began at start (failed ones too)
-// and wraps the handle.
-func (t *tracedFS) opened(c pfs.Client, op Op, name string, start float64, f pfs.File, err error) (pfs.File, error) {
-	t.rec.Record(Event{Op: op, File: name, Node: c.Node, Start: start, End: c.Proc.Now()})
-	if err != nil {
-		return pfs.File{}, err
-	}
-	return pfs.File{Handle: &tracedFile{inner: f, fs: t}}, nil
-}
-
-type tracedFile struct {
-	inner pfs.File
-	fs    *tracedFS
-}
-
-func (f *tracedFile) Name() string            { return f.inner.Name() }
-func (f *tracedFile) Size(c pfs.Client) int64 { return f.inner.Size(c) }
-
-// Do implements pfs.Handle: one event per request. Start..End is the
-// interval the caller's clock spent in the call — the issue interval of a
-// Behind request, whose device completion is recorded separately so the
-// report can attribute exposed vs hidden time per file. A request abandoned
-// at its deadline moved no data and is recorded with zero bytes; its wait
-// still shows as the event duration.
-func (f *tracedFile) Do(c pfs.Client, r pfs.Req) (float64, error) {
-	start := c.Proc.Now()
-	end, err := f.inner.Do(c, r)
-	ev := Event{Op: OpRead, File: f.inner.Name(), Node: c.Node,
-		Offset: r.Off, Bytes: int64(len(r.Buf)), Start: start, End: c.Proc.Now(), Completion: end}
-	if r.Write {
-		ev.Op = OpWrite
-	}
-	if err != nil {
+// observe is the recorder's sink on the pfs tap: one event per call, failed
+// creates and opens included. Start..End is the interval the caller's clock
+// spent in the call — the issue interval of a Behind request, whose device
+// completion is recorded separately so the report can attribute exposed vs
+// hidden time per file. A request abandoned at its deadline moved no data and
+// is recorded with zero bytes; its wait still shows as the event duration.
+func (r *Recorder) observe(c pfs.Call) {
+	ev := Event{Op: opByName[c.Op], File: c.File, Node: c.Client.Node, Offset: c.Req.Off,
+		Bytes: int64(len(c.Req.Buf)), Start: c.Start, End: c.Now, Completion: c.Done}
+	if c.Err != nil {
 		ev.Bytes, ev.Completion = 0, 0
 	}
-	f.fs.rec.Record(ev)
-	return end, err
+	r.Record(ev)
 }
-
-func (f *tracedFile) Close(c pfs.Client) {
-	start := c.Proc.Now()
-	f.inner.Close(c)
-	f.fs.rec.Record(Event{Op: OpClose, File: f.inner.Name(), Node: c.Node,
-		Start: start, End: c.Proc.Now()})
-}
-
-// Snapshot delegates to the wrapped file system (untraced: staging is out
-// of band).
-func (t *tracedFS) Snapshot() map[string][]byte { return t.inner.Snapshot() }
-
-// Restore delegates to the wrapped file system (untraced).
-func (t *tracedFS) Restore(files map[string][]byte) { t.inner.Restore(files) }

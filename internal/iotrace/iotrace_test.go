@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
@@ -150,6 +151,24 @@ func TestFileOverlapSplitsExposedAndHidden(t *testing.T) {
 
 func near(a, b float64) bool { return a-b < 1e-9 && b-a < 1e-9 }
 
+// TestFileOverlapDeterministic: a file's hidden time is a float sum over its
+// nodes, so the order of that sum is part of the result. Three nodes hiding
+// 1e16, 1 and 1 s give 1e16 or 1.0000000000000002e16 depending on which is
+// added first; two identical traces must agree to the bit.
+func TestFileOverlapDeterministic(t *testing.T) {
+	seen := map[float64]int{}
+	for i := 0; i < 200; i++ {
+		rec := NewRecorder()
+		for node, hidden := range []float64{1e16, 1, 1} {
+			rec.Record(Event{Op: OpWrite, File: "f", Node: node, Bytes: 1, Completion: hidden})
+		}
+		seen[rec.FileOverlap()[0].Hidden]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("200 identical traces gave %d different hidden times: %v", len(seen), seen)
+	}
+}
+
 // TestDeferredWriteTraced drives a Behind write through the wrapper (PVFS
 // charges the devices at issue and returns a later completion) and checks
 // the trace separates the issue interval from the device completion.
@@ -256,8 +275,8 @@ func TestSizeLabels(t *testing.T) {
 	// Bucket 0 also holds 0-byte requests, so its lower-bound label is 0B.
 	cases := map[int]string{0: "0B", 1: "2B", 10: "1K", 20: "1M", 30: "1G"}
 	for b, want := range cases {
-		if got := sizeLabel(b); got != want {
-			t.Fatalf("sizeLabel(%d) = %q, want %q", b, got, want)
+		if got := obs.SizeLabel(b); got != want {
+			t.Fatalf("SizeLabel(%d) = %q, want %q", b, got, want)
 		}
 	}
 }
@@ -347,8 +366,8 @@ func TestPercentilesEmptyTrace(t *testing.T) {
 	if len(s.PerOp) != 0 {
 		t.Fatalf("empty trace produced per-op stats: %+v", s.PerOp)
 	}
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Fatalf("percentile(nil) = %g, want 0", got)
+	if got := obs.Percentile(nil, 0.5); got != 0 {
+		t.Fatalf("Percentile(nil) = %g, want 0", got)
 	}
 }
 

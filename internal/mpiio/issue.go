@@ -53,9 +53,9 @@ import (
 type issuer struct {
 	f      *File
 	behind bool
-	// end is the behind mode's completion: the latest device completion
-	// issued so far, and no earlier than the clock when the issuer was made
-	// (an operation that issues nothing completes at once).
+	// end is the latest device completion issued so far; in behind mode, where
+	// it becomes the operation's completion, no earlier than the clock when the
+	// issuer was made (an operation that issues nothing completes at once).
 	end float64
 }
 
@@ -67,18 +67,15 @@ func (f *File) issuer(behind bool) issuer {
 	return is
 }
 
-func (is *issuer) write(data []byte, off int64) {
-	if !is.behind {
-		is.f.devWriteAt(data, off)
-	} else if e := pfs.WriteAtAsync(is.f.f, is.f.client, data, off); e > is.end {
-		is.end = e
-	}
-}
+func (is *issuer) write(data []byte, off int64) { is.do(pfs.Req{Write: true, Buf: data, Off: off}) }
+func (is *issuer) read(buf []byte, off int64)   { is.do(pfs.Req{Buf: buf, Off: off}) }
 
-func (is *issuer) read(buf []byte, off int64) {
-	if !is.behind {
-		is.f.devReadAt(buf, off)
-	} else if e := pfs.ReadAtAsync(is.f.f, is.f.client, buf, off); e > is.end {
+// do issues r in the issuer's mode.
+func (is *issuer) do(r pfs.Req) {
+	if is.behind {
+		r.Mode = pfs.Behind
+	}
+	if e := is.f.dev(r); e > is.end {
 		is.end = e
 	}
 }

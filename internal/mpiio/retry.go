@@ -121,48 +121,33 @@ func jitter01(rank int, req int64, attempt int) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// devWriteAt issues one raw write to the underlying file, retrying under
-// the hints' policy. With the policy disabled it is exactly the blocking
-// write — as it is in effect on a file system whose servers are
+// dev sends one request to the device and returns its completion. A Behind
+// request carries no deadline, and with the policy disabled every request is
+// the plain one — as it is in effect on a file system whose servers are
 // client-local and cannot straggle, where no deadline is ever missed.
-func (f *File) devWriteAt(data []byte, off int64) {
-	if !f.hints.Retry.Enabled {
-		f.f.WriteAt(f.client, data, off)
-		return
+// Otherwise the request goes down By a deadline that grows with each attempt
+// until it succeeds or the policy's attempts are exhausted, backing off (with
+// deterministic jitter) between attempts. Exhaustion panics with *IOError.
+func (f *File) dev(r pfs.Req) float64 {
+	if r.Mode == pfs.Behind || !f.hints.Retry.Enabled {
+		end, _ := f.f.Do(f.client, r) // only a By request can fail
+		return end
 	}
-	f.retryLoop("write", int64(len(data)), off, func(deadline float64) error {
-		return pfs.WriteAtDeadline(f.f, f.client, data, off, deadline)
-	})
-}
-
-// devReadAt is the read counterpart of devWriteAt.
-func (f *File) devReadAt(buf []byte, off int64) {
-	if !f.hints.Retry.Enabled {
-		f.f.ReadAt(f.client, buf, off)
-		return
-	}
-	f.retryLoop("read", int64(len(buf)), off, func(deadline float64) error {
-		return pfs.ReadAtDeadline(f.f, f.client, buf, off, deadline)
-	})
-}
-
-// retryLoop runs attempt with a growing deadline until it succeeds or the
-// policy's attempts are exhausted, backing off (with deterministic jitter)
-// between attempts. Exhaustion panics with *IOError.
-func (f *File) retryLoop(op string, n, off int64, attempt func(deadline float64) error) {
 	rp := f.hints.Retry.normalized()
 	req := f.reqs
 	f.reqs++
 	timeout := rp.Timeout
 	backoff := rp.Backoff
-	var err error
-	for a := 1; a <= rp.MaxAttempts; a++ {
-		err = attempt(f.client.Proc.Now() + timeout)
+	r.Mode = pfs.By
+	for a := 1; ; a++ {
+		r.Deadline = f.client.Proc.Now() + timeout
+		end, err := f.f.Do(f.client, r)
 		if err == nil {
-			return
+			return end
 		}
 		if a == rp.MaxAttempts {
-			break
+			panic(&IOError{Op: r.Op(), File: f.f.Name(), Rank: f.r.Rank(),
+				Off: r.Off, Len: int64(len(r.Buf)), Attempts: a, Cause: err})
 		}
 		obs.AddRetry(f.client.Proc, f.f.Name())
 		sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "retry_backoff").
@@ -173,6 +158,4 @@ func (f *File) retryLoop(op string, n, off int64, attempt func(deadline float64)
 		timeout *= rp.Multiplier
 		backoff *= rp.Multiplier
 	}
-	panic(&IOError{Op: op, File: f.f.Name(), Rank: f.r.Rank(),
-		Off: off, Len: n, Attempts: rp.MaxAttempts, Cause: err})
 }

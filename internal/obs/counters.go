@@ -115,9 +115,9 @@ func (t *Tracer) Counters() []*FileCounters {
 }
 
 // WrapFS returns a pfs.FileSystem that records Darshan-style counters and
-// pfs-layer spans into tr around every call, then delegates to fs. Like
-// every obs hook it only reads the virtual clock. Procs without a tracer
-// attached pass through uncounted.
+// pfs-layer spans into tr for every call, then delegates to fs: the pfs tap
+// with the tracer as its sink. Like every obs hook it only reads the virtual
+// clock. Procs without a tracer attached pass through uncounted.
 //
 // It is the one place a tracer is attached to a file-system stack: it also
 // records the stack's geometry (the model's name, its striping when some
@@ -130,150 +130,79 @@ func WrapFS(fs pfs.FileSystem, tr *Tracer) pfs.FileSystem {
 	}
 	tr.SetFSInfo(fi)
 	pfs.Observe(fs, tr)
-	return &obsFS{inner: fs, tr: tr}
+	return pfs.Tap(fs, tr.observeCall)
 }
 
-type obsFS struct {
-	inner pfs.FileSystem
-	tr    *Tracer
-}
-
-// Unwrap implements pfs.Wrapper.
-func (o *obsFS) Unwrap() pfs.FileSystem { return o.inner }
-
-func (o *obsFS) Name() string                    { return o.inner.Name() }
-func (o *obsFS) Stats() pfs.Stats                { return o.inner.Stats() }
-func (o *obsFS) Exists(n string) bool            { return o.inner.Exists(n) }
-func (o *obsFS) Snapshot() map[string][]byte     { return o.inner.Snapshot() }
-func (o *obsFS) Restore(files map[string][]byte) { o.inner.Restore(files) }
-
-// rank returns the rank attached to p, or -1 if p carries no tracer state.
-func rankOf(p *sim.Proc) int {
-	if h, ok := p.Trace().(*procTrace); ok {
-		return h.rank
-	}
-	return -1
-}
-
-func (o *obsFS) Create(c pfs.Client, name string) (pfs.File, error) {
-	sp, start := Begin(c.Proc, LayerPFS, "create").Attr("file", name), c.Proc.Now()
-	f, err := o.inner.Create(c, name)
-	return o.opened(c, sp, start, "create", f, name, err)
-}
-
-// CreatePlaced implements pfs.PlacedCreator (falling back to a plain create
-// when the inner file system cannot place), counted like any other create.
-func (o *obsFS) CreatePlaced(c pfs.Client, name string, server int) (pfs.File, error) {
-	sp, start := Begin(c.Proc, LayerPFS, "create").Attr("file", name), c.Proc.Now()
-	f, err := pfs.CreatePlacedOn(o.inner, c, name, server)
-	return o.opened(c, sp, start, "create", f, name, err)
-}
-
-func (o *obsFS) Open(c pfs.Client, name string) (pfs.File, error) {
-	sp, start := Begin(c.Proc, LayerPFS, "open").Attr("file", name), c.Proc.Now()
-	f, err := o.inner.Open(c, name)
-	return o.opened(c, sp, start, "open", f, name, err)
-}
-
-// opened closes the span of a create or open that began at start and, if
-// it succeeded, books it and wraps the handle.
-func (o *obsFS) opened(c pfs.Client, sp *Active, start float64, op string, f pfs.File, name string, err error) (pfs.File, error) {
-	sp.End()
-	if err != nil {
-		return pfs.File{}, err
-	}
-	o.bookMeta(c, op, name, start)
-	return pfs.File{Handle: &obsFile{inner: f, fs: o}}, nil
-}
-
-// bookMeta counts one create, open or close of file that began at start.
-func (o *obsFS) bookMeta(c pfs.Client, op, file string, start float64) {
-	r := rankOf(c.Proc)
-	if r < 0 {
+// observeCall is the tracer's sink on the pfs tap: one pfs-layer span and one
+// counter update per call, keyed on the operation, the request's mode and
+// whether it failed.
+//
+// A create or open carries the file name; a failed one keeps its span and
+// books nothing. A blocking request's span covers issue and wait. A Behind
+// span covers the issue interval only and carries deferred=1; the device time
+// past issue — which the rank may overlap with compute — is booked into the
+// file's write-behind/read-behind counters. A By request that missed its
+// deadline carries timeout=1 and still charges its wait to ReadTime/WriteTime,
+// but moved no data: it bumps Timeouts and is not counted as a read or write.
+func (t *Tracer) observeCall(c pfs.Call) {
+	h, _ := c.Client.Proc.Trace().(*procTrace)
+	if h == nil {
 		return
 	}
-	fc := o.tr.fileCounters(r, file)
-	switch op {
+	n, dur := int64(len(c.Req.Buf)), c.Now-c.Start
+	sp := &h.spans[h.add(Span{Layer: LayerPFS, Name: c.Op, Start: c.Start, End: c.Now, Bytes: n})]
+	if c.Op == "create" || c.Op == "open" {
+		sp.Attrs = append(sp.Attrs, Attr{Key: "file", Value: c.File})
+		if c.Err != nil {
+			return
+		}
+	}
+	fc := t.fileCounters(h.rank, c.File)
+	var meta *int64
+	switch c.Op {
 	case "create":
-		fc.Creates++
+		meta = &fc.Creates
 	case "open":
-		fc.Opens++
+		meta = &fc.Opens
 	case "close":
-		fc.Closes++
+		meta = &fc.Closes
 	}
-	fc.MetaTime += c.Proc.Now() - start
-	o.tr.recordDur(op, c.Proc.Now()-start)
-}
-
-type obsFile struct {
-	inner pfs.File
-	fs    *obsFS
-}
-
-func (f *obsFile) Name() string            { return f.inner.Name() }
-func (f *obsFile) Size(c pfs.Client) int64 { return f.inner.Size(c) }
-
-func (f *obsFile) Close(c pfs.Client) {
-	sp, start := Begin(c.Proc, LayerPFS, "close"), c.Proc.Now()
-	f.inner.Close(c)
-	sp.End()
-	f.fs.bookMeta(c, "close", f.inner.Name(), start)
-}
-
-// Do implements pfs.Handle: one span and one counter update per request,
-// keyed on the request's direction, its mode and whether it timed out.
-//
-// A blocking span covers issue and wait. A Behind span covers the issue
-// interval only and carries deferred=1; the device time past issue — which
-// the rank may overlap with compute — is booked into the file's
-// write-behind/read-behind counters. A By request that missed its deadline
-// carries timeout=1 and still charges its wait to ReadTime/WriteTime, but
-// moved no data: it bumps Timeouts and is not counted as a read or write.
-func (f *obsFile) Do(c pfs.Client, r pfs.Req) (float64, error) {
-	n, op := int64(len(r.Buf)), r.Op()
-	sp := Begin(c.Proc, LayerPFS, op).Bytes(n)
-	if r.Mode == pfs.Behind {
-		sp.Attr("deferred", "1")
+	if meta != nil {
+		*meta++
+		fc.MetaTime += dur
+		t.recordDur(c.Op, dur)
+		return
 	}
-	start := c.Proc.Now()
-	end, err := f.inner.Do(c, r)
-	if err != nil {
-		sp.Attr("timeout", "1")
+	if c.Req.Mode == pfs.Behind {
+		sp.Attrs = append(sp.Attrs, Attr{Key: "deferred", Value: "1"})
 	}
-	sp.End()
-	rank := rankOf(c.Proc)
-	if rank < 0 {
-		return end, err
-	}
-	fc := f.fs.tr.fileCounters(rank, f.inner.Name())
-	d := fc.dir(r.Write)
-	now := c.Proc.Now()
-	*d.time += now - start
-	if err != nil {
+	d := fc.dir(c.Req.Write)
+	*d.time += dur
+	if c.Err != nil {
+		sp.Attrs = append(sp.Attrs, Attr{Key: "timeout", Value: "1"})
 		fc.Timeouts++
-		return end, err
+		return
 	}
 	*d.ops++
 	*d.bytes += n
-	if r.Mode == pfs.Behind {
+	if c.Req.Mode == pfs.Behind {
 		*d.deferred++
-		if end > now {
-			*d.behind += end - now
+		if c.Done > c.Now {
+			*d.behind += c.Done - c.Now
 		}
 	}
 	fc.SizeHist[SizeBucket(n)]++
 	if *d.have {
-		if r.Off == *d.lastEnd {
+		if c.Req.Off == *d.lastEnd {
 			*d.consec++
 			*d.seq++
-		} else if r.Off > *d.lastEnd {
+		} else if c.Req.Off > *d.lastEnd {
 			*d.seq++
 		}
 	}
 	*d.have = true
-	*d.lastEnd = r.Off + n
-	f.fs.tr.recordDur(op, now-start)
-	return end, nil
+	*d.lastEnd = c.Req.Off + n
+	t.recordDur(c.Op, dur)
 }
 
 // dirCounters addresses the read or the write half of a FileCounters.

@@ -138,6 +138,23 @@ type procTrace struct {
 	free  []*Active // recycled span handles; see Begin/End
 }
 
+// add appends sp to the rank's spans under the innermost open span — rank,
+// parent and depth are taken from the open stack — and returns its index. It
+// opens nothing. Begin records through it, and so does the pfs tap's sink,
+// which adds a call's span finished, after the call: a rank's spans are
+// stored in begin order, and between the begin and the end of a pfs call
+// nothing on that rank opens or closes a span (no code below the tap calls
+// Begin), so the finished span lands at the index, under the parent and at
+// the depth a Begin before the call would have given it.
+func (h *procTrace) add(sp Span) int {
+	sp.Rank, sp.Parent, sp.Depth = h.rank, -1, len(h.stack)
+	if n := len(h.stack); n > 0 {
+		sp.Parent = h.stack[n-1]
+	}
+	h.spans = append(h.spans, sp)
+	return len(h.spans) - 1
+}
+
 // Attach registers rank's Proc with the tracer. Every span opened by p
 // after this call is recorded under the given rank.
 func (t *Tracer) Attach(p *sim.Proc, rank int) {
@@ -168,20 +185,7 @@ func Begin(p *sim.Proc, layer Layer, name string) *Active {
 	if h == nil {
 		return nil
 	}
-	parent := -1
-	if n := len(h.stack); n > 0 {
-		parent = h.stack[n-1]
-	}
-	idx := len(h.spans)
-	h.spans = append(h.spans, Span{
-		Rank:   h.rank,
-		Layer:  layer,
-		Name:   name,
-		Start:  p.Now(),
-		End:    p.Now(),
-		Parent: parent,
-		Depth:  len(h.stack),
-	})
+	idx := h.add(Span{Layer: layer, Name: name, Start: p.Now(), End: p.Now()})
 	h.stack = append(h.stack, idx)
 	// Handles are recycled through a per-rank free list: traced hot paths
 	// open millions of spans, and each handle would otherwise escape to the
@@ -238,7 +242,9 @@ func (a *Active) End() {
 // one (an exhausted *mpiio.IOError leaving a rank body, say). Those spans,
 // and this one, are closed as aborted and the panic continues with its own
 // value — failing here would replace it with the nesting complaint. Any
-// other out-of-order End is a bug in the caller.
+// other out-of-order End is a bug in the caller. A pfs call is never among
+// the spans closed here: the tap's sink adds its span after the call has
+// returned, so a panic that crosses the tap leaves no pfs span at all.
 func (a *Active) endOutOfOrder(r any) {
 	pos := slices.Index(a.h.stack, a.idx)
 	if r == nil || pos < 0 {

@@ -274,7 +274,7 @@ func (t *Tracer) WriteReport(w io.Writer, makespan float64) {
 					continue
 				}
 				bar := int(40 * n / maxCount)
-				fmt.Fprintf(w, "  %8s-%-8s %8d ", histLabel(b), histLabel(b+1), n)
+				fmt.Fprintf(w, "  %8s-%-8s %8d ", SizeLabel(b), SizeLabel(b+1), n)
 				for i := 0; i < bar; i++ {
 					fmt.Fprint(w, "#")
 				}
@@ -327,9 +327,9 @@ func (t *Tracer) WriteReport(w io.Writer, makespan float64) {
 	}
 }
 
-// histLabel names the lower bound of a histogram bucket. Bucket 0 holds
-// 0- and 1-byte requests, so its lower bound is 0B.
-func histLabel(bucket int) string {
+// SizeLabel names the lower bound of a SizeBucket. Bucket 0 holds 0- and
+// 1-byte requests, so its lower bound is 0B.
+func SizeLabel(bucket int) string {
 	if bucket == 0 {
 		return "0B"
 	}

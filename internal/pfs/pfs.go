@@ -46,12 +46,13 @@
 //
 // The mode travels inside Do rather than the wait being hoisted above the
 // wrapper chain, because a wrapper in the middle must still see it: the
-// obs wrapper's spans and counters distinguish all three.
+// tap's sinks — obs's spans and counters, iotrace's events — distinguish
+// all three.
 //
 // # One wrapper spine
 //
-// Wrappers (prefix, BurstBuffer, obs, iotrace, faultfs) expose Unwrap, and
-// As finds a volume capability by walking the chain. A wrapper implements a
+// Wrappers (prefix, BurstBuffer, the tap, faultfs) expose Unwrap, and As
+// finds a volume capability by walking the chain. A wrapper implements a
 // capability only when it changes it; everything else is found below it.
 //
 //	capability                         declared on
@@ -60,10 +61,23 @@
 //	ServeObservable                    the four models, BurstBuffer (staging
 //	                                   disks); Observe visits every layer
 //	PlacementRestorer                  *PVFS, *GPFS, prefix (renames)
-//	CodecReporter                      iotrace (receiver), prefix (renames)
+//	CodecReporter                      iotrace's tap (receiver: the recorder),
+//	                                   prefix (renames)
 //	PlacedCreator                      *PVFS, *GPFS and every wrapper (each
-//	                                   wraps the handle it gets back; prefix
-//	                                   renames)
+//	                                   wraps the handle it gets back: prefix
+//	                                   renames, the tap observes a create)
+//
+// # One observer
+//
+// Tap is the one wrapper that observes. It passes every call down as it came
+// and, once the call has returned, hands its sink a Call: who called, the
+// operation ("create", "open", "close", or the request's Op), the file, the
+// Req (zero for a metadata call), the caller's clock before and after (Start,
+// Now), the device completion the call returned (Done) and its error — a
+// failed create or open, or the *DeviceError of a missed deadline. That value
+// is the definition of an observed call; what to keep of it is the sink's
+// business. obs.WrapFS is the tap with a Tracer as sink, iotrace.Wrap the tap
+// with a Recorder, and a new recorder is a new sink, not a new wrapper.
 package pfs
 
 import (
@@ -107,7 +121,7 @@ type FileSystem interface {
 }
 
 // Wrapper is implemented by every FileSystem that layers over another one
-// (prefix, burst buffer, obs, iotrace, faultfs). Unwrap returns the next
+// (prefix, burst buffer, the tap, faultfs). Unwrap returns the next
 // layer down; the chain ends at one of the four models.
 type Wrapper interface {
 	Unwrap() FileSystem
@@ -200,7 +214,7 @@ type Req struct {
 }
 
 // Op names the request's direction, "read" or "write" (the Op of a
-// *DeviceError, the span and counter name in obs).
+// *DeviceError and of an observed Call).
 func (r Req) Op() string {
 	if r.Write {
 		return "write"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -257,5 +258,134 @@ func TestCapabilitiesThroughTheSpine(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("Observe did not reach server %q (saw %v)", name, seen)
 		}
+	}
+}
+
+// TestRecorderOnTheSpine: iotrace.Wrap adds one capability to the tap — it
+// receives the codec accounting — and hides none. Through
+// prefix(iotrace(model)) As[CodecReporter] finds the recorder, with the file
+// name prefixed; the walk goes on below it (Unwrap) and a placed create still
+// places (CreatePlaced).
+func TestRecorderOnTheSpine(t *testing.T) {
+	model := pfs.NewPVFS(machine.New(machine.ByName("chiba")), pfs.DefaultPVFS())
+	rec := iotrace.NewRecorder()
+	stack := pfs.WrapPrefix(iotrace.Wrap(model, rec), tenant)
+
+	cr, ok := pfs.As[pfs.CodecReporter](stack)
+	if !ok {
+		t.Fatal("As[CodecReporter] did not find the recorder through prefix(iotrace(model))")
+	}
+	cr.RecordCodecBytes("f", true, 100, 25)
+	want := []iotrace.CodecFileStats{{File: tenant + "f", LogicalWritten: 100, PhysicalWritten: 25}}
+	if got := rec.CodecStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("CodecStats = %+v, want %+v", got, want)
+	}
+	if pfs.Base(stack) != pfs.FileSystem(model) {
+		t.Errorf("Base(stack) = %v, want the pvfs model", pfs.Base(stack))
+	}
+	if _, ok := pfs.As[pfs.StripedVolume](stack); !ok {
+		t.Error("As[StripedVolume] not found below the recorder")
+	}
+
+	seen := serverLog{}
+	pfs.Observe(stack, seen)
+	eng := sim.NewEngine()
+	eng.Spawn("c", func(p *sim.Proc) {
+		c := pfs.Client{Proc: p, Node: 3}
+		f, _ := pfs.CreatePlacedOn(stack, c, "obj", 2)
+		f.WriteAt(c, make([]byte, 1<<20), 0)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for name := range seen {
+		if strings.HasSuffix(name, "/disk") && name != "pvfs/iod2/disk" {
+			t.Errorf("placed create on server 2 through the recorder wrote to %s", name)
+		}
+	}
+	if evs := rec.Events(); len(evs) != 2 || evs[0].Op != iotrace.OpCreate || evs[0].File != tenant+"obj" || evs[1].Bytes != 1<<20 {
+		t.Errorf("recorder saw %+v, want the placed create and the write", evs)
+	}
+}
+
+// TestSinksAgree: obs and iotrace are two sinks of one tap, so the same
+// request stream — the six shapes, healthy and past a deadline, on each model
+// — leaves the same calls in both: the recorder's events and the tracer's
+// pfs-layer spans match call for call, the per-file counters add up to the
+// event counts, and a behind write's hidden time is the file's
+// WriteBehindTime.
+func TestSinksAgree(t *testing.T) {
+	for _, m := range models {
+		t.Run(m.name, func(t *testing.T) {
+			tr, rec := obs.NewTracer(), iotrace.NewRecorder()
+			script(t, iotrace.Wrap(obs.WrapFS(m.make(), tr), rec), "f", tr)
+
+			var spans []obs.Span
+			for _, sp := range tr.Spans() {
+				if sp.Layer == obs.LayerPFS {
+					spans = append(spans, sp)
+				}
+			}
+			evs := rec.Events()
+			if len(spans) != len(evs) {
+				t.Fatalf("%d pfs spans, %d events", len(spans), len(evs))
+			}
+			type tally struct{ Creates, Opens, Closes, Reads, Writes, BytesRead, BytesWritten, Timeouts int64 }
+			var want, got tally
+			var hidden, behind float64
+			for i, ev := range evs {
+				if sp := spans[i]; sp.Name != ev.Op.String() || sp.Start != ev.Start || sp.End != ev.End {
+					t.Errorf("call %d: span %s [%v,%v], event %s [%v,%v]", i, sp.Name, sp.Start, sp.End, ev.Op, ev.Start, ev.End)
+				}
+				missed := slices.Contains(spans[i].Attrs, obs.Attr{Key: "timeout", Value: "1"})
+				if missed {
+					want.Timeouts++
+					if ev.Bytes != 0 {
+						t.Errorf("call %d: missed deadline recorded with %d bytes", i, ev.Bytes)
+					}
+				} else if spans[i].Bytes != ev.Bytes {
+					t.Errorf("call %d: span moved %d bytes, event %d", i, spans[i].Bytes, ev.Bytes)
+				}
+				switch ev.Op {
+				case iotrace.OpCreate:
+					want.Creates++
+				case iotrace.OpOpen:
+					want.Opens++
+				case iotrace.OpClose:
+					want.Closes++
+				case iotrace.OpRead:
+					if !missed {
+						want.Reads++
+						want.BytesRead += ev.Bytes
+					}
+				case iotrace.OpWrite:
+					if !missed {
+						want.Writes++
+						want.BytesWritten += ev.Bytes
+						hidden += ev.Hidden()
+					}
+				}
+			}
+			for _, fc := range tr.Counters() {
+				got.Creates += fc.Creates
+				got.Opens += fc.Opens
+				got.Closes += fc.Closes
+				got.Reads += fc.Reads
+				got.Writes += fc.Writes
+				got.BytesRead += fc.BytesRead
+				got.BytesWritten += fc.BytesWritten
+				got.Timeouts += fc.Timeouts
+				behind += fc.WriteBehindTime
+			}
+			if got != want {
+				t.Errorf("counters sum to %+v, events to %+v", got, want)
+			}
+			if striped := m.name == "pvfs" || m.name == "gpfs"; striped && want.Timeouts != 2 {
+				t.Errorf("Timeouts = %d, want the script's two missed deadlines", want.Timeouts)
+			}
+			if hidden <= 0 || behind != hidden {
+				t.Errorf("WriteBehindTime = %v, the behind write's Completion-End = %v", behind, hidden)
+			}
+		})
 	}
 }
