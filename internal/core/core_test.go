@@ -99,6 +99,29 @@ func TestLayoutOffsetsContiguousAndComplete(t *testing.T) {
 	}
 }
 
+// TestArrayOffsetMatchesArrays holds the arithmetic ArrayOffset to the list it
+// stands for — GridMeta.Arrays, summed in order — on every array of every
+// grid of the Tiny problem's hierarchy, and to its reason for existing: a
+// lookup allocates nothing.
+func TestArrayOffsetMatchesArrays(t *testing.T) {
+	m := FromHierarchy(amr.BuildHierarchy([3]int{16, 16, 16}, 800, 2, 2.0, 1789))
+	l := NewLayout(m)
+	for _, g := range m.Grids {
+		want := l.GridOffset(g.ID)
+		for _, a := range g.Arrays() {
+			if off, length := l.ArrayOffset(g.ID, a.Name); off != want || length != a.Bytes() {
+				t.Fatalf("grid %d array %s: (%d, %d), want (%d, %d)", g.ID, a.Name, off, length, want, a.Bytes())
+			}
+			want += a.Bytes()
+		}
+	}
+	last := m.Grids[len(m.Grids)-1].ID
+	name := amr.ParticleArrays[len(amr.ParticleArrays)-1].Name
+	if allocs := testing.AllocsPerRun(100, func() { l.ArrayOffset(last, name) }); allocs != 0 {
+		t.Fatalf("ArrayOffset allocates %v times per lookup, want 0", allocs)
+	}
+}
+
 func TestLayoutUnknownArrayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

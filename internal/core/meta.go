@@ -208,13 +208,26 @@ func (l *Layout) GridOffset(gridID int) int64 { return l.gridAt[gridID] }
 
 // ArrayOffset returns the byte offset and length of a named array of a
 // grid inside the shared file.
+//
+// It walks the fixed access order of GridMeta.Arrays arithmetically rather
+// than building that list: the raw-file paths ask once per field and per
+// particle column of every grid they touch.
 func (l *Layout) ArrayOffset(gridID int, name string) (off, length int64) {
+	g := &l.meta.Grids[gridID]
 	off = l.gridAt[gridID]
-	for _, a := range l.meta.Grids[gridID].Arrays() {
-		if a.Name == name {
-			return off, a.Bytes()
+	length = g.Cells() * amr.FieldElemSize
+	for _, field := range amr.FieldNames {
+		if field == name {
+			return off, length
 		}
-		off += a.Bytes()
+		off += length
+	}
+	for _, pa := range amr.ParticleArrays {
+		length = g.NParticles * int64(pa.ElemSize)
+		if pa.Name == name {
+			return off, length
+		}
+		off += length
 	}
 	panic(fmt.Sprintf("core: grid %d has no array %q", gridID, name))
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/mpiio"
 	"repro/internal/obs"
 	"repro/internal/pfs"
 )
@@ -50,6 +51,48 @@ func deadServerAtRestart(t *testing.T, spec RunSpec) func(pfs.FileSystem) pfs.Fi
 	}
 }
 
+// deadServerMidRun is a run that ends in a rank panic: data server 3 dies
+// at t=0.05 under a three-attempt retry policy, the retries exhaust and the
+// run fails with a typed *mpiio.IOError out of rank 0 while its peers are
+// parked with spans open.
+func deadServerMidRun() RunSpec {
+	cfg := Tiny()
+	cfg.IORetry = testRetryPolicy()
+	cfg.IORetry.MaxAttempts = 3
+	return RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO,
+		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
+			fs.(pfs.StripeFaultInjector).FailDataServerAt(3, 0.05)
+			return fs
+		}}
+}
+
+// TestFailedTracedRunIsDeterministic: a run that ends in an error is as
+// reproducible as one that succeeds. The engine unwinds every parked rank —
+// each closing its open spans through its deferred Ends — in rank order and
+// before Run returns, so the export of a failed run is one byte string, not
+// a race between the reader and ranks still unwinding.
+func TestFailedTracedRunIsDeterministic(t *testing.T) {
+	digests := map[[sha256.Size]byte]int{}
+	errs := map[string]int{}
+	for i := 0; i < 40; i++ {
+		spec := deadServerMidRun()
+		spec.Tracer = obs.NewTracer()
+		_, err := Run(spec)
+		if _, ok := mpiio.ExtractIOError(err); !ok {
+			t.Fatalf("run %d: want *mpiio.IOError, got %v", i, err)
+		}
+		errs[err.Error()]++
+		var buf bytes.Buffer
+		if err := spec.Tracer.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		digests[sha256.Sum256(buf.Bytes())]++
+	}
+	if len(digests) != 1 || len(errs) != 1 {
+		t.Fatalf("40 identical failed runs gave %d distinct trace exports and %d distinct errors: %v", len(digests), len(errs), errs)
+	}
+}
+
 // TestTraceExportGolden pins Tracer.WriteTrace byte-for-byte on Tiny/np=4
 // runs that between them cover every kind of event the exporter renders:
 // plain spans with byte counts, attr-rich spans (file, path, dataset, grid,
@@ -61,7 +104,9 @@ func deadServerAtRestart(t *testing.T, spec RunSpec) func(pfs.FileSystem) pfs.Fi
 // castore run never unwinds a span; the dead-server schedule is therefore
 // run twice, over the castore (reads fail over to the second replica) and
 // over plain files (the tolerant read-back absorbs the exhausted retries,
-// unwinds, and the restart ends in a typed *RestartError).
+// unwinds, and the restart ends in a typed *RestartError). The fifth run
+// does not finish at all (deadServerMidRun): its timeline is what the
+// engine's teardown leaves behind.
 //
 // Regenerate with: go test ./internal/enzo -run TraceExportGolden -update-golden
 func TestTraceExportGolden(t *testing.T) {
@@ -81,6 +126,7 @@ func TestTraceExportGolden(t *testing.T) {
 		spec        RunSpec
 		faulted     bool
 		wantRestart bool   // the run must end in a *RestartError
+		wantIOError bool   // the run must end in an *mpiio.IOError
 		wantAttr    string // an Attr key some span must carry
 		wantLayer   obs.Layer
 	}{
@@ -92,6 +138,8 @@ func TestTraceExportGolden(t *testing.T) {
 			spec: RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: casScrub, Backend: BackendMPIIO}},
 		{name: "mpiio/pvfs/scrub/dead-server-at-restart", faulted: true, wantRestart: true, wantAttr: "aborted", wantLayer: obs.LayerMPIIO,
 			spec: RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: scrub, Backend: BackendMPIIO}},
+		{name: "mpiio/pvfs/dead-server-mid-run", wantIOError: true, wantAttr: "aborted", wantLayer: obs.LayerMPIIO,
+			spec: deadServerMidRun()},
 	}
 
 	got := make([]traceGoldenRow, len(cases))
@@ -104,8 +152,10 @@ func TestTraceExportGolden(t *testing.T) {
 		spec.Tracer = tr
 		_, err := Run(spec)
 		var rerr *RestartError
-		if tc.wantRestart != errors.As(err, &rerr) || (err != nil && !tc.wantRestart) {
-			t.Fatalf("%s: run ended in %v (want *RestartError: %v)", tc.name, err, tc.wantRestart)
+		_, isIOError := mpiio.ExtractIOError(err)
+		if tc.wantRestart != errors.As(err, &rerr) || tc.wantIOError != isIOError ||
+			(err != nil && !tc.wantRestart && !tc.wantIOError) {
+			t.Fatalf("%s: run ended in %v (want *RestartError: %v, *mpiio.IOError: %v)", tc.name, err, tc.wantRestart, tc.wantIOError)
 		}
 		var haveAttr, haveLayer bool
 		for _, sp := range tr.Spans() {

@@ -459,7 +459,7 @@ func (f *File) accessRange(runs []mpi.Run) (lo, hi int64, interleaved bool, ext 
 	ext = f.r.AllgatherInt64s(my[:])
 	lo, hi = int64(math.MaxInt64), 0
 	type span struct{ lo, hi int64 }
-	var spans []span
+	spans := make([]span, 0, len(ext)/2)
 	for i := 0; i < len(ext); i += 2 {
 		sLo, sHi := ext[i], ext[i+1]
 		if sHi <= sLo {

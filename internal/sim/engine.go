@@ -2,7 +2,7 @@
 // simulation engine with virtual time.
 //
 // Every simulated process (an MPI rank, in this repository) runs as a
-// goroutine with its own virtual clock. The engine resumes exactly one
+// coroutine with its own virtual clock. The engine runs exactly one
 // process at a time — always the ready process with the smallest
 // (virtual time, id) pair — so simulations are fully deterministic: the
 // same program produces bit-identical virtual timings on every run and on
@@ -16,21 +16,27 @@
 // backwards — guarantees that every Server observes requests in
 // nondecreasing virtual-time order, which keeps the queueing model causal.
 //
-// Scheduling is a direct goroutine-to-goroutine baton handoff over a
-// binary min-heap of ready processes: the yielding process pops the next
-// minimum and resumes it with a single channel send (one synchronization
-// per dispatch), and an Advance that still holds the minimum clock — the
-// common case inside compute loops — continues without any channel
-// operation at all. NewReferenceEngine retains the original central-loop
-// linear-scan scheduler as an oracle: both schedulers produce identical
-// dispatch sequences (see DESIGN.md §13 for the equivalence argument).
+// Scheduling is one loop over coroutines. Engine.Run is the scheduler: on
+// its caller's goroutine it pops the minimum of a binary min-heap of ready
+// processes, switches to that process's coroutine (iter.Pull) and gets
+// control back when the process parks — an Advance that lost the minimum
+// clock, a Block, or the end of the body. Exactly one goroutine is ever
+// runnable, so a switch is two coroutine switches on one OS thread and
+// never goes through the Go scheduler. An Advance that still holds the
+// minimum clock — the common case inside compute loops — continues without
+// switching at all. Deadlock detection, panic collection and teardown live
+// in that loop and nowhere else: when Run returns, every process body has
+// returned or been unwound through its deferred calls, in process order.
+// NewReferenceEngine retains the original linear-scan pick on the same loop
+// as an oracle: both produce identical dispatch sequences (see DESIGN.md
+// §13 for the equivalence argument).
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // procState tracks where a process is in its lifecycle.
@@ -57,10 +63,10 @@ func (s procState) String() string {
 	return "unknown"
 }
 
-// killed is the sentinel panic that unwinds a process goroutine after the
-// engine has died (deadlock or another process's panic). The spawn wrapper
-// swallows it, so released goroutines run their deferred cleanup and exit
-// instead of leaking.
+// killed is the sentinel panic that unwinds a process body once the engine
+// is dead (deadlock, another process's panic, or the end of Run). Proc.run
+// swallows it, so a parked body runs its deferred cleanup and returns
+// instead of leaking its coroutine.
 type killed struct{}
 
 // Proc is a simulated process. A Proc is created by Engine.Spawn and its
@@ -77,7 +83,15 @@ type Proc struct {
 	why    fmt.Stringer // BlockOn's reason, formatted only if a deadlock is reported
 	woken  bool         // Wake delivered, dispatch pending (duplicate detection)
 
-	resume chan struct{}
+	// The body and its coroutine. next switches from the scheduler loop into
+	// the body and returns when the body parks or ends; yield is the way
+	// back, and reports false once stop has been called. next and stop are
+	// created by Run — a process that is spawned but never run holds a
+	// closure, not a goroutine — and yield is handed to run by iter.Pull.
+	body  func(p *Proc)
+	yield func(struct{}) bool
+	next  func() (struct{}, bool)
+	stop  func()
 
 	// trace is an opaque per-process observability context (owned by
 	// package obs). The engine never reads it; it rides on the Proc so
@@ -126,15 +140,15 @@ func (p *Proc) Class() int { return p.class }
 // run first. Negative d panics: virtual time never flows backwards.
 //
 // When the advanced clock is still the minimum among ready processes the
-// process simply keeps running — no handoff, no channel operation. That
-// fast path is exact: the heap top is the minimum of every other ready
+// process simply keeps running — no switch to the scheduler loop at all.
+// That fast path is exact: the heap top is the minimum of every other ready
 // process, so the scheduler would have picked this process again anyway.
 func (p *Proc) Advance(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %q advanced by negative duration %g", p.name, d))
 	}
 	e := p.engine
-	if e.dead.Load() {
+	if e.dead {
 		panic(killed{})
 	}
 	p.now += d
@@ -143,20 +157,12 @@ func (p *Proc) Advance(d float64) {
 			e.events++
 			return
 		}
-		p.state = stateReady
 		e.heapPush(p)
-		e.handoff(p, e.heapPop())
-		return
 	}
-	// Reference scheduler: full linear scan on every yield, no fast path.
+	// Lost the minimum — or the reference engine, which has no fast path and
+	// leaves every decision to the loop's linear scan.
 	p.state = stateReady
-	next := e.minReady()
-	if next == p {
-		p.state = stateRunning
-		e.events++
-		return
-	}
-	e.handoff(p, next)
+	p.park()
 }
 
 // Yield gives the scheduler a chance to run earlier processes without
@@ -193,20 +199,44 @@ func (p *Proc) BlockOn(why fmt.Stringer) {
 }
 
 func (p *Proc) block() {
-	e := p.engine
-	if e.dead.Load() {
+	if p.engine.dead {
 		panic(killed{})
 	}
 	p.state = stateBlocked
-	next := e.pick()
-	if next == nil {
-		// Every unfinished process is blocked, this one included: declare
-		// the deadlock, release the others and unwind.
-		e.failDeadlock(p)
+	p.park()
+	p.woken = false
+}
+
+// park switches to the scheduler loop and returns when the loop next picks
+// this process. If the engine died in between, the body is unwound instead.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
-	e.handoff(p, next)
-	p.woken = false
+}
+
+// run is the coroutine: the body, and the one place that looks at how it
+// ended. Recovering here rather than around next keeps a body's panic from
+// being re-raised by iter.Pull in the scheduler loop, which only reads
+// Engine.err. A body that ends in runtime.Goexit (t.FailNow from a rank)
+// is not an outcome of the simulation: iter.Pull forwards the exit to Run's
+// goroutine.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		e := p.engine
+		switch r := recover(); {
+		case e.dead:
+			// Unwound by teardown: r is the killed sentinel, or whatever
+			// the body's deferred calls raised on the way out.
+		case r != nil:
+			e.err = &PanicError{ProcName: p.name, Value: r}
+		default:
+			p.state = stateDone
+			e.done++
+		}
+	}()
+	p.body(p)
 }
 
 // Engine owns a set of processes and schedules them in virtual time.
@@ -227,22 +257,18 @@ type Engine struct {
 	// path); see NewReferenceEngine.
 	ref bool
 
-	// dead flags a failed engine (deadlock or panic): every parked process
-	// is released with a killed sentinel so goroutines do not leak.
-	dead atomic.Bool
+	// dead is set when Run tears the simulation down: from then on every
+	// Advance, Block and Wake unwinds its caller with the killed sentinel.
+	// A plain flag: every access is ordered by a coroutine switch.
+	dead bool
 
-	// term carries the simulation outcome from the last process goroutine
-	// to Run.
-	term chan termination
-}
-
-type termination struct {
+	// err is the panic of a process body, left by Proc.run for the loop.
 	err error
 }
 
 // NewEngine returns an empty engine ready for Spawn calls.
 func NewEngine() *Engine {
-	return &Engine{term: make(chan termination, 1)}
+	return &Engine{}
 }
 
 // NewReferenceEngine returns an engine that schedules with the original
@@ -267,33 +293,9 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 		name:   name,
 		engine: e,
 		state:  stateReady,
-		resume: make(chan struct{}),
+		body:   body,
 	}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		if e.dead.Load() {
-			return
-		}
-		p.state = stateRunning
-		defer func() {
-			r := recover()
-			if e.dead.Load() {
-				// The engine already failed: this goroutine was released
-				// (r is the killed sentinel) or declared the deadlock
-				// itself. Exit without touching the scheduler.
-				return
-			}
-			if r != nil {
-				e.fail(p, &PanicError{ProcName: p.name, Value: r})
-				return
-			}
-			p.state = stateDone
-			e.done++
-			e.finish()
-		}()
-		body(p)
-	}()
 	return p
 }
 
@@ -304,7 +306,7 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 // layers above (message queues) are responsible for pairing blocks and
 // wakes exactly.
 func (e *Engine) Wake(target *Proc, at float64) {
-	if e.dead.Load() {
+	if e.dead {
 		panic(killed{})
 	}
 	if target.woken {
@@ -349,25 +351,50 @@ func (e *PanicError) Error() string {
 // a *DeadlockError if processes remain but none can run, and a *PanicError
 // if a process body panics. Run may be called only once.
 //
-// On either error every process goroutine is released: parked goroutines
-// are resumed with a poisoned engine, run their deferred cleanup and exit,
-// so a failed simulation does not leak goroutines.
+// Run is the scheduler: it runs on the caller's goroutine and switches into
+// one process at a time. On either error every parked process is unwound —
+// its blocked call panics with a sentinel, its deferred cleanup runs, its
+// coroutine ends — in process order and before Run returns, so a failed
+// simulation leaks no goroutine and leaves the same state behind every time.
 func (e *Engine) Run() error {
 	if e.started {
 		panic("sim: Run called twice")
 	}
 	e.started = true
-	if len(e.procs) == 0 {
-		return nil
-	}
-	if !e.ref {
-		for _, p := range e.procs {
+	for _, p := range e.procs {
+		p.next, p.stop = iter.Pull(p.run)
+		if !e.ref {
 			e.heapPush(p)
 		}
 	}
-	e.dispatch(e.pick())
-	t := <-e.term
-	return t.err
+	// Deferred, so that peers are also unwound when a body's runtime.Goexit
+	// reaches this goroutine through next.
+	defer e.teardown()
+	for e.done < len(e.procs) {
+		p := e.pick()
+		if p == nil {
+			return e.deadlock()
+		}
+		e.events++
+		p.state = stateRunning
+		p.next()
+		if e.err != nil {
+			return e.err
+		}
+	}
+	return nil
+}
+
+// teardown kills the engine and stops every coroutine in process order. A
+// parked body sees its yield return false and unwinds (park); one that never
+// started runs nothing; a finished one — the panicking process included — is
+// a no-op. dead is set first, so a deferred call that re-enters Advance,
+// Block or Wake while unwinding is killed again instead of scheduling.
+func (e *Engine) teardown() {
+	e.dead = true
+	for _, p := range e.procs {
+		p.stop()
+	}
 }
 
 // pick removes and returns the next process to run (nil when no process is
@@ -380,45 +407,9 @@ func (e *Engine) pick() *Proc {
 	return e.heapPop()
 }
 
-// dispatch resumes next without parking the caller — the Run seed and a
-// finishing process's last act.
-func (e *Engine) dispatch(next *Proc) {
-	e.events++
-	next.resume <- struct{}{}
-}
-
-// handoff passes the baton from p to next with a single channel send, then
-// parks p until its own next dispatch. This is the one synchronization per
-// dispatch that replaced the old resume+yield round trip through a central
-// scheduler loop.
-func (e *Engine) handoff(p, next *Proc) {
-	e.dispatch(next)
-	<-p.resume
-	if e.dead.Load() {
-		panic(killed{})
-	}
-	p.state = stateRunning
-}
-
-// finish runs as a completed process's last act: hand the baton to the
-// next ready process, or end the simulation.
-func (e *Engine) finish() {
-	next := e.pick()
-	if next == nil {
-		if e.done == len(e.procs) {
-			e.term <- termination{}
-			return
-		}
-		e.failDeadlock(nil)
-		return
-	}
-	e.dispatch(next)
-}
-
-// failDeadlock reports that no process can run. self is the blocked caller
-// when the deadlock was discovered inside Block (it must not be released —
-// it is not parked), nil when discovered by a finishing process.
-func (e *Engine) failDeadlock(self *Proc) {
+// deadlock reports that no process can run: every unfinished process is
+// blocked with no pending wake.
+func (e *Engine) deadlock() error {
 	var blocked []string
 	for _, p := range e.procs {
 		if p.state == stateBlocked {
@@ -430,23 +421,7 @@ func (e *Engine) failDeadlock(self *Proc) {
 		}
 	}
 	sort.Strings(blocked)
-	e.fail(self, &DeadlockError{Blocked: blocked})
-}
-
-// fail poisons the engine, releases every parked process goroutine so none
-// leaks — each wakes, sees the dead flag, unwinds through its deferred
-// cleanup and exits — and delivers err to Run. self is excluded from the
-// release: it is the caller's own process (running, or blocked-but-not-yet
-// -parked inside Block) and unwinds itself.
-func (e *Engine) fail(self *Proc, err error) {
-	e.dead.Store(true)
-	for _, q := range e.procs {
-		if q == self || q.state == stateDone || q.state == stateRunning {
-			continue
-		}
-		q.resume <- struct{}{}
-	}
-	e.term <- termination{err: err}
+	return &DeadlockError{Blocked: blocked}
 }
 
 // lessProc is the scheduling order: earliest virtual time first, process
@@ -535,7 +510,7 @@ func (e *Engine) MaxTime() float64 {
 func (e *Engine) NumProcs() int { return len(e.procs) }
 
 // Events returns how many times the scheduler dispatched a process — one
-// per Advance/Yield/Block resume, fast-path continues included. It is the
+// per Advance/Yield/Block return, fast-path continues included. It is the
 // engine's unit of work, so wall-clock events/sec is the natural
 // simulator-throughput metric, and the count itself is deterministic.
 func (e *Engine) Events() int64 { return e.events }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSingleProcAdvance(t *testing.T) {
@@ -309,12 +308,20 @@ func TestHeapMatchesReferenceOracle(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeakOnFailure asserts that a failed simulation — deadlock
-// or a panicking process body — releases every process goroutine: blocked,
-// parked-ready and never-dispatched alike. Regression test for the leak the
-// old central-loop engine had on both failure paths.
+// TestNoGoroutineLeakOnFailure asserts that a simulation that does not end
+// well — deadlock, a panicking body, a body that exits its goroutine, or an
+// engine that is never run at all — holds no goroutine once Run has returned:
+// blocked, parked-ready and never-dispatched processes alike are unwound by
+// Run itself, so the count is back at the baseline immediately, not
+// eventually.
 func TestNoGoroutineLeakOnFailure(t *testing.T) {
 	base := runtime.NumGoroutine()
+	check := func(after string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("after %s: %d goroutines, %d at baseline", after, n, base)
+		}
+	}
 
 	// Deadlock path: every proc blocks with no pending wake.
 	e := NewEngine()
@@ -328,6 +335,7 @@ func TestNoGoroutineLeakOnFailure(t *testing.T) {
 	if err := e.Run(); !errors.As(err, &dl) {
 		t.Fatalf("want DeadlockError, got %v", err)
 	}
+	check("a deadlock")
 
 	// Panic path: the bomb fails the engine while peers are a mix of
 	// parked-ready (large advances) and blocked.
@@ -350,20 +358,65 @@ func TestNoGoroutineLeakOnFailure(t *testing.T) {
 	if err := e.Run(); !errors.As(err, &pe) {
 		t.Fatalf("want PanicError, got %v", err)
 	}
+	check("a panic")
 
-	// Released goroutines unwind asynchronously after Run returns; poll
-	// until the count is back at (or below) the pre-test baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d now vs %d at baseline", runtime.NumGoroutine(), base)
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+	// Spawned, never run: a process is a closure until Run starts it.
+	e = NewEngine()
+	for i := 0; i < 64; i++ {
+		e.Spawn(fmt.Sprintf("idle%d", i), func(p *Proc) { p.Advance(1) })
 	}
+	check("64 Spawns without Run")
+
+	// Killed while deferred: cleanup that re-enters the engine as its body is
+	// being unwound must be killed again — not scheduled, not hung.
+	e = NewEngine()
+	var reentered, survived bool
+	e.Spawn("cleanup", func(p *Proc) {
+		defer func() {
+			reentered = true
+			p.Advance(1)
+			survived = true
+		}()
+		p.Block("never woken")
+	})
+	if err := e.Run(); !errors.As(err, &dl) {
+		t.Fatalf("want DeadlockError, got %v", err)
+	}
+	if !reentered || survived || e.Events() != 1 || e.MaxTime() != 0 {
+		t.Fatalf("deferred Advance during teardown: reentered %v, survived %v, events %d, clock %g",
+			reentered, survived, e.Events(), e.MaxTime())
+	}
+	check("a deferred Advance during teardown")
+
+	// runtime.Goexit in a body (t.FailNow from a rank) ends the goroutine
+	// that called Run; the peers must still be unwound on its way out.
+	unwound := 0
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		e := NewEngine()
+		for i := 0; i < 4; i++ {
+			e.Spawn(fmt.Sprintf("peer%d", i), func(p *Proc) {
+				defer func() { unwound++ }()
+				p.Block("never woken")
+			})
+		}
+		e.Spawn("quitter", func(p *Proc) {
+			p.Advance(1)
+			runtime.Goexit()
+		})
+		e.Run()
+		t.Error("Run returned after a body called runtime.Goexit")
+	}()
+	<-exited
+	if unwound != 4 {
+		t.Fatalf("Goexit in a body unwound %d of 4 parked peers", unwound)
+	}
+	// The exiting goroutine closes the channel before it is gone.
+	for i := 0; runtime.NumGoroutine() != base && i < 1000; i++ {
+		runtime.Gosched()
+	}
+	check("runtime.Goexit in a body")
 }
 
 func TestServerFIFO(t *testing.T) {
