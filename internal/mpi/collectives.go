@@ -201,7 +201,7 @@ func (r *Rank) alltoallv(parts [][]byte, scratch bool) [][]byte {
 			recvFrom = append(recvFrom, s)
 		}
 	}
-	return r.exchange(parts, sendTo, recvFrom, scratch)
+	return r.exchange(make([][]byte, size), parts, sendTo, recvFrom, scratch)
 }
 
 // alltoallInt64 delivers send[d] to rank d and returns, per source rank, the
@@ -247,27 +247,30 @@ func (r *Rank) alltoallInt64(send []int64) []int64 {
 // lists, and they must agree across ranks (d is in s's sendTo exactly when s
 // is in d's recvFrom), or the exchange deadlocks. Both lists are ascending.
 // The caller's own part is always handed back, listed or not. Payloads
-// travel by reference: AlltoallvScratch's aliasing contract applies.
-func (r *Rank) ExchangeScratch(parts [][]byte, sendTo, recvFrom []int) [][]byte {
+// travel by reference: AlltoallvScratch's aliasing contract applies. The
+// result lands in out, which the caller owns and reuses from call to call:
+// one entry per rank, distinct from parts, cleared here before it is filled.
+func (r *Rank) ExchangeScratch(out, parts [][]byte, sendTo, recvFrom []int) {
 	size := r.Size()
-	if len(parts) != size {
-		panic(fmt.Sprintf("mpi: ExchangeScratch got %d parts for %d ranks", len(parts), size))
+	if len(parts) != size || len(out) != size {
+		panic(fmt.Sprintf("mpi: ExchangeScratch got %d parts and %d result slots for %d ranks", len(parts), len(out), size))
 	}
 	var total int64
 	for _, d := range sendTo {
 		total += int64(len(parts[d]))
 	}
 	defer obs.Begin(r.proc, obs.LayerMPI, "exchange").Bytes(total).End()
-	return r.exchange(parts, sendTo, recvFrom, true)
+	clear(out)
+	r.exchange(out, parts, sendTo, recvFrom, true)
 }
 
 // exchange posts one send per listed destination — in rotated order starting
 // after the caller, so the ranks do not all hit the same destination first —
 // and then receives from each listed source by name, nearest predecessor
-// first (the order their sends were posted in).
-func (r *Rank) exchange(parts [][]byte, sendTo, recvFrom []int, scratch bool) [][]byte {
+// first (the order their sends were posted in). The messages land in out,
+// which arrives all nil.
+func (r *Rank) exchange(out, parts [][]byte, sendTo, recvFrom []int, scratch bool) [][]byte {
 	tag := r.collTag()
-	out := make([][]byte, len(parts))
 	own := parts[r.rank]
 	if !scratch {
 		own = append([]byte{}, own...)

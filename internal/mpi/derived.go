@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -98,7 +100,10 @@ func (x Indexed) Flatten() []Run {
 			Len: int64(bl) * int64(x.ElemSize),
 		})
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].Off < runs[j].Off })
+	// Blocks with equal offsets overlap (their lengths are positive), and
+	// CoalesceRuns then panics naming that offset whichever comes first: the
+	// order among equals cannot show.
+	slices.SortFunc(runs, func(a, b Run) int { return cmp.Compare(a.Off, b.Off) })
 	return CoalesceRuns(runs) // panics on overlap
 }
 

@@ -165,6 +165,9 @@ type Rank struct {
 	// Stats
 	bytesSent int64
 	msgsSent  int64
+
+	// scratch is the free list behind Scratch.
+	scratch []any
 }
 
 type recvWait struct {
@@ -193,6 +196,14 @@ func (r *Rank) World() *World { return r.world }
 
 // Proc exposes the underlying simulation process (for clock access).
 func (r *Rank) Proc() *sim.Proc { return r.proc }
+
+// Scratch returns the rank's free list of scratch bundles, for the library
+// layered on this rank (mpiio) to push and pop: buffers that would otherwise
+// be rebuilt per file handle or per collective stay with the rank that grew
+// them. Like World.msgFree it needs no lock — only the rank's own body
+// touches it — and it is collected with the world, so worlds on concurrent
+// engines share nothing.
+func (r *Rank) Scratch() *[]any { return &r.scratch }
 
 // Node returns the physical machine node this rank runs on (placement-
 // aware; see World.Node).

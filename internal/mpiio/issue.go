@@ -34,8 +34,9 @@
 //     inside Wait after the clock settles (behind). The independent branch
 //     has no barrier in either mode.
 //  5. Scratch: a blocking two-phase operation borrows the handle's bundle; a
-//     behind one owns a pooled bundle from Begin to the end of its Wait, so
-//     any number may be outstanding across other operations on the handle.
+//     behind one takes a bundle of its own off the rank's free list at Begin
+//     and returns it at the end of its Wait, so any number may be outstanding
+//     across other operations on the handle.
 //  6. Span names: write_all vs write_all_begin + write_all_end, write_indep
 //     vs iwrite_indep + iwrite_wait, and so on, with deferred=1 on a behind
 //     io span — the diagnosis layer's input.

@@ -290,53 +290,64 @@ func TestIssueModesEquivalent(t *testing.T) {
 }
 
 // BenchmarkTwoPhase times one two-phase collective access over the 64³
-// (Block,Block,Block) view at np=16 on cluster1024/pvfs, in both directions
-// and both issue modes. One engine run hosts all b.N operations on one open
-// handle, so B/op and allocs/op are the steady-state per-operation cost
-// summed over the 16 ranks.
+// (Block,Block,Block) view at np=16 and np=64 on cluster1024/pvfs, in both
+// directions and both issue modes. One engine run hosts all b.N operations
+// on one open handle, so B/op and allocs/op are the steady-state
+// per-operation cost summed over the ranks; ns/piece divides by the rows of
+// the lattice, each of which travels as one piece (no row crosses a domain
+// boundary here).
 func BenchmarkTwoPhase(b *testing.B) {
-	const N, nprocs, elem = 64, 16, 4
-	pz, py, px := mpi.ProcGrid3D(nprocs)
-	for _, dir := range []string{"write", "read"} {
-		for _, mode := range []string{"blocking", "behind"} {
-			write, behind := dir == "write", mode == "behind"
-			b.Run(dir+"/"+mode, func(b *testing.B) {
-				b.ReportAllocs()
-				eng := sim.NewEngine()
-				mach := machine.New(machine.Cluster1024())
-				fs := pfs.NewPVFS(mach, pfs.DefaultPVFS())
-				var seeded int64
-				mpi.NewWorld(eng, mach, nprocs, func(r *mpi.Rank) {
-					sub := mpi.BlockDecompose3D([3]int{N, N, N}, pz, py, px, r.Rank(), elem)
-					runs, data := sub.Flatten(), pattern(r.Rank(), int(sub.Bytes()))
-					f, err := Open(r, fs, "bbb.dat", ModeCreate, DefaultHints())
-					if err != nil {
-						panic(err)
-					}
-					f.WriteAtAll(runs, data) // seed the file, warm the scratch
-					r.Barrier()
-					if r.Rank() == 0 {
-						seeded = eng.Events()
-						b.ResetTimer()
-					}
-					for i := 0; i < b.N; i++ {
-						var p *Pending
-						if write {
-							p = f.IssueWriteAtAll(behind, runs, data)
-						} else {
-							p = f.IssueReadAtAll(behind, runs, data)
+	const N, elem = 64, 4
+	for _, nprocs := range []int{16, 64} {
+		pz, py, px := mpi.ProcGrid3D(nprocs)
+		for _, dir := range []string{"write", "read"} {
+			for _, mode := range []string{"blocking", "behind"} {
+				write, behind := dir == "write", mode == "behind"
+				b.Run(fmt.Sprintf("np=%d/%s/%s", nprocs, dir, mode), func(b *testing.B) {
+					b.ReportAllocs()
+					eng := sim.NewEngine()
+					mach := machine.New(machine.Cluster1024())
+					fs := pfs.NewPVFS(mach, pfs.DefaultPVFS())
+					var seeded int64
+					pieces := make([]int, nprocs)
+					mpi.NewWorld(eng, mach, nprocs, func(r *mpi.Rank) {
+						sub := mpi.BlockDecompose3D([3]int{N, N, N}, pz, py, px, r.Rank(), elem)
+						runs, data := sub.Flatten(), pattern(r.Rank(), int(sub.Bytes()))
+						pieces[r.Rank()] = len(runs)
+						f, err := Open(r, fs, "bbb.dat", ModeCreate, DefaultHints())
+						if err != nil {
+							panic(err)
 						}
-						if behind {
-							p.Wait()
+						f.WriteAtAll(runs, data) // seed the file, warm the scratch
+						r.Barrier()
+						if r.Rank() == 0 {
+							seeded = eng.Events()
+							b.ResetTimer()
 						}
+						for i := 0; i < b.N; i++ {
+							var p *Pending
+							if write {
+								p = f.IssueWriteAtAll(behind, runs, data)
+							} else {
+								p = f.IssueReadAtAll(behind, runs, data)
+							}
+							if behind {
+								p.Wait()
+							}
+						}
+						f.Close()
+					})
+					if err := eng.Run(); err != nil {
+						b.Fatal(err)
 					}
-					f.Close()
+					total := 0
+					for _, n := range pieces {
+						total += n
+					}
+					b.ReportMetric(float64(eng.Events()-seeded)/float64(b.N), "events/op")
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(total), "ns/piece")
 				})
-				if err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(eng.Events()-seeded)/float64(b.N), "events/op")
-			})
+			}
 		}
 	}
 }

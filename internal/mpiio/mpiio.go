@@ -8,14 +8,24 @@
 // aggregators' buffers from the participants' data and store them in the
 // underlying pfs file, so the test suite can verify that every strategy
 // produces identical file contents.
+//
+// The two-phase aggregator is one path, run in either direction: a rank cuts
+// its runs at the file-domain boundaries in one pass (sweep); an aggregator
+// takes the coalesced union of the extents its partners named by merging
+// their header lists pairwise (extentUnion), gives each extent a buffer, and
+// moves every piece between its message and its offset within its extent
+// (transfer) — no piece is decoded into a record, sorted, or staged in a
+// second buffer — then reads or writes the extents in CBBufferSize chunks
+// (issueExtents). All of it works in a scratch bundle that belongs to the
+// rank (fileScratch).
 package mpiio
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -102,85 +112,96 @@ type File struct {
 	reqs int64
 
 	// Scratch reused across blocking calls so the two-phase hot path stops
-	// allocating per call; pooled across handles, since files are opened
-	// and closed every dump cycle. Everything in it is recycled at the next
-	// blocking call on this handle, so only blocking operations may use it:
-	// a two-phase Begin takes its own bundle from the same pool and keeps
-	// it until its Wait (see twoPhaseScratch), which is what lets any
+	// allocating per call; it comes from the rank's free list, since files
+	// are opened and closed every dump cycle. Everything in it is recycled at
+	// the next blocking call on this handle, so only blocking operations may
+	// use it: a two-phase Begin takes its own bundle from the same list and
+	// keeps it until its Wait (see twoPhaseScratch), which is what lets any
 	// number of Begins stay outstanding across other operations on the
 	// handle.
 	*fileScratch
 }
 
 // fileScratch is the recycled scratch bundle behind a File, and behind every
-// outstanding two-phase Begin. Open takes one from a pool and Close returns
-// it (nil afterwards, so use-after-close fails loudly); the grown buffers
-// then amortize across every handle of the process instead of being rebuilt
-// per open.
+// outstanding two-phase Begin. Open takes one from its rank's free list
+// (mpi.Rank.Scratch) and Close returns it (nil afterwards, so use-after-close
+// fails loudly); a Begin takes one and its Wait returns it. The grown buffers
+// then amortize across every handle the rank ever opens, and stay sized for
+// that rank's share of the work. The list belongs to the rank and dies with
+// its world: nothing is shared between worlds on concurrent engines, no
+// garbage collection empties it mid-run, and after a run every bundle ever
+// made is on some rank's list — a count, not a hope.
 type fileScratch struct {
-	scratch   arena    // wire messages + aggregator collective buffers
-	i64s      arena64  // run bookkeeping that does not escape the call
-	cbBuf     []byte   // writeCoalesced assembly buffer (cap CBBufferSize)
-	dsBuf     []byte   // ReadRuns sieving buffer (cap DSBufferSize)
-	pieces    []piece  // two-phase write assembly list
-	rpieces   []rpiece // two-phase read aggregator request list
-	extents   []mpi.Run
-	extData   [][]byte
-	order     []int
-	srcCounts []int
-	sendTo    []int // two-phase partner lists (see partners)
-	recvFrom  []int
+	scratch arena[byte]  // wire messages and the aggregator's extent buffers
+	i64s    arena[int64] // sieving offsets, reply expectations, the merge tree's lists
+	dsBuf   []byte       // ReadRuns sieving buffer (cap DSBufferSize)
+	spans   []span       // accessRange's non-empty extents, sorted for the interleaving check
+
+	// The two-phase exchange, one slot per rank each, cleared at every entry
+	// (a previous collective had other partners). What a rank received must
+	// outlive the I/O phase — until Wait, when behind — so the two receiving
+	// sides of a read never share a holder.
+	send     [][]byte // this rank's messages: pieces (write) or requests (read)
+	recvd    [][]byte // what the aggregator heard: pieces to place, or requests to answer
+	replies  [][]byte // read: the aggregator's answers
+	got      [][]byte // read: the answers this rank received
+	sendTo   []int    // two-phase partner lists (see partners)
+	recvFrom []int
+
+	// The aggregator's side of the I/O phase, rebuilt by extentUnion and
+	// allocExtents whenever this rank is one; nobody else looks.
+	extents []mpi.Run // coalesced union of every extent named in recvd
+	extData [][]byte  // extData[i] holds the bytes of extents[i], in scratch
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(fileScratch) }}
+// takeScratch pops a bundle off r's free list, or makes the rank a new one.
+func takeScratch(r *mpi.Rank) *fileScratch {
+	free := r.Scratch()
+	n := len(*free)
+	if n == 0 {
+		return new(fileScratch)
+	}
+	sc := (*free)[n-1].(*fileScratch)
+	*free = (*free)[:n-1]
+	return sc
+}
+
+// putScratch returns a bundle nothing refers to any more to r's free list.
+func putScratch(r *mpi.Rank, sc *fileScratch) { *r.Scratch() = append(*r.Scratch(), sc) }
 
 // arena is a grow-only scratch allocator for the collective I/O paths: alloc
 // returns an UNINITIALIZED slice that the caller fully overwrites, and reset
 // recycles the whole block at the next two-phase entry on the same bundle.
 // Allocations are only valid until that reset — safe because every wire
 // message and collective buffer dies at the operation's trailing barrier,
-// and the bundle is not reused before it (twoPhaseScratch).
-type arena struct {
-	buf []byte
-	off int
+// and the bundle is not reused before it (twoPhaseScratch). The bundle has
+// one of bytes and one of int64s, for bookkeeping that dies with the call.
+type arena[T any] struct {
+	buf  []T
+	off  int
+	past int // handed out since reset from blocks since abandoned
 }
 
-func (a *arena) reset() { a.off = 0 }
+func (a *arena[T]) reset() { a.off, a.past = 0, 0 }
 
-func (a *arena) alloc(n int) []byte {
-	if a.off+n > len(a.buf) {
-		// Fresh block (old outstanding slices keep the old one alive);
-		// the zeroing cost of make is paid once per growth, not per call.
-		c := 2*len(a.buf) + n
-		if c < 1<<16 {
-			c = 1 << 16
-		}
-		a.buf = make([]byte, c)
-		a.off = 0
+// reserve makes sure the next n elements fit without growing again. A fresh
+// block (outstanding slices keep the old one alive; the zeroing cost of make
+// is paid per growth, not per call) is sized for everything this operation
+// has needed so far, n and a quarter more, so that the next operation of the
+// same shape fits whole — an aggregator that knows what its I/O phase will
+// take reserves it once instead of outgrowing two blocks on the way.
+func (a *arena[T]) reserve(n int) {
+	if a.off+n <= len(a.buf) {
+		return
 	}
-	s := a.buf[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
+	a.past += a.off
+	c := a.past + n
+	a.buf = make([]T, max(c+c/4, 1<<12))
+	a.off = 0
 }
 
-// arena64 is arena's int64 counterpart, for run bookkeeping (offsets,
-// lengths, buffer positions) that dies when the collective call returns.
-type arena64 struct {
-	buf []int64
-	off int
-}
-
-func (a *arena64) reset() { a.off = 0 }
-
-func (a *arena64) alloc(n int) []int64 {
-	if a.off+n > len(a.buf) {
-		c := 2*len(a.buf) + n
-		if c < 4096 {
-			c = 4096
-		}
-		a.buf = make([]int64, c)
-		a.off = 0
-	}
+func (a *arena[T]) alloc(n int) []T {
+	a.reserve(n)
 	s := a.buf[a.off : a.off+n : a.off+n]
 	a.off += n
 	return s
@@ -221,7 +242,7 @@ func Open(r *mpi.Rank, fs pfs.FileSystem, name string, mode Mode, hints Hints) (
 	}
 	recordHints(r, name, hints)
 	return &File{r: r, fs: fs, f: f, client: client, hints: hints,
-		fileScratch: scratchPool.Get().(*fileScratch)}, nil
+		fileScratch: takeScratch(r)}, nil
 }
 
 // OpenIndependent opens name from a single rank without collective
@@ -242,7 +263,7 @@ func OpenIndependent(r *mpi.Rank, fs pfs.FileSystem, name string, mode Mode, hin
 	}
 	recordHints(r, name, hints)
 	return &File{r: r, fs: fs, f: f, client: client, hints: hints,
-		fileScratch: scratchPool.Get().(*fileScratch)}, nil
+		fileScratch: takeScratch(r)}, nil
 }
 
 // recordHints exposes the normalized hint set to the tracer, giving the
@@ -272,7 +293,7 @@ func (f *File) Size() int64 { return f.f.Size(f.client) }
 func (f *File) Close() {
 	f.f.Close(f.client)
 	if f.fileScratch != nil {
-		scratchPool.Put(f.fileScratch)
+		putScratch(f.r, f.fileScratch)
 		f.fileScratch = nil
 	}
 }
@@ -442,6 +463,9 @@ func (f *File) myAggIndex(naggs, rot int) int {
 	return -1
 }
 
+// span is one rank's file extent in accessRange's interleaving check.
+type span struct{ lo, hi int64 }
+
 // accessRange gathers every rank's file extent — one (lo, hi) block per
 // rank, in one log-round allgather — and decides, as ROMIO's automatic
 // collective-buffering heuristic does, whether the accesses interleave. It
@@ -458,8 +482,7 @@ func (f *File) accessRange(runs []mpi.Run) (lo, hi int64, interleaved bool, ext 
 	}
 	ext = f.r.AllgatherInt64s(my[:])
 	lo, hi = int64(math.MaxInt64), 0
-	type span struct{ lo, hi int64 }
-	spans := make([]span, 0, len(ext)/2)
+	spans := f.spans[:0] // dead on return, so a behind operation may borrow the handle's too
 	for i := 0; i < len(ext); i += 2 {
 		sLo, sHi := ext[i], ext[i+1]
 		if sHi <= sLo {
@@ -488,6 +511,7 @@ func (f *File) accessRange(runs []mpi.Run) (lo, hi int64, interleaved bool, ext 
 			break
 		}
 	}
+	f.spans = spans
 	return lo, hi, interleaved, ext
 }
 
@@ -524,126 +548,96 @@ func (f *File) partners(sendTo, recvFrom []int, ext []int64, lo, hi int64, naggs
 	return sendTo, recvFrom
 }
 
-// piece is one contiguous extent of a two-phase write on its aggregator.
-// Wire format of a piece message: u32 count, count x (i64 off, i64 len),
-// then the payloads back to back (none for read requests).
-type piece struct {
-	off  int64
-	data []byte
-}
+// A piece message is the wire format of both phases: u32 count, count x (i64
+// off, i64 len) with ascending offsets, then — except in a read request — the
+// pieces' bytes back to back, in header order. A reply is its request with
+// the bytes appended.
 
-// appendPieces decodes a piece message without allocating: payload slices
-// alias msg, headers are walked in place, and the pieces land in dst (reused
-// across calls).
-func appendPieces(dst []piece, msg []byte) []piece {
+// pieceCount returns the number of pieces a message names; a nil message (a
+// partner whose runs skip the domain) names none.
+func pieceCount(msg []byte) int {
 	if len(msg) < 4 {
-		return dst
+		return 0
 	}
-	count := int(binary.LittleEndian.Uint32(msg))
-	hp, dp := 4, 4+16*count
-	for i := 0; i < count; i++ {
-		off := int64(binary.LittleEndian.Uint64(msg[hp:]))
-		n := int(binary.LittleEndian.Uint64(msg[hp+8:]))
-		hp += 16
-		dst = append(dst, piece{off: off, data: msg[dp : dp+n]})
-		dp += n
-	}
-	return dst
+	return int(binary.LittleEndian.Uint32(msg))
 }
 
-// rpiece is one requested extent on a read aggregator: who asked (src),
-// which request of theirs it was (idx), the file range, and — once the
-// extent reads complete — the collective-buffer bytes that satisfy it.
-type rpiece struct {
-	src, idx int
-	off, n   int64
-	data     []byte
+// pieceAt decodes the header at byte position hp of a piece message.
+func pieceAt(msg []byte, hp int) (off, n int64) {
+	return int64(binary.LittleEndian.Uint64(msg[hp:])), int64(binary.LittleEndian.Uint64(msg[hp+8:]))
 }
 
-// encodeHdrs builds a header-only wire message (read requests) in arena
-// scratch.
-func (a *arena) encodeHdrs(offs, lens []int64) []byte {
-	out := a.alloc(4 + 16*len(offs))
-	binary.LittleEndian.PutUint32(out, uint32(len(offs)))
-	p := 4
-	for i := range offs {
-		binary.LittleEndian.PutUint64(out[p:], uint64(offs[i]))
-		binary.LittleEndian.PutUint64(out[p+8:], uint64(lens[i]))
-		p += 16
-	}
-	return out
+// sweep cuts a rank's runs at the file-domain boundaries in one pass: runs
+// and domains both ascend, so each domain resumes where the last one stopped
+// — O(naggs + runs) for the whole communication phase. The pieces come out
+// in file order, which is buffer order (the buffer holds the runs back to
+// back): the pieces of one domain are one contiguous stretch of the buffer,
+// starting where the previous domain's ended.
+type sweep struct {
+	runs    []mpi.Run
+	i       int   // first run that can reach into the next domain
+	seen    int   // runs checked for order so far
+	prevEnd int64 // where run seen-1 ends
+	pos     int64 // buffer position of the next piece
 }
 
-// encodeRuns builds a piece wire message in arena scratch, copying the
-// payloads straight out of the caller's data buffer (no [][]byte
-// indirection).
-func (a *arena) encodeRuns(offs, lens, bpos []int64, data []byte) []byte {
-	var total int64
-	for _, n := range lens {
-		total += n
-	}
-	out := a.alloc(4 + 16*len(offs) + int(total))
-	binary.LittleEndian.PutUint32(out, uint32(len(offs)))
-	p := 4
-	for i := range offs {
-		binary.LittleEndian.PutUint64(out[p:], uint64(offs[i]))
-		binary.LittleEndian.PutUint64(out[p+8:], uint64(lens[i]))
-		p += 16
-	}
-	for i := range offs {
-		p += copy(out[p:], data[bpos[i]:bpos[i]+lens[i]])
-	}
-	return out
-}
-
-// encodeRPieces builds a reply wire message in arena scratch from one
-// source's satisfied request pieces, already in request (idx) order.
-func (a *arena) encodeRPieces(ps []rpiece) []byte {
-	var total int64
-	for i := range ps {
-		total += ps[i].n
-	}
-	out := a.alloc(4 + 16*len(ps) + int(total))
-	binary.LittleEndian.PutUint32(out, uint32(len(ps)))
-	p := 4
-	for i := range ps {
-		binary.LittleEndian.PutUint64(out[p:], uint64(ps[i].off))
-		binary.LittleEndian.PutUint64(out[p+8:], uint64(ps[i].n))
-		p += 16
-	}
-	for i := range ps {
-		p += copy(out[p:], ps[i].data)
-	}
-	return out
-}
-
-// intersectInto returns, for each of this rank's runs, its overlap with
-// [dLo,dHi): file offsets, lengths and the matching buffer positions, on
-// the int64 arena — the slices die with the enclosing two-phase operation.
-func intersectInto(i64s *arena64, runs []mpi.Run, bufOff []int64, dLo, dHi int64) (offs, lens, bpos []int64) {
-	k := 0
-	for _, run := range runs {
-		if max64(run.Off, dLo) < min64(run.Off+run.Len, dHi) {
-			k++
+// next builds, in arena scratch, the piece message for domain [dLo, dHi) —
+// with the pieces' bytes out of data, or header-only when data is nil — and
+// returns it with its piece count and byte total; nil when no run reaches
+// into the domain. Domains must come in ascending order. Every run is
+// visited once, and that is where the view contract is enforced: a run that
+// starts before its predecessor ends would be cut wrongly by everything
+// downstream (accessRange trusts runs[0] and the last run for the extent).
+func (sw *sweep) next(a *arena[byte], dLo, dHi int64, data []byte) (msg []byte, count int, bytes int64) {
+	first, j := sw.i, sw.i
+	for ; j < len(sw.runs) && sw.runs[j].Off < dHi; j++ {
+		run := sw.runs[j]
+		if j == sw.seen {
+			if run.Off < sw.prevEnd || run.Len < 0 {
+				panic("mpiio: runs not ascending")
+			}
+			sw.prevEnd, sw.seen = run.Off+run.Len, j+1
+		}
+		if s, e := max64(run.Off, dLo), min64(run.Off+run.Len, dHi); s < e {
+			count++
+			bytes += e - s
 		}
 	}
-	if k == 0 {
-		return nil, nil, nil
+	sw.i = j
+	if j > first && sw.runs[j-1].Off+sw.runs[j-1].Len > dHi {
+		sw.i = j - 1 // the last run goes on into the next domain
 	}
-	offs = i64s.alloc(k)[:0]
-	lens = i64s.alloc(k)[:0]
-	bpos = i64s.alloc(k)[:0]
-	for i, run := range runs {
-		s := max64(run.Off, dLo)
-		e := min64(run.Off+run.Len, dHi)
-		if s >= e {
-			continue
+	if count == 0 {
+		return nil, 0, 0
+	}
+	hdr := 4 + 16*count
+	if data == nil {
+		msg = a.alloc(hdr)
+	} else {
+		msg = a.alloc(hdr + int(bytes))
+		copy(msg[hdr:], data[sw.pos:sw.pos+bytes])
+	}
+	binary.LittleEndian.PutUint32(msg, uint32(count))
+	p := 4
+	for _, run := range sw.runs[first:j] {
+		if s, e := max64(run.Off, dLo), min64(run.Off+run.Len, dHi); s < e {
+			binary.LittleEndian.PutUint64(msg[p:], uint64(s))
+			binary.LittleEndian.PutUint64(msg[p+8:], uint64(e-s))
+			p += 16
 		}
-		offs = append(offs, s)
-		lens = append(lens, e-s)
-		bpos = append(bpos, bufOff[i]+(s-run.Off))
 	}
-	return
+	sw.pos += bytes
+	return msg, count, bytes
+}
+
+// finish checks, after the last domain, that every byte of the view fell
+// into one: the domains tile the access range, so a byte left over belongs
+// to a run outside the extent its rank reported — the runs were not
+// ascending.
+func (sw *sweep) finish(total int64) {
+	if sw.pos != total {
+		panic("mpiio: runs not ascending")
+	}
 }
 
 // bufPrefixInto fills bufOff[i] with the buffer position of run i (runs are
@@ -657,6 +651,16 @@ func bufPrefixInto(bufOff []int64, runs []mpi.Run) []int64 {
 	return bufOff
 }
 
+// cleared returns s with n nil entries, reusing its backing array.
+func cleared(s [][]byte, n int) [][]byte {
+	if cap(s) < n {
+		return make([][]byte, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // twoPhaseScratch returns the scratch bundle a two-phase operation works
 // in, reset for a new message set. A blocking operation borrows the
 // handle's: its trailing barrier runs before it returns, so everything in
@@ -665,23 +669,30 @@ func bufPrefixInto(bufOff []int64, runs []mpi.Run) []int64 {
 // messages it built (the exchange passes payloads by reference), its own
 // reply phase is outstanding, and the caller is free to start any other
 // operation on the handle meanwhile — so it takes a bundle of its own from
-// the pool and gives it back only after its Wait's barrier.
+// the rank's free list and gives it back only after its Wait's barrier.
 func (f *File) twoPhaseScratch(behind bool) *fileScratch {
 	sc := f.fileScratch
 	if behind {
-		sc = scratchPool.Get().(*fileScratch)
+		sc = takeScratch(f.r)
 	}
 	sc.scratch.reset()
 	sc.i64s.reset()
+	size := f.r.Size()
+	sc.send, sc.recvd = cleared(sc.send, size), cleared(sc.recvd, size)
+	sc.replies, sc.got = cleared(sc.replies, size), cleared(sc.got, size)
 	return sc
 }
 
 // WriteAtAll is a collective write: every rank of the communicator must
-// call it. Each rank contributes the file extents `runs` (sorted,
-// non-overlapping across ranks) with data in run order. The two-phase
-// strategy redistributes the data to aggregators (communication phase),
-// which then issue large contiguous writes over their file domains (I/O
-// phase).
+// call it. Each rank contributes the file extents `runs` with data in run
+// order. The two-phase strategy redistributes the data to aggregators
+// (communication phase), which then issue large contiguous writes over their
+// file domains (I/O phase).
+//
+// Two contracts, both enforced on the two-phase path: a rank's runs ascend
+// and do not overlap each other (panic "mpiio: runs not ascending"), and no
+// two ranks write the same byte (panic "mpiio: overlapping collective write
+// at [off, off+n)" on the aggregator that received both).
 func (f *File) WriteAtAll(runs []mpi.Run, data []byte) { f.IssueWriteAtAll(false, runs, data) }
 
 // IssueWriteAtAll is WriteAtAll in either issue mode. Behind, it is the
@@ -726,59 +737,31 @@ func (f *File) IssueWriteAtAll(behind bool, runs []mpi.Run, data []byte) *Pendin
 	all.Attr("path", "two-phase")
 	sc := f.twoPhaseScratch(behind)
 	naggs, rot := f.aggregators(lo, hi)
-	bufOff := bufPrefixInto(sc.i64s.alloc(len(runs)), runs)
 
 	// Communication phase: ship each aggregator its domain's pieces.
-	parts := make([][]byte, f.r.Size())
+	sw := sweep{runs: runs}
 	for a := 0; a < naggs; a++ {
 		dLo, dHi := domain(lo, hi, naggs, a)
-		offs, lens, bpos := intersectInto(&sc.i64s, runs, bufOff, dLo, dHi)
-		if len(offs) == 0 {
-			continue
-		}
-		parts[f.aggRank(a, rot)] = sc.scratch.encodeRuns(offs, lens, bpos, data)
+		sc.send[f.aggRank(a, rot)], _, _ = sw.next(&sc.scratch, dLo, dHi, data)
 	}
-	// Scratch exchange: parts live in sc.scratch, which is not reset before
-	// this operation's trailing barrier — by which time every aggregator
-	// has consumed its pieces.
+	sw.finish(int64(len(data)))
+	// Scratch exchange: the messages live in sc.scratch, which is not reset
+	// before this operation's trailing barrier — by which time every
+	// aggregator has consumed its pieces.
 	exch := obs.Begin(proc, obs.LayerMPIIO, "exchange")
 	sc.sendTo, sc.recvFrom = f.partners(sc.sendTo[:0], sc.recvFrom[:0], ext, lo, hi, naggs, rot)
-	recvd := f.r.ExchangeScratch(parts, sc.sendTo, sc.recvFrom)
+	f.r.ExchangeScratch(sc.recvd, sc.send, sc.sendTo, sc.recvFrom)
 	exch.End()
 
-	// I/O phase (aggregators only): assemble, coalesce, write in
-	// CBBufferSize chunks.
+	// I/O phase (aggregators only): place the pieces in their extents, write
+	// the extents in CBBufferSize chunks.
 	is := f.issuer(behind)
 	if f.myAggIndex(naggs, rot) >= 0 {
 		iop := obs.Begin(proc, obs.LayerMPIIO, "io")
 		if behind {
 			iop.Attr("deferred", "1")
 		}
-		pieces := sc.pieces[:0]
-		var assembled int64
-		for _, msg := range recvd {
-			pieces = appendPieces(pieces, msg)
-		}
-		for _, pc := range pieces {
-			assembled += int64(len(pc.data))
-		}
-		if len(pieces) > 0 {
-			f.r.CopyCost(assembled) // pack into the collective buffer
-			// Offsets are unique (runs never overlap across ranks), so the
-			// comparison is a total order and the sort is deterministic.
-			slices.SortFunc(pieces, func(a, b piece) int {
-				switch {
-				case a.off < b.off:
-					return -1
-				case a.off > b.off:
-					return 1
-				}
-				return 0
-			})
-			writeCoalesced(&is, sc, pieces)
-		}
-		sc.pieces = pieces[:0]
-		iop.Bytes(assembled).End()
+		iop.Bytes(f.writeReceived(&is, sc)).End()
 	}
 	// Keep the participants in lockstep (ROMIO's two-phase iterations
 	// synchronize implicitly; a trailing barrier models that): at call end
@@ -790,61 +773,245 @@ func (f *File) IssueWriteAtAll(behind bool, runs []mpi.Run, data []byte) *Pendin
 	p := is.pending("write_all_end")
 	p.tail = func() {
 		f.r.Barrier()
-		scratchPool.Put(sc)
+		putScratch(f.r, sc)
 	}
 	return p
 }
 
-// writeCoalesced merges offset-sorted pieces into contiguous extents and
-// hands them to the issuer in chunks of at most CBBufferSize. The assembly
-// buffer is free again when it returns: a write stores its bytes at issue.
-func writeCoalesced(is *issuer, sc *fileScratch, pieces []piece) {
+// extentUnion leaves in sc.extents the coalesced union of the extents the
+// piece messages name — what the aggregator reads or writes: extents that
+// touch or overlap become one. The union of a set of intervals does not
+// depend on the order they are visited in, so no piece is decoded or sorted:
+// each source's ascending header list is coalesced where it lies, then
+// neighbouring lists are merged pairwise, coalescing on the way up, between
+// two buffers. Neighbouring ranks hold neighbouring blocks of a
+// (Block,Block,Block) view, so their rows join at the first levels and the
+// lists shrink many times over before the merges get wide: O(n) then,
+// O(n log k) sequential reads and writes for k lists that never join.
+func (sc *fileScratch) extentUnion(msgs [][]byte) {
+	sc.extents = sc.extents[:0]
+	n := 0
+	for _, msg := range msgs {
+		n += pieceCount(msg)
+	}
+	if n == 0 {
+		return
+	}
+	// Lists are (start, end) pairs, back to back in cur; list i of the k
+	// ends at cur[ends[i]].
+	sc.i64s.reserve(4*n + len(msgs))
+	cur, next, ends := sc.i64s.alloc(2*n), sc.i64s.alloc(2*n), sc.i64s.alloc(len(msgs))
+	w, k := 0, 0
+	for _, msg := range msgs {
+		count := pieceCount(msg)
+		if count == 0 {
+			continue
+		}
+		s, e := pieceAt(msg, 4)
+		e += s
+		for hp := 20; hp < 4+16*count; hp += 16 {
+			off, end := pieceAt(msg, hp)
+			end += off
+			switch {
+			case off < s:
+				panic("mpiio: piece message not ascending")
+			case off > e:
+				cur[w], cur[w+1] = s, e
+				w += 2
+				s, e = off, end
+			case end > e:
+				e = end
+			}
+		}
+		cur[w], cur[w+1] = s, e
+		w += 2
+		ends[k] = int64(w)
+		k++
+	}
+	for ; k > 1; k = (k + 1) / 2 {
+		w, lo := 0, 0
+		for p := 0; p < k; p += 2 {
+			mid, hi := int(ends[p]), int(ends[p])
+			if p+1 < k {
+				hi = int(ends[p+1])
+			}
+			w = mergeUnion(next, w, cur[lo:mid], cur[mid:hi]) // an odd list out merges with nothing
+			ends[p/2] = int64(w)
+			lo = hi
+		}
+		cur, next = next, cur
+	}
+	for i := 0; i < int(ends[0]); i += 2 {
+		sc.extents = append(sc.extents, mpi.Run{Off: cur[i], Len: cur[i+1] - cur[i]})
+	}
+}
+
+// mergeUnion merges two ascending lists of disjoint, non-touching (start,
+// end) pairs into one such list at dst[w:] and returns the position after
+// it. a is not empty.
+func mergeUnion(dst []int64, w int, a, b []int64) int {
+	i, j := 0, 0
+	var s, e int64
+	if len(b) == 0 || a[0] <= b[0] {
+		s, e, i = a[0], a[1], 2
+	} else {
+		s, e, j = b[0], b[1], 2
+	}
+	for i < len(a) && j < len(b) {
+		var ns, ne int64
+		if a[i] <= b[j] {
+			ns, ne, i = a[i], a[i+1], i+2
+		} else {
+			ns, ne, j = b[j], b[j+1], j+2
+		}
+		switch {
+		case ns > e:
+			dst[w], dst[w+1] = s, e
+			w += 2
+			s, e = ns, ne
+		case ne > e:
+			e = ne
+		}
+	}
+	// One list is left, and it is coalesced already: once one of its extents
+	// stands clear of the open one, so do all the rest.
+	rest := a[i:]
+	if j < len(b) {
+		rest = b[j:]
+	}
+	for len(rest) > 0 && rest[0] <= e {
+		e = max64(e, rest[1])
+		rest = rest[2:]
+	}
+	dst[w], dst[w+1] = s, e
+	w += 2
+	return w + copy(dst[w:], rest)
+}
+
+// allocExtents gives every extent its buffer in arena scratch, uninitialized:
+// a read fills it whole, and a write's pieces cover it exactly. The arena
+// makes room for them and for the `more` bytes the caller will want after
+// them in one step.
+func (sc *fileScratch) allocExtents(more int64) {
+	sc.scratch.reserve(int(mpi.TotalLen(sc.extents) + more))
+	sc.extData = sc.extData[:0]
+	for _, ext := range sc.extents {
+		sc.extData = append(sc.extData, sc.scratch.alloc(int(ext.Len)))
+	}
+}
+
+// issueExtents sends every extent to the device, one request per
+// CBBufferSize chunk from the extent's start.
+func (sc *fileScratch) issueExtents(is *issuer, write bool) {
 	cb := is.f.hints.CBBufferSize
-	if int64(cap(sc.cbBuf)) < cb {
-		sc.cbBuf = make([]byte, 0, cb)
-	}
-	buf := sc.cbBuf[:0]
-	defer func() { sc.cbBuf = buf[:0] }()
-	var start int64 = -1
-	flush := func() {
-		if start >= 0 && len(buf) > 0 {
-			is.write(buf, start)
-		}
-		buf = buf[:0]
-		start = -1
-	}
-	for _, pc := range pieces {
-		if start >= 0 && (pc.off != start+int64(len(buf)) || int64(len(buf)) >= cb) {
-			flush()
-		}
-		if start < 0 {
-			start = pc.off
-		}
-		rem := pc.data
-		for len(rem) > 0 {
-			space := cb - int64(len(buf))
-			if space == 0 {
-				// flush a full chunk and continue at the next offset
-				nextStart := start + int64(len(buf))
-				is.write(buf, start)
-				buf = buf[:0]
-				start = nextStart
-				space = cb
-			}
-			take := int64(len(rem))
-			if take > space {
-				take = space
-			}
-			buf = append(buf, rem[:take]...)
-			rem = rem[take:]
+	for i, ext := range sc.extents {
+		for base := int64(0); base < ext.Len; base += cb {
+			n := min64(cb, ext.Len-base)
+			is.do(pfs.Req{Write: write, Buf: sc.extData[i][base : base+n], Off: ext.Off + base})
 		}
 	}
-	flush()
+}
+
+// transfer moves the pieces one message names between the extent buffers and
+// payload, where they lie back to back in header order: into the extents
+// when place is set (a write aggregator assembling what it received), out of
+// them otherwise (a read aggregator filling a reply). Headers and extents
+// both ascend, so the containing extent is a cursor that only moves forward.
+// It returns the bytes moved.
+func (sc *fileScratch) transfer(msg, payload []byte, place bool) int64 {
+	ei, dp := 0, int64(0)
+	for hp, end := 4, 4+16*pieceCount(msg); hp < end; hp += 16 {
+		off, n := pieceAt(msg, hp)
+		for ei < len(sc.extents) && off >= sc.extents[ei].Off+sc.extents[ei].Len {
+			ei++
+		}
+		if ei == len(sc.extents) || off < sc.extents[ei].Off || off+n > sc.extents[ei].Off+sc.extents[ei].Len {
+			panic("mpiio: piece outside the aggregator's extents")
+		}
+		at := off - sc.extents[ei].Off
+		in := sc.extData[ei][at : at+n]
+		if place {
+			copy(in, payload[dp:dp+n])
+		} else {
+			copy(payload[dp:dp+n], in)
+		}
+		dp += n
+	}
+	return dp
+}
+
+// writeReceived is the aggregator half of a two-phase write's I/O phase:
+// the union of the received pieces' extents, every piece copied to its
+// offset within its extent — placed, not sorted: the bytes of an extent do
+// not depend on the order its pieces arrive in — and the extents written
+// out. It returns the bytes assembled.
+func (f *File) writeReceived(is *issuer, sc *fileScratch) int64 {
+	sc.extentUnion(sc.recvd)
+	if len(sc.extents) == 0 {
+		return 0
+	}
+	sc.allocExtents(0)
+	var assembled int64
+	for _, msg := range sc.recvd {
+		if count := pieceCount(msg); count > 0 {
+			assembled += sc.transfer(msg, msg[4+16*count:], true)
+		}
+	}
+	// The pieces cover the union; if they add up to more, two of them cover
+	// the same byte, and which one the file keeps would be an accident of
+	// rank order.
+	if assembled != mpi.TotalLen(sc.extents) {
+		off, n := overlapIn(sc.recvd)
+		panic(fmt.Sprintf("mpiio: overlapping collective write at [%d, %d)", off, off+n))
+	}
+	f.r.CopyCost(assembled) // pack into the collective buffer
+	sc.issueExtents(is, true)
+	return assembled
+}
+
+// readRequested is the aggregator half of a two-phase read's I/O phase,
+// writeReceived run the other way: the union of the requested extents, read
+// into their buffers, from which replyAndPlace answers. It returns the bytes
+// read.
+func (f *File) readRequested(is *issuer, sc *fileScratch) int64 {
+	sc.extentUnion(sc.recvd)
+	// The replies will repeat the requests' headers and, unless ranks read
+	// the same bytes, carry the extents' bytes once more.
+	replies := mpi.TotalLen(sc.extents)
+	for _, req := range sc.recvd {
+		replies += int64(len(req))
+	}
+	sc.allocExtents(replies)
+	sc.issueExtents(is, false)
+	return mpi.TotalLen(sc.extents)
+}
+
+// overlapIn finds a byte range two of the pieces in msgs both cover, for the
+// panic that names it.
+func overlapIn(msgs [][]byte) (off, n int64) {
+	var all []mpi.Run
+	for _, msg := range msgs {
+		for hp, end := 4, 4+16*pieceCount(msg); hp < end; hp += 16 {
+			o, l := pieceAt(msg, hp)
+			all = append(all, mpi.Run{Off: o, Len: l})
+		}
+	}
+	slices.SortFunc(all, func(a, b mpi.Run) int { return cmp.Compare(a.Off, b.Off) })
+	var covered int64 // everything before it is covered by the pieces so far
+	for _, pc := range all {
+		if pc.Off < covered {
+			return pc.Off, min64(covered, pc.Off+pc.Len) - pc.Off
+		}
+		covered = max64(covered, pc.Off+pc.Len)
+	}
+	return 0, 0
 }
 
 // ReadAtAll is the collective read: aggregators read large contiguous
 // extents of their file domains and redistribute the pieces to the
-// requesting ranks.
+// requesting ranks. A rank's runs ascend and do not overlap each other, as
+// for WriteAtAll (panic "mpiio: runs not ascending" on the two-phase path);
+// different ranks may read the same bytes.
 func (f *File) ReadAtAll(runs []mpi.Run, buf []byte) { f.IssueReadAtAll(false, runs, buf) }
 
 // IssueReadAtAll is ReadAtAll in either issue mode. Behind, it is the
@@ -889,40 +1056,35 @@ func (f *File) IssueReadAtAll(behind bool, runs []mpi.Run, buf []byte) *Pending 
 	allSp.Attr("path", "two-phase")
 	sc := f.twoPhaseScratch(behind)
 	naggs, rot := f.aggregators(lo, hi)
-	bufOff := bufPrefixInto(sc.i64s.alloc(len(runs)), runs)
 
-	// Request phase: tell each aggregator which extents we need and
-	// remember the matching buffer positions, in order.
-	wants := make([][]int64, naggs)
-	reqs := make([][]byte, f.r.Size())
+	// Request phase: tell each aggregator which extents we need, and
+	// remember how many pieces and bytes it owes us.
+	wants := sc.i64s.alloc(2 * naggs)
+	sw := sweep{runs: runs}
 	for a := 0; a < naggs; a++ {
 		dLo, dHi := domain(lo, hi, naggs, a)
-		offs, lens, bpos := intersectInto(&sc.i64s, runs, bufOff, dLo, dHi)
-		if len(offs) == 0 {
-			continue
-		}
-		wants[a] = bpos
-		reqs[f.aggRank(a, rot)] = sc.scratch.encodeHdrs(offs, lens)
+		req, count, bytes := sw.next(&sc.scratch, dLo, dHi, nil)
+		sc.send[f.aggRank(a, rot)], wants[2*a], wants[2*a+1] = req, int64(count), bytes
 	}
-	// Scratch exchange: reqs live in sc.scratch, which is not reset before
-	// this operation's trailing barrier.
+	sw.finish(int64(len(buf)))
+	// Scratch exchange: the requests live in sc.scratch, which is not reset
+	// before this operation's trailing barrier.
 	exch := obs.Begin(proc, obs.LayerMPIIO, "exchange")
 	sc.sendTo, sc.recvFrom = f.partners(sc.sendTo[:0], sc.recvFrom[:0], ext, lo, hi, naggs, rot)
-	reqsRecvd := f.r.ExchangeScratch(reqs, sc.sendTo, sc.recvFrom)
+	f.r.ExchangeScratch(sc.recvd, sc.send, sc.sendTo, sc.recvFrom)
 	exch.End()
 
 	// I/O phase: aggregators read the coalesced union of requested extents.
-	// What they read stays in sc (rpieces, srcCounts, extents, extData) for
-	// the reply phase.
+	// The requests (sc.recvd) and what was read for them (sc.extents,
+	// sc.extData) stay in sc for the reply phase.
 	is := f.issuer(behind)
-	sc.rpieces = sc.rpieces[:0]
 	var scatter int64 // the aggregator's copy out of its collective buffer, when that waits for Wait
 	if f.myAggIndex(naggs, rot) >= 0 {
 		iop := obs.Begin(proc, obs.LayerMPIIO, "io")
 		if behind {
 			iop.Attr("deferred", "1")
 		}
-		readBytes := f.readRequested(&is, sc, reqsRecvd)
+		readBytes := f.readRequested(&is, sc)
 		switch {
 		case behind:
 			// The scatter waits for the data: it is charged in Wait, after
@@ -942,113 +1104,9 @@ func (f *File) IssueReadAtAll(behind bool, runs []mpi.Run, buf []byte) *Pending 
 	p := is.pending("read_all_end")
 	p.tail = func() {
 		f.replyAndPlace(t)
-		scratchPool.Put(sc)
+		putScratch(f.r, sc)
 	}
 	return p
-}
-
-// readRequested is the aggregator half of a two-phase read's I/O phase: it
-// collects every extent the request messages name into sc.rpieces, grouped
-// by source (group s is rpieces[srcCounts[s]:srcCounts[s+1]]), coalesces
-// them into sc.extents and issues those reads, CBBufferSize at a time,
-// into sc.extData. It returns the bytes read.
-func (f *File) readRequested(is *issuer, sc *fileScratch, reqsRecvd [][]byte) int64 {
-	// Header walk, no decode allocs. The walk visits sources in rank order,
-	// so all lands naturally grouped by src, and within one group the
-	// pieces are both idx- and off-ascending (intersectInto emits offsets
-	// in request order) — which is why no sort appears below.
-	size := f.r.Size()
-	all := sc.rpieces[:0]
-	srcStart := sc.srcCounts
-	if cap(srcStart) < size+1 {
-		srcStart = make([]int, size+1)
-	}
-	srcStart = srcStart[:size+1]
-	for src, msg := range reqsRecvd {
-		srcStart[src] = len(all)
-		if len(msg) < 4 {
-			continue
-		}
-		count := int(binary.LittleEndian.Uint32(msg))
-		p := 4
-		for i := 0; i < count; i++ {
-			all = append(all, rpiece{
-				src: src,
-				idx: i,
-				off: int64(binary.LittleEndian.Uint64(msg[p:])),
-				n:   int64(binary.LittleEndian.Uint64(msg[p+8:])),
-			})
-			p += 16
-		}
-	}
-	srcStart[size] = len(all)
-	sc.srcCounts, sc.rpieces = srcStart, all
-	sc.extents, sc.extData = sc.extents[:0], sc.extData[:0]
-	if len(all) == 0 {
-		return 0
-	}
-	// Coalesce the requested extents without materializing a globally
-	// sorted piece list: a k-way merge over the per-src groups visits
-	// offsets in nondecreasing order, which is all interval union needs
-	// (the order among equal offsets cannot change the union). heads is a
-	// binary min-heap of one cursor per non-empty group, keyed by the head
-	// piece's offset.
-	heads := sc.order[:0]
-	for s := 0; s < size; s++ {
-		if srcStart[s] < srcStart[s+1] {
-			heads = append(heads, srcStart[s])
-		}
-	}
-	sift := func(i int) {
-		for {
-			l, r, m := 2*i+1, 2*i+2, i
-			if l < len(heads) && all[heads[l]].off < all[heads[m]].off {
-				m = l
-			}
-			if r < len(heads) && all[heads[r]].off < all[heads[m]].off {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			heads[i], heads[m] = heads[m], heads[i]
-			i = m
-		}
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		sift(i)
-	}
-	extents := sc.extents
-	for len(heads) > 0 {
-		rp := &all[heads[0]]
-		if n := len(extents); n > 0 && rp.off <= extents[n-1].Off+extents[n-1].Len {
-			if e := rp.off + rp.n; e > extents[n-1].Off+extents[n-1].Len {
-				extents[n-1].Len = e - extents[n-1].Off
-			}
-		} else {
-			extents = append(extents, mpi.Run{Off: rp.off, Len: rp.n})
-		}
-		if h := heads[0] + 1; h < srcStart[rp.src+1] {
-			heads[0] = h
-		} else {
-			heads[0] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-		sift(0)
-	}
-	// Read the extents chunked into arena scratch (fully overwritten by
-	// the reads, so the uninitialized alloc is safe).
-	extData := sc.extData
-	for _, ext := range extents {
-		data := sc.scratch.alloc(int(ext.Len))
-		for base := int64(0); base < ext.Len; base += f.hints.CBBufferSize {
-			n := min64(f.hints.CBBufferSize, ext.Len-base)
-			is.read(data[base:base+n], ext.Off+base)
-		}
-		extData = append(extData, data)
-	}
-	sc.order, sc.extents, sc.extData = heads[:0], extents, extData
-	return mpi.TotalLen(extents)
 }
 
 // readTail is what a two-phase read still owes once its extent reads are
@@ -1056,7 +1114,7 @@ func (f *File) readRequested(is *issuer, sc *fileScratch, reqsRecvd [][]byte) in
 type readTail struct {
 	sc         *fileScratch
 	buf        []byte
-	wants      [][]int64 // per aggregator: buffer positions of the requested pieces, in request order
+	wants      []int64 // per aggregator: the pieces and the bytes requested of it
 	naggs, rot int
 	scatter    int64 // bytes of collective-buffer scatter still to charge (behind aggregators)
 }
@@ -1067,65 +1125,51 @@ type readTail struct {
 // participants in lockstep (and the scratch alive until every peer has
 // copied its reply out).
 func (f *File) replyAndPlace(t readTail) {
-	sc, size := t.sc, f.r.Size()
+	sc := t.sc
 	if t.scatter > 0 {
 		f.r.CopyCost(t.scatter)
 	}
-	replies := make([][]byte, size)
-	if all := sc.rpieces; len(all) > 0 {
-		// Fill each group's requests from the extents and encode its
-		// reply: group and extents are both off-ascending, so each
-		// group's containing-extent cursor only moves forward, and the
-		// group's natural order is already the idx order the requester
-		// expects.
-		extents, extData, srcStart := sc.extents, sc.extData, sc.srcCounts
-		for s := 0; s < size; s++ {
-			g := all[srcStart[s]:srcStart[s+1]]
-			if len(g) == 0 {
-				continue
-			}
-			ei := 0
-			for i := range g {
-				rp := &g[i]
-				for rp.off >= extents[ei].Off+extents[ei].Len {
-					ei++
-				}
-				if rp.off < extents[ei].Off || rp.off+rp.n > extents[ei].Off+extents[ei].Len {
-					panic("mpiio: request outside read extents")
-				}
-				rp.data = extData[ei][rp.off-extents[ei].Off : rp.off-extents[ei].Off+rp.n]
-			}
-			replies[s] = sc.scratch.encodeRPieces(g)
+	// A reply is the request itself — same headers, same order — with the
+	// requested bytes behind it, straight out of the extent buffers.
+	for s, req := range sc.recvd {
+		count := pieceCount(req)
+		if count == 0 {
+			continue
 		}
+		hdr, bytes := 4+16*count, int64(0)
+		for hp := 4; hp < hdr; hp += 16 {
+			_, n := pieceAt(req, hp)
+			bytes += n
+		}
+		reply := sc.scratch.alloc(hdr + int(bytes))
+		copy(reply, req[:hdr])
+		sc.transfer(req, reply[hdr:], false)
+		sc.replies[s] = reply
 	}
 	// Replies retrace the request phase: every aggregator answers exactly
 	// the ranks it heard from (an empty reply to an empty request).
 	exch := obs.Begin(f.client.Proc, obs.LayerMPIIO, "exchange")
-	got := f.r.ExchangeScratch(replies, sc.recvFrom, sc.sendTo)
+	f.r.ExchangeScratch(sc.got, sc.replies, sc.recvFrom, sc.sendTo)
 	exch.End()
 
-	// Place the received pieces into buf, in the order we requested them.
+	// Place the replies into buf. The requests went out in file order, which
+	// is buffer order (see sweep), so aggregator after aggregator each
+	// reply's bytes are the next stretch of buf.
+	var pos int64
 	for a := 0; a < t.naggs; a++ {
-		bpos := t.wants[a]
-		if len(bpos) == 0 {
+		count, bytes := int(t.wants[2*a]), t.wants[2*a+1]
+		if count == 0 {
 			continue
 		}
-		msg := got[f.aggRank(a, t.rot)]
-		count := 0
-		if len(msg) >= 4 {
-			count = int(binary.LittleEndian.Uint32(msg))
+		reply := sc.got[f.aggRank(a, t.rot)]
+		if have := pieceCount(reply); have != count {
+			panic(fmt.Sprintf("mpiio: aggregator %d returned %d pieces, want %d", a, have, count))
 		}
-		if count != len(bpos) {
-			panic(fmt.Sprintf("mpiio: aggregator %d returned %d pieces, want %d",
-				a, count, len(bpos)))
+		if have := int64(len(reply) - 4 - 16*count); have != bytes {
+			panic(fmt.Sprintf("mpiio: aggregator %d returned %d bytes, want %d", a, have, bytes))
 		}
-		hp, dp := 4, 4+16*count
-		for i := 0; i < count; i++ {
-			n := int(binary.LittleEndian.Uint64(msg[hp+8:]))
-			hp += 16
-			copy(t.buf[bpos[i]:bpos[i]+int64(n)], msg[dp:dp+n])
-			dp += n
-		}
+		copy(t.buf[pos:pos+bytes], reply[4+16*count:])
+		pos += bytes
 	}
 	f.r.Barrier()
 }

@@ -7,6 +7,7 @@ package psort
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/mpi"
@@ -65,7 +66,7 @@ func SampleSort(r *mpi.Rank, rows [][]byte, rowSize int, key Key) [][]byte {
 			all = append(all, int64(binary.LittleEndian.Uint64(g[p:])))
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	// P-1 splitters at even positions.
 	splitters := make([]int64, size-1)
 	for i := range splitters {
