@@ -12,7 +12,11 @@
 // and re-chunking the tail from any cut yields the same remaining cuts —
 // the invariance the fuzz target checks — and an insertion early in a
 // generation cannot shift the boundaries of later, unchanged regions,
-// which is what makes cross-generation dedup effective.
+// which is what makes cross-generation dedup effective. The hash remembers
+// only its last 64 bytes and no cut is legal before Min, so SplitBounds does
+// not feed it the bytes of a chunk that cannot reach the first legal cut;
+// testdata/chunker.golden pins the bounds and keys, and the byte-by-byte
+// loop it replaced is the oracle in chunker_ref_test.go.
 package castore
 
 import "hash/crc64"
@@ -46,8 +50,8 @@ func (p Params) normalized() Params {
 	if p.Max <= 0 {
 		p.Max = d.Max
 	}
-	if p.Min < 64 {
-		p.Min = 64
+	if p.Min < gearMemory {
+		p.Min = gearMemory
 	}
 	if p.Avg < p.Min {
 		p.Avg = p.Min
@@ -63,6 +67,11 @@ func (p Params) normalized() Params {
 	}
 	return p
 }
+
+// gearMemory is how many bytes back the rolling hash can see: each step
+// shifts it left by one, so the 65th-last byte has left its 64 bits.
+// normalized keeps Min at or above it.
+const gearMemory = 64
 
 // gearTable is the chunker's byte-to-hash mixing table, generated
 // deterministically (splitmix64) so every build chunks identically.
@@ -83,6 +92,12 @@ var gearTable = func() [256]uint64 {
 // the last equals len(data)); nil for empty input. The rolling hash resets
 // at every cut, so SplitBounds(data[c:]) for any returned cut c equals the
 // remaining bounds shifted by c.
+//
+// The hash is h<<1 + gear[b] in 64 bits, so a byte is shifted out of it
+// after gearMemory steps, and no cut is legal before Min bytes: the hash at
+// the first legal cut is the same whether or not it was fed the chunk's
+// first Min-gearMemory bytes. They are skipped; the next gearMemory-1 are
+// hashed without a test; from there on every position is tested.
 func SplitBounds(data []byte, p Params) []int {
 	p = p.normalized()
 	if len(data) == 0 {
@@ -90,18 +105,22 @@ func SplitBounds(data []byte, p Params) []int {
 	}
 	mask := uint64(p.Avg - 1)
 	var bounds []int
-	start := 0
-	var h uint64
-	for i, b := range data {
-		h = h<<1 + gearTable[b]
-		if n := i - start + 1; n >= p.Min && (h&mask == mask || n >= p.Max) {
-			bounds = append(bounds, i+1)
-			start = i + 1
-			h = 0
+	for start := 0; start < len(data); {
+		cut := min(start+p.Max, len(data)) // the Max cut, or the short last chunk
+		if first := start + p.Min - 1; first < cut {
+			var h uint64
+			for _, b := range data[first+1-gearMemory : first] {
+				h = h<<1 + gearTable[b]
+			}
+			for i := first; i < cut; i++ {
+				if h = h<<1 + gearTable[data[i]]; h&mask == mask {
+					cut = i + 1
+					break
+				}
+			}
 		}
-	}
-	if start < len(data) {
-		bounds = append(bounds, len(data))
+		bounds = append(bounds, cut)
+		start = cut
 	}
 	return bounds
 }

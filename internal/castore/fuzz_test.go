@@ -2,13 +2,16 @@ package castore
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzChunker checks the two chunker invariants on arbitrary input:
 // split → join is the identity, and the boundaries are invariant under
 // re-chunking the stream from any cut (the hash resets at each cut, so
-// the tail's bounds are a pure function of the tail's bytes).
+// the tail's bounds are a pure function of the tail's bytes). It also holds
+// SplitBounds to the loop it replaced (refSplitBounds) with Min on, one
+// past and well past the hash's memory, so the skip runs under the fuzzer.
 func FuzzChunker(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello world"))
@@ -16,6 +19,11 @@ func FuzzChunker(f *testing.F) {
 	f.Add(testData(40_000, 11))
 	f.Add(bytes.Repeat([]byte{0}, 2000))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, p := range []Params{{Min: 64, Avg: 128, Max: 512}, {Min: 65, Avg: 128, Max: 300}, {Min: 100, Avg: 64, Max: 1000}} {
+			if got, want := SplitBounds(data, p), refSplitBounds(data, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Params %+v: bounds %v, reference %v", p, got, want)
+			}
+		}
 		p := Params{Min: 64, Avg: 128, Max: 512}.normalized()
 		bounds := SplitBounds(data, p)
 		if len(data) == 0 {

@@ -51,8 +51,9 @@ func tinyArrays() []chunkerInput {
 // — only in a PR that says which cut moved and why.
 func TestChunkerGolden(t *testing.T) {
 	var got []string
+	arrays := tinyArrays()
 	for _, p := range []Params{DefaultParams(), {Min: 64, Avg: 256, Max: 1024}} {
-		for _, in := range tinyArrays() {
+		for _, in := range arrays {
 			var list strings.Builder
 			bounds := SplitBounds(in.data, p)
 			lo := 0

@@ -23,18 +23,20 @@ func Squeeze(p *sim.Proc, c Codec, m CostModel, raw []byte) []byte {
 	return blob
 }
 
-// Expand decodes a container on p's clock, verifying every checksum.
-func Expand(p *sim.Proc, m CostModel, blob []byte) ([]byte, error) {
+// Expand decodes a container on p's clock, verifying every checksum, and
+// appends the decoded bytes to dst (nil for a buffer of its own).
+func Expand(p *sim.Proc, m CostModel, dst, blob []byte) ([]byte, error) {
 	sp := obs.Begin(p, obs.LayerCodec, "decompress")
 	start := p.Now()
-	raw, err := Unpack(blob)
+	out, err := appendUnpack(dst, blob)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	sp.Bytes(int64(len(raw)))
-	p.Advance(m.DecompressSeconds(int64(len(raw))))
+	raw := int64(len(out) - len(dst))
+	sp.Bytes(raw)
+	p.Advance(m.DecompressSeconds(raw))
 	sp.End()
-	obs.RecordDecompress(p, int64(len(raw)), int64(len(blob)), p.Now()-start)
-	return raw, nil
+	obs.RecordDecompress(p, raw, int64(len(blob)), p.Now()-start)
+	return out, nil
 }

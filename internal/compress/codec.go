@@ -11,6 +11,14 @@
 // the codecs here are real — data round-trips bit-for-bit — and the
 // tradeoff they expose per file system (win on slow Ethernet-backed PVFS,
 // tie or lose on fast node-local disks) is measured, not assumed.
+//
+// Because compressed sizes feed virtual time, the bytes a codec emits are
+// part of the model: testdata/codec.golden pins them, and a kernel may get
+// faster only by leaving every one of them alone (the lzss matcher and
+// decoder are held to the kernels they replaced, kept in lzss_ref_test.go).
+// Codecs and the container work in append form on buffers their callers
+// own — Pack encodes each chunk onto the container, Unpack and Expand
+// decode each chunk onto one result — and keep no state between calls.
 package compress
 
 import (
@@ -27,11 +35,17 @@ type Codec interface {
 	Name() string
 	// ID is the stable on-disk identifier stored in chunk headers.
 	ID() uint8
-	// Compress returns the encoded form of src (may be larger than src;
-	// the container layer falls back to storing raw when it is).
-	Compress(src []byte) []byte
-	// Decompress decodes src, which must expand to exactly rawLen bytes.
-	Decompress(src []byte, rawLen int) ([]byte, error)
+	// Compress appends the encoded form of src to dst and returns the
+	// extended slice (the encoding may be larger than src; the container
+	// layer falls back to storing raw when it is). dst belongs to the
+	// caller: its first len(dst) bytes are neither read nor written, and
+	// the result shares its array when the capacity suffices.
+	Compress(dst, src []byte) []byte
+	// Decompress appends the decoding of src, which must expand to exactly
+	// rawLen bytes, to dst and returns the extended slice. What dst holds
+	// on entry is not part of the stream: a back-reference may reach this
+	// call's own output only. On error the result is nil.
+	Decompress(dst, src []byte, rawLen int) ([]byte, error)
 }
 
 // Registry of codecs by name and by on-disk ID. The IDs are part of the
@@ -106,14 +120,14 @@ func Resolve(name string) (Codec, error) {
 // codec wrote it.
 type noneCodec struct{}
 
-func (noneCodec) Name() string               { return "none" }
-func (noneCodec) ID() uint8                  { return 0 }
-func (noneCodec) Compress(src []byte) []byte { return append([]byte(nil), src...) }
-func (noneCodec) Decompress(src []byte, rawLen int) ([]byte, error) {
+func (noneCodec) Name() string                    { return "none" }
+func (noneCodec) ID() uint8                       { return 0 }
+func (noneCodec) Compress(dst, src []byte) []byte { return append(dst, src...) }
+func (noneCodec) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
 	if len(src) != rawLen {
 		return nil, fmt.Errorf("compress: stored chunk is %d bytes, want %d", len(src), rawLen)
 	}
-	return append([]byte(nil), src...), nil
+	return append(dst, src...), nil
 }
 
 func init() {

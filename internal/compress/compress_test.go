@@ -41,8 +41,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for label, in := range testInputs(t) {
-			enc := c.Compress(in)
-			dec, err := c.Decompress(enc, len(in))
+			enc := c.Compress(nil, in)
+			dec, err := c.Decompress(nil, enc, len(in))
 			if err != nil {
 				t.Fatalf("%s/%s: decompress: %v", name, label, err)
 			}
@@ -57,7 +57,7 @@ func TestCodecDeterminism(t *testing.T) {
 	in := testInputs(t)["smooth"]
 	for _, name := range Names() {
 		c, _ := ByName(name)
-		if !bytes.Equal(c.Compress(in), c.Compress(in)) {
+		if !bytes.Equal(c.Compress(nil, in), c.Compress(nil, in)) {
 			t.Fatalf("%s: nondeterministic output", name)
 		}
 	}
@@ -74,7 +74,7 @@ func TestCompressionEffectiveOnSmoothFields(t *testing.T) {
 	}
 	for name, in := range cases {
 		c, _ := ByName(name)
-		enc := c.Compress(in)
+		enc := c.Compress(nil, in)
 		if len(enc) >= len(in)/2 {
 			t.Errorf("%s: weak compression on its target input (%d -> %d)", name, len(in), len(enc))
 		}

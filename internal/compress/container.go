@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Chunked container format. A packed array is self-describing and
@@ -51,13 +52,18 @@ func capHint(rawLen int64) int {
 }
 
 // Pack compresses src into the container format with the given codec and
-// chunk size (0 means DefaultChunkSize).
+// chunk size (0 means DefaultChunkSize). Every chunk is encoded straight
+// onto the container, behind a chunk header patched once its stored length
+// and checksum are known.
 func Pack(c Codec, src []byte, chunkSize int) []byte {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
 	nChunks := (len(src) + chunkSize - 1) / chunkSize
-	out := make([]byte, headerSize, headerSize+len(src)/2)
+	// Room for the largest container there is (every chunk stored raw) plus
+	// the slack an encoder may ask for before the fallback takes it back:
+	// the codecs never grow the buffer on data that compresses at all.
+	out := make([]byte, headerSize, headerSize+nChunks*(chunkHeaderSize+2)+len(src)+len(src)/8)
 	copy(out, containerMagic)
 	out[4] = c.ID()
 	binary.LittleEndian.PutUint32(out[8:], uint32(chunkSize))
@@ -65,23 +71,19 @@ func Pack(c Codec, src []byte, chunkSize int) []byte {
 	binary.LittleEndian.PutUint64(out[16:], uint64(len(src)))
 	for i := 0; i < nChunks; i++ {
 		lo := i * chunkSize
-		hi := lo + chunkSize
-		if hi > len(src) {
-			hi = len(src)
-		}
-		raw := src[lo:hi]
-		stored := c.Compress(raw)
+		raw := src[lo:min(lo+chunkSize, len(src))]
+		hdr := len(out)
+		out = append(out, make([]byte, chunkHeaderSize)...)
+		out = c.Compress(out, raw)
 		storedID := c.ID()
-		if len(stored) >= len(raw) {
-			stored, storedID = raw, 0 // store-raw fallback
+		if len(out)-hdr-chunkHeaderSize >= len(raw) {
+			out, storedID = append(out[:hdr+chunkHeaderSize], raw...), 0 // store-raw fallback
 		}
-		var hdr [chunkHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(raw)))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(stored)))
-		binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(stored, crcTable))
-		hdr[12] = storedID
-		out = append(out, hdr[:]...)
-		out = append(out, stored...)
+		stored := out[hdr+chunkHeaderSize:]
+		binary.LittleEndian.PutUint32(out[hdr:], uint32(len(raw)))
+		binary.LittleEndian.PutUint32(out[hdr+4:], uint32(len(stored)))
+		binary.LittleEndian.PutUint32(out[hdr+8:], crc32.Checksum(stored, crcTable))
+		out[hdr+12] = storedID
 	}
 	return out
 }
@@ -98,7 +100,12 @@ func RawLen(blob []byte) (int64, error) {
 // Unpack decodes a container produced by Pack, verifying every chunk's
 // checksum and the declared lengths. Corruption yields an error naming
 // the failing chunk, never silently wrong data.
-func Unpack(blob []byte) ([]byte, error) {
+func Unpack(blob []byte) ([]byte, error) { return appendUnpack(nil, blob) }
+
+// appendUnpack is Unpack onto a buffer the caller owns: the decoded bytes
+// are appended to dst, whose contents are left alone, and every chunk is
+// decoded in place behind the previous one. On error the result is nil.
+func appendUnpack(dst, blob []byte) ([]byte, error) {
 	if len(blob) < headerSize {
 		return nil, fmt.Errorf("compress: container truncated (%d bytes)", len(blob))
 	}
@@ -107,7 +114,8 @@ func Unpack(blob []byte) ([]byte, error) {
 	}
 	nChunks := int(binary.LittleEndian.Uint32(blob[12:]))
 	rawLen := int64(binary.LittleEndian.Uint64(blob[16:]))
-	out := make([]byte, 0, capHint(rawLen))
+	base := len(dst)
+	out := slices.Grow(dst, capHint(rawLen))
 	p := headerSize
 	for i := 0; i < nChunks; i++ {
 		if p+chunkHeaderSize > len(blob) {
@@ -130,14 +138,12 @@ func Unpack(blob []byte) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("compress: chunk %d: %v", i, err)
 		}
-		raw, err := codec.Decompress(stored, chunkRaw)
-		if err != nil {
+		if out, err = codec.Decompress(out, stored, chunkRaw); err != nil {
 			return nil, fmt.Errorf("compress: chunk %d: %v", i, err)
 		}
-		out = append(out, raw...)
 	}
-	if int64(len(out)) != rawLen {
-		return nil, fmt.Errorf("compress: container decodes to %d bytes, want %d", len(out), rawLen)
+	if int64(len(out)-base) != rawLen {
+		return nil, fmt.Errorf("compress: container decodes to %d bytes, want %d", len(out)-base, rawLen)
 	}
 	return out, nil
 }

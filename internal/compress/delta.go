@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // deltaCodec is the float-aware delta + varint coder for the smooth baryon
@@ -22,28 +23,25 @@ func (deltaCodec) ID() uint8    { return 2 }
 // application imports.)
 const deltaWord = 4
 
-func (deltaCodec) Compress(src []byte) []byte {
+func (deltaCodec) Compress(out, src []byte) []byte {
 	nWords := len(src) / deltaWord
-	out := make([]byte, 0, len(src)/2+16)
-	var tmp [binary.MaxVarintLen64]byte
 	prev := uint32(0)
 	for i := 0; i < nWords; i++ {
 		w := binary.LittleEndian.Uint32(src[i*deltaWord:])
-		n := binary.PutUvarint(tmp[:], uint64(w^prev))
-		out = append(out, tmp[:n]...)
+		out = binary.AppendUvarint(out, uint64(w^prev))
 		prev = w
 	}
 	out = append(out, src[nWords*deltaWord:]...)
 	return out
 }
 
-func (deltaCodec) Decompress(src []byte, rawLen int) ([]byte, error) {
+func (deltaCodec) Decompress(out, src []byte, rawLen int) ([]byte, error) {
 	if rawLen < 0 {
 		return nil, fmt.Errorf("compress: delta negative raw length %d", rawLen)
 	}
 	nWords := rawLen / deltaWord
 	rem := rawLen % deltaWord
-	out := make([]byte, 0, capHint(int64(rawLen)))
+	out = slices.Grow(out, capHint(int64(rawLen)))
 	p := 0
 	prev := uint32(0)
 	var w [deltaWord]byte

@@ -25,8 +25,8 @@ func fuzzCodec(f *testing.F, name string) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Round trip through the raw codec.
-		enc := c.Compress(data)
-		dec, err := c.Decompress(enc, len(data))
+		enc := c.Compress(nil, data)
+		dec, err := c.Decompress(nil, enc, len(data))
 		if err != nil {
 			t.Fatalf("decompress of own output failed: %v", err)
 		}
@@ -43,7 +43,7 @@ func fuzzCodec(f *testing.F, name string) {
 		}
 		// Adversarial decode: treat the input as a codec stream. Any
 		// outcome is fine except a panic or a wrong-length success.
-		if dec, err := c.Decompress(data, 97); err == nil && len(dec) != 97 {
+		if dec, err := c.Decompress(nil, data, 97); err == nil && len(dec) != 97 {
 			t.Fatalf("decompress returned %d bytes without error, want 97", len(dec))
 		}
 		// Adversarial container decode must never panic.

@@ -112,13 +112,14 @@ func codecTable(t *testing.T) []codecInput {
 func TestCodecStreamGolden(t *testing.T) {
 	digest := func(b []byte) string { return fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b)) }
 	var got []string
+	table := codecTable(t)
 	for _, name := range []string{"rle", "delta", "lzss"} {
 		c, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, in := range codecTable(t) {
-			enc := c.Compress(in.data)
+		for _, in := range table {
+			enc := c.Compress(nil, in.data)
 			blob := Pack(c, in.data, 0)
 			if out, err := Unpack(blob); err != nil || !bytes.Equal(out, in.data) {
 				t.Fatalf("%s/%s: container round trip failed: %v", name, in.name, err)

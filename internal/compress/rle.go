@@ -1,6 +1,9 @@
 package compress
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // rleCodec is byte-level run-length encoding with literal runs, the
 // PackBits-style token scheme:
@@ -24,8 +27,7 @@ const (
 	rleMaxRun     = 130
 )
 
-func (rleCodec) Compress(src []byte) []byte {
-	out := make([]byte, 0, len(src)/2+16)
+func (rleCodec) Compress(out, src []byte) []byte {
 	litStart := 0
 	flushLit := func(end int) {
 		for litStart < end {
@@ -57,8 +59,9 @@ func (rleCodec) Compress(src []byte) []byte {
 	return out
 }
 
-func (rleCodec) Decompress(src []byte, rawLen int) ([]byte, error) {
-	out := make([]byte, 0, capHint(int64(rawLen)))
+func (rleCodec) Decompress(out, src []byte, rawLen int) ([]byte, error) {
+	base := len(out)
+	out = slices.Grow(out, capHint(int64(rawLen)))
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -81,12 +84,12 @@ func (rleCodec) Decompress(src []byte, rawLen int) ([]byte, error) {
 				out = append(out, b)
 			}
 		}
-		if len(out) > rawLen {
+		if len(out)-base > rawLen {
 			return nil, fmt.Errorf("compress: rle output exceeds declared size %d", rawLen)
 		}
 	}
-	if len(out) != rawLen {
-		return nil, fmt.Errorf("compress: rle output is %d bytes, want %d", len(out), rawLen)
+	if len(out)-base != rawLen {
+		return nil, fmt.Errorf("compress: rle output is %d bytes, want %d", len(out)-base, rawLen)
 	}
 	return out, nil
 }

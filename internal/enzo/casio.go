@@ -160,17 +160,18 @@ func (rd *casReader) fetch(name string) []byte {
 		if rd.tolerate(err) {
 			return nil
 		}
-		chunk := payload
+		base := len(out)
 		if rd.compressed() {
-			if chunk = rd.expand(payload); chunk == nil {
+			if out = rd.expand(out, payload); out == nil {
 				return nil // expand already tolerated the failure
 			}
+		} else {
+			out = append(out, payload...)
 		}
-		if castore.KeyOf(chunk) != ref.Key {
+		if castore.KeyOf(out[base:]) != ref.Key {
 			rd.tolerate(fmt.Errorf("enzo: castore chunk key mismatch in %q", name))
 			return nil
 		}
-		out = append(out, chunk...)
 	}
 	return out
 }

@@ -567,17 +567,18 @@ func (s *Sim) recordCodecBytes(file string, write bool, logical, physical int64)
 	}
 }
 
-// squeeze/expand run the codec on the calling rank's clock.
+// squeeze/expand run the codec on the calling rank's clock; expand appends
+// to dst (nil for a fresh buffer) and returns nil on a tolerated failure.
 func (s *Sim) squeeze(raw []byte) []byte {
 	return compress.Squeeze(s.r.Proc(), s.codec, s.zcost, raw)
 }
 
-func (s *Sim) expand(blob []byte) []byte {
-	raw, err := compress.Expand(s.r.Proc(), s.zcost, blob)
+func (s *Sim) expand(dst, blob []byte) []byte {
+	out, err := compress.Expand(s.r.Proc(), s.zcost, dst, blob)
 	if s.tolerate(err) {
 		return nil
 	}
-	return raw
+	return out
 }
 
 // tolerate reports whether err was absorbed by tolerant-read mode (marking

@@ -350,7 +350,7 @@ func (zf *rawzFile) field(g core.GridMeta, fi int, p *partition) func() {
 	settle := zf.read(xfer{kind: xAt, f: zf.f, buf: blob, off: off})
 	return func() {
 		settle()
-		p.fields[fi] = zf.expand(blob)
+		p.fields[fi] = zf.expand(nil, blob)
 		zf.recordCodecBytes(zf.name, false, int64(len(p.fields[fi])), n)
 	}
 }
@@ -380,7 +380,7 @@ func (zf *rawzFile) subgrid(gm core.GridMeta) func() *amr.Grid {
 				if n == 0 {
 					continue
 				}
-				raw := zf.expand(buf[off-lo : off-lo+n])
+				raw := zf.expand(nil, buf[off-lo:off-lo+n])
 				zf.recordCodecBytes(zf.name, false, int64(len(raw)), n)
 				full = append(full, raw...)
 			}

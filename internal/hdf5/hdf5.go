@@ -769,21 +769,17 @@ func (d *Dataset) IssueReadCompressed(behind bool, slot int, out *[]byte) (*mpii
 	}), nil
 }
 
-// decodeSeg verifies and unpacks one segment's container on the caller's
-// clock and appends the decoded bytes to *out (adopting the first
-// segment's buffer instead of copying it).
+// decodeSeg verifies one segment's container and decodes it onto *out, on
+// the caller's clock.
 func (d *Dataset) decodeSeg(slot int, blob []byte, out *[]byte) error {
-	raw, err := compress.Expand(d.h.r.Proc(), d.h.cfg.Cost, blob)
+	base := len(*out)
+	dec, err := compress.Expand(d.h.r.Proc(), d.h.cfg.Cost, *out, blob)
 	if err != nil {
 		return fmt.Errorf("hdf5: dataset %q segment %d: %w", d.info.Name, slot, err)
 	}
+	*out = dec
 	if d.h.cfg.OnCodec != nil {
-		d.h.cfg.OnCodec(false, int64(len(raw)), int64(len(blob)))
-	}
-	if *out == nil {
-		*out = raw
-	} else {
-		*out = append(*out, raw...)
+		d.h.cfg.OnCodec(false, int64(len(dec)-base), int64(len(blob)))
 	}
 	return nil
 }
