@@ -1,0 +1,207 @@
+package pfs
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// The ByteStore oracle: operation sequences run against the store and
+// against a flat []byte model, compared after every operation. A sequence is
+// a string of 4-byte records (kind, a, b, c) so that the generator below and
+// FuzzByteStore speak one alphabet; what a record means depends on the writes
+// the sequence has made so far (storeRun.past), which is how it aims at the
+// cases a uniform (off, len) draw rarely hits: a write that abuts the end,
+// shadows an earlier write exactly, covers several at once, cuts a head, a
+// tail or the middle out of one.
+const (
+	opWrite     = iota // anywhere: off = a,b; len = c
+	opAppend           // at Size
+	opGap              // past Size, leaving a hole of c%64+1 bytes
+	opExact            // the bytes of an earlier write, exactly
+	opSpan             // from the start of one earlier write to the end of another
+	opMiddle           // strictly inside an earlier write
+	opHead             // starts before an earlier write, ends inside it
+	opTail             // starts inside an earlier write, ends after it
+	opZeroWrite        // zero-length, possibly past Size: a no-op
+	opRead             // anywhere, across holes and joins
+	opReadPast         // starts near Size, runs past it
+	opSize
+	opBytes
+	opTruncate
+	numStoreOps
+)
+
+// storeSpace bounds the offsets a sequence uses: small, so that writes
+// collide often.
+const storeSpace = 4096
+
+type span struct{ off, n int64 }
+
+type storeRun struct {
+	t     testing.TB
+	st    *ByteStore
+	model []byte // [0, Size)
+	past  []span // the sequence's writes since the last Truncate
+	seq   byte   // stamps each write's payload
+}
+
+func newStoreRun(t testing.TB) *storeRun { return &storeRun{t: t, st: NewByteStore()} }
+
+// payload returns n fresh non-zero bytes no earlier write carried in the same
+// order, so that a stale or misplaced byte never compares equal by accident.
+func (r *storeRun) payload(n int64) []byte {
+	r.seq += 37
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i)*7 + r.seq | 1
+	}
+	return p
+}
+
+func (r *storeRun) write(off, n int64) {
+	if off < 0 {
+		off = 0
+	}
+	data := r.payload(n)
+	r.st.WriteAt(data, off)
+	if n == 0 {
+		return
+	}
+	if end := off + n; end > int64(len(r.model)) {
+		r.model = append(r.model, make([]byte, end-int64(len(r.model)))...)
+	}
+	copy(r.model[off:], data)
+	r.past = append(r.past, span{off, n})
+}
+
+func (r *storeRun) read(off, n int64) {
+	want := make([]byte, n)
+	if off < int64(len(r.model)) {
+		copy(want, r.model[off:])
+	}
+	got := bytes.Repeat([]byte{0xEE}, int(n)+2) // dirty, with a guard byte each side
+	r.st.ReadAt(got[1:n+1], off)
+	if !bytes.Equal(got[1:n+1], want) {
+		r.t.Fatalf("ReadAt(%d bytes at %d) differs from the flat model", n, off)
+	}
+	if got[0] != 0xEE || got[n+1] != 0xEE {
+		r.t.Fatalf("ReadAt(%d bytes at %d) wrote outside its destination", n, off)
+	}
+}
+
+// pick returns the earlier write a record names (false if there is none).
+func (r *storeRun) pick(a byte) (span, bool) {
+	if len(r.past) == 0 {
+		return span{}, false
+	}
+	return r.past[int(a)%len(r.past)], true
+}
+
+// apply performs one record and checks the store against the model.
+func (r *storeRun) apply(kind, a, b, c byte) {
+	off := (int64(a)<<8 | int64(b)) % storeSpace
+	n := int64(c)
+	size := int64(len(r.model))
+	switch kind % numStoreOps {
+	case opWrite:
+		r.write(off, n*3)
+	case opAppend:
+		r.write(size, n+1)
+	case opGap:
+		r.write(size+n%64+1, int64(b)+1)
+	case opExact:
+		if p, ok := r.pick(a); ok {
+			r.write(p.off, p.n)
+		}
+	case opSpan:
+		p, ok := r.pick(a)
+		q, _ := r.pick(b)
+		if !ok {
+			break
+		}
+		lo, hi := min(p.off, q.off), max(p.off+p.n, q.off+q.n)
+		r.write(lo, hi-lo)
+	case opMiddle:
+		if p, ok := r.pick(a); ok && p.n >= 3 {
+			start := 1 + int64(b)%(p.n-2)
+			r.write(p.off+start, 1+n%(p.n-1-start))
+		}
+	case opHead:
+		if p, ok := r.pick(a); ok {
+			before := int64(b)%32 + 1
+			r.write(p.off-before, before+1+n%p.n)
+		}
+	case opTail:
+		if p, ok := r.pick(a); ok {
+			start := int64(b) % p.n
+			r.write(p.off+start, p.n-start+n%32+1)
+		}
+	case opZeroWrite:
+		r.write(off*2, 0)
+	case opRead:
+		r.read(off, n*5)
+	case opReadPast:
+		r.read(max(0, size-int64(b)), int64(b)+n+1)
+	case opSize:
+		// checked below, after every operation
+	case opBytes:
+		if got := r.st.Bytes(); !bytes.Equal(got, r.model) {
+			r.t.Fatalf("Bytes() differs from the flat model (%d vs %d bytes)", len(got), len(r.model))
+		}
+	case opTruncate:
+		r.st.Truncate()
+		r.model, r.past = r.model[:0], r.past[:0]
+	}
+	if got := r.st.Size(); got != int64(len(r.model)) {
+		r.t.Fatalf("Size() = %d, model %d", got, len(r.model))
+	}
+}
+
+// finish compares the whole file, and a stretch past its end, once more.
+func (r *storeRun) finish() {
+	r.read(0, int64(len(r.model))+64)
+	if got := r.st.Bytes(); !bytes.Equal(got, r.model) {
+		r.t.Fatal("Bytes() differs from the flat model at the end of the sequence")
+	}
+}
+
+func runStoreOps(t testing.TB, ops []byte) {
+	r := newStoreRun(t)
+	for ; len(ops) >= 4; ops = ops[4:] {
+		r.apply(ops[0], ops[1], ops[2], ops[3])
+	}
+	r.finish()
+}
+
+// TestByteStoreMatchesFlatModel runs 6,000 generated sequences of up to 48
+// operations. Truncate is drawn rarely so that most sequences build a file
+// of many overlapping writes before they are cut down.
+func TestByteStoreMatchesFlatModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1789))
+	ops := make([]byte, 0, 4*48)
+	for seq := 0; seq < 6000; seq++ {
+		ops = ops[:0]
+		for i, n := 0, 8+rng.Intn(41); i < n; i++ {
+			kind := byte(rng.Intn(numStoreOps))
+			if kind == opTruncate && rng.Intn(4) != 0 {
+				kind = opWrite
+			}
+			ops = append(ops, kind, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		}
+		runStoreOps(t, ops)
+	}
+}
+
+// FuzzByteStore feeds arbitrary record strings through the same checks.
+func FuzzByteStore(f *testing.F) {
+	f.Add([]byte{opAppend, 0, 0, 9, opAppend, 0, 0, 9, opMiddle, 1, 2, 3, opReadPast, 0, 20, 7})
+	f.Add([]byte{opWrite, 0, 10, 40, opGap, 0, 5, 3, opSpan, 0, 1, 0, opExact, 0, 0, 0, opBytes, 0, 0, 0})
+	f.Add([]byte{opWrite, 1, 0, 90, opHead, 0, 7, 30, opTail, 0, 200, 9, opZeroWrite, 9, 9, 0, opTruncate, 0, 0, 0, opRead, 0, 0, 50})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4*256 {
+			ops = ops[:4*256]
+		}
+		runStoreOps(t, ops)
+	})
+}
