@@ -174,18 +174,20 @@ func (s hdf4IO) writeDump(d int) {
 	g := s.meta.Top()
 	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", "0")
 	var sd *hdf4.SDFile
-	var full []byte // processor 0's staging buffer: WriteSDS stores a copy, so one serves every field
 	if s.r.Rank() == 0 {
 		var err error
 		sd, err = hdf4.Create(s.client(), s.fs, dumpTopFile(d))
 		if err != nil {
 			panic(err)
 		}
-		full = make([]byte, g.Cells()*amr.FieldElemSize)
 	}
 	for f, name := range amr.FieldNames {
 		blocks := s.r.Gatherv(0, s.top.fields[f])
 		if s.r.Rank() == 0 {
+			// Processor 0's staging array, one per field: WriteSDS hands it
+			// to pfs, which keeps it (DESIGN.md §13) — a staging array reused
+			// for the next field would rewrite this one's file bytes.
+			full := make([]byte, g.Cells()*amr.FieldElemSize)
 			for rank, blk := range blocks {
 				core.FieldSubarray(g, s.pz, s.py, s.px, rank).ScatterSub(full, blk)
 			}

@@ -9,6 +9,14 @@
 // underlying pfs file, so the test suite can verify that every strategy
 // produces identical file contents.
 //
+// A written buffer belongs to the file: pfs keeps the slice a write hands it
+// (DESIGN.md §13), and the independent paths — WriteAt, WriteRuns, WriteList,
+// and WriteAtAll when it falls back to them — hand it slices of the caller's
+// buffer. After they return the caller must not modify that buffer again, as
+// after mpi's Gatherv and unlike after Send. The two-phase path hands pfs
+// clones of its arena chunks (issueExtents), so there the caller's buffer is
+// free; a caller cannot know which path a collective took.
+//
 // The two-phase aggregator is one path, run in either direction: a rank cuts
 // its runs at the file-domain boundaries in one pass (sweep); an aggregator
 // takes the coalesced union of the extents its partners named by merging
@@ -21,6 +29,7 @@
 package mpiio
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -901,13 +910,19 @@ func (sc *fileScratch) allocExtents(more int64) {
 }
 
 // issueExtents sends every extent to the device, one request per
-// CBBufferSize chunk from the extent's start.
+// CBBufferSize chunk from the extent's start. A written chunk is cloned
+// first: pfs keeps the buffer it is given (DESIGN.md §13), and the extents
+// lie in the rank's arena, which the next collective overwrites.
 func (sc *fileScratch) issueExtents(is *issuer, write bool) {
 	cb := is.f.hints.CBBufferSize
 	for i, ext := range sc.extents {
 		for base := int64(0); base < ext.Len; base += cb {
 			n := min64(cb, ext.Len-base)
-			is.do(pfs.Req{Write: write, Buf: sc.extData[i][base : base+n], Off: ext.Off + base})
+			chunk := sc.extData[i][base : base+n]
+			if write {
+				chunk = bytes.Clone(chunk)
+			}
+			is.do(pfs.Req{Write: write, Buf: chunk, Off: ext.Off + base})
 		}
 	}
 }

@@ -188,7 +188,9 @@ func (fs *LocalFS) Snapshot() map[string][]byte {
 	return out
 }
 
-// Restore implements FileSystem, accepting keys produced by Snapshot.
+// Restore implements FileSystem, accepting keys produced by Snapshot. Each
+// partition adopts its bytes by reference, as a write does: what Snapshot
+// returned is a fresh copy.
 func (fs *LocalFS) Restore(files map[string][]byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -5,8 +5,9 @@
 // PVFS on the Chiba City Linux cluster (user-level I/O daemons reached over
 // fast Ethernet) and node-local disks driven through the PVFS interface.
 //
-// Every file system stores real bytes (in a sparse in-memory page store),
-// so the layers above can verify that data round-trips, while access costs
+// Every file system stores real bytes (ByteStore: a sorted index of the
+// buffers writes handed it, kept by reference and never written through), so
+// the layers above can verify that data round-trips, while access costs
 // are charged to the calling process's virtual clock through sim.Server
 // queues that model disks, NICs and lock managers.
 //
@@ -116,7 +117,8 @@ type FileSystem interface {
 	// the plain name.
 	Snapshot() map[string][]byte
 	// Restore loads a Snapshot into this (typically fresh) file system,
-	// out of band.
+	// out of band. The file system keeps the slices it is given, as a write
+	// does; the caller must not modify them afterwards.
 	Restore(files map[string][]byte)
 }
 
@@ -204,11 +206,15 @@ const (
 )
 
 // Req is one read or write of len(Buf) bytes at Off. It travels by value
-// down the wrapper chain, so every layer sees the mode.
+// down the wrapper chain, so every layer sees the mode. A read fills Buf with
+// a copy out of the store. A write hands Buf over: the file holds the slice
+// itself from then on, so the issuer must not modify it again (payload
+// buffers are write-once, DESIGN.md §13) — whoever reuses a buffer clones it
+// before the write.
 type Req struct {
 	Write    bool
 	Mode     Mode
-	Buf      []byte // filled by a read, stored by a write
+	Buf      []byte // filled by a read, kept by a write
 	Off      int64
 	Deadline float64 // By only
 }
@@ -411,6 +417,8 @@ func (ns *namespace) snapshot() map[string][]byte {
 	return out
 }
 
+// restore adopts each file's bytes by reference, as a write does: a staged
+// Snapshot is a set of fresh copies nobody else holds.
 func (ns *namespace) restore(files map[string][]byte) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()

@@ -27,7 +27,7 @@ func TestByteStoreRoundTrip(t *testing.T) {
 
 func TestByteStoreHolesReadZero(t *testing.T) {
 	st := NewByteStore()
-	st.WriteAt([]byte{0xFF}, 200000) // spans multiple pages
+	st.WriteAt([]byte{0xFF}, 200000) // a hole of 200,000 bytes before it
 	buf := make([]byte, 10)
 	st.ReadAt(buf, 0)
 	for _, b := range buf {
@@ -43,20 +43,21 @@ func TestByteStoreHolesReadZero(t *testing.T) {
 }
 
 // A read destination is whatever the caller had lying around (a reused
-// staging buffer): one read that starts in a written page, crosses a
-// never-written page and runs past the logical size must leave exactly the
-// written bytes and zeros in it, and touch nothing outside it.
+// staging buffer): one read that starts inside a written extent, crosses a
+// hole and runs past the logical size must leave exactly the written bytes
+// and zeros in it, and touch nothing outside it.
 func TestByteStoreReadOverwritesDirtyBuffer(t *testing.T) {
+	const gap = 64 * 1024
 	st := NewByteStore()
 	head := bytes.Repeat([]byte{0xA1}, 100)
 	tail := []byte{0xB2, 0xB3, 0xB4}
-	st.WriteAt(head, storePageSize-100)  // ends page 0
-	st.WriteAt(tail, 2*storePageSize+10) // page 1 stays a hole; EOF at 2 pages + 13
-	off := int64(storePageSize - 50)
-	n := int(st.Size()-off) + 500 // 500 bytes past EOF, inside the last page and beyond
+	st.WriteAt(head, gap-100)  // ends at gap
+	st.WriteAt(tail, 2*gap+10) // [gap, 2*gap+10) stays a hole; EOF at 2*gap + 13
+	off := int64(gap - 50)
+	n := int(st.Size()-off) + 500 // 500 bytes past EOF
 	want := make([]byte, n)
 	copy(want, head[50:])
-	copy(want[2*storePageSize+10-off:], tail)
+	copy(want[2*gap+10-off:], tail)
 
 	dirty := bytes.Repeat([]byte{0xEE}, n+2)
 	st.ReadAt(dirty[1:n+1], off)
@@ -66,8 +67,8 @@ func TestByteStoreReadOverwritesDirtyBuffer(t *testing.T) {
 	if dirty[0] != 0xEE || dirty[n+1] != 0xEE {
 		t.Fatal("read wrote outside its destination")
 	}
-	// Wholly past EOF, on a page that was never touched.
-	st.ReadAt(dirty, 10*storePageSize+7)
+	// Wholly past EOF.
+	st.ReadAt(dirty, 10*gap+7)
 	if !bytes.Equal(dirty, make([]byte, len(dirty))) {
 		t.Fatal("read past EOF left stale bytes in the destination")
 	}
@@ -75,15 +76,15 @@ func TestByteStoreReadOverwritesDirtyBuffer(t *testing.T) {
 
 func TestByteStoreCrossPageWrite(t *testing.T) {
 	st := NewByteStore()
-	data := make([]byte, 3*storePageSize+17)
+	data := make([]byte, 3*64*1024+17)
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(data)
-	off := int64(storePageSize - 13)
+	off := int64(64*1024 - 13)
 	st.WriteAt(data, off)
 	buf := make([]byte, len(data))
 	st.ReadAt(buf, off)
 	if !bytes.Equal(buf, data) {
-		t.Fatal("cross-page round trip failed")
+		t.Fatal("large unaligned round trip failed")
 	}
 }
 
@@ -570,41 +571,82 @@ func TestDiskSeekStats(t *testing.T) {
 	}
 }
 
-// BenchmarkByteStoreWrite / BenchmarkByteStoreRead time 1 MiB requests against
-// the store that holds every simulated file's bytes: the one host-side copy
-// per transferred byte the simulator cannot avoid (the store is the file).
-// Aligned requests cover whole pages; unaligned ones start mid-page, so the
-// first and last page of each take the partial-page path.
-func benchByteStore(b *testing.B, write bool) {
+// BenchmarkByteStoreWrite times the store that holds every simulated file's
+// bytes (the store is the file: an index of the buffers it was given). A
+// write is an index operation, so the rows differ in where it lands: append is
+// 1 MiB requests in offset order into an empty file (how files are written:
+// 0 B/op beyond the index's own growth); overwrite rewrites the same 64 MiB
+// in place (every request shadows one extent exactly, the index stays 64
+// long); scattered builds one file from 64 Ki requests of 64 bytes at
+// shuffled offsets, the quadratic case of a sorted slice — no workload in the
+// repository comes near it (DESIGN.md §13), and the row is here so that one
+// that does is seen.
+func BenchmarkByteStoreWrite(b *testing.B) {
 	const req, fileSize = 1 << 20, 64 << 20
 	data := make([]byte, req)
 	rand.New(rand.NewSource(1)).Read(data)
 	for _, tc := range []struct {
-		name  string
-		shift int64
-	}{{"aligned", 0}, {"unaligned", storePageSize/2 + 7}} {
+		name      string
+		overwrite bool
+	}{{"append", false}, {"overwrite", true}} {
+		b.Run(tc.name, func(b *testing.B) { // ns/op is per request: no byte moves
+			b.ReportAllocs()
+			st := NewByteStore()
+			if tc.overwrite {
+				for off := int64(0); off < fileSize; off += req {
+					st.WriteAt(data, off)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := int64(i) * req % fileSize
+				if off == 0 && !tc.overwrite {
+					st.Truncate() // every write of a pass lands past the end
+				}
+				st.WriteAt(data, off)
+			}
+			if tc.overwrite && len(st.ext) != fileSize/req {
+				b.Fatalf("index grew to %d extents under in-place rewrites", len(st.ext))
+			}
+		})
+	}
+	b.Run("scattered", func(b *testing.B) {
+		const n, small = 64 << 10, 64
+		offs := rand.New(rand.NewSource(2)).Perm(n)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st := NewByteStore()
+			for _, k := range offs {
+				st.WriteAt(data[:small], int64(k)*small)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/request")
+	})
+}
+
+// BenchmarkByteStoreRead times 1 MiB reads, the copy the store does make,
+// out of the same 64 MiB of memory held as one extent and as 1 KiB extents
+// (1,024 to a read).
+func BenchmarkByteStoreRead(b *testing.B) {
+	const req, fileSize = 1 << 20, 64 << 20
+	buf := make([]byte, req)
+	src := make([]byte, fileSize)
+	rand.New(rand.NewSource(1)).Read(src) // touched: not 64 MiB of the shared zero page
+	for _, tc := range []struct {
+		name   string
+		extent int
+	}{{"one-extent", fileSize}, {"across-1024-extents", req / 1024}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(req)
 			b.ReportAllocs()
 			st := NewByteStore()
-			if !write {
-				st.WriteAt(make([]byte, fileSize+req), 0)
+			for off := 0; off < fileSize; off += tc.extent {
+				st.WriteAt(src[off:off+tc.extent], int64(off))
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				off := int64(i)*req%fileSize + tc.shift
-				if !write {
-					st.ReadAt(data, off)
-					continue
-				}
-				if off == tc.shift {
-					st.Truncate() // every write of a pass lands on missing pages
-				}
-				st.WriteAt(data, off)
+				st.ReadAt(buf, int64(i)*req%fileSize)
 			}
 		})
 	}
 }
-
-func BenchmarkByteStoreWrite(b *testing.B) { benchByteStore(b, true) }
-func BenchmarkByteStoreRead(b *testing.B)  { benchByteStore(b, false) }

@@ -46,8 +46,6 @@ type storeRun struct {
 	seq   byte   // stamps each write's payload
 }
 
-func newStoreRun(t testing.TB) *storeRun { return &storeRun{t: t, st: NewByteStore()} }
-
 // payload returns n fresh non-zero bytes no earlier write carried in the same
 // order, so that a stale or misplaced byte never compares equal by accident.
 func (r *storeRun) payload(n int64) []byte {
@@ -63,10 +61,30 @@ func (r *storeRun) write(off, n int64) {
 	if off < 0 {
 		off = 0
 	}
-	data := r.payload(n)
+	// Retention: what the index must look like afterwards, from what it holds
+	// now. An extent the write covers completely leaves; one it lands
+	// strictly inside is split in two.
+	before, shadowed, split := len(r.st.ext), 0, 0
+	for _, e := range r.st.ext {
+		switch {
+		case off <= e.off && e.end() <= off+n:
+			shadowed++
+		case e.off < off && off+n < e.end():
+			split = 1
+		}
+	}
+	// The store adopts exactly the bytes it is given: hand it a slice with
+	// spare capacity behind it; checkIndex requires the extent to own none.
+	data := append(r.payload(n), 0xC5, 0xC5)[:n]
 	r.st.WriteAt(data, off)
 	if n == 0 {
+		if len(r.st.ext) != before {
+			r.t.Fatalf("zero-length write at %d changed the index", off)
+		}
 		return
+	}
+	if got, want := len(r.st.ext), before-shadowed+1+split; got != want {
+		r.t.Fatalf("write of %d at %d shadowed %d of %d extents: index is %d long, want %d", n, off, shadowed, before, got, want)
 	}
 	if end := off + n; end > int64(len(r.model)) {
 		r.model = append(r.model, make([]byte, end-int64(len(r.model)))...)
@@ -156,6 +174,36 @@ func (r *storeRun) apply(kind, a, b, c byte) {
 	if got := r.st.Size(); got != int64(len(r.model)) {
 		r.t.Fatalf("Size() = %d, model %d", got, len(r.model))
 	}
+	r.checkIndex()
+}
+
+// checkIndex asserts the index invariant: extents ascend, do not overlap,
+// are never empty and own no capacity past their bytes; the last one ends at
+// Size (the highest end written since Truncate — apply holds Size to the
+// model); and the index's spare slots hold no buffer a shadowing write
+// vacated.
+func (r *storeRun) checkIndex() {
+	ext := r.st.ext
+	var prevEnd int64
+	for i, e := range ext {
+		switch {
+		case len(e.data) == 0:
+			r.t.Fatalf("extent %d at %d is empty", i, e.off)
+		case cap(e.data) != len(e.data):
+			r.t.Fatalf("extent %d at %d keeps %d bytes of capacity it was not given", i, e.off, cap(e.data)-len(e.data))
+		case e.off < prevEnd:
+			r.t.Fatalf("extent %d at %d starts before the previous one ends (%d)", i, e.off, prevEnd)
+		}
+		prevEnd = e.end()
+	}
+	if prevEnd != r.st.size {
+		r.t.Fatalf("last extent ends at %d, Size is %d", prevEnd, r.st.size)
+	}
+	for i, e := range ext[len(ext):cap(ext)] {
+		if e.data != nil {
+			r.t.Fatalf("vacated index slot %d still holds a %d-byte buffer", len(ext)+i, len(e.data))
+		}
+	}
 }
 
 // finish compares the whole file, and a stretch past its end, once more.
@@ -167,7 +215,7 @@ func (r *storeRun) finish() {
 }
 
 func runStoreOps(t testing.TB, ops []byte) {
-	r := newStoreRun(t)
+	r := &storeRun{t: t, st: NewByteStore()}
 	for ; len(ops) >= 4; ops = ops[4:] {
 		r.apply(ops[0], ops[1], ops[2], ops[3])
 	}
@@ -204,4 +252,37 @@ func FuzzByteStore(f *testing.F) {
 		}
 		runStoreOps(t, ops)
 	})
+}
+
+// No way out of the store returns stored memory: a reader that was handed the
+// writer's buffer could change the file — or, in a restart check, compare
+// memory with itself. Bytes and every model's Snapshot return copies;
+// Restore adopts what it is given, like a write.
+func TestBytesAndSnapshotAreCopies(t *testing.T) {
+	payload := []byte("the writer's own buffer")
+	want := bytes.Clone(payload)
+
+	st := NewByteStore()
+	st.WriteAt(payload, 10)
+	clear(st.Bytes())
+	if got := st.Bytes()[10:]; !bytes.Equal(got, want) || !bytes.Equal(payload, want) {
+		t.Fatal("scribbling on what Bytes returned changed the stored bytes")
+	}
+
+	m := testMachine()
+	for _, fs := range []FileSystem{NewXFS(m, DefaultXFS()), NewGPFS(m, DefaultGPFS()),
+		NewPVFS(m, DefaultPVFS()), NewLocalFS(m, DefaultLocal())} {
+		fs.Restore(map[string][]byte{"f": payload, "node1/f": payload})
+		for _, data := range fs.Snapshot() {
+			clear(data)
+		}
+		for name, data := range fs.Snapshot() {
+			if !bytes.Equal(data, want) {
+				t.Fatalf("%s: scribbling on a Snapshot changed %q", fs.Name(), name)
+			}
+		}
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("%s: the restored buffer was written through", fs.Name())
+		}
+	}
 }

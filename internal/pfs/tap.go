@@ -7,7 +7,9 @@ package pfs
 // Err is a failed create or open, or the *DeviceError of a By request that
 // missed its deadline — which moved no bytes, whatever len(Req.Buf) says. A
 // metadata call ("create", "open", "close") has a zero Req; a request's Op is
-// Req.Op(). A sink reads len(Req.Buf) and never keeps the buffer.
+// Req.Op(). A sink reads len(Req.Buf) and never keeps or changes the buffer:
+// a read's belongs to the caller, and a write's has become the file's bytes
+// by the time the sink runs (the store keeps the slice, see Req).
 type Call struct {
 	Client     Client
 	Op         string

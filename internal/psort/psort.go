@@ -5,6 +5,7 @@
 package psort
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/bits"
 	"slices"
@@ -31,7 +32,7 @@ func localSort(r *mpi.Rank, rows [][]byte, key Key) {
 		// charge the comparison work to the rank's clock
 		r.Compute(int64(n) * int64(bits.Len(uint(n))))
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return key(rows[i]) < key(rows[j]) })
+	slices.SortStableFunc(rows, func(a, b []byte) int { return cmp.Compare(key(a), key(b)) })
 }
 
 // SampleSort globally sorts fixed-size rows distributed across the ranks

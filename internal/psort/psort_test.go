@@ -226,3 +226,53 @@ func TestSampleSortProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The order among rows with equal keys is part of every particle file's
+// bytes: one rank (so the local sort alone), many rows per key, and the rows
+// of a key must come out in the order they went in.
+func TestLocalSortIsStable(t *testing.T) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(3))
+	rows := make([][]byte, n)
+	for i := range rows {
+		rows[i] = makeRow(rng.Int63n(50), 0)
+		binary.LittleEndian.PutUint32(rows[i][8:], uint32(i)) // arrival order
+	}
+	results, _ := runSort(t, 1, func(int) [][]byte { return rows })
+	out := results[0]
+	for i := 1; i < len(out); i++ {
+		ka, kb := IDKey(0)(out[i-1]), IDKey(0)(out[i])
+		if ka > kb || ka == kb && binary.LittleEndian.Uint32(out[i-1][8:]) > binary.LittleEndian.Uint32(out[i][8:]) {
+			t.Fatalf("row %d (key %d) precedes row %d (key %d) out of arrival order", i-1, ka, i, kb)
+		}
+	}
+}
+
+// BenchmarkSampleSort times the particle sort of a dump at the size
+// paper_np8 runs it: 8 ranks, 128 Ki rows of 48 bytes a rank, random IDs.
+// One iteration is the whole collective on a fresh world.
+func BenchmarkSampleSort(b *testing.B) {
+	const nprocs, perRank, rowSize = 8, 128 << 10, 48
+	flat := make([][]byte, nprocs)
+	for rank := range flat {
+		flat[rank] = make([]byte, perRank*rowSize)
+		rng := rand.New(rand.NewSource(int64(rank) + 1))
+		for p := 0; p < len(flat[rank]); p += rowSize {
+			binary.LittleEndian.PutUint64(flat[rank][p:], uint64(rng.Int63n(nprocs*perRank)))
+		}
+	}
+	b.SetBytes(nprocs * perRank * rowSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err := mpi.Simulate(cfg(), nprocs, func(r *mpi.Rank) {
+			rows := make([][]byte, perRank)
+			for k := range rows {
+				rows[k] = flat[r.Rank()][k*rowSize : (k+1)*rowSize]
+			}
+			SampleSort(r, rows, rowSize, IDKey(0))
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
