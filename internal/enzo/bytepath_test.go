@@ -19,9 +19,10 @@ func TestDumpGenerationsIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		fs      string
 		backend Backend
-	}{{"gpfs", BackendHDF4}, {"pvfs", BackendMPIIO}} {
+		codec   string
+	}{{"gpfs", BackendHDF4, ""}, {"pvfs", BackendMPIIO, ""}, {"pvfs", BackendMPIIO, "lzss"}, {"pvfs", BackendHDF5, "lzss"}} {
 		cfg := tinyCfg()
-		cfg.Dumps = 2
+		cfg.Dumps, cfg.Codec = 2, tc.codec
 		res, files := snapshotRun(t, tc.fs, 4, cfg, tc.backend)
 		if !res.Verified {
 			t.Fatalf("%s: restart not verified", tc.backend)
