@@ -17,6 +17,11 @@
 // not feed it the bytes of a chunk that cannot reach the first legal cut;
 // testdata/chunker.golden pins the bounds and keys, and the byte-by-byte
 // loop it replaced is the oracle in chunker_ref_test.go.
+//
+// Bounds and keys are pure functions of the bytes, and the package keeps no
+// table of them: a writer that presents an unchanged array again keeps its
+// own (enzo's chunk table) and hands Put the key; a reader always derives the
+// key again from what it fetched.
 package castore
 
 import "hash/crc64"

@@ -254,13 +254,18 @@ func (s *Store) placement(c pfs.Client, key Key) []int {
 	return live
 }
 
-// Put stores one raw chunk and returns its reference. pack produces the
-// payload actually written (the codec-compressed form; return raw for no
-// codec) and is only invoked on a dedup miss, so a hit skips both the
-// write and the compression cost. Dedup reuses a chunk this rank stored
-// within the retention window; re-dump generations bypass the index.
-func (s *Store) Put(c pfs.Client, raw []byte, pack func() []byte) (ChunkRef, error) {
-	key := KeyOf(raw)
+// Put stores one raw chunk under key, which must be KeyOf(raw) — an argument
+// so that a caller presenting an unchanged array again (the next generation,
+// a re-dump) supplies the key it derived the first time. Every decision and
+// every statistic stays here. pack produces the payload actually written
+// (the codec-compressed form; return raw for no codec) and is only invoked
+// on a dedup miss, so a hit skips both the write and the compression cost.
+// Dedup reuses a chunk this rank stored within the retention window;
+// re-dump generations bypass the index.
+func (s *Store) Put(c pfs.Client, raw []byte, key Key, pack func() []byte) (ChunkRef, error) {
+	if key.N != uint32(len(raw)) {
+		panic(fmt.Sprintf("castore: Put of a %d-byte chunk under the key of a %d-byte one", len(raw), key.N))
+	}
 	s.stats.ChunkPuts++
 	s.stats.LogicalBytes += int64(len(raw))
 	if !s.force {

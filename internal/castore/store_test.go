@@ -35,7 +35,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 		s.BeginGeneration(0)
 		var refs []ChunkRef
 		for _, chunk := range Split(data, s.Params()) {
-			ref, err := s.Put(c, chunk, rawPack(chunk))
+			ref, err := s.Put(c, chunk, KeyOf(chunk), rawPack(chunk))
 			if err != nil {
 				t.Errorf("Put: %v", err)
 				return
@@ -76,7 +76,7 @@ func TestDedupWithinRetention(t *testing.T) {
 		chunks := Split(data, s.Params())
 		s.BeginGeneration(0)
 		for _, ch := range chunks {
-			if _, err := s.Put(c, ch, rawPack(ch)); err != nil {
+			if _, err := s.Put(c, ch, KeyOf(ch), rawPack(ch)); err != nil {
 				t.Errorf("gen0 Put: %v", err)
 			}
 		}
@@ -88,7 +88,7 @@ func TestDedupWithinRetention(t *testing.T) {
 		// every chunk must dedup, zero physical bytes.
 		s.BeginGeneration(1)
 		for _, ch := range chunks {
-			ref, err := s.Put(c, ch, func() []byte { t.Error("pack called on a dedup hit"); return ch })
+			ref, err := s.Put(c, ch, KeyOf(ch), func() []byte { t.Error("pack called on a dedup hit"); return ch })
 			if err != nil {
 				t.Errorf("gen1 Put: %v", err)
 			}
@@ -106,7 +106,7 @@ func TestDedupWithinRetention(t *testing.T) {
 		// Retain=2 they fall outside the window (1 <= 3-2) and rewrite.
 		s.BeginGeneration(3)
 		for _, ch := range chunks {
-			if _, err := s.Put(c, ch, rawPack(ch)); err != nil {
+			if _, err := s.Put(c, ch, KeyOf(ch), rawPack(ch)); err != nil {
 				t.Errorf("gen3 Put: %v", err)
 			}
 		}
@@ -124,7 +124,7 @@ func TestRedumpBypassesIndex(t *testing.T) {
 			t.Error("first generation must not be a re-dump")
 		}
 		for _, ch := range chunks {
-			if _, err := s.Put(c, ch, rawPack(ch)); err != nil {
+			if _, err := s.Put(c, ch, KeyOf(ch), rawPack(ch)); err != nil {
 				t.Errorf("Put: %v", err)
 			}
 		}
@@ -135,7 +135,7 @@ func TestRedumpBypassesIndex(t *testing.T) {
 			t.Error("repeated generation must force a fresh write")
 		}
 		for _, ch := range chunks {
-			if _, err := s.Put(c, ch, rawPack(ch)); err != nil {
+			if _, err := s.Put(c, ch, KeyOf(ch), rawPack(ch)); err != nil {
 				t.Errorf("redump Put: %v", err)
 			}
 		}
@@ -151,7 +151,7 @@ func TestGetFailsOverDeadServer(t *testing.T) {
 		s.BeginGeneration(0)
 		var refs []ChunkRef
 		for _, ch := range Split(data, s.Params()) {
-			ref, err := s.Put(c, ch, rawPack(ch))
+			ref, err := s.Put(c, ch, KeyOf(ch), rawPack(ch))
 			if err != nil {
 				t.Errorf("Put: %v", err)
 				return
@@ -185,7 +185,7 @@ func TestGetAllReplicasDeadIsTypedError(t *testing.T) {
 	run(t, Options{Replicas: 1, Retain: 0}, func(c pfs.Client, s *Store) {
 		s.BeginGeneration(0)
 		chunk := Split(data, s.Params())[0]
-		ref, err := s.Put(c, chunk, rawPack(chunk))
+		ref, err := s.Put(c, chunk, KeyOf(chunk), rawPack(chunk))
 		if err != nil {
 			t.Errorf("Put: %v", err)
 			return

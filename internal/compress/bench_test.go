@@ -1,6 +1,10 @@
 package compress
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // benchField is the Tiny hierarchy's top-grid density field tiled to 4 MiB:
 // real field bytes, sixteen container chunks.
@@ -55,4 +59,37 @@ func BenchmarkUnpack(b *testing.B) {
 			benchSink = out
 		}
 	})
+}
+
+// BenchmarkSqueeze is the charged write path per 4 MiB array: first packs an
+// array the compressor has not seen (the memo forgotten every iteration),
+// again presents the same array once more — a later dump, a replica, a
+// re-dump — and must allocate nothing.
+func BenchmarkSqueeze(b *testing.B) {
+	field := benchField()
+	c, err := ByName("lzss")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, again := range []bool{false, true} {
+		name := "first"
+		if again {
+			name = "again"
+		}
+		b.Run(name, func(b *testing.B) {
+			z := NewCompressor(c, DefaultCostModel())
+			onProc(b, func(p *sim.Proc) {
+				z.Squeeze(p, field)
+				b.SetBytes(int64(len(field)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !again {
+						z.Forget()
+					}
+					benchSink = z.Squeeze(p, field)
+				}
+			})
+		})
+	}
 }

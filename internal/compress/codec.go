@@ -19,6 +19,9 @@
 // Codecs and the container work in append form on buffers their callers
 // own — Pack encodes each chunk onto the container, Unpack and Expand
 // decode each chunk onto one result — and keep no state between calls.
+// What is remembered between calls — the containers of the write-once arrays
+// a rank has packed — belongs to that rank's Compressor (charged.go), never
+// to the package.
 package compress
 
 import (

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/castore"
+	"repro/internal/compress"
 	"repro/internal/core"
 )
 
@@ -54,6 +55,39 @@ func (l casLayout) createDump(d int) dumpWriter {
 	return &casDump{Sim: l.Sim, d: d}
 }
 
+// chunkTable is where the chunker cut one array and what each chunk's
+// content key is: pure functions of the array's bytes (and the store's chunk
+// parameters, fixed for the run), so an array that is presented again — the
+// next generation, a re-dump — is neither split nor keyed again. The table
+// is filed under the array's identity on the strength of the write-once rule
+// (see compress.Compressor); onChunkHit lets a test derive it again.
+type chunkTable struct {
+	bounds []int
+	keys   []castore.Key
+}
+
+// chunked returns raw's chunk table, deriving it on first sight.
+func (s *Sim) chunked(raw []byte) chunkTable {
+	if len(raw) == 0 {
+		return chunkTable{}
+	}
+	id := compress.IDOf(raw)
+	t, ok := s.chunks[id]
+	if !ok {
+		t.bounds = castore.SplitBounds(raw, s.cas.Params())
+		t.keys = make([]castore.Key, len(t.bounds))
+		lo := 0
+		for i, hi := range t.bounds {
+			t.keys[i] = castore.KeyOf(raw[lo:hi])
+			lo = hi
+		}
+		s.chunks[id] = t
+	} else if s.onChunkHit != nil {
+		s.onChunkHit(raw, t)
+	}
+	return t
+}
+
 // put chunks one named array and stores it. Chunk payloads go through the
 // codec (pack runs only on dedup misses, so a hit also skips the
 // compression CPU cost); content keys are over the raw bytes, so dedup is
@@ -61,9 +95,12 @@ func (l casLayout) createDump(d int) dumpWriter {
 func (w *casDump) put(name string, raw []byte) {
 	item := castore.Item{Name: name, Raw: int64(len(raw))}
 	c := w.client()
-	for _, chunk := range castore.Split(raw, w.cas.Params()) {
-		chunk := chunk
-		ref, err := w.cas.Put(c, chunk, func() []byte {
+	t := w.chunked(raw)
+	lo := 0
+	for i, hi := range t.bounds {
+		chunk := raw[lo:hi]
+		lo = hi
+		ref, err := w.cas.Put(c, chunk, t.keys[i], func() []byte {
 			if w.compressed() {
 				return w.squeeze(chunk)
 			}

@@ -36,7 +36,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/amr"
 	"repro/internal/castore"
@@ -530,10 +529,22 @@ type Sim struct {
 	localPartRows [2]int64         // top-grid particle rows written at the last dump
 	localICRows   map[int][2]int64 // per-grid particle rows staged at setup
 
-	// codec is non-nil when transparent field compression is on; zcost is
-	// the CPU cost model charged per compress/decompress.
-	codec compress.Codec
-	zcost compress.CostModel
+	// z is the rank's compressor — codec, CPU cost model and the containers
+	// of the arrays it has packed — non-nil when transparent field
+	// compression is on. chunks is the castore layout's chunk table, by the
+	// same array identity (casio.go). Both describe arrays the rank holds
+	// and are dropped with them (forgetDerived).
+	z      *compress.Compressor
+	chunks map[compress.ArrayID]chunkTable
+	// onChunkHit, when set, is shown every chunk table before it is reused.
+	// Tests set it to split and key again and compare; nothing else does.
+	onChunkHit func(raw []byte, t chunkTable)
+
+	// ic is the problem's entry in the process-wide hierarchy cache, where
+	// setup finds the hierarchy (rank 0) and the packed initial conditions
+	// of earlier runs (every rank of a compressed run); hierEntry looks it
+	// up on first use.
+	ic *hierEntry
 
 	// cas is non-nil when checkpoints route through the content-addressed
 	// chunk store (Config.CAStore; see casio.go).
@@ -557,7 +568,7 @@ type Sim struct {
 }
 
 // compressed reports whether this run compresses field arrays.
-func (s *Sim) compressed() bool { return s.codec != nil }
+func (s *Sim) compressed() bool { return s.z != nil }
 
 // recordCodecBytes forwards logical/physical byte accounting to the file
 // system stack when an instrumentation wrapper wants it.
@@ -569,12 +580,10 @@ func (s *Sim) recordCodecBytes(file string, write bool, logical, physical int64)
 
 // squeeze/expand run the codec on the calling rank's clock; expand appends
 // to dst (nil for a fresh buffer) and returns nil on a tolerated failure.
-func (s *Sim) squeeze(raw []byte) []byte {
-	return compress.Squeeze(s.r.Proc(), s.codec, s.zcost, raw)
-}
+func (s *Sim) squeeze(raw []byte) []byte { return s.z.Squeeze(s.r.Proc(), raw) }
 
 func (s *Sim) expand(dst, blob []byte) []byte {
-	out, err := compress.Expand(s.r.Proc(), s.zcost, dst, blob)
+	out, err := s.z.Expand(s.r.Proc(), dst, blob)
 	if s.tolerate(err) {
 		return nil
 	}
@@ -700,7 +709,11 @@ func RegisterAutoTuner(fn func(machine.Config, string, int, Config, Backend) (Co
 // Run executes the complete experiment for one configuration and returns
 // the timing result. It builds a fresh machine, file system and world, so
 // repeated calls are independent and deterministic.
-func Run(spec RunSpec) (*Result, error) {
+func Run(spec RunSpec) (*Result, error) { return run(spec, nil) }
+
+// run is Run; prepare, which only in-package tests pass, sees every rank's
+// Sim before it runs.
+func run(spec RunSpec, prepare func(*Sim)) (*Result, error) {
 	cfg, tr := spec.Config, spec.Tracer
 	if cfg.AutoTune {
 		if autoTuner == nil {
@@ -742,6 +755,9 @@ func Run(spec RunSpec) (*Result, error) {
 			tr.Attach(r.Proc(), r.Rank())
 		}
 		s := NewSim(r, fs, spec.Backend, cfg, res)
+		if prepare != nil {
+			prepare(s)
+		}
 		s.Run()
 	})
 	if err := eng.Run(); err != nil {
@@ -847,7 +863,13 @@ func (s *Sim) Run() {
 		s.timed("scrub", func() { s.scrubDumps(snap) })
 	}
 
+	// The dump state goes, and what was derived from it goes with it, before
+	// the restart is read: the memo never pins dump state beside restart
+	// state. (Not inside clearState: a scrub's read-back clears too, then
+	// puts the live state back, and the re-dump that may follow presents the
+	// same arrays again.)
 	s.clearState()
+	s.forgetDerived()
 	s.timed("restart", func() {
 		if s.cfg.ScrubOnDump {
 			s.restartNewestClean()
@@ -883,21 +905,6 @@ func (s *Sim) Run() {
 	}
 }
 
-// hierCache memoizes built hierarchies across runs: initial conditions are
-// deterministic in the Config, immutable once built, and expensive for the
-// large problems (AMR128 takes seconds and half a gigabyte to generate).
-var hierCache sync.Map
-
-func hierarchyFor(cfg Config) *amr.Hierarchy {
-	key := fmt.Sprintf("%v|%d|%d|%g|%d", cfg.Dims, cfg.NParticles, cfg.PreRefine, cfg.Threshold, cfg.Seed)
-	if v, ok := hierCache.Load(key); ok {
-		return v.(*amr.Hierarchy)
-	}
-	h := amr.BuildHierarchy(cfg.Dims, cfg.NParticles, cfg.PreRefine, cfg.Threshold, cfg.Seed)
-	hierCache.Store(key, h)
-	return h
-}
-
 // setup (untimed): rank 0 builds the hierarchy in memory and writes the
 // initial-condition files plus the replicated hierarchy metadata.
 func (s *Sim) setup() {
@@ -905,7 +912,7 @@ func (s *Sim) setup() {
 	var h *amr.Hierarchy
 	var enc []byte
 	if s.r.Rank() == 0 {
-		h = hierarchyFor(s.cfg)
+		h = s.hierEntry().hierarchy()
 		s.meta = core.FromHierarchy(h)
 		enc = s.meta.Encode()
 		// The ".hierarchy" metadata file: tiny, written by rank 0.
@@ -926,6 +933,7 @@ func (s *Sim) setup() {
 	}
 	s.offsets = core.NewLayout(s.meta)
 	s.io.writeIC(h)
+	s.forgetDerived() // the partitions just staged are never presented again
 	s.r.Barrier()
 }
 
@@ -1050,6 +1058,16 @@ func (s *Sim) clearState() {
 	s.top = nil
 	s.partials = nil
 	s.owned = make(map[int]*amr.Grid)
+}
+
+// forgetDerived drops what the rank remembers about arrays it is letting go:
+// packed containers and chunk tables, keyed by array identity, keep their
+// arrays reachable for as long as they are remembered.
+func (s *Sim) forgetDerived() {
+	if s.z != nil {
+		s.z.Forget()
+	}
+	clear(s.chunks)
 }
 
 // --- verification ---

@@ -68,12 +68,12 @@ type h5File struct {
 }
 
 // h5cfg is the HDF5 library configuration for file fname: compressed runs
-// wire the codec cost model and route per-dataset codec accounting into
+// wire the rank's compressor and route per-dataset codec accounting into
 // the file-system stack under the file's name.
 func (s *Sim) h5cfg(fname string) hdf5.Config {
 	c := hdf5.DefaultConfig()
 	if s.compressed() {
-		c.Cost = s.zcost
+		c.Z = s.z
 		c.OnCodec = func(write bool, logical, physical int64) {
 			s.recordCodecBytes(fname, write, logical, physical)
 		}
@@ -96,7 +96,7 @@ func (h *h5File) createDataset(gridID int, name string, dims []int, elemSize int
 	var ds *hdf5.Dataset
 	var err error
 	if field && h.compressed() {
-		ds, err = h.hf.CreateDatasetZ(dsName(gridID, name), dims, elemSize, h.codec)
+		ds, err = h.hf.CreateDatasetZ(dsName(gridID, name), dims, elemSize, h.z.Codec())
 	} else {
 		ds, err = h.hf.CreateDataset(dsName(gridID, name), dims, elemSize)
 	}
@@ -116,7 +116,7 @@ func (l h5Layout) writeIC(h *amr.Hierarchy) {
 			func(gm core.GridMeta, fi int, sub mpi.Subarray, part []byte) {
 				ds := file.createDataset(gm.ID, amr.FieldNames[fi], fieldDims(gm), amr.FieldElemSize, true)
 				if l.compressed() {
-					ds.WriteCompressed(l.codec, part)
+					ds.WriteCompressed(l.z.Codec(), part)
 				} else {
 					ds.WriteHyperslabIndependent(sub, part)
 				}

@@ -109,7 +109,9 @@ func layoutFor(s *Sim) ioPath {
 	case BackendHDF5:
 		lay = h5Layout{s}
 	}
-	s.codec, s.zcost = codec, s.cfg.CostModel()
+	if codec != nil {
+		s.z = compress.NewCompressor(codec, s.cfg.CostModel())
+	}
 	s.async = s.cfg.AsyncIO
 	if s.cfg.CAStore {
 		opt := castore.Options{
@@ -126,6 +128,7 @@ func layoutFor(s *Sim) ioPath {
 		// Compose with AsyncIO: while a dump is pending, chunk-write
 		// completions defer into it and settle at the dump's drain.
 		s.cas.SetDeferSink(s.deferCompletion)
+		s.chunks = make(map[compress.ArrayID]chunkTable)
 		lay = casLayout{lay, s}
 	}
 	return walk{s, lay}

@@ -30,6 +30,9 @@ func (s *Sim) scatterGridFromRoot(h *amr.Hierarchy, gm core.GridMeta) (fields []
 			}
 		}
 		fields[fi] = s.r.Scatterv(0, parts)
+		if s.compressed() && len(fields[fi]) > 0 {
+			s.primePackedIC(icKey{gm.ID, fi, s.r.Rank()}, fields[fi])
+		}
 	}
 	if gm.NParticles == 0 {
 		return fields, nil
@@ -40,6 +43,23 @@ func (s *Sim) scatterGridFromRoot(h *amr.Hierarchy, gm core.GridMeta) (fields []
 	}
 	rows = s.r.Scatterv(0, rowParts)
 	return fields, rows
+}
+
+// primePackedIC makes part's container known to the rank's compressor before
+// the layout's own write path asks for it: the one an earlier run of this
+// problem, decomposition and codec filed in the process table, or else one
+// packed here, once, and filed for the runs to come. The write path is
+// unchanged — it squeezes the partition, is charged for it and finds it
+// packed. The partition is a fresh buffer every run; what makes the filed
+// container its own is that the hierarchy is immutable and the partition a
+// pure function of it (TestHitsAreRepacks packs every adopted one again).
+func (s *Sim) primePackedIC(k icKey, part []byte) {
+	e, np, codec := s.hierEntry(), s.r.Size(), s.z.Codec().ID()
+	if blob := e.packedIC(np, codec, k); blob != nil {
+		s.z.Adopt(part, blob)
+		return
+	}
+	e.filePackedIC(np, codec, k, s.z.Packed(part))
 }
 
 // provisionIC stages the initial conditions partition by partition and

@@ -373,7 +373,9 @@ func (zf *rawzFile) subgrid(gm core.GridMeta) func() *amr.Grid {
 		for fi, name := range amr.FieldNames {
 			// The dump owner's slot is the grid's single non-empty segment;
 			// concatenating the non-empty slots in rank order recovers the
-			// whole array without knowing who owned it.
+			// whole array without knowing who owned it. The first expansion
+			// is the array (a buffer of its own); only a second would be
+			// appended.
 			var full []byte
 			for rk := 0; rk < z.np; rk++ {
 				off, n := z.fieldSeg(gm.ID, name, rk)
@@ -382,7 +384,11 @@ func (zf *rawzFile) subgrid(gm core.GridMeta) func() *amr.Grid {
 				}
 				raw := zf.expand(nil, buf[off-lo:off-lo+n])
 				zf.recordCodecBytes(zf.name, false, int64(len(raw)), n)
-				full = append(full, raw...)
+				if full == nil {
+					full = raw
+				} else {
+					full = append(full, raw...)
+				}
 			}
 			grid.Fields[fi] = full
 		}

@@ -60,8 +60,14 @@ func storedCases() []storedCase {
 // final contents of the namespace (beneath any fault injector).
 func (tc storedCase) run(t *testing.T) (*Result, map[string][]byte) {
 	t.Helper()
+	return tc.runWith(t, nil)
+}
+
+// runWith is run with prepare shown every rank's Sim before it starts.
+func (tc storedCase) runWith(t *testing.T, prepare func(*Sim)) (*Result, map[string][]byte) {
+	t.Helper()
 	var bare pfs.FileSystem
-	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: tc.cfg, Backend: tc.backend,
+	res, err := run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: tc.cfg, Backend: tc.backend,
 		Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
 			bare = fs
 			if tc.fault != nil {
@@ -69,7 +75,7 @@ func (tc storedCase) run(t *testing.T) (*Result, map[string][]byte) {
 			}
 			return fs
 		},
-	})
+	}, prepare)
 	var rerr *RestartError
 	if err != nil && !errors.As(err, &rerr) {
 		t.Fatalf("%s: %v", tc.name, err)

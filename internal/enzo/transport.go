@@ -103,7 +103,7 @@ func (s *Sim) write(x xfer) {
 	case xSlab, xSlabIndep:
 		p = x.ds.IssueWriteHyperslab(behind, x.kind == xSlab, x.sel, x.buf)
 	case xSeg:
-		p = x.ds.IssueWriteCompressed(behind, s.codec, x.buf)
+		p = x.ds.IssueWriteCompressed(behind, s.z.Codec(), x.buf)
 	}
 	if behind {
 		s.pend.note(p.Completion())

@@ -55,9 +55,10 @@ type Config struct {
 	// funnelling through rank 0 and waiting (overhead 4).
 	ParallelAttrs bool
 
-	// Cost is the codec CPU cost model charged when datasets created with
-	// CreateDatasetZ are written or read (zero value = free codecs).
-	Cost compress.CostModel
+	// Z is the calling rank's compressor: it packs and expands the datasets
+	// created with CreateDatasetZ, charges its cost model for both and
+	// remembers what it packed (nil = free codecs, nothing remembered).
+	Z *compress.Compressor
 	// OnCodec, when set, receives the logical/physical byte counts of every
 	// compressed dataset segment transfer (write=true for writes). The
 	// caller typically forwards these to a pfs.CodecReporter with the
@@ -581,6 +582,16 @@ func (d *Dataset) dataSpan(behind bool, op string) *obs.Active {
 	return sp
 }
 
+// compressor returns the rank's configured compressor or, for a caller that
+// configured none, a free one around c that remembers nothing past the call
+// (expanding needs no codec: a container names its own).
+func (h *File) compressor(c compress.Codec) *compress.Compressor {
+	if h.cfg.Z != nil {
+		return h.cfg.Z
+	}
+	return compress.NewCompressor(c, compress.CostModel{})
+}
+
 // Compressed reports whether the dataset was created with CreateDatasetZ.
 func (d *Dataset) Compressed() bool { return d.info.Codec != 0 }
 
@@ -601,13 +612,14 @@ func (d *Dataset) WriteCompressed(c compress.Codec, raw []byte) {
 // consistent); only the device time of the segment and directory writes is
 // deferred to the returned handle's Wait.
 func (d *Dataset) IssueWriteCompressed(behind bool, c compress.Codec, raw []byte) *mpiio.Pending {
-	if !d.Compressed() || c == nil || c.ID() != d.info.Codec {
+	z := d.h.compressor(c)
+	if !d.Compressed() || c == nil || c.ID() != d.info.Codec || z.Codec().ID() != c.ID() {
 		panic(fmt.Sprintf("hdf5: dataset %q: WriteCompressed codec mismatch", d.info.Name))
 	}
 	defer d.dataSpan(behind, "data_write_z").Bytes(int64(len(raw))).End()
 	var blob []byte
 	if len(raw) > 0 {
-		blob = compress.Squeeze(d.h.r.Proc(), c, d.h.cfg.Cost, raw)
+		blob = z.Squeeze(d.h.r.Proc(), raw)
 	}
 	plens := d.h.r.AllgatherInt64(int64(len(blob)))
 	segBase := d.info.DataOff + zDirSize(d.info.Segs)
@@ -773,7 +785,7 @@ func (d *Dataset) IssueReadCompressed(behind bool, slot int, out *[]byte) (*mpii
 // the caller's clock.
 func (d *Dataset) decodeSeg(slot int, blob []byte, out *[]byte) error {
 	base := len(*out)
-	dec, err := compress.Expand(d.h.r.Proc(), d.h.cfg.Cost, *out, blob)
+	dec, err := d.h.compressor(nil).Expand(d.h.r.Proc(), *out, blob)
 	if err != nil {
 		return fmt.Errorf("hdf5: dataset %q segment %d: %w", d.info.Name, slot, err)
 	}
