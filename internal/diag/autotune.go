@@ -2,9 +2,9 @@
 // tuned Config. mpiio owns the hint rules ((Hints).AutoTuneSteps), this
 // file owns the orchestration — deriving the reduced-depth probe problem,
 // running it traced, and applying the resulting deltas at the enzo.Config
-// level. Importing this package also arms enzo.Config.AutoTune: the init
-// below registers the tuner with the enzo package (which cannot import
-// diag without a cycle).
+// level. AutoTune is the one entry point: the CLIs' -autotune
+// (runflags.Tune), the sweeps' Options.AutoTune (experiments.runCase) and
+// the hints sweep all call it before they run the tuned configuration.
 package diag
 
 import (
@@ -15,14 +15,6 @@ import (
 	"repro/internal/mpiio"
 	"repro/internal/obs"
 )
-
-func init() {
-	enzo.RegisterAutoTuner(func(machCfg machine.Config, fsKind string, nprocs int,
-		cfg enzo.Config, backend enzo.Backend) (enzo.Config, error) {
-		tuned, _, _, err := AutoTune(machCfg, fsKind, nprocs, cfg, backend)
-		return tuned, err
-	})
-}
 
 // ApplyConfig returns cfg with this delta patched in at the Config level
 // (the autotuner's write path: CBNodes, the buffer-size overrides, the
@@ -69,7 +61,6 @@ func ApplyAllConfig(deltas []HintsDelta, cfg enzo.Config) enzo.Config {
 // access structure at a fraction of the cost.
 func ProbeConfig(cfg enzo.Config) enzo.Config {
 	p := cfg
-	p.AutoTune = false
 	p.Problem = cfg.Problem + "-probe"
 	shrink := 1
 	for i, d := range p.Dims {
@@ -132,7 +123,5 @@ func AutoTune(machCfg machine.Config, fsKind string, nprocs int,
 			deltas, best = cand, vres.IOTime()
 		}
 	}
-	tuned := ApplyAllConfig(deltas, cfg)
-	tuned.AutoTune = false
-	return tuned, deltas, rep, nil
+	return ApplyAllConfig(deltas, cfg), deltas, rep, nil
 }

@@ -9,13 +9,9 @@ import (
 
 func TestProbeConfigShape(t *testing.T) {
 	cfg := enzo.AMR128()
-	cfg.AutoTune = true
 	cfg.Dumps = 3
 	cfg.RefineCycles = 2
 	p := ProbeConfig(cfg)
-	if p.AutoTune {
-		t.Fatal("probe config must not recurse into autotuning")
-	}
 	if p.Dims != [3]int{64, 64, 64} {
 		t.Fatalf("probe dims = %v, want halved", p.Dims)
 	}
@@ -104,37 +100,6 @@ func TestAutoTuneIdempotentBitIdentical(t *testing.T) {
 	}
 	if a.Makespan != b.Makespan {
 		t.Fatalf("tuned and retuned runs diverged: %.12f != %.12f", a.Makespan, b.Makespan)
-	}
-}
-
-// TestConfigAutoTuneHook exercises the enzo.Config.AutoTune surface: a run
-// with the flag set must go through the registered tuner (importing diag
-// arms it) and land exactly where explicit AutoTune + RunOnce lands.
-func TestConfigAutoTuneHook(t *testing.T) {
-	cfg := enzo.Tiny()
-	mach := machine.ChibaCity()
-	backend := enzo.BackendMPIIO
-
-	tuned, _, _, err := AutoTune(mach, "pvfs", 4, cfg, backend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := enzo.RunOnce(mach, "pvfs", 4, tuned, backend)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	auto := cfg
-	auto.AutoTune = true
-	got, err := enzo.RunOnce(mach, "pvfs", 4, auto, backend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan != want.Makespan {
-		t.Fatalf("Config.AutoTune run diverged from explicit tuning: %.12f != %.12f", got.Makespan, want.Makespan)
-	}
-	if !got.Verified {
-		t.Fatal("autotuned run failed verification")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/enzo"
 	"repro/internal/faultfs"
 	"repro/internal/machine"
-	"repro/internal/mpiio"
 	"repro/internal/obs"
 	"repro/internal/pfs"
 )
@@ -182,7 +181,7 @@ func TestDiff(t *testing.T) {
 }
 
 // TestSuggestAndApply checks the delta rules on synthetic reports and the
-// Apply plumbing into mpiio.Hints.
+// apply plumbing into an enzo.Config.
 func TestSuggestAndApply(t *testing.T) {
 	rep := &Report{
 		Meta:    RunMeta{Procs: 8},
@@ -200,9 +199,8 @@ func TestSuggestAndApply(t *testing.T) {
 	if cb == nil || cb.CBNodes == nil || *cb.CBNodes != 8 {
 		t.Fatalf("no cb_nodes=8 delta: %+v", ds)
 	}
-	h := ApplyAll(ds, mpiio.Hints{CBNodes: 2})
-	if h.CBNodes != 8 {
-		t.Fatalf("ApplyAll left CBNodes=%d, want 8", h.CBNodes)
+	if cfg := ApplyAllConfig(ds, enzo.Config{CBNodes: 2}); cfg.CBNodes != 8 {
+		t.Fatalf("ApplyAllConfig left CBNodes=%d, want 8", cfg.CBNodes)
 	}
 
 	// Heavy read amplification with sieving on: the rule disables sieving.

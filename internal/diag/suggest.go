@@ -8,10 +8,9 @@ import (
 
 // HintsDelta is one candidate tuning change derived from a report — the
 // rendered form of an mpiio.TuneStep, the ROADMAP's hint autotuner loop.
-// Exactly one of the typed fields is set; Apply patches an mpiio.Hints,
-// ApplyConfig (autotune.go) patches an enzo.Config, and AsyncIO (an
-// enzo.Config knob, not an MPI-IO hint) is surfaced for the caller to
-// apply at that level.
+// Exactly one of the typed fields is set; ApplyConfig (autotune.go) patches
+// it into an enzo.Config, where the MPI-IO hint overrides and AsyncIO (a
+// Config knob, not an MPI-IO hint) both live.
 type HintsDelta struct {
 	Param string `json:"param"` // "cb_nodes", "cb_buffer", "sieve_buffer", "data_sieving", "retry", "async_io"
 	From  string `json:"from"`
@@ -24,35 +23,6 @@ type HintsDelta struct {
 	DataSieving      *bool  `json:"data_sieving,omitempty"`
 	RetryMaxAttempts *int   `json:"retry_max_attempts,omitempty"`
 	AsyncIO          *bool  `json:"async_io,omitempty"`
-}
-
-// Apply returns h with this delta patched in. AsyncIO deltas return h
-// unchanged — that knob lives on enzo.Config.
-func (d HintsDelta) Apply(h mpiio.Hints) mpiio.Hints {
-	switch {
-	case d.CBNodes != nil:
-		h.CBNodes = *d.CBNodes
-	case d.CBBufferSize != nil:
-		h.CBBufferSize = *d.CBBufferSize
-	case d.DSBufferSize != nil:
-		h.DSBufferSize = *d.DSBufferSize
-	case d.DataSieving != nil:
-		h.DataSieving = *d.DataSieving
-	case d.RetryMaxAttempts != nil:
-		if !h.Retry.Enabled {
-			h.Retry = mpiio.DefaultRetryPolicy()
-		}
-		h.Retry.MaxAttempts = *d.RetryMaxAttempts
-	}
-	return h
-}
-
-// ApplyAll folds every delta into h in order.
-func ApplyAll(deltas []HintsDelta, h mpiio.Hints) mpiio.Hints {
-	for _, d := range deltas {
-		h = d.Apply(h)
-	}
-	return h
 }
 
 // ProbeFromReport distills a report into the neutral probe summary the

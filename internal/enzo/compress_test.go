@@ -148,22 +148,23 @@ func TestCompressedTracedMatchesUntraced(t *testing.T) {
 	}
 }
 
-// TestCodecCostModelChargesTime: a slower codec CPU must yield a longer
-// makespan, and an effectively infinite one must cost (almost) nothing
-// relative to it.
+// TestCodecCostModelChargesTime: a slower codec CPU — a rank compressor
+// charging a slower cost model — must yield a longer makespan, and an
+// effectively infinite one must cost (almost) nothing relative to it.
 func TestCodecCostModelChargesTime(t *testing.T) {
-	run := func(bps float64) float64 {
+	makespan := func(bps float64) float64 {
 		cfg := tinyCfg()
 		cfg.Codec = "lzss"
-		cfg.CompressBps = bps
-		cfg.DecompressBps = bps
-		res, err := RunOnce(testMachineCfg(), "xfs", 4, cfg, BackendMPIIO)
+		spec := RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendMPIIO}
+		res, err := run(spec, func(s *Sim) {
+			s.z = compress.NewCompressor(s.z.Codec(), compress.CostModel{CompressBps: bps, DecompressBps: bps})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Makespan
 	}
-	slow, fast := run(1e6), run(1e12)
+	slow, fast := makespan(1e6), makespan(1e12)
 	if slow <= fast {
 		t.Fatalf("slow codec CPU (%.4fs) should beat fast (%.4fs) on makespan", slow, fast)
 	}

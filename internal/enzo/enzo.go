@@ -133,26 +133,12 @@ type Config struct {
 	SieveBufferSize int64
 	DataSieving     int
 
-	// AutoTune tunes the MPI-IO hint vector before the run: a short
-	// deterministic probe (the same problem at reduced depth, one dump
-	// plus one restart read) runs first, its diagnosis report feeds the
-	// detector registry, and the resulting hint deltas are applied to
-	// this configuration (diag.Suggest is the single source of truth for
-	// the mapping). Requires the diag package in the program — it
-	// registers the tuner via RegisterAutoTuner; RunOnce fails otherwise.
-	AutoTune bool
-
 	// Codec enables transparent compression of the regular baryon field
 	// arrays in the MPI-IO and HDF5 paths ("" or "none" = off; see
 	// compress.Names for the menu). Particle arrays stay raw — they are
 	// high-entropy and their block-range accesses need fixed addressing —
 	// and the HDF4 backend stays the uncompressed baseline.
 	Codec string
-	// CompressBps/DecompressBps override the codec CPU cost model (bytes
-	// per second charged to the calling rank's virtual clock); 0 keeps
-	// compress.DefaultCostModel.
-	CompressBps   float64
-	DecompressBps float64
 
 	// ScrubOnDump enables checkpoint integrity protection: after the dump
 	// phase each generation is read back and compared against its manifest
@@ -273,18 +259,6 @@ func (c *Config) normalize(nsrv int) {
 	if nsrv > 0 && c.Replicas > nsrv {
 		c.Replicas = nsrv
 	}
-}
-
-// CostModel resolves the run's codec CPU cost model.
-func (c Config) CostModel() compress.CostModel {
-	m := compress.DefaultCostModel()
-	if c.CompressBps != 0 {
-		m.CompressBps = c.CompressBps
-	}
-	if c.DecompressBps != 0 {
-		m.DecompressBps = c.DecompressBps
-	}
-	return m
 }
 
 // AMR64 is the paper's smallest problem: a 64^3 root grid.
@@ -693,19 +667,6 @@ func RunOnceTraced(machCfg machine.Config, fsKind string, nprocs int, cfg Config
 	return Run(RunSpec{Machine: machCfg, FS: fsKind, Procs: nprocs, Config: cfg, Backend: backend, Tracer: tr})
 }
 
-// autoTuner is the probe-based configuration tuner RunOnce consults when
-// Config.AutoTune is set. The diagnosis layer owns the implementation but
-// cannot be imported from here (it sits above this package), so it
-// registers itself via RegisterAutoTuner in an init.
-var autoTuner func(machine.Config, string, int, Config, Backend) (Config, error)
-
-// RegisterAutoTuner installs the probe-based configuration tuner that
-// Config.AutoTune dispatches to. The diag package registers its tuner on
-// import; applications opt in per run with Config.AutoTune.
-func RegisterAutoTuner(fn func(machine.Config, string, int, Config, Backend) (Config, error)) {
-	autoTuner = fn
-}
-
 // Run executes the complete experiment for one configuration and returns
 // the timing result. It builds a fresh machine, file system and world, so
 // repeated calls are independent and deterministic.
@@ -715,17 +676,6 @@ func Run(spec RunSpec) (*Result, error) { return run(spec, nil) }
 // Sim before it runs.
 func run(spec RunSpec, prepare func(*Sim)) (*Result, error) {
 	cfg, tr := spec.Config, spec.Tracer
-	if cfg.AutoTune {
-		if autoTuner == nil {
-			return nil, fmt.Errorf("enzo: Config.AutoTune needs the autotuner registered (import repro/internal/diag)")
-		}
-		tuned, err := autoTuner(spec.Machine, spec.FS, spec.Procs, cfg, spec.Backend)
-		if err != nil {
-			return nil, fmt.Errorf("enzo: autotune probe failed: %w", err)
-		}
-		cfg = tuned
-		cfg.AutoTune = false // the probe ran; the tuned run must not re-probe
-	}
 	eng := sim.NewEngine()
 	if _, err := compress.Resolve(cfg.Codec); err != nil {
 		return nil, err

@@ -96,7 +96,7 @@ func (h *h5File) createDataset(gridID int, name string, dims []int, elemSize int
 	var ds *hdf5.Dataset
 	var err error
 	if field && h.compressed() {
-		ds, err = h.hf.CreateDatasetZ(dsName(gridID, name), dims, elemSize, h.z.Codec())
+		ds, err = h.hf.CreateDatasetZ(dsName(gridID, name), dims, elemSize)
 	} else {
 		ds, err = h.hf.CreateDataset(dsName(gridID, name), dims, elemSize)
 	}
@@ -116,7 +116,7 @@ func (l h5Layout) writeIC(h *amr.Hierarchy) {
 			func(gm core.GridMeta, fi int, sub mpi.Subarray, part []byte) {
 				ds := file.createDataset(gm.ID, amr.FieldNames[fi], fieldDims(gm), amr.FieldElemSize, true)
 				if l.compressed() {
-					ds.WriteCompressed(l.z.Codec(), part)
+					ds.WriteCompressed(part)
 				} else {
 					ds.WriteHyperslabIndependent(sub, part)
 				}

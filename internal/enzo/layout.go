@@ -110,7 +110,7 @@ func layoutFor(s *Sim) ioPath {
 		lay = h5Layout{s}
 	}
 	if codec != nil {
-		s.z = compress.NewCompressor(codec, s.cfg.CostModel())
+		s.z = compress.NewCompressor(codec, compress.DefaultCostModel())
 	}
 	s.async = s.cfg.AsyncIO
 	if s.cfg.CAStore {

@@ -71,10 +71,10 @@ type Options struct {
 	// and runs both modes itself.
 	Async bool
 
-	// AutoTune runs every figure case with the probe-based hint autotuner
-	// (Config.AutoTune): each case first runs a short reduced-depth probe
-	// and applies the resulting hint deltas. The hints sweep ignores this
-	// and runs both modes itself.
+	// AutoTune runs every case with the probe-based hint autotuner: runCase
+	// first runs diag.AutoTune's short reduced-depth probe and runs the
+	// configuration with the resulting hint deltas applied. The hints sweep
+	// ignores this and runs both modes itself; fleet jobs run untuned.
 	AutoTune bool
 
 	// DiagnoseSink, when non-nil, runs the same cases TraceDir covers with
@@ -96,7 +96,6 @@ func (o Options) problem(name string) enzo.Config {
 	}
 	cfg.Codec = o.Codec
 	cfg.AsyncIO = o.Async
-	cfg.AutoTune = o.AutoTune
 	return cfg
 }
 

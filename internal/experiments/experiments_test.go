@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/enzo"
 	"repro/internal/machine"
 )
@@ -273,6 +274,39 @@ func TestRunTracedWritesArtifacts(t *testing.T) {
 		if len(data) == 0 {
 			t.Errorf("artifact %s is empty", name)
 		}
+	}
+}
+
+// TestRunCaseAutoTune: Options.AutoTune reaches the tuner through its one
+// entry point — a case run with it lands exactly where diag.AutoTune plus a
+// plain run of the tuned configuration lands.
+func TestRunCaseAutoTune(t *testing.T) {
+	c := Case{"figX", enzo.RunSpec{
+		Machine: machine.ChibaCity(),
+		FS:      "pvfs",
+		Procs:   4,
+		Config:  enzo.Tiny(),
+		Backend: enzo.BackendMPIIO,
+	}}
+	tuned, _, _, err := diag.AutoTune(c.Machine, c.FS, c.Procs, c.Config, c.Backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := c.RunSpec
+	spec.Config = tuned
+	want, err := enzo.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runCase(c, "", Options{AutoTune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Makespan != want.Makespan {
+		t.Fatalf("Options.AutoTune run diverged from explicit tuning: %.12f != %.12f", got.Makespan, want.Makespan)
+	}
+	if !got.Verified {
+		t.Fatal("autotuned run failed verification")
 	}
 }
 

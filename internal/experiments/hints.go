@@ -55,11 +55,11 @@ func deltaSummary(deltas []diag.HintsDelta) string {
 func HintsSweep(o Options) ([]HintsRow, error) {
 	var rows []HintsRow
 	const np = 8
+	o.AutoTune = false // the sweep probes explicitly, below
 	for _, mach := range []machine.Config{machine.Origin2000(), machine.SP2(), machine.ChibaCity()} {
 		for _, fs := range []string{"pvfs", "gpfs"} {
 			for _, backend := range []enzo.Backend{enzo.BackendMPIIO, enzo.BackendHDF5} {
 				c := Case{"hints", enzo.RunSpec{Machine: mach, FS: fs, Procs: np, Config: o.problem("AMR64"), Backend: backend}}
-				c.Config.AutoTune = false // the sweep probes explicitly, below
 				// Name() does not carry the machine, and each row runs twice.
 				defRes, err := runCase(c, mach.Name+" default", o)
 				if err != nil {

@@ -19,10 +19,12 @@ type CaseFindings struct {
 }
 
 // runCase is the one place a sweep runs a configuration. It wraps a failure
-// with the case's label and, under Options.TraceDir or DiagnoseSink,
-// attaches a stack-wide tracer, writes the case's artefacts and hands its
-// findings to the sink. Tracing and diagnosis only read the virtual clock,
-// so the result is identical to an uninstrumented run either way.
+// with the case's label, tunes the configuration first under
+// Options.AutoTune (the probe is never traced) and, under Options.TraceDir
+// or DiagnoseSink, attaches a stack-wide tracer, writes the case's artefacts
+// and hands its findings to the sink. Tracing and diagnosis only read the
+// virtual clock, so the result is identical to an uninstrumented run either
+// way.
 //
 // variant names what Case.Name() does not carry — which of two runs of one
 // configuration this is, a retention depth, a fault rate — so that no two
@@ -34,6 +36,13 @@ func runCase(c Case, variant string, o Options) (*enzo.Result, error) {
 	}
 	label := c.Figure + " " + name
 	spec := c.RunSpec
+	if o.AutoTune {
+		tuned, _, _, err := diag.AutoTune(spec.Machine, spec.FS, spec.Procs, spec.Config, spec.Backend)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", label, err)
+		}
+		spec.Config = tuned
+	}
 	if o.TraceDir != "" || o.DiagnoseSink != nil {
 		spec.Tracer = obs.NewTracer()
 	}

@@ -2,6 +2,7 @@ package hdf5
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/compress"
@@ -9,6 +10,14 @@ import (
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
+
+// zConfig is the default library configuration with a free compressor
+// carrying codec c.
+func zConfig(c compress.Codec) Config {
+	cfg := DefaultConfig()
+	cfg.Z = compress.NewCompressor(c, compress.CostModel{})
+	return cfg
+}
 
 // TestCompressedDatasetRoundTrip writes each rank's partition through
 // WriteCompressed and reads it back via per-slot and concatenated reads:
@@ -35,18 +44,18 @@ func TestCompressedDatasetRoundTrip(t *testing.T) {
 
 	parts := make([][]byte, nprocs)
 	_, _ = runH5(t, nprocs, func(r *mpi.Rank, fs pfs.FileSystem) {
-		h, err := Create(r, fs, "z.h5", DefaultConfig(), mpiio.DefaultHints())
+		h, err := Create(r, fs, "z.h5", zConfig(codec), mpiio.DefaultHints())
 		if err != nil {
 			panic(err)
 		}
-		ds, err := h.CreateDatasetZ("density", []int{N, N, N}, elem, codec)
+		ds, err := h.CreateDatasetZ("density", []int{N, N, N}, elem)
 		if err != nil {
 			panic(err)
 		}
 		sel := mpi.BlockDecompose3D([3]int{N, N, N}, pz, py, px, r.Rank(), elem)
 		part := sel.GatherSub(global)
 		parts[r.Rank()] = part
-		ds.WriteCompressed(codec, part)
+		ds.WriteCompressed(part)
 		ds.Close()
 		h.Close()
 
@@ -100,16 +109,16 @@ func TestCompressedDatasetShrinksFile(t *testing.T) {
 	size := func(z bool) int64 {
 		var n int64
 		_, fs := runH5(t, 1, func(r *mpi.Rank, fs pfs.FileSystem) {
-			h, err := Create(r, fs, "f.h5", DefaultConfig(), mpiio.DefaultHints())
+			h, err := Create(r, fs, "f.h5", zConfig(codec), mpiio.DefaultHints())
 			if err != nil {
 				panic(err)
 			}
 			if z {
-				ds, err := h.CreateDatasetZ("d", []int{N, N, N}, elem, codec)
+				ds, err := h.CreateDatasetZ("d", []int{N, N, N}, elem)
 				if err != nil {
 					panic(err)
 				}
-				ds.WriteCompressed(codec, data)
+				ds.WriteCompressed(data)
 				ds.Close()
 			} else {
 				ds, err := h.CreateDataset("d", []int{N, N, N}, elem)
@@ -132,22 +141,22 @@ func TestCompressedDatasetShrinksFile(t *testing.T) {
 	}
 }
 
-// TestCreateDatasetZValidation rejects nil and inactive codecs.
+// TestCreateDatasetZValidation rejects a file with no compressor, and one
+// whose compressor carries a nil or an inactive codec.
 func TestCreateDatasetZValidation(t *testing.T) {
-	runH5(t, 1, func(r *mpi.Rank, fs pfs.FileSystem) {
-		h, err := Create(r, fs, "v.h5", DefaultConfig(), mpiio.DefaultHints())
-		if err != nil {
-			panic(err)
-		}
-		if _, err := h.CreateDatasetZ("a", []int{4}, 4, nil); err == nil {
-			panic("nil codec accepted")
-		}
-		none, _ := compress.ByName("none")
-		if _, err := h.CreateDatasetZ("a", []int{4}, 4, none); err == nil {
-			panic("inactive codec accepted")
-		}
-		h.Close()
-	})
+	none, _ := compress.ByName("none")
+	for i, cfg := range []Config{DefaultConfig(), zConfig(nil), zConfig(none)} {
+		runH5(t, 1, func(r *mpi.Rank, fs pfs.FileSystem) {
+			h, err := Create(r, fs, "v.h5", cfg, mpiio.DefaultHints())
+			if err != nil {
+				panic(err)
+			}
+			if _, err := h.CreateDatasetZ("a", []int{4}, 4); err == nil {
+				panic(fmt.Sprintf("config %d: CreateDatasetZ accepted a file without an active codec", i))
+			}
+			h.Close()
+		})
+	}
 }
 
 // TestCompressedCorruptionDetected flips a data byte of a stored segment:
@@ -163,15 +172,15 @@ func TestCompressedCorruptionDetected(t *testing.T) {
 	}
 	codec, _ := compress.ByName("rle")
 	_, fs := runH5(t, 1, func(r *mpi.Rank, fs pfs.FileSystem) {
-		h, err := Create(r, fs, "c.h5", DefaultConfig(), mpiio.DefaultHints())
+		h, err := Create(r, fs, "c.h5", zConfig(codec), mpiio.DefaultHints())
 		if err != nil {
 			panic(err)
 		}
-		ds, err := h.CreateDatasetZ("d", []int{N, N, N}, elem, codec)
+		ds, err := h.CreateDatasetZ("d", []int{N, N, N}, elem)
 		if err != nil {
 			panic(err)
 		}
-		ds.WriteCompressed(codec, data)
+		ds.WriteCompressed(data)
 		ds.Close()
 		h.Close()
 	})

@@ -55,9 +55,11 @@ type Config struct {
 	// funnelling through rank 0 and waiting (overhead 4).
 	ParallelAttrs bool
 
-	// Z is the calling rank's compressor: it packs and expands the datasets
-	// created with CreateDatasetZ, charges its cost model for both and
-	// remembers what it packed (nil = free codecs, nothing remembered).
+	// Z is the calling rank's compressor: it carries the codec the datasets
+	// created with CreateDatasetZ are packed with, packs and expands them,
+	// charges its cost model for both and remembers what it packed. Creating
+	// or writing a compressed dataset needs it; reading one without it
+	// expands for free (a container names its own codec).
 	Z *compress.Compressor
 	// OnCodec, when set, receives the logical/physical byte counts of every
 	// compressed dataset segment transfer (write=true for writes). The
@@ -396,14 +398,14 @@ func (h *File) CreateDataset(name string, dims []int, elemSize int) (*Dataset, e
 
 // CreateDatasetZ collectively creates a compressed ("chunked+filtered")
 // dataset: its data region starts with a per-rank segment directory, and
-// the actual array bytes arrive packed through WriteCompressed. The same
-// create/close synchronization overheads apply — compression changes the
-// data volume, not the metadata protocol.
-func (h *File) CreateDatasetZ(name string, dims []int, elemSize int, c compress.Codec) (*Dataset, error) {
-	if c == nil || c.ID() == 0 {
-		return nil, fmt.Errorf("hdf5: dataset %q: CreateDatasetZ needs an active codec", name)
+// the actual array bytes arrive packed through WriteCompressed, by the codec
+// of Config.Z. The same create/close synchronization overheads apply —
+// compression changes the data volume, not the metadata protocol.
+func (h *File) CreateDatasetZ(name string, dims []int, elemSize int) (*Dataset, error) {
+	if h.cfg.Z == nil || h.cfg.Z.Codec() == nil || h.cfg.Z.Codec().ID() == 0 {
+		return nil, fmt.Errorf("hdf5: dataset %q: CreateDatasetZ needs a compressor with an active codec (Config.Z)", name)
 	}
-	return h.createDataset(name, dims, elemSize, c.ID(), h.r.Size(), zDirSize(h.r.Size()))
+	return h.createDataset(name, dims, elemSize, h.cfg.Z.Codec().ID(), h.r.Size(), zDirSize(h.r.Size()))
 }
 
 func (h *File) createDataset(name string, dims []int, elemSize int, codec uint8, segs int, dataLen int64) (*Dataset, error) {
@@ -582,14 +584,14 @@ func (d *Dataset) dataSpan(behind bool, op string) *obs.Active {
 	return sp
 }
 
-// compressor returns the rank's configured compressor or, for a caller that
-// configured none, a free one around c that remembers nothing past the call
+// expander returns the rank's configured compressor or, for a reader that
+// configured none, a free one that remembers nothing past the call
 // (expanding needs no codec: a container names its own).
-func (h *File) compressor(c compress.Codec) *compress.Compressor {
+func (h *File) expander() *compress.Compressor {
 	if h.cfg.Z != nil {
 		return h.cfg.Z
 	}
-	return compress.NewCompressor(c, compress.CostModel{})
+	return compress.NewCompressor(nil, compress.CostModel{})
 }
 
 // Compressed reports whether the dataset was created with CreateDatasetZ.
@@ -601,9 +603,9 @@ func (d *Dataset) Compressed() bool { return d.info.Codec != 0 }
 // synchronization point, replacing the two-phase offset exchange), each
 // rank appends its blob after the directory, and rank 0 writes the
 // directory. Ranks without data pass raw == nil and contribute an empty
-// segment.
-func (d *Dataset) WriteCompressed(c compress.Codec, raw []byte) {
-	d.IssueWriteCompressed(false, c, raw)
+// segment. Config.Z packs, with the codec the dataset was created with.
+func (d *Dataset) WriteCompressed(raw []byte) {
+	d.IssueWriteCompressed(false, raw)
 }
 
 // IssueWriteCompressed is WriteCompressed in either MPI-IO issue mode.
@@ -611,9 +613,9 @@ func (d *Dataset) WriteCompressed(c compress.Codec, raw []byte) {
 // issue (they need the rank on the CPU and keep the broadcast index
 // consistent); only the device time of the segment and directory writes is
 // deferred to the returned handle's Wait.
-func (d *Dataset) IssueWriteCompressed(behind bool, c compress.Codec, raw []byte) *mpiio.Pending {
-	z := d.h.compressor(c)
-	if !d.Compressed() || c == nil || c.ID() != d.info.Codec || z.Codec().ID() != c.ID() {
+func (d *Dataset) IssueWriteCompressed(behind bool, raw []byte) *mpiio.Pending {
+	z := d.h.cfg.Z
+	if !d.Compressed() || z == nil || z.Codec() == nil || z.Codec().ID() != d.info.Codec {
 		panic(fmt.Sprintf("hdf5: dataset %q: WriteCompressed codec mismatch", d.info.Name))
 	}
 	defer d.dataSpan(behind, "data_write_z").Bytes(int64(len(raw))).End()
@@ -785,7 +787,7 @@ func (d *Dataset) IssueReadCompressed(behind bool, slot int, out *[]byte) (*mpii
 // the caller's clock.
 func (d *Dataset) decodeSeg(slot int, blob []byte, out *[]byte) error {
 	base := len(*out)
-	dec, err := d.h.compressor(nil).Expand(d.h.r.Proc(), *out, blob)
+	dec, err := d.h.expander().Expand(d.h.r.Proc(), *out, blob)
 	if err != nil {
 		return fmt.Errorf("hdf5: dataset %q segment %d: %w", d.info.Name, slot, err)
 	}

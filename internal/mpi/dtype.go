@@ -21,7 +21,7 @@ import "fmt"
 // Run is a contiguous byte extent at offset Off of length Len. Lists of
 // runs are the flattened form of MPI derived datatypes: both file views
 // (subarrays of a stored multidimensional dataset) and irregular accesses
-// reduce to them.
+// reduce to them, and they are the only datatype form the I/O paths use.
 type Run struct {
 	Off int64
 	Len int64
@@ -34,34 +34,6 @@ func TotalLen(runs []Run) int64 {
 		n += r.Len
 	}
 	return n
-}
-
-// CoalesceRuns merges adjacent or overlapping-free neighbouring runs in an
-// offset-sorted run list. The input must be sorted by Off and
-// non-overlapping; the result is the minimal equivalent list.
-func CoalesceRuns(runs []Run) []Run {
-	if len(runs) == 0 {
-		return nil
-	}
-	out := make([]Run, 0, len(runs))
-	cur := runs[0]
-	for _, r := range runs[1:] {
-		if r.Off < cur.Off+cur.Len {
-			panic(fmt.Sprintf("mpi: CoalesceRuns input unsorted or overlapping at off %d", r.Off))
-		}
-		if r.Off == cur.Off+cur.Len {
-			cur.Len += r.Len
-			continue
-		}
-		if cur.Len > 0 {
-			out = append(out, cur)
-		}
-		cur = r
-	}
-	if cur.Len > 0 {
-		out = append(out, cur)
-	}
-	return out
 }
 
 // Subarray describes an axis-aligned block (subsizes at starts) of a

@@ -2,7 +2,8 @@
 // short deterministic probe run instead of hand-picking per machine×file
 // system. The rule set is the single source of truth for the
 // detector→hint mapping — diag.Suggest renders these same steps as
-// HintsDelta findings, and diag.AutoTune applies them to an enzo.Config —
+// HintsDelta findings, and diag.AutoTune, the one tuning entry point,
+// applies them to an enzo.Config —
 // so a hint the tuner would pick and a hint the doctor would suggest can
 // never disagree.
 //
@@ -60,15 +61,10 @@ func (s TuneStep) String() string {
 	return fmt.Sprintf("%s: %s -> %s (%s)", s.Param, s.From, s.To, s.Why)
 }
 
-// AutoTune returns the hint vector tuned against the probe's
-// observations. Hints the probe gives no reason to move are kept, so
-// tuning an already-optimal vector is the identity.
-func (h Hints) AutoTune(p Probe) Hints {
-	tuned, _ := h.AutoTuneSteps(p)
-	return tuned
-}
-
-// AutoTuneSteps is AutoTune plus the applied rules, in application order.
+// AutoTuneSteps returns the hint vector tuned against the probe's
+// observations and the rules it applied, in application order. Hints the
+// probe gives no reason to move are kept, so tuning an already-optimal
+// vector is the identity.
 //
 // Rule 1 (cb_nodes): with collective I/O on a striped volume, the
 // effective aggregator count should match the data-server count —

@@ -190,9 +190,8 @@ func TestCollectiveReadForcedMatchesAutomatic(t *testing.T) {
 	}
 }
 
-// TestDerivedDatatypeViews drives WriteRuns/ReadRuns through the mpi
-// derived-type constructors, the way an application would set a file view
-// from MPI_Type_vector.
+// TestDerivedDatatypeViews drives WriteRuns/ReadRuns through the run list
+// an application's MPI_Type_vector file view flattens to.
 func TestDerivedDatatypeViews(t *testing.T) {
 	eng := sim.NewEngine()
 	mach := machine.New(testMachineCfg())
@@ -204,14 +203,14 @@ func TestDerivedDatatypeViews(t *testing.T) {
 		}
 		// A column of a 8x8 int32 matrix: vector of 8 blocks of 1
 		// element, stride 8, shifted to column 3.
-		view := mpi.Shifted{
-			Base: mpi.Vector{Count: 8, BlockLen: 1, Stride: 8, ElemSize: 4},
-			Off:  3 * 4,
+		var view []mpi.Run
+		for row := int64(0); row < 8; row++ {
+			view = append(view, mpi.Run{Off: (row*8 + 3) * 4, Len: 4})
 		}
 		data := bytes.Repeat([]byte{0xAB, 0xCD, 0xEF, 0x01}, 8)
-		f.WriteRuns(view.Flatten(), data)
+		f.WriteRuns(view, data)
 		got := make([]byte, len(data))
-		f.ReadRuns(view.Flatten(), got)
+		f.ReadRuns(view, got)
 		if !bytes.Equal(got, data) {
 			panic("vector view round trip failed")
 		}

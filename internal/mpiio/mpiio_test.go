@@ -480,7 +480,6 @@ func TestCollectiveReadProperty(t *testing.T) {
 					runs = append(runs, mpi.Run{Off: cut[i], Len: cut[i+1] - cut[i]})
 				}
 			}
-			runs = mpi.CoalesceRuns(runs)
 			buf := make([]byte, mpi.TotalLen(runs))
 			fl.ReadAtAll(runs, buf)
 			var p int64
