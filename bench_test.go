@@ -70,7 +70,7 @@ func BenchmarkEngine(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/np=%d", c.problem, c.np), func(b *testing.B) {
 			var events int64
 			for i := 0; i < b.N; i++ {
-				res, err := enzo.RunOnce(c.mach, "pvfs", c.np, c.cfg, enzo.BackendMPIIO)
+				res, err := enzo.Run(enzo.RunSpec{Machine: c.mach, FS: "pvfs", Procs: c.np, Config: c.cfg, Backend: enzo.BackendMPIIO})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -233,7 +233,7 @@ func BenchmarkAblationSubgridWriteAll(b *testing.B) {
 			var res *enzo.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = enzo.RunOnce(machine.ChibaCity(), "pvfs", 8, benchProblem(), backend)
+				res, err = enzo.Run(enzo.RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 8, Config: benchProblem(), Backend: backend})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -253,7 +253,7 @@ func BenchmarkAblationSharedFile(b *testing.B) {
 			var res *enzo.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = enzo.RunOnce(machine.SP2(), "gpfs", 32, benchProblem(), backend)
+				res, err = enzo.Run(enzo.RunSpec{Machine: machine.SP2(), FS: "gpfs", Procs: 32, Config: benchProblem(), Backend: backend})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -185,16 +185,6 @@ type Box struct {
 	Lo, Hi [3]int
 }
 
-// Empty reports whether the box has no cells.
-func (b Box) Empty() bool {
-	for d := 0; d < 3; d++ {
-		if b.Hi[d] <= b.Lo[d] {
-			return true
-		}
-	}
-	return false
-}
-
 // Cells returns the number of parent cells in the box.
 func (b Box) Cells() int {
 	n := 1

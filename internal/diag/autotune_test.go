@@ -90,11 +90,11 @@ func TestAutoTuneIdempotentBitIdentical(t *testing.T) {
 		t.Fatalf("tuning the tuned config changed it:\n  %+v\n  %+v", tuned, retuned)
 	}
 
-	a, err := enzo.RunOnce(mach, "pvfs", 4, tuned, backend)
+	a, err := enzo.Run(enzo.RunSpec{Machine: mach, FS: "pvfs", Procs: 4, Config: tuned, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := enzo.RunOnce(mach, "pvfs", 4, retuned, backend)
+	b, err := enzo.Run(enzo.RunSpec{Machine: mach, FS: "pvfs", Procs: 4, Config: retuned, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestDegenerateInputs(t *testing.T) {
 func TestSingleRankRun(t *testing.T) {
 	cfg := enzo.Tiny()
 	tr := obs.NewTracer()
-	res, err := enzo.RunOnceTraced(testMach(), "local", 1, cfg, enzo.BackendMPIIO, tr)
+	res, err := enzo.Run(enzo.RunSpec{Machine: testMach(), FS: "local", Procs: 1, Config: cfg, Backend: enzo.BackendMPIIO, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 	doc := func() []byte {
 		cfg := enzo.Tiny()
 		tr := obs.NewTracer()
-		res, err := enzo.RunOnceTraced(testMach(), "pvfs", 4, cfg, enzo.BackendMPIIO, tr)
+		res, err := enzo.Run(enzo.RunSpec{Machine: testMach(), FS: "pvfs", Procs: 4, Config: cfg, Backend: enzo.BackendMPIIO, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestOpenMetricsJobRows(t *testing.T) {
 func BenchmarkSnapshot(b *testing.B) {
 	cfg := enzo.Tiny()
 	tr := obs.NewTracer()
-	res, err := enzo.RunOnceTraced(machine.ChibaCity(), "pvfs", 4, cfg, enzo.BackendMPIIO, tr)
+	res, err := enzo.Run(enzo.RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 4, Config: cfg, Backend: enzo.BackendMPIIO, Tracer: tr})
 	if err != nil {
 		b.Fatal(err)
 	}

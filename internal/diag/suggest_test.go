@@ -36,7 +36,7 @@ func TestSuggestCBNodesConfirmedFaster(t *testing.T) {
 				cfg := enzo.AMR64()
 				cfg.CBNodes = cbnodes
 				tr := obs.NewTracer()
-				res, err := enzo.RunOnceTraced(tc.mach, tc.fs, 8, cfg, tc.backend, tr)
+				res, err := enzo.Run(enzo.RunSpec{Machine: tc.mach, FS: tc.fs, Procs: 8, Config: cfg, Backend: tc.backend, Tracer: tr})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/pfs"
 )
 
-// snapshotRun executes RunOnce and returns the result plus the final file
+// snapshotRun executes Run and returns the result plus the final file
 // system contents.
 func snapshotRun(t *testing.T, fsKind string, np int, cfg Config, backend Backend) (*Result, map[string][]byte) {
 	t.Helper()
@@ -79,7 +79,7 @@ func TestAsyncHidesIOUnderCompute(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.FlopsPerCell = 40000 // compute window well above the Tiny dump time
 	cfg.AsyncIO = true
-	res, err := RunOnce(testMachineCfg(), "pvfs", 4, cfg, BackendMPIIO)
+	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAsyncHidesIOUnderCompute(t *testing.T) {
 func TestAsyncHDF4StaysSynchronous(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.AsyncIO = true
-	res, err := RunOnce(testMachineCfg(), "xfs", 4, cfg, BackendHDF4)
+	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendHDF4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +116,12 @@ func TestAsyncTracedMatchesUntraced(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.AsyncIO = true
 	for _, backend := range []Backend{BackendMPIIO, BackendHDF5} {
-		plain, err := RunOnce(testMachineCfg(), "pvfs", 4, cfg, backend)
+		plain, err := Run(RunSpec{Machine: testMachineCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := obs.NewTracer()
-		traced, err := RunOnceTraced(testMachineCfg(), "pvfs", 4, cfg, backend, tr)
+		traced, err := Run(RunSpec{Machine: testMachineCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: backend, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestAsyncMultiDump(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Dumps = 3
 	cfg.AsyncIO = true
-	res, err := RunOnce(testMachineCfg(), "pvfs", 4, cfg, BackendMPIIO)
+	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}

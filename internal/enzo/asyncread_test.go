@@ -47,7 +47,7 @@ func TestAsyncReadRestartBitIdentical(t *testing.T) {
 func TestAsyncReadHidesTime(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.AsyncIO = true
-	res, err := RunOnce(testMachineCfg(), "pvfs", 4, cfg, BackendMPIIO)
+	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAsyncReadFasterRestart(t *testing.T) {
 	restartSecs := func(async bool) float64 {
 		cfg := tinyCfg()
 		cfg.AsyncIO = async
-		res, err := RunOnce(testMachineCfg(), "local", 4, cfg, BackendMPIIO)
+		res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "local", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestAsyncReadFasterRestart(t *testing.T) {
 func TestAsyncReadHDF4StaysSynchronous(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.AsyncIO = true
-	res, err := RunOnce(testMachineCfg(), "xfs", 4, cfg, BackendHDF4)
+	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendHDF4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAsyncReadStaysBlockingUnderRetry(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.AsyncIO = true
 	cfg.IORetry = testRetryPolicy()
-	res, err := RunOnce(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO)
+	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestAsyncScrubGenerationsComposition(t *testing.T) {
 				cfg.Dumps = 3
 				cfg.Generations = 2
 				cfg.Codec = codec
-				res, err := RunOnce(testMachineCfg(), "pvfs", 4, cfg, backend)
+				res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: backend})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,7 +222,7 @@ func TestRestartDeadServerFallsBack(t *testing.T) {
 			// begins (runs are deterministic, so the faulty run follows the
 			// same timeline up to the failure).
 			tr := obs.NewTracer()
-			healthy, err := RunOnceTraced(faultMachCfg(), "pvfs", 4, cfg, tc.backend, tr)
+			healthy, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: tc.backend, Tracer: tr})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func TestCAStoreRestartBitIdentical(t *testing.T) {
 					cfg.Codec = codec
 					cfg.CAStore = true
 					cfg.Dumps = 2
-					res, err := RunOnce(faultMachCfg(), fsKind, 4, cfg, backend)
+					res, err := Run(RunSpec{Machine: faultMachCfg(), FS: fsKind, Procs: 4, Config: cfg, Backend: backend})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -110,7 +110,7 @@ func TestCAStoreComposesWithAsyncAndScrub(t *testing.T) {
 			cfg.Dumps = 2
 			cfg.AsyncIO = tc.async
 			cfg.ScrubOnDump = tc.scrub
-			res, err := RunOnce(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO)
+			res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,12 +136,12 @@ func TestCAStoreComposesWithAsyncAndScrub(t *testing.T) {
 func TestCAStorePhysicalBelowPlain(t *testing.T) {
 	cfg := Tiny()
 	cfg.Dumps = 2
-	plain, err := RunOnce(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO)
+	plain, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CAStore = true
-	cas, err := RunOnce(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO)
+	cas, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestCAStoreDeadServerFailsOver(t *testing.T) {
 	// (runs are deterministic, so the faulty run follows the same timeline
 	// up to the failure).
 	tr := obs.NewTracer()
-	healthy, err := RunOnceTraced(faultMachCfg(), "pvfs", 4, cfg, BackendMPIIO, tr)
+	healthy, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestCompressedRunsVerifyEverywhere(t *testing.T) {
 				t.Run(fmt.Sprintf("%s-%s-%s", backend, fsKind, codec), func(t *testing.T) {
 					cfg := tinyCfg()
 					cfg.Codec = codec
-					res, err := RunOnce(testMachineCfg(), fsKind, 4, cfg, backend)
+					res, err := Run(RunSpec{Machine: testMachineCfg(), FS: fsKind, Procs: 4, Config: cfg, Backend: backend})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -60,7 +60,7 @@ func TestCompressedContentMatchesUncompressed(t *testing.T) {
 		res := &Result{}
 		var h ContentHash
 		mpi.NewWorld(eng, mach, 4, func(r *mpi.Rank) {
-			s := NewSim(r, fs, backend, cfg, res)
+			s := newSim(r, fs, backend, cfg, res)
 			s.setup()
 			s.readInitial()
 			s.evolve()
@@ -93,14 +93,14 @@ func TestCompressedContentMatchesUncompressed(t *testing.T) {
 // actually compress — a codec run's physical write volume has to come in
 // clearly under the uncompressed run's.
 func TestCompressedRunsShrinkPhysicalWrites(t *testing.T) {
-	base, err := RunOnce(testMachineCfg(), "xfs", 4, tinyCfg(), BackendMPIIO)
+	base, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: tinyCfg(), Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, codec := range []string{"delta", "lzss"} {
 		cfg := tinyCfg()
 		cfg.Codec = codec
-		res, err := RunOnce(testMachineCfg(), "xfs", 4, cfg, BackendMPIIO)
+		res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,12 +120,12 @@ func TestCompressedTracedMatchesUntraced(t *testing.T) {
 		t.Run(backend.String(), func(t *testing.T) {
 			cfg := tinyCfg()
 			cfg.Codec = "lzss"
-			plain, err := RunOnce(testMachineCfg(), "pvfs", 4, cfg, backend)
+			plain, err := Run(RunSpec{Machine: testMachineCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
 			tr := obs.NewTracer()
-			traced, err := RunOnceTraced(testMachineCfg(), "pvfs", 4, cfg, backend, tr)
+			traced, err := Run(RunSpec{Machine: testMachineCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: backend, Tracer: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestCodecCostModelChargesTime(t *testing.T) {
 func TestUnknownCodecRejected(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Codec = "zstd"
-	if _, err := RunOnce(testMachineCfg(), "xfs", 4, cfg, BackendMPIIO); err == nil {
+	if _, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendMPIIO}); err == nil {
 		t.Fatal("unknown codec accepted")
 	}
 }
@@ -184,14 +184,14 @@ func TestUnknownCodecRejected(t *testing.T) {
 func TestHDF4IgnoresCodec(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Codec = "lzss"
-	res, err := RunOnce(testMachineCfg(), "xfs", 4, cfg, BackendHDF4)
+	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendHDF4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Verified {
 		t.Fatal("hdf4 run with codec configured failed verification")
 	}
-	base, err := RunOnce(testMachineCfg(), "xfs", 4, tinyCfg(), BackendHDF4)
+	base, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: tinyCfg(), Backend: BackendHDF4})
 	if err != nil {
 		t.Fatal(err)
 	}

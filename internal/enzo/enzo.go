@@ -475,7 +475,7 @@ type Sim struct {
 	cfg     Config
 
 	// codecReporter is the layer of fs that wants compressed-transfer
-	// accounting (nil when none does), resolved once in NewSim.
+	// accounting (nil when none does), resolved once in newSim.
 	codecReporter pfs.CodecReporter
 
 	meta    *core.HierarchyMeta
@@ -654,74 +654,152 @@ type RunSpec struct {
 	Tracer *obs.Tracer
 }
 
-// RunOnce is Run with no wrapper and no tracer, kept for the frozen bench/
-// only (and the tests that predate RunSpec): new code calls Run.
+// RunOnce is Run with no wrapper and no tracer. Only the frozen bench/ calls
+// it; everything else calls Run.
 func RunOnce(machCfg machine.Config, fsKind string, nprocs int, cfg Config, backend Backend) (*Result, error) {
 	return Run(RunSpec{Machine: machCfg, FS: fsKind, Procs: nprocs, Config: cfg, Backend: backend})
 }
 
-// RunOnceTraced is RunOnce with a stack-wide tracer attached, kept for the
-// frozen bench/ only.
+// RunOnceTraced is RunOnce with a stack-wide tracer attached. Only the
+// frozen bench/ calls it.
 func RunOnceTraced(machCfg machine.Config, fsKind string, nprocs int, cfg Config,
 	backend Backend, tr *obs.Tracer) (*Result, error) {
 	return Run(RunSpec{Machine: machCfg, FS: fsKind, Procs: nprocs, Config: cfg, Backend: backend, Tracer: tr})
 }
 
 // Run executes the complete experiment for one configuration and returns
-// the timing result. It builds a fresh machine, file system and world, so
-// repeated calls are independent and deterministic.
+// the timing result: Assemble with one world. Every call builds a fresh
+// machine, file system and world, so repeated calls are independent and
+// deterministic.
 func Run(spec RunSpec) (*Result, error) { return run(spec, nil) }
 
 // run is Run; prepare, which only in-package tests pass, sees every rank's
 // Sim before it runs.
 func run(spec RunSpec, prepare func(*Sim)) (*Result, error) {
-	cfg, tr := spec.Config, spec.Tracer
-	eng := sim.NewEngine()
-	if _, err := compress.Resolve(cfg.Codec); err != nil {
-		return nil, err
+	res := new(Result)
+	w := World{Procs: spec.Procs, Config: spec.Config, Backend: spec.Backend, Result: res}
+	if prepare != nil {
+		w.Body = func(_ *mpi.Rank, _ pfs.FileSystem, s *Sim) { prepare(s); s.Run() }
 	}
-	if err := cfg.checkFootprint(spec.Procs); err != nil {
-		return nil, err
-	}
-	mach := machine.New(spec.Machine)
-	fs, err := MakeFS(spec.FS, mach)
-	if err != nil {
-		return nil, err
-	}
+	a := Allocation{Machine: spec.Machine, FS: spec.FS, Tracer: spec.Tracer}
 	if spec.Wrap != nil {
-		fs = spec.Wrap(fs)
+		a.Wrap = func(fs pfs.FileSystem) (pfs.FileSystem, error) { return spec.Wrap(fs), nil }
 	}
+	if _, err := Assemble(a, w); err != nil {
+		if _, failed := err.(*RestartError); failed {
+			return res, err
+		}
+		return nil, err
+	}
+	return res, nil
+}
+
+// An Allocation is the simulated platform every world of an assembled run
+// shares: a machine, a file system (a MakeFS kind), an optional wrapper over
+// the bare file system and an optional stack-wide tracer.
+type Allocation struct {
+	Machine machine.Config
+	FS      string
+	Wrap    func(pfs.FileSystem) (pfs.FileSystem, error)
+	Tracer  *obs.Tracer
+}
+
+// A World is one MPI job of an assembled run: Procs ranks at Place. A tracer
+// numbers its ranks from the sum of the Procs of the worlds before it.
+type World struct {
+	Procs int
+	Place mpi.Placement
+	// Result, when non-nil, makes the world an ENZO job of Config and
+	// Backend: Assemble checks Config before it builds anything, gives every
+	// rank a Sim and fills Result the way Run does.
+	Config  Config
+	Backend Backend
+	Result  *Result
+	// View, when non-nil, narrows the shared stack to the world's own view
+	// (a namespace prefix).
+	View func(pfs.FileSystem) pfs.FileSystem
+	// Body is what each rank runs over the world's view; s is the rank's Sim
+	// in an ENZO job and nil otherwise. A nil Body runs s.Run().
+	Body func(r *mpi.Rank, fs pfs.FileSystem, s *Sim)
+}
+
+// Assemble is the one place a simulated run is put together. It checks every
+// ENZO world's Config, builds the engine, the machine and the file-system
+// stack (MakeFS, then a.Wrap, then the tracer's instrumentation), spawns the
+// worlds in order and runs the engine. It returns the makespan; after a
+// complete run whose restart found no clean generation, also the first such
+// world's *RestartError.
+func Assemble(a Allocation, worlds ...World) (float64, error) {
+	for _, w := range worlds {
+		if w.Result == nil {
+			continue
+		}
+		if _, err := compress.Resolve(w.Config.Codec); err != nil {
+			return 0, err
+		}
+		if err := w.Config.checkFootprint(w.Procs); err != nil {
+			return 0, err
+		}
+	}
+	eng := sim.NewEngine()
+	mach := machine.New(a.Machine)
+	fs, err := MakeFS(a.FS, mach)
+	if err != nil {
+		return 0, err
+	}
+	if a.Wrap != nil {
+		if fs, err = a.Wrap(fs); err != nil {
+			return 0, err
+		}
+	}
+	tr := a.Tracer
 	if tr != nil {
 		fs = obs.WrapFS(fs, tr)
 		mach.SetServeObserver(tr)
 	}
-	codecName := "none"
-	if compress.Active(cfg.Codec) {
-		codecName = cfg.Codec
+	base := 0
+	for _, w := range worlds {
+		view, rank0 := fs, base
+		base += w.Procs
+		if w.View != nil {
+			view = w.View(fs)
+		}
+		if w.Result != nil {
+			codec := "none"
+			if compress.Active(w.Config.Codec) {
+				codec = w.Config.Codec
+			}
+			*w.Result = Result{Problem: w.Config.Problem, Backend: w.Backend, FS: a.FS, Procs: w.Procs, Codec: codec}
+		}
+		body := w.Body
+		if body == nil {
+			body = func(_ *mpi.Rank, _ pfs.FileSystem, s *Sim) { s.Run() }
+		}
+		mpi.NewWorldAt(eng, mach, w.Procs, w.Place, func(r *mpi.Rank) {
+			if tr != nil {
+				tr.Attach(r.Proc(), rank0+r.Rank())
+			}
+			var s *Sim
+			if w.Result != nil {
+				s = newSim(r, view, w.Backend, w.Config, w.Result)
+			}
+			body(r, view, s)
+		})
 	}
-	res := &Result{Problem: cfg.Problem, Backend: spec.Backend, FS: spec.FS, Procs: spec.Procs, Codec: codecName}
-	mpi.NewWorld(eng, mach, spec.Procs, func(r *mpi.Rank) {
-		if tr != nil {
-			tr.Attach(r.Proc(), r.Rank())
-		}
-		s := NewSim(r, fs, spec.Backend, cfg, res)
-		if prepare != nil {
-			prepare(s)
-		}
-		s.Run()
-	})
 	if err := eng.Run(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	res.Makespan = eng.MaxTime()
-	res.Events = eng.Events()
-	if res.restartFailed {
-		return res, &RestartError{
-			Dumps: cfg.Dumps, Generations: cfg.Generations,
-			Fallbacks: res.RestartFallbacks,
+	var failed error
+	for _, w := range worlds {
+		if res := w.Result; res != nil {
+			res.Makespan, res.Events = eng.MaxTime(), eng.Events()
+			if res.restartFailed && failed == nil {
+				failed = &RestartError{Dumps: w.Config.Dumps, Generations: w.Config.Generations,
+					Fallbacks: res.RestartFallbacks}
+			}
 		}
 	}
-	return res, nil
+	return eng.MaxTime(), failed
 }
 
 // dataServers returns the volume's independent data-server count (0 when
@@ -748,10 +826,10 @@ func MakeFS(kind string, mach *machine.Machine) (pfs.FileSystem, error) {
 	return nil, fmt.Errorf("enzo: unknown file system %q", kind)
 }
 
-// NewSim builds the per-rank state. hints follow ROMIO defaults, with
+// newSim builds the per-rank state. hints follow ROMIO defaults, with
 // cb_nodes set to one aggregator per physical node (ROMIO's host-based
 // default).
-func NewSim(r *mpi.Rank, fs pfs.FileSystem, backend Backend, cfg Config, res *Result) *Sim {
+func newSim(r *mpi.Rank, fs pfs.FileSystem, backend Backend, cfg Config, res *Result) *Sim {
 	hints := mpiio.DefaultHints()
 	nodes := map[int]bool{}
 	for i := 0; i < r.Size(); i++ {

@@ -1,6 +1,7 @@
 package enzo
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestRunOnceAllBackendsAllFilesystemsVerify(t *testing.T) {
 		for _, fsKind := range []string{"xfs", "gpfs", "pvfs", "local"} {
 			backend, fsKind := backend, fsKind
 			t.Run(fmt.Sprintf("%s-%s", backend, fsKind), func(t *testing.T) {
-				res, err := RunOnce(testMachineCfg(), fsKind, 4, tinyCfg(), backend)
+				res, err := Run(RunSpec{Machine: testMachineCfg(), FS: fsKind, Procs: 4, Config: tinyCfg(), Backend: backend})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,7 +55,7 @@ func TestRunOnceVariousProcCounts(t *testing.T) {
 		np := np
 		t.Run(fmt.Sprintf("np%d", np), func(t *testing.T) {
 			for _, backend := range []Backend{BackendHDF4, BackendMPIIO, BackendHDF5} {
-				res, err := RunOnce(testMachineCfg(), "xfs", np, tinyCfg(), backend)
+				res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: np, Config: tinyCfg(), Backend: backend})
 				if err != nil {
 					t.Fatalf("%v: %v", backend, err)
 				}
@@ -68,7 +69,7 @@ func TestRunOnceVariousProcCounts(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	run := func() *Result {
-		res, err := RunOnce(testMachineCfg(), "gpfs", 4, tinyCfg(), BackendMPIIO)
+		res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "gpfs", Procs: 4, Config: tinyCfg(), Backend: BackendMPIIO})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestWriteVolumeMatchesHierarchy(t *testing.T) {
 	// The dump must write at least the full hierarchy footprint (plus
 	// metadata overheads, which are small).
-	res, err := RunOnce(testMachineCfg(), "xfs", 2, tinyCfg(), BackendMPIIO)
+	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 2, Config: tinyCfg(), Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +110,14 @@ func TestWriteVolumeMatchesHierarchy(t *testing.T) {
 func TestMultipleDumps(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Dumps = 3
-	res, err := RunOnce(testMachineCfg(), "xfs", 4, cfg, BackendMPIIO)
+	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Verified {
 		t.Fatal("multi-dump run not verified")
 	}
-	single, err := RunOnce(testMachineCfg(), "xfs", 4, tinyCfg(), BackendMPIIO)
+	single, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: tinyCfg(), Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +220,26 @@ func TestScaledRestartAcrossProcCounts(t *testing.T) {
 	}
 }
 
+// TestScaledRestartRejectsLocalDisks: inputs a scaled restart refuses
+// before it runs anything — node-local storage, and a configuration over its
+// memory budget (a *FootprintError, as from Run).
 func TestScaledRestartRejectsLocalDisks(t *testing.T) {
-	if _, err := RunScaledRestart(testMachineCfg(), "local", 4, 2, tinyCfg(), BackendMPIIO); err == nil {
-		t.Fatal("scaled restart on node-local storage must be rejected")
+	overBudget := tinyCfg()
+	overBudget.MemBudget = 1
+	cases := []struct {
+		name, fs  string
+		cfg       Config
+		footprint bool
+	}{
+		{"local", "local", tinyCfg(), false},
+		{"budget", "xfs", overBudget, true},
+	}
+	for _, tc := range cases {
+		_, err := RunScaledRestart(testMachineCfg(), tc.fs, 4, 2, tc.cfg, BackendMPIIO)
+		var fe *FootprintError
+		if err == nil || tc.footprint && !errors.As(err, &fe) {
+			t.Errorf("%s: err = %v, want a refusal", tc.name, err)
+		}
 	}
 }
 
@@ -234,7 +252,7 @@ func TestScaledRestartDetectsCorruption(t *testing.T) {
 	res := &Result{}
 	var before ContentHash
 	mpi.NewWorld(eng1, mach1, 4, func(r *mpi.Rank) {
-		s := NewSim(r, fs1, BackendMPIIO, tinyCfg(), res)
+		s := newSim(r, fs1, BackendMPIIO, tinyCfg(), res)
 		s.setup()
 		s.readInitial()
 		s.evolve()
@@ -260,7 +278,7 @@ func TestScaledRestartDetectsCorruption(t *testing.T) {
 	var after ContentHash
 	res2 := &Result{}
 	mpi.NewWorld(eng2, mach2, 4, func(r *mpi.Rank) {
-		s := NewSim(r, fs2, BackendMPIIO, tinyCfg(), res2)
+		s := newSim(r, fs2, BackendMPIIO, tinyCfg(), res2)
 		if err := s.loadMetaFromFS(dumpHierarchyFile(0)); err != nil {
 			panic(err)
 		}
@@ -284,11 +302,11 @@ func TestDynamicRefinementDeepensHierarchyAndVerifies(t *testing.T) {
 	for _, backend := range []Backend{BackendHDF4, BackendMPIIO, BackendHDF5} {
 		backend := backend
 		t.Run(backend.String(), func(t *testing.T) {
-			static, err := RunOnce(testMachineCfg(), "xfs", 4, base, backend)
+			static, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: base, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dynamic, err := RunOnce(testMachineCfg(), "xfs", 4, cfg, backend)
+			dynamic, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +342,7 @@ func TestDumpHierarchyFileWritten(t *testing.T) {
 	fs, _ := MakeFS("xfs", mach)
 	res := &Result{}
 	mpi.NewWorld(eng, mach, 2, func(r *mpi.Rank) {
-		s := NewSim(r, fs, BackendMPIIO, tinyCfg(), res)
+		s := newSim(r, fs, BackendMPIIO, tinyCfg(), res)
 		s.setup()
 		s.readInitial()
 		s.evolve()
@@ -344,7 +362,7 @@ func TestDynamicRefinementOnEveryFileSystem(t *testing.T) {
 	for _, fsKind := range []string{"gpfs", "pvfs", "local"} {
 		fsKind := fsKind
 		t.Run(fsKind, func(t *testing.T) {
-			res, err := RunOnce(testMachineCfg(), fsKind, 4, cfg, BackendMPIIO)
+			res, err := Run(RunSpec{Machine: testMachineCfg(), FS: fsKind, Procs: 4, Config: cfg, Backend: BackendMPIIO})
 			if err != nil {
 				t.Fatal(err)
 			}

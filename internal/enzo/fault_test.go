@@ -292,7 +292,7 @@ func TestScrubCleanRunNoOverhead(t *testing.T) {
 	cfg := Tiny()
 	cfg.ScrubOnDump = true
 	run := func() *Result {
-		res, err := RunOnce(faultMachCfg(), "xfs", 4, cfg, BackendMPIIO)
+		res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,14 +49,14 @@ func TestFootprintGuardAdmitsDefaultProblems(t *testing.T) {
 	}
 }
 
-// TestFootprintGuardTripsAtRunOnce: the guard must fire from RunOnce
+// TestFootprintGuardTripsAtRunOnce: the guard must fire from Run
 // itself, before the simulation starts, so an over-budget run never
 // begins allocating grids.
 func TestFootprintGuardTripsAtRunOnce(t *testing.T) {
 	cfg := AMR512()
-	_, err := RunOnce(machine.Cluster1024(), "pvfs", 8, cfg, BackendMPIIO)
+	_, err := Run(RunSpec{Machine: machine.Cluster1024(), FS: "pvfs", Procs: 8, Config: cfg, Backend: BackendMPIIO})
 	var fe *FootprintError
 	if !errors.As(err, &fe) {
-		t.Fatalf("RunOnce(AMR512) = %v, want *FootprintError", err)
+		t.Fatalf("Run(AMR512) = %v, want *FootprintError", err)
 	}
 }

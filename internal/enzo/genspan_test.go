@@ -50,7 +50,7 @@ func TestGenerationSpansKeyedByDump(t *testing.T) {
 	cfg := Tiny()
 	cfg.Dumps = 2
 	tr := obs.NewTracer()
-	res, err := RunOnceTraced(faultMachCfg(), "xfs", 4, cfg, BackendMPIIO, tr)
+	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendMPIIO, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ type dumpWriter interface {
 func layoutFor(s *Sim) ioPath {
 	codec, err := compress.Resolve(s.cfg.Codec) // nil when compression is off
 	if err != nil {
-		panic(err) // Run validates; direct NewSim callers get the panic
+		panic(err) // Assemble validates; tests calling newSim directly get the panic
 	}
 	var lay layout
 	switch s.backend {

@@ -31,7 +31,7 @@ func TestScatteredRestartVerifiedAcrossStack(t *testing.T) {
 				cfg := Tiny()
 				cfg.Codec = tc.codec
 				run := func() *Result {
-					res, err := RunOnce(machine.ChibaCity(), fsKind, 4, cfg, tc.backend)
+					res, err := Run(RunSpec{Machine: machine.ChibaCity(), FS: fsKind, Procs: 4, Config: cfg, Backend: tc.backend})
 					if err != nil {
 						t.Fatal(err)
 					}

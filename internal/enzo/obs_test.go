@@ -27,7 +27,7 @@ func smallAMR64() Config {
 // trace-event JSON export.
 func TestTracedRunObservability(t *testing.T) {
 	tr := obs.NewTracer()
-	res, err := RunOnceTraced(machine.ChibaCity(), "pvfs", 4, smallAMR64(), BackendMPIIO, tr)
+	res, err := Run(RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 4, Config: smallAMR64(), Backend: BackendMPIIO, Tracer: tr})
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestTracedRunObservability(t *testing.T) {
 func TestTracedDeterminism(t *testing.T) {
 	runTraced := func() (*obs.Tracer, *Result) {
 		tr := obs.NewTracer()
-		res, err := RunOnceTraced(machine.ChibaCity(), "pvfs", 4, smallAMR64(), BackendMPIIO, tr)
+		res, err := Run(RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 4, Config: smallAMR64(), Backend: BackendMPIIO, Tracer: tr})
 		if err != nil {
 			t.Fatalf("traced run: %v", err)
 		}
@@ -209,12 +209,12 @@ func TestTracedDeterminism(t *testing.T) {
 // bit-identical with and without instrumentation.
 func TestZeroPerturbation(t *testing.T) {
 	for _, backend := range []Backend{BackendMPIIO, BackendHDF5, BackendHDF4} {
-		plain, err := RunOnce(machine.ChibaCity(), "pvfs", 4, smallAMR64(), backend)
+		plain, err := Run(RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 4, Config: smallAMR64(), Backend: backend})
 		if err != nil {
 			t.Fatalf("%v plain run: %v", backend, err)
 		}
 		tr := obs.NewTracer()
-		traced, err := RunOnceTraced(machine.ChibaCity(), "pvfs", 4, smallAMR64(), backend, tr)
+		traced, err := Run(RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 4, Config: smallAMR64(), Backend: backend, Tracer: tr})
 		if err != nil {
 			t.Fatalf("%v traced run: %v", backend, err)
 		}
@@ -248,12 +248,12 @@ func TestTracedBitIdentityAMR128(t *testing.T) {
 		t.Skip("full AMR128 run; skipped with -short")
 	}
 	cfg := AMR128()
-	plain, err := RunOnce(machine.ChibaCity(), "pvfs", 8, cfg, BackendMPIIO)
+	plain, err := Run(RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 8, Config: cfg, Backend: BackendMPIIO})
 	if err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
 	tr1 := obs.NewTracer()
-	traced, err := RunOnceTraced(machine.ChibaCity(), "pvfs", 8, cfg, BackendMPIIO, tr1)
+	traced, err := Run(RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 8, Config: cfg, Backend: BackendMPIIO, Tracer: tr1})
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestTracedBitIdentityAMR128(t *testing.T) {
 
 	// A second traced run must reproduce the first byte for byte.
 	tr2 := obs.NewTracer()
-	traced2, err := RunOnceTraced(machine.ChibaCity(), "pvfs", 8, cfg, BackendMPIIO, tr2)
+	traced2, err := Run(RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 8, Config: cfg, Backend: BackendMPIIO, Tracer: tr2})
 	if err != nil {
 		t.Fatalf("second traced run: %v", err)
 	}

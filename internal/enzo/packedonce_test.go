@@ -249,7 +249,7 @@ func BenchmarkCasPut(b *testing.B) {
 				b.Fatal(err)
 			}
 			mpi.NewWorld(eng, mach, 1, func(r *mpi.Rank) {
-				s := NewSim(r, fs, BackendMPIIO, cfg, &Result{})
+				s := newSim(r, fs, BackendMPIIO, cfg, &Result{})
 				lay := s.io.(walk).lay
 				lay.createDump(0).(*casDump).put("a", field)
 				b.SetBytes(int64(len(field)))

@@ -25,7 +25,7 @@ func TestBreakdownXFS(t *testing.T) {
 		res := &Result{}
 		nprocs := 16
 		mpi.NewWorld(eng, mach, nprocs, func(r *mpi.Rank) {
-			s := NewSim(r, fs, backend, cfg, res)
+			s := newSim(r, fs, backend, cfg, res)
 			s.setup()
 			mark := func(name string, f func()) {
 				r.Barrier()

@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpi"
-	"repro/internal/sim"
+	"repro/internal/pfs"
 )
 
 // Scaled restart: ENZO checkpoints are self-describing enough (the
@@ -138,55 +138,45 @@ func RunScaledRestart(machCfg machine.Config, fsKind string, npWrite, npRead int
 		return false, fmt.Errorf("enzo: scaled restart is impossible on node-local storage")
 	}
 	// Phase 1: write the checkpoint with npWrite ranks.
-	eng1 := sim.NewEngine()
-	mach1 := machine.New(machCfg)
-	fs1, err := MakeFS(fsKind, mach1)
-	if err != nil {
-		return false, err
-	}
+	var written pfs.FileSystem
 	var before ContentHash
-	res1 := &Result{}
-	mpi.NewWorld(eng1, mach1, npWrite, func(r *mpi.Rank) {
-		s := NewSim(r, fs1, backend, cfg, res1)
-		s.setup()
-		s.readInitial()
-		s.evolve()
-		if h := s.contentHash(); r.Rank() == 0 {
-			before = h
-		}
-		s.writeDump(0)
-	})
-	if err := eng1.Run(); err != nil {
+	_, err = Assemble(Allocation{Machine: machCfg, FS: fsKind,
+		Wrap: func(fs pfs.FileSystem) (pfs.FileSystem, error) { written = fs; return fs, nil }},
+		World{Procs: npWrite, Config: cfg, Backend: backend, Result: new(Result),
+			Body: func(r *mpi.Rank, _ pfs.FileSystem, s *Sim) {
+				s.setup()
+				s.readInitial()
+				s.evolve()
+				if h := s.contentHash(); r.Rank() == 0 {
+					before = h
+				}
+				s.writeDump(0)
+			}})
+	if err != nil {
 		return false, fmt.Errorf("enzo: checkpoint phase: %w", err)
 	}
 
-	// Stage the files to a fresh allocation.
-	eng2 := sim.NewEngine()
-	mach2 := machine.New(machCfg)
-	fs2, err := MakeFS(fsKind, mach2)
-	if err != nil {
-		return false, err
-	}
-	fs2.Restore(fs1.Snapshot())
-
-	// Phase 2: restart with npRead ranks.
+	// Phase 2: stage the files onto a fresh allocation and restart with
+	// npRead ranks.
+	files := written.Snapshot()
 	var after ContentHash
 	var restartErr error
-	res2 := &Result{}
-	mpi.NewWorld(eng2, mach2, npRead, func(r *mpi.Rank) {
-		s := NewSim(r, fs2, backend, cfg, res2)
-		if err := s.loadMetaFromFS(dumpHierarchyFile(0)); err != nil {
-			if r.Rank() == 0 {
-				restartErr = err
-			}
-			return
-		}
-		s.readRestart(0)
-		if h := s.contentHash(); r.Rank() == 0 {
-			after = h
-		}
-	})
-	if err := eng2.Run(); err != nil {
+	_, err = Assemble(Allocation{Machine: machCfg, FS: fsKind,
+		Wrap: func(fs pfs.FileSystem) (pfs.FileSystem, error) { fs.Restore(files); return fs, nil }},
+		World{Procs: npRead, Config: cfg, Backend: backend, Result: new(Result),
+			Body: func(r *mpi.Rank, _ pfs.FileSystem, s *Sim) {
+				if err := s.loadMetaFromFS(dumpHierarchyFile(0)); err != nil {
+					if r.Rank() == 0 {
+						restartErr = err
+					}
+					return
+				}
+				s.readRestart(0)
+				if h := s.contentHash(); r.Rank() == 0 {
+					after = h
+				}
+			}})
+	if err != nil {
 		return false, fmt.Errorf("enzo: restart phase: %w", err)
 	}
 	if restartErr != nil {

@@ -41,7 +41,7 @@ func TestInitialReadMatchesTruth(t *testing.T) {
 				}
 				states := make([]rankState, nprocs)
 				mpi.NewWorld(eng, mach, nprocs, func(r *mpi.Rank) {
-					s := NewSim(r, fs, backend, cfg, res)
+					s := newSim(r, fs, backend, cfg, res)
 					s.setup()
 					s.readInitial()
 					states[r.Rank()] = rankState{top: s.top, partials: s.partials}
@@ -120,7 +120,7 @@ func TestDumpFileContentsMatchAcrossBackends(t *testing.T) {
 	fs, _ := MakeFS("xfs", mach)
 	res := &Result{}
 	mpi.NewWorld(eng, mach, 4, func(r *mpi.Rank) {
-		s := NewSim(r, fs, BackendMPIIO, cfg, res)
+		s := newSim(r, fs, BackendMPIIO, cfg, res)
 		s.setup()
 		s.readInitial()
 		s.evolve()

@@ -64,11 +64,11 @@ func TestShapeFigure6MPIIOWinsOnXFS(t *testing.T) {
 		t.Skip("full-scale shape check")
 	}
 	for _, np := range []int{4, 8, 16} {
-		h, err := enzo.RunOnce(machine.Origin2000(), "xfs", np, enzo.AMR64(), enzo.BackendHDF4)
+		h, err := enzo.Run(enzo.RunSpec{Machine: machine.Origin2000(), FS: "xfs", Procs: np, Config: enzo.AMR64(), Backend: enzo.BackendHDF4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := enzo.RunOnce(machine.Origin2000(), "xfs", np, enzo.AMR64(), enzo.BackendMPIIO)
+		m, err := enzo.Run(enzo.RunSpec{Machine: machine.Origin2000(), FS: "xfs", Procs: np, Config: enzo.AMR64(), Backend: enzo.BackendMPIIO})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,8 +82,8 @@ func TestShapeFigure6MPIIOWinsOnXFS(t *testing.T) {
 		}
 	}
 	// MPI-IO write time improves as processors are added; HDF4 does not.
-	m4, _ := enzo.RunOnce(machine.Origin2000(), "xfs", 4, enzo.AMR64(), enzo.BackendMPIIO)
-	m16, _ := enzo.RunOnce(machine.Origin2000(), "xfs", 16, enzo.AMR64(), enzo.BackendMPIIO)
+	m4, _ := enzo.Run(enzo.RunSpec{Machine: machine.Origin2000(), FS: "xfs", Procs: 4, Config: enzo.AMR64(), Backend: enzo.BackendMPIIO})
+	m16, _ := enzo.Run(enzo.RunSpec{Machine: machine.Origin2000(), FS: "xfs", Procs: 16, Config: enzo.AMR64(), Backend: enzo.BackendMPIIO})
 	if m16.WriteTime() >= m4.WriteTime() {
 		t.Errorf("MPI-IO write did not scale: %.3fs @4p vs %.3fs @16p", m4.WriteTime(), m16.WriteTime())
 	}
@@ -93,11 +93,11 @@ func TestShapeFigure7MPIIOLosesOnGPFS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale shape check")
 	}
-	h, err := enzo.RunOnce(machine.SP2(), "gpfs", 32, enzo.AMR64(), enzo.BackendHDF4)
+	h, err := enzo.Run(enzo.RunSpec{Machine: machine.SP2(), FS: "gpfs", Procs: 32, Config: enzo.AMR64(), Backend: enzo.BackendHDF4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := enzo.RunOnce(machine.SP2(), "gpfs", 32, enzo.AMR64(), enzo.BackendMPIIO)
+	m, err := enzo.Run(enzo.RunSpec{Machine: machine.SP2(), FS: "gpfs", Procs: 32, Config: enzo.AMR64(), Backend: enzo.BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestShapeFigure7MPIIOLosesOnGPFS(t *testing.T) {
 		t.Errorf("GPFS: MPI-IO write %.3fs should exceed HDF4 %.3fs", m.WriteTime(), h.WriteTime())
 	}
 	// More processors make it worse for MPI-IO (more lock conflicts).
-	m64, err := enzo.RunOnce(machine.SP2(), "gpfs", 64, enzo.AMR64(), enzo.BackendMPIIO)
+	m64, err := enzo.Run(enzo.RunSpec{Machine: machine.SP2(), FS: "gpfs", Procs: 64, Config: enzo.AMR64(), Backend: enzo.BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestShapeFigure8EthernetDegradation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale shape check")
 	}
-	h, err := enzo.RunOnce(machine.ChibaCity(), "pvfs", 8, enzo.AMR64(), enzo.BackendHDF4)
+	h, err := enzo.Run(enzo.RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 8, Config: enzo.AMR64(), Backend: enzo.BackendHDF4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := enzo.RunOnce(machine.ChibaCity(), "pvfs", 8, enzo.AMR64(), enzo.BackendMPIIOCB)
+	cb, err := enzo.Run(enzo.RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 8, Config: enzo.AMR64(), Backend: enzo.BackendMPIIOCB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestShapeFigure8EthernetDegradation(t *testing.T) {
 		t.Errorf("PVFS: collective MPI-IO write %.3fs should be >> HDF4 %.3fs", cb.WriteTime(), h.WriteTime())
 	}
 	// But MPI-IO reads are a little better (data sieving + no root funnel).
-	m, err := enzo.RunOnce(machine.ChibaCity(), "pvfs", 8, enzo.AMR64(), enzo.BackendMPIIO)
+	m, err := enzo.Run(enzo.RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 8, Config: enzo.AMR64(), Backend: enzo.BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestShapeFigure9LocalDisks(t *testing.T) {
 	}
 	var prev float64
 	for i, np := range []int{2, 4, 8} {
-		h, err := enzo.RunOnce(machine.ChibaCity(), "local", np, enzo.AMR64(), enzo.BackendHDF4)
+		h, err := enzo.Run(enzo.RunSpec{Machine: machine.ChibaCity(), FS: "local", Procs: np, Config: enzo.AMR64(), Backend: enzo.BackendHDF4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := enzo.RunOnce(machine.ChibaCity(), "local", np, enzo.AMR64(), enzo.BackendMPIIO)
+		m, err := enzo.Run(enzo.RunSpec{Machine: machine.ChibaCity(), FS: "local", Procs: np, Config: enzo.AMR64(), Backend: enzo.BackendMPIIO})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,11 +172,11 @@ func TestShapeFigure10HDF5MuchWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale shape check")
 	}
-	m, err := enzo.RunOnce(machine.Origin2000(), "xfs", 16, enzo.AMR64(), enzo.BackendMPIIO)
+	m, err := enzo.Run(enzo.RunSpec{Machine: machine.Origin2000(), FS: "xfs", Procs: 16, Config: enzo.AMR64(), Backend: enzo.BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h5, err := enzo.RunOnce(machine.Origin2000(), "xfs", 16, enzo.AMR64(), enzo.BackendHDF5)
+	h5, err := enzo.Run(enzo.RunSpec{Machine: machine.Origin2000(), FS: "xfs", Procs: 16, Config: enzo.AMR64(), Backend: enzo.BackendHDF5})
 	if err != nil {
 		t.Fatal(err)
 	}

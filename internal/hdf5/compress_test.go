@@ -72,15 +72,15 @@ func TestCompressedDatasetRoundTrip(t *testing.T) {
 		if !ds2.Compressed() {
 			panic("dataset lost its codec across close/open")
 		}
-		got, err := ds2.ReadCompressedSeg(r.Rank())
-		if err != nil {
+		var got []byte
+		if _, err := ds2.IssueReadCompressed(false, r.Rank(), &got); err != nil {
 			panic(err)
 		}
 		if !bytes.Equal(got, part) {
 			panic("decompressed segment differs from written partition")
 		}
-		all, err := ds2.ReadCompressedAll()
-		if err != nil {
+		var all []byte
+		if _, err := ds2.IssueReadCompressed(false, -1, &all); err != nil {
 			panic(err)
 		}
 		var want []byte
@@ -88,7 +88,7 @@ func TestCompressedDatasetRoundTrip(t *testing.T) {
 			want = append(want, p...)
 		}
 		if !bytes.Equal(all, want) {
-			panic("ReadCompressedAll differs from slot-order concatenation")
+			panic("all-segment read differs from slot-order concatenation")
 		}
 		h2.Close()
 	})
@@ -197,7 +197,8 @@ func TestCompressedCorruptionDetected(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		if _, err := ds.ReadCompressedSeg(0); err == nil {
+		var raw []byte
+		if _, err := ds.IssueReadCompressed(false, 0, &raw); err == nil {
 			panic("corrupted segment read back without error")
 		}
 		h.Close()

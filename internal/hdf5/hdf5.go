@@ -532,16 +532,6 @@ func (d *Dataset) IssueWriteHyperslab(behind, collective bool, sel mpi.Subarray,
 	return d.h.mf.IssueWriteRuns(behind, runs, data)
 }
 
-// ReadHyperslab collectively reads a selection.
-func (d *Dataset) ReadHyperslab(sel mpi.Subarray, buf []byte) {
-	d.IssueReadHyperslab(false, true, sel, buf)
-}
-
-// ReadHyperslabIndependent reads a selection without coordination.
-func (d *Dataset) ReadHyperslabIndependent(sel mpi.Subarray, buf []byte) {
-	d.IssueReadHyperslab(false, false, sel, buf)
-}
-
 // IssueReadHyperslab reads a hyperslab selection, collectively or
 // independently, in either MPI-IO issue mode. The scatter back through the
 // selection iterator is causally downstream of the data: blocking, it is
@@ -691,25 +681,6 @@ func (d *Dataset) readZDir() ([]int64, []int64, error) {
 		lens[i] = int64(binary.LittleEndian.Uint64(dir[16+16*i:]))
 	}
 	return offs, lens, nil
-}
-
-// ReadCompressedSeg independently reads and unpacks one rank's segment of
-// a compressed dataset (nil for an empty segment). Checksums are verified;
-// corruption surfaces as an error.
-func (d *Dataset) ReadCompressedSeg(slot int) (raw []byte, err error) {
-	if slot < 0 {
-		return nil, fmt.Errorf("hdf5: dataset %q has no segment %d", d.info.Name, slot)
-	}
-	_, err = d.IssueReadCompressed(false, slot, &raw)
-	return raw, err
-}
-
-// ReadCompressedAll independently reads every non-empty segment in slot
-// order and concatenates the decoded bytes — for single-writer datasets
-// (one owner rank wrote the whole array) this recovers the full array.
-func (d *Dataset) ReadCompressedAll() (raw []byte, err error) {
-	_, err = d.IssueReadCompressed(false, -1, &raw)
-	return raw, err
 }
 
 // IssueReadCompressed is the one compressed-segment reader: it reads

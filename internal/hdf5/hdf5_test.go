@@ -64,7 +64,7 @@ func TestHyperslabWriteReadRoundTrip(t *testing.T) {
 		pz2, py2, px2 := mpi.ProcGrid3D(2)
 		sel := mpi.BlockDecompose3D([3]int{N, N, N}, pz2, py2, px2, r.Rank(), elem)
 		buf := make([]byte, sel.Bytes())
-		ds.ReadHyperslab(sel, buf)
+		ds.IssueReadHyperslab(false, true, sel, buf)
 		if !bytes.Equal(buf, sel.GatherSub(global)) {
 			panic(fmt.Sprintf("rank %d read wrong data", r.Rank()))
 		}
@@ -128,7 +128,7 @@ func TestMultipleDatasetsAndAttributes(t *testing.T) {
 			}
 			sel := mpi.Subarray{Sizes: []int{8, 8}, Subsizes: []int{8, 8}, Starts: []int{0, 0}, ElemSize: 8}
 			buf := make([]byte, sel.Bytes())
-			ds.ReadHyperslabIndependent(sel, buf)
+			ds.IssueReadHyperslab(false, false, sel, buf)
 			for _, b := range buf {
 				if b != byte(i+1) {
 					panic("data mismatch after attribute interleaving")
@@ -186,7 +186,7 @@ func TestIndependentParticleBlocks(t *testing.T) {
 		ds, _ := h.OpenDataset("particle_id")
 		sel := mpi.Subarray{Sizes: []int{n}, Subsizes: []int{n}, Starts: []int{0}, ElemSize: 8}
 		buf := make([]byte, n*8)
-		ds.ReadHyperslabIndependent(sel, buf)
+		ds.IssueReadHyperslab(false, false, sel, buf)
 		per := n / 4
 		for rank := 0; rank < 4; rank++ {
 			for i := 0; i < per*8; i++ {
@@ -327,7 +327,7 @@ func TestOverheadTogglesPreserveDataAndReduceCost(t *testing.T) {
 				sel := mpi.Subarray{Sizes: []int{N, N, N}, Subsizes: []int{N, N, N},
 					Starts: []int{0, 0, 0}, ElemSize: elem}
 				buf := make([]byte, sel.Bytes())
-				ds.ReadHyperslabIndependent(sel, buf)
+				ds.IssueReadHyperslab(false, false, sel, buf)
 				if !bytes.Equal(buf, global) {
 					panic(fmt.Sprintf("dataset f%d corrupted under cfg %+v", i, cfg))
 				}

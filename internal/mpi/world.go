@@ -17,11 +17,9 @@ type World struct {
 	size  int
 	ranks []*Rank
 
-	// job identifies this world on a shared machine: name prefixes process
-	// names ("" for the default single-tenant world), nodeBase offsets the
+	// Where this world sits on a shared machine: nodeBase offsets the
 	// rank→node packing, and class tags every rank's Proc for class-aware
 	// server scheduling policies.
-	name     string
 	nodeBase int
 	class    int
 
@@ -86,8 +84,7 @@ func NewWorldAt(eng *sim.Engine, mach *machine.Machine, nprocs int, pl Placement
 		panic(fmt.Sprintf("mpi: %d ranks at node base %d exceed machine %s capacity (%d nodes x %d procs)",
 			nprocs, pl.NodeBase, mach.Name(), mach.Config().Nodes, ppn))
 	}
-	w := &World{eng: eng, mach: mach, size: nprocs,
-		name: pl.Name, nodeBase: pl.NodeBase, class: pl.Class}
+	w := &World{eng: eng, mach: mach, size: nprocs, nodeBase: pl.NodeBase, class: pl.Class}
 	prefix := ""
 	if pl.Name != "" {
 		prefix = pl.Name + "/"
@@ -107,9 +104,6 @@ func NewWorldAt(eng *sim.Engine, mach *machine.Machine, nprocs int, pl Placement
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
-
-// JobName returns the world's placement name ("" for the default world).
-func (w *World) JobName() string { return w.name }
 
 // Class returns the service class this world's ranks are tagged with.
 func (w *World) Class() int { return w.class }

@@ -377,7 +377,7 @@ func TestScratchBundlesReturnToTheRank(t *testing.T) {
 			var pend [outstanding]*Pending
 			for j := range pend {
 				runs := interleavedRuns(int64(j)*8000, 8000, 100, np, r.Rank())
-				pend[j] = f.WriteAtAllBegin(runs, pattern(r.Rank(), int(mpi.TotalLen(runs))))
+				pend[j] = f.IssueWriteAtAll(true, runs, pattern(r.Rank(), int(mpi.TotalLen(runs))))
 			}
 			if n := len(*r.Scratch()); n != 0 && cycle == 0 {
 				panic(fmt.Sprintf("%d bundles idle while every one made is in use", n))

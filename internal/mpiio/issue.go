@@ -21,8 +21,8 @@
 //     chunks of one operation serialise (the caller waits for each). Behind
 //     requests carry no deadline and are all charged at issue; the handle
 //     tracks the latest completion.
-//  2. Blocking ReadRuns sieves under DataSieving. Behind reads — IreadRuns
-//     and the independent branch of ReadAtAllBegin — issue one request per
+//  2. Blocking ReadRuns sieves under DataSieving. Behind reads — IssueReadRuns
+//     and the independent branch of IssueReadAtAll — issue one request per
 //     run and never sieve; the independent branch of a behind collective
 //     issues its runs directly, without the nested write_runs/read_runs
 //     span the blocking branch opens by calling WriteRuns/ReadRuns.
@@ -117,9 +117,10 @@ func pick(behind bool, blocking, deferred string) string {
 }
 
 // Pending is the handle of every operation issued behind: the nonblocking
-// independent ones (IwriteAt, IreadRuns, IwriteList, ...), the
-// split-collective ones (WriteAtAllBegin, ReadAtAllBegin) and whatever the
-// layers above compose from them. Completion is the virtual time the last
+// independent ones (IssueWriteAt, IssueReadRuns, IssueWriteList, ... with
+// behind set — MPI_File_iwrite_at and its kin), the split-collective ones
+// (IssueWriteAtAll, IssueReadAtAll — MPI_File_write_all_begin and
+// read_all_begin) and whatever the layers above compose from them. Completion is the virtual time the last
 // deferred device request finishes; Wait settles it.
 type Pending struct {
 	f    *File
@@ -168,45 +169,4 @@ func (p *Pending) Then(fn func()) *Pending {
 // several deferred requests.
 func (f *File) NewPending(end float64) *Pending {
 	return &Pending{f: f, end: end, op: "iwrite_wait"}
-}
-
-// The MPI-IO names of the behind mode. Each is its blocking namesake issued
-// behind; settle the returned handle with Wait.
-
-// IwriteAt starts a nonblocking WriteAt (MPI_File_iwrite_at).
-func (f *File) IwriteAt(data []byte, off int64) *Pending { return f.IssueWriteAt(true, data, off) }
-
-// IreadAt starts a nonblocking ReadAt (MPI_File_iread_at).
-func (f *File) IreadAt(buf []byte, off int64) *Pending { return f.IssueReadAt(true, buf, off) }
-
-// IwriteRuns starts a nonblocking WriteRuns.
-func (f *File) IwriteRuns(runs []mpi.Run, data []byte) *Pending {
-	return f.IssueWriteRuns(true, runs, data)
-}
-
-// IreadRuns starts a nonblocking ReadRuns (one request per run, no sieving).
-func (f *File) IreadRuns(runs []mpi.Run, buf []byte) *Pending {
-	return f.IssueReadRuns(true, runs, buf)
-}
-
-// IwriteList starts a nonblocking WriteList.
-func (f *File) IwriteList(offs, lens []int64, data []byte) *Pending {
-	return f.IssueWriteList(true, offs, lens, data)
-}
-
-// IreadList starts a nonblocking ReadList.
-func (f *File) IreadList(offs, lens []int64, buf []byte) *Pending {
-	return f.IssueReadList(true, offs, lens, buf)
-}
-
-// WriteAtAllBegin starts a split-collective write (MPI_File_write_all_begin);
-// the handle's Wait is MPI_File_write_all_end.
-func (f *File) WriteAtAllBegin(runs []mpi.Run, data []byte) *Pending {
-	return f.IssueWriteAtAll(true, runs, data)
-}
-
-// ReadAtAllBegin starts a split-collective read (MPI_File_read_all_begin);
-// the handle's Wait is MPI_File_read_all_end.
-func (f *File) ReadAtAllBegin(runs []mpi.Run, buf []byte) *Pending {
-	return f.IssueReadAtAll(true, runs, buf)
 }

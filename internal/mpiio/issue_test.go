@@ -82,7 +82,7 @@ func TestOutstandingCollectivesOwnTheirScratch(t *testing.T) {
 						for j := 0; j < k; j++ {
 							runs := view(j, nprocs, me)
 							got[me][j] = make([]byte, mpi.TotalLen(runs))
-							pend[j] = f.ReadAtAllBegin(runs, got[me][j])
+							pend[j] = f.IssueReadAtAll(true, runs, got[me][j])
 						}
 						// Blocking collectives on the same handle recycle
 						// its scratch under the five outstanding reads.
@@ -121,7 +121,7 @@ func TestOutstandingCollectivesOwnTheirScratch(t *testing.T) {
 						var pend [k]*Pending
 						for j := 0; j < k; j++ {
 							runs := view(j, nprocs, me)
-							pend[j] = f.WriteAtAllBegin(runs, gatherRuns(global, runs))
+							pend[j] = f.IssueWriteAtAll(true, runs, gatherRuns(global, runs))
 						}
 						sr := sideRuns(nprocs, me)
 						f.WriteAtAll(sr, gatherRuns(global, sr))

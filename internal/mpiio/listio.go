@@ -10,8 +10,8 @@
 //
 // Device traffic goes through the operation's issuer like every other
 // access kind: blocking, a RetryPolicy in the hints covers list-I/O and
-// exhaustion surfaces the same typed *IOError; behind (IwriteList/
-// IreadList), the same flattened requests are charged at issue and the
+// exhaustion surfaces the same typed *IOError; behind (IssueWriteList/
+// IssueReadList with behind set), the same flattened requests are charged at issue and the
 // usual Pending handle completes when the slowest one finishes.
 package mpiio
 
@@ -155,14 +155,11 @@ func (f *File) IssueWriteList(behind bool, offs, lens []int64, data []byte) *Pen
 	return is.pending("iwrite_wait")
 }
 
-// ReadList reads an explicit (offset,length) vector in one file-domain
+// IssueReadList reads an explicit (offset,length) vector in one file-domain
 // pass into buf (entry bytes back to back in list order). Unlike the data
-// sieving path this transfers no hole bytes, so scattered reads pay no
-// read amplification. Honors the hints' RetryPolicy.
-func (f *File) ReadList(offs, lens []int64, buf []byte) { f.IssueReadList(false, offs, lens, buf) }
-
-// IssueReadList is ReadList in either issue mode; behind, buf is valid
-// after Wait.
+// sieving path this transfers no hole bytes, so scattered reads pay no read
+// amplification. Blocking, it honors the hints' RetryPolicy; behind, buf is
+// valid after Wait.
 func (f *File) IssueReadList(behind bool, offs, lens []int64, buf []byte) *Pending {
 	const op = "ReadList"
 	ents, total := listEntries(op, offs, lens, len(buf))

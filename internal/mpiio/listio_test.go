@@ -73,7 +73,7 @@ func TestReadListScatteredTruth(t *testing.T) {
 			panic(err)
 		}
 		f.WriteAt(bg, 0)
-		f.ReadList(offs, lens, got)
+		f.IssueReadList(false, offs, lens, got)
 		f.Close()
 	})
 	if !bytes.Equal(got, want) {
@@ -153,7 +153,7 @@ func TestReadListTransfersNoHoleBytes(t *testing.T) {
 		}
 		f.WriteAt(pattern(9, int(2<<20+4<<10)), 0)
 		base := fs.Stats().BytesRead
-		f.ReadList(offs, lens, buf)
+		f.IssueReadList(false, offs, lens, buf)
 		moved = fs.Stats().BytesRead - base
 		f.Close()
 	})
@@ -175,7 +175,7 @@ func TestIwriteListMatchesBlocking(t *testing.T) {
 				panic(err)
 			}
 			if async {
-				f.IwriteList(offs, lens, data).Wait()
+				f.IssueWriteList(true, offs, lens, data).Wait()
 			} else {
 				f.WriteList(offs, lens, data)
 			}
@@ -205,9 +205,9 @@ func TestIreadListMatchesBlocking(t *testing.T) {
 			}
 			f.WriteAt(bg, 0)
 			if async {
-				f.IreadList(offs, lens, buf).Wait()
+				f.IssueReadList(true, offs, lens, buf).Wait()
 			} else {
-				f.ReadList(offs, lens, buf)
+				f.IssueReadList(false, offs, lens, buf)
 			}
 			f.Close()
 		})

@@ -145,8 +145,8 @@ func TestRunsSkippingAWholeDomainRoundTrip(t *testing.T) {
 					f.accessRange(runs)
 				}
 				if split {
-					f.WriteAtAllBegin(runs, data).Wait()
-					f.ReadAtAllBegin(runs, buf).Wait()
+					f.IssueWriteAtAll(true, runs, data).Wait()
+					f.IssueReadAtAll(true, runs, buf).Wait()
 				} else {
 					f.WriteAtAll(runs, data)
 					f.ReadAtAll(runs, buf)

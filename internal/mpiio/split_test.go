@@ -46,7 +46,7 @@ func TestSplitCollectiveMatchesBlocking(t *testing.T) {
 				panic(err)
 			}
 			if split {
-				sw := f.WriteAtAllBegin(sub.Flatten(), mine)
+				sw := f.IssueWriteAtAll(true, sub.Flatten(), mine)
 				r.Compute(1_000_000)
 				sw.Wait()
 			} else {
@@ -83,7 +83,7 @@ func TestSplitCollectiveOverlapSavesTime(t *testing.T) {
 				panic(err)
 			}
 			if split {
-				sw := f.WriteAtAllBegin(sub.Flatten(), mine)
+				sw := f.IssueWriteAtAll(true, sub.Flatten(), mine)
 				r.Compute(work)
 				sw.Wait()
 			} else {
@@ -111,7 +111,7 @@ func TestIwriteAtMatchesWriteAt(t *testing.T) {
 				panic(err)
 			}
 			if async {
-				p := f.IwriteAt(data, 0)
+				p := f.IssueWriteAt(true, data, 0)
 				if p.Completion() < r.Now() {
 					panic("completion before issue")
 				}
@@ -147,7 +147,7 @@ func TestIwriteRunsMatchesWriteRuns(t *testing.T) {
 				panic(err)
 			}
 			if async {
-				f.IwriteRuns(runs, data).Wait()
+				f.IssueWriteRuns(true, runs, data).Wait()
 			} else {
 				f.WriteRuns(runs, data)
 			}
@@ -189,7 +189,7 @@ func TestSplitCollectiveEveryCBNodes(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			sw := f.WriteAtAllBegin(sub.Flatten(), mine)
+			sw := f.IssueWriteAtAll(true, sub.Flatten(), mine)
 			r.Compute(int64(1000 * (r.Rank() + 1))) // skewed overlap
 			sw.Wait()
 			f.Close()
@@ -220,7 +220,7 @@ func TestSplitCollectiveInterleavedCollectives(t *testing.T) {
 			panic(err)
 		}
 		runs := []mpi.Run{{Off: int64(r.Rank()) * chunk, Len: chunk}}
-		sw := f.WriteAtAllBegin(runs, pattern(r.Rank(), chunk))
+		sw := f.IssueWriteAtAll(true, runs, pattern(r.Rank(), chunk))
 		r.Barrier()
 		r.AllreduceFloat64(float64(r.Rank()), mpi.OpMax)
 		sw.Wait()
@@ -243,7 +243,7 @@ func TestSplitCollectiveEmptyRange(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		sw := f.WriteAtAllBegin(nil, nil)
+		sw := f.IssueWriteAtAll(true, nil, nil)
 		sw.Wait()
 		sw.Wait() // idempotent
 		f.Close()
@@ -262,7 +262,7 @@ func TestSplitDeterministic(t *testing.T) {
 			}
 			for i := 0; i < 3; i++ {
 				runs := []mpi.Run{{Off: int64(r.Rank()*3+i) * 8192, Len: 8192}}
-				sw := f.WriteAtAllBegin(runs, pattern(r.Rank()+i, 8192))
+				sw := f.IssueWriteAtAll(true, runs, pattern(r.Rank()+i, 8192))
 				r.Compute(2_000_000)
 				sw.Wait()
 			}
@@ -302,7 +302,7 @@ func TestIwriteOnEveryFileSystem(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				p := f.IwriteAt(data, 0)
+				p := f.IssueWriteAt(true, data, 0)
 				r.Compute(10_000_000)
 				p.Wait()
 				f.Close()
@@ -331,7 +331,7 @@ func TestSplitWritePreservesArrivalInvariant(t *testing.T) {
 				panic(err)
 			}
 			runs := []mpi.Run{{Off: int64(r.Rank()) * 65536, Len: 65536}}
-			sw := f.WriteAtAllBegin(runs, pattern(r.Rank(), 65536))
+			sw := f.IssueWriteAtAll(true, runs, pattern(r.Rank(), 65536))
 			r.Compute(work)
 			sw.Wait()
 			f.WriteAt(pattern(9, 4096), int64(200000+r.Rank()*4096))

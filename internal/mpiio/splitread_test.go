@@ -33,7 +33,7 @@ func TestIreadAtMatchesReadAt(t *testing.T) {
 			}
 			seedFile(r, f, global)
 			if async {
-				p := f.IreadAt(buf, 0)
+				p := f.IssueReadAt(true, buf, 0)
 				if p.Completion() < r.Now() {
 					panic("completion before issue")
 				}
@@ -74,7 +74,7 @@ func TestIreadRunsMatchesReadRuns(t *testing.T) {
 			}
 			seedFile(r, f, global)
 			if async {
-				f.IreadRuns(runs, buf).Wait()
+				f.IssueReadRuns(true, runs, buf).Wait()
 			} else {
 				f.ReadRuns(runs, buf)
 			}
@@ -123,7 +123,7 @@ func TestSplitReadMatchesBlocking(t *testing.T) {
 						buf := make([]byte, sub.Bytes())
 						bufs[r.Rank()] = buf
 						if split {
-							sr := f.ReadAtAllBegin(sub.Flatten(), buf)
+							sr := f.IssueReadAtAll(true, sub.Flatten(), buf)
 							r.Compute(1_000_000)
 							sr.Wait()
 							sr.Wait() // idempotent
@@ -168,7 +168,7 @@ func TestSplitReadOverlapSavesTime(t *testing.T) {
 			sub := mpi.BlockDecompose3D([3]int{N, N, N}, pz, py, px, r.Rank(), elem)
 			buf := make([]byte, sub.Bytes())
 			if split {
-				sr := f.ReadAtAllBegin(sub.Flatten(), buf)
+				sr := f.IssueReadAtAll(true, sub.Flatten(), buf)
 				r.Compute(work)
 				sr.Wait()
 			} else {
@@ -193,7 +193,7 @@ func TestSplitReadEmptyRange(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		sr := f.ReadAtAllBegin(nil, nil)
+		sr := f.IssueReadAtAll(true, nil, nil)
 		sr.Wait()
 		sr.Wait() // idempotent
 		f.Close()
@@ -211,7 +211,7 @@ func TestSplitReadDeterministic(t *testing.T) {
 			seedFile(r, f, global)
 			for i := 0; i < 3; i++ {
 				runs := []mpi.Run{{Off: int64(r.Rank()*3+i) * 8192, Len: 8192}}
-				sr := f.ReadAtAllBegin(runs, make([]byte, 8192))
+				sr := f.IssueReadAtAll(true, runs, make([]byte, 8192))
 				r.Compute(2_000_000)
 				sr.Wait()
 			}
@@ -237,7 +237,7 @@ func TestSplitReadPreservesArrivalInvariant(t *testing.T) {
 			}
 			seedFile(r, f, global)
 			runs := []mpi.Run{{Off: int64(r.Rank()) * 65536, Len: 65536}}
-			sr := f.ReadAtAllBegin(runs, make([]byte, 65536))
+			sr := f.IssueReadAtAll(true, runs, make([]byte, 65536))
 			r.Compute(work)
 			sr.Wait()
 			f.ReadAt(make([]byte, 4096), int64(200000+r.Rank()*4096))
@@ -271,7 +271,7 @@ func TestIreadInteropWithMessaging(t *testing.T) {
 		}
 		seedFile(r, f, global)
 		buf := make([]byte, per)
-		rd := f.IreadAt(buf, int64(r.Rank())*per)
+		rd := f.IssueReadAt(true, buf, int64(r.Rank())*per)
 		// With the read in flight, exchange a ring message nonblockingly.
 		next := (r.Rank() + 1) % r.Size()
 		prev := (r.Rank() + r.Size() - 1) % r.Size()
@@ -323,7 +323,7 @@ func TestIreadOnEveryFileSystem(t *testing.T) {
 					panic(err)
 				}
 				f.WriteAt(data, 0)
-				p := f.IreadAt(buf, 0)
+				p := f.IssueReadAt(true, buf, 0)
 				r.Compute(10_000_000)
 				p.Wait()
 				f.Close()

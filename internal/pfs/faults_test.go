@@ -60,7 +60,7 @@ func TestDeadlineOpsHealthyMatchBlocking(t *testing.T) {
 			engB.Spawn("c", func(p *sim.Proc) {
 				c := Client{Proc: p, Node: 0}
 				f, _ := fsB.Create(c, "x")
-				if err := WriteAtDeadline(f, c, data, 0, math.Inf(1)); err != nil {
+				if _, err := f.Do(c, Req{Write: true, Mode: By, Buf: data, Deadline: math.Inf(1)}); err != nil {
 					panic(err)
 				}
 				buf := make([]byte, len(data))
@@ -93,7 +93,7 @@ func TestDeadlineExceededReturnsDeviceErrorWithoutBytes(t *testing.T) {
 				c := Client{Proc: p, Node: 0}
 				f, _ := fs.Create(c, "x")
 				deadline := p.Now() + 1e-4
-				err := WriteAtDeadline(f, c, data, 0, deadline)
+				_, err := f.Do(c, Req{Write: true, Mode: By, Buf: data, Deadline: deadline})
 				var de *DeviceError
 				if !errors.As(err, &de) {
 					panic("degraded write did not time out")
@@ -136,7 +136,7 @@ func TestDeadServerDeadlineOpsReportDead(t *testing.T) {
 				c := Client{Proc: p, Node: 0}
 				f, _ := fs.Create(c, "x")
 				inj.FailDataServerAt(0, p.Now())
-				err := WriteAtDeadline(f, c, data, 0, p.Now()+5)
+				_, err := f.Do(c, Req{Write: true, Mode: By, Buf: data, Deadline: p.Now() + 5})
 				var de *DeviceError
 				if !errors.As(err, &de) {
 					panic("dead-server write did not fail")

@@ -14,8 +14,8 @@
 // # One request primitive
 //
 // A file handle has one request method, Do, and a request (Req) carries its
-// own Mode; ReadAt, WriteAt, WriteAtAsync, ReadAtAsync, ReadAtDeadline and
-// WriteAtDeadline are spelled once, in this file, as builders of a Req. A
+// own Mode; ReadAt, WriteAt, WriteAtAsync and ReadAtDeadline are spelled
+// once, in this file, as builders of a Req. A
 // model charges its devices (its readIssue/writeIssue) and hands the
 // completion to settle; a wrapper passes the Req down unchanged. What
 // differs between the three modes at the device, exhaustively:
@@ -265,22 +265,8 @@ func WriteAtAsync(f File, c Client, data []byte, off int64) (end float64) {
 	return end
 }
 
-// ReadAtAsync issues a read-ahead read and returns its virtual completion
-// time. buf is filled at issue; the caller must not consume it before
-// settling the completion.
-func ReadAtAsync(f File, c Client, buf []byte, off int64) (end float64) {
-	end, _ = f.Do(c, Req{Mode: Behind, Buf: buf, Off: off})
-	return end
-}
-
-// WriteAtDeadline is WriteAt abandoned with a *DeviceError if the device
-// would complete past the absolute virtual deadline.
-func WriteAtDeadline(f File, c Client, data []byte, off int64, deadline float64) error {
-	_, err := f.Do(c, Req{Write: true, Mode: By, Buf: data, Off: off, Deadline: deadline})
-	return err
-}
-
-// ReadAtDeadline is the read counterpart of WriteAtDeadline.
+// ReadAtDeadline is ReadAt abandoned with a *DeviceError if the device would
+// complete past the absolute virtual deadline.
 func ReadAtDeadline(f File, c Client, buf []byte, off int64, deadline float64) error {
 	_, err := f.Do(c, Req{Mode: By, Buf: buf, Off: off, Deadline: deadline})
 	return err

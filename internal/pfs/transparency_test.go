@@ -101,8 +101,10 @@ func script(t *testing.T, fs pfs.FileSystem, name string, tr *obs.Tracer) ([]ste
 		end := pfs.WriteAtAsync(f, c, data, int64(len(data)))
 		note("WriteAtAsync", end, nil, nil)
 		p.AdvanceTo(end)
-		note("WriteAtDeadline/met", p.Now(), pfs.WriteAtDeadline(f, c, data, 0, math.Inf(1)), nil)
-		err = pfs.WriteAtDeadline(f, c, data[:100<<10], 4096, p.Now()+tight)
+		t0 := p.Now()
+		_, err = f.Do(c, pfs.Req{Write: true, Mode: pfs.By, Buf: data, Deadline: math.Inf(1)})
+		note("WriteAtDeadline/met", t0, err, nil)
+		_, err = f.Do(c, pfs.Req{Write: true, Mode: pfs.By, Buf: data[:100<<10], Off: 4096, Deadline: p.Now() + tight})
 		note("WriteAtDeadline/missed", p.Now(), err, nil)
 		f.WriteAt(c, nil, 0)
 		note("WriteAt/empty", p.Now(), nil, nil)
@@ -111,7 +113,7 @@ func script(t *testing.T, fs pfs.FileSystem, name string, tr *obs.Tracer) ([]ste
 		f.ReadAt(c, b, 0)
 		note("ReadAt", p.Now(), nil, b)
 		b = buf()
-		end = pfs.ReadAtAsync(f, c, b, 1000)
+		end, _ = f.Do(c, pfs.Req{Mode: pfs.Behind, Buf: b, Off: 1000})
 		note("ReadAtAsync", end, nil, b)
 		p.AdvanceTo(end)
 		b = buf()

@@ -1,10 +1,10 @@
 // Package tenant runs several jobs concurrently on one simulated
 // machine — the shared-cluster reality the single-job experiments
-// idealize away. Each job is an MPI world on its own node allocation
-// (mpi.NewWorldAt) and its own namespace slice of the shared file
-// system (pfs.WrapPrefix), but every byte still crosses the same data
-// servers, disks and NICs, so tenants contend exactly where production
-// jobs do.
+// idealize away. Each job is one world of an enzo.Assemble run, on its
+// own node allocation (an mpi.Placement) and its own namespace slice of the
+// shared file system (pfs.WrapPrefix), but every byte still crosses the
+// same data servers, disks and NICs, so tenants contend exactly where
+// production jobs do.
 //
 // The package measures what a batch user feels: per-job slowdown, the
 // ratio of a job's I/O time in the contended fleet to the same job's
@@ -15,6 +15,7 @@
 package tenant
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -32,7 +33,7 @@ type JobKind int
 
 const (
 	// KindEnzo runs a full enzo simulation (setup, evolution, dumps,
-	// restart verification) via enzo.NewSim.
+	// restart verification) as an enzo.Assemble world.
 	KindEnzo JobKind = iota
 	// KindReader is a synthetic analysis job: each rank provisions a
 	// private file and then scans it sequentially for a number of passes —
@@ -228,102 +229,70 @@ type jobOutcome struct {
 	problem  string
 }
 
-// runJobs executes the jobs selected by idx (indices into cfg.Jobs) on
-// one shared engine, machine and file system, keeping each job's fleet
-// placement and service class so an alone run is the contended run minus
-// the neighbors. Returns one outcome per selected job plus the engine
-// makespan and the tracer (nil unless cfg.Trace).
+// runJobs executes the jobs selected by idx (indices into cfg.Jobs) as one
+// assembled run, keeping each job's fleet placement and service class so an
+// alone run is the contended run minus the neighbors. Returns one outcome
+// per selected job plus the makespan and the tracer (nil unless cfg.Trace).
 func runJobs(cfg FleetConfig, bases []int, idx []int) ([]jobOutcome, float64, *obs.Tracer, error) {
-	eng := sim.NewEngine()
-	mach := machine.New(cfg.Machine)
-	raw, err := enzo.MakeFS(cfg.FS, mach)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-
-	switch cfg.Policy {
-	case "", "fifo":
-		// The built-in watermark: bit-identical to every historical run.
-	case "fair":
-		host, ok := pfs.As[schedPolicyHost](raw)
-		if !ok {
-			return nil, 0, nil, fmt.Errorf("tenant: file system %q does not support scheduling policies", cfg.FS)
-		}
-		weights := fleetWeights(cfg.Jobs, idx)
-		host.SetSchedPolicy(func(string) sim.SchedPolicy { return sim.FairQueue(weights) })
-	default:
-		return nil, 0, nil, fmt.Errorf("tenant: unknown policy %q (want fifo or fair)", cfg.Policy)
-	}
-
-	shared := raw
-	if cfg.BurstBuffer {
-		shared = pfs.WrapBurstBuffer(shared, pfs.DefaultBurst())
-	}
-
-	var tr *obs.Tracer
+	alloc := enzo.Allocation{Machine: cfg.Machine, FS: cfg.FS,
+		Wrap: func(raw pfs.FileSystem) (pfs.FileSystem, error) {
+			if cfg.Policy == "fair" {
+				host, ok := pfs.As[schedPolicyHost](raw)
+				if !ok {
+					return nil, fmt.Errorf("tenant: file system %q does not support scheduling policies", cfg.FS)
+				}
+				weights := fleetWeights(cfg.Jobs, idx)
+				host.SetSchedPolicy(func(string) sim.SchedPolicy { return sim.FairQueue(weights) })
+			}
+			if cfg.BurstBuffer {
+				return pfs.WrapBurstBuffer(raw, pfs.DefaultBurst()), nil
+			}
+			return raw, nil
+		}}
 	if cfg.Trace {
-		tr = obs.NewTracer()
-		shared = obs.WrapFS(shared, tr)
-		mach.SetServeObserver(tr)
+		alloc.Tracer = obs.NewTracer()
 	}
 
 	outcomes := make([]jobOutcome, len(idx))
-	results := make([]*enzo.Result, len(idx))
-	rankBase := 0
+	worlds := make([]enzo.World, len(idx))
 	for k, i := range idx {
-		k, i := k, i
-		spec := cfg.Jobs[i]
-		jfs := pfs.WrapPrefix(shared, spec.Name+"/")
-		base := rankBase
-		rankBase += spec.Procs
-
-		if spec.Kind == KindEnzo {
-			codec := "none"
-			if spec.Config.Codec != "" {
-				codec = spec.Config.Codec
-			}
-			results[k] = &enzo.Result{Problem: spec.Config.Problem, Backend: spec.Backend,
-				FS: cfg.FS, Procs: spec.Procs, Codec: codec}
-		}
-		res := results[k]
-
-		mpi.NewWorldAt(eng, mach, spec.Procs,
-			mpi.Placement{Name: spec.Name, NodeBase: bases[i], Class: jobClass(i)},
-			func(r *mpi.Rank) {
-				if tr != nil {
-					tr.Attach(r.Proc(), base+r.Rank())
-				}
+		spec, out := cfg.Jobs[i], &outcomes[k]
+		worlds[k] = enzo.World{Procs: spec.Procs,
+			Place: mpi.Placement{Name: spec.Name, NodeBase: bases[i], Class: jobClass(i)},
+			View:  func(fs pfs.FileSystem) pfs.FileSystem { return pfs.WrapPrefix(fs, spec.Name+"/") },
+			Body: func(r *mpi.Rank, fs pfs.FileSystem, s *enzo.Sim) {
 				if spec.StartAt > 0 {
 					r.Proc().AdvanceTo(spec.StartAt)
 				}
-				switch spec.Kind {
-				case KindEnzo:
-					s := enzo.NewSim(r, jfs, spec.Backend, spec.Config, res)
+				if s != nil {
 					s.Run()
-				case KindReader:
-					scanJob(r, jfs, spec, &outcomes[k])
+				} else {
+					scanJob(r, fs, spec, out)
 				}
-				if now := r.Proc().Now(); now > outcomes[k].finishAt {
-					outcomes[k].finishAt = now
+				if now := r.Proc().Now(); now > out.finishAt {
+					out.finishAt = now
 				}
-			})
-	}
-
-	if err := eng.Run(); err != nil {
-		return nil, 0, nil, err
-	}
-	for k, i := range idx {
-		switch cfg.Jobs[i].Kind {
-		case KindEnzo:
-			outcomes[k].ioSec = results[k].IOTime()
-			outcomes[k].verified = results[k].Verified
-			outcomes[k].problem = results[k].Problem
-		case KindReader:
-			outcomes[k].verified = true
-			outcomes[k].problem = "scan"
+			}}
+		if spec.Kind == KindEnzo {
+			worlds[k].Config, worlds[k].Backend, worlds[k].Result = spec.Config, spec.Backend, new(enzo.Result)
 		}
 	}
-	return outcomes, eng.MaxTime(), tr, nil
+
+	// A restart that found no clean generation is the job's Verified=false,
+	// not the fleet's failure.
+	makespan, err := enzo.Assemble(alloc, worlds...)
+	var dirty *enzo.RestartError
+	if err != nil && !errors.As(err, &dirty) {
+		return nil, 0, nil, err
+	}
+	for k, w := range worlds {
+		if res := w.Result; res != nil {
+			outcomes[k].ioSec, outcomes[k].verified, outcomes[k].problem = res.IOTime(), res.Verified, res.Problem
+		} else {
+			outcomes[k].verified, outcomes[k].problem = true, "scan"
+		}
+	}
+	return outcomes, makespan, alloc.Tracer, nil
 }
 
 // scanJob is the KindReader body: provision a private per-rank file,
@@ -367,6 +336,12 @@ func scanJob(r *mpi.Rank, fs pfs.FileSystem, spec JobSpec, out *jobOutcome) {
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("tenant: fleet needs at least one job")
+	}
+	switch cfg.Policy {
+	case "", "fifo", "fair":
+		// fifo is the built-in watermark, bit-identical to every historical run.
+	default:
+		return nil, fmt.Errorf("tenant: unknown policy %q (want fifo or fair)", cfg.Policy)
 	}
 	bases, err := placements(cfg)
 	if err != nil {

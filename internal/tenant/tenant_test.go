@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/enzo"
 	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 // twoJobFleet is the canonical contended fixture: two Tiny enzo jobs on
@@ -26,10 +28,10 @@ func twoJobFleet(policy string) FleetConfig {
 }
 
 // TestSingleJobFleetMatchesRunOnce: a one-job FIFO fleet is the same
-// simulation RunOnce performs — same engine, same placement, same
+// simulation Run performs — same engine, same placement, same
 // (prefixed) namespace — so its I/O time must be bit-identical.
 func TestSingleJobFleetMatchesRunOnce(t *testing.T) {
-	ref, err := enzo.RunOnce(machine.ChibaCity(), "pvfs", 4, enzo.Tiny(), enzo.BackendMPIIO)
+	ref, err := enzo.Run(enzo.RunSpec{Machine: machine.ChibaCity(), FS: "pvfs", Procs: 4, Config: enzo.Tiny(), Backend: enzo.BackendMPIIO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestSingleJobFleetMatchesRunOnce(t *testing.T) {
 	}
 	j := fr.Jobs[0]
 	if j.IOSec != ref.IOTime() {
-		t.Errorf("single-job fleet I/O = %g, RunOnce = %g (must be bit-identical)", j.IOSec, ref.IOTime())
+		t.Errorf("single-job fleet I/O = %g, Run = %g (must be bit-identical)", j.IOSec, ref.IOTime())
 	}
 	if j.Slowdown != 1 {
 		t.Errorf("single-job slowdown = %g, want exactly 1 (alone == contended)", j.Slowdown)
@@ -180,6 +182,8 @@ func TestFleetValidation(t *testing.T) {
 		{"policy", func(c *FleetConfig) { c.Policy = "lottery" }, "unknown policy"},
 		{"nofairhost", func(c *FleetConfig) { c.FS = "xfs"; c.Policy = "fair" }, "does not support scheduling"},
 		{"badweight", func(c *FleetConfig) { c.Jobs[0].Weight = -2 }, "negative weight"},
+		{"codec", func(c *FleetConfig) { c.Jobs[0].Config.Codec = "zip" }, "unknown codec"},
+		{"budget", func(c *FleetConfig) { c.Jobs[1].Config.MemBudget = 1 }, "budget"},
 	}
 	for _, tc := range cases {
 		cfg := base()
@@ -187,6 +191,14 @@ func TestFleetValidation(t *testing.T) {
 		_, err := RunFleet(cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+		}
+		var pe *sim.PanicError
+		if errors.As(err, &pe) {
+			t.Errorf("%s: err is a panic, not an error: %v", tc.name, err)
+		}
+		var fe *enzo.FootprintError
+		if tc.name == "budget" && !errors.As(err, &fe) {
+			t.Errorf("budget: err = %v, want a *enzo.FootprintError", err)
 		}
 	}
 }
