@@ -25,7 +25,7 @@
 // detector registry, and applies the derived hint deltas to the main run;
 // -probe-report saves the probe's diagnosis document (report + chosen
 // deltas) as a JSON artifact. Neither combines with -report, which skips
-// the simulation entirely.
+// the simulation entirely; nor does a non-zero -cbnodes.
 //
 // All output derives from deterministic virtual-time telemetry: repeated
 // runs of the same configuration produce byte-identical bytes.
@@ -74,6 +74,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fail("unknown -format %q (want text, json or metrics)", *format)
 	}
+	if *cbnodes < 0 {
+		return fail("-cbnodes %d is negative (0 = ROMIO default)", *cbnodes)
+	}
 	var failSev diag.Severity
 	switch *failOn {
 	case "none":
@@ -94,6 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *probeReport != "" {
 			return fail("-probe-report needs -autotune, not -report")
+		}
+		if *cbnodes != 0 {
+			return fail("-cbnodes needs a simulation run, not -report")
 		}
 		var err error
 		rep, err = loadReport(*reportPath)

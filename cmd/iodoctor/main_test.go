@@ -26,6 +26,8 @@ func TestBadFlagsRejected(t *testing.T) {
 		{"sub-unity straggler", []string{"-straggler", "0.5"}},
 		{"negative corrupt", []string{"-corrupt", "-1"}},
 		{"straggler on unstriped fs", []string{"-fs", "xfs", "-straggler", "2"}},
+		{"negative cbnodes", []string{"-cbnodes", "-3"}},
+		{"cbnodes with report", []string{"-cbnodes", "4", "-report", "report.json"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

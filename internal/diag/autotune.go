@@ -1,10 +1,11 @@
-// The closed tuning loop: probe → Snapshot → detector-backed Suggest →
-// tuned Config. mpiio owns the hint rules ((Hints).AutoTuneSteps), this
-// file owns the orchestration — deriving the reduced-depth probe problem,
-// running it traced, and applying the resulting deltas at the enzo.Config
-// level. AutoTune is the one entry point: the CLIs' -autotune
-// (runflags.Tune), the sweeps' Options.AutoTune (experiments.runCase) and
-// the hints sweep all call it before they run the tuned configuration.
+// The closed tuning loop: probe → Snapshot → Suggest → tuned Config.
+// Suggest (suggest.go) owns the hint rules, beside the detectors they
+// mirror; this file owns the orchestration — deriving the reduced-depth
+// probe problem, running it traced, and applying the resulting deltas at
+// the enzo.Config level. AutoTune is the one entry point: the CLIs'
+// -autotune (runflags.Tune), the sweeps' Options.AutoTune
+// (experiments.runCase) and the hints sweep all call it before they run
+// the tuned configuration.
 package diag
 
 import (

@@ -251,50 +251,49 @@ func detectStragglerServers(rep *Report) []Finding {
 }
 
 // detectAmplification compares physical pfs bytes against logical MPI-IO
-// bytes. Read amplification >= 1.5 warns, >= 4 is critical — classic
+// bytes. Amplification >= 1.5 warns, >= 4 is critical — for reads, classic
 // data-sieving waste on scattered runs. Needs >= 1 MiB of excess so tiny
 // metadata noise never fires it.
 func detectAmplification(rep *Report) []Finding {
 	var out []Finding
-	if l, p := rep.Traffic.LogicalReadBytes, rep.Traffic.PhysicalReadBytes; l > 0 && p-l >= 1<<20 {
-		amp := float64(p) / float64(l)
-		sev := Severity(-1)
-		switch {
-		case amp >= 4:
-			sev = SevCritical
-		case amp >= 1.5:
-			sev = SevWarn
-		}
-		if sev >= SevInfo {
-			out = append(out, Finding{
-				Detector: "read-amplification",
-				Severity: sev,
-				Title:    fmt.Sprintf("read amplification %.2fx: %s physical for %s logical", amp, fmtBytes(p), fmtBytes(l)),
-				Detail:   "the pfs layer read more than the application asked for — data sieving over scattered runs pays for the holes",
-				Advice:   "shrink the sieve buffer toward the stripe unit, or disable data sieving (ind_rd_buffer_size / romio_ds_read) when runs are very sparse",
-			})
-		}
+	t := rep.Traffic
+	if amp, sev := amplification(t.LogicalReadBytes, t.PhysicalReadBytes); sev >= SevInfo {
+		out = append(out, Finding{
+			Detector: "read-amplification",
+			Severity: sev,
+			Title:    fmt.Sprintf("read amplification %.2fx: %s physical for %s logical", amp, fmtBytes(t.PhysicalReadBytes), fmtBytes(t.LogicalReadBytes)),
+			Detail:   "the pfs layer read more than the application asked for — data sieving over scattered runs pays for the holes",
+			Advice:   "shrink the sieve buffer toward the stripe unit, or disable data sieving (ind_rd_buffer_size / romio_ds_read) when runs are very sparse",
+		})
 	}
-	if l, p := rep.Traffic.LogicalWriteBytes, rep.Traffic.PhysicalWriteBytes; l > 0 && p-l >= 1<<20 {
-		amp := float64(p) / float64(l)
-		sev := Severity(-1)
-		switch {
-		case amp >= 4:
-			sev = SevCritical
-		case amp >= 1.5:
-			sev = SevWarn
-		}
-		if sev >= SevInfo {
-			out = append(out, Finding{
-				Detector: "write-amplification",
-				Severity: sev,
-				Title:    fmt.Sprintf("write amplification %.2fx: %s physical for %s logical", amp, fmtBytes(p), fmtBytes(l)),
-				Detail:   "the pfs layer wrote more than the application asked — read-modify-write or re-dump traffic",
-				Advice:   "align writes to the stripe unit and check for repeated dump generations",
-			})
-		}
+	if amp, sev := amplification(t.LogicalWriteBytes, t.PhysicalWriteBytes); sev >= SevInfo {
+		out = append(out, Finding{
+			Detector: "write-amplification",
+			Severity: sev,
+			Title:    fmt.Sprintf("write amplification %.2fx: %s physical for %s logical", amp, fmtBytes(t.PhysicalWriteBytes), fmtBytes(t.LogicalWriteBytes)),
+			Detail:   "the pfs layer wrote more than the application asked — read-modify-write or re-dump traffic",
+			Advice:   "align writes to the stripe unit and check for repeated dump generations",
+		})
 	}
 	return out
+}
+
+// amplification is the one test of physical against logical bytes, shared
+// by detectAmplification and Suggest's sieving rule: the ratio and the
+// severity it earns (>= 4 critical, >= 1.5 a warning), or no severity (-1)
+// when there are no logical bytes or under 1 MiB of excess.
+func amplification(logical, physical int64) (float64, Severity) {
+	if logical <= 0 || physical-logical < 1<<20 {
+		return 0, -1
+	}
+	amp := float64(physical) / float64(logical)
+	switch {
+	case amp >= 4:
+		return amp, SevCritical
+	case amp >= 1.5:
+		return amp, SevWarn
+	}
+	return amp, -1
 }
 
 // detectSmallRequests is the paper's headline pathology: request-size
@@ -330,20 +329,14 @@ func detectSmallRequests(rep *Report) []Finding {
 // detectCBMismatch compares the effective aggregator count (cb_nodes; 0
 // means every rank) against the striped data-server fleet when collective
 // I/O actually ran. Any mismatch warns; a 4x mismatch either way is
-// critical.
+// critical. An effective count of 0 (no cb_nodes and no recorded rank
+// count) stays silent, though the cb_nodes rule still fires on it.
 func detectCBMismatch(rep *Report) []Finding {
-	if rep.FS.DataServers < 2 || rep.Traffic.CollectiveOps == 0 || len(rep.Hints) == 0 {
+	eff, mismatch := cbMismatch(rep)
+	if !mismatch || eff == 0 {
 		return nil
 	}
-	// Runs open every file with one hint set; take the first.
 	h := rep.Hints[0]
-	eff := h.CBNodes
-	if eff <= 0 {
-		eff = rep.Meta.Procs
-	}
-	if eff == rep.FS.DataServers || eff == 0 {
-		return nil
-	}
 	sev := SevWarn
 	if eff*4 <= rep.FS.DataServers || eff >= rep.FS.DataServers*4 {
 		sev = SevCritical
@@ -361,6 +354,23 @@ func detectCBMismatch(rep *Report) []Finding {
 			h.CBNodes, eff, rep.FS.DataServers, rep.FS.Name),
 		Advice: fmt.Sprintf("set cb_nodes=%d so each data server is driven by exactly one aggregator", rep.FS.DataServers),
 	}}
+}
+
+// cbMismatch is the one test of the aggregator count against the striped
+// fleet, shared by detectCBMismatch and Suggest's cb_nodes rule. When
+// collective I/O ran on two or more data servers under a recorded hint
+// set, it returns the effective aggregator count (cb_nodes; 0 means every
+// rank) and whether it differs from the data-server count.
+func cbMismatch(rep *Report) (eff int, mismatch bool) {
+	if rep.FS.DataServers < 2 || rep.Traffic.CollectiveOps <= 0 || len(rep.Hints) == 0 {
+		return 0, false
+	}
+	// Runs open every file with one hint set; take the first.
+	eff = rep.Hints[0].CBNodes
+	if eff <= 0 {
+		eff = rep.Meta.Procs
+	}
+	return eff, eff != rep.FS.DataServers
 }
 
 // detectUnhiddenAsync judges the async overlap machinery: when AsyncIO is
@@ -391,19 +401,28 @@ func detectUnhiddenAsync(rep *Report) []Finding {
 			})
 		}
 	}
-	if !m.Async && m.Makespan > 0 {
-		if w := m.Phase("write"); w >= 0.2*m.Makespan {
-			out = append(out, Finding{
-				Detector:      "unhidden-async",
-				Severity:      SevInfo,
-				Title:         fmt.Sprintf("write phase is %.1f%% of the makespan with AsyncIO off", 100*w/m.Makespan),
-				Detail:        fmt.Sprintf("write %.6fs of %.6fs total", w, m.Makespan),
-				ImpactSeconds: w,
-				Advice:        "enable AsyncIO write-behind to overlap dump device time with the next compute phase",
-			})
-		}
+	if w, ok := writeShare(m); ok {
+		out = append(out, Finding{
+			Detector:      "unhidden-async",
+			Severity:      SevInfo,
+			Title:         fmt.Sprintf("write phase is %.1f%% of the makespan with AsyncIO off", 100*w/m.Makespan),
+			Detail:        fmt.Sprintf("write %.6fs of %.6fs total", w, m.Makespan),
+			ImpactSeconds: w,
+			Advice:        "enable AsyncIO write-behind to overlap dump device time with the next compute phase",
+		})
 	}
 	return out
+}
+
+// writeShare is the one test for a dominant synchronous write phase,
+// shared by detectUnhiddenAsync and Suggest's async rule: with AsyncIO off,
+// the write phase's seconds and whether they reach a fifth of the makespan.
+func writeShare(m RunMeta) (float64, bool) {
+	if m.Async || m.Makespan <= 0 {
+		return 0, false
+	}
+	w := m.Phase("write")
+	return w, w >= 0.2*m.Makespan
 }
 
 // detectFaults surfaces the fault-tolerance counters: abandoned deadline

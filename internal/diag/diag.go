@@ -1,7 +1,7 @@
 // Package diag is the diagnosis layer: it turns one traced run's raw
 // telemetry (obs spans, Darshan-style counters, server queue events) into a
 // machine-readable Report, a ranked list of Findings with severities and
-// tuning advice, candidate mpiio.Hints deltas (Suggest) and report-vs-report
+// tuning advice, candidate hint deltas (Suggest) and report-vs-report
 // regression attribution (Diff).
 //
 // This automates what the source paper did by hand: its optimizations all
