@@ -276,27 +276,21 @@ func BenchmarkAblationParticleSort(b *testing.B) {
 				eng := sim.NewEngine()
 				mach := machine.New(machine.Origin2000())
 				mpi.NewWorld(eng, mach, 16, func(r *mpi.Rank) {
-					rows := make([][]byte, n/16)
-					for k := range rows {
-						row := make([]byte, rowSize)
+					rows := make([]byte, n/16*rowSize)
+					for k := 0; k < n/16; k++ {
 						id := int64((k*16+r.Rank())*2654435761) % 1000000
 						if id < 0 {
 							id = -id
 						}
 						for j := 0; j < 8; j++ {
-							row[j] = byte(id >> (8 * j))
+							rows[k*rowSize+j] = byte(id >> (8 * j))
 						}
-						rows[k] = row
 					}
 					t0 := r.Now()
 					if mode == "parallel-sample-sort" {
 						psort.SampleSort(r, rows, rowSize, psort.IDKey(0))
 					} else {
-						var blob []byte
-						for _, row := range rows {
-							blob = append(blob, row...)
-						}
-						gathered := r.Gatherv(0, blob)
+						gathered := r.Gatherv(0, rows)
 						if r.Rank() == 0 {
 							var all [][]byte
 							for _, chunk := range gathered {

@@ -42,9 +42,9 @@ func main() {
 		}
 
 		rowSize := int(amr.BytesPerParticle())
-		rows := make([][]byte, ps.N)
-		for i := range rows {
-			rows[i] = ps.Row(i)
+		rows := make([]byte, 0, ps.N*rowSize)
+		for i := 0; i < ps.N; i++ {
+			rows = append(rows, ps.Row(i)...)
 		}
 
 		f, err := mpiio.Open(r, fs, "particles.dat", mpiio.ModeCreate, mpiio.DefaultHints())
@@ -55,12 +55,8 @@ func main() {
 		// Write path: parallel sample sort by ID, then one contiguous
 		// block-wise write per rank.
 		t0 := r.Now()
-		sorted := psort.SampleSort(r, rows, rowSize, psort.IDKey(0))
-		sortedOK[r.Rank()] = psort.IsGloballySorted(r, sorted, psort.IDKey(0))
-		var blob []byte
-		for _, row := range sorted {
-			blob = append(blob, row...)
-		}
+		blob := psort.SampleSort(r, rows, rowSize, psort.IDKey(0))
+		sortedOK[r.Rank()] = psort.IsGloballySorted(r, blob, rowSize, psort.IDKey(0))
 		off := r.ExscanInt64(int64(len(blob)))
 		f.WriteAt(blob, off)
 		r.Barrier()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/amr"
+	"repro/internal/core"
 )
 
 // TestDumpGenerationsIdentical: the rooted collectives hand the root each
@@ -133,6 +134,78 @@ func BenchmarkParticleRoundTrip(b *testing.B) {
 			chunks[c] = rows[c*per : (c+1)*per]
 		}
 		if back := unpackRows(chunks...); back.N != n {
+			b.Fatal("lost particles")
+		}
+	}
+}
+
+// benchParticles is n particles of random bytes with positions uniform in
+// the unit cube, the top grid of the benchmarks below.
+func benchParticles(n int) amr.ParticleSet {
+	ps := amr.NewParticleSet(n)
+	rng := rand.New(rand.NewSource(1))
+	for _, col := range ps.Arrays {
+		rng.Read(col)
+	}
+	for i := 0; i < n; i++ {
+		ps.SetPosition(i, [3]float64{rng.Float64(), rng.Float64(), rng.Float64()})
+	}
+	return ps
+}
+
+var ownerSink []int32
+
+// BenchmarkOwnersByPosition: the owner of each of 64 Ki particles in a 128³
+// grid over a 2×2×2 process grid — the redistribution's first pass.
+func BenchmarkOwnersByPosition(b *testing.B) {
+	const n = 64 << 10
+	ps := benchParticles(n)
+	g := core.GridMeta{Dims: [3]int{128, 128, 128}, RightEdge: [3]float64{1, 1, 1}}
+	s := &Sim{pz: 2, py: 2, px: 2}
+	b.SetBytes(n * 24) // the position columns
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ownerSink, _ = s.ownersByPosition(&ps, g)
+	}
+}
+
+// BenchmarkParticleSetHash: the restart verification hash of 64 Ki
+// particles.
+func BenchmarkParticleSetHash(b *testing.B) {
+	const n = 64 << 10
+	ps := benchParticles(n)
+	b.SetBytes(int64(n * rowSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink += particleSetHash(&ps)
+	}
+}
+
+// BenchmarkColumnGather: consolidating 64 Ki particles held by eight ranks
+// onto one — each rank's message built from its columns, then the owner's
+// assembly of the eight messages into one column-stored set.
+func BenchmarkColumnGather(b *testing.B) {
+	const n, np = 64 << 10, 8
+	pieces := make([]amr.ParticleSet, np)
+	all := benchParticles(n)
+	for r := range pieces {
+		idx := make([]int, n/np)
+		for k := range idx {
+			idx[k] = r*n/np + k
+		}
+		pieces[r] = all.Select(idx)
+	}
+	b.SetBytes(int64(n * rowSize()))
+	b.ReportAllocs()
+	msgs := make([][]byte, np)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range pieces {
+			msgs[r] = columnBlocked(&pieces[r])
+		}
+		if got := gatherColumns(msgs...); got.N != n {
 			b.Fatal("lost particles")
 		}
 	}

@@ -488,6 +488,7 @@ type Sim struct {
 
 	pz, py, px int
 	runBuf     []mpi.Run // fieldRuns' result, rebuilt per field
+	cellOwners []int32   // ownersByPosition's cell tables, rebuilt per call
 
 	top      *partition
 	partials []*partition      // initial subgrid partitions, index gridID-1
@@ -1075,9 +1076,9 @@ func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 			grid.Fields[f] = full
 		}
 	}
-	gathered := s.r.Gatherv(owner, packRows(&p.particles))
+	gathered := s.r.Gatherv(owner, columnBlocked(&p.particles))
 	if s.r.Rank() == owner {
-		grid.Particles = unpackRows(gathered...)
+		grid.Particles = gatherColumns(gathered...)
 	}
 	return grid
 }
@@ -1157,25 +1158,27 @@ func hashBytes(h64 uint64, b []byte) uint64 {
 }
 
 // particleSetHash hashes a particle set order-independently (sum of
-// per-row hashes), so redistribution order does not matter. Rows are
-// hashed array by array — the same byte stream Row would materialize,
-// without allocating it.
+// per-row hashes), so redistribution order does not matter. Each row is
+// hashed a word per array — the row's elements in array order, without
+// materializing the row.
 func particleSetHash(ps *amr.ParticleSet) uint64 {
+	h0 := uint64(fnvOffset64)
+	h0 *= fnvPrime64
+	h0 ^= rowBytes
+	h0 *= fnvPrime64
+	le, n := binary.LittleEndian, ps.N
+	id, x, y, z := ps.Arrays[0][:8*n], ps.Arrays[1][:8*n], ps.Arrays[2][:8*n], ps.Arrays[3][:8*n]
+	vx, vy, vz, m := ps.Arrays[4][:4*n], ps.Arrays[5][:4*n], ps.Arrays[6][:4*n], ps.Arrays[7][:4*n]
 	var sum uint64
-	for i := 0; i < ps.N; i++ {
-		h := uint64(fnvOffset64)
-		h *= fnvPrime64
-		h ^= uint64(amr.BytesPerParticle())
-		h *= fnvPrime64
-		for k, a := range amr.ParticleArrays {
-			seg := ps.Arrays[k][i*a.ElemSize : (i+1)*a.ElemSize]
-			if a.ElemSize == 8 {
-				h ^= binary.LittleEndian.Uint64(seg)
-			} else {
-				h ^= uint64(binary.LittleEndian.Uint32(seg))
-			}
-			h *= fnvPrime64
-		}
+	for i := 0; i < n; i++ {
+		h := (h0 ^ le.Uint64(id[8*i:])) * fnvPrime64
+		h = (h ^ le.Uint64(x[8*i:])) * fnvPrime64
+		h = (h ^ le.Uint64(y[8*i:])) * fnvPrime64
+		h = (h ^ le.Uint64(z[8*i:])) * fnvPrime64
+		h = (h ^ uint64(le.Uint32(vx[4*i:]))) * fnvPrime64
+		h = (h ^ uint64(le.Uint32(vy[4*i:]))) * fnvPrime64
+		h = (h ^ uint64(le.Uint32(vz[4*i:]))) * fnvPrime64
+		h = (h ^ uint64(le.Uint32(m[4*i:]))) * fnvPrime64
 		sum += h
 	}
 	return sum

@@ -1,8 +1,10 @@
 package enzo
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/amr"
@@ -182,6 +184,13 @@ func TestParticleHelpersRoundTrip(t *testing.T) {
 		if rows[i] != rows2[i] {
 			t.Fatal("columns round trip failed")
 		}
+	}
+	// rowPosition reads the (z,y,x) position out of a row.
+	rowPosition := func(row []byte) [3]float64 {
+		px := math.Float64frombits(binary.LittleEndian.Uint64(row[8:]))
+		py := math.Float64frombits(binary.LittleEndian.Uint64(row[16:]))
+		pz := math.Float64frombits(binary.LittleEndian.Uint64(row[24:]))
+		return [3]float64{pz, py, px}
 	}
 	if pos := rowPosition(rows[:rowSize()]); pos != ps.Position(0) {
 		t.Fatalf("rowPosition = %v, want %v", pos, ps.Position(0))

@@ -1,7 +1,6 @@
 package enzo
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/amr"
@@ -146,9 +145,7 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 			var parts [][]byte
 			if s.r.Rank() == 0 {
 				parts = carve(counts, pa.ElemSize)
-				for i, o := range owners {
-					parts[o] = append(parts[o], cols[k][i*pa.ElemSize:(i+1)*pa.ElemSize]...)
-				}
+				scatterColumn(parts, cols[k], pa.ElemSize, owners)
 			}
 			recvCols[k] = s.r.Scatterv(0, parts)
 		}
@@ -203,7 +200,7 @@ func (s hdf4IO) writeDump(d int) {
 	gathered := s.r.Gatherv(0, rows)
 	if s.r.Rank() == 0 {
 		if g.NParticles > 0 {
-			sorted := s.sortRowsByIDLocal(bytes.Join(gathered, nil))
+			sorted := s.sortRowsByIDLocal(gathered...)
 			_, cols := flatColumnsFromRows(sorted)
 			s.r.CopyCost(int64(len(sorted)))
 			for k, pa := range amr.ParticleArrays {

@@ -1,8 +1,11 @@
 package psort
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,15 +28,24 @@ func makeRow(id int64, payload byte) []byte {
 	return row
 }
 
+// splitRows cuts a buffer of 16-byte rows into its rows.
+func splitRows(buf []byte) [][]byte {
+	var rows [][]byte
+	for p := 0; p+16 <= len(buf); p += 16 {
+		rows = append(rows, buf[p:p+16])
+	}
+	return rows
+}
+
 func runSort(t *testing.T, nprocs int, perRank func(rank int) [][]byte) (results [][][]byte, sortedOK []bool) {
 	t.Helper()
 	results = make([][][]byte, nprocs)
 	sortedOK = make([]bool, nprocs)
 	_, err := mpi.Simulate(cfg(), nprocs, func(r *mpi.Rank) {
 		rows := perRank(r.Rank())
-		out := SampleSort(r, rows, 16, IDKey(0))
-		results[r.Rank()] = out
-		sortedOK[r.Rank()] = IsGloballySorted(r, out, IDKey(0))
+		out := SampleSort(r, bytes.Join(rows, nil), 16, IDKey(0))
+		results[r.Rank()] = splitRows(out)
+		sortedOK[r.Rank()] = IsGloballySorted(r, out, 16, IDKey(0))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +217,9 @@ func TestSampleSortProperty(t *testing.T) {
 			for _, id := range idSets[r.Rank()] {
 				rows = append(rows, makeRow(id, byte(r.Rank())))
 			}
-			out := SampleSort(r, rows, 16, IDKey(0))
-			results[r.Rank()] = out
-			okAll[r.Rank()] = IsGloballySorted(r, out, IDKey(0))
+			out := SampleSort(r, bytes.Join(rows, nil), 16, IDKey(0))
+			results[r.Rank()] = splitRows(out)
+			okAll[r.Rank()] = IsGloballySorted(r, out, 16, IDKey(0))
 		})
 		if err != nil {
 			return false
@@ -265,14 +277,52 @@ func BenchmarkSampleSort(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := mpi.Simulate(cfg(), nprocs, func(r *mpi.Rank) {
-			rows := make([][]byte, perRank)
-			for k := range rows {
-				rows[k] = flat[r.Rank()][k*rowSize : (k+1)*rowSize]
-			}
-			SampleSort(r, rows, rowSize, IDKey(0))
+			SampleSort(r, flat[r.Rank()], rowSize, IDKey(0))
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// refLocalSort is the local sort LocalSort replaced, kept as its reference:
+// a stable sort of the row slices through the key closure.
+func refLocalSort(rows [][]byte, key Key) {
+	slices.SortStableFunc(rows, func(a, b []byte) int { return cmp.Compare(key(a), key(b)) })
+}
+
+// LocalSort against the closure-driven stable sort: random rows cut into
+// random chunks, keys drawn from a range narrow enough for long runs of
+// equal keys (the tie order is file bytes), wide enough for negative ones,
+// and a row size that leaves a partial row at the end of some chunks.
+func TestLocalSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		rowSize := 8 + rng.Intn(3)*4
+		spread := int64(1) << uint(rng.Intn(40))
+		var chunks [][]byte
+		var rows [][]byte
+		for c := rng.Intn(6); c >= 0; c-- {
+			chunk := make([]byte, rng.Intn(40)*rowSize)
+			rng.Read(chunk)
+			for p := 0; p < len(chunk); p += rowSize {
+				binary.LittleEndian.PutUint64(chunk[p:], uint64(rng.Int63n(spread)-spread/2))
+				rows = append(rows, chunk[p:p+rowSize])
+			}
+			if rng.Intn(4) == 0 {
+				chunk = append(chunk, byte(rng.Intn(256))) // a partial row, ignored
+			}
+			chunks = append(chunks, chunk)
+		}
+		refLocalSort(rows, IDKey(0))
+		want := bytes.Join(rows, nil)
+		_, err := mpi.Simulate(cfg(), 1, func(r *mpi.Rank) {
+			if got := LocalSort(r, chunks, rowSize, IDKey(0)); !bytes.Equal(got, want) {
+				t.Errorf("trial %d: %d rows of %d bytes sorted differently from the reference", trial, len(rows), rowSize)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
