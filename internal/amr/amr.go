@@ -129,12 +129,6 @@ func (g *Grid) FieldValue(f int, z, y, x int) float32 {
 	return math.Float32frombits(binary.LittleEndian.Uint32(g.Fields[f][off:]))
 }
 
-// setFieldValue writes field f at cell (z,y,x).
-func (g *Grid) setFieldValue(f int, z, y, x int, v float32) {
-	off := g.cellIndex(z, y, x) * FieldElemSize
-	binary.LittleEndian.PutUint32(g.Fields[f][off:], math.Float32bits(v))
-}
-
 // ParticleSet stores the particle arrays of one grid. Arrays[i] matches
 // ParticleArrays[i]; all have N elements.
 type ParticleSet struct {
@@ -199,13 +193,24 @@ func (ps *ParticleSet) SetRow(i int, row []byte) {
 }
 
 // Select returns a new set holding particles idx[0], idx[1], ... of ps, in
-// that order, copied array by array.
+// that order, copied array by array with one fixed-width load and store per
+// element.
 func (ps *ParticleSet) Select(idx []int) ParticleSet {
 	out := NewParticleSet(len(idx))
+	le := binary.LittleEndian
 	for k, a := range ParticleArrays {
 		src, dst := ps.Arrays[k], out.Arrays[k]
-		for j, i := range idx {
-			copy(dst[j*a.ElemSize:(j+1)*a.ElemSize], src[i*a.ElemSize:(i+1)*a.ElemSize])
+		switch a.ElemSize {
+		case 8:
+			for j, i := range idx {
+				le.PutUint64(dst[j*8:], le.Uint64(src[i*8:]))
+			}
+		case 4:
+			for j, i := range idx {
+				le.PutUint32(dst[j*4:], le.Uint32(src[i*4:]))
+			}
+		default:
+			panic(fmt.Sprintf("amr: particle array %q has %d-byte elements", a.Name, a.ElemSize))
 		}
 	}
 	return out

@@ -169,7 +169,7 @@ func TestProlongGeometryAndData(t *testing.T) {
 	g := smallTopGrid()
 	box := Box{Lo: [3]int{2, 4, 6}, Hi: [3]int{6, 8, 10}}
 	before := g.Particles.N
-	child := Prolong(g, box)
+	child := Refine(g, []Box{box})[0]
 	if child.Level != 1 {
 		t.Fatalf("child level %d", child.Level)
 	}

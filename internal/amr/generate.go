@@ -1,7 +1,10 @@
 package amr
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Clump is one Gaussian over-density in the synthetic initial conditions —
@@ -79,16 +82,26 @@ func newTopGrid(dims [3]int, nParticles int, clumps []Clump, seed int64, density
 	for i := 0; i < nFill; i++ {
 		g.Fields[i] = make([]byte, g.Cells()*FieldElemSize)
 	}
-	fillFields(g, clumps, densityOnly)
+	// The fields and the particles come from independent inputs into
+	// disjoint outputs, so the fields fill on a second goroutine while the
+	// particles draw their random sequence on this one.
+	var filled sync.WaitGroup
+	filled.Add(1)
+	go func() {
+		defer filled.Done()
+		fillFields(g, clumps, densityOnly)
+	}()
 	g.Particles = makeParticles(nParticles, 0, clumps, g.LeftEdge, g.RightEdge, seed+1)
+	filled.Wait()
 	return g
 }
 
-// fillFields samples every baryon field from the clump density field.
-// The Gaussian is separable, so per-clump 1-D profiles are precomputed and
-// the inner loop is three multiplies per clump. With densityOnly, only
-// field 0 is filled (the others stay nil) — used by the structure-only
-// builder, whose refinement decisions depend only on density.
+// fillFields samples every baryon field from the clump density field, a row
+// at a time. The Gaussian is separable, so per-clump 1-D profiles are
+// precomputed, each clump's amplitude times its z and y profiles is taken
+// once per row, and the inner loop is one multiply per clump. With
+// densityOnly, only field 0 is filled (the others stay nil) — used by the
+// structure-only builder, whose refinement decisions depend only on density.
 func fillFields(g *Grid, clumps []Clump, densityOnly bool) {
 	w := g.CellWidth()
 	// profiles[c][d][i] = exp(-((x_i - center)^2) / (2 sigma^2))
@@ -104,35 +117,46 @@ func fillFields(g *Grid, clumps []Clump, densityOnly bool) {
 			profiles[ci][d] = prof
 		}
 	}
+	nx := g.Dims[2]
+	rowBytes := nx * FieldElemSize
+	amp := make([]float64, len(clumps)) // Amp * profile_z * profile_y, per row
+	rows := make([][]byte, len(g.Fields))
+	le := binary.LittleEndian
+	off := 0
 	for z := 0; z < g.Dims[0]; z++ {
 		for y := 0; y < g.Dims[1]; y++ {
-			for x := 0; x < g.Dims[2]; x++ {
-				rho := background
-				for ci, c := range clumps {
-					rho += c.Amp * profiles[ci][0][z] * profiles[ci][1][y] * profiles[ci][2][x]
-				}
-				if densityOnly {
-					g.setFieldValue(0, z, y, x, float32(rho))
-				} else {
-					setDerivedFields(g, z, y, x, rho)
+			for ci, c := range clumps {
+				amp[ci] = c.Amp * profiles[ci][0][z] * profiles[ci][1][y]
+			}
+			for f, field := range g.Fields {
+				if field != nil {
+					rows[f] = field[off : off+rowBytes]
 				}
 			}
+			for x := 0; x < nx; x++ {
+				rho := background
+				for ci := range clumps {
+					rho += amp[ci] * profiles[ci][2][x]
+				}
+				o := x * FieldElemSize
+				r := float32(rho)
+				le.PutUint32(rows[0][o:], math.Float32bits(r)) // density
+				if densityOnly {
+					continue
+				}
+				// The other fields are cheap stand-ins with the right
+				// storage shape.
+				le.PutUint32(rows[1][o:], math.Float32bits(r*1.5))                    // total_energy
+				le.PutUint32(rows[2][o:], math.Float32bits(r*0.9))                    // internal_energy
+				le.PutUint32(rows[3][o:], math.Float32bits(float32(0.01*float64(x)))) // velocity_x
+				le.PutUint32(rows[4][o:], math.Float32bits(float32(0.01*float64(y)))) // velocity_y
+				le.PutUint32(rows[5][o:], math.Float32bits(float32(0.01*float64(z)))) // velocity_z
+				le.PutUint32(rows[6][o:], math.Float32bits(100*r))                    // temperature
+				le.PutUint32(rows[7][o:], math.Float32bits(r*0.84))                   // dark_matter
+			}
+			off += rowBytes
 		}
 	}
-}
-
-// setDerivedFields fills all baryon fields of one cell from its density —
-// cheap stand-ins with the right storage shape.
-func setDerivedFields(g *Grid, z, y, x int, rho float64) {
-	r := float32(rho)
-	g.setFieldValue(0, z, y, x, r)                        // density
-	g.setFieldValue(1, z, y, x, r*1.5)                    // total_energy
-	g.setFieldValue(2, z, y, x, r*0.9)                    // internal_energy
-	g.setFieldValue(3, z, y, x, float32(0.01*float64(x))) // velocity_x
-	g.setFieldValue(4, z, y, x, float32(0.01*float64(y))) // velocity_y
-	g.setFieldValue(5, z, y, x, float32(0.01*float64(z))) // velocity_z
-	g.setFieldValue(6, z, y, x, 100*r)                    // temperature
-	g.setFieldValue(7, z, y, x, r*0.84)                   // dark_matter
 }
 
 // makeParticles places n particles clustered around the clumps, clipped to
@@ -194,19 +218,12 @@ func (b Box) Cells() int {
 	return n
 }
 
-// FlagCells marks cells whose density exceeds threshold.
+// FlagCells marks cells whose density exceeds threshold, in flat cell order.
 func FlagCells(g *Grid, threshold float64) []bool {
+	density := g.Fields[0]
 	flags := make([]bool, g.Cells())
-	idx := 0
-	for z := 0; z < g.Dims[0]; z++ {
-		for y := 0; y < g.Dims[1]; y++ {
-			for x := 0; x < g.Dims[2]; x++ {
-				if float64(g.FieldValue(0, z, y, x)) > threshold {
-					flags[idx] = true
-				}
-				idx++
-			}
-		}
+	for i := range flags {
+		flags[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(density[i*FieldElemSize:]))) > threshold
 	}
 	return flags
 }
@@ -267,12 +284,28 @@ func ClusterFlags(g *Grid, flags []bool, minCells int) []Box {
 // RefinementFactor is the mesh refinement ratio between levels.
 const RefinementFactor = 2
 
-// Prolong creates a child grid over `box` of the parent, at twice the
-// resolution. Field data is prolonged by piecewise-constant injection (each
-// parent cell value copied to its 8 children), and particles inside the
-// box move from the parent to the child — as in ENZO, a particle lives on
-// the finest grid containing it.
-func Prolong(parent *Grid, box Box) *Grid {
+// Refine creates one child grid per box of the parent, at twice the
+// resolution, in box order. Field data is prolonged by piecewise-constant
+// injection (each parent cell value copied to its 8 children), and the
+// parent's particles are partitioned in one pass: as in ENZO, a particle
+// lives on the finest grid containing it. A particle goes to the first box,
+// in box order, that contains it, so overlapping boxes resolve as if the
+// children were cut one after another. A particle is outside a child when
+// some coordinate is < its LeftEdge or >= its RightEdge (so a NaN
+// coordinate counts as inside). Each child and the parent keep their
+// particles in the parent's order. Children carry the parent's ID as their
+// Parent; their own IDs are the caller's to assign.
+func Refine(parent *Grid, boxes []Box) []*Grid {
+	children := make([]*Grid, len(boxes))
+	for k, box := range boxes {
+		children[k] = prolong(parent, box)
+	}
+	parent.Particles = partition(parent.Particles, children)
+	return children
+}
+
+// prolong creates the child grid over box, with its fields and no particles.
+func prolong(parent *Grid, box Box) *Grid {
 	w := parent.CellWidth()
 	child := &Grid{
 		Level: parent.Level + 1,
@@ -281,58 +314,86 @@ func Prolong(parent *Grid, box Box) *Grid {
 			(box.Hi[1] - box.Lo[1]) * RefinementFactor,
 			(box.Hi[2] - box.Lo[2]) * RefinementFactor,
 		},
+		Parent: parent.ID,
 	}
 	for d := 0; d < 3; d++ {
 		child.LeftEdge[d] = parent.LeftEdge[d] + float64(box.Lo[d])*w[d]
 		child.RightEdge[d] = parent.LeftEdge[d] + float64(box.Hi[d])*w[d]
 	}
 	child.Fields = make([][]byte, len(FieldNames))
-	for i := range child.Fields {
-		if parent.Fields[i] == nil {
-			continue // structure-only hierarchy: prolong present fields only
-		}
-		child.Fields[i] = make([]byte, child.Cells()*FieldElemSize)
-	}
-	for f := range FieldNames {
-		if child.Fields[f] == nil {
-			continue
-		}
-		for z := 0; z < child.Dims[0]; z++ {
-			pz := box.Lo[0] + z/RefinementFactor
-			for y := 0; y < child.Dims[1]; y++ {
-				py := box.Lo[1] + y/RefinementFactor
-				for x := 0; x < child.Dims[2]; x++ {
-					px := box.Lo[2] + x/RefinementFactor
-					child.setFieldValue(f, z, y, x, parent.FieldValue(f, pz, py, px))
-				}
-			}
+	for f, src := range parent.Fields {
+		if src != nil { // structure-only hierarchy: prolong present fields only
+			child.Fields[f] = inject(src, parent.Dims, box)
 		}
 	}
-	moveParticles(parent, child)
 	return child
 }
 
-// moveParticles transfers the parent's particles that fall inside the
-// child's bounds to the child.
-func moveParticles(parent, child *Grid) {
-	var keep, move []int
-	for i := 0; i < parent.Particles.N; i++ {
-		pos := parent.Particles.Position(i)
-		inside := true
-		for d := 0; d < 3; d++ {
-			if pos[d] < child.LeftEdge[d] || pos[d] >= child.RightEdge[d] {
-				inside = false
+// inject returns the child field over box of a parent field, a row at a
+// time: each parent cell of a row is stored twice as one 64-bit word, the
+// odd child row copies the even one, and the odd child plane the even one.
+func inject(src []byte, pdims [3]int, box Box) []byte {
+	nz, ny, nx := box.Hi[0]-box.Lo[0], box.Hi[1]-box.Lo[1], box.Hi[2]-box.Lo[2]
+	row := nx * RefinementFactor * FieldElemSize
+	plane := ny * RefinementFactor * row
+	dst := make([]byte, nz*RefinementFactor*plane)
+	le := binary.LittleEndian
+	o := 0
+	for pz := box.Lo[0]; pz < box.Hi[0]; pz++ {
+		even := o
+		for py := box.Lo[1]; py < box.Hi[1]; py++ {
+			s := ((pz*pdims[1]+py)*pdims[2] + box.Lo[2]) * FieldElemSize
+			in, out := src[s:s+nx*FieldElemSize], dst[o:o+row]
+			for i := 0; i < nx; i++ {
+				v := uint64(le.Uint32(in[i*FieldElemSize:]))
+				le.PutUint64(out[i*2*FieldElemSize:], v|v<<32)
+			}
+			copy(dst[o+row:o+2*row], out)
+			o += 2 * row
+		}
+		copy(dst[o:o+plane], dst[even:even+plane])
+		o += plane
+	}
+	return dst
+}
+
+// partition hands each child the particles of ps that fall inside it — the
+// first child in order that contains a particle takes it — and returns the
+// particles no child took. Every set keeps ps's order and is filled by one
+// Select.
+func partition(ps ParticleSet, children []*Grid) ParticleSet {
+	n := len(children)
+	dest := make([]int32, ps.N) // child index, or n for the parent
+	counts := make([]int, n+1)
+	for i := range dest {
+		pos := ps.Position(i)
+		k := 0
+		for ; k < n; k++ {
+			c := children[k]
+			if !(pos[0] < c.LeftEdge[0] || pos[0] >= c.RightEdge[0] ||
+				pos[1] < c.LeftEdge[1] || pos[1] >= c.RightEdge[1] ||
+				pos[2] < c.LeftEdge[2] || pos[2] >= c.RightEdge[2]) {
 				break
 			}
 		}
-		if inside {
-			move = append(move, i)
-		} else {
-			keep = append(keep, i)
-		}
+		dest[i] = int32(k)
+		counts[k]++
 	}
-	child.Particles = parent.Particles.Select(move)
-	parent.Particles = parent.Particles.Select(keep)
+	// Destination k's particles are idx[bounds[k]:bounds[k+1]], in order.
+	bounds := make([]int, n+2)
+	for k, c := range counts {
+		bounds[k+1] = bounds[k] + c
+	}
+	next := slices.Clone(bounds[:n+1])
+	idx := make([]int, ps.N)
+	for i, k := range dest {
+		idx[next[k]] = i
+		next[k]++
+	}
+	for k, c := range children {
+		c.Particles = ps.Select(idx[bounds[k]:bounds[k+1]])
+	}
+	return ps.Select(idx[bounds[n]:])
 }
 
 // RefineLevel refines every grid at the given level of the hierarchy whose
@@ -341,9 +402,8 @@ func moveParticles(parent, child *Grid) {
 func (h *Hierarchy) RefineLevel(level int, threshold float64, minCells int) int {
 	created := 0
 	for _, g := range h.Level(level) {
-		flags := FlagCells(g, threshold)
-		for _, box := range ClusterFlags(g, flags, minCells) {
-			h.Add(Prolong(g, box), g.ID)
+		for _, child := range Refine(g, ClusterFlags(g, FlagCells(g, threshold), minCells)) {
+			h.Add(child, g.ID)
 			created++
 		}
 	}

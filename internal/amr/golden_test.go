@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -41,21 +42,15 @@ func (p goldenProblem) build() *Hierarchy {
 // hashArrays is the SHA-256 of a list of byte arrays, each preceded by its
 // length, so a nil array (a structure-only field) and a moved boundary both
 // change the sum.
-func hashArrays(arrays [][]byte) [sha256.Size]byte {
+func hashArrays(arrays [][]byte) []byte {
 	h := sha256.New()
-	writeArrays(h, arrays)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
-}
-
-func writeArrays(h hash.Hash, arrays [][]byte) {
 	var n [8]byte
 	for _, a := range arrays {
 		binary.LittleEndian.PutUint64(n[:], uint64(len(a)))
 		h.Write(n[:])
 		h.Write(a)
 	}
+	return h.Sum(nil)
 }
 
 // gridLines renders one line per grid of h: everything a refinement decides.
@@ -102,5 +97,19 @@ func TestHierarchyGolden(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("drifted from %s\n got %s\nwant %s", golden, got[i], want[i])
 		}
+	}
+}
+
+// TestBuildIndependentOfProcs builds the AMR64 hierarchy on one processor
+// and at the default setting: the root's fields fill beside its particles,
+// and the result must not depend on how the two are scheduled.
+func TestBuildIndependentOfProcs(t *testing.T) {
+	p := goldenProblems[1]
+	prev := runtime.GOMAXPROCS(1)
+	one := gridLines(p.name, p.build())
+	runtime.GOMAXPROCS(prev)
+	many := gridLines(p.name, p.build())
+	if !slices.Equal(one, many) {
+		t.Fatalf("%s built at GOMAXPROCS(1) differs from the build at GOMAXPROCS(%d)", p.name, prev)
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // hierCache memoizes built hierarchies across runs: initial conditions are
 // deterministic in the Config, immutable once built, and expensive for the
-// large problems (AMR128 takes seconds and half a gigabyte to generate).
+// large problems (AMR128 holds 556 MB and takes 0.7–1.0 s to generate on a
+// 2-vCPU Xeon, BenchmarkBuildHierarchy/AMR128 in internal/amr).
 // Entries are *hierEntry, keyed by hierKey.
 var hierCache sync.Map
 

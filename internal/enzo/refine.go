@@ -44,13 +44,8 @@ func (s *Sim) refineOwned() int {
 		if g.Level != maxLevel {
 			continue
 		}
-		flags := amr.FlagCells(g, threshold)
-		for _, box := range amr.ClusterFlags(g, flags, 8) {
-			child := amr.Prolong(g, box) // moves particles into the child
-			child.Parent = g.ID
-			children = append(children, child)
-		}
-		// Prolong may have moved particles out of the parent.
+		// Refine moves the particles inside each child out of the parent.
+		children = append(children, amr.Refine(g, amr.ClusterFlags(g, amr.FlagCells(g, threshold), 8))...)
 		updatedParents = append(updatedParents, core.GridMeta{
 			ID: g.ID, Level: g.Level, Parent: g.Parent, Dims: g.Dims,
 			NParticles: int64(g.Particles.N),
