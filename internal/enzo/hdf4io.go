@@ -50,7 +50,7 @@ func writeGridSD(sd *hdf4.SDFile, g *amr.Grid) {
 func readGridSD(sd *hdf4.SDFile, g core.GridMeta) *amr.Grid {
 	grid := newGrid(g)
 	for f, name := range amr.FieldNames {
-		_, data, err := sd.ReadSDS(name, nil) // the grid adopts the buffer
+		_, data, err := sd.ReadSDS(name) // lent: the grid adopts the file's bytes
 		if err != nil {
 			panic(err)
 		}
@@ -60,7 +60,7 @@ func readGridSD(sd *hdf4.SDFile, g core.GridMeta) *amr.Grid {
 		return grid
 	}
 	for k, pa := range amr.ParticleArrays {
-		_, data, err := sd.ReadSDS(pa.Name, nil)
+		_, data, err := sd.ReadSDS(pa.Name)
 		if err != nil {
 			panic(err)
 		}
@@ -101,12 +101,12 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 			panic(err)
 		}
 	}
-	var full []byte // processor 0's staging buffer: one serves every field of the grid
 	for f, name := range amr.FieldNames {
 		var parts [][]byte
 		if s.r.Rank() == 0 {
-			var err error
-			if _, full, err = sd.ReadSDS(name, full); err != nil {
+			// Lent, not staged: the root only gathers the blocks out of it.
+			_, full, err := sd.ReadSDS(name)
+			if err != nil {
 				panic(err)
 			}
 			parts = make([][]byte, s.r.Size())
@@ -131,7 +131,7 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 		if s.r.Rank() == 0 {
 			cols = make([][]byte, len(amr.ParticleArrays))
 			for k, pa := range amr.ParticleArrays {
-				_, data, err := sd.ReadSDS(pa.Name, nil)
+				_, data, err := sd.ReadSDS(pa.Name)
 				if err != nil {
 					panic(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hdf5"
 	"repro/internal/mpi"
+	"repro/internal/pfs"
 )
 
 // The parallel HDF5 port (Section 3.4): the same access strategy as the
@@ -206,13 +207,15 @@ func (h *h5File) open(gridID int, name string) *hdf5.Dataset {
 	return ds
 }
 
-// readInto issues an independent read of sel into a fresh buffer.
+// readInto issues an independent read of sel, a selection contiguous in the
+// file, that lends: buf is the stored bytes, or a join of the pieces they
+// span, and read-only either way. An unreadable container yields zeros.
 func (h *h5File) readInto(ds *hdf5.Dataset, sel mpi.Subarray) (buf []byte, settle func()) {
-	buf = make([]byte, sel.Bytes())
 	if ds == nil {
-		return buf, settled
+		return make([]byte, sel.Bytes()), settled
 	}
-	return buf, h.read(xfer{kind: xSlabIndep, ds: ds, sel: sel, buf: buf})
+	pieces, settle := h.lend(xfer{kind: xSlabIndep, ds: ds, sel: sel, n: sel.Bytes()})
+	return pfs.LentRange(pieces, 0, sel.Bytes()), settle
 }
 
 // readSegs issues the read of a compressed dataset's segment slot (every
@@ -236,16 +239,15 @@ func (h *h5File) field(g core.GridMeta, fi int, p *partition) func() {
 		// restart uses the dump decomposition.
 		return h.readSegs(ds, h.r.Rank(), &p.fields[fi], p.sub.Bytes())
 	}
-	buf := make([]byte, p.sub.Bytes())
-	p.fields[fi] = buf
 	if ds == nil {
+		p.fields[fi] = make([]byte, p.sub.Bytes())
 		return settled
 	}
 	kind := xSlab
 	if h.indep {
 		kind = xSlabIndep
 	}
-	return h.read(xfer{kind: kind, ds: ds, sel: p.sub, buf: buf})
+	return h.read(xfer{kind: kind, ds: ds, sel: p.sub, out: &p.fields[fi]})
 }
 
 func (h *h5File) rows(g core.GridMeta, lo, hi int64) amr.ParticleSet {

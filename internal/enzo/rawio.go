@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/pfs"
 )
 
 // The paper's direct MPI-IO port (Section 3.2/3.3): all grids live in a
@@ -143,13 +144,11 @@ func splitCols(flat []byte, lens []int64) [][]byte {
 }
 
 func (rf *rawFile) field(g core.GridMeta, fi int, p *partition) func() {
-	buf := make([]byte, p.sub.Bytes())
-	p.fields[fi] = buf
 	kind := xAll
 	if rf.indep {
 		kind = xRuns
 	}
-	return rf.read(xfer{kind: kind, f: rf.f, runs: rf.fieldRuns(g, amr.FieldNames[fi], p.sub), buf: buf})
+	return rf.read(xfer{kind: kind, f: rf.f, runs: rf.fieldRuns(g, amr.FieldNames[fi], p.sub), out: &p.fields[fi]})
 }
 
 func (rf *rawFile) rows(g core.GridMeta, lo, hi int64) amr.ParticleSet {
@@ -176,31 +175,32 @@ func (s *Sim) gridExtent(gm core.GridMeta) (lo, hi int64) {
 	return lo, hi
 }
 
+// subgrid reads the grid's whole extent with one lend request. Its arrays
+// were written one request each, so each is the piece it lies in; one that
+// an aggregator's chunks split is joined.
 func (rf *rawFile) subgrid(gm core.GridMeta) func() *amr.Grid {
 	lo, hi := rf.gridExtent(gm)
-	buf := make([]byte, hi-lo)
-	settle := rf.read(xfer{kind: xAt, f: rf.f, buf: buf, off: lo})
+	pieces, settle := rf.lend(xfer{kind: xAt, f: rf.f, n: hi - lo, off: lo})
+	at := func(off, n int64) []byte { return pfs.LentRange(pieces, off-lo, n) }
+	grid := newGrid(gm)
+	for fi, name := range amr.FieldNames {
+		grid.Fields[fi] = at(rf.offsets.ArrayOffset(gm.ID, name))
+	}
+	rf.sliceParticles(gm, grid, at)
 	return func() *amr.Grid {
 		settle()
-		grid := newGrid(gm)
-		for fi, name := range amr.FieldNames {
-			off, length := rf.offsets.ArrayOffset(gm.ID, name)
-			grid.Fields[fi] = buf[off-lo : off-lo+length]
-		}
-		rf.sliceParticles(gm, grid, buf, lo)
 		return grid
 	}
 }
 
-// sliceParticles points a grid's particle arrays into its coalesced
-// [lo,·) extent read.
-func (rf *rawFile) sliceParticles(gm core.GridMeta, grid *amr.Grid, buf []byte, lo int64) {
+// sliceParticles points a grid's particle arrays into its coalesced extent
+// read, at(off, length) cutting out the array stored at file offset off.
+func (rf *rawFile) sliceParticles(gm core.GridMeta, grid *amr.Grid, at func(off, length int64) []byte) {
 	if gm.NParticles == 0 {
 		return
 	}
 	for k, pa := range amr.ParticleArrays {
-		off, length := rf.arrayOff(gm.ID, pa.Name)
-		grid.Particles.Arrays[k] = buf[off-lo : off-lo+length]
+		grid.Particles.Arrays[k] = at(rf.arrayOff(gm.ID, pa.Name))
 	}
 }
 

@@ -392,7 +392,7 @@ func (zf *rawzFile) subgrid(gm core.GridMeta) func() *amr.Grid {
 			}
 			grid.Fields[fi] = full
 		}
-		zf.sliceParticles(gm, grid, buf, lo)
+		zf.sliceParticles(gm, grid, func(off, n int64) []byte { return buf[off-lo : off-lo+n] })
 		return grid
 	}
 }

@@ -47,13 +47,16 @@ type xfer struct {
 	buf  []byte // data to write, or the buffer a read fills (raw bytes for an xSeg write)
 
 	off        int64        // xAt
+	n          int64        // lend reads (xAt, xSlabIndep): the bytes to read
 	offs, lens []int64      // xList
 	runs       []mpi.Run    // xAll, xRuns
 	sel        mpi.Subarray // xSlab, xSlabIndep
 
-	// xSeg reads: the slot to fetch (every slot when negative) and where the
-	// decoded bytes land at settle — nil when a tolerant read absorbed a
-	// failure.
+	// Reads that bring no buffer: where the bytes land at settle. An xAll or
+	// xSlab read (or the independent form a tolerant or node-local read turns
+	// it into) leaves a new buffer; an xSeg read leaves the decoded bytes of
+	// its slot (every slot when negative), nil when a tolerant read absorbed
+	// a failure.
 	slot int
 	out  *[]byte
 }
@@ -156,6 +159,17 @@ func (s *Sim) read(x xfer) func() {
 			x.kind = xSlabIndep
 		}
 	}
+	if x.out != nil && (x.kind == xRuns || x.kind == xSlabIndep) {
+		// Only the collective forms make the buffer they read into. The
+		// independent one fills zeros, which a failure a tolerant read-back
+		// absorbs leaves in place.
+		n := mpi.TotalLen(x.runs)
+		if x.kind == xSlabIndep {
+			n = x.sel.Bytes()
+		}
+		x.buf = make([]byte, n)
+		*x.out = x.buf
+	}
 	// Read-ahead never runs tolerant (see asyncReads), so behind, tolerantIO
 	// and tolerate absorb nothing and failures below stay fatal.
 	behind := s.rpend != nil
@@ -168,26 +182,48 @@ func (s *Sim) read(x xfer) func() {
 		case xList:
 			p = x.f.IssueReadList(behind, x.offs, x.lens, x.buf)
 		case xAll:
-			p = x.f.IssueReadAtAll(behind, x.runs, x.buf)
+			p = x.f.IssueReadAtAllInto(behind, x.runs, x.out)
 		case xRuns:
 			p = x.f.IssueReadRuns(behind, x.runs, x.buf)
-		case xSlab, xSlabIndep:
-			p = x.ds.IssueReadHyperslab(behind, x.kind == xSlab, x.sel, x.buf)
+		case xSlab:
+			p = x.ds.IssueReadHyperslabInto(behind, x.sel, x.out)
+		case xSlabIndep:
+			p = x.ds.IssueReadHyperslab(behind, x.sel, x.buf)
 		case xSeg:
 			var err error
 			p, err = x.ds.IssueReadCompressed(behind, x.slot, x.out)
 			s.tolerate(err)
 		}
 	})
+	return s.settleRead(behind, p, t0)
+}
+
+// lend is read for an xAt or xSlabIndep read of x.n contiguous bytes that
+// takes the store's read-only pieces (pfs.Lend), in the handle's scratch
+// until its next call. A tolerant read reads into zeros, as above.
+func (s *Sim) lend(x xfer) (pieces [][]byte, settle func()) {
+	if s.tolerant {
+		x.buf = make([]byte, x.n)
+		return [][]byte{x.buf}, s.read(x)
+	}
+	behind, t0 := s.rpend != nil, s.r.Now()
+	var p *mpiio.Pending
+	if x.kind == xAt {
+		pieces, p = x.f.IssueLendAt(behind, x.n, x.off)
+	} else {
+		pieces, p = x.ds.IssueLendHyperslab(behind, x.sel)
+	}
+	return pieces, s.settleRead(behind, p, t0)
+}
+
+// settleRead returns the settle of a read issued at t0: called just before
+// the buffer is consumed, it splits a behind read's device time into exposed
+// wait and hidden overlap and runs the handle's Wait.
+func (s *Sim) settleRead(behind bool, p *mpiio.Pending, t0 float64) func() {
 	if !behind {
 		return settled
 	}
-	// The settle, called just before the buffer is consumed, splits the
-	// elapsed device time into exposed wait and hidden overlap and runs the
-	// handle's Wait (whose AdvanceTo moves the clock).
-	// (h, not p: the settle must capture a variable that is assigned once,
-	// or p moves to the heap on every read, blocking ones included.)
-	rp, h, end := s.rpend, p, p.Completion()
+	rp, end := s.rpend, p.Completion()
 	if end > rp.maxEnd {
 		rp.maxEnd = end
 	}
@@ -200,7 +236,7 @@ func (s *Sim) read(x xfer) func() {
 			rp.hidden += hid
 		}
 		rp.exposed += wait
-		h.Wait()
+		p.Wait()
 	}
 }
 

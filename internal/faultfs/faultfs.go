@@ -13,6 +13,7 @@
 package faultfs
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 
@@ -200,7 +201,7 @@ func (ff *faultFile) Close(c pfs.Client)      { ff.inner.Close(c) }
 // request abandoned at its deadline moved no bytes.
 func (ff *faultFile) Do(c pfs.Client, r pfs.Req) (float64, error) {
 	name := ff.inner.Name()
-	if r.Write && ff.shouldInject(name, int64(len(r.Buf))) {
+	if r.Write && ff.shouldInject(name, r.Len()) {
 		return ff.injectWrite(c, r)
 	}
 	end, err := ff.inner.Do(c, r)
@@ -210,7 +211,7 @@ func (ff *faultFile) Do(c pfs.Client, r pfs.Req) (float64, error) {
 	if r.Write {
 		ff.fs.noteWrite(name, r.Buf, r.Off)
 	} else {
-		ff.maybeServeStale(r.Buf, r.Off)
+		ff.maybeServeStale(r)
 	}
 	return end, nil
 }
@@ -218,14 +219,15 @@ func (ff *faultFile) Do(c pfs.Client, r pfs.Req) (float64, error) {
 // maybeServeStale overlays previously overwritten bytes onto every Nth
 // eligible read in StaleRead mode. The read already charged the device
 // normally; only the returned contents lie. For a Behind read the overlay
-// applies at issue, when the bytes land in buf.
-func (ff *faultFile) maybeServeStale(buf []byte, off int64) {
+// applies at issue. A lend read's pieces are the store's own bytes, so the
+// overlay goes onto a private copy, which replaces them.
+func (ff *faultFile) maybeServeStale(r pfs.Req) {
 	f := ff.fs
 	if f.cfg.Mode != StaleRead {
 		return
 	}
 	name := ff.inner.Name()
-	n := int64(len(buf))
+	n := r.Len()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if n < f.cfg.MinBytes || !f.matchFile(name) {
@@ -242,9 +244,13 @@ func (ff *faultFile) maybeServeStale(buf []byte, off int64) {
 	if st == nil {
 		return
 	}
+	buf := r.Buf
+	if r.Lend != nil {
+		buf = bytes.Join(r.Lend.Pieces, nil)
+	}
 	var overlaid int64
 	for i := int64(0); i < n; i++ {
-		p := off + i
+		p := r.Off + i
 		if p < int64(len(st.valid)) && st.valid[p] {
 			buf[i] = st.data[p]
 			overlaid++
@@ -252,6 +258,9 @@ func (ff *faultFile) maybeServeStale(buf []byte, off int64) {
 	}
 	if overlaid > 0 {
 		f.injected++
+		if r.Lend != nil {
+			r.Lend.Pieces = append(r.Lend.Pieces[:0], buf)
+		}
 	}
 }
 

@@ -146,3 +146,37 @@ func TestStaleReadNeverAltersWrites(t *testing.T) {
 		t.Fatal("StaleRead mode altered stored bytes")
 	}
 }
+
+// TestStaleReadThroughLend: a lend read borrows the store's own bytes, so
+// the overlay must go onto a private copy. The reader sees the stale image;
+// a later read of the same range, with the fault exhausted, gets the current
+// bytes back — the store, and the buffer the writer handed it, were never
+// written.
+func TestStaleReadThroughLend(t *testing.T) {
+	fs := Wrap(newXFS(), Config{Mode: StaleRead, EveryN: 1, MaxInject: 1})
+	v1 := bytes.Repeat([]byte{0x44}, 512)
+	v2 := bytes.Repeat([]byte{0x55}, 512)
+	runFS(t, fs, func(c pfs.Client, _ pfs.FileSystem) {
+		f, _ := fs.Create(c, "victim")
+		f.WriteAt(c, v1, 0)
+		f.WriteAt(c, v2, 0) // v1 becomes the stale image; the store keeps v2 itself
+		l := pfs.Lend{N: 512}
+		f.LendAt(c, &l, 0)
+		if got := bytes.Join(l.Pieces, nil); !bytes.Equal(got, v1) {
+			panic("lend read did not see the stale overlay")
+		}
+		f.LendAt(c, &l, 0)
+		if got := bytes.Join(l.Pieces, nil); !bytes.Equal(got, bytes.Repeat([]byte{0x55}, 512)) {
+			panic("the overlay reached the store: a later lend read still sees it")
+		}
+		if len(l.Pieces) != 1 || &l.Pieces[0][0] != &v2[0] {
+			panic("an unfaulted lend read did not borrow the stored buffer")
+		}
+	})
+	if !bytes.Equal(v2, bytes.Repeat([]byte{0x55}, 512)) {
+		t.Fatal("the overlay wrote through into the writer's buffer")
+	}
+	if fs.Injected() != 1 {
+		t.Fatalf("injected = %d, want 1", fs.Injected())
+	}
+}

@@ -53,6 +53,7 @@ type SDFile struct {
 	eof    int64
 	index  []SDSInfo
 	byName map[string]int
+	lent   pfs.Lend // ReadSDS's lend read, reused
 }
 
 // Create makes a new container on fs, owned by the calling client.
@@ -193,13 +194,10 @@ func (s *SDFile) Lookup(name string) (SDSInfo, error) {
 	return s.index[i], nil
 }
 
-// ReadSDS returns a named array's descriptor and data. The data is read into
-// dst when dst has the capacity for it — dst's length and contents are
-// ignored, and the returned slice aliases it, so the caller owns both and may
-// hand the same buffer to the next read once it is done with this one's
-// bytes. Otherwise (nil included) ReadSDS allocates, and the returned slice
-// is the caller's to keep.
-func (s *SDFile) ReadSDS(name string, dst []byte) (SDSInfo, []byte, error) {
+// ReadSDS returns a named array's descriptor and data. The data is lent
+// (pfs.Lend) and read-only: the file's own bytes when one write stored them,
+// else a join of the pieces. A caller that needs to modify it copies it.
+func (s *SDFile) ReadSDS(name string) (SDSInfo, []byte, error) {
 	s.check()
 	info, err := s.Lookup(name)
 	if err != nil {
@@ -207,12 +205,9 @@ func (s *SDFile) ReadSDS(name string, dst []byte) (SDSInfo, []byte, error) {
 	}
 	sp := obs.Begin(s.client.Proc, obs.LayerHDF, "sds_read").Bytes(info.DataLen).Attr("sds", name)
 	defer sp.End()
-	if int64(cap(dst)) < info.DataLen {
-		dst = make([]byte, info.DataLen)
-	}
-	dst = dst[:info.DataLen]
-	s.f.ReadAt(s.client, dst, info.DataOff)
-	return info, dst, nil
+	s.lent.N = info.DataLen
+	s.f.LendAt(s.client, &s.lent, info.DataOff)
+	return info, pfs.LentRange(s.lent.Pieces, 0, info.DataLen), nil
 }
 
 // List returns the container's datasets in file order.

@@ -2,6 +2,7 @@ package hdf4
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,13 +41,19 @@ func TestWriteReadSDSRoundTrip(t *testing.T) {
 		if err := sd.WriteSDS("density", []int{4, 4, 4}, 4, density); err != nil {
 			panic(err)
 		}
+		// WriteSDS refuses a zero dimension, so append the descriptor by hand.
+		empty := SDSInfo{Name: "empty", Dims: []int{0}, ElemSize: 4, DataOff: sd.eof + ddSize}
+		sd.f.WriteAt(c, encodeDD(empty), sd.eof)
+		sd.eof = empty.DataOff
+		sd.index = append(sd.index, empty)
+		sd.writeHeader()
 		sd.Close()
 
 		sd2, err := Open(c, fs, "out.hdf")
 		if err != nil {
 			panic(err)
 		}
-		info, data, err := sd2.ReadSDS("density", nil)
+		info, data, err := sd2.ReadSDS("density")
 		if err != nil {
 			panic(err)
 		}
@@ -55,6 +62,15 @@ func TestWriteReadSDSRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(data, density) {
 			panic("data corrupted")
+		}
+		// The data is lent: the buffer the writer handed over.
+		if &data[0] != &density[0] {
+			panic("ReadSDS copied instead of lending the stored bytes")
+		}
+		// A zero-length SDS (only a decoded descriptor can name one) moves
+		// no bytes, so it must not hand back the last read's pieces.
+		if info, data, err := sd2.ReadSDS("empty"); err != nil || info.DataLen != 0 || len(data) != 0 {
+			panic(fmt.Sprintf("zero-length SDS read %d bytes (err %v)", len(data), err))
 		}
 		sd2.Close()
 	})
@@ -90,7 +106,7 @@ func TestMultipleSDSPreserveOrderAndContents(t *testing.T) {
 			if info.Name != names[i] {
 				panic("order not preserved: " + info.Name)
 			}
-			_, data, err := sd2.ReadSDS(info.Name, nil)
+			_, data, err := sd2.ReadSDS(info.Name)
 			if err != nil {
 				panic(err)
 			}
@@ -104,7 +120,7 @@ func TestMultipleSDSPreserveOrderAndContents(t *testing.T) {
 func TestReadMissingSDSFails(t *testing.T) {
 	runSolo(t, func(c pfs.Client, fs pfs.FileSystem) {
 		sd, _ := Create(c, fs, "x.hdf")
-		if _, _, err := sd.ReadSDS("nope", nil); err == nil {
+		if _, _, err := sd.ReadSDS("nope"); err == nil {
 			panic("expected error")
 		}
 	})
@@ -230,7 +246,7 @@ func TestContainerRoundTripProperty(t *testing.T) {
 				panic(err)
 			}
 			for _, e := range entries {
-				info, data, err := sd2.ReadSDS(e.name, nil)
+				info, data, err := sd2.ReadSDS(e.name)
 				if err != nil || !bytes.Equal(data, e.data) || info.ElemSize != e.elem {
 					ok = false
 				}

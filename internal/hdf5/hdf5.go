@@ -532,22 +532,42 @@ func (d *Dataset) IssueWriteHyperslab(behind, collective bool, sel mpi.Subarray,
 	return d.h.mf.IssueWriteRuns(behind, runs, data)
 }
 
-// IssueReadHyperslab reads a hyperslab selection, collectively or
-// independently, in either MPI-IO issue mode. The scatter back through the
-// selection iterator is causally downstream of the data: blocking, it is
-// charged before the call returns (nil); behind, it runs at the end of the
-// returned handle's Wait, and buf is valid only after that.
-func (d *Dataset) IssueReadHyperslab(behind, collective bool, sel mpi.Subarray, buf []byte) *mpiio.Pending {
-	sp := d.dataSpan(behind, slabOp(collective, "data_read", "data_read_indep")).Bytes(int64(len(buf)))
+// IssueReadHyperslab reads a hyperslab selection independently into buf, in
+// either MPI-IO issue mode. The scatter back through the selection iterator
+// is causally downstream of the data: blocking, it is charged before the
+// call returns (nil); behind, it runs at the end of the returned handle's
+// Wait, and buf is valid only after that.
+func (d *Dataset) IssueReadHyperslab(behind bool, sel mpi.Subarray, buf []byte) *mpiio.Pending {
+	sp := d.dataSpan(behind, "data_read_indep").Bytes(int64(len(buf)))
 	defer sp.End()
 	runs := d.slabRuns(sel)
-	var p *mpiio.Pending
-	if collective {
-		p = d.h.mf.IssueReadAtAll(behind, runs, buf)
-	} else {
-		p = d.h.mf.IssueReadRuns(behind, runs, buf)
-	}
-	nruns, nbytes := len(runs), int64(len(buf)) // runs itself is rebuilt by the next selection
+	p := d.h.mf.IssueReadRuns(behind, runs, buf)
+	return d.unpack(behind, p, len(runs), int64(len(buf)))
+}
+
+// IssueReadHyperslabInto is IssueReadHyperslab done collectively, into a
+// buffer the two-phase read allocates (mpiio.File.IssueReadAtAllInto).
+func (d *Dataset) IssueReadHyperslabInto(behind bool, sel mpi.Subarray, out *[]byte) *mpiio.Pending {
+	sp := d.dataSpan(behind, "data_read").Bytes(sel.Bytes())
+	defer sp.End()
+	runs := d.slabRuns(sel)
+	p := d.h.mf.IssueReadAtAllInto(behind, runs, out)
+	return d.unpack(behind, p, len(runs), sel.Bytes())
+}
+
+// IssueLendHyperslab is IssueReadHyperslab, lent, of a selection contiguous
+// in the file (mpiio.File.IssueLendRuns).
+func (d *Dataset) IssueLendHyperslab(behind bool, sel mpi.Subarray) ([][]byte, *mpiio.Pending) {
+	sp := d.dataSpan(behind, "data_read_indep").Bytes(sel.Bytes())
+	defer sp.End()
+	runs := d.slabRuns(sel)
+	pieces, p := d.h.mf.IssueLendRuns(behind, runs)
+	return pieces, d.unpack(behind, p, len(runs), sel.Bytes())
+}
+
+// unpack charges a read's scatter through the selection iterator: now when
+// blocking (nil), at the end of p's Wait when behind.
+func (d *Dataset) unpack(behind bool, p *mpiio.Pending, nruns int, nbytes int64) *mpiio.Pending {
 	if !behind {
 		d.packCost(nruns, nbytes)
 		return nil

@@ -63,8 +63,8 @@ func TestHyperslabWriteReadRoundTrip(t *testing.T) {
 		}
 		pz2, py2, px2 := mpi.ProcGrid3D(2)
 		sel := mpi.BlockDecompose3D([3]int{N, N, N}, pz2, py2, px2, r.Rank(), elem)
-		buf := make([]byte, sel.Bytes())
-		ds.IssueReadHyperslab(false, true, sel, buf)
+		var buf []byte
+		ds.IssueReadHyperslabInto(false, sel, &buf)
 		if !bytes.Equal(buf, sel.GatherSub(global)) {
 			panic(fmt.Sprintf("rank %d read wrong data", r.Rank()))
 		}
@@ -128,7 +128,7 @@ func TestMultipleDatasetsAndAttributes(t *testing.T) {
 			}
 			sel := mpi.Subarray{Sizes: []int{8, 8}, Subsizes: []int{8, 8}, Starts: []int{0, 0}, ElemSize: 8}
 			buf := make([]byte, sel.Bytes())
-			ds.IssueReadHyperslab(false, false, sel, buf)
+			ds.IssueReadHyperslab(false, sel, buf)
 			for _, b := range buf {
 				if b != byte(i+1) {
 					panic("data mismatch after attribute interleaving")
@@ -186,7 +186,7 @@ func TestIndependentParticleBlocks(t *testing.T) {
 		ds, _ := h.OpenDataset("particle_id")
 		sel := mpi.Subarray{Sizes: []int{n}, Subsizes: []int{n}, Starts: []int{0}, ElemSize: 8}
 		buf := make([]byte, n*8)
-		ds.IssueReadHyperslab(false, false, sel, buf)
+		ds.IssueReadHyperslab(false, sel, buf)
 		per := n / 4
 		for rank := 0; rank < 4; rank++ {
 			for i := 0; i < per*8; i++ {
@@ -194,6 +194,15 @@ func TestIndependentParticleBlocks(t *testing.T) {
 					panic("block data wrong")
 				}
 			}
+		}
+		// Lent: one piece per block written, or the one a selection lies in.
+		pieces, _ := ds.IssueLendHyperslab(false, sel)
+		if len(pieces) != nprocs || !bytes.Equal(bytes.Join(pieces, nil), buf) {
+			panic(fmt.Sprintf("lent %d pieces, want %d holding the same bytes", len(pieces), nprocs))
+		}
+		inner := mpi.Subarray{Sizes: []int{n}, Subsizes: []int{per / 2}, Starts: []int{per + 1}, ElemSize: 8}
+		if pieces, _ = ds.IssueLendHyperslab(false, inner); len(pieces) != 1 || !bytes.Equal(pieces[0], buf[(per+1)*8:(per+1+per/2)*8]) {
+			panic("a selection inside one written block was not lent as one piece")
 		}
 		h.Close()
 	})
@@ -327,7 +336,7 @@ func TestOverheadTogglesPreserveDataAndReduceCost(t *testing.T) {
 				sel := mpi.Subarray{Sizes: []int{N, N, N}, Subsizes: []int{N, N, N},
 					Starts: []int{0, 0, 0}, ElemSize: elem}
 				buf := make([]byte, sel.Bytes())
-				ds.IssueReadHyperslab(false, false, sel, buf)
+				ds.IssueReadHyperslab(false, sel, buf)
 				if !bytes.Equal(buf, global) {
 					panic(fmt.Sprintf("dataset f%d corrupted under cfg %+v", i, cfg))
 				}

@@ -423,7 +423,7 @@ var opByName = map[string]Op{"read": OpRead, "write": OpWrite, "create": OpCreat
 // is recorded with zero bytes; its wait still shows as the event duration.
 func (r *Recorder) observe(c pfs.Call) {
 	ev := Event{Op: opByName[c.Op], File: c.File, Node: c.Client.Node, Offset: c.Req.Off,
-		Bytes: int64(len(c.Req.Buf)), Start: c.Start, End: c.Now, Completion: c.Done}
+		Bytes: c.Req.Len(), Start: c.Start, End: c.Now, Completion: c.Done}
 	if c.Err != nil {
 		ev.Bytes, ev.Completion = 0, 0
 	}

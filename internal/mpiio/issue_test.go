@@ -3,6 +3,8 @@ package mpiio
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/machine"
@@ -181,10 +183,30 @@ var accessKinds = []accessKind{
 		func(f *File, behind bool, s share, buf []byte) *Pending {
 			return f.IssueReadAtAll(behind, s.runs, buf)
 		}},
+	// The reader-allocated forms, read back through the same buffer: the
+	// lent pieces are known at issue, the new buffer when buf would be.
+	{"at-lend",
+		func(f *File, behind bool, s share) *Pending { return f.IssueWriteAt(behind, s.data, s.off) },
+		func(f *File, behind bool, s share, buf []byte) *Pending {
+			pieces, p := f.IssueLendAt(behind, int64(len(buf)), s.off)
+			copy(buf, bytes.Join(pieces, nil))
+			return p
+		}},
+	{"at-all-into",
+		func(f *File, behind bool, s share) *Pending { return f.IssueWriteAtAll(behind, s.runs, s.data) },
+		func(f *File, behind bool, s share, buf []byte) *Pending {
+			var out []byte
+			p := f.IssueReadAtAllInto(behind, s.runs, &out)
+			if p == nil {
+				copy(buf, out)
+				return nil
+			}
+			return p.Then(func() { copy(buf, out) })
+		}},
 }
 
-// TestIssueModesEquivalent runs all eight access kinds — {write, read} x
-// {at, runs, list, at-all} — blocking and behind on every file system and
+// TestIssueModesEquivalent runs every access kind — {write, read} x {at,
+// runs, list, at-all}, and the lend and into reads — blocking and behind on every file system and
 // asserts what the two modes must share (the bytes, and the byte counts the
 // file system saw) and the one thing the behind mode must win: with compute
 // to overlap, its makespan is no larger.
@@ -291,7 +313,7 @@ func TestIssueModesEquivalent(t *testing.T) {
 
 // BenchmarkTwoPhase times one two-phase collective access over the 64³
 // (Block,Block,Block) view at np=16 and np=64 on cluster1024/pvfs, in both
-// directions and both issue modes. One engine run hosts all b.N operations
+// directions — the read also into a buffer of its own — and both issue modes. One engine run hosts all b.N operations
 // on one open handle, so B/op and allocs/op are the steady-state
 // per-operation cost summed over the ranks; ns/piece divides by the rows of
 // the lattice, each of which travels as one piece (no row crosses a domain
@@ -300,9 +322,9 @@ func BenchmarkTwoPhase(b *testing.B) {
 	const N, elem = 64, 4
 	for _, nprocs := range []int{16, 64} {
 		pz, py, px := mpi.ProcGrid3D(nprocs)
-		for _, dir := range []string{"write", "read"} {
+		for _, dir := range []string{"write", "read", "read-into"} {
 			for _, mode := range []string{"blocking", "behind"} {
-				write, behind := dir == "write", mode == "behind"
+				behind := mode == "behind"
 				b.Run(fmt.Sprintf("np=%d/%s/%s", nprocs, dir, mode), func(b *testing.B) {
 					b.ReportAllocs()
 					eng := sim.NewEngine()
@@ -313,6 +335,7 @@ func BenchmarkTwoPhase(b *testing.B) {
 					mpi.NewWorld(eng, mach, nprocs, func(r *mpi.Rank) {
 						sub := mpi.BlockDecompose3D([3]int{N, N, N}, pz, py, px, r.Rank(), elem)
 						runs, data := sub.Flatten(), pattern(r.Rank(), int(sub.Bytes()))
+						var out []byte // read-into's destination, allocated before the timer starts
 						pieces[r.Rank()] = len(runs)
 						f, err := Open(r, fs, "bbb.dat", ModeCreate, DefaultHints())
 						if err != nil {
@@ -326,10 +349,13 @@ func BenchmarkTwoPhase(b *testing.B) {
 						}
 						for i := 0; i < b.N; i++ {
 							var p *Pending
-							if write {
+							switch dir {
+							case "write":
 								p = f.IssueWriteAtAll(behind, runs, data)
-							} else {
+							case "read":
 								p = f.IssueReadAtAll(behind, runs, data)
+							case "read-into":
+								p = f.IssueReadAtAllInto(behind, runs, &out)
 							}
 							if behind {
 								p.Wait()
@@ -349,5 +375,72 @@ func BenchmarkTwoPhase(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// TestReadIntoAllocatesOnlyTheBuffer pins what the reader-allocated forms
+// cost the heap, against the fill forms on the same steady-state world: a
+// two-phase read into a buffer of the read's own makes one allocation per
+// rank — the buffer, joined from the replies — and a lend read of a range
+// inside one extent makes none (the piece list lives in the handle's
+// scratch). Only the measured loop is counted, between two barriers, with
+// the collector off: what a collection leads the runtime to allocate again
+// is not the read's.
+func TestReadIntoAllocatesOnlyTheBuffer(t *testing.T) {
+	const N, elem, np, ops = 32, 4, 8, 5
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pz, py, px := mpi.ProcGrid3D(np)
+	allocs := func(form string) uint64 {
+		var before, after runtime.MemStats
+		eng := sim.NewEngine()
+		mach := machine.New(machine.Cluster1024())
+		fs := pfs.NewPVFS(mach, pfs.DefaultPVFS())
+		mpi.NewWorld(eng, mach, np, func(r *mpi.Rank) {
+			runs := mpi.BlockDecompose3D([3]int{N, N, N}, pz, py, px, r.Rank(), elem).Flatten()
+			buf, out := pattern(r.Rank(), int(mpi.TotalLen(runs))), []byte(nil)
+			f, err := Open(r, fs, "bbb.dat", ModeCreate, DefaultHints())
+			if err != nil {
+				panic(err)
+			}
+			f.WriteAtAll(runs, buf)
+			for range 2 { // warm the scratch for every form
+				f.ReadAtAll(runs, buf)
+				f.IssueReadAtAllInto(false, runs, &out)
+				f.ReadAt(buf[:1<<10], 0)
+				f.IssueLendAt(false, 1<<10, 0)
+			}
+			r.Barrier()
+			if r.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			for range ops {
+				switch form {
+				case "fill":
+					f.ReadAtAll(runs, buf)
+				case "into":
+					f.IssueReadAtAllInto(false, runs, &out)
+				case "read-at":
+					f.ReadAt(buf[:1<<10], 0)
+				case "lend":
+					f.IssueLendAt(false, 1<<10, 0)
+				}
+			}
+			r.Barrier()
+			if r.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+			f.Close()
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	if fill, into := allocs("fill"), allocs("into"); into-fill != np*ops {
+		t.Errorf("%d two-phase reads into a new buffer on %d ranks made %d allocations more than into the caller's, want %d",
+			ops, np, into-fill, np*ops)
+	}
+	if readAt, lend := allocs("read-at"), allocs("lend"); lend != readAt {
+		t.Errorf("%d single-extent lend reads on %d ranks made %d allocations, ReadAt %d: want as many", ops, np, lend, readAt)
 	}
 }

@@ -145,6 +145,7 @@ type fileScratch struct {
 	i64s    arena[int64] // sieving offsets, reply expectations, the merge tree's lists
 	dsBuf   []byte       // ReadRuns sieving buffer (cap DSBufferSize)
 	spans   []span       // accessRange's non-empty extents, sorted for the interleaving check
+	lent    pfs.Lend     // a lend read's request and the pieces it was lent
 
 	// The two-phase exchange, one slot per rank each, cleared at every entry
 	// (a previous collective had other partners). What a rank received must
@@ -154,6 +155,7 @@ type fileScratch struct {
 	recvd    [][]byte // what the aggregator heard: pieces to place, or requests to answer
 	replies  [][]byte // read: the aggregator's answers
 	got      [][]byte // read: the answers this rank received
+	parts    [][]byte // read into a buffer of its own: the answers' payloads, in buffer order
 	sendTo   []int    // two-phase partner lists (see partners)
 	recvFrom []int
 
@@ -335,6 +337,36 @@ func (f *File) IssueReadAt(behind bool, buf []byte, off int64) *Pending {
 	is.read(buf, off)
 	sp.End()
 	return is.pending("iread_wait")
+}
+
+// IssueLendAt is IssueReadAt for a reader that brings no buffer: the store
+// lends the file's bytes [off, off+n), read-only (pfs.Lend). The slice
+// holding the pieces is the handle's, good until its next call; behind, the
+// pieces are known at issue and must not be consumed before Wait.
+func (f *File) IssueLendAt(behind bool, n, off int64) ([][]byte, *Pending) {
+	return f.lend(behind, pick(behind, "read_indep", "iread_indep"), n, off)
+}
+
+// IssueLendRuns is IssueReadRuns, lending as IssueLendAt does, over a view
+// of at most one run: a contiguous selection. It panics on more.
+func (f *File) IssueLendRuns(behind bool, runs []mpi.Run) ([][]byte, *Pending) {
+	switch {
+	case len(runs) > 1:
+		panic("mpiio: a lend read takes at most one run")
+	case len(runs) == 0:
+		return nil, f.IssueReadRuns(behind, nil, nil) // reads nothing, exactly as that does
+	}
+	return f.lend(behind, pick(behind, "read_runs", "iread_runs"), runs[0].Len, runs[0].Off)
+}
+
+// lend issues one lend read of n bytes at off under the span op.
+func (f *File) lend(behind bool, op string, n, off int64) ([][]byte, *Pending) {
+	is := f.issuer(behind)
+	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, op).Bytes(n)
+	f.lent.N, f.lent.Pieces = n, f.lent.Pieces[:0]
+	is.do(pfs.Req{Lend: &f.lent, Off: off})
+	sp.End()
+	return f.lent.Pieces, is.pending("iread_wait")
 }
 
 // WriteRuns performs an independent noncontiguous write described by the
@@ -1044,12 +1076,30 @@ func (f *File) IssueReadAtAll(behind bool, runs []mpi.Run, buf []byte) *Pending 
 	if mpi.TotalLen(runs) != int64(len(buf)) {
 		panic("mpiio: ReadAtAll buf/runs length mismatch")
 	}
+	return f.readAtAll(behind, runs, buf, nil)
+}
+
+// IssueReadAtAllInto is IssueReadAtAll for a reader that brings no buffer:
+// *out receives a new one, valid when buf would be — on the two-phase path
+// the replies joined, never zeroed first.
+func (f *File) IssueReadAtAllInto(behind bool, runs []mpi.Run, out *[]byte) *Pending {
+	return f.readAtAll(behind, runs, nil, out)
+}
+
+// readAtAll is the collective read, into buf or, when out is set, into a
+// buffer it makes.
+func (f *File) readAtAll(behind bool, runs []mpi.Run, buf []byte, out *[]byte) *Pending {
+	total := mpi.TotalLen(runs)
 	proc := f.client.Proc
-	allSp := obs.Begin(proc, obs.LayerMPIIO, pick(behind, "read_all", "read_all_begin")).Bytes(int64(len(buf)))
+	allSp := obs.Begin(proc, obs.LayerMPIIO, pick(behind, "read_all", "read_all_begin")).Bytes(total)
 	defer allSp.End()
 	offSp := obs.Begin(proc, obs.LayerMPIIO, "offsets")
 	lo, hi, interleaved, ext := f.accessRange(runs)
 	offSp.End()
+	if out != nil && (hi <= lo || !interleaved && !f.hints.CBForce) {
+		buf = make([]byte, total)
+		*out = buf
+	}
 	if hi <= lo {
 		f.r.Barrier()
 		is := f.issuer(behind)
@@ -1081,7 +1131,7 @@ func (f *File) IssueReadAtAll(behind bool, runs []mpi.Run, buf []byte) *Pending 
 		req, count, bytes := sw.next(&sc.scratch, dLo, dHi, nil)
 		sc.send[f.aggRank(a, rot)], wants[2*a], wants[2*a+1] = req, int64(count), bytes
 	}
-	sw.finish(int64(len(buf)))
+	sw.finish(total)
 	// Scratch exchange: the requests live in sc.scratch, which is not reset
 	// before this operation's trailing barrier.
 	exch := obs.Begin(proc, obs.LayerMPIIO, "exchange")
@@ -1111,7 +1161,7 @@ func (f *File) IssueReadAtAll(behind bool, runs []mpi.Run, buf []byte) *Pending 
 		}
 		iop.End()
 	}
-	t := readTail{sc: sc, buf: buf, wants: wants, naggs: naggs, rot: rot, scatter: scatter}
+	t := readTail{sc: sc, buf: buf, out: out, wants: wants, naggs: naggs, rot: rot, scatter: scatter}
 	if !behind {
 		f.replyAndPlace(t)
 		return nil
@@ -1128,7 +1178,8 @@ func (f *File) IssueReadAtAll(behind bool, runs []mpi.Run, buf []byte) *Pending 
 // issued: the reply phase, over the state the I/O phase left in sc.
 type readTail struct {
 	sc         *fileScratch
-	buf        []byte
+	buf        []byte  // where the pieces land
+	out        *[]byte // or, when set, where the joined replies go
 	wants      []int64 // per aggregator: the pieces and the bytes requested of it
 	naggs, rot int
 	scatter    int64 // bytes of collective-buffer scatter still to charge (behind aggregators)
@@ -1136,9 +1187,9 @@ type readTail struct {
 
 // replyAndPlace is the reply phase of a two-phase read: every aggregator
 // answers the ranks it heard from out of the extents it read, the pieces
-// land in the caller's buffer, and the trailing barrier keeps the
-// participants in lockstep (and the scratch alive until every peer has
-// copied its reply out).
+// land in the caller's buffer — or are joined into a new one — and the
+// trailing barrier keeps the participants in lockstep (and the scratch alive
+// until every peer has copied its reply out).
 func (f *File) replyAndPlace(t readTail) {
 	sc := t.sc
 	if t.scatter > 0 {
@@ -1151,12 +1202,12 @@ func (f *File) replyAndPlace(t readTail) {
 		if count == 0 {
 			continue
 		}
-		hdr, bytes := 4+16*count, int64(0)
+		hdr, nb := 4+16*count, int64(0)
 		for hp := 4; hp < hdr; hp += 16 {
 			_, n := pieceAt(req, hp)
-			bytes += n
+			nb += n
 		}
-		reply := sc.scratch.alloc(hdr + int(bytes))
+		reply := sc.scratch.alloc(hdr + int(nb))
 		copy(reply, req[:hdr])
 		sc.transfer(req, reply[hdr:], false)
 		sc.replies[s] = reply
@@ -1171,8 +1222,9 @@ func (f *File) replyAndPlace(t readTail) {
 	// is buffer order (see sweep), so aggregator after aggregator each
 	// reply's bytes are the next stretch of buf.
 	var pos int64
+	parts := sc.parts[:0]
 	for a := 0; a < t.naggs; a++ {
-		count, bytes := int(t.wants[2*a]), t.wants[2*a+1]
+		count, nb := int(t.wants[2*a]), t.wants[2*a+1]
 		if count == 0 {
 			continue
 		}
@@ -1180,12 +1232,23 @@ func (f *File) replyAndPlace(t readTail) {
 		if have := pieceCount(reply); have != count {
 			panic(fmt.Sprintf("mpiio: aggregator %d returned %d pieces, want %d", a, have, count))
 		}
-		if have := int64(len(reply) - 4 - 16*count); have != bytes {
-			panic(fmt.Sprintf("mpiio: aggregator %d returned %d bytes, want %d", a, have, bytes))
+		if have := int64(len(reply) - 4 - 16*count); have != nb {
+			panic(fmt.Sprintf("mpiio: aggregator %d returned %d bytes, want %d", a, have, nb))
 		}
-		copy(t.buf[pos:pos+bytes], reply[4+16*count:])
-		pos += bytes
+		if t.out != nil {
+			parts = append(parts, reply[4+16*count:])
+		} else {
+			copy(t.buf[pos:pos+nb], reply[4+16*count:])
+		}
+		pos += nb
 	}
+	if t.out != nil {
+		// Join before the barrier: the replies lie in the aggregators'
+		// scratch.
+		*t.out = bytes.Join(parts, nil)
+		clear(parts)
+	}
+	sc.parts = parts
 	f.r.Barrier()
 }
 

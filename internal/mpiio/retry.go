@@ -147,7 +147,7 @@ func (f *File) dev(r pfs.Req) float64 {
 		}
 		if a == rp.MaxAttempts {
 			panic(&IOError{Op: r.Op(), File: f.f.Name(), Rank: f.r.Rank(),
-				Off: r.Off, Len: int64(len(r.Buf)), Attempts: a, Cause: err})
+				Off: r.Off, Len: r.Len(), Attempts: a, Cause: err})
 		}
 		obs.AddRetry(f.client.Proc, f.f.Name())
 		sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, "retry_backoff").

@@ -154,7 +154,7 @@ func sum(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)) }
 // device completion, as float bits, in dispatch order), each rank's
 // BytesSent/MsgsSent and final clock, the engine's event count and the file's
 // bytes. The read-back is checked against the composed views on the way.
-func runGoldenCase(t *testing.T, c goldenCase, fsKind string, behind bool) string {
+func runGoldenCase(t *testing.T, c goldenCase, fsKind string, behind, into bool) string {
 	t.Helper()
 	read := c.read
 	if read == nil {
@@ -184,7 +184,7 @@ func runGoldenCase(t *testing.T, c goldenCase, fsKind string, behind bool) strin
 	calls, ncalls := sha256.New(), 0
 	fs := pfs.Tap(inner, func(call pfs.Call) {
 		ncalls++
-		fmt.Fprintf(calls, "%s %s %d %d %x %x %x\n", call.Client.Proc.Name(), call.Op, call.Req.Off, len(call.Req.Buf),
+		fmt.Fprintf(calls, "%s %s %d %d %x %x %x\n", call.Client.Proc.Name(), call.Op, call.Req.Off, call.Req.Len(),
 			math.Float64bits(call.Start), math.Float64bits(call.Now), math.Float64bits(call.Done))
 	})
 	type rankEnd struct {
@@ -204,8 +204,15 @@ func runGoldenCase(t *testing.T, c goldenCase, fsKind string, behind bool) strin
 		}
 		r.Barrier()
 		rd := read(c.np, r.Rank())
-		buf := make([]byte, mpi.TotalLen(rd))
-		if p := f.IssueReadAtAll(behind, rd, buf); behind {
+		var buf []byte
+		var p *Pending
+		if into {
+			p = f.IssueReadAtAllInto(behind, rd, &buf)
+		} else {
+			buf = make([]byte, mpi.TotalLen(rd))
+			p = f.IssueReadAtAll(behind, rd, buf)
+		}
+		if behind {
 			p.Wait()
 		}
 		f.Close()
@@ -235,14 +242,15 @@ func runGoldenCase(t *testing.T, c goldenCase, fsKind string, behind bool) strin
 // sort → merge tree and placement by offset): every case, on pvfs and gpfs,
 // blocking and behind, must issue the same device requests at the same
 // virtual times, send the same messages, dispatch the same number of events
-// and leave the same file.
+// and leave the same file — and so must the read into a buffer of its own
+// (IssueReadAtAllInto), which differs only in where the replies land.
 //
 // Regenerate with: go test ./internal/mpiio -run TwoPhaseRequestGolden -update-golden
 // — only in a PR that says which request moved and why.
 func TestTwoPhaseRequestGolden(t *testing.T) {
 	type row struct {
 		name string
-		run  func() string
+		run  func(into bool) string
 	}
 	var rows []row
 	for _, c := range goldenCases() {
@@ -250,7 +258,7 @@ func TestTwoPhaseRequestGolden(t *testing.T) {
 			for _, behind := range []bool{false, true} {
 				rows = append(rows, row{
 					name: c.name + "/" + fsKind + "/" + pick(behind, "blocking", "behind"),
-					run:  func() string { return runGoldenCase(t, c, fsKind, behind) },
+					run:  func(into bool) string { return runGoldenCase(t, c, fsKind, behind, into) },
 				})
 			}
 		}
@@ -259,7 +267,7 @@ func TestTwoPhaseRequestGolden(t *testing.T) {
 	if *updateGolden {
 		var out strings.Builder
 		for _, r := range rows {
-			fmt.Fprintf(&out, "%s %s\n", r.name, r.run())
+			fmt.Fprintf(&out, "%s %s\n", r.name, r.run(false))
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -277,8 +285,10 @@ func TestTwoPhaseRequestGolden(t *testing.T) {
 		t.Fatalf("golden has %d lines, test has %d rows (regenerate with -update-golden)", len(want), len(rows))
 	}
 	for i, r := range rows {
-		if got := r.name + " " + r.run(); got != want[i] {
-			t.Errorf("drifted from %s\n got %s\nwant %s", golden, got, want[i])
+		for _, into := range []bool{false, true} {
+			if got := r.name + " " + r.run(into); got != want[i] {
+				t.Errorf("drifted from %s (into=%v)\n got %s\nwant %s", golden, into, got, want[i])
+			}
 		}
 	}
 }

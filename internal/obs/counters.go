@@ -149,7 +149,7 @@ func (t *Tracer) observeCall(c pfs.Call) {
 	if h == nil {
 		return
 	}
-	n, dur := int64(len(c.Req.Buf)), c.Now-c.Start
+	n, dur := c.Req.Len(), c.Now-c.Start
 	sp := &h.spans[h.add(Span{Layer: LayerPFS, Name: c.Op, Start: c.Start, End: c.Now, Bytes: n})]
 	if c.Op == "create" || c.Op == "open" {
 		sp.Attrs = append(sp.Attrs, Attr{Key: "file", Value: c.File})

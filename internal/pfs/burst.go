@@ -201,7 +201,7 @@ func (f *bbFile) stage(c Client, n, off int64) float64 {
 // Behind read completes no earlier than the drain it chases.
 func (f *bbFile) Do(c Client, r Req) (float64, error) {
 	bb, name := f.bb, f.f.Name()
-	n := int64(len(r.Buf))
+	n := r.Len()
 	if n == 0 {
 		return idle(c, r)
 	}

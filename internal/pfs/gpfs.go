@@ -247,7 +247,7 @@ func (f *gpfsFile) metanodeUpdate(c Client, off, n int64) {
 // issue in every mode (they really do block the client thread); settle
 // decides how the caller waits for the data transfer and the disk work.
 func (f *gpfsFile) Do(c Client, r Req) (float64, error) {
-	n := int64(len(r.Buf))
+	n := r.Len()
 	if n == 0 {
 		return idle(c, r)
 	}

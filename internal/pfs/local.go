@@ -155,7 +155,7 @@ func (f *localFile) Close(c Client) {}
 // a deadline is never missed: By is Block here.
 func (f *localFile) Do(c Client, r Req) (float64, error) {
 	fs := f.fs
-	n := int64(len(r.Buf))
+	n := r.Len()
 	if n == 0 {
 		return idle(c, r)
 	}

@@ -82,6 +82,7 @@
 package pfs
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -205,18 +206,61 @@ const (
 	By
 )
 
-// Req is one read or write of len(Buf) bytes at Off. It travels by value
-// down the wrapper chain, so every layer sees the mode. A read fills Buf with
-// a copy out of the store. A write hands Buf over: the file holds the slice
-// itself from then on, so the issuer must not modify it again (payload
-// buffers are write-once, DESIGN.md §13) — whoever reuses a buffer clones it
-// before the write.
+// Req is one read or write of Len() bytes at Off. It travels by value down
+// the wrapper chain, so every layer sees the mode. A read fills Buf with a
+// copy out of the store — or, when Lend is set, borrows the store's own bytes
+// instead (see Lend). A write hands Buf over: the file holds the slice itself
+// from then on, so the issuer must not modify it again (payload buffers are
+// write-once, DESIGN.md §13) — whoever reuses a buffer clones it before the
+// write.
 type Req struct {
 	Write    bool
 	Mode     Mode
 	Buf      []byte // filled by a read, kept by a write
+	Lend     *Lend  // a lend read: carries the length, receives the pieces
 	Off      int64
 	Deadline float64 // By only
+}
+
+// Lend is the two ends of a lend read: the reader names N, and a read that
+// reaches the store leaves in Pieces the file's bytes [Off, Off+N) as the
+// store holds them (ByteStore.LendAt), with no copy made. The pieces are
+// read-only — a reader that changed one would change the file. The reader
+// owns the Lend and may reuse it, and Pieces' backing array, for its next.
+type Lend struct {
+	N      int64
+	Pieces [][]byte
+}
+
+// LentRange returns bytes [at, at+n) of a read lent as pieces that lie back
+// to back from 0: a capped sub-slice of the piece they lie in, or a join of
+// the ones they span. Either way it is read-only.
+func LentRange(pieces [][]byte, at, n int64) []byte {
+	var parts [][]byte
+	for _, p := range pieces {
+		if at >= int64(len(p)) {
+			at -= int64(len(p))
+			continue
+		}
+		end := min(at+n, int64(len(p)))
+		if parts == nil && end == at+n {
+			return p[at:end:end]
+		}
+		parts = append(parts, p[at:end])
+		if n -= end - at; n == 0 {
+			break
+		}
+		at = 0
+	}
+	return bytes.Join(parts, nil)
+}
+
+// Len returns the request's byte count.
+func (r Req) Len() int64 {
+	if r.Lend != nil {
+		return r.Lend.N
+	}
+	return int64(len(r.Buf))
 }
 
 // Op names the request's direction, "read" or "write" (the Op of a
@@ -251,6 +295,14 @@ type File struct{ Handle }
 // ReadAt fills buf from the file at off, charging the caller.
 func (f File) ReadAt(c Client, buf []byte, off int64) {
 	f.Do(c, Req{Buf: buf, Off: off})
+}
+
+// LendAt borrows l.N bytes at off into l.Pieces (see Lend), charging the
+// caller. Pieces is emptied first: a read that moves no bytes never reaches
+// the store, and must not hand back the last read's pieces.
+func (f File) LendAt(c Client, l *Lend, off int64) {
+	l.Pieces = l.Pieces[:0]
+	f.Do(c, Req{Lend: l, Off: off})
 }
 
 // WriteAt stores data at off, charging the caller.
@@ -292,7 +344,7 @@ func settle(c Client, r Req, end float64, fs, file string, st *ByteStore, sc *st
 		c.Proc.AdvanceTo(r.Deadline)
 		return end, &DeviceError{FS: fs, File: file, Op: r.Op(), Deadline: r.Deadline, Completion: end}
 	}
-	n := int64(len(r.Buf))
+	n := r.Len()
 	if r.Write && st != nil {
 		st.WriteAt(r.Buf, r.Off)
 		sc.write(n)
@@ -301,7 +353,11 @@ func settle(c Client, r Req, end float64, fs, file string, st *ByteStore, sc *st
 		c.Proc.AdvanceTo(end)
 	}
 	if !r.Write && st != nil {
-		st.ReadAt(r.Buf, r.Off)
+		if r.Lend != nil {
+			r.Lend.Pieces = st.LendAt(r.Lend.Pieces[:0], r.Off, n)
+		} else {
+			st.ReadAt(r.Buf, r.Off)
+		}
 		sc.read(n)
 	}
 	return end, nil

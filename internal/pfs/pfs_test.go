@@ -234,6 +234,12 @@ func TestAllFileSystemsRoundTripData(t *testing.T) {
 				}
 				f.WriteAt(c, data, 12345)
 				f.ReadAt(c, got, 12345)
+				// A lend that moves no bytes never reaches the store, so it
+				// must not hand back the pieces of the Lend's last read.
+				l := Lend{Pieces: [][]byte{data}}
+				if f.LendAt(c, &l, 12345); len(l.Pieces) != 0 {
+					panic("a zero-length lend kept the last read's pieces")
+				}
 				if f.Size(c) != 12345+int64(len(data)) {
 					panic(fmt.Sprintf("size = %d", f.Size(c)))
 				}
@@ -624,18 +630,21 @@ func BenchmarkByteStoreWrite(b *testing.B) {
 	})
 }
 
-// BenchmarkByteStoreRead times 1 MiB reads, the copy the store does make,
-// out of the same 64 MiB of memory held as one extent and as 1 KiB extents
-// (1,024 to a read).
+// BenchmarkByteStoreRead times 1 MiB reads out of the same 64 MiB of memory
+// held as one extent and as 1 KiB extents (1,024 to a read): ReadAt's copy,
+// and LendAt's pieces into a reused list — none copied, and no allocation.
 func BenchmarkByteStoreRead(b *testing.B) {
 	const req, fileSize = 1 << 20, 64 << 20
 	buf := make([]byte, req)
+	var pieces [][]byte
 	src := make([]byte, fileSize)
 	rand.New(rand.NewSource(1)).Read(src) // touched: not 64 MiB of the shared zero page
 	for _, tc := range []struct {
 		name   string
 		extent int
-	}{{"one-extent", fileSize}, {"across-1024-extents", req / 1024}} {
+		lend   bool
+	}{{"one-extent", fileSize, false}, {"across-1024-extents", req / 1024, false},
+		{"lend", fileSize, true}, {"lend-across-1024-extents", req / 1024, true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(req)
 			b.ReportAllocs()
@@ -643,10 +652,59 @@ func BenchmarkByteStoreRead(b *testing.B) {
 			for off := 0; off < fileSize; off += tc.extent {
 				st.WriteAt(src[off:off+tc.extent], int64(off))
 			}
+			pieces = st.LendAt(pieces[:0], 0, req) // grow the list once
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st.ReadAt(buf, int64(i)*req%fileSize)
+				if tc.lend {
+					pieces = st.LendAt(pieces[:0], int64(i)*req%fileSize, req)
+				} else {
+					st.ReadAt(buf, int64(i)*req%fileSize)
+				}
 			}
 		})
+	}
+}
+
+// TestLendAllocatesNothing pins what a lend read costs the heap: nothing when the
+// range lies inside one extent, and nothing across many once the piece list
+// the caller reuses has grown.
+func TestLendAllocatesNothing(t *testing.T) {
+	st := NewByteStore()
+	st.WriteAt(make([]byte, 1<<16), 0)
+	for off := int64(1 << 16); off < 1<<17; off += 1 << 10 {
+		st.WriteAt(make([]byte, 1<<10), off)
+	}
+	pieces := st.LendAt(nil, 1<<16, 1<<16)
+	for _, tc := range []struct {
+		name    string
+		off, n  int64
+		nPieces int
+	}{{"one-extent", 100, 1 << 15, 1}, {"across-64-extents", 1 << 16, 1 << 16, 64}} {
+		allocs := testing.AllocsPerRun(100, func() { pieces = st.LendAt(pieces[:0], tc.off, tc.n) })
+		if allocs != 0 || len(pieces) != tc.nPieces {
+			t.Errorf("%s: LendAt made %v allocations and %d pieces, want 0 and %d", tc.name, allocs, len(pieces), tc.nPieces)
+		}
+	}
+}
+
+// TestLentRange holds the cut a lend reader makes of its pieces: a range
+// inside one piece is that piece's own memory, capped; one that spans pieces
+// is a join; an empty one at the end is empty.
+func TestLentRange(t *testing.T) {
+	pieces := [][]byte{[]byte("abcd"), []byte("ef"), []byte("ghij")}
+	for _, tc := range []struct {
+		at, n int64
+		want  string
+		piece int // the piece the result lies in, -1 for a join
+		from  int // where in it
+	}{{0, 4, "abcd", 0, 0}, {1, 2, "bc", 0, 1}, {4, 2, "ef", 1, 0}, {7, 3, "hij", 2, 1},
+		{3, 2, "de", -1, 0}, {2, 7, "cdefghi", -1, 0}, {0, 10, "abcdefghij", -1, 0}, {10, 0, "", -1, 0}} {
+		got := LentRange(pieces, tc.at, tc.n)
+		if string(got) != tc.want || cap(got) != len(got) {
+			t.Errorf("LentRange(%d, %d) = %q with capacity %d, want %q capped", tc.at, tc.n, got, cap(got), tc.want)
+		}
+		if tc.piece >= 0 && &got[0] != &pieces[tc.piece][tc.from] {
+			t.Errorf("LentRange(%d, %d) copied bytes that lie in piece %d", tc.at, tc.n, tc.piece)
+		}
 	}
 }

@@ -194,7 +194,7 @@ func perIOD(spans []stripeSpan, n int) [][]stripeSpan {
 // arrivals in every mode); settle decides how the caller waits for the
 // slowest daemon.
 func (f *pvfsFile) Do(c Client, r Req) (float64, error) {
-	n := int64(len(r.Buf))
+	n := r.Len()
 	if n == 0 {
 		return idle(c, r)
 	}

@@ -27,7 +27,8 @@ func (e extent) end() int64 { return e.off + int64(len(e.data)) }
 // it first. The file is a sorted index of non-overlapping, non-empty
 // extents; a write re-slices the neighbours it overlaps and drops the extents
 // it shadows completely, so an overwritten buffer is released, not pinned.
-// Reads copy out: no method returns stored memory.
+// ReadAt, Bytes and Snapshot copy out; LendAt is the one method that returns
+// stored memory, read-only, to a reader that brings no buffer of its own.
 type ByteStore struct {
 	mu   sync.Mutex
 	ext  []extent // ascending by off
@@ -105,6 +106,35 @@ func (s *ByteStore) ReadAt(buf []byte, off int64) {
 		pos += int64(copy(buf[pos-off:], e.data[pos-e.off:]))
 	}
 	clear(buf[pos-off:])
+}
+
+// LendAt appends to pieces the file's bytes [off, off+n) in order: the
+// covering extents themselves, capped with [:n:n], and a hole as fresh
+// zeros, so a range inside one extent is one piece and no copy. The pieces
+// are read-only (DESIGN.md §13) and stay valid whatever the file does next:
+// a write re-slices the index, never the bytes.
+func (s *ByteStore) LendAt(pieces [][]byte, off, n int64) [][]byte {
+	if off < 0 {
+		panic("pfs: negative offset")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	end := off + n
+	pos := off // pieces cover [off, pos)
+	for i := s.firstEndingAfter(off); pos < end && i < len(s.ext) && s.ext[i].off < end; i++ {
+		e := s.ext[i]
+		if e.off > pos {
+			pieces = append(pieces, make([]byte, e.off-pos))
+			pos = e.off
+		}
+		stop := min(e.end(), end)
+		pieces = append(pieces, e.data[pos-e.off:stop-e.off:stop-e.off])
+		pos = stop
+	}
+	if pos < end {
+		pieces = append(pieces, make([]byte, end-pos))
+	}
+	return pieces
 }
 
 // Size returns the logical file size (highest written offset + 1).

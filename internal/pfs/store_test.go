@@ -29,6 +29,7 @@ const (
 	opSize
 	opBytes
 	opTruncate
+	opLend // anywhere, across holes and joins, like opRead
 	numStoreOps
 )
 
@@ -44,7 +45,11 @@ type storeRun struct {
 	model []byte // [0, Size)
 	past  []span // the sequence's writes since the last Truncate
 	seq   byte   // stamps each write's payload
+	lent  []lent // every piece LendAt handed out in this sequence
 }
+
+// lent is a piece LendAt returned and a private copy of what it held then.
+type lent struct{ piece, was []byte }
 
 // payload returns n fresh non-zero bytes no earlier write carried in the same
 // order, so that a stale or misplaced byte never compares equal by accident.
@@ -105,6 +110,46 @@ func (r *storeRun) read(off, n int64) {
 	}
 	if got[0] != 0xEE || got[n+1] != 0xEE {
 		r.t.Fatalf("ReadAt(%d bytes at %d) wrote outside its destination", n, off)
+	}
+}
+
+// lend checks LendAt against ReadAt into a fresh buffer: the pieces, joined,
+// are the same bytes, holes as zeros; none is empty or owns capacity past its
+// bytes; and a range inside one extent comes back as that extent's own
+// memory, in one piece. Every piece is remembered, to be held to its bytes
+// after whatever the sequence does next (checkLent).
+func (r *storeRun) lend(off, n int64) {
+	want := make([]byte, n)
+	r.st.ReadAt(want, off)
+	pieces := r.st.LendAt(nil, off, n)
+	if got := bytes.Join(pieces, nil); !bytes.Equal(got, want) {
+		r.t.Fatalf("LendAt(%d bytes at %d) joined differs from ReadAt", n, off)
+	}
+	for i, p := range pieces {
+		if len(p) == 0 || cap(p) != len(p) {
+			r.t.Fatalf("LendAt(%d bytes at %d): piece %d is %d bytes with capacity %d", n, off, i, len(p), cap(p))
+		}
+		r.lent = append(r.lent, lent{p, bytes.Clone(p)})
+	}
+	if n == 0 {
+		return
+	}
+	for _, e := range r.st.ext {
+		if e.off <= off && off+n <= e.end() {
+			if len(pieces) != 1 || &pieces[0][0] != &e.data[off-e.off] {
+				r.t.Fatalf("LendAt(%d bytes at %d) inside one extent: %d pieces, not the extent's own bytes", n, off, len(pieces))
+			}
+		}
+	}
+}
+
+// checkLent holds every piece lent so far to the bytes it was lent with:
+// writes re-slice the index and Truncate drops it, neither touches a byte.
+func (r *storeRun) checkLent() {
+	for i, l := range r.lent {
+		if !bytes.Equal(l.piece, l.was) {
+			r.t.Fatalf("lent piece %d (%d bytes) changed after it was lent", i, len(l.piece))
+		}
 	}
 }
 
@@ -170,11 +215,14 @@ func (r *storeRun) apply(kind, a, b, c byte) {
 	case opTruncate:
 		r.st.Truncate()
 		r.model, r.past = r.model[:0], r.past[:0]
+	case opLend:
+		r.lend(off, n*5)
 	}
 	if got := r.st.Size(); got != int64(len(r.model)) {
 		r.t.Fatalf("Size() = %d, model %d", got, len(r.model))
 	}
 	r.checkIndex()
+	r.checkLent()
 }
 
 // checkIndex asserts the index invariant: extents ascend, do not overlap,
@@ -209,6 +257,7 @@ func (r *storeRun) checkIndex() {
 // finish compares the whole file, and a stretch past its end, once more.
 func (r *storeRun) finish() {
 	r.read(0, int64(len(r.model))+64)
+	r.lend(0, int64(len(r.model))+64)
 	if got := r.st.Bytes(); !bytes.Equal(got, r.model) {
 		r.t.Fatal("Bytes() differs from the flat model at the end of the sequence")
 	}
@@ -246,6 +295,7 @@ func FuzzByteStore(f *testing.F) {
 	f.Add([]byte{opAppend, 0, 0, 9, opAppend, 0, 0, 9, opMiddle, 1, 2, 3, opReadPast, 0, 20, 7})
 	f.Add([]byte{opWrite, 0, 10, 40, opGap, 0, 5, 3, opSpan, 0, 1, 0, opExact, 0, 0, 0, opBytes, 0, 0, 0})
 	f.Add([]byte{opWrite, 1, 0, 90, opHead, 0, 7, 30, opTail, 0, 200, 9, opZeroWrite, 9, 9, 0, opTruncate, 0, 0, 0, opRead, 0, 0, 50})
+	f.Add([]byte{opWrite, 0, 0, 30, opLend, 0, 10, 4, opGap, 0, 5, 3, opLend, 0, 0, 40, opExact, 0, 0, 0, opMiddle, 0, 2, 5, opTruncate, 0, 0, 0, opLend, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4*256 {
 			ops = ops[:4*256]
@@ -254,10 +304,10 @@ func FuzzByteStore(f *testing.F) {
 	})
 }
 
-// No way out of the store returns stored memory: a reader that was handed the
-// writer's buffer could change the file — or, in a restart check, compare
-// memory with itself. Bytes and every model's Snapshot return copies;
-// Restore adopts what it is given, like a write.
+// No way out of the store but LendAt returns stored memory: a reader that
+// was handed the writer's buffer could change the file. Bytes and every
+// model's Snapshot return copies; Restore adopts what it is given, like a
+// write.
 func TestBytesAndSnapshotAreCopies(t *testing.T) {
 	payload := []byte("the writer's own buffer")
 	want := bytes.Clone(payload)

@@ -5,11 +5,12 @@ package pfs
 // call, Done the device completion it returned (later than Now exactly for a
 // Behind request; Now for a metadata call, which leaves nothing outstanding).
 // Err is a failed create or open, or the *DeviceError of a By request that
-// missed its deadline — which moved no bytes, whatever len(Req.Buf) says. A
+// missed its deadline — which moved no bytes, whatever Req.Len() says. A
 // metadata call ("create", "open", "close") has a zero Req; a request's Op is
-// Req.Op(). A sink reads len(Req.Buf) and never keeps or changes the buffer:
-// a read's belongs to the caller, and a write's has become the file's bytes
-// by the time the sink runs (the store keeps the slice, see Req).
+// Req.Op(). A sink reads Req.Len() and never keeps or changes the bytes: a
+// read's buffer belongs to the caller, a lend read's pieces and a write's
+// buffer are the file's bytes by the time the sink runs (the store keeps the
+// slice, see Req and Lend).
 type Call struct {
 	Client     Client
 	Op         string

@@ -111,7 +111,7 @@ func (f *xfsFile) issue(c Client, off, n int64) float64 {
 // client-local and cannot straggle or die, so a deadline is never missed:
 // By is Block here.
 func (f *xfsFile) Do(c Client, r Req) (float64, error) {
-	n := int64(len(r.Buf))
+	n := r.Len()
 	if n == 0 {
 		return idle(c, r)
 	}
