@@ -2,15 +2,12 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
+	"repro/internal/golden"
+)
 
 func TestBadFlagsRejected(t *testing.T) {
 	cases := []struct {
@@ -138,7 +135,7 @@ func traceReport(t *testing.T, extra ...string) string {
 // compression ratios, the size histogram) and the pattern table — byte for
 // byte over blocking, behind, compressed, HDF5, placed-create and
 // faulted/re-dumped traffic. Regenerate with:
-// go test ./cmd/enzosim -run TraceReportGolden -update-golden
+// go test ./cmd/enzosim -run '^TestTraceReportGolden$' -update
 func TestTraceReportGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, extra := range [][]string{
@@ -153,22 +150,7 @@ func TestTraceReportGolden(t *testing.T) {
 		got.WriteString(traceReport(t, extra...))
 	}
 
-	golden := filepath.Join("testdata", "trace_tiny.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("-trace output drifted from %s; if intentional, regenerate with -update-golden\ngot:\n%s", golden, got.String())
-	}
+	golden.Check(t, "testdata/trace_tiny.txt", got.Bytes())
 }
 
 // TestTraceReportsCompression follows the codec channel end to end: enzo

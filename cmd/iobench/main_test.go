@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,51 +9,34 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/golden"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
+// scaleRowWallClock matches one row of the scale table; its group is the
+// events/sec cell with its padding — the only wall-clock number iobench
+// prints.
+var scaleRowWallClock = regexp.MustCompile(`(?m)^\S+ +cluster1024 +\S+ +\S+ +\d+ +[0-9.]+ +\d+ +(\d+ +)(?:true|false)$`)
 
-// scaleRowWallClock matches one row of the scale table up to and including
-// its events/sec column — the only wall-clock number iobench prints.
-var scaleRowWallClock = regexp.MustCompile(`(?m)^(\S+ +cluster1024 +\S+ +\S+ +\d+ +[0-9.]+ +\d+ +)\d+ +(true|false)$`)
-
+// maskWallClock writes "-" over every events/sec cell of out, in place,
+// keeping the column's width, and returns out.
 func maskWallClock(out []byte) []byte {
-	return scaleRowWallClock.ReplaceAll(out, []byte("${1}- ${2}"))
+	for _, m := range scaleRowWallClock.FindAllSubmatchIndex(out, -1) {
+		copy(out[m[2]:m[3]], "-"+strings.Repeat(" ", m[3]-m[2]-1))
+	}
+	return out
 }
 
 // TestQuickAllGolden pins the stdout of `iobench -exp all -quick` — every
 // registered sweep's title and table, in run order — byte for byte, with
-// the scale table's events/sec column masked. Everything else printed is
-// deterministic virtual time. Regenerate with:
-// go test ./cmd/iobench -run QuickAllGolden -update-golden
+// the scale table's events/sec column masked in the file too. Everything
+// else printed is deterministic virtual time. Regenerate with:
+// go test ./cmd/iobench -run '^TestQuickAllGolden$' -update
 func TestQuickAllGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-exp", "all", "-quick"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
 	}
-	golden := filepath.Join("testdata", "quick_all.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (generate with -update-golden)", err)
-	}
-	got := maskWallClock(stdout.Bytes())
-	if want = maskWallClock(want); !bytes.Equal(got, want) {
-		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("stdout differs from %s at line %d:\n got: %s\nwant: %s", golden, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("stdout differs from %s in length: got %d lines, want %d", golden, len(gl), len(wl))
-	}
+	golden.Check(t, "testdata/quick_all.txt", maskWallClock(stdout.Bytes()))
 }
 
 // TestUsageListsEveryRegisteredSweep pins the -exp help text and the

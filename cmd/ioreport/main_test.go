@@ -3,16 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/golden"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 func TestBadFlagsRejected(t *testing.T) {
 	cases := []struct {
@@ -53,7 +51,8 @@ func TestTinyScrubReportRuns(t *testing.T) {
 }
 
 // TestJSONGolden pins the -format json document for a tiny deterministic
-// run byte-for-byte. Regenerate with: go test ./cmd/ioreport -update-golden
+// run byte-for-byte. Regenerate with:
+// go test ./cmd/ioreport -run '^TestJSONGolden$' -update
 func TestJSONGolden(t *testing.T) {
 	args := []string{"-problem", "tiny", "-np", "4", "-format", "json"}
 	var stdout, stderr bytes.Buffer
@@ -69,22 +68,7 @@ func TestJSONGolden(t *testing.T) {
 		t.Fatalf("document meta wrong: %+v", doc.Report)
 	}
 
-	golden := filepath.Join("testdata", "tiny_np4.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("-format json output drifted from %s; if intentional, regenerate with -update-golden", golden)
-	}
+	golden.Check(t, "testdata/tiny_np4.json", stdout.Bytes())
 }
 
 // TestDiagnoseAppendsFindings checks the -diagnose text-mode tail.

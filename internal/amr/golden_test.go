@@ -3,17 +3,14 @@ package amr
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
+	"repro/internal/golden"
+)
 
 // goldenProblem is one hierarchy the golden pins. The parameters repeat
 // enzo's Tiny, AMR64 and AMR128 configs (enzo imports this package, so it
@@ -69,35 +66,14 @@ func gridLines(name string, h *Hierarchy) []string {
 // arrays in order — for Tiny, AMR64, AMR128 and the AMR64 structure-only
 // build. A refinement or generation rewrite must leave it unchanged.
 //
-// Regenerate with: go test ./internal/amr -run HierarchyGolden -update-golden
+// Regenerate with: go test ./internal/amr -run '^TestHierarchyGolden$' -update
 // — only in a PR that says which grid moved and why.
 func TestHierarchyGolden(t *testing.T) {
 	var got []string
 	for _, p := range goldenProblems {
 		got = append(got, gridLines(p.name, p.build())...)
 	}
-	golden := filepath.Join("testdata", "hierarchy.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(want) != len(got) {
-		t.Fatalf("golden has %d lines, test has %d grids (regenerate with -update-golden)", len(want), len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("drifted from %s\n got %s\nwant %s", golden, got[i], want[i])
-		}
-	}
+	golden.Check(t, "testdata/hierarchy.golden", []byte(strings.Join(got, "\n")+"\n"))
 }
 
 // TestBuildIndependentOfProcs builds the AMR64 hierarchy on one processor

@@ -168,6 +168,15 @@ func unless(f finder, re string) finder {
 	}
 }
 
+// inTests keeps the matches of f in _test.go files.
+func inTests(f finder) finder {
+	return func(file *file, emit func(token.Pos, string, string)) {
+		if file.test() {
+			f(file, emit)
+		}
+	}
+}
+
 // A check is a rule kind: it returns what violates the rule over the files
 // the row's scope selects, nothing when the rule holds.
 type check func(t *tree, s scope) []string

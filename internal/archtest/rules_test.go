@@ -310,10 +310,21 @@ var scratch sync.Pool`)},
 		check:    designRefs(),
 		mutation: edit{path: "README.md", new: "\nThe model is in DESIGN.md\n§99.\n"}},
 
+	// One golden switch: internal/golden declares -update and only tests
+	// import it. A test file that imports flag could declare a second switch;
+	// runflags' tests build flag sets for the package they test.
+	{name: "no-flag-in-tests", design: "§5", pr: 33,
+		scope:    scope{out: []string{"cmd/internal/runflags"}, tests: true},
+		check:    forbid(inTests(imports(`^flag$`))),
+		mutation: mutantTest("internal/sim", "import \"flag\"\n\nvar updateGolden = flag.Bool(\"update-golden\", false, \"rewrite testdata\")")},
+	{name: "golden-only-in-tests", design: "§5", pr: 33, scope: scope{},
+		check:    forbid(imports(`/internal/golden$`)),
+		mutation: mutant("internal/enzo", `import _ "repro/internal/golden"`)},
+
 	// The layer order: an internal package imports only lower levels, so
 	// the stack is a DAG with one direction.
 	{name: "layer-order", design: "§2", pr: 32, scope: in("internal/..."),
-		check: layers("sim amr", "machine", "pfs", "obs faultfs", "mpi compress hdf4 iotrace castore",
+		check: layers("golden sim amr", "machine", "pfs", "obs faultfs", "mpi compress hdf4 iotrace castore",
 			"mpiio psort core", "hdf5 mdms", "enzo", "diag", "tenant", "experiments"),
 		mutation: mutant("internal/pfs", `import _ "repro/internal/obs"`)},
 

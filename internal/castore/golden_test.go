@@ -2,17 +2,13 @@ package castore
 
 import (
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/amr"
+	"repro/internal/golden"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // chunkerInput is one named array of the chunker golden's input table.
 type chunkerInput struct {
@@ -47,7 +43,7 @@ func tinyArrays() []chunkerInput {
 // bounds decide what dedups, so a bound that moves here moves
 // BENCH_dedup.json.
 //
-// Regenerate with: go test ./internal/castore -run ChunkerGolden -update-golden
+// Regenerate with: go test ./internal/castore -run '^TestChunkerGolden$' -update
 // — only in a PR that says which cut moved and why.
 func TestChunkerGolden(t *testing.T) {
 	var got []string
@@ -66,26 +62,5 @@ func TestChunkerGolden(t *testing.T) {
 				in.name, p.Min, p.Avg, p.Max, len(bounds), sha256.Sum256([]byte(list.String()))))
 		}
 	}
-	golden := filepath.Join("testdata", "chunker.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(want) != len(got) {
-		t.Fatalf("golden has %d lines, test has %d rows (regenerate with -update-golden)", len(want), len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("drifted from %s\n got %s\nwant %s", golden, got[i], want[i])
-		}
-	}
+	golden.Check(t, "testdata/chunker.golden", []byte(strings.Join(got, "\n")+"\n"))
 }

@@ -4,20 +4,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/amr"
+	"repro/internal/golden"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // codecInput is one named row of the fixed input table the stream golden
 // and the reference differential test share.
@@ -107,7 +103,7 @@ func codecTable(t *testing.T) []codecInput {
 // Compressed sizes feed virtual time, so a stream that moves here moves
 // every BENCH_*.json row with a codec in it.
 //
-// Regenerate with: go test ./internal/compress -run CodecStreamGolden -update-golden
+// Regenerate with: go test ./internal/compress -run '^TestCodecStreamGolden$' -update
 // — only in a PR that says which stream moved and why.
 func TestCodecStreamGolden(t *testing.T) {
 	digest := func(b []byte) string { return fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b)) }
@@ -127,26 +123,5 @@ func TestCodecStreamGolden(t *testing.T) {
 			got = append(got, fmt.Sprintf("%s/%s compress=%s pack=%s", name, in.name, digest(enc), digest(blob)))
 		}
 	}
-	golden := filepath.Join("testdata", "codec.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(want) != len(got) {
-		t.Fatalf("golden has %d lines, test has %d rows (regenerate with -update-golden)", len(want), len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("drifted from %s\n got %s\nwant %s", golden, got[i], want[i])
-		}
-	}
+	golden.Check(t, "testdata/codec.golden", []byte(strings.Join(got, "\n")+"\n"))
 }

@@ -1,21 +1,20 @@
 package enzo
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/golden"
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
 
-var updateMatrix = flag.Bool("update", false, "rewrite testdata/matrix_tiny.json from the current code")
+const matrixGolden = "testdata/matrix_tiny.json"
 
 // matrixRow pins one composition of the I/O path matrix. Virtual times are
 // stored as IEEE-754 bit patterns: the refactor-proof claim is "the same
@@ -156,45 +155,30 @@ func (tc matrixCase) run() matrixRow {
 
 // TestMatrixGolden pins the cross-products of the I/O path matrix — the
 // compositions the BENCH files (single features at AMR64/128) do not
-// cover. Regenerate with: go test ./internal/enzo -run MatrixGolden -update
+// cover. Each row's subtest compares its encoded bytes with its element of
+// the file. Regenerate with:
+// go test ./internal/enzo -run '^TestMatrixGolden$' -update
 func TestMatrixGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "matrix_tiny.json")
 	cases := matrixCases()
-	if *updateMatrix {
-		rows := make([]matrixRow, len(cases))
-		for i, tc := range cases {
-			rows[i] = tc.run()
-		}
-		enc, err := json.MarshalIndent(rows, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, append(enc, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	var want []matrixRow
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(cases) {
-		t.Fatalf("golden has %d rows, matrix has %d (regenerate with -update)", len(want), len(cases))
-	}
+	rows := golden.NewRows(t, matrixGolden, len(cases), matrixRows, func(rows [][]byte) []byte {
+		return append(append([]byte("[\n "), bytes.Join(rows, []byte(",\n "))...), "\n]\n"...)
+	})
 	for i, tc := range cases {
-		i, tc := i, tc
 		t.Run(tc.name, func(t *testing.T) {
-			got, _ := json.Marshal(tc.run())
-			exp, _ := json.Marshal(want[i])
-			if string(got) != string(exp) {
-				t.Errorf("row drifted from %s\n got %s\nwant %s", golden, got, exp)
-			}
+			got, _ := json.MarshalIndent(tc.run(), " ", " ") // strings, numbers and bools always encode
+			rows.Check(t, i, got)
 		})
 	}
+	rows.Done(t)
+}
+
+// matrixRows cuts matrix_tiny.json into its elements' bytes as written; a
+// file that does not decode has no rows.
+func matrixRows(file []byte) (rows [][]byte) {
+	var raw []json.RawMessage
+	_ = json.Unmarshal(file, &raw)
+	for _, r := range raw {
+		rows = append(rows, r)
+	}
+	return rows
 }

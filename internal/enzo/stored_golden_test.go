@@ -1,17 +1,16 @@
 package enzo
 
 import (
-	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/golden"
 	"repro/internal/pfs"
 )
 
@@ -100,25 +99,30 @@ func (tc storedCase) render(res *Result, files map[string][]byte) string {
 	return b.String()
 }
 
-func storedGoldenPath() string { return filepath.Join("testdata", "stored_tiny.golden") }
+const storedGolden = "testdata/stored_tiny.golden"
+
+// storedRows cuts stored_tiny.golden into its cases, each from its "case "
+// line to the next.
+func storedRows(file []byte) [][]byte {
+	var rows [][]byte
+	for len(file) > 0 {
+		n := bytes.Index(file, []byte("\ncase ")) + 1
+		if n == 0 {
+			n = len(file)
+		}
+		rows, file = append(rows, file[:n]), file[n:]
+	}
+	return rows
+}
 
 // goldenStoredFile returns the pinned "length digest" of one file of one
 // case of stored_tiny.golden.
 func goldenStoredFile(t *testing.T, caseName, file string) string {
 	t.Helper()
-	f, err := os.Open(storedGoldenPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	in := false
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "case "); ok {
-			in = rest == caseName
-		} else if rest, ok := strings.CutPrefix(line, "file "+file+" "); ok && in {
+	for _, row := range storedRows(golden.Read(t, storedGolden)) {
+		_, rest, ok := strings.Cut(string(row), "\nfile "+file+" ")
+		if ok && bytes.HasPrefix(row, []byte("case "+caseName+"\n")) {
+			rest, _, _ = strings.Cut(rest, "\n")
 			return rest
 		}
 	}
@@ -131,60 +135,20 @@ func goldenStoredFile(t *testing.T, caseName, file string) string {
 // compositions in which one array is packed, chunked or keyed more than
 // once: later generations, replicas, re-dumps. Generated before anything
 // remembered a packed array; a change that reuses one must leave it alone.
-// Regenerate with: go test ./internal/enzo -run StoredBytesGolden -update-golden
+// Regenerate with: go test ./internal/enzo -run '^TestStoredBytesGolden$' -update
 func TestStoredBytesGolden(t *testing.T) {
 	cases := storedCases()
-	if *updateGolden {
-		var all strings.Builder
-		for _, tc := range cases {
-			res, files := tc.run(t)
-			all.WriteString(tc.render(res, files))
-		}
-		if err := os.WriteFile(storedGoldenPath(), []byte(all.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(storedGoldenPath())
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	want := map[string]string{}
-	for _, block := range strings.Split(string(raw), "case ")[1:] {
-		name, _, _ := strings.Cut(block, "\n")
-		want[name] = "case " + block
-	}
-	if len(want) != len(cases) {
-		t.Fatalf("golden has %d cases, the table has %d (regenerate with -update-golden)", len(want), len(cases))
-	}
-	for _, tc := range cases {
+	rows := golden.NewRows(t, storedGolden, len(cases), storedRows, func(rows [][]byte) []byte { return bytes.Join(rows, nil) })
+	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res, files := tc.run(t)
 			if tc.fault == nil && !res.Verified {
 				t.Error("restart did not verify")
 			}
-			if got := tc.render(res, files); got != want[tc.name] {
-				t.Errorf("stored bytes or Result drifted from %s\n%s", storedGoldenPath(), firstDiff(want[tc.name], got))
-			}
+			rows.Check(t, i, []byte(tc.render(res, files)))
 		})
 	}
-}
-
-// firstDiff names the first line on which two golden blocks part.
-func firstDiff(want, got string) string {
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			return fmt.Sprintf("line %d\n got %s\nwant %s", i+1, gl, wl)
-		}
-	}
-	return "no difference"
+	rows.Done(t)
 }
 
 // TestFaultInLaterGenerationLeavesEarlierBytes: three dumps of one state may

@@ -6,18 +6,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/machine"
 	"repro/internal/mpiio"
 	"repro/internal/obs"
 	"repro/internal/pfs"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/trace_tiny.json from the current exporter")
 
 // traceGoldenRow pins one run's Perfetto export by length and digest: the
 // exports are 6-22 MB each, and a digest already says "not a byte moved".
@@ -108,7 +104,7 @@ func TestFailedTracedRunIsDeterministic(t *testing.T) {
 // does not finish at all (deadServerMidRun): its timeline is what the
 // engine's teardown leaves behind.
 //
-// Regenerate with: go test ./internal/enzo -run TraceExportGolden -update-golden
+// Regenerate with: go test ./internal/enzo -run '^TestTraceExportGolden$' -update
 func TestTraceExportGolden(t *testing.T) {
 	lzssAsync := Tiny()
 	lzssAsync.Codec = "lzss"
@@ -176,30 +172,6 @@ func TestTraceExportGolden(t *testing.T) {
 		got[i] = traceGoldenRow{Name: tc.name, Bytes: buf.Len(), SHA256: hex.EncodeToString(sum[:])}
 	}
 
-	golden := filepath.Join("testdata", "trace_tiny.json")
-	if *updateGolden {
-		enc, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, append(enc, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	var want []traceGoldenRow
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("golden has %d rows, test has %d (regenerate with -update-golden)", len(want), len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("trace export drifted from %s\n got %+v\nwant %+v", golden, got[i], want[i])
-		}
-	}
+	enc, _ := json.MarshalIndent(got, "", " ") // strings and numbers always encode
+	golden.Check(t, "testdata/trace_tiny.json", append(enc, '\n'))
 }

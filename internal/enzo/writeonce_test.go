@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
@@ -80,12 +79,8 @@ func (g *writeGuard) changed() []string {
 // refusedRows returns the names of the matrix rows that matrix_tiny.json
 // pins as ending in a typed error.
 func refusedRows(t *testing.T) map[string]bool {
-	raw, err := os.ReadFile(filepath.Join("testdata", "matrix_tiny.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rows []matrixRow
-	if err := json.Unmarshal(raw, &rows); err != nil {
+	if err := json.Unmarshal(golden.Read(t, matrixGolden), &rows); err != nil {
 		t.Fatal(err)
 	}
 	refused := map[string]bool{}

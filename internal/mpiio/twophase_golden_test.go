@@ -3,22 +3,18 @@ package mpiio
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"hash"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/twophase.golden from the current aggregator")
 
 // goldenCase is one collective write-then-read pinned by twophase.golden:
 // who holds which file extents under which hints. read is the view of the
@@ -245,50 +241,21 @@ func runGoldenCase(t *testing.T, c goldenCase, fsKind string, behind, into bool)
 // and leave the same file — and so must the read into a buffer of its own
 // (IssueReadAtAllInto), which differs only in where the replies land.
 //
-// Regenerate with: go test ./internal/mpiio -run TwoPhaseRequestGolden -update-golden
+// Regenerate with: go test ./internal/mpiio -run '^TestTwoPhaseRequestGolden$' -update
 // — only in a PR that says which request moved and why.
 func TestTwoPhaseRequestGolden(t *testing.T) {
-	type row struct {
-		name string
-		run  func(into bool) string
-	}
-	var rows []row
+	var out strings.Builder
 	for _, c := range goldenCases() {
 		for _, fsKind := range []string{"pvfs", "gpfs"} {
 			for _, behind := range []bool{false, true} {
-				rows = append(rows, row{
-					name: c.name + "/" + fsKind + "/" + pick(behind, "blocking", "behind"),
-					run:  func(into bool) string { return runGoldenCase(t, c, fsKind, behind, into) },
-				})
+				name := c.name + "/" + fsKind + "/" + pick(behind, "blocking", "behind")
+				line := name + " " + runGoldenCase(t, c, fsKind, behind, false)
+				if into := name + " " + runGoldenCase(t, c, fsKind, behind, true); into != line {
+					t.Errorf("the read into a buffer of its own differs\n got %s\nwant %s", into, line)
+				}
+				out.WriteString(line + "\n")
 			}
 		}
 	}
-	golden := filepath.Join("testdata", "twophase.golden")
-	if *updateGolden {
-		var out strings.Builder
-		for _, r := range rows {
-			fmt.Fprintf(&out, "%s %s\n", r.name, r.run(false))
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(want) != len(rows) {
-		t.Fatalf("golden has %d lines, test has %d rows (regenerate with -update-golden)", len(want), len(rows))
-	}
-	for i, r := range rows {
-		for _, into := range []bool{false, true} {
-			if got := r.name + " " + r.run(into); got != want[i] {
-				t.Errorf("drifted from %s (into=%v)\n got %s\nwant %s", golden, into, got, want[i])
-			}
-		}
-	}
+	golden.Check(t, "testdata/twophase.golden", []byte(out.String()))
 }

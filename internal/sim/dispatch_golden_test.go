@@ -3,18 +3,15 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/dispatch.golden from the current engine")
+	"repro/internal/golden"
+)
 
 // dispatchProgram is the TestHeapMatchesReferenceOracle workload generalised
 // over process count, seed and server discipline: every process logs
@@ -145,18 +142,16 @@ func failedRun(e *Engine) string {
 // mechanism with NewEngine, so it can vouch for the pick order but not for
 // who runs when. Every program must produce the golden line on both engines.
 //
-// Regenerate with: go test ./internal/sim -run DispatchGolden -update-golden
+// Regenerate with: go test ./internal/sim -run '^TestDispatchGolden$' -update
 func TestDispatchGolden(t *testing.T) {
-	engines := []struct {
-		name string
-		new  func() *Engine
-	}{{"heap", NewEngine}, {"reference", NewReferenceEngine}}
-
-	type program struct {
-		name string
-		run  func(newEngine func() *Engine) string
+	var out strings.Builder
+	pin := func(name string, run func(newEngine func() *Engine) string) {
+		line := name + " " + run(NewEngine)
+		if ref := name + " " + run(NewReferenceEngine); ref != line {
+			t.Errorf("reference engine differs from the heap engine\n got %s\nwant %s", ref, line)
+		}
+		out.WriteString(line + "\n")
 	}
-	var programs []program
 	for _, np := range []int{2, 12, 64} {
 		for _, seed := range []int64{1, 2, 3} {
 			for _, fair := range []bool{false, true} {
@@ -164,43 +159,13 @@ func TestDispatchGolden(t *testing.T) {
 				if fair {
 					server = "fair"
 				}
-				programs = append(programs, program{
-					name: fmt.Sprintf("np%d/seed%d/%s", np, seed, server),
-					run: func(newEngine func() *Engine) string {
-						return dispatchProgram(t, newEngine, np, seed, fair)
-					},
+				pin(fmt.Sprintf("np%d/seed%d/%s", np, seed, server), func(newEngine func() *Engine) string {
+					return dispatchProgram(t, newEngine, np, seed, fair)
 				})
 			}
 		}
 	}
-	programs = append(programs, program{"deadlock", deadlockProgram}, program{"panic", panicProgram})
-
-	golden := filepath.Join("testdata", "dispatch.golden")
-	if *updateGolden {
-		var out strings.Builder
-		for _, pr := range programs {
-			fmt.Fprintf(&out, "%s %s\n", pr.name, pr.run(NewEngine))
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(want) != len(programs) {
-		t.Fatalf("golden has %d lines, test has %d programs (regenerate with -update-golden)", len(want), len(programs))
-	}
-	for i, pr := range programs {
-		for _, eng := range engines {
-			if got := pr.name + " " + pr.run(eng.new); got != want[i] {
-				t.Errorf("%s engine drifted from %s\n got %s\nwant %s", eng.name, golden, got, want[i])
-			}
-		}
-	}
+	pin("deadlock", deadlockProgram)
+	pin("panic", panicProgram)
+	golden.Check(t, "testdata/dispatch.golden", []byte(out.String()))
 }
