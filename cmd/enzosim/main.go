@@ -45,7 +45,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("enzosim", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	rf := runflags.Register(fl, runflags.Defaults{Machine: "origin2000", FS: "xfs", Problem: "AMR64", Faults: true})
+	rf := runflags.Register(fl, runflags.Defaults{Machine: "origin2000", FS: "xfs", Problem: "AMR64"})
 	dumps := fl.Int("dumps", 1, "checkpoint dumps per run")
 	refine := fl.Int("refine", 0, "dynamic refinement passes during evolution")
 	generations := fl.Int("generations", 0, "dump generations the restart fallback scans, newest first (0 = all; needs -scrub)")

@@ -9,6 +9,9 @@ import (
 	"repro/internal/golden"
 )
 
+// TestBadFlagsRejected: enzosim's own flags and the run-flag errors all
+// reach the user as exit 2 plus usage. runflags' TestBadFlagsRejected is
+// where each run-flag error's resolution is checked.
 func TestBadFlagsRejected(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,13 +1,14 @@
 // Package runflags is the flag set shared by the commands that run one
-// ENZO configuration (enzosim, ioreport, iodoctor): it declares the run
-// flags, validates them in one dialect and resolves them into an
-// enzo.RunSpec. Each command keeps its own defaults and its own output
-// flags.
+// ENZO configuration (enzosim, iodoctor): it declares the run flags,
+// validates them in one dialect and resolves them into an enzo.RunSpec.
+// Each command keeps its own defaults and its own output flags. iobench,
+// which runs sweeps rather than one configuration, shares the Dump flags.
 package runflags
 
 import (
 	"flag"
 	"fmt"
+	"slices"
 
 	"repro/internal/compress"
 	"repro/internal/diag"
@@ -18,47 +19,76 @@ import (
 )
 
 // Defaults are a command's defaults for the flags whose default differs
-// between commands, and which of the optional flags it has.
+// between commands, and whether it has -quick.
 type Defaults struct {
 	Machine, FS, Problem string
 	Quick                bool // declare -quick
-	Faults               bool // declare -straggler and -corrupt
+}
+
+// Dump holds the flags that change how a run writes its checkpoints:
+// field compression, write-behind and the hint autotuner.
+type Dump struct {
+	Codec           string
+	Async, AutoTune bool
+}
+
+// Register declares -codec, -async and -autotune on fl.
+func (d *Dump) Register(fl *flag.FlagSet) {
+	fl.StringVar(&d.Codec, "codec", "none", "transparent field compression: none, rle, delta, lzss")
+	fl.BoolVar(&d.Async, "async", false, "write-behind checkpoint I/O: overlap dumps with the next step's compute")
+	fl.BoolVar(&d.AutoTune, "autotune", false, "tune the MPI-IO hint vector off a short probe run before the main run")
+}
+
+// Check validates -codec; an error is a usage error.
+func (d *Dump) Check() error {
+	_, err := compress.Resolve(d.Codec)
+	return err
 }
 
 // Flags holds the parsed values; read them after FlagSet.Parse.
 type Flags struct {
-	Machine, FS, Problem, Backend, Codec string
-	Procs, Replicas                      int
-	MemBudget                            int64 // MiB
-	Async, AutoTune, Scrub, CAStore      bool
-	Quick                                bool
-	Straggler                            float64
-	Corrupt                              int64
+	Dump
+	Machine, FS, Problem, Backend string
+	Procs, Replicas               int
+	MemBudget                     int64 // MiB
+	Scrub, CAStore                bool
+	Quick                         bool
+	Straggler                     float64
+	Corrupt                       int64
 }
 
 // Register declares the run flags on fl.
 func Register(fl *flag.FlagSet, d Defaults) *Flags {
-	f := &Flags{Straggler: 1}
+	f := new(Flags)
 	fl.StringVar(&f.Machine, "machine", d.Machine, "platform model: origin2000, sp2, chiba, cluster1024")
 	fl.StringVar(&f.FS, "fs", d.FS, "file system model: xfs, gpfs, pvfs, local")
 	fl.IntVar(&f.Procs, "np", 8, "number of MPI ranks")
 	fl.StringVar(&f.Problem, "problem", d.Problem, "problem size: tiny, AMR64, AMR128, AMR256, AMR512")
 	fl.Int64Var(&f.MemBudget, "membudget", 0, "host-memory footprint budget in MiB (0 = 16384 default, negative = unlimited; AMR512 needs this raised)")
 	fl.StringVar(&f.Backend, "backend", "mpiio", "I/O backend: hdf4, mpiio, mpiio-cb, hdf5")
-	fl.StringVar(&f.Codec, "codec", "none", "transparent field compression: none, rle, delta, lzss")
-	fl.BoolVar(&f.Async, "async", false, "write-behind checkpoint I/O: overlap dumps with the next step's compute")
-	fl.BoolVar(&f.AutoTune, "autotune", false, "tune the MPI-IO hint vector off a short probe run before the main run")
+	f.Dump.Register(fl)
 	fl.BoolVar(&f.Scrub, "scrub", false, "read-back scrub after each dump, with re-dump and generation-fallback recovery")
 	fl.BoolVar(&f.CAStore, "castore", false, "content-addressed checkpoint store: chunked dumps with cross-generation dedup (not with -backend hdf4)")
 	fl.IntVar(&f.Replicas, "replicas", 1, "data servers each castore chunk/manifest is replicated on (needs -castore)")
 	if d.Quick {
 		fl.BoolVar(&f.Quick, "quick", false, "shrink the problem for a fast smoke run")
 	}
-	if d.Faults {
-		fl.Float64Var(&f.Straggler, "straggler", 1, "degrade one data server of a striped fs by this service-time factor")
-		fl.Int64Var(&f.Corrupt, "corrupt", 0, "silently corrupt every Nth sizeable checkpoint write (0 = off)")
-	}
+	fl.Float64Var(&f.Straggler, "straggler", 1, "degrade one data server of a striped fs by this service-time factor")
+	fl.Int64Var(&f.Corrupt, "corrupt", 0, "silently corrupt every Nth sizeable checkpoint write (0 = off)")
 	return f
+}
+
+// Given returns the first flag, in lexical order, that the command line
+// set on fl and that is a run flag or one of also; "" if there is none.
+func Given(fl *flag.FlagSet, also ...string) (name string) {
+	run := flag.NewFlagSet("", flag.ContinueOnError)
+	Register(run, Defaults{Quick: true})
+	fl.Visit(func(g *flag.Flag) {
+		if name == "" && (run.Lookup(g.Name) != nil || slices.Contains(also, g.Name)) {
+			name = g.Name
+		}
+	})
+	return name
 }
 
 // Resolve validates the parsed flags and builds the run they describe. An
@@ -96,7 +126,7 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 	if f.Quick {
 		cfg = cfg.Quick()
 	}
-	if _, err := compress.Resolve(f.Codec); err != nil {
+	if err := f.Dump.Check(); err != nil {
 		return spec, err
 	}
 	cfg.Codec = f.Codec

@@ -24,7 +24,7 @@ func parse(t *testing.T, d Defaults, args ...string) (*Flags, error) {
 // built on this package; the commands' own tests only prove that such an
 // error reaches the user as exit 2 plus usage.
 func TestBadFlagsRejected(t *testing.T) {
-	all := Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR64", Quick: true, Faults: true}
+	all := Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR64", Quick: true}
 	cases := []struct {
 		name string
 		d    Defaults
@@ -44,7 +44,6 @@ func TestBadFlagsRejected(t *testing.T) {
 		{"straggler on plain fs", all, []string{"-fs", "xfs", "-straggler", "10"}},
 		{"negative corrupt", all, []string{"-corrupt", "-3"}},
 		{"quick not declared", Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR64"}, []string{"-quick"}},
-		{"fault flags not declared", Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR64"}, []string{"-corrupt", "3"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,7 +56,7 @@ func TestBadFlagsRejected(t *testing.T) {
 
 func TestResolveBuildsTheSpec(t *testing.T) {
 	fl := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fl, Defaults{Machine: "origin2000", FS: "xfs", Problem: "AMR64", Quick: true, Faults: true})
+	f := Register(fl, Defaults{Machine: "origin2000", FS: "xfs", Problem: "AMR64", Quick: true})
 	if err := fl.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestResolveBuildsTheSpec(t *testing.T) {
 	}
 
 	fl = flag.NewFlagSet("test", flag.ContinueOnError)
-	f = Register(fl, Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR128", Quick: true, Faults: true})
+	f = Register(fl, Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR128", Quick: true})
 	err = fl.Parse([]string{"-quick", "-membudget", "-1", "-codec", "lzss", "-async", "-scrub",
 		"-castore", "-replicas", "2", "-backend", "hdf5", "-np", "4", "-straggler", "3", "-corrupt", "5"})
 	if err != nil {

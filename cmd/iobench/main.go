@@ -21,7 +21,7 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/compress"
+	"repro/cmd/internal/runflags"
 	"repro/internal/experiments"
 )
 
@@ -46,9 +46,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fl.Bool("quick", false, "shrink problems for a fast smoke run")
 	chart := fl.Bool("chart", false, "also render each figure as ASCII bar charts")
 	tracedir := fl.String("tracedir", "", "write per-case Perfetto timelines and counter reports into this directory (every sweep but table1, which runs nothing, and tenants, which runs fleets)")
-	codec := fl.String("codec", "none", "run the figure cases with transparent field compression: none, rle, delta, lzss")
-	async := fl.Bool("async", false, "run the figure cases with the write-behind dump pipeline")
-	autotune := fl.Bool("autotune", false, "run the figure cases with the probe-based MPI-IO hint autotuner")
+	var dump runflags.Dump // applied to every case
+	dump.Register(fl)
 	diagnose := fl.Bool("diagnose", false, "diagnose every case and print its findings after each sweep (the sweeps -tracedir covers)")
 	cpuprofile := fl.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fl.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -64,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fl.Usage()
 		return 2
 	}
-	if _, err := compress.Resolve(*codec); err != nil {
+	if err := dump.Check(); err != nil {
 		fmt.Fprintln(stderr, err)
 		fl.Usage()
 		return 2
@@ -110,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	o := experiments.Options{Quick: *quick, TraceDir: *tracedir, Codec: *codec, Async: *async, AutoTune: *autotune}
+	o := experiments.Options{Quick: *quick, TraceDir: *tracedir, Codec: dump.Codec, Async: dump.Async, AutoTune: dump.AutoTune}
 	var findings []experiments.CaseFindings
 	if *diagnose {
 		o.DiagnoseSink = func(cf experiments.CaseFindings) { findings = append(findings, cf) }

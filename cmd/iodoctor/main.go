@@ -11,8 +11,14 @@
 //	         [-np 8] [-membudget MIB] [-quick] [-codec none] [-async] [-scrub] [-cbnodes N]
 //	         [-autotune] [-probe-report FILE]
 //	         [-straggler FACTOR] [-corrupt N] [-castore] [-replicas K]
-//	         [-format text|json|metrics] [-o FILE] [-report FILE]
-//	         [-diff BASELINE.json] [-fail-on none|warning|critical]
+//	         [-format text|json|metrics|counters] [-o FILE] [-trace FILE]
+//	         [-report FILE] [-diff BASELINE.json] [-fail-on none|warning|critical]
+//
+// -format counters prints the Darshan-style per-rank counter report, which
+// attributes virtual time across the stack (application, HDF, MPI-IO with
+// its two-phase exchange/io split, MPI, file system), followed by the
+// findings. -trace writes the run's Chrome trace-event JSON timeline,
+// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // -report loads a JSON document written earlier with -format json instead
 // of running a simulation; -diff compares a baseline document against the
@@ -24,11 +30,13 @@
 // -autotune runs the short probe first, feeds its report through the
 // detector registry, and applies the derived hint deltas to the main run;
 // -probe-report saves the probe's diagnosis document (report + chosen
-// deltas) as a JSON artifact. Neither combines with -report, which skips
-// the simulation entirely; nor does a non-zero -cbnodes.
+// deltas) as a JSON artifact. A saved document holds no run and no spans,
+// so -report takes no flag that shapes or observes a run: no run flag,
+// -cbnodes, -probe-report, -trace or -format counters.
 //
 // All output derives from deterministic virtual-time telemetry: repeated
-// runs of the same configuration produce byte-identical bytes.
+// runs of the same configuration produce byte-identical bytes, and tracing
+// leaves the virtual timings of a run bit-identical.
 package main
 
 import (
@@ -51,11 +59,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("iodoctor", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	rf := runflags.Register(fl, runflags.Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR128", Quick: true, Faults: true})
+	rf := runflags.Register(fl, runflags.Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR128", Quick: true})
 	cbnodes := fl.Int("cbnodes", 0, "override the cb_nodes hint (0 = ROMIO default, one aggregator per node)")
 	probeReport := fl.String("probe-report", "", "write the -autotune probe's diagnosis document (report + chosen deltas) here")
-	format := fl.String("format", "text", "output format: text, json or metrics (OpenMetrics)")
+	format := fl.String("format", "text", "output format: text, json, metrics (OpenMetrics) or counters (the per-rank counter report)")
 	outPath := fl.String("o", "", "write the formatted output here (default stdout)")
+	tracePath := fl.String("trace", "", "write a Perfetto-loadable trace-event JSON timeline here")
 	reportPath := fl.String("report", "", "load a saved -format json document instead of running")
 	diffPath := fl.String("diff", "", "baseline -format json document to diff the current report against")
 	failOn := fl.String("fail-on", "none", "exit 3 if any finding reaches this severity: none, warning or critical")
@@ -70,9 +79,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch *format {
-	case "text", "json", "metrics":
+	case "text", "json", "metrics", "counters":
 	default:
-		return fail("unknown -format %q (want text, json or metrics)", *format)
+		return fail("unknown -format %q (want text, json, metrics or counters)", *format)
 	}
 	if *cbnodes < 0 {
 		return fail("-cbnodes %d is negative (0 = ROMIO default)", *cbnodes)
@@ -91,15 +100,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var rep *diag.Report
 	var tuneDeltas []diag.HintsDelta
+	var tr *obs.Tracer
+	var res *enzo.Result
 	if *reportPath != "" {
-		if rf.AutoTune {
-			return fail("-autotune needs a simulation run, not -report")
+		name := runflags.Given(fl, "cbnodes", "probe-report", "trace")
+		if name == "" && *format == "counters" {
+			name = "format counters"
 		}
-		if *probeReport != "" {
-			return fail("-probe-report needs -autotune, not -report")
-		}
-		if *cbnodes != 0 {
-			return fail("-cbnodes needs a simulation run, not -report")
+		if name != "" {
+			return fail("-%s needs a simulation run, not -report", name)
 		}
 		var err error
 		rep, err = loadReport(*reportPath)
@@ -135,10 +144,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 
-		tr := obs.NewTracer()
+		tr = obs.NewTracer()
 		spec.Tracer = tr
-		res, err := enzo.Run(spec)
-		if err != nil {
+		if res, err = enzo.Run(spec); err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			return 1
 		}
@@ -184,6 +192,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	case "metrics":
 		diag.WriteOpenMetrics(out, rep, findings)
+	case "counters":
+		writeCounters(out, rf, tuneDeltas, res, tr)
+		fmt.Fprintln(out)
+		diag.WriteFindings(out, findings)
 	default:
 		if rf.AutoTune {
 			if len(tuneDeltas) == 0 {
@@ -203,11 +215,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	if *tracePath != "" {
+		if err := obs.WriteFile(*tracePath, tr.WriteTrace); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "timeline written to %s (load in ui.perfetto.dev)\n", *tracePath)
+	}
 	if diag.MaxSeverity(findings) >= failSev {
 		fmt.Fprintf(stderr, "iodoctor: findings at or above severity %q (exit 3)\n", *failOn)
 		return 3
 	}
 	return 0
+}
+
+// writeCounters prints the run's header, phase times and the tracer's
+// per-rank counter report.
+func writeCounters(out io.Writer, rf *runflags.Flags, tuneDeltas []diag.HintsDelta, res *enzo.Result, tr *obs.Tracer) {
+	fmt.Fprintf(out, "%s %s/%s backend=%s np=%d verified=%v\n",
+		res.Problem, rf.Machine, rf.FS, res.Backend, res.Procs, res.Verified)
+	if rf.AutoTune {
+		if len(tuneDeltas) == 0 {
+			fmt.Fprintln(out, "autotune: defaults already optimal (no deltas)")
+		}
+		for _, d := range tuneDeltas {
+			fmt.Fprintf(out, "autotune: %s: %s -> %s (%s)\n", d.Param, d.From, d.To, d.Why)
+		}
+	}
+	fmt.Fprintf(out, "phases: read=%.3fs write=%.3fs restart=%.3fs\n",
+		res.ReadTime(), res.WriteTime(), res.RestartTime())
+	if rf.Scrub {
+		fmt.Fprintf(out, "scrub: %.3fs, failures=%d redumps=%d fallbacks=%d\n",
+			res.Phase("scrub"), res.ScrubFailures, res.Redumps, res.RestartFallbacks)
+	}
+	fmt.Fprintln(out)
+	tr.WriteReport(out, res.Makespan)
 }
 
 // loadReport reads a -format json document (or a bare report) from path.

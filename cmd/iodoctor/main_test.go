@@ -3,13 +3,30 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/golden"
 )
 
+// rejected runs args and asserts a usage error: exit 2 plus usage.
+func rejected(t *testing.T, args ...string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 2 {
+		t.Fatalf("%v: exit code = %d, want 2 (stderr: %s)", args, code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "Usage of iodoctor") {
+		t.Fatalf("%v: no usage message on stderr:\n%s", args, stderr.String())
+	}
+}
+
+// TestBadFlagsRejected: iodoctor's own flags and the run-flag errors all
+// reach the user as exit 2 plus usage. runflags' TestBadFlagsRejected is
+// where each run-flag error's resolution is checked.
 func TestBadFlagsRejected(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,14 +47,50 @@ func TestBadFlagsRejected(t *testing.T) {
 		{"cbnodes with report", []string{"-cbnodes", "4", "-report", "report.json"}},
 	}
 	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { rejected(t, tc.args...) })
+	}
+}
+
+// TestCountersBadFlagsRejected: the counter report (-format counters, once
+// the separate ioreport command) rejects the same bad flags with exit 2
+// plus usage. A later -format overrides the first.
+func TestCountersBadFlagsRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"unknown flag", []string{"-bogus"}},
+		{"bad machine", []string{"-machine", "bluegene"}},
+		{"bad problem", []string{"-problem", "AMR1024"}},
+		{"bad backend", []string{"-backend", "netcdf"}},
+		{"bad codec", []string{"-codec", "zip"}},
+		{"bad format", []string{"-format", "xml"}},
+		{"zero ranks", []string{"-np", "0"}},
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			if code := run(tc.args, &stdout, &stderr); code != 2 {
-				t.Fatalf("exit code = %d, want 2 (stderr: %s)", code, stderr.String())
-			}
-			if !strings.Contains(stderr.String(), "Usage of iodoctor") {
-				t.Fatalf("no usage message on stderr:\n%s", stderr.String())
-			}
+			rejected(t, append([]string{"-format", "counters"}, tc.args...)...)
+		})
+	}
+}
+
+// TestReportRejectsRunFlags: a saved document holds no run, so next to
+// -report any flag that shapes or observes a run is a usage error, whether
+// or not its value would resolve.
+func TestReportRejectsRunFlags(t *testing.T) {
+	saved := filepath.Join(t.TempDir(), "doc.json")
+	var stdout, stderr bytes.Buffer
+	if code := run(tinyArgs("-format", "json", "-o", saved), &stdout, &stderr); code != 0 {
+		t.Fatalf("save run exit code = %d, stderr: %s", code, stderr.String())
+	}
+	for _, extra := range [][]string{
+		{"-np", "0"},
+		{"-straggler", "2"},
+		{"-trace", filepath.Join(t.TempDir(), "t.json")},
+		{"-format", "counters"},
+	} {
+		t.Run(extra[0], func(t *testing.T) {
+			rejected(t, append([]string{"-report", saved}, extra...)...)
 		})
 	}
 }
@@ -45,6 +98,78 @@ func TestBadFlagsRejected(t *testing.T) {
 // tinyArgs is the fast end-to-end configuration the CLI tests share.
 func tinyArgs(extra ...string) []string {
 	return append([]string{"-problem", "tiny", "-np", "4"}, extra...)
+}
+
+func TestTinyScrubReportRuns(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(tinyArgs("-format", "counters", "-scrub"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "verified=true") || !strings.Contains(out, "scrub:") {
+		t.Fatalf("report missing fields:\n%s", out)
+	}
+}
+
+// TestJSONGolden pins the -format json document for a tiny deterministic
+// run byte-for-byte. Regenerate with:
+// go test ./cmd/iodoctor -run '^TestJSONGolden$' -update
+func TestJSONGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(tinyArgs("-format", "json"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
+	}
+	var doc diag.Document
+	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+		t.Fatalf("output is not a diagnosis document: %v", err)
+	}
+	if doc.Report == nil || doc.Report.Meta.Problem != "Tiny" || doc.Report.Meta.Procs != 4 {
+		t.Fatalf("document meta wrong: %+v", doc.Report)
+	}
+	golden.Check(t, "testdata/tiny_np4.json", stdout.Bytes())
+}
+
+// TestDiagnoseAppendsFindings: -format counters ends in the findings table.
+func TestDiagnoseAppendsFindings(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(tinyArgs("-format", "counters"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "== findings") {
+		t.Fatalf("-format counters printed no findings table:\n%s", stdout.String())
+	}
+}
+
+// TestTraceFileWritten: -trace writes a loadable timeline, and a path that
+// cannot be created (its directory is a regular file) exits 1 after the
+// report, leaving nothing behind.
+func TestTraceFileWritten(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "t.json")
+	var stdout, stderr bytes.Buffer
+	if code := run(tinyArgs("-format", "counters", "-trace", good), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("timeline does not parse (%v) or is empty (%d events)", err, len(doc.TraceEvents))
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	bad := filepath.Join(good, "x")
+	if code := run(tinyArgs("-format", "counters", "-trace", bad), &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "error:") || !strings.Contains(stdout.String(), "verified=true") {
+		t.Fatalf("want the report on stdout and an error on stderr, got\n%s\n%s", stdout.String(), stderr.String())
+	}
 }
 
 func TestByteIdenticalRuns(t *testing.T) {
@@ -137,5 +262,15 @@ func TestReportAndDiffRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "makespan") {
 		t.Fatalf("self-diff missing the makespan line:\n%s", stdout.String())
+	}
+
+	// The counter report of the same run carries the diff's findings too.
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(tinyArgs("-format", "counters", "-diff", saved, "-fail-on", "warning"), &stdout, &stderr); code != 0 {
+		t.Fatalf("counters self-diff exit code = %d, stderr: %s\n%s", code, stderr.String(), stdout.String())
+	}
+	if out := stdout.String(); !strings.Contains(out, "verified=true") || !strings.Contains(out, "diff-makespan") {
+		t.Fatalf("counters self-diff missing the header or the diff-makespan finding:\n%s", out)
 	}
 }

@@ -299,6 +299,13 @@ var scratch sync.Pool`)},
 		check:    forbid(calls(`^experiments\.(Figure[0-9]+|[A-Za-z]+Sweep|Print[A-Z][A-Za-z0-9]*|Table1)$`, "")),
 		mutation: edit{path: "cmd/iobench/zz_mutant.go", new: "package main\n\nfunc fig() { experiments.Figure8(experiments.Options{}) }\n"}},
 
+	// One traced-run command: iodoctor runs a configuration under the tracer
+	// and prints every view of it (counters, diagnosis, metrics, timeline).
+	// A second command that builds a tracer is a second copy of that run.
+	{name: "one-traced-run-command", design: "§6", pr: 35, scope: in("cmd/..."),
+		check:    sites(calls(`^obs\.NewTracer$`, ""), "cmd/iodoctor/main.go: run"),
+		mutation: edit{path: "cmd/enzosim/zz_mutant.go", new: "package main\n\nfunc traced() { obs.NewTracer() }\n"}},
+
 	// DESIGN.md references resolve, so restructuring DESIGN.md cannot leave
 	// a comment or a doc pointing at a section that is not there. A
 	// reference may break across lines, as the mutations' do.

@@ -182,7 +182,7 @@ type JobIO struct {
 }
 
 // Report is the machine-readable diagnosis input: everything the detectors
-// read, in one deterministic structure. It is also ioreport's -format json
+// read, in one deterministic structure. It is also iodoctor's -format json
 // payload.
 type Report struct {
 	Meta        RunMeta      `json:"meta"`

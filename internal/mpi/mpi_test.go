@@ -3,7 +3,9 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -343,7 +345,7 @@ func TestDeterministicTimings(t *testing.T) {
 				r.Send(dst, 3, data)
 			}
 			r.Barrier()
-			for r.takeMatch(AnySource, 3) != nil {
+			for r.takeMatch(AnySource, 3, math.Inf(1)) != nil {
 				// drain
 			}
 		})
@@ -355,6 +357,41 @@ func TestDeterministicTimings(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("nondeterministic makespans: %g vs %g", a, b)
+	}
+}
+
+// TestTakeMatchOrderAndAllocs: the one inbox match takes the earliest
+// matching arrival at or before the cutoff, then the lowest sequence
+// number, and allocates nothing; it runs on every receive.
+func TestTakeMatchOrderAndAllocs(t *testing.T) {
+	msgs := make([]*message, 8)
+	for i := range msgs {
+		// Arrivals 4, 4, 3, 3, 2, 2, 1, 1; sources alternate 0, 1.
+		msgs[i] = &message{src: i % 2, tag: 3, arrival: float64(4 - i/2), seq: int64(i)}
+	}
+	r := &Rank{}
+	var got []int64
+	take := func(src int, cutoff float64) {
+		for m := r.takeMatch(src, AnySource, cutoff); m != nil; m = r.takeMatch(src, AnySource, cutoff) {
+			got = append(got, m.seq)
+		}
+	}
+	r.inbox = append(r.inbox, msgs...)
+	take(1, 2)
+	take(AnySource, math.Inf(1))
+	want := []int64{7, 5, 6, 4, 2, 3, 0, 1}
+	if !slices.Equal(got, want) || len(r.inbox) != 0 {
+		t.Fatalf("took %v (%d left), want %v", got, len(r.inbox), want)
+	}
+
+	got = make([]int64, 0, len(msgs))
+	if allocs := testing.AllocsPerRun(100, func() {
+		got = got[:0]
+		r.inbox = append(r.inbox[:0], msgs...)
+		take(1, 2)
+		take(AnySource, math.Inf(1))
+	}); allocs != 0 {
+		t.Fatalf("takeMatch allocates %.1f times per drain, want 0", allocs)
 	}
 }
 

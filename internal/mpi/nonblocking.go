@@ -1,5 +1,7 @@
 package mpi
 
+import "math"
+
 // Request is the handle of a nonblocking operation started by Isend or
 // Irecv. It is owned by the rank that started it and must only be used from
 // that rank's body function. Complete it with Wait (or Waitall), or poll it
@@ -56,7 +58,7 @@ func (q *Request) Wait() (data []byte, fromSrc, fromTag int) {
 	}
 	r := q.r
 	for {
-		if m := r.takeMatch(q.src, q.tag); m != nil {
+		if m := r.takeMatch(q.src, q.tag, math.Inf(1)); m != nil {
 			r.proc.AdvanceTo(m.arrival)
 			q.done = true
 			q.data, q.fromSrc, q.fromTag = m.data, m.src, m.tag
@@ -88,7 +90,7 @@ func (q *Request) Test() bool {
 		}
 		return false
 	}
-	if m := q.r.takeMatchBefore(q.src, q.tag, q.r.Now()); m != nil {
+	if m := q.r.takeMatch(q.src, q.tag, q.r.Now()); m != nil {
 		q.done = true
 		q.data, q.fromSrc, q.fromTag = m.data, m.src, m.tag
 		q.r.world.putMsg(m)
@@ -113,31 +115,4 @@ func (r *Rank) Waitall(reqs ...*Request) {
 		}
 		q.Wait()
 	}
-}
-
-// takeMatchBefore is takeMatch restricted to messages that have already
-// arrived by the cutoff time — used by Test, which must not advance the
-// clock and therefore cannot deliver a message from the future.
-func (r *Rank) takeMatchBefore(src, tag int, cutoff float64) *message {
-	w := recvWait{src: src, tag: tag}
-	bestIdx := -1
-	for i, m := range r.inbox {
-		if !matches(w, m) || m.arrival > cutoff {
-			continue
-		}
-		if bestIdx == -1 {
-			bestIdx = i
-			continue
-		}
-		b := r.inbox[bestIdx]
-		if m.arrival < b.arrival || (m.arrival == b.arrival && m.seq < b.seq) {
-			bestIdx = i
-		}
-	}
-	if bestIdx == -1 {
-		return nil
-	}
-	m := r.inbox[bestIdx]
-	r.inbox = append(r.inbox[:bestIdx], r.inbox[bestIdx+1:]...)
-	return m
 }

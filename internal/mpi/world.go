@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -292,7 +293,7 @@ func (r *Rank) postRef(dst, tag int, payload []byte) (senderFree float64) {
 // sequence number) is delivered, so matching is deterministic.
 func (r *Rank) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 	for {
-		if m := r.takeMatch(src, tag); m != nil {
+		if m := r.takeMatch(src, tag, math.Inf(1)); m != nil {
 			r.proc.AdvanceTo(m.arrival)
 			data, fromSrc, fromTag = m.data, m.src, m.tag
 			r.world.putMsg(m)
@@ -308,11 +309,15 @@ func matches(w recvWait, m *message) bool {
 	return (w.src == AnySource || w.src == m.src) && (w.tag == AnyTag || w.tag == m.tag)
 }
 
-func (r *Rank) takeMatch(src, tag int) *message {
+// takeMatch removes and returns the message a receive of (src, tag)
+// delivers among those arrived by cutoff: the earliest arrival, then the
+// lowest sequence number. Recv and Wait pass +Inf; Test passes its clock,
+// as it must not advance it and so cannot deliver a message from the future.
+func (r *Rank) takeMatch(src, tag int, cutoff float64) *message {
 	w := recvWait{src: src, tag: tag}
 	bestIdx := -1
 	for i, m := range r.inbox {
-		if !matches(w, m) {
+		if !matches(w, m) || m.arrival > cutoff {
 			continue
 		}
 		if bestIdx == -1 {

@@ -147,7 +147,7 @@ func (fr *FleetResult) WorstSlowdown() float64 {
 }
 
 // DiagJobs renders the fleet's per-job outcomes as diag.Report rows, in
-// spec order, so iodoctor/ioreport can attribute a shared-cluster run's
+// spec order, so iodoctor can attribute a shared-cluster run's
 // telemetry to its tenants.
 func (fr *FleetResult) DiagJobs() []diag.JobIO {
 	jobs := make([]diag.JobIO, len(fr.Jobs))
