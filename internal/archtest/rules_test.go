@@ -144,6 +144,14 @@ var pages sync.Pool`)},
 		mutation: edit{path: "internal/pfs/pfs.go", old: "\tDeadline float64 // By only\n",
 			new: "\tDeadline float64 // By only\n\tOwned    bool\n"}},
 
+	// One copy on the way to the owner: the HDF4 root sends views of the
+	// arrays it was lent. A GatherSub in hdf4io.go is the block packed at
+	// the root growing back.
+	{name: "hdf4-root-sends-views", design: "§13", pr: 36, scope: in("internal/enzo/hdf4io.go"),
+		check: forbid(calls(`\.GatherSub$`, "")),
+		mutation: edit{path: "internal/enzo/hdf4io.go",
+			new: "\nfunc pack(sub mpi.Subarray, full []byte) []byte { return sub.GatherSub(full) }\n"}},
+
 	// One packer: a write-once array is packed, split and keyed at most once,
 	// by the rank's compressor and its chunk table, found again by identity.
 	// A second Pack caller, Squeeze, split or Put site, a pool or a
@@ -245,7 +253,7 @@ var scratch sync.Pool`)},
 	// liveness and fault methods live on the striped models only; wrappers
 	// are reached through Unwrap.
 	{name: "shapes-only-in-pfs-go", design: "§2", pr: 15, scope: scope{out: []string{"internal/pfs/pfs.go"}},
-		check:    forbid(decls(`^\(.*\)\.(WriteAtDeferred|ReadAtDeferred|ReadAtDeadline|WriteAtDeadline)\(`)),
+		check:    forbid(decls(`^\(.*\)\.(WriteAtDeferred|ReadAtDeferred|ReadAtDeadline|WriteAtDeadline|LendAtDeadline)\(`)),
 		mutation: mutant("internal/pfs", "func (f *tapFile) ReadAtDeadline() {}")},
 	{name: "geometry-on-striped-models", design: "§2", pr: 15, scope: scope{},
 		check: forbid(unless(

@@ -1,9 +1,10 @@
 package castore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/pfs"
@@ -46,8 +47,10 @@ type Store struct {
 	force   bool // re-dump: bypass dedup for this generation
 
 	index map[Key]idxEntry
-	heads map[string]*container // write handles, append offsets
-	reads map[string]pfs.File   // read-only handles opened on demand
+	heads map[containerKey]*container // write handles, append offsets
+	reads map[containerKey]pfs.File   // read-only handles opened on demand
+	lend  pfs.Lend                    // Get's lend read, reused
+	order []Rep                       // orderReps' result, reused
 
 	// deferSink, when set, is offered every write completion; returning
 	// true absorbs it (write-behind: the caller settles at drain time).
@@ -106,8 +109,8 @@ func New(fs pfs.FileSystem, opt Options) *Store {
 		fs:    fs,
 		opt:   opt,
 		index: make(map[Key]idxEntry),
-		heads: make(map[string]*container),
-		reads: make(map[string]pfs.File),
+		heads: make(map[containerKey]*container),
+		reads: make(map[containerKey]pfs.File),
 	}
 	s.placer, _ = pfs.As[pfs.PlacementRestorer](fs)
 	if s.rv, _ = pfs.As[pfs.ReplicaVolume](fs); s.rv != nil {
@@ -150,22 +153,26 @@ func (s *Store) BeginGeneration(gen int) (force bool) {
 	return force
 }
 
-// containerName is the chunk container for (server, rank); server -1 is
-// the unplaced per-rank container.
-func containerName(server, rank int) string {
-	if server < 0 {
-		return fmt.Sprintf("cas/r%d", rank)
+// containerKey is the chunk container of (server, rank); server -1 is the
+// unplaced per-rank container.
+type containerKey struct{ server, rank int }
+
+// name is the container's file name.
+func (k containerKey) name() string {
+	if k.server < 0 {
+		return fmt.Sprintf("cas/r%d", k.rank)
 	}
-	return fmt.Sprintf("cas/s%d.r%d", server, rank)
+	return fmt.Sprintf("cas/s%d.r%d", k.server, k.rank)
 }
 
 // head returns the rank's append handle for server's container, opening or
 // creating it on first use.
 func (s *Store) head(c pfs.Client, server int) (*container, error) {
-	name := containerName(server, s.opt.Rank)
-	if h, ok := s.heads[name]; ok {
+	k := containerKey{server, s.opt.Rank}
+	if h, ok := s.heads[k]; ok {
 		return h, nil
 	}
+	name := k.name()
 	var (
 		f   pfs.File
 		err error
@@ -187,26 +194,27 @@ func (s *Store) head(c pfs.Client, server int) (*container, error) {
 		return nil, err
 	}
 	h := &container{f: f, off: off}
-	s.heads[name] = h
+	s.heads[k] = h
 	return h, nil
 }
 
 // readHandle returns a handle for reading (rank, server)'s container,
 // reusing the write handle when this rank owns it.
 func (s *Store) readHandle(c pfs.Client, server, rank int) (pfs.File, error) {
-	name := containerName(server, rank)
-	if h, ok := s.heads[name]; ok {
+	k := containerKey{server, rank}
+	if h, ok := s.heads[k]; ok {
 		return h.f, nil
 	}
-	if f, ok := s.reads[name]; ok {
+	if f, ok := s.reads[k]; ok {
 		return f, nil
 	}
+	name := k.name()
 	s.placeExisting(name, server)
 	f, err := s.fs.Open(c, name)
 	if err != nil {
 		return pfs.File{}, err
 	}
-	s.reads[name] = f
+	s.reads[k] = f
 	return f, nil
 }
 
@@ -326,9 +334,10 @@ func (e *ReadError) Error() string {
 
 // orderReps sorts candidate replicas for a read: live servers first,
 // least-loaded (earliest device FreeAt) first among them, known-dead
-// servers last. Ties break on server index for determinism.
+// servers last. Ties break on server index for determinism. The result is
+// the store's scratch, good until the next call.
 func (s *Store) orderReps(c pfs.Client, reps []Rep) []Rep {
-	out := append([]Rep(nil), reps...)
+	s.order = append(s.order[:0], reps...)
 	loadOf := func(r Rep) (dead bool, load float64) {
 		if s.rv == nil || r.Server < 0 {
 			return false, 0
@@ -338,18 +347,20 @@ func (s *Store) orderReps(c pfs.Client, reps []Rep) []Rep {
 		}
 		return false, s.rv.DataServerFreeAt(r.Server)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		di, li := loadOf(out[i])
-		dj, lj := loadOf(out[j])
-		if di != dj {
-			return !di
+	slices.SortStableFunc(s.order, func(a, b Rep) int {
+		da, la := loadOf(a)
+		db, lb := loadOf(b)
+		switch {
+		case da != db && da:
+			return 1
+		case da != db:
+			return -1
+		case la != lb:
+			return cmp.Compare(la, lb)
 		}
-		if li != lj {
-			return li < lj
-		}
-		return out[i].Server < out[j].Server
+		return cmp.Compare(a.Server, b.Server)
 	})
-	return out
+	return s.order
 }
 
 // readRounds bounds the deadline-escalation retry loop of Get/GetNamed:
@@ -364,9 +375,12 @@ const readRounds = 6
 // deadline missed on a live replica is retried with a doubled deadline
 // rather than counted as a failover. The caller decompresses and
 // re-derives the content key, so a corrupted payload is detected there.
+// The payload is lent (pfs.Lend) and read-only: the container's own bytes
+// when one write stored them, else a join of the pieces — the caller only
+// decodes it.
 func (s *Store) Get(c pfs.Client, ref ChunkRef) ([]byte, error) {
 	s.stats.ChunkGets++
-	buf := make([]byte, ref.Phys)
+	s.lend.N = ref.Phys
 	// Every replica on a known-dead server is a reroute, whether it is
 	// attempted and times out or the router skips it outright.
 	failovers := 0
@@ -385,12 +399,12 @@ func (s *Store) Get(c pfs.Client, ref ChunkRef) ([]byte, error) {
 			if err != nil {
 				continue
 			}
-			if err := pfs.ReadAtDeadline(f, c, buf, rep.Off, c.Proc.Now()+timeout); err != nil {
+			if err := pfs.LendAtDeadline(f, c, &s.lend, rep.Off, c.Proc.Now()+timeout); err != nil {
 				continue
 			}
 			s.stats.Failovers += int64(failovers)
 			obs.RecordChunkGet(c.Proc, failovers)
-			return buf, nil
+			return pfs.LentRange(s.lend.Pieces, 0, ref.Phys), nil
 		}
 		timeout *= 2
 	}

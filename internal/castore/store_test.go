@@ -14,17 +14,22 @@ import (
 // volume and returns the file system for post-run inspection.
 func run(t *testing.T, opt Options, body func(c pfs.Client, s *Store)) pfs.FileSystem {
 	t.Helper()
+	var fs pfs.FileSystem
+	runOn(t, opt, func(bare pfs.FileSystem) pfs.FileSystem { fs = bare; return bare }, body)
+	return fs
+}
+
+// runOn is run over a caller-built stack: wrap turns the bare volume into
+// the file system the store is given.
+func runOn(t *testing.T, opt Options, wrap func(pfs.FileSystem) pfs.FileSystem, body func(c pfs.Client, s *Store)) {
+	t.Helper()
 	mach := machine.New(machine.ByName("chiba"))
-	fs := pfs.NewPVFS(mach, pfs.DefaultPVFS())
+	fs := wrap(pfs.NewPVFS(mach, pfs.DefaultPVFS()))
 	eng := sim.NewEngine()
-	eng.Spawn("c", func(p *sim.Proc) {
-		s := New(fs, opt)
-		body(pfs.Client{Proc: p, Node: 0}, s)
-	})
+	eng.Spawn("c", func(p *sim.Proc) { body(pfs.Client{Proc: p, Node: 0}, New(fs, opt)) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return fs
 }
 
 func rawPack(b []byte) func() []byte { return func() []byte { return b } }

@@ -458,12 +458,24 @@ func (res *Result) IOTime() float64 {
 
 // partition is the rank-local piece of one block-partitioned grid: the
 // (Block,Block,Block) sub-block of every baryon field plus the particles
-// whose positions fall in this rank's sub-domain.
+// whose positions fall in this rank's sub-domain. An initial subgrid read
+// by the HDF4 root holds its blocks as views of the root's lent arrays,
+// in views instead of fields, until consolidate copies them to the owner.
 type partition struct {
 	gridID    int
 	sub       mpi.Subarray
 	fields    [][]byte
+	views     []mpi.View
 	particles amr.ParticleSet
+}
+
+// block returns the rank's block of field f as a view: the one it was sent,
+// or its packed block, a view of itself.
+func (p *partition) block(f int) mpi.View {
+	if p.views != nil {
+		return p.views[f]
+	}
+	return mpi.Packed(p.fields[f])
 }
 
 // Sim is the per-rank simulation state.
@@ -1058,19 +1070,20 @@ func (s *Sim) localCells() int64 {
 }
 
 // consolidate gathers one block-partitioned subgrid onto its owner,
-// returning the assembled grid there (nil elsewhere).
+// returning the assembled grid there (nil elsewhere). Every block travels
+// as a view, so the owner copies each run once, from wherever the block
+// lies into its place in the grid.
 func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 	var grid *amr.Grid
 	if s.r.Rank() == owner {
 		grid = newGrid(g)
 	}
 	for f := range amr.FieldNames {
-		blocks := s.r.Gatherv(owner, p.fields[f])
+		blocks := s.r.GathervView(owner, p.block(f))
 		if s.r.Rank() == owner {
 			full := make([]byte, g.Cells()*amr.FieldElemSize)
 			for rank, blk := range blocks {
-				sub := core.FieldSubarray(g, s.pz, s.py, s.px, rank)
-				sub.ScatterSub(full, blk)
+				blk.UnpackTo(full, core.FieldSubarray(g, s.pz, s.py, s.px, rank))
 			}
 			s.r.CopyCost(g.Cells() * amr.FieldElemSize)
 			grid.Fields[f] = full

@@ -6,6 +6,7 @@ import (
 	"repro/internal/amr"
 	"repro/internal/core"
 	"repro/internal/hdf4"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -17,6 +18,14 @@ import (
 // no partitioned access for the walk (layout.go) to drive, so hdf4IO
 // implements ioPath itself — and stays the uncompressed, synchronous,
 // plain-file baseline: it never touches the transport.
+//
+// On the host, processor 0 redistributes an initial or restart array as
+// views (mpi.ScattervView): each rank's (Block,Block,Block) subarray of
+// the bytes the file lent it, packed nowhere at the root. A rank packs its
+// own top-grid block; an initial subgrid's blocks stay views until
+// consolidate copies them, run by run, into the owner's grid — one copy of
+// a subgrid byte on its way to its owner. Virtual time still charges the
+// root's copy of every array (CopyCost), as the modelled machine makes it.
 
 type hdf4IO struct{ *Sim }
 
@@ -87,36 +96,43 @@ func (s hdf4IO) writeIC(h *amr.Hierarchy) {
 // readPartitioned is the original read path for one grid:
 // processor 0 reads each array from the container and redistributes it —
 // (Block,Block,Block) sub-blocks for the baryon fields, position-owned
-// rows for the particles. Collective: all ranks must call it.
+// rows for the particles. Collective: all ranks must call it. A field
+// block travels as a view of the array the root was lent, so the root
+// packs nothing: p.views holds this rank's blocks, which readTop packs
+// and consolidate copies straight into the owner's grid.
 func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 	defer obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(g.ID)).End()
 	p := &partition{gridID: g.ID, sub: core.FieldSubarray(g, s.pz, s.py, s.px, s.r.Rank())}
-	p.fields = make([][]byte, len(amr.FieldNames))
+	p.views = make([]mpi.View, len(amr.FieldNames))
 
 	var sd *hdf4.SDFile
+	var parts []mpi.View // the root's, one per rank, re-based per field
 	if s.r.Rank() == 0 {
 		var err error
 		sd, err = hdf4.Open(s.client(), s.fs, fname)
 		if err != nil {
 			panic(err)
 		}
+		subs := make([]mpi.Subarray, s.r.Size())
+		parts = make([]mpi.View, len(subs))
+		for rank := range subs {
+			subs[rank] = core.FieldSubarray(g, s.pz, s.py, s.px, rank)
+			parts[rank].Sub = &subs[rank]
+		}
 	}
 	for f, name := range amr.FieldNames {
-		var parts [][]byte
 		if s.r.Rank() == 0 {
-			// Lent, not staged: the root only gathers the blocks out of it.
+			// Lent, not staged: every rank's view is of the file's bytes.
 			_, full, err := sd.ReadSDS(name)
 			if err != nil {
 				panic(err)
 			}
-			parts = make([][]byte, s.r.Size())
-			for rank := 0; rank < s.r.Size(); rank++ {
-				sub := core.FieldSubarray(g, s.pz, s.py, s.px, rank)
-				parts[rank] = sub.GatherSub(full)
+			for rank := range parts {
+				parts[rank].Base = full
 			}
 			s.r.CopyCost(int64(len(full)))
 		}
-		p.fields[f] = s.r.Scatterv(0, parts)
+		p.views[f] = s.r.ScattervView(0, parts)
 	}
 
 	if g.NParticles == 0 {
@@ -158,8 +174,21 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 	return p
 }
 
+// readTop reads the top grid and packs the rank's field blocks on the rank
+// itself — the one copy the root used to make for it — because the top
+// grid is rank state every dump writes from.
+func (s hdf4IO) readTop(fname string) *partition {
+	p := s.readPartitioned(fname, s.meta.Top())
+	p.fields = make([][]byte, len(p.views))
+	for f, v := range p.views {
+		p.fields[f] = v.Pack()
+	}
+	p.views = nil
+	return p
+}
+
 func (s hdf4IO) readInitial() {
-	s.top = s.readPartitioned(icGridFile(0), s.meta.Top())
+	s.top = s.readTop(icGridFile(0))
 	for _, g := range s.meta.Subgrids() {
 		s.partials = append(s.partials, s.readPartitioned(icGridFile(g.ID), g))
 	}
@@ -235,7 +264,7 @@ func (s hdf4IO) readRestart(d int) {
 	// "The restart read is pretty much like the new simulation read,
 	// except that every processor reads the subgrids in a round-robin
 	// manner."
-	s.top = s.readPartitioned(dumpTopFile(d), s.meta.Top())
+	s.top = s.readTop(dumpTopFile(d))
 	owners := s.restartOwners()
 	for _, g := range s.meta.Subgrids() {
 		if owners[g.ID] != s.r.Rank() {

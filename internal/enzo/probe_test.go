@@ -41,7 +41,7 @@ func TestBreakdownXFS(t *testing.T) {
 			case BackendHDF4:
 				h4 := s.io.(hdf4IO)
 				mark("read top", func() {
-					s.top = h4.readPartitioned(icGridFile(0), s.meta.Top())
+					s.top = h4.readTop(icGridFile(0))
 				})
 				mark("read subgrids", func() {
 					for _, g := range s.meta.Subgrids() {

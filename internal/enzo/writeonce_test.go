@@ -59,6 +59,17 @@ func (g *writeGuard) wrap(fs pfs.FileSystem) pfs.FileSystem {
 	})
 }
 
+// lentFrom counts the pieces lent from files whose names start with prefix.
+func (g *writeGuard) lentFrom(prefix string) int {
+	n := 0
+	for _, l := range g.lends {
+		if strings.HasPrefix(l.file, prefix) {
+			n++
+		}
+	}
+	return n
+}
+
 // changed names every written buffer and every lent piece that no longer
 // holds the bytes it had when it crossed the pfs boundary.
 func (g *writeGuard) changed() []string {
@@ -95,8 +106,9 @@ func refusedRows(t *testing.T) map[string]bool {
 // TestWriteOnceHolds runs the guard under every composition of backend × fs
 // × codec × transport × store+integrity on Tiny/np=4, and under the refining
 // three-dump castore run of the dedup benchmark: no buffer handed to pfs and
-// no piece pfs lent may change, and the guard itself must be invisible to
-// the run. A composition
+// no piece pfs lent may change — among them the initial-condition arrays
+// the HDF4 root scatters views of and the chunks castore's Get lends — and
+// the guard itself must be invisible to the run. A composition
 // the matrix golden pins as a typed refusal (scrub on node-local disks
 // without the castore ends in a *RestartError) is skipped, by the golden's
 // own row name.
@@ -172,6 +184,14 @@ func TestWriteOnceHolds(t *testing.T) {
 			if bad := g.changed(); len(bad) > 0 {
 				t.Errorf("%d of %d written buffers and lent pieces changed after they crossed the pfs boundary:\n%s",
 					len(bad), len(g.writes)+len(g.lends), strings.Join(bad[:min(len(bad), 8)], "\n"))
+			}
+			// The lent pieces the guard re-hashes are what the HDF4 root's
+			// views are cut from and what castore's Get hands the decoder.
+			if tc.backend == BackendHDF4 && g.lentFrom("ic_g") == 0 {
+				t.Error("no initial-condition piece was lent: the guard saw none of the arrays the HDF4 root's views are cut from")
+			}
+			if tc.cfg.CAStore && tc.backend != BackendHDF4 && g.lentFrom("cas/") == 0 {
+				t.Error("no chunk container piece was lent: the guard saw none of castore's reads")
 			}
 			mu.Lock()
 			lent += len(g.lends)

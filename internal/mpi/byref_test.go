@@ -88,22 +88,50 @@ func TestScattervDeliversByReference(t *testing.T) {
 // BenchmarkGathervScatterv moves 1 MiB per rank to root and back at np=8.
 // One engine run hosts all b.N round trips, so B/op is the steady-state host
 // allocation per round trip summed over the ranks — the envelope and result
-// slices only, now that payloads travel by reference.
+// slices only: packed payloads travel by reference, and views are never
+// packed (each rank's block of a 128³ array of 4-byte elements).
 func BenchmarkGathervScatterv(b *testing.B) {
 	const np, part = 8, 1 << 20
-	b.SetBytes(2 * np * part)
-	b.ReportAllocs()
-	_, err := Simulate(testConfig(np, 1), np, func(r *Rank) {
-		mine := bytes.Repeat([]byte{byte(r.Rank())}, part)
-		r.Barrier()
-		if r.Rank() == 0 {
-			b.ResetTimer()
-		}
-		for i := 0; i < b.N; i++ {
-			mine = r.Scatterv(0, r.Gatherv(0, mine))
+	b.Run("packed", func(b *testing.B) {
+		b.SetBytes(2 * np * part)
+		b.ReportAllocs()
+		_, err := Simulate(testConfig(np, 1), np, func(r *Rank) {
+			mine := bytes.Repeat([]byte{byte(r.Rank())}, part)
+			r.Barrier()
+			if r.Rank() == 0 {
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				mine = r.Scatterv(0, r.Gatherv(0, mine))
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.Run("views", func(b *testing.B) {
+		base, subs := viewArray([3]int{128, 128, 128}, np)
+		b.SetBytes(2 * np * part)
+		b.ReportAllocs()
+		_, err := Simulate(testConfig(np, 1), np, func(r *Rank) {
+			var parts []View
+			if r.Rank() == 0 {
+				parts = make([]View, np)
+				for i := range parts {
+					parts[i] = View{Base: base, Sub: &subs[i]}
+				}
+			}
+			mine := r.ScattervView(0, parts)
+			r.Barrier()
+			if r.Rank() == 0 {
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				mine = r.ScattervView(0, r.GathervView(0, mine))
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
 }

@@ -132,6 +132,57 @@ func (r *Rank) Scatterv(root int, parts [][]byte) []byte {
 	return data
 }
 
+// GathervView is Gatherv for a view: rank src's v arrives at root as out[src],
+// Base and Sub as sent, for root to unpack where it belongs (View.UnpackTo);
+// elsewhere the result is nil. Clocks, stats and span bytes are Gatherv's
+// with every view packed.
+func (r *Rank) GathervView(root int, v View) []View {
+	defer obs.Begin(r.proc, obs.LayerMPI, "gatherv").Bytes(v.Bytes()).End()
+	v.check()
+	tag := r.collTag()
+	size := r.Size()
+	if r.rank != root {
+		r.sendView(root, tag, v)
+		return nil
+	}
+	out := make([]View, size)
+	r.CopyCost(v.Bytes())
+	out[root] = v
+	for src := 0; src < size; src++ {
+		if src != root {
+			out[src] = r.recvView(src, tag)
+		}
+	}
+	return out
+}
+
+// ScattervView is Scatterv for views: rank i gets root's parts[i], Base and
+// Sub as sent, to pack or unpack itself (View.Pack, View.UnpackTo). Clocks,
+// stats and span bytes are Scatterv's with every view packed.
+func (r *Rank) ScattervView(root int, parts []View) View {
+	var total int64
+	for _, p := range parts {
+		p.check()
+		total += p.Bytes()
+	}
+	defer obs.Begin(r.proc, obs.LayerMPI, "scatterv").Bytes(total).End()
+	tag := r.collTag()
+	size := r.Size()
+	if r.rank != root {
+		return r.recvView(root, tag)
+	}
+	if len(parts) != size {
+		panic(fmt.Sprintf("mpi: ScattervView root has %d parts for %d ranks", len(parts), size))
+	}
+	for dst := 0; dst < size; dst++ {
+		if dst != root {
+			r.sendView(dst, tag, parts[dst])
+		}
+	}
+	r.CopyCost(parts[root].Bytes())
+	return parts[root]
+}
+
 // Allgatherv gathers every rank's buffer on every rank using the ring
 // algorithm: P-1 steps, each forwarding the most recently received block to
 // the right neighbour.

@@ -10,13 +10,19 @@
 // charged in virtual time (CopyCost, the transfer itself); the host makes one
 // only where a caller may legitimately reuse its buffer. So Gatherv, Scatterv,
 // AlltoallvScratch and ExchangeScratch deliver by reference — the receiver
-// holds the sender's slice — while Send/Isend, Bcast, Allgatherv, Alltoallv
-// and the reductions clone at post time and hand the buffer straight back
-// (MPI's blocking-send contract, which probes and tests rely on; their
-// payloads are small).
+// holds the sender's slice — and GathervView and ScattervView deliver a View,
+// a subarray of a buffer the sender owns, likewise by reference: the block is
+// not packed before it travels, and the receiver copies it once, run by run,
+// to where it goes (View.Pack, View.UnpackTo). Send/Isend, Bcast, Allgatherv,
+// Alltoallv and the reductions clone at post time and hand the buffer
+// straight back (MPI's blocking-send contract, which probes and tests rely
+// on; their payloads are small).
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Run is a contiguous byte extent at offset Off of length Len. Lists of
 // runs are the flattened form of MPI derived datatypes: both file views
@@ -215,6 +221,75 @@ func (s Subarray) ScatterSub(dst, src []byte) {
 		copy(dst[r.Off:r.Off+r.Len], src[p:p+r.Len])
 		p += r.Len
 	})
+}
+
+// View is a read-only payload of the view collectives (ScattervView,
+// GathervView): the elements *Sub selects from Base, a buffer the sender
+// owns — MPI's subarray datatype on the sending side, so a block travels
+// without being packed first. Like a committed MPI datatype, Sub is a
+// handle that many views share and nobody changes; a nil Sub selects all of
+// Base (Packed): a packed block is a view of itself. Wherever a transfer is
+// priced a view counts as its packed size, Bytes, and it falls under the
+// package's write-once rule: nobody writes Base while a view of it is held.
+type View struct {
+	Base []byte
+	Sub  *Subarray
+}
+
+// Packed is the view of all of b.
+func Packed(b []byte) View { return View{Base: b} }
+
+func (v View) packed() bool { return v.Sub == nil }
+
+// Bytes returns the view's size packed.
+func (v View) Bytes() int64 {
+	if v.packed() {
+		return int64(len(v.Base))
+	}
+	return v.Sub.Bytes()
+}
+
+// check panics unless Sub is a valid subarray of an array that fills Base
+// (programming error, not data error).
+func (v View) check() {
+	if v.packed() {
+		return
+	}
+	if err := v.Sub.Validate(); err != nil {
+		panic(err)
+	}
+	n := int64(v.Sub.ElemSize)
+	for _, d := range v.Sub.Sizes {
+		n *= int64(d)
+	}
+	if n != int64(len(v.Base)) {
+		panic(fmt.Sprintf("mpi: view of a %d-byte array over a %d-byte base", n, len(v.Base)))
+	}
+}
+
+// Pack returns the view's elements back to back: Base itself for a packed
+// view, else a new buffer.
+func (v View) Pack() []byte {
+	if v.packed() {
+		return v.Base
+	}
+	return v.Sub.GatherSub(v.Base)
+}
+
+// UnpackTo copies the view's elements into at's place in dst, one copy per
+// run. A packed view lands in any at of its length; a subarray view only
+// where it was cut from — at must select the same block of an array of the
+// same shape — so its runs are copied offset for offset.
+func (v View) UnpackTo(dst []byte, at Subarray) {
+	if v.packed() {
+		at.ScatterSub(dst, v.Base)
+		return
+	}
+	if !slices.Equal(v.Sub.Sizes, at.Sizes) || !slices.Equal(v.Sub.Subsizes, at.Subsizes) ||
+		!slices.Equal(v.Sub.Starts, at.Starts) || v.Sub.ElemSize != at.ElemSize {
+		panic(fmt.Sprintf("mpi: view of %+v unpacked to %+v", *v.Sub, at))
+	}
+	at.visitRuns(func(r Run) { copy(dst[r.Off:r.Off+r.Len], v.Base[r.Off:r.Off+r.Len]) })
 }
 
 // BlockDecompose3D splits a 3-D domain of extent dims (ordered z,y,x) into

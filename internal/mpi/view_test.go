@@ -1,0 +1,179 @@
+package mpi
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// viewArray is a 3-D array of 4-byte elements, each byte its own offset's
+// low bits, and the blocks BlockDecompose3D cuts from it for np ranks.
+func viewArray(dims [3]int, np int) (base []byte, subs []Subarray) {
+	base = make([]byte, 4*dims[0]*dims[1]*dims[2])
+	for i := range base {
+		base[i] = byte(i*7 + i>>8)
+	}
+	pz, py, px := ProcGrid3D(np)
+	subs = make([]Subarray, np)
+	for r := range subs {
+		subs[r] = BlockDecompose3D(dims, pz, py, px, r, 4)
+	}
+	return base, subs
+}
+
+// viewRoundTrip scatters base's blocks from root and gathers them back, as
+// views or packed (GatherSub at the root, Scatterv and Gatherv), and returns
+// what the model saw, the part every rank was handed and the array the root
+// unpacked from the gathered blocks.
+func viewRoundTrip(t *testing.T, np, root int, dims [3]int, views bool) (model string, base []byte, subs []Subarray, held []View, back []byte) {
+	t.Helper()
+	base, subs = viewArray(dims, np)
+	held = make([]View, np)
+	now := make([]float64, np)
+	bytesSent, msgsSent := make([]int64, np), make([]int64, np)
+	tr := obs.NewTracer()
+	eng := sim.NewEngine()
+	NewWorld(eng, machine.New(testConfig(np, 1)), np, func(r *Rank) {
+		tr.Attach(r.Proc(), r.Rank())
+		var blocks []View
+		if views {
+			var parts []View
+			if r.Rank() == root {
+				parts = make([]View, np)
+				for i := range parts {
+					parts[i] = View{Base: base, Sub: &subs[i]}
+				}
+			}
+			held[r.Rank()] = r.ScattervView(root, parts)
+			blocks = r.GathervView(root, held[r.Rank()])
+		} else {
+			var parts [][]byte
+			if r.Rank() == root {
+				parts = make([][]byte, np)
+				for i := range parts {
+					parts[i] = subs[i].GatherSub(base)
+				}
+			}
+			held[r.Rank()] = Packed(r.Scatterv(root, parts))
+			for _, b := range r.Gatherv(root, held[r.Rank()].Base) {
+				blocks = append(blocks, Packed(b))
+			}
+		}
+		if r.Rank() == root {
+			back = make([]byte, len(base))
+			for i, v := range blocks {
+				v.UnpackTo(back, subs[i])
+			}
+		}
+		now[r.Rank()], bytesSent[r.Rank()], msgsSent[r.Rank()] = r.Now(), r.BytesSent(), r.MsgsSent()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var spans []string
+	for _, sp := range tr.Spans() {
+		spans = append(spans, fmt.Sprintf("%s:%d", sp.Name, sp.Bytes))
+	}
+	model = fmt.Sprintf("now %v sent %v msgs %v events %d spans %v", now, bytesSent, msgsSent, eng.Events(), spans)
+	return model, base, subs, held, back
+}
+
+// TestViewCollectivesMatchPacked holds ScattervView and GathervView to the
+// packed collectives they replace — the same clocks, Events, BytesSent,
+// MsgsSent and span bytes — over ragged blocks and blocks with no elements,
+// checks that a delivered view is the root's own array, not a copy, and
+// that no host allocation grows with the payload.
+func TestViewCollectivesMatchPacked(t *testing.T) {
+	cases := []struct {
+		np, empty int // ranks, blocks with no elements
+		dims      [3]int
+	}{
+		{1, 0, [3]int{5, 7, 10}},
+		{3, 0, [3]int{5, 7, 10}}, // x split 4+3+3
+		{3, 1, [3]int{5, 7, 2}},  // x split 1+1+0
+		{8, 0, [3]int{5, 7, 10}}, // a 1x2x4 grid: y 4+3, x 3+3+2+2
+		{8, 5, [3]int{5, 1, 3}},  // y 1+0, x 1+1+1+0
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("np%d/%dx%dx%d", tc.np, tc.dims[0], tc.dims[1], tc.dims[2]), func(t *testing.T) {
+			root := tc.np / 2
+			packed, _, _, _, _ := viewRoundTrip(t, tc.np, root, tc.dims, false)
+			model, base, subs, held, back := viewRoundTrip(t, tc.np, root, tc.dims, true)
+			if model != packed {
+				t.Errorf("views moved the model:\n got %s\nwant %s", model, packed)
+			}
+			empty := 0
+			for r, v := range held {
+				if len(v.Base) == 0 || &v.Base[0] != &base[0] || v.Sub != &subs[r] {
+					t.Errorf("rank %d was not handed a view of the root's array", r)
+				}
+				if !bytes.Equal(v.Pack(), subs[r].GatherSub(base)) {
+					t.Errorf("rank %d's view packs to the wrong bytes", r)
+				}
+				if v.Bytes() == 0 {
+					empty++
+				}
+			}
+			if !bytes.Equal(back, base) {
+				t.Error("the gathered views do not unpack to the scattered array")
+			}
+			if empty != tc.empty {
+				t.Errorf("%d blocks empty, want %d", empty, tc.empty)
+			}
+		})
+	}
+	t.Run("no-allocation-per-payload-byte", viewPayloadAllocation)
+}
+
+// viewPayloadAllocation checks that a view round trip of a 3 MiB array
+// allocates what one of a 3 KiB array does, while the packed one allocates
+// the payload again — so the measure sees a per-byte allocation.
+func viewPayloadAllocation(t *testing.T) {
+	const np, trips = 8, 8
+	alloc := func(dims [3]int, views bool) int64 {
+		base, subs := viewArray(dims, np)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Simulate(testConfig(np, 1), np, func(r *Rank) {
+			for i := 0; i < trips; i++ {
+				if views {
+					var parts []View
+					if r.Rank() == 0 {
+						parts = make([]View, np)
+						for j := range parts {
+							parts[j] = View{Base: base, Sub: &subs[j]}
+						}
+					}
+					r.GathervView(0, r.ScattervView(0, parts))
+					continue
+				}
+				var parts [][]byte
+				if r.Rank() == 0 {
+					parts = make([][]byte, np)
+					for j := range parts {
+						parts[j] = subs[j].GatherSub(base)
+					}
+				}
+				r.Gatherv(0, r.Scatterv(0, parts))
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	small, large := [3]int{8, 8, 12}, [3]int{64, 96, 128}
+	payload := int64(trips * 4 * (large[0]*large[1]*large[2] - small[0]*small[1]*small[2]))
+	if grow := alloc(large, true) - alloc(small, true); grow > 64<<10 {
+		t.Errorf("views: %d more bytes allocated for %d more payload bytes", grow, payload)
+	}
+	if grow := alloc(large, false) - alloc(small, false); grow < payload/2 {
+		t.Errorf("packed: %d more bytes allocated for %d more payload bytes: the measure misses a copy", grow, payload)
+	}
+}

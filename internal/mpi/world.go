@@ -44,7 +44,7 @@ func (w *World) getMsg() *message {
 // putMsg returns a consumed envelope to the free list. The payload slice
 // now belongs to the receiver, so the reference is dropped here.
 func (w *World) putMsg(m *message) {
-	m.data = nil
+	m.data, m.sub = nil, nil
 	w.msgFree = append(w.msgFree, m)
 }
 
@@ -140,6 +140,7 @@ func Simulate(cfg machine.Config, nprocs int, body func(r *Rank)) (makespan floa
 type message struct {
 	src, tag int
 	data     []byte
+	sub      *Subarray // a view's selection of data; nil when data is the payload
 	arrival  float64
 	seq      int64 // global insertion order, for deterministic matching
 }
@@ -249,8 +250,12 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 // caller's buffer by reference. Timing, stats, and matching are identical
 // to Send; only the defensive copy is skipped. See AlltoallvScratch for
 // the aliasing contract callers must uphold.
-func (r *Rank) sendScratch(dst, tag int, data []byte) {
-	r.proc.AdvanceTo(r.postRef(dst, tag, data))
+func (r *Rank) sendScratch(dst, tag int, data []byte) { r.sendView(dst, tag, Packed(data)) }
+
+// sendView is sendScratch for a view: the receiver gets Base and Sub as
+// sent, and the transfer is charged at the view's packed size.
+func (r *Rank) sendView(dst, tag int, v View) {
+	r.proc.AdvanceTo(r.postRef(dst, tag, v))
 }
 
 // post does all the sender-side work of a buffered send — payload copy,
@@ -262,23 +267,25 @@ func (r *Rank) post(dst, tag int, data []byte) (senderFree float64) {
 	// append instead of make+copy: the clone must not pay for zeroing
 	// memory it immediately overwrites — this copy is on every cloned message's
 	// path.
-	return r.postRef(dst, tag, append([]byte{}, data...))
+	return r.postRef(dst, tag, Packed(append([]byte{}, data...)))
 }
 
 // postRef is post minus the defensive clone: the message delivers payload
-// by reference. Callers must guarantee the buffer is not mutated until the
-// receiver has consumed it (see AlltoallvScratch for the contract).
-func (r *Rank) postRef(dst, tag int, payload []byte) (senderFree float64) {
+// by reference, a view as a view. Callers must guarantee the buffer is not
+// mutated until the receiver has consumed it (see AlltoallvScratch for the
+// contract).
+func (r *Rank) postRef(dst, tag int, payload View) (senderFree float64) {
 	if dst < 0 || dst >= r.world.size {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d", dst))
 	}
-	senderFree, arrival := r.world.mach.TransferNodes(r.world.Node(r.rank), r.world.Node(dst), int64(len(payload)), r.Now())
-	r.bytesSent += int64(len(payload))
+	n := payload.Bytes()
+	senderFree, arrival := r.world.mach.TransferNodes(r.world.Node(r.rank), r.world.Node(dst), n, r.Now())
+	r.bytesSent += n
 	r.msgsSent++
 	target := r.world.ranks[dst]
 	target.msgSeq++
 	m := r.world.getMsg()
-	*m = message{src: r.rank, tag: tag, data: payload, arrival: arrival, seq: target.msgSeq}
+	*m = message{src: r.rank, tag: tag, data: payload.Base, sub: payload.Sub, arrival: arrival, seq: target.msgSeq}
 	target.inbox = append(target.inbox, m)
 	if target.hasWaiting && matches(target.waiting, m) {
 		target.hasWaiting = false
@@ -292,12 +299,28 @@ func (r *Rank) postRef(dst, tag int, payload []byte) (senderFree float64) {
 // Among matching messages the one with the earliest arrival (then lowest
 // sequence number) is delivered, so matching is deterministic.
 func (r *Rank) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
+	m := r.await(src, tag)
+	data, fromSrc, fromTag = m.data, m.src, m.tag
+	r.world.putMsg(m)
+	return data, fromSrc, fromTag
+}
+
+// recvView is Recv for the view collectives: the payload as it was sent.
+func (r *Rank) recvView(src, tag int) View {
+	m := r.await(src, tag)
+	v := View{Base: m.data, Sub: m.sub}
+	r.world.putMsg(m)
+	return v
+}
+
+// await blocks until a message matching (src, tag) is available, advances
+// the clock to its arrival and takes it out of the inbox; the caller hands
+// the envelope back with putMsg.
+func (r *Rank) await(src, tag int) *message {
 	for {
 		if m := r.takeMatch(src, tag, math.Inf(1)); m != nil {
 			r.proc.AdvanceTo(m.arrival)
-			data, fromSrc, fromTag = m.data, m.src, m.tag
-			r.world.putMsg(m)
-			return data, fromSrc, fromTag
+			return m
 		}
 		r.waiting = recvWait{src: src, tag: tag}
 		r.hasWaiting = true

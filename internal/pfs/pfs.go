@@ -14,8 +14,8 @@
 // # One request primitive
 //
 // A file handle has one request method, Do, and a request (Req) carries its
-// own Mode; ReadAt, WriteAt, WriteAtAsync and ReadAtDeadline are spelled
-// once, in this file, as builders of a Req. A
+// own Mode; ReadAt, LendAt, WriteAt, WriteAtAsync, ReadAtDeadline and
+// LendAtDeadline are spelled once, in this file, as builders of a Req. A
 // model charges its devices (its readIssue/writeIssue) and hands the
 // completion to settle; a wrapper passes the Req down unchanged. What
 // differs between the three modes at the device, exhaustively:
@@ -321,6 +321,15 @@ func WriteAtAsync(f File, c Client, data []byte, off int64) (end float64) {
 // complete past the absolute virtual deadline.
 func ReadAtDeadline(f File, c Client, buf []byte, off int64, deadline float64) error {
 	_, err := f.Do(c, Req{Mode: By, Buf: buf, Off: off, Deadline: deadline})
+	return err
+}
+
+// LendAtDeadline is LendAt abandoned with a *DeviceError if the device would
+// complete past the absolute virtual deadline; an abandoned read lends
+// nothing (l.Pieces is left empty).
+func LendAtDeadline(f File, c Client, l *Lend, off int64, deadline float64) error {
+	l.Pieces = l.Pieces[:0]
+	_, err := f.Do(c, Req{Mode: By, Lend: l, Off: off, Deadline: deadline})
 	return err
 }
 
