@@ -113,6 +113,30 @@ func decls(re string) finder {
 	})
 }
 
+// fieldDecls finds struct fields by key "Type.field", at any depth.
+func fieldDecls(re string) finder {
+	r := regexp.MustCompile(re)
+	return func(f *file, emit func(token.Pos, string, string)) {
+		walk(f, func(n ast.Node, fn string) {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return
+			}
+			for _, fld := range st.Fields.List {
+				for _, name := range fld.Names {
+					if key := ts.Name.Name + "." + name.Name; r.MatchString(key) {
+						emit(name.Pos(), fn, key)
+					}
+				}
+			}
+		})
+	}
+}
+
 // pkgMaps finds package-level variables that hold a map.
 func pkgMaps() finder {
 	return func(f *file, emit func(token.Pos, string, string)) {

@@ -144,6 +144,14 @@ var pages sync.Pool`)},
 		mutation: edit{path: "internal/pfs/pfs.go", old: "\tDeadline float64 // By only\n",
 			new: "\tDeadline float64 // By only\n\tOwned    bool\n"}},
 
+	// One stripe map: every striped model places a request by its file's
+	// layout, one extent per server, computed. A per-daemon regrouping, a
+	// stripe list on a span or a GPFS placement map beside the layouts is
+	// the per-request stripe walk, or a second placement, growing back.
+	{name: "one-stripe-map", design: "§2", pr: 37, scope: in("internal/pfs"),
+		check:    forbid(decls(`^perIOD\(`), fieldDecls(`^(stripeSpan\.stripes|GPFS\.placed)$`)),
+		mutation: mutant("internal/pfs", "func perIOD(spans []stripeSpan, n int) [][]stripeSpan { return nil }")},
+
 	// One copy on the way to the owner: the HDF4 root sends views of the
 	// arrays it was lent. A GatherSub in hdf4io.go is the block packed at
 	// the root growing back.

@@ -1075,15 +1075,16 @@ func (s *Sim) localCells() int64 {
 // lies into its place in the grid.
 func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 	var grid *amr.Grid
+	var subs []mpi.Subarray
 	if s.r.Rank() == owner {
-		grid = newGrid(g)
+		grid, subs = newGrid(g), s.rankSubarrays(g)
 	}
 	for f := range amr.FieldNames {
 		blocks := s.r.GathervView(owner, p.block(f))
 		if s.r.Rank() == owner {
 			full := make([]byte, g.Cells()*amr.FieldElemSize)
 			for rank, blk := range blocks {
-				blk.UnpackTo(full, core.FieldSubarray(g, s.pz, s.py, s.px, rank))
+				blk.UnpackTo(full, subs[rank])
 			}
 			s.r.CopyCost(g.Cells() * amr.FieldElemSize)
 			grid.Fields[f] = full
@@ -1094,6 +1095,17 @@ func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 		grid.Particles = gatherColumns(gathered...)
 	}
 	return grid
+}
+
+// rankSubarrays returns every rank's (Block,Block,Block) piece of grid g's
+// fields, indexed by rank: the one rank that packs, scatters or assembles
+// all of a grid's blocks computes them once per grid, not once per field.
+func (s *Sim) rankSubarrays(g core.GridMeta) []mpi.Subarray {
+	subs := make([]mpi.Subarray, s.r.Size())
+	for rank := range subs {
+		subs[rank] = core.FieldSubarray(g, s.pz, s.py, s.px, rank)
+	}
+	return subs
 }
 
 func (s *Sim) clearState() {

@@ -113,10 +113,9 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 		if err != nil {
 			panic(err)
 		}
-		subs := make([]mpi.Subarray, s.r.Size())
+		subs := s.rankSubarrays(g)
 		parts = make([]mpi.View, len(subs))
 		for rank := range subs {
-			subs[rank] = core.FieldSubarray(g, s.pz, s.py, s.px, rank)
 			parts[rank].Sub = &subs[rank]
 		}
 	}
@@ -200,12 +199,14 @@ func (s hdf4IO) writeDump(d int) {
 	g := s.meta.Top()
 	topSp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_write").Attr("grid", "0")
 	var sd *hdf4.SDFile
+	var subs []mpi.Subarray
 	if s.r.Rank() == 0 {
 		var err error
 		sd, err = hdf4.Create(s.client(), s.fs, dumpTopFile(d))
 		if err != nil {
 			panic(err)
 		}
+		subs = s.rankSubarrays(g)
 	}
 	for f, name := range amr.FieldNames {
 		blocks := s.r.Gatherv(0, s.top.fields[f])
@@ -215,7 +216,7 @@ func (s hdf4IO) writeDump(d int) {
 			// for the next field would rewrite this one's file bytes.
 			full := make([]byte, g.Cells()*amr.FieldElemSize)
 			for rank, blk := range blocks {
-				core.FieldSubarray(g, s.pz, s.py, s.px, rank).ScatterSub(full, blk)
+				subs[rank].ScatterSub(full, blk)
 			}
 			s.r.CopyCost(int64(len(full)))
 			if err := sd.WriteSDS(name, []int{g.Dims[0], g.Dims[1], g.Dims[2]},

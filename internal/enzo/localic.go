@@ -20,13 +20,17 @@ import (
 // position-owned particle rows.
 func (s *Sim) scatterGridFromRoot(h *amr.Hierarchy, gm core.GridMeta) (fields [][]byte, rows []byte) {
 	fields = make([][]byte, len(amr.FieldNames))
+	var subs []mpi.Subarray
+	if s.r.Rank() == 0 {
+		subs = s.rankSubarrays(gm)
+	}
 	for fi := range amr.FieldNames {
 		var parts [][]byte
 		if s.r.Rank() == 0 {
 			full := h.Grids[gm.ID].Fields[fi]
-			parts = make([][]byte, s.r.Size())
-			for rank := 0; rank < s.r.Size(); rank++ {
-				parts[rank] = core.FieldSubarray(gm, s.pz, s.py, s.px, rank).GatherSub(full)
+			parts = make([][]byte, len(subs))
+			for rank, sub := range subs {
+				parts[rank] = sub.GatherSub(full)
 			}
 		}
 		fields[fi] = s.r.Scatterv(0, parts)

@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/sim"
 )
@@ -131,56 +132,98 @@ type stripeSpan struct {
 	server   int
 	localOff int64
 	n        int64
-	stripes  []int64 // global stripe indices this span covers
 }
 
-// stripeSplit decomposes the file extent [off, off+n) striped round-robin
-// with the given unit over nServers servers into per-server contiguous
-// local spans. Spans on one server that touch consecutive stripe units are
-// merged (they are contiguous in the server's local layout). The result is
-// ordered by server, then by local offset.
-func stripeSplit(off, n, unit int64, nServers int) []stripeSpan {
-	if unit <= 0 || nServers <= 0 {
-		panic("pfs: invalid striping parameters")
-	}
-	if n <= 0 {
-		return nil
-	}
-	perServer := make(map[int][]stripeSpan)
-	pos := off
-	end := off + n
-	for pos < end {
-		stripe := pos / unit
-		server := int(stripe % int64(nServers))
-		localStripe := stripe / int64(nServers)
-		within := pos % unit
-		take := unit - within
-		if pos+take > end {
-			take = end - pos
+// layout is one file's round-robin striping: a stripe unit, how many of the
+// volume's servers the file spreads over, and the volume server holding its
+// first stripe (so files on few servers still balance across the volume).
+// Stripe s of the file lives on virtual server s % servers, which is volume
+// server (s%servers + first) % volume.
+type layout struct {
+	unit    int64
+	servers int
+	first   int
+	volume  int
+}
+
+// spans yields the part of the file extent [off, off+n) on each server
+// holding any of it, in virtual-server order: the volume server and the one
+// extent the part covers in that server's local address space. The stripes
+// one server holds of a contiguous extent are consecutive in its local
+// space, so its part runs from the first byte it holds to the last — one
+// extent per server, computed, whatever the request's size.
+func (l layout) spans(off, n int64) iter.Seq[stripeSpan] {
+	return func(yield func(stripeSpan) bool) {
+		if n <= 0 {
+			return
 		}
-		localOff := localStripe*unit + within
-		spans := perServer[server]
-		if len(spans) > 0 {
-			last := &spans[len(spans)-1]
-			if last.localOff+last.n == localOff {
-				last.n += take
-				last.stripes = append(last.stripes, stripe)
-				perServer[server] = spans
-				pos += take
+		u, k := l.unit, int64(l.servers)
+		s0, s1 := off/u, (off+n-1)/u // the request's first and last stripe
+		for v := range k {
+			from := s0 + (v-s0%k+k)%k // v's first stripe at or after s0
+			to := s1 - (s1%k-v+k)%k   // v's last stripe at or before s1
+			if from > to {
 				continue
 			}
+			lo, hi := from/k*u, to/k*u+u
+			if from == s0 {
+				lo += off % u
+			}
+			if to == s1 {
+				hi -= u - 1 - (off+n-1)%u
+			}
+			if !yield(stripeSpan{server: (int(v) + l.first) % l.volume, localOff: lo, n: hi - lo}) {
+				return
+			}
 		}
-		perServer[server] = append(spans, stripeSpan{
-			server:   server,
-			localOff: localOff,
-			n:        take,
-			stripes:  []int64{stripe},
-		})
-		pos += take
 	}
-	var out []stripeSpan
-	for s := 0; s < nServers; s++ {
-		out = append(out, perServer[s]...)
+}
+
+// layouts is a striped volume's per-file layouts: a file spreads over
+// every server from server 0 (def) unless it was created with, or pinned
+// to, a layout of its own. Restored files get def back.
+type layouts struct {
+	def   layout
+	files map[*ByteStore]layout
+}
+
+// volumeLayout stripes a file over all of a volume's servers from server 0.
+func volumeLayout(unit int64, servers int) layout {
+	if unit <= 0 || servers <= 0 {
+		panic("pfs: invalid striping parameters")
 	}
-	return out
+	return layout{unit: unit, servers: servers, volume: servers}
+}
+
+func newLayouts(unit int64, servers int) layouts {
+	return layouts{def: volumeLayout(unit, servers), files: make(map[*ByteStore]layout)}
+}
+
+// of returns st's layout.
+func (ls layouts) of(st *ByteStore) layout {
+	if l, ok := ls.files[st]; ok {
+		return l
+	}
+	return ls.def
+}
+
+// set gives st unit-sized stripes over servers (capped at the volume's
+// count) starting at volume server first, taken modulo the volume's count.
+func (ls layouts) set(st *ByteStore, unit int64, servers, first int) {
+	vol := ls.def.volume
+	ls.files[st] = layout{unit: unit, servers: min(servers, vol), first: (first%vol + vol) % vol, volume: vol}
+}
+
+// pin places st on one server: the one-server layout with a stripe unit
+// larger than any file, so every byte sits at its own offset there.
+func (ls layouts) pin(st *ByteStore, server int) { ls.set(st, 1<<40, 1, server) }
+
+// pinExisting pins the file name of ns to one server (PlacementRestorer);
+// false if there is no such file.
+func (ls layouts) pinExisting(ns *namespace, name string, server int) bool {
+	st, err := ns.open(name)
+	if err == nil {
+		ls.pin(st, server)
+	}
+	return err == nil
 }

@@ -55,9 +55,9 @@ type GPFS struct {
 	ioNICs  []*sim.Server
 	vsd     map[int]*sim.Server // per compute node
 	lockMgr *sim.Server
-	owners  map[*ByteStore]map[int64]int // file -> stripe -> last writer
+	owners  map[*ByteStore]map[int64]int // file -> token block -> last writer
 	meta    map[*ByteStore]*metanode     // file -> shared-file metanode state
-	placed  map[*ByteStore]int           // file -> single data server (CreatePlaced)
+	layouts layouts                      // striping; placed files on one server
 	obs     sim.ServeObserver            // attached to lazily created servers too
 	stats   statsCollector
 }
@@ -88,7 +88,7 @@ func NewGPFS(mach *machine.Machine, cfg GPFSConfig) *GPFS {
 		lockMgr: sim.NewServer("gpfs/tokenmgr"),
 		owners:  make(map[*ByteStore]map[int64]int),
 		meta:    make(map[*ByteStore]*metanode),
-		placed:  make(map[*ByteStore]int),
+		layouts: newLayouts(cfg.Unit, cfg.Servers),
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		fs.disks = append(fs.disks, NewDisk(fmt.Sprintf("gpfs/disk%d", i), cfg.Disk))
@@ -180,22 +180,14 @@ type gpfsFile struct {
 	store *ByteStore
 }
 
-// spans maps a byte range to per-server disk spans: the usual round-robin
-// striping, or a single span on the pinned server for placed files.
-func (f *gpfsFile) spans(off, n int64) []stripeSpan {
-	if srv, ok := f.fs.placed[f.store]; ok {
-		return []stripeSpan{{server: srv, localOff: off, n: n}}
-	}
-	return stripeSplit(off, n, f.fs.cfg.Unit, f.fs.cfg.Servers)
-}
-
 func (f *gpfsFile) Name() string        { return f.name }
 func (f *gpfsFile) Size(c Client) int64 { return f.store.Size() }
 func (f *gpfsFile) Close(c Client)      { c.Proc.Advance(f.fs.cfg.MetaTime / 2) }
 
-// acquireTokens charges lock-manager time for every stripe the request
-// touches. Writes record ownership so a later writer from a different
-// client pays the revocation cost.
+// acquireTokens charges lock-manager time for every volume block (cfg.Unit)
+// the request touches, whatever the file's layout: token granularity is
+// not placement. Writes record ownership so a later writer from a
+// different client pays the revocation cost.
 func (f *gpfsFile) acquireTokens(c Client, off, n int64, write bool) {
 	fs := f.fs
 	me := c.Proc.ID()
@@ -251,56 +243,39 @@ func (f *gpfsFile) Do(c Client, r Req) (float64, error) {
 	if n == 0 {
 		return idle(c, r)
 	}
-	var end float64
-	if r.Write {
-		end = f.writeIssue(c, n, r.Off)
-	} else {
-		end = f.readIssue(c, n, r.Off)
-	}
-	return settle(c, r, end, f.fs.Name(), f.name, f.store, &f.fs.stats)
+	return settle(c, r, f.issue(c, r.Write, r.Off, n), f.fs.Name(), f.name, f.store, &f.fs.stats)
 }
 
-// writeIssue charges the synchronous lock traffic on the caller's clock and
-// the data transfer plus disk work on the servers, returning the slowest
-// server's acknowledged completion. It stores no bytes and touches no
-// stats — settle abandons requests whose completion lies past their
-// deadline while the devices stay charged.
-func (f *gpfsFile) writeIssue(c Client, n, off int64) float64 {
+// issue charges the synchronous lock traffic on the caller's clock and the
+// transfers plus disk work on the servers for a request of n bytes at off,
+// returning when the slowest server's part is done: a write's
+// acknowledgement, a read's last data arrival. It moves no bytes and
+// touches no stats — settle abandons requests whose completion lies past
+// their deadline while the devices stay charged.
+func (f *gpfsFile) issue(c Client, write bool, off, n int64) float64 {
 	fs := f.fs
 	c.Proc.Advance(fs.cfg.PerCall)
 	fs.nodeVSD(c.Node).ServeAndWait(c.Proc, fs.cfg.VSDPerReq)
-	f.acquireTokens(c, off, n, true)
-	f.metanodeUpdate(c, off, n)
+	f.acquireTokens(c, off, n, write)
+	if write {
+		f.metanodeUpdate(c, off, n)
+	}
 	end := c.Proc.Now()
 	class := c.Proc.Class()
-	for _, sp := range f.spans(off, n) {
-		_, arrival := fs.mach.TransferVia(fs.mach.NIC(c.Node), fs.ioNICs[sp.server], sp.n, c.Proc.Now())
-		e := fs.disks[sp.server].AccessClass(arrival, sp.localOff, sp.n, class)
-		e += fs.mach.Config().WireLatency // completion acknowledgement
+	for sp := range fs.layouts.of(f.store).spans(off, n) {
+		msg := int64(128) // a read's request message; a write sends its data
+		if write {
+			msg = sp.n
+		}
+		_, arr := fs.mach.TransferVia(fs.mach.NIC(c.Node), fs.ioNICs[sp.server], msg, c.Proc.Now())
+		e := fs.disks[sp.server].AccessClass(arr, sp.localOff, sp.n, class)
+		if write {
+			e += fs.mach.Config().WireLatency // completion acknowledgement
+		} else {
+			_, e = fs.mach.TransferVia(fs.ioNICs[sp.server], fs.mach.NIC(c.Node), sp.n, e) // the data
+		}
 		if e > end {
 			end = e
-		}
-	}
-	return end
-}
-
-// readIssue is writeIssue's read counterpart: lock traffic synchronously,
-// per-stripe request/data transfers and disk accesses charged, returning
-// the last data arrival.
-func (f *gpfsFile) readIssue(c Client, n, off int64) float64 {
-	fs := f.fs
-	c.Proc.Advance(fs.cfg.PerCall)
-	fs.nodeVSD(c.Node).ServeAndWait(c.Proc, fs.cfg.VSDPerReq)
-	f.acquireTokens(c, off, n, false)
-	end := c.Proc.Now()
-	const reqMsg = 128
-	class := c.Proc.Class()
-	for _, sp := range f.spans(off, n) {
-		_, reqArr := fs.mach.TransferVia(fs.mach.NIC(c.Node), fs.ioNICs[sp.server], reqMsg, c.Proc.Now())
-		diskDone := fs.disks[sp.server].AccessClass(reqArr, sp.localOff, sp.n, class)
-		_, dataArr := fs.mach.TransferVia(fs.ioNICs[sp.server], fs.mach.NIC(c.Node), sp.n, diskDone)
-		if dataArr > end {
-			end = dataArr
 		}
 	}
 	return end

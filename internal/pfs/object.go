@@ -62,13 +62,7 @@ func (fs *PVFS) CreatePlaced(c Client, name string, server int) (File, error) {
 
 // PlaceExisting implements PlacementRestorer for PVFS.
 func (fs *PVFS) PlaceExisting(name string, server int) bool {
-	st, err := fs.ns.open(name)
-	if err != nil {
-		return false
-	}
-	fs.striping[st] = stripeParams{unit: 1 << 40, iods: 1,
-		first: ((server % fs.cfg.IODs) + fs.cfg.IODs) % fs.cfg.IODs}
-	return true
+	return fs.layouts.pinExisting(fs.ns, name, server)
 }
 
 // DataServerFreeAt implements ReplicaVolume for PVFS.
@@ -82,21 +76,15 @@ func (fs *PVFS) DataServerFailAt(i int) float64 { return fs.disks[i].Server().Fa
 // pools; the token and metanode protocols are unchanged).
 func (fs *GPFS) CreatePlaced(c Client, name string, server int) (File, error) {
 	f, err := fs.Create(c, name)
-	if err != nil {
-		return File{}, err
+	if err == nil {
+		fs.layouts.pin(f.Handle.(*gpfsFile).store, server)
 	}
-	fs.placed[f.Handle.(*gpfsFile).store] = ((server % fs.cfg.Servers) + fs.cfg.Servers) % fs.cfg.Servers
-	return f, nil
+	return f, err
 }
 
 // PlaceExisting implements PlacementRestorer for GPFS.
 func (fs *GPFS) PlaceExisting(name string, server int) bool {
-	st, err := fs.ns.open(name)
-	if err != nil {
-		return false
-	}
-	fs.placed[st] = ((server % fs.cfg.Servers) + fs.cfg.Servers) % fs.cfg.Servers
-	return true
+	return fs.layouts.pinExisting(fs.ns, name, server)
 }
 
 // DataServerFreeAt implements ReplicaVolume for GPFS.

@@ -16,9 +16,10 @@
 // A file handle has one request method, Do, and a request (Req) carries its
 // own Mode; ReadAt, LendAt, WriteAt, WriteAtAsync, ReadAtDeadline and
 // LendAtDeadline are spelled once, in this file, as builders of a Req. A
-// model charges its devices (its readIssue/writeIssue) and hands the
-// completion to settle; a wrapper passes the Req down unchanged. What
-// differs between the three modes at the device, exhaustively:
+// model charges its devices (its one issue method, reads and writes alike)
+// and hands the completion to settle; a wrapper passes the Req down
+// unchanged. What differs between the three modes at the device,
+// exhaustively:
 //
 //  1. Block: the caller's clock advances to the completion.
 //  2. Behind: every server is charged at issue with exactly the timestamps

@@ -126,52 +126,6 @@ func TestByteStoreMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-func TestStripeSplitCoversExtentExactly(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		unit := int64(rng.Intn(1000) + 1)
-		nServers := rng.Intn(7) + 1
-		off := rng.Int63n(10000)
-		n := rng.Int63n(20000) + 1
-		spans := stripeSplit(off, n, unit, nServers)
-		var total int64
-		for _, sp := range spans {
-			if sp.server < 0 || sp.server >= nServers || sp.n <= 0 || sp.localOff < 0 {
-				return false
-			}
-			total += sp.n
-		}
-		return total == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStripeSplitMergesContiguousLocalRuns(t *testing.T) {
-	// A large extent over 4 servers: each server must get exactly one
-	// merged local span (its stripes are locally contiguous).
-	spans := stripeSplit(0, 16*1024, 1024, 4)
-	if len(spans) != 4 {
-		t.Fatalf("got %d spans, want 4 merged spans: %+v", len(spans), spans)
-	}
-	for _, sp := range spans {
-		if sp.n != 4*1024 || sp.localOff != 0 {
-			t.Fatalf("span %+v, want localOff=0 n=4096", sp)
-		}
-		if len(sp.stripes) != 4 {
-			t.Fatalf("span stripes %v, want 4", sp.stripes)
-		}
-	}
-}
-
-func TestStripeSplitSingleServer(t *testing.T) {
-	spans := stripeSplit(100, 5000, 64, 1)
-	if len(spans) != 1 || spans[0].localOff != 100 || spans[0].n != 5000 {
-		t.Fatalf("single-server split = %+v", spans)
-	}
-}
-
 func TestDiskSequentialSkipsSeek(t *testing.T) {
 	p := DiskParams{Seek: 0.010, PerReq: 0.001, BW: 1e6}
 	d := NewDisk("d", p)

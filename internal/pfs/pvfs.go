@@ -47,20 +47,11 @@ type PVFS struct {
 	iodNIC []*sim.Server
 	iodCPU []*sim.Server
 	mgr    *sim.Server
-	// striping holds per-file striping parameters for files created with
+	// layouts holds the per-file striping of files created with
 	// CreateStriped (the paper's future-work "flexible,
-	// application-specific disk file striping"); files without an entry
-	// use the volume defaults.
-	striping map[*ByteStore]stripeParams
-	stats    statsCollector
-}
-
-// stripeParams is one file's striping layout: unit size, daemon count and
-// the first daemon (so different files can start on different daemons).
-type stripeParams struct {
-	unit  int64
-	iods  int
-	first int
+	// application-specific disk file striping") or placed on one daemon.
+	layouts layouts
+	stats   statsCollector
 }
 
 // NewPVFS builds a PVFS file system with cfg.IODs daemons.
@@ -69,7 +60,7 @@ func NewPVFS(mach *machine.Machine, cfg PVFSConfig) *PVFS {
 		panic("pfs: PVFS needs at least one iod")
 	}
 	fs := &PVFS{cfg: cfg, mach: mach, ns: newNamespace(), mgr: sim.NewServer("pvfs/mgr"),
-		striping: make(map[*ByteStore]stripeParams)}
+		layouts: newLayouts(cfg.Unit, cfg.IODs)}
 	for i := 0; i < cfg.IODs; i++ {
 		fs.disks = append(fs.disks, NewDisk(fmt.Sprintf("pvfs/iod%d/disk", i), cfg.Disk))
 		fs.iodNIC = append(fs.iodNIC, sim.NewServer(fmt.Sprintf("pvfs/iod%d/nic", i)))
@@ -139,24 +130,12 @@ func (fs *PVFS) CreateStriped(c Client, name string, unit int64, iods, first int
 	if unit <= 0 || iods <= 0 {
 		return File{}, fmt.Errorf("pfs: invalid striping unit=%d iods=%d for %q", unit, iods, name)
 	}
-	if iods > fs.cfg.IODs {
-		iods = fs.cfg.IODs
-	}
 	f, err := fs.Create(c, name)
 	if err != nil {
 		return File{}, err
 	}
-	fs.striping[f.Handle.(*pvfsFile).store] = stripeParams{unit: unit, iods: iods, first: ((first % fs.cfg.IODs) + fs.cfg.IODs) % fs.cfg.IODs}
+	fs.layouts.set(f.Handle.(*pvfsFile).store, unit, iods, first)
 	return f, nil
-}
-
-// params returns a file's striping layout (volume defaults if custom
-// striping was never set).
-func (f *pvfsFile) params() stripeParams {
-	if p, ok := f.fs.striping[f.store]; ok {
-		return p
-	}
-	return stripeParams{unit: f.fs.cfg.Unit, iods: f.fs.cfg.IODs}
 }
 
 // Open implements FileSystem.
@@ -180,15 +159,6 @@ func (f *pvfsFile) Name() string        { return f.name }
 func (f *pvfsFile) Size(c Client) int64 { return f.store.Size() }
 func (f *pvfsFile) Close(c Client)      {}
 
-// perIOD groups the spans of a request by daemon.
-func perIOD(spans []stripeSpan, n int) [][]stripeSpan {
-	out := make([][]stripeSpan, n)
-	for _, sp := range spans {
-		out[sp.server] = append(out[sp.server], sp)
-	}
-	return out
-}
-
 // Do implements Handle: the client-library call and the request injections
 // onto the wire happen at issue (so iod NICs, CPUs and disks see the same
 // arrivals in every mode); settle decides how the caller waits for the
@@ -198,79 +168,35 @@ func (f *pvfsFile) Do(c Client, r Req) (float64, error) {
 	if n == 0 {
 		return idle(c, r)
 	}
-	var end float64
-	if r.Write {
-		end = f.writeIssue(c, n, r.Off)
-	} else {
-		end = f.readIssue(c, n, r.Off)
-	}
-	return settle(c, r, end, f.fs.Name(), f.name, f.store, &f.fs.stats)
+	return settle(c, r, f.issue(c, r.Write, r.Off, n), f.fs.Name(), f.name, f.store, &f.fs.stats)
 }
 
-// writeIssue charges the client library, the wire and every involved iod's
-// CPU and disk for a write of n bytes at off, returning the completion time
-// of the slowest daemon's ack. It does not store bytes or touch stats —
-// the split lets settle abandon a request whose completion lies past its
-// deadline while the devices stay charged (they did the work).
-func (f *pvfsFile) writeIssue(c Client, n, off int64) float64 {
+// issue charges the client library, the wire and every involved iod's CPU
+// and disk for a request of n bytes at off, returning when the slowest
+// daemon's part is done: a write's ack, a read's last data message. It
+// moves no bytes and touches no stats — the split lets settle abandon a
+// request whose completion lies past its deadline while the devices stay
+// charged (they did the work).
+func (f *pvfsFile) issue(c Client, write bool, off, n int64) float64 {
 	fs := f.fs
 	class := c.Proc.Class()
 	c.Proc.Advance(fs.cfg.PerCall)
 	end := c.Proc.Now()
-	sp := f.params()
-	spans := stripeSplit(off, n, sp.unit, sp.iods)
-	for vIOD, group := range perIOD(spans, sp.iods) {
-		if len(group) == 0 {
-			continue
+	for sp := range fs.layouts.of(f.store).spans(off, n) {
+		iod, msg := sp.server, fs.cfg.ReqMsg
+		if write {
+			msg += sp.n // one request message carries this iod's portion of the data
 		}
-		iod := (vIOD + sp.first) % fs.cfg.IODs
-		var bytes int64
-		for _, span := range group {
-			bytes += span.n
-		}
-		// One request message carries this iod's portion of the data.
-		_, arr := fs.mach.TransferVia(fs.mach.NIC(c.Node), fs.iodNIC[iod], fs.cfg.ReqMsg+bytes, c.Proc.Now())
+		_, arr := fs.mach.TransferVia(fs.mach.NIC(c.Node), fs.iodNIC[iod], msg, c.Proc.Now())
 		_, cpuDone := fs.iodCPU[iod].ServeClass(class, arr, fs.cfg.IODPerReq)
-		e := cpuDone
-		for _, span := range group {
-			e = fs.disks[iod].AccessClass(e, span.localOff, span.n, class)
+		e := fs.disks[iod].AccessClass(cpuDone, sp.localOff, sp.n, class)
+		if write {
+			e += fs.mach.Config().WireLatency // ack
+		} else {
+			_, e = fs.mach.TransferVia(fs.iodNIC[iod], fs.mach.NIC(c.Node), sp.n, e) // the data
 		}
-		e += fs.mach.Config().WireLatency // ack
 		if e > end {
 			end = e
-		}
-	}
-	return end
-}
-
-// readIssue charges every resource for a read of n bytes at off and
-// returns the arrival time of the last data message, without transferring
-// bytes or advancing the caller (the counterpart of writeIssue).
-func (f *pvfsFile) readIssue(c Client, n, off int64) float64 {
-	fs := f.fs
-	class := c.Proc.Class()
-	c.Proc.Advance(fs.cfg.PerCall)
-	end := c.Proc.Now()
-	sp := f.params()
-	spans := stripeSplit(off, n, sp.unit, sp.iods)
-	for vIOD, group := range perIOD(spans, sp.iods) {
-		if len(group) == 0 {
-			continue
-		}
-		iod := (vIOD + sp.first) % fs.cfg.IODs
-		var bytes int64
-		for _, span := range group {
-			bytes += span.n
-		}
-		_, reqArr := fs.mach.TransferVia(fs.mach.NIC(c.Node), fs.iodNIC[iod], fs.cfg.ReqMsg, c.Proc.Now())
-		_, cpuDone := fs.iodCPU[iod].ServeClass(class, reqArr, fs.cfg.IODPerReq)
-		diskDone := cpuDone
-		for _, span := range group {
-			diskDone = fs.disks[iod].AccessClass(diskDone, span.localOff, span.n, class)
-		}
-		_, dataArr := fs.mach.TransferVia(fs.iodNIC[iod], fs.mach.NIC(c.Node), bytes, diskDone)
-		if dataArr > end {
-			end = dataArr
 		}
 	}
 	return end

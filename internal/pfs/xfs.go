@@ -34,11 +34,12 @@ func DefaultXFS() XFSConfig {
 
 // XFS is the shared-memory striped file system model.
 type XFS struct {
-	cfg   XFSConfig
-	mach  *machine.Machine
-	ns    *namespace
-	luns  []*Disk
-	stats statsCollector
+	cfg    XFSConfig
+	mach   *machine.Machine
+	ns     *namespace
+	luns   []*Disk
+	stripe layout // every file's
+	stats  statsCollector
 }
 
 // NewXFS builds an XFS volume on the given machine.
@@ -46,7 +47,7 @@ func NewXFS(mach *machine.Machine, cfg XFSConfig) *XFS {
 	if cfg.Luns <= 0 {
 		panic("pfs: XFS needs at least one LUN")
 	}
-	fs := &XFS{cfg: cfg, mach: mach, ns: newNamespace()}
+	fs := &XFS{cfg: cfg, mach: mach, ns: newNamespace(), stripe: volumeLayout(cfg.Unit, cfg.Luns)}
 	for i := 0; i < cfg.Luns; i++ {
 		fs.luns = append(fs.luns, NewDisk(fmt.Sprintf("xfs/lun%d", i), cfg.Disk))
 	}
@@ -97,7 +98,7 @@ func (f *xfsFile) issue(c Client, off, n int64) float64 {
 	fs := f.fs
 	c.Proc.Advance(fs.cfg.PerCall + fs.mach.CopyTime(n)) // syscall + buffer-cache copy
 	end := c.Proc.Now()
-	for _, sp := range stripeSplit(off, n, fs.cfg.Unit, fs.cfg.Luns) {
+	for sp := range fs.stripe.spans(off, n) {
 		if e := fs.luns[sp.server].Access(c.Proc.Now(), sp.localOff, sp.n); e > end {
 			end = e
 		}
