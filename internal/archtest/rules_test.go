@@ -92,6 +92,16 @@ var pieces sync.Pool`)},
 		check:    count(1, decls(`^\(\*Rank\)\.ExchangeScratch\(`)),
 		mutation: edit{path: "internal/mpi/collectives.go", new: "\nfunc (r *Rank) ExchangeScratch() {}\n"}},
 
+	// One reply form: a two-phase read aggregator is lent its extents and
+	// answers with references to the lent pieces, so nobody copies a payload
+	// byte between the store and the reader. A join of the replies, a list
+	// of reply payloads in the scratch, or a direction flag on transfer is
+	// the copying read path growing back.
+	{name: "two-phase-read-by-reference", design: "§13", pr: 38, scope: in("internal/mpiio"),
+		check: forbid(calls(`^bytes\.Join$`, ""), fieldDecls(`^fileScratch\.parts$`),
+			decls(`^\(\*fileScratch\)\.transfer\(.*bool`)),
+		mutation: edit{path: "internal/mpiio/mpiio.go", new: "\nfunc join(parts [][]byte) []byte { return bytes.Join(parts, nil) }\n"}},
+
 	// One matcher: the lzss chain links live in a 4 Ki ring in Compress's
 	// frame, and the chunker skips the bytes that cannot cut. An input-sized
 	// links array, a second Compress or SplitBounds, or unsafe is the

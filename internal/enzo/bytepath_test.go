@@ -11,7 +11,7 @@ import (
 )
 
 // TestDumpGenerationsIdentical: the rooted collectives hand the root each
-// rank's top.fields by reference, so a root that wrote into a gathered block
+// rank's top blocks by reference, so a root that wrote into a gathered block
 // (or a staging buffer that leaked from one field into the next) would show
 // in the second dump of the same state. Generation 0 and generation 1 must
 // be byte-identical, file by file, and the restart from the last one must

@@ -30,6 +30,7 @@ import (
 	"repro/internal/castore"
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/mpi"
 )
 
 func casManifestName(d int) string { return fmt.Sprintf("dump%02d.cas", d) }
@@ -115,7 +116,7 @@ func (w *casDump) put(name string, raw []byte) {
 }
 
 func (w *casDump) putTopField(fi int) {
-	w.put(fmt.Sprintf("g0/f%d/r%d", fi, w.r.Rank()), w.top.fields[fi])
+	w.put(fmt.Sprintf("g0/f%d/r%d", fi, w.r.Rank()), w.top.field(fi))
 }
 
 // putTopRows stores the sorted block as rows — no column transpose, so no
@@ -227,7 +228,7 @@ func (rd *casReader) fetchSized(name string, want int64) []byte {
 }
 
 func (rd *casReader) field(g core.GridMeta, fi int, p *partition) func() {
-	p.fields[fi] = rd.fetchSized(fmt.Sprintf("g0/f%d/r%d", fi, rd.r.Rank()), p.sub.Bytes())
+	p.blocks[fi] = mpi.Packed(rd.fetchSized(fmt.Sprintf("g0/f%d/r%d", fi, rd.r.Rank()), p.sub.Bytes()))
 	return settled
 }
 

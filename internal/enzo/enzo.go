@@ -458,24 +458,34 @@ func (res *Result) IOTime() float64 {
 
 // partition is the rank-local piece of one block-partitioned grid: the
 // (Block,Block,Block) sub-block of every baryon field plus the particles
-// whose positions fall in this rank's sub-domain. An initial subgrid read
-// by the HDF4 root holds its blocks as views of the root's lent arrays,
-// in views instead of fields, until consolidate copies them to the owner.
+// whose positions fall in this rank's sub-domain. A block is a view of
+// wherever its bytes lie: of an array the HDF4 root was lent, of the pieces
+// the store lent a two-phase read's aggregators, or packed in a buffer of
+// its own (a reader that makes one fills Base). An initial subgrid keeps its
+// views until consolidate copies them to the owner; the top grid is rank
+// state every dump writes from, so pack packs its blocks once.
 type partition struct {
 	gridID    int
 	sub       mpi.Subarray
-	fields    [][]byte
-	views     []mpi.View
+	blocks    []mpi.View
 	particles amr.ParticleSet
 }
 
-// block returns the rank's block of field f as a view: the one it was sent,
-// or its packed block, a view of itself.
-func (p *partition) block(f int) mpi.View {
-	if p.views != nil {
-		return p.views[f]
+// pack replaces every block by its packed bytes and returns p.
+func (p *partition) pack() *partition {
+	for f, v := range p.blocks {
+		p.blocks[f] = mpi.Packed(v.Pack())
 	}
-	return mpi.Packed(p.fields[f])
+	return p
+}
+
+// field returns the bytes of field f's block, which pack packed.
+func (p *partition) field(f int) []byte {
+	v := p.blocks[f]
+	if v.Sub != nil || v.Parts != nil {
+		panic("enzo: field of an unpacked block")
+	}
+	return v.Base
 }
 
 // Sim is the per-rank simulation state.
@@ -1080,7 +1090,7 @@ func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 		grid, subs = newGrid(g), s.rankSubarrays(g)
 	}
 	for f := range amr.FieldNames {
-		blocks := s.r.GathervView(owner, p.block(f))
+		blocks := s.r.GathervView(owner, p.blocks[f])
 		if s.r.Rank() == owner {
 			full := make([]byte, g.Cells()*amr.FieldElemSize)
 			for rank, blk := range blocks {
@@ -1221,8 +1231,8 @@ func (s *Sim) snapshot() snapshotState {
 	snap := snapshotState{grids: make(map[int]uint64)}
 	if s.top != nil {
 		var h uint64
-		for _, f := range s.top.fields {
-			h = hashBytes(h, f)
+		for f := range s.top.blocks {
+			h = hashBytes(h, s.top.field(f))
 		}
 		snap.topFields = h
 		snap.topParticles = particleSetHash(&s.top.particles)

@@ -103,7 +103,7 @@ func (s hdf4IO) writeIC(h *amr.Hierarchy) {
 func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 	defer obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(g.ID)).End()
 	p := &partition{gridID: g.ID, sub: core.FieldSubarray(g, s.pz, s.py, s.px, s.r.Rank())}
-	p.views = make([]mpi.View, len(amr.FieldNames))
+	p.blocks = make([]mpi.View, len(amr.FieldNames))
 
 	var sd *hdf4.SDFile
 	var parts []mpi.View // the root's, one per rank, re-based per field
@@ -131,7 +131,7 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 			}
 			s.r.CopyCost(int64(len(full)))
 		}
-		p.views[f] = s.r.ScattervView(0, parts)
+		p.blocks[f] = s.r.ScattervView(0, parts)
 	}
 
 	if g.NParticles == 0 {
@@ -177,13 +177,7 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 // itself — the one copy the root used to make for it — because the top
 // grid is rank state every dump writes from.
 func (s hdf4IO) readTop(fname string) *partition {
-	p := s.readPartitioned(fname, s.meta.Top())
-	p.fields = make([][]byte, len(p.views))
-	for f, v := range p.views {
-		p.fields[f] = v.Pack()
-	}
-	p.views = nil
-	return p
+	return s.readPartitioned(fname, s.meta.Top()).pack()
 }
 
 func (s hdf4IO) readInitial() {
@@ -209,7 +203,7 @@ func (s hdf4IO) writeDump(d int) {
 		subs = s.rankSubarrays(g)
 	}
 	for f, name := range amr.FieldNames {
-		blocks := s.r.Gatherv(0, s.top.fields[f])
+		blocks := s.r.Gatherv(0, s.top.field(f))
 		if s.r.Rank() == 0 {
 			// Processor 0's staging array, one per field: WriteSDS hands it
 			// to pfs, which keeps it (DESIGN.md §13) — a staging array reused

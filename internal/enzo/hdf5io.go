@@ -237,17 +237,17 @@ func (h *h5File) field(g core.GridMeta, fi int, p *partition) func() {
 		// One packed segment per writing rank: the initial conditions were
 		// provisioned with this rank's partition in its own slot, and a
 		// restart uses the dump decomposition.
-		return h.readSegs(ds, h.r.Rank(), &p.fields[fi], p.sub.Bytes())
+		return h.readSegs(ds, h.r.Rank(), &p.blocks[fi].Base, p.sub.Bytes())
 	}
 	if ds == nil {
-		p.fields[fi] = make([]byte, p.sub.Bytes())
+		p.blocks[fi] = mpi.Packed(make([]byte, p.sub.Bytes()))
 		return settled
 	}
 	kind := xSlab
 	if h.indep {
 		kind = xSlabIndep
 	}
-	return h.read(xfer{kind: kind, ds: ds, sel: p.sub, out: &p.fields[fi]})
+	return h.read(xfer{kind: kind, ds: ds, block: &p.sub, view: &p.blocks[fi]})
 }
 
 func (h *h5File) rows(g core.GridMeta, lo, hi int64) amr.ParticleSet {
@@ -304,9 +304,9 @@ func (h *h5File) putTopField(fi int) {
 	ds := h.createDataset(g.ID, amr.FieldNames[fi], fieldDims(g), amr.FieldElemSize, true)
 	if ds.Compressed() {
 		// Each rank packs and appends its own partition segment.
-		h.write(xfer{kind: xSeg, ds: ds, buf: h.top.fields[fi]})
+		h.write(xfer{kind: xSeg, ds: ds, buf: h.top.field(fi)})
 	} else {
-		h.write(xfer{kind: xSlab, ds: ds, sel: h.top.sub, buf: h.top.fields[fi]})
+		h.write(xfer{kind: xSlab, ds: ds, sel: h.top.sub, buf: h.top.field(fi)})
 	}
 	ds.Close()
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/castore"
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -55,7 +56,7 @@ type layout interface {
 type gridReader interface {
 	// field issues the read of this rank's (Block,Block,Block) partition
 	// of field fi of a partitioned grid; the returned settle leaves it in
-	// p.fields[fi].
+	// p.blocks[fi].
 	field(g core.GridMeta, fi int, p *partition) (settle func())
 	// rows reads particle rows [lo,hi) of a partitioned grid, as stored:
 	// one column per particle array.
@@ -146,7 +147,7 @@ func (w walk) writeIC(h *amr.Hierarchy) { w.lay.writeIC(h) }
 // across all ranks.
 func (w walk) readInitial() {
 	rd := w.lay.openIC()
-	w.top = w.readPartitioned(rd, w.meta.Top(), false)
+	w.top = w.readPartitioned(rd, w.meta.Top(), false).pack()
 	for _, g := range w.meta.Subgrids() {
 		w.partials = append(w.partials, w.readPartitioned(rd, g, false))
 	}
@@ -161,7 +162,7 @@ func (w walk) readInitial() {
 func (w walk) readPartitioned(rd gridReader, g core.GridMeta, restart bool) *partition {
 	defer obs.Begin(w.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(g.ID)).End()
 	p := &partition{gridID: g.ID, sub: core.FieldSubarray(g, w.pz, w.py, w.px, w.r.Rank())}
-	p.fields = make([][]byte, len(amr.FieldNames))
+	p.blocks = make([]mpi.View, len(amr.FieldNames))
 	if restart {
 		settles := make([]func(), len(amr.FieldNames))
 		for fi := range amr.FieldNames {
@@ -233,7 +234,7 @@ func (w walk) readRestart(d int) {
 	if rd == nil {
 		return
 	}
-	w.top = w.readPartitioned(rd, w.meta.Top(), true)
+	w.top = w.readPartitioned(rd, w.meta.Top(), true).pack()
 	owners := w.restartOwners()
 	var finishPrev func() *amr.Grid
 	var prevID int

@@ -108,7 +108,7 @@ func TestDerivedFormsAreDroppedWithTheState(t *testing.T) {
 					return // setup; or the chunk store, which remembers chunks
 				}
 				dumpHits++
-				live := len(s.top.fields)
+				live := len(s.top.blocks)
 				for _, g := range s.owned {
 					live += len(g.Fields)
 				}

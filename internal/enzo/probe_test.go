@@ -64,11 +64,11 @@ func TestBreakdownXFS(t *testing.T) {
 				g := s.meta.Top()
 				mark("read top fields", func() {
 					s.top = &partition{gridID: 0, sub: core.FieldSubarray(g, s.pz, s.py, s.px, r.Rank())}
-					s.top.fields = make([][]byte, len(amr.FieldNames))
+					s.top.blocks = make([]mpi.View, len(amr.FieldNames))
 					for fi, name := range amr.FieldNames {
 						buf := make([]byte, s.top.sub.Bytes())
 						f.ReadAtAll(s.fieldRuns(g, name, s.top.sub), buf)
-						s.top.fields[fi] = buf
+						s.top.blocks[fi] = mpi.Packed(buf)
 					}
 				})
 				mark("read top particles", func() {
@@ -88,12 +88,12 @@ func TestBreakdownXFS(t *testing.T) {
 				mark("read subgrids", func() {
 					for _, sg := range s.meta.Subgrids() {
 						p := &partition{gridID: sg.ID, sub: core.FieldSubarray(sg, s.pz, s.py, s.px, r.Rank())}
-						p.fields = make([][]byte, len(amr.FieldNames))
+						p.blocks = make([]mpi.View, len(amr.FieldNames))
 						t0 := r.Now()
 						for fi, name := range amr.FieldNames {
 							buf := make([]byte, p.sub.Bytes())
 							f.ReadAtAll(s.fieldRuns(sg, name, p.sub), buf)
-							p.fields[fi] = buf
+							p.blocks[fi] = mpi.Packed(buf)
 						}
 						t1 := r.Now()
 						tFields += t1 - t0
@@ -129,7 +129,7 @@ func TestBreakdownXFS(t *testing.T) {
 						panic(err)
 					}
 					for fi, name := range amr.FieldNames {
-						df.WriteAtAll(s.fieldRuns(g, name, s.top.sub), s.top.fields[fi])
+						df.WriteAtAll(s.fieldRuns(g, name, s.top.sub), s.top.field(fi))
 					}
 					df.Close()
 				})

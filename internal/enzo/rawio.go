@@ -148,7 +148,8 @@ func (rf *rawFile) field(g core.GridMeta, fi int, p *partition) func() {
 	if rf.indep {
 		kind = xRuns
 	}
-	return rf.read(xfer{kind: kind, f: rf.f, runs: rf.fieldRuns(g, amr.FieldNames[fi], p.sub), out: &p.fields[fi]})
+	base, _ := rf.offsets.ArrayOffset(g.ID, amr.FieldNames[fi])
+	return rf.read(xfer{kind: kind, f: rf.f, off: base, block: &p.sub, view: &p.blocks[fi]})
 }
 
 func (rf *rawFile) rows(g core.GridMeta, lo, hi int64) amr.ParticleSet {
@@ -208,7 +209,7 @@ func (rf *rawFile) close() { rf.f.Close() }
 
 func (rf *rawFile) putTopField(fi int) {
 	runs := rf.fieldRuns(rf.meta.Top(), amr.FieldNames[fi], rf.top.sub)
-	rf.write(xfer{kind: xAll, f: rf.f, runs: runs, buf: rf.top.fields[fi]})
+	rf.write(xfer{kind: xAll, f: rf.f, runs: runs, buf: rf.top.field(fi)})
 }
 
 // putTopRows: "the block-wise pattern for 1-D arrays always results in

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/mpiio"
 )
 
@@ -281,7 +282,11 @@ func (l rawzLayout) createDump(d int) dumpWriter {
 		}
 		return blobs
 	}
-	zf.blobs = map[int][][]byte{0: pack(l.top.fields)}
+	top := make([][]byte, len(l.top.blocks))
+	for fi := range top {
+		top[fi] = l.top.field(fi)
+	}
+	zf.blobs = map[int][][]byte{0: pack(top)}
 	for _, gm := range l.meta.Subgrids() {
 		if grid := l.owned[gm.ID]; grid != nil {
 			zf.blobs[gm.ID] = pack(grid.Fields)
@@ -314,7 +319,7 @@ func (zf *rawzFile) putSeg(gridID, fi int, raw, blob []byte) {
 	zf.recordCodecBytes(zf.name, true, int64(len(raw)), int64(len(blob)))
 }
 
-func (zf *rawzFile) putTopField(fi int) { zf.putSeg(0, fi, zf.top.fields[fi], zf.blobs[0][fi]) }
+func (zf *rawzFile) putTopField(fi int) { zf.putSeg(0, fi, zf.top.field(fi), zf.blobs[0][fi]) }
 
 func (zf *rawzFile) putSubgrid(gm core.GridMeta, grid *amr.Grid) {
 	for fi := range amr.FieldNames {
@@ -350,8 +355,8 @@ func (zf *rawzFile) field(g core.GridMeta, fi int, p *partition) func() {
 	settle := zf.read(xfer{kind: xAt, f: zf.f, buf: blob, off: off})
 	return func() {
 		settle()
-		p.fields[fi] = zf.expand(nil, blob)
-		zf.recordCodecBytes(zf.name, false, int64(len(p.fields[fi])), n)
+		p.blocks[fi] = mpi.Packed(zf.expand(nil, blob))
+		zf.recordCodecBytes(zf.name, false, p.blocks[fi].Bytes(), n)
 	}
 }
 

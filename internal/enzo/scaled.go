@@ -55,7 +55,7 @@ func (s *Sim) contentHash() ContentHash {
 			for _, run := range runs {
 				for b := int64(0); b < run.Len; b += amr.FieldElemSize {
 					elem := (run.Off + b) / amr.FieldElemSize
-					local += cellHash(uint64(fi), uint64(elem), s.top.fields[fi][p+b:p+b+amr.FieldElemSize])
+					local += cellHash(uint64(fi), uint64(elem), s.top.field(fi)[p+b:p+b+amr.FieldElemSize])
 				}
 				p += run.Len
 			}

@@ -46,19 +46,23 @@ type xfer struct {
 	ds   *hdf5.Dataset
 	buf  []byte // data to write, or the buffer a read fills (raw bytes for an xSeg write)
 
-	off        int64        // xAt
+	off        int64        // xAt; the file offset of a block read's array (xAll, xRuns)
 	n          int64        // lend reads (xAt, xSlabIndep): the bytes to read
 	offs, lens []int64      // xList
 	runs       []mpi.Run    // xAll, xRuns
 	sel        mpi.Subarray // xSlab, xSlabIndep
 
-	// Reads that bring no buffer: where the bytes land at settle. An xAll or
-	// xSlab read (or the independent form a tolerant or node-local read turns
-	// it into) leaves a new buffer; an xSeg read leaves the decoded bytes of
-	// its slot (every slot when negative), nil when a tolerant read absorbed
-	// a failure.
-	slot int
-	out  *[]byte
+	// Reads that bring no buffer: where the bytes land at settle. A block
+	// read — xAll or xSlab, or the independent form a tolerant or node-local
+	// read turns it into — reads the block *block of the array at off or of
+	// the dataset, and leaves in *view a view of the pieces the store lent
+	// the aggregators, or a new packed buffer. An xSeg read leaves in *out the
+	// decoded bytes of its slot (every slot when negative), nil when a
+	// tolerant read absorbed a failure.
+	block *mpi.Subarray
+	view  *mpi.View
+	slot  int
+	out   *[]byte
 }
 
 // pendingDump collects the deferred pieces of one in-flight checkpoint.
@@ -147,8 +151,8 @@ func (s *Sim) deferCompletion(end float64) bool {
 // settled is the settle of a read that already completed.
 func settled() {}
 
-// read issues one data read and returns its settle; the buffer (or x.out)
-// is valid only after the settle ran. Blocking reads complete here and
+// read issues one data read and returns its settle; the buffer (or x.view,
+// x.out) is valid only after the settle ran. Blocking reads complete here and
 // return settled.
 func (s *Sim) read(x xfer) func() {
 	if s.tolerant {
@@ -159,16 +163,17 @@ func (s *Sim) read(x xfer) func() {
 			x.kind = xSlabIndep
 		}
 	}
-	if x.out != nil && (x.kind == xRuns || x.kind == xSlabIndep) {
-		// Only the collective forms make the buffer they read into. The
-		// independent one fills zeros, which a failure a tolerant read-back
-		// absorbs leaves in place.
-		n := mpi.TotalLen(x.runs)
-		if x.kind == xSlabIndep {
-			n = x.sel.Bytes()
+	if x.view != nil && (x.kind == xRuns || x.kind == xSlabIndep) {
+		// Only the collective forms lend the block. The independent one fills
+		// zeros, which a failure a tolerant read-back absorbs leaves in place.
+		x.buf = make([]byte, x.block.Bytes())
+		*x.view = mpi.Packed(x.buf)
+		if x.kind == xRuns {
+			s.runBuf = x.block.AppendRuns(s.runBuf[:0], x.off)
+			x.runs = s.runBuf
+		} else {
+			x.sel = *x.block
 		}
-		x.buf = make([]byte, n)
-		*x.out = x.buf
 	}
 	// Read-ahead never runs tolerant (see asyncReads), so behind, tolerantIO
 	// and tolerate absorb nothing and failures below stay fatal.
@@ -182,11 +187,11 @@ func (s *Sim) read(x xfer) func() {
 		case xList:
 			p = x.f.IssueReadList(behind, x.offs, x.lens, x.buf)
 		case xAll:
-			p = x.f.IssueReadAtAllInto(behind, x.runs, x.out)
+			p = x.f.IssueReadAtAllInto(behind, x.block, x.off, x.view)
 		case xRuns:
 			p = x.f.IssueReadRuns(behind, x.runs, x.buf)
 		case xSlab:
-			p = x.ds.IssueReadHyperslabInto(behind, x.sel, x.out)
+			p = x.ds.IssueReadHyperslabInto(behind, x.block, x.view)
 		case xSlabIndep:
 			p = x.ds.IssueReadHyperslab(behind, x.sel, x.buf)
 		case xSeg:

@@ -63,7 +63,7 @@ func TestInitialReadMatchesTruth(t *testing.T) {
 						sub := mpi.BlockDecompose3D(gm.Dims, pz, py, px, rank, amr.FieldElemSize)
 						for fi := range amr.FieldNames {
 							want := sub.GatherSub(g.Fields[fi])
-							if !bytes.Equal(p.block(fi).Pack(), want) {
+							if !bytes.Equal(p.blocks[fi].Pack(), want) {
 								t.Fatalf("grid %d rank %d field %d: data mismatch", gm.ID, rank, fi)
 							}
 						}

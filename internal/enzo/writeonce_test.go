@@ -1,14 +1,17 @@
 package enzo
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/amr"
 	"repro/internal/golden"
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -70,6 +73,34 @@ func (g *writeGuard) lentFrom(prefix string) int {
 	return n
 }
 
+// fieldLends counts the pieces lent from file that lie inside a write that
+// carried one of h's field arrays: the extents of the initial-condition
+// fields a two-phase aggregator is lent, wherever the container put them.
+func (g *writeGuard) fieldLends(file string, h *amr.Hierarchy) int {
+	type span struct{ lo, hi int64 }
+	var fields []span
+	for _, w := range g.writes {
+		if w.file != file {
+			continue
+		}
+		for _, grid := range h.Grids {
+			if slices.ContainsFunc(grid.Fields, func(f []byte) bool { return bytes.Equal(f, w.buf) }) {
+				fields = append(fields, span{w.off, w.off + int64(len(w.buf))})
+				break
+			}
+		}
+	}
+	n := 0
+	for _, l := range g.lends {
+		if l.file == file && slices.ContainsFunc(fields, func(s span) bool {
+			return s.lo <= l.off && l.off+int64(len(l.buf)) <= s.hi
+		}) {
+			n++
+		}
+	}
+	return n
+}
+
 // changed names every written buffer and every lent piece that no longer
 // holds the bytes it had when it crossed the pfs boundary.
 func (g *writeGuard) changed() []string {
@@ -108,7 +139,9 @@ func refusedRows(t *testing.T) map[string]bool {
 // three-dump castore run of the dedup benchmark: no buffer handed to pfs and
 // no piece pfs lent may change — among them the initial-condition arrays
 // the HDF4 root scatters views of and the chunks castore's Get lends — and
-// the guard itself must be invisible to the run. A composition
+// the guard itself must be invisible to the run. Every uncompressed
+// shared-file run of a two-phase backend must have lent its aggregators
+// their extents of the initial conditions. A composition
 // the matrix golden pins as a typed refusal (scrub on node-local disks
 // without the castore ends in a *RestartError) is skipped, by the golden's
 // own row name.
@@ -192,6 +225,18 @@ func TestWriteOnceHolds(t *testing.T) {
 			}
 			if tc.cfg.CAStore && tc.backend != BackendHDF4 && g.lentFrom("cas/") == 0 {
 				t.Error("no chunk container piece was lent: the guard saw none of castore's reads")
+			}
+			// A two-phase initial read on a shared file lends its aggregators
+			// their extents of the initial-condition fields; one that fell
+			// back to reading into a buffer would lend none of them.
+			if tc.fs != "local" && tc.cfg.Codec == "none" && !tc.cfg.CAStore && tc.backend != BackendHDF4 {
+				ic := icRawFile()
+				if tc.backend == BackendHDF5 {
+					ic = icH5File()
+				}
+				if g.fieldLends(ic, hierEntryFor(tc.cfg).hierarchy()) == 0 {
+					t.Errorf("no piece of a field array of %s was lent: no aggregator was lent an extent", ic)
+				}
 			}
 			mu.Lock()
 			lent += len(g.lends)

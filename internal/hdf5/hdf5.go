@@ -487,6 +487,14 @@ func (d *Dataset) packCost(nruns int, bytes int64) {
 // next selection on that handle — MPI-IO consumes a view when the access is
 // issued, in either issue mode.
 func (d *Dataset) slabRuns(sel mpi.Subarray) []mpi.Run {
+	d.checkSel(sel)
+	d.h.runBuf = sel.AppendRuns(d.h.runBuf[:0], d.info.DataOff)
+	return d.h.runBuf
+}
+
+// checkSel panics unless sel is a valid selection of the dataset's
+// dataspace.
+func (d *Dataset) checkSel(sel mpi.Subarray) {
 	if err := sel.Validate(); err != nil {
 		panic(err)
 	}
@@ -499,8 +507,6 @@ func (d *Dataset) slabRuns(sel mpi.Subarray) []mpi.Run {
 				sel.Sizes, d.info.Dims))
 		}
 	}
-	d.h.runBuf = sel.AppendRuns(d.h.runBuf[:0], d.info.DataOff)
-	return d.h.runBuf
 }
 
 // WriteHyperslab collectively writes a hyperslab selection; every rank of
@@ -545,14 +551,16 @@ func (d *Dataset) IssueReadHyperslab(behind bool, sel mpi.Subarray, buf []byte) 
 	return d.unpack(behind, p, len(runs), int64(len(buf)))
 }
 
-// IssueReadHyperslabInto is IssueReadHyperslab done collectively, into a
-// buffer the two-phase read allocates (mpiio.File.IssueReadAtAllInto).
-func (d *Dataset) IssueReadHyperslabInto(behind bool, sel mpi.Subarray, out *[]byte) *mpiio.Pending {
+// IssueReadHyperslabInto is IssueReadHyperslab done collectively by a reader
+// that brings no buffer (mpiio.File.IssueReadAtAllInto): *out receives the
+// selection as a view — on the two-phase path, of the pieces the store lent
+// the aggregators, copied by nobody yet.
+func (d *Dataset) IssueReadHyperslabInto(behind bool, sel *mpi.Subarray, out *mpi.View) *mpiio.Pending {
 	sp := d.dataSpan(behind, "data_read").Bytes(sel.Bytes())
 	defer sp.End()
-	runs := d.slabRuns(sel)
-	p := d.h.mf.IssueReadAtAllInto(behind, runs, out)
-	return d.unpack(behind, p, len(runs), sel.Bytes())
+	d.checkSel(*sel)
+	p := d.h.mf.IssueReadAtAllInto(behind, sel, d.info.DataOff, out)
+	return d.unpack(behind, p, sel.NumRuns(), sel.Bytes())
 }
 
 // IssueLendHyperslab is IssueReadHyperslab, lent, of a selection contiguous

@@ -63,9 +63,9 @@ func TestHyperslabWriteReadRoundTrip(t *testing.T) {
 		}
 		pz2, py2, px2 := mpi.ProcGrid3D(2)
 		sel := mpi.BlockDecompose3D([3]int{N, N, N}, pz2, py2, px2, r.Rank(), elem)
-		var buf []byte
-		ds.IssueReadHyperslabInto(false, sel, &buf)
-		if !bytes.Equal(buf, sel.GatherSub(global)) {
+		var blk mpi.View
+		ds.IssueReadHyperslabInto(false, &sel, &blk)
+		if !bytes.Equal(blk.Pack(), sel.GatherSub(global)) {
 			panic(fmt.Sprintf("rank %d read wrong data", r.Rank()))
 		}
 		ds.Close()

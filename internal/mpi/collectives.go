@@ -252,7 +252,25 @@ func (r *Rank) alltoallv(parts [][]byte, scratch bool) [][]byte {
 			recvFrom = append(recvFrom, s)
 		}
 	}
-	return r.exchange(make([][]byte, size), parts, sendTo, recvFrom, scratch)
+	out := make([][]byte, size)
+	own := parts[r.rank]
+	if !scratch {
+		own = append([]byte{}, own...)
+	}
+	// The local copy is still charged in scratch mode so both variants keep
+	// identical virtual times.
+	r.CopyCost(int64(len(own)))
+	out[r.rank] = own
+	r.exchange(sendTo, recvFrom,
+		func(dst, tag int) {
+			if scratch {
+				r.sendScratch(dst, tag, parts[dst])
+			} else {
+				r.Send(dst, tag, parts[dst])
+			}
+		},
+		func(src, tag int) { out[src], _, _ = r.Recv(src, tag) })
+	return out
 }
 
 // alltoallInt64 delivers send[d] to rank d and returns, per source rank, the
@@ -293,62 +311,55 @@ func (r *Rank) alltoallInt64(send []int64) []int64 {
 
 // ExchangeScratch is the sparse personalized exchange under two-phase I/O:
 // parts[d] goes to every rank d listed in sendTo, and the result holds one
-// message for every rank listed in recvFrom (nil elsewhere). Unlike
+// message for every rank listed in recvFrom (zero views elsewhere). Unlike
 // Alltoallv there is no count round — the caller must already know both
 // lists, and they must agree across ranks (d is in s's sendTo exactly when s
 // is in d's recvFrom), or the exchange deadlocks. Both lists are ascending.
-// The caller's own part is always handed back, listed or not. Payloads
-// travel by reference: AlltoallvScratch's aliasing contract applies. The
-// result lands in out, which the caller owns and reuses from call to call:
-// one entry per rank, distinct from parts, cleared here before it is filled.
-func (r *Rank) ExchangeScratch(out, parts [][]byte, sendTo, recvFrom []int) {
+// The caller's own part is always handed back, listed or not. Payloads are
+// views and travel by reference, each charged at its packed size:
+// AlltoallvScratch's aliasing contract applies, to a view's Base and parts
+// alike. The result lands in out, which the caller owns and reuses from call
+// to call: one entry per rank, distinct from parts, cleared here before it
+// is filled.
+func (r *Rank) ExchangeScratch(out, parts []View, sendTo, recvFrom []int) {
 	size := r.Size()
 	if len(parts) != size || len(out) != size {
 		panic(fmt.Sprintf("mpi: ExchangeScratch got %d parts and %d result slots for %d ranks", len(parts), len(out), size))
 	}
 	var total int64
 	for _, d := range sendTo {
-		total += int64(len(parts[d]))
+		total += parts[d].Bytes()
 	}
 	defer obs.Begin(r.proc, obs.LayerMPI, "exchange").Bytes(total).End()
 	clear(out)
-	r.exchange(out, parts, sendTo, recvFrom, true)
+	own := parts[r.rank]
+	r.CopyCost(own.Bytes())
+	out[r.rank] = own
+	r.exchange(sendTo, recvFrom,
+		func(dst, tag int) { r.sendView(dst, tag, parts[dst]) },
+		func(src, tag int) { out[src] = r.recvView(src, tag) })
 }
 
-// exchange posts one send per listed destination — in rotated order starting
-// after the caller, so the ranks do not all hit the same destination first —
-// and then receives from each listed source by name, nearest predecessor
-// first (the order their sends were posted in). The messages land in out,
-// which arrives all nil.
-func (r *Rank) exchange(out, parts [][]byte, sendTo, recvFrom []int, scratch bool) [][]byte {
+// exchange posts one send per listed destination other than the caller — in
+// rotated order starting after the caller, so the ranks do not all hit the
+// same destination first — and then receives from each listed source other
+// than the caller by name, nearest predecessor first (the order their sends
+// were posted in). send and recv move one message under the exchange's tag;
+// the caller's own part is the caller's to hand back.
+func (r *Rank) exchange(sendTo, recvFrom []int, send, recv func(peer, tag int)) {
 	tag := r.collTag()
-	own := parts[r.rank]
-	if !scratch {
-		own = append([]byte{}, own...)
-	}
-	// The local copy is still charged in scratch mode so both variants keep
-	// identical virtual times.
-	r.CopyCost(int64(len(own)))
-	out[r.rank] = own
 	after, _ := slices.BinarySearch(sendTo, r.rank+1)
 	for i := range sendTo {
-		dst := sendTo[(after+i)%len(sendTo)]
-		switch {
-		case dst == r.rank:
-		case scratch:
-			r.sendScratch(dst, tag, parts[dst])
-		default:
-			r.Send(dst, tag, parts[dst])
+		if dst := sendTo[(after+i)%len(sendTo)]; dst != r.rank {
+			send(dst, tag)
 		}
 	}
 	before, _ := slices.BinarySearch(recvFrom, r.rank)
 	for i := len(recvFrom) - 1; i >= 0; i-- {
-		src := recvFrom[(before+i)%len(recvFrom)]
-		if src != r.rank {
-			out[src], _, _ = r.Recv(src, tag)
+		if src := recvFrom[(before+i)%len(recvFrom)]; src != r.rank {
+			recv(src, tag)
 		}
 	}
-	return out
 }
 
 // Op names a reduction operator.

@@ -11,9 +11,10 @@
 // only where a caller may legitimately reuse its buffer. So Gatherv, Scatterv,
 // AlltoallvScratch and ExchangeScratch deliver by reference — the receiver
 // holds the sender's slice — and GathervView and ScattervView deliver a View,
-// a subarray of a buffer the sender owns, likewise by reference: the block is
-// not packed before it travels, and the receiver copies it once, run by run,
-// to where it goes (View.Pack, View.UnpackTo). Send/Isend, Bcast, Allgatherv,
+// a subarray of a buffer the sender owns or of pieces of a file it was lent,
+// likewise by reference: the block is not packed before it travels, and the
+// receiver copies it once, run by run, to where it goes (View.Pack,
+// View.UnpackTo). Send/Isend, Bcast, Allgatherv,
 // Alltoallv and the reductions clone at post time and hand the buffer
 // straight back (MPI's blocking-send contract, which probes and tests rely
 // on; their payloads are small).
@@ -110,11 +111,20 @@ func (s Subarray) Flatten() []Run {
 	if s.NumElems() == 0 {
 		return nil
 	}
+	return s.AppendRuns(make([]Run, 0, s.NumRuns()), 0)
+}
+
+// NumRuns returns the length of the subarray's run list (Flatten) without
+// building it.
+func (s Subarray) NumRuns() int {
+	if s.NumElems() == 0 {
+		return 0
+	}
 	count := 1
 	for d := 0; d < s.contigFrom()-1; d++ {
 		count *= s.Subsizes[d]
 	}
-	return s.AppendRuns(make([]Run, 0, count), 0)
+	return count
 }
 
 // AppendRuns appends the subarray's run list, every offset shifted by base
@@ -224,39 +234,64 @@ func (s Subarray) ScatterSub(dst, src []byte) {
 }
 
 // View is a read-only payload of the view collectives (ScattervView,
-// GathervView): the elements *Sub selects from Base, a buffer the sender
-// owns — MPI's subarray datatype on the sending side, so a block travels
-// without being packed first. Like a committed MPI datatype, Sub is a
-// handle that many views share and nobody changes; a nil Sub selects all of
-// Base (Packed): a packed block is a view of itself. Wherever a transfer is
-// priced a view counts as its packed size, Bytes, and it falls under the
-// package's write-once rule: nobody writes Base while a view of it is held.
+// GathervView) and of the two-phase exchange (ExchangeScratch): the elements
+// *Sub selects from an array the sender does not pack first — MPI's subarray
+// datatype on the sending side. Like a committed MPI datatype, Sub is a
+// handle that many views share and nobody changes. The array's bytes lie in
+// one of two places:
+//
+//   - Base, a buffer the sender owns; a nil Sub selects all of it (Packed): a
+//     packed block is a view of itself.
+//   - Parts, the lent form: read-only pieces of a larger address space (a
+//     file's bytes, lent by pfs), ascending and disjoint, with Base nil. With
+//     Sub, a part's Off is its place in the array Sub selects from, and the
+//     parts cover at least the selected elements. Without, the receiver
+//     knows which of their bytes it takes, and Len says how many.
+//
+// Wherever a transfer is priced a view counts as its packed size, Bytes, and
+// it falls under the package's write-once rule: nobody writes Base or a part
+// while a view of it is held.
 type View struct {
-	Base []byte
-	Sub  *Subarray
+	Base  []byte
+	Sub   *Subarray
+	Parts []Part
+	Len   int64 // a lent view without Sub: its packed size
+}
+
+// Part is one piece of a lent view: the bytes at offset Off of the address
+// space its view's parts share.
+type Part struct {
+	Off   int64
+	Bytes []byte
 }
 
 // Packed is the view of all of b.
 func Packed(b []byte) View { return View{Base: b} }
 
-func (v View) packed() bool { return v.Sub == nil }
+func (v View) packed() bool { return v.Sub == nil && v.Parts == nil }
 
 // Bytes returns the view's size packed.
 func (v View) Bytes() int64 {
-	if v.packed() {
-		return int64(len(v.Base))
+	switch {
+	case v.Sub != nil:
+		return v.Sub.Bytes()
+	case v.Parts != nil:
+		return v.Len
 	}
-	return v.Sub.Bytes()
+	return int64(len(v.Base))
 }
 
-// check panics unless Sub is a valid subarray of an array that fills Base
-// (programming error, not data error).
+// check panics unless Sub is a valid subarray of an array that fills Base,
+// or of one whose bytes lie in Parts (programming error, not data error).
 func (v View) check() {
-	if v.packed() {
+	if v.Sub == nil {
 		return
 	}
 	if err := v.Sub.Validate(); err != nil {
 		panic(err)
+	}
+	if v.Parts != nil {
+		return
 	}
 	n := int64(v.Sub.ElemSize)
 	for _, d := range v.Sub.Sizes {
@@ -268,28 +303,66 @@ func (v View) check() {
 }
 
 // Pack returns the view's elements back to back: Base itself for a packed
-// view, else a new buffer.
+// view, else a new buffer. A lent view without Sub has no elements of its
+// own to pack and panics.
 func (v View) Pack() []byte {
-	if v.packed() {
+	switch {
+	case v.packed():
 		return v.Base
+	case v.Parts == nil:
+		return v.Sub.GatherSub(v.Base)
+	case v.Sub == nil:
+		panic("mpi: Pack of a lent view without a selection")
 	}
-	return v.Sub.GatherSub(v.Base)
+	dst := make([]byte, v.Sub.Bytes())
+	var p int64
+	i := 0
+	v.Sub.visitRuns(func(r Run) {
+		i = CopyParts(dst[p:p+r.Len], v.Parts, i, r.Off)
+		p += r.Len
+	})
+	return dst
 }
 
 // UnpackTo copies the view's elements into at's place in dst, one copy per
 // run. A packed view lands in any at of its length; a subarray view only
 // where it was cut from — at must select the same block of an array of the
-// same shape — so its runs are copied offset for offset.
+// same shape — so its runs are copied offset for offset, out of Base or out
+// of the parts that hold them.
 func (v View) UnpackTo(dst []byte, at Subarray) {
 	if v.packed() {
 		at.ScatterSub(dst, v.Base)
 		return
 	}
-	if !slices.Equal(v.Sub.Sizes, at.Sizes) || !slices.Equal(v.Sub.Subsizes, at.Subsizes) ||
+	if v.Sub == nil || !slices.Equal(v.Sub.Sizes, at.Sizes) || !slices.Equal(v.Sub.Subsizes, at.Subsizes) ||
 		!slices.Equal(v.Sub.Starts, at.Starts) || v.Sub.ElemSize != at.ElemSize {
-		panic(fmt.Sprintf("mpi: view of %+v unpacked to %+v", *v.Sub, at))
+		panic(fmt.Sprintf("mpi: view of %+v unpacked to %+v", v.Sub, at))
 	}
-	at.visitRuns(func(r Run) { copy(dst[r.Off:r.Off+r.Len], v.Base[r.Off:r.Off+r.Len]) })
+	if v.Parts == nil {
+		at.visitRuns(func(r Run) { copy(dst[r.Off:r.Off+r.Len], v.Base[r.Off:r.Off+r.Len]) })
+		return
+	}
+	i := 0
+	at.visitRuns(func(r Run) { i = CopyParts(dst[r.Off:r.Off+r.Len], v.Parts, i, r.Off) })
+}
+
+// CopyParts fills dst with the bytes at offset off of the address space
+// parts share, searching from parts[i] on, and returns the index of the part
+// that held dst's last byte: where a search for a later offset starts, so a
+// caller copying ascending ranges walks the parts once. It panics if the
+// parts do not hold every byte of the range.
+func CopyParts(dst []byte, parts []Part, i int, off int64) int {
+	for len(dst) > 0 {
+		for i < len(parts) && off >= parts[i].Off+int64(len(parts[i].Bytes)) {
+			i++
+		}
+		if i == len(parts) || off < parts[i].Off {
+			panic(fmt.Sprintf("mpi: no lent part holds offset %d", off))
+		}
+		n := copy(dst, parts[i].Bytes[off-parts[i].Off:])
+		dst, off = dst[n:], off+int64(n)
+	}
+	return i
 }
 
 // BlockDecompose3D splits a 3-D domain of extent dims (ordered z,y,x) into

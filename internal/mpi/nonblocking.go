@@ -61,7 +61,7 @@ func (q *Request) Wait() (data []byte, fromSrc, fromTag int) {
 		if m := r.takeMatch(q.src, q.tag, math.Inf(1)); m != nil {
 			r.proc.AdvanceTo(m.arrival)
 			q.done = true
-			q.data, q.fromSrc, q.fromTag = m.data, m.src, m.tag
+			q.data, q.fromSrc, q.fromTag = m.payload.Base, m.src, m.tag
 			r.world.putMsg(m)
 			return q.data, q.fromSrc, q.fromTag
 		}
@@ -92,7 +92,7 @@ func (q *Request) Test() bool {
 	}
 	if m := q.r.takeMatch(q.src, q.tag, q.r.Now()); m != nil {
 		q.done = true
-		q.data, q.fromSrc, q.fromTag = m.data, m.src, m.tag
+		q.data, q.fromSrc, q.fromTag = m.payload.Base, m.src, m.tag
 		q.r.world.putMsg(m)
 		return true
 	}

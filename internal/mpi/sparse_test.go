@@ -157,13 +157,13 @@ func TestExchangeScratchMovesListedPairsOnly(t *testing.T) {
 		runWorld(t, np, func(r *Rank) {
 			me := r.Rank()
 			var sendTo, recvFrom []int
-			parts := make([][]byte, np)
-			parts[me] = []byte{byte(me), 0xee}
+			parts := make([]View, np)
+			parts[me] = Packed([]byte{byte(me), 0xee})
 			for _, h := range hops {
 				if d := (me + h) % np; !slices.Contains(sendTo, d) {
 					sendTo = append(sendTo, d)
 					if d != me && h == 1 { // the h=3 parts stay empty: listed, but nothing to say
-						parts[d] = []byte{byte(me), byte(d)}
+						parts[d] = Packed([]byte{byte(me), byte(d)})
 					}
 				}
 				if s := (me - h%np + np) % np; !slices.Contains(recvFrom, s) {
@@ -173,9 +173,9 @@ func TestExchangeScratchMovesListedPairsOnly(t *testing.T) {
 			slices.Sort(sendTo)
 			slices.Sort(recvFrom)
 			before := r.MsgsSent()
-			got := make([][]byte, np) // the caller's, with a previous exchange's leftovers
+			got := make([]View, np) // the caller's, with a previous exchange's leftovers
 			for i := range got {
-				got[i] = []byte{0xff}
+				got[i] = Packed([]byte{0xff})
 			}
 			r.ExchangeScratch(got, parts, sendTo, recvFrom)
 			remote := int64(len(sendTo))
@@ -189,12 +189,12 @@ func TestExchangeScratchMovesListedPairsOnly(t *testing.T) {
 				var want []byte
 				switch {
 				case s == me:
-					want = parts[me]
+					want = parts[me].Base
 				case np > 1 && s == (me-1+np)%np:
 					want = []byte{byte(s), byte(me)}
 				}
-				if string(got[s]) != string(want) {
-					bad[me] = fmt.Sprintf("from %d got %v, want %v", s, got[s], want)
+				if string(got[s].Base) != string(want) {
+					bad[me] = fmt.Sprintf("from %d got %v, want %v", s, got[s].Base, want)
 				}
 			}
 		})
@@ -244,13 +244,13 @@ func BenchmarkExchangeScratch(b *testing.B) {
 				clients = append(clients, s)
 			}
 		}
-		msg := bytes.Repeat([]byte{byte(me)}, part)
-		reqs, replies := make([][]byte, np), make([][]byte, np)
+		msg := Packed(bytes.Repeat([]byte{byte(me)}, part))
+		reqs, replies := make([]View, np), make([]View, np)
 		reqs[agg[0]] = msg
 		for _, s := range clients {
 			replies[s] = msg
 		}
-		heard, got := make([][]byte, np), make([][]byte, np)
+		heard, got := make([]View, np), make([]View, np)
 		r.Barrier()
 		if me == 0 {
 			b.ResetTimer()

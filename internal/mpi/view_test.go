@@ -177,3 +177,114 @@ func viewPayloadAllocation(t *testing.T) {
 		t.Errorf("packed: %d more bytes allocated for %d more payload bytes: the measure misses a copy", grow, payload)
 	}
 }
+
+// cutParts cuts b into parts of the given sizes, cycled, each at its offset
+// in b: a lent array as a store holds it, in pieces of whatever lengths its
+// writes had.
+func cutParts(b []byte, sizes ...int) []Part {
+	var parts []Part
+	for off, i := 0, 0; off < len(b); i++ {
+		n := min(sizes[i%len(sizes)], len(b)-off)
+		parts = append(parts, Part{Off: int64(off), Bytes: b[off : off+n : off+n]})
+		off += n
+	}
+	return parts
+}
+
+// TestLentViewIsItsParts: a lent view packs and unpacks to exactly what a
+// view of the whole array does, whatever lengths its parts have — runs
+// inside one part, runs spanning several — and with only the parts that
+// hold its block: bytes outside the selection are never read.
+func TestLentViewIsItsParts(t *testing.T) {
+	base, subs := viewArray([3]int{6, 10, 14}, 8)
+	for _, sizes := range [][]int{{len(base)}, {1}, {7, 300, 13}, {56}, {57, 55}} {
+		all := cutParts(base, sizes...)
+		for r := range subs {
+			sub := &subs[r]
+			want := sub.GatherSub(base)
+			// Keep only the parts a run of the block touches.
+			var held []Part
+			for _, p := range all {
+				for _, run := range sub.Flatten() {
+					if p.Off < run.Off+run.Len && run.Off < p.Off+int64(len(p.Bytes)) {
+						held = append(held, p)
+						break
+					}
+				}
+			}
+			for _, parts := range [][]Part{all, held} {
+				v := View{Sub: sub, Parts: parts}
+				if v.Bytes() != sub.Bytes() {
+					t.Fatalf("sizes %v rank %d: a lent view is %d bytes, its block %d", sizes, r, v.Bytes(), sub.Bytes())
+				}
+				if got := v.Pack(); !bytes.Equal(got, want) {
+					t.Fatalf("sizes %v rank %d: Pack of the lent view differs from GatherSub", sizes, r)
+				}
+				dst := make([]byte, len(base))
+				v.UnpackTo(dst, *sub)
+				ref := make([]byte, len(base))
+				sub.ScatterSub(ref, want)
+				if !bytes.Equal(dst, ref) {
+					t.Fatalf("sizes %v rank %d: UnpackTo of the lent view differs from ScatterSub", sizes, r)
+				}
+			}
+		}
+	}
+}
+
+// A lent view must hold every byte its selection asks for: a missing part
+// is a programming error, named by the offset nobody holds.
+func TestCopyPartsPanicsOnAGap(t *testing.T) {
+	parts := []Part{{Off: 0, Bytes: make([]byte, 8)}, {Off: 12, Bytes: make([]byte, 8)}}
+	defer func() {
+		if r := recover(); r != "mpi: no lent part holds offset 8" {
+			t.Fatalf("recovered %v", r)
+		}
+	}()
+	CopyParts(make([]byte, 10), parts, 0, 4)
+}
+
+// TestExchangeChargesLentViewsAtLen: a lent view without a selection travels
+// by reference and is charged its Len, as a packed buffer of that length is:
+// the same clocks, bytes sent and span bytes.
+func TestExchangeChargesLentViewsAtLen(t *testing.T) {
+	const np, n = 4, 3000
+	payload := bytes.Repeat([]byte{7}, 2*n)
+	run := func(lent bool) (string, [np][]Part) {
+		var got [np][]Part
+		now, sent := make([]float64, np), make([]int64, np)
+		tr := obs.NewTracer()
+		eng := sim.NewEngine()
+		NewWorld(eng, machine.New(testConfig(np, 1)), np, func(r *Rank) {
+			tr.Attach(r.Proc(), r.Rank())
+			parts, out := make([]View, np), make([]View, np)
+			dst := (r.Rank() + 1) % np
+			if lent {
+				parts[dst] = View{Parts: []Part{{Off: 0, Bytes: payload}}, Len: n}
+			} else {
+				parts[dst] = Packed(payload[:n])
+			}
+			r.ExchangeScratch(out, parts, []int{dst}, []int{(r.Rank() + np - 1) % np})
+			got[r.Rank()] = out[(r.Rank()+np-1)%np].Parts
+			now[r.Rank()], sent[r.Rank()] = r.Now(), r.BytesSent()
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var spans []string
+		for _, sp := range tr.Spans() {
+			spans = append(spans, fmt.Sprintf("%s:%d", sp.Name, sp.Bytes))
+		}
+		return fmt.Sprintf("now %v sent %v events %d spans %v", now, sent, eng.Events(), spans), got
+	}
+	packed, _ := run(false)
+	lent, got := run(true)
+	if lent != packed {
+		t.Errorf("a lent view of Len %d is charged differently from %d packed bytes:\n lent   %s\n packed %s", n, n, lent, packed)
+	}
+	for r, parts := range got {
+		if len(parts) != 1 || &parts[0].Bytes[0] != &payload[0] {
+			t.Errorf("rank %d did not receive the sender's parts by reference", r)
+		}
+	}
+}

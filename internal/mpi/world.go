@@ -44,7 +44,7 @@ func (w *World) getMsg() *message {
 // putMsg returns a consumed envelope to the free list. The payload slice
 // now belongs to the receiver, so the reference is dropped here.
 func (w *World) putMsg(m *message) {
-	m.data, m.sub = nil, nil
+	m.payload = View{}
 	w.msgFree = append(w.msgFree, m)
 }
 
@@ -139,8 +139,7 @@ func Simulate(cfg machine.Config, nprocs int, body func(r *Rank)) (makespan floa
 // message is an in-flight or delivered point-to-point message.
 type message struct {
 	src, tag int
-	data     []byte
-	sub      *Subarray // a view's selection of data; nil when data is the payload
+	payload  View // as sent; a plain message's is packed (Base alone)
 	arrival  float64
 	seq      int64 // global insertion order, for deterministic matching
 }
@@ -252,8 +251,8 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 // the aliasing contract callers must uphold.
 func (r *Rank) sendScratch(dst, tag int, data []byte) { r.sendView(dst, tag, Packed(data)) }
 
-// sendView is sendScratch for a view: the receiver gets Base and Sub as
-// sent, and the transfer is charged at the view's packed size.
+// sendView is sendScratch for a view: the receiver gets the view as sent,
+// and the transfer is charged at its packed size.
 func (r *Rank) sendView(dst, tag int, v View) {
 	r.proc.AdvanceTo(r.postRef(dst, tag, v))
 }
@@ -285,7 +284,7 @@ func (r *Rank) postRef(dst, tag int, payload View) (senderFree float64) {
 	target := r.world.ranks[dst]
 	target.msgSeq++
 	m := r.world.getMsg()
-	*m = message{src: r.rank, tag: tag, data: payload.Base, sub: payload.Sub, arrival: arrival, seq: target.msgSeq}
+	*m = message{src: r.rank, tag: tag, payload: payload, arrival: arrival, seq: target.msgSeq}
 	target.inbox = append(target.inbox, m)
 	if target.hasWaiting && matches(target.waiting, m) {
 		target.hasWaiting = false
@@ -300,7 +299,7 @@ func (r *Rank) postRef(dst, tag int, payload View) (senderFree float64) {
 // sequence number) is delivered, so matching is deterministic.
 func (r *Rank) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 	m := r.await(src, tag)
-	data, fromSrc, fromTag = m.data, m.src, m.tag
+	data, fromSrc, fromTag = m.payload.Base, m.src, m.tag
 	r.world.putMsg(m)
 	return data, fromSrc, fromTag
 }
@@ -308,7 +307,7 @@ func (r *Rank) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 // recvView is Recv for the view collectives: the payload as it was sent.
 func (r *Rank) recvView(src, tag int) View {
 	m := r.await(src, tag)
-	v := View{Base: m.data, Sub: m.sub}
+	v := m.payload
 	r.world.putMsg(m)
 	return v
 }

@@ -124,10 +124,19 @@ func unionCase(rng *rand.Rand) [][]byte {
 	return msgs
 }
 
+// views wraps wire messages as the exchange delivers them.
+func views(msgs [][]byte) []mpi.View {
+	vs := make([]mpi.View, len(msgs))
+	for i, m := range msgs {
+		vs[i] = mpi.Packed(m)
+	}
+	return vs
+}
+
 func checkUnion(t testing.TB, sc *fileScratch, msgs [][]byte) {
 	t.Helper()
 	sc.i64s.reset()
-	sc.extentUnion(msgs)
+	sc.extentUnion(views(msgs))
 	if want := sortThenUnion(msgs); !slices.Equal(sc.extents, want) {
 		t.Fatalf("extentUnion over %d messages = %v, sort-then-union = %v", len(msgs), sc.extents, want)
 	}
@@ -151,7 +160,7 @@ func TestExtentUnionRejectsDescendingList(t *testing.T) {
 			t.Fatalf("recovered %v", r)
 		}
 	}()
-	new(fileScratch).extentUnion([][]byte{pieceMsg([]mpi.Run{{Off: 100, Len: 10}, {Off: 0, Len: 10}})})
+	new(fileScratch).extentUnion(views([][]byte{pieceMsg([]mpi.Run{{Off: 100, Len: 10}, {Off: 0, Len: 10}})}))
 }
 
 // FuzzExtentUnion derives up to 64 ascending lists from the input — two
@@ -250,7 +259,8 @@ func TestSweepMatchesIntersectInto(t *testing.T) {
 			for ag := 0; ag < naggs; ag++ {
 				dLo, dHi := domain(lo, hi, naggs, ag)
 				offs, lens, bpos := intersectInto(runs, bufOff, dLo, dHi)
-				msg, count, total := sw.next(&a, dLo, dHi, payload)
+				m, count, total := sw.next(&a, dLo, dHi, payload)
+				msg := m.Base
 				var wantPieces []mpi.Run
 				var wantBytes []byte
 				for p := range offs {
@@ -429,7 +439,7 @@ func BenchmarkExtentUnion(b *testing.B) {
 		joined bool
 	}{{"bbb-64x256", true}, {"never-coalesce-64x256", false}} {
 		b.Run(bc.name, func(b *testing.B) {
-			msgs := bbbUnionMsgs(bc.joined)
+			msgs := views(bbbUnionMsgs(bc.joined))
 			var sc fileScratch
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

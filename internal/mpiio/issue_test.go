@@ -158,6 +158,7 @@ type accessKind struct {
 type share struct {
 	off        int64
 	runs       []mpi.Run
+	sel        mpi.Subarray // the interleaved view as a 2-D block: runs at file offset 0
 	offs, lens []int64
 	data       []byte // len == per-rank bytes, the same for all addressings
 }
@@ -195,13 +196,13 @@ var accessKinds = []accessKind{
 	{"at-all-into",
 		func(f *File, behind bool, s share) *Pending { return f.IssueWriteAtAll(behind, s.runs, s.data) },
 		func(f *File, behind bool, s share, buf []byte) *Pending {
-			var out []byte
-			p := f.IssueReadAtAllInto(behind, s.runs, &out)
+			var out mpi.View
+			p := f.IssueReadAtAllInto(behind, &s.sel, 0, &out)
 			if p == nil {
-				copy(buf, out)
+				copy(buf, out.Pack())
 				return nil
 			}
-			return p.Then(func() { copy(buf, out) })
+			return p.Then(func() { copy(buf, out.Pack()) })
 		}},
 }
 
@@ -220,6 +221,8 @@ func TestIssueModesEquivalent(t *testing.T) {
 	shareOf := func(rank int) share {
 		s := share{off: int64(rank) * per, data: pattern(rank, per)}
 		s.runs = interleavedRuns(0, nprocs*per, block, nprocs, rank)
+		s.sel = mpi.Subarray{Sizes: []int{per / block, nprocs * block}, Subsizes: []int{per / block, block},
+			Starts: []int{0, rank * block}, ElemSize: 1}
 		// The list is the view's blocks split in two and visited back to
 		// front: unsorted, and every pair file-adjacent.
 		for i := len(s.runs) - 1; i >= 0; i-- {
@@ -335,7 +338,7 @@ func BenchmarkTwoPhase(b *testing.B) {
 					mpi.NewWorld(eng, mach, nprocs, func(r *mpi.Rank) {
 						sub := mpi.BlockDecompose3D([3]int{N, N, N}, pz, py, px, r.Rank(), elem)
 						runs, data := sub.Flatten(), pattern(r.Rank(), int(sub.Bytes()))
-						var out []byte // read-into's destination, allocated before the timer starts
+						var out mpi.View // read-into's destination
 						pieces[r.Rank()] = len(runs)
 						f, err := Open(r, fs, "bbb.dat", ModeCreate, DefaultHints())
 						if err != nil {
@@ -355,7 +358,7 @@ func BenchmarkTwoPhase(b *testing.B) {
 							case "read":
 								p = f.IssueReadAtAll(behind, runs, data)
 							case "read-into":
-								p = f.IssueReadAtAllInto(behind, runs, &out)
+								p = f.IssueReadAtAllInto(behind, &sub, 0, &out)
 							}
 							if behind {
 								p.Wait()
@@ -380,24 +383,29 @@ func BenchmarkTwoPhase(b *testing.B) {
 
 // TestReadIntoAllocatesOnlyTheBuffer pins what the reader-allocated forms
 // cost the heap, against the fill forms on the same steady-state world: a
-// two-phase read into a buffer of the read's own makes one allocation per
-// rank — the buffer, joined from the replies — and a lend read of a range
-// inside one extent makes none (the piece list lives in the handle's
-// scratch). Only the measured loop is counted, between two barriers, with
-// the collector off: what a collection leads the runtime to allocate again
-// is not the read's.
+// two-phase read into a view makes one allocation per rank — the view's part
+// list; the aggregators copy nothing and the replies are references — and a
+// lend read of a range inside one extent makes none (the piece list lives in
+// the handle's scratch). What the read into a view allocates does not grow
+// with its payload: 3 MiB and 3 KiB a rank allocate within 64 KiB of each
+// other. Only the measured loop is counted, between two barriers, with the
+// collector off: what a collection leads the runtime to allocate again is
+// not the read's.
 func TestReadIntoAllocatesOnlyTheBuffer(t *testing.T) {
-	const N, elem, np, ops = 32, 4, 8, 5
+	const elem, np, ops = 4, 8, 5
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pz, py, px := mpi.ProcGrid3D(np)
-	allocs := func(form string) uint64 {
+	// measure returns the allocations and bytes ops reads of one form make
+	// over the (Block,Block,Block) view of a dims array.
+	measure := func(form string, dims [3]int) (mallocs, allocated uint64) {
 		var before, after runtime.MemStats
 		eng := sim.NewEngine()
 		mach := machine.New(machine.Cluster1024())
 		fs := pfs.NewPVFS(mach, pfs.DefaultPVFS())
 		mpi.NewWorld(eng, mach, np, func(r *mpi.Rank) {
-			runs := mpi.BlockDecompose3D([3]int{N, N, N}, pz, py, px, r.Rank(), elem).Flatten()
-			buf, out := pattern(r.Rank(), int(mpi.TotalLen(runs))), []byte(nil)
+			sub := mpi.BlockDecompose3D(dims, pz, py, px, r.Rank(), elem)
+			runs := sub.Flatten()
+			buf, out := pattern(r.Rank(), int(mpi.TotalLen(runs))), mpi.View{}
 			f, err := Open(r, fs, "bbb.dat", ModeCreate, DefaultHints())
 			if err != nil {
 				panic(err)
@@ -405,7 +413,7 @@ func TestReadIntoAllocatesOnlyTheBuffer(t *testing.T) {
 			f.WriteAtAll(runs, buf)
 			for range 2 { // warm the scratch for every form
 				f.ReadAtAll(runs, buf)
-				f.IssueReadAtAllInto(false, runs, &out)
+				f.IssueReadAtAllInto(false, &sub, 0, &out)
 				f.ReadAt(buf[:1<<10], 0)
 				f.IssueLendAt(false, 1<<10, 0)
 			}
@@ -418,7 +426,7 @@ func TestReadIntoAllocatesOnlyTheBuffer(t *testing.T) {
 				case "fill":
 					f.ReadAtAll(runs, buf)
 				case "into":
-					f.IssueReadAtAllInto(false, runs, &out)
+					f.IssueReadAtAllInto(false, &sub, 0, &out)
 				case "read-at":
 					f.ReadAt(buf[:1<<10], 0)
 				case "lend":
@@ -429,18 +437,32 @@ func TestReadIntoAllocatesOnlyTheBuffer(t *testing.T) {
 			if r.Rank() == 0 {
 				runtime.ReadMemStats(&after)
 			}
+			if form == "into" && !bytes.Equal(out.Pack(), pattern(r.Rank(), len(buf))) {
+				panic(fmt.Sprintf("rank %d: the view holds other bytes than the rank wrote", r.Rank()))
+			}
 			f.Close()
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return after.Mallocs - before.Mallocs
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
-	if fill, into := allocs("fill"), allocs("into"); into-fill != np*ops {
-		t.Errorf("%d two-phase reads into a new buffer on %d ranks made %d allocations more than into the caller's, want %d",
+	cube := [3]int{32, 32, 32}
+	fill, _ := measure("fill", cube)
+	if into, _ := measure("into", cube); into-fill != np*ops {
+		t.Errorf("%d two-phase reads into a view on %d ranks made %d allocations more than into the caller's buffer, want %d",
 			ops, np, into-fill, np*ops)
 	}
-	if readAt, lend := allocs("read-at"), allocs("lend"); lend != readAt {
+	readAt, _ := measure("read-at", cube)
+	if lend, _ := measure("lend", cube); lend != readAt {
 		t.Errorf("%d single-extent lend reads on %d ranks made %d allocations, ReadAt %d: want as many", ops, np, lend, readAt)
 	}
+	t.Run("payload-independent", func(t *testing.T) {
+		// 96x256x256 and 6x32x32 float32s over 8 ranks: 3 MiB and 3 KiB each.
+		_, big := measure("into", [3]int{96, 256, 256})
+		_, small := measure("into", [3]int{6, 32, 32})
+		if diff := int64(big) - int64(small); diff > 64<<10 || diff < -64<<10 {
+			t.Errorf("%d reads into a view of 3 MiB a rank allocated %d bytes, of 3 KiB %d: want within 64 KiB", ops, big, small)
+		}
+	})
 }

@@ -20,12 +20,16 @@
 // The two-phase aggregator is one path, run in either direction: a rank cuts
 // its runs at the file-domain boundaries in one pass (sweep); an aggregator
 // takes the coalesced union of the extents its partners named by merging
-// their header lists pairwise (extentUnion), gives each extent a buffer, and
-// moves every piece between its message and its offset within its extent
-// (transfer) — no piece is decoded into a record, sorted, or staged in a
-// second buffer — then reads or writes the extents in CBBufferSize chunks
-// (issueExtents). All of it works in a scratch bundle that belongs to the
-// rank (fileScratch).
+// their header lists pairwise (extentUnion) and moves the extents in
+// CBBufferSize chunks — no piece is decoded into a record, sorted, or staged
+// in a second buffer. A write aggregator gives each extent a buffer, places
+// every piece at its offset within its extent (transfer) and writes the
+// extents out (issueExtents). A read aggregator copies nothing: the store
+// lends it the extents (pfs.Lend), and it answers every request with
+// references to the lent pieces (an mpi.View of its parts), so a reader
+// copies each byte once — into its buffer, or, reading into a view, not at
+// all until the block reaches its owner. All of it works in a scratch bundle
+// that belongs to the rank (fileScratch).
 package mpiio
 
 import (
@@ -141,28 +145,32 @@ type File struct {
 // garbage collection empties it mid-run, and after a run every bundle ever
 // made is on some rank's list — a count, not a hope.
 type fileScratch struct {
-	scratch arena[byte]  // wire messages and the aggregator's extent buffers
+	scratch arena[byte]  // wire messages and the write aggregator's extent buffers
 	i64s    arena[int64] // sieving offsets, reply expectations, the merge tree's lists
 	dsBuf   []byte       // ReadRuns sieving buffer (cap DSBufferSize)
 	spans   []span       // accessRange's non-empty extents, sorted for the interleaving check
+	runs    []mpi.Run    // IssueReadAtAllInto's block as file runs, dead once the requests are out
 	lent    pfs.Lend     // a lend read's request and the pieces it was lent
 
-	// The two-phase exchange, one slot per rank each, cleared at every entry
-	// (a previous collective had other partners). What a rank received must
-	// outlive the I/O phase — until Wait, when behind — so the two receiving
-	// sides of a read never share a holder.
-	send     [][]byte // this rank's messages: pieces (write) or requests (read)
-	recvd    [][]byte // what the aggregator heard: pieces to place, or requests to answer
-	replies  [][]byte // read: the aggregator's answers
-	got      [][]byte // read: the answers this rank received
-	parts    [][]byte // read into a buffer of its own: the answers' payloads, in buffer order
-	sendTo   []int    // two-phase partner lists (see partners)
+	// The two-phase exchange, one slot per rank each. What a rank sends is
+	// cleared at every entry (a previous collective had other partners, and
+	// the exchange hands a rank its own slot whether it is listed or not);
+	// what it receives is cleared by the exchange that fills it. What a rank
+	// received must outlive the I/O phase — until Wait, when behind — so the
+	// two receiving sides of a read never share a holder.
+	send     []mpi.View // this rank's messages: pieces (write) or requests (read)
+	recvd    []mpi.View // what the aggregator heard: pieces to place, or requests to answer
+	replies  []mpi.View // read: the aggregator's answers, references into extLent
+	got      []mpi.View // read: the answers this rank received
+	sendTo   []int      // two-phase partner lists (see partners)
 	recvFrom []int
 
 	// The aggregator's side of the I/O phase, rebuilt by extentUnion and
-	// allocExtents whenever this rank is one; nobody else looks.
-	extents []mpi.Run // coalesced union of every extent named in recvd
-	extData [][]byte  // extData[i] holds the bytes of extents[i], in scratch
+	// allocExtents or readRequested whenever this rank is one; nobody else
+	// looks, but readers hold views of extLent until the trailing barrier.
+	extents []mpi.Run  // coalesced union of every extent named in recvd
+	extData [][]byte   // write: extData[i] holds the bytes of extents[i], in scratch
+	extLent []mpi.Part // read: the pieces the store lent for the extents, at their file offsets
 }
 
 // takeScratch pops a bundle off r's free list, or makes the rank a new one.
@@ -629,7 +637,7 @@ type sweep struct {
 // visited once, and that is where the view contract is enforced: a run that
 // starts before its predecessor ends would be cut wrongly by everything
 // downstream (accessRange trusts runs[0] and the last run for the extent).
-func (sw *sweep) next(a *arena[byte], dLo, dHi int64, data []byte) (msg []byte, count int, bytes int64) {
+func (sw *sweep) next(a *arena[byte], dLo, dHi int64, data []byte) (msg mpi.View, count int, bytes int64) {
 	first, j := sw.i, sw.i
 	for ; j < len(sw.runs) && sw.runs[j].Off < dHi; j++ {
 		run := sw.runs[j]
@@ -649,26 +657,27 @@ func (sw *sweep) next(a *arena[byte], dLo, dHi int64, data []byte) (msg []byte, 
 		sw.i = j - 1 // the last run goes on into the next domain
 	}
 	if count == 0 {
-		return nil, 0, 0
+		return mpi.View{}, 0, 0
 	}
 	hdr := 4 + 16*count
+	var b []byte
 	if data == nil {
-		msg = a.alloc(hdr)
+		b = a.alloc(hdr)
 	} else {
-		msg = a.alloc(hdr + int(bytes))
-		copy(msg[hdr:], data[sw.pos:sw.pos+bytes])
+		b = a.alloc(hdr + int(bytes))
+		copy(b[hdr:], data[sw.pos:sw.pos+bytes])
 	}
-	binary.LittleEndian.PutUint32(msg, uint32(count))
+	binary.LittleEndian.PutUint32(b, uint32(count))
 	p := 4
 	for _, run := range sw.runs[first:j] {
 		if s, e := max64(run.Off, dLo), min64(run.Off+run.Len, dHi); s < e {
-			binary.LittleEndian.PutUint64(msg[p:], uint64(s))
-			binary.LittleEndian.PutUint64(msg[p+8:], uint64(e-s))
+			binary.LittleEndian.PutUint64(b[p:], uint64(s))
+			binary.LittleEndian.PutUint64(b[p+8:], uint64(e-s))
 			p += 16
 		}
 	}
 	sw.pos += bytes
-	return msg, count, bytes
+	return mpi.Packed(b), count, bytes
 }
 
 // finish checks, after the last domain, that every byte of the view fell
@@ -692,14 +701,13 @@ func bufPrefixInto(bufOff []int64, runs []mpi.Run) []int64 {
 	return bufOff
 }
 
-// cleared returns s with n nil entries, reusing its backing array.
-func cleared(s [][]byte, n int) [][]byte {
+// sized returns s with n entries, reusing its backing array; the entries it
+// keeps hold what they held.
+func sized(s []mpi.View, n int) []mpi.View {
 	if cap(s) < n {
-		return make([][]byte, n)
+		return make([]mpi.View, n)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	return s[:n]
 }
 
 // twoPhaseScratch returns the scratch bundle a two-phase operation works
@@ -719,8 +727,10 @@ func (f *File) twoPhaseScratch(behind bool) *fileScratch {
 	sc.scratch.reset()
 	sc.i64s.reset()
 	size := f.r.Size()
-	sc.send, sc.recvd = cleared(sc.send, size), cleared(sc.recvd, size)
-	sc.replies, sc.got = cleared(sc.replies, size), cleared(sc.got, size)
+	sc.send, sc.recvd = sized(sc.send, size), sized(sc.recvd, size)
+	sc.replies, sc.got = sized(sc.replies, size), sized(sc.got, size)
+	clear(sc.send)
+	clear(sc.replies)
 	return sc
 }
 
@@ -829,11 +839,11 @@ func (f *File) IssueWriteAtAll(behind bool, runs []mpi.Run, data []byte) *Pendin
 // (Block,Block,Block) view, so their rows join at the first levels and the
 // lists shrink many times over before the merges get wide: O(n) then,
 // O(n log k) sequential reads and writes for k lists that never join.
-func (sc *fileScratch) extentUnion(msgs [][]byte) {
+func (sc *fileScratch) extentUnion(msgs []mpi.View) {
 	sc.extents = sc.extents[:0]
 	n := 0
 	for _, msg := range msgs {
-		n += pieceCount(msg)
+		n += pieceCount(msg.Base)
 	}
 	if n == 0 {
 		return
@@ -843,7 +853,8 @@ func (sc *fileScratch) extentUnion(msgs [][]byte) {
 	sc.i64s.reserve(4*n + len(msgs))
 	cur, next, ends := sc.i64s.alloc(2*n), sc.i64s.alloc(2*n), sc.i64s.alloc(len(msgs))
 	w, k := 0, 0
-	for _, msg := range msgs {
+	for _, m := range msgs {
+		msg := m.Base
 		count := pieceCount(msg)
 		if count == 0 {
 			continue
@@ -930,42 +941,34 @@ func mergeUnion(dst []int64, w int, a, b []int64) int {
 }
 
 // allocExtents gives every extent its buffer in arena scratch, uninitialized:
-// a read fills it whole, and a write's pieces cover it exactly. The arena
-// makes room for them and for the `more` bytes the caller will want after
-// them in one step.
-func (sc *fileScratch) allocExtents(more int64) {
-	sc.scratch.reserve(int(mpi.TotalLen(sc.extents) + more))
+// a write's pieces cover it exactly.
+func (sc *fileScratch) allocExtents() {
+	sc.scratch.reserve(int(mpi.TotalLen(sc.extents)))
 	sc.extData = sc.extData[:0]
 	for _, ext := range sc.extents {
 		sc.extData = append(sc.extData, sc.scratch.alloc(int(ext.Len)))
 	}
 }
 
-// issueExtents sends every extent to the device, one request per
-// CBBufferSize chunk from the extent's start. A written chunk is cloned
-// first: pfs keeps the buffer it is given (DESIGN.md §13), and the extents
-// lie in the rank's arena, which the next collective overwrites.
-func (sc *fileScratch) issueExtents(is *issuer, write bool) {
+// issueExtents writes every extent to the device, one request per
+// CBBufferSize chunk from the extent's start. Each chunk is cloned first: pfs
+// keeps the buffer it is given (DESIGN.md §13), and the extents lie in the
+// rank's arena, which the next collective overwrites.
+func (sc *fileScratch) issueExtents(is *issuer) {
 	cb := is.f.hints.CBBufferSize
 	for i, ext := range sc.extents {
 		for base := int64(0); base < ext.Len; base += cb {
 			n := min64(cb, ext.Len-base)
-			chunk := sc.extData[i][base : base+n]
-			if write {
-				chunk = bytes.Clone(chunk)
-			}
-			is.do(pfs.Req{Write: write, Buf: chunk, Off: ext.Off + base})
+			is.write(bytes.Clone(sc.extData[i][base:base+n]), ext.Off+base)
 		}
 	}
 }
 
-// transfer moves the pieces one message names between the extent buffers and
-// payload, where they lie back to back in header order: into the extents
-// when place is set (a write aggregator assembling what it received), out of
-// them otherwise (a read aggregator filling a reply). Headers and extents
-// both ascend, so the containing extent is a cursor that only moves forward.
-// It returns the bytes moved.
-func (sc *fileScratch) transfer(msg, payload []byte, place bool) int64 {
+// transfer places the pieces one message names into the extent buffers, out
+// of payload, where they lie back to back in header order. Headers and
+// extents both ascend, so the containing extent is a cursor that only moves
+// forward. It returns the bytes placed.
+func (sc *fileScratch) transfer(msg, payload []byte) int64 {
 	ei, dp := 0, int64(0)
 	for hp, end := 4, 4+16*pieceCount(msg); hp < end; hp += 16 {
 		off, n := pieceAt(msg, hp)
@@ -976,12 +979,7 @@ func (sc *fileScratch) transfer(msg, payload []byte, place bool) int64 {
 			panic("mpiio: piece outside the aggregator's extents")
 		}
 		at := off - sc.extents[ei].Off
-		in := sc.extData[ei][at : at+n]
-		if place {
-			copy(in, payload[dp:dp+n])
-		} else {
-			copy(payload[dp:dp+n], in)
-		}
+		copy(sc.extData[ei][at:at+n], payload[dp:dp+n])
 		dp += n
 	}
 	return dp
@@ -997,11 +995,11 @@ func (f *File) writeReceived(is *issuer, sc *fileScratch) int64 {
 	if len(sc.extents) == 0 {
 		return 0
 	}
-	sc.allocExtents(0)
+	sc.allocExtents()
 	var assembled int64
-	for _, msg := range sc.recvd {
-		if count := pieceCount(msg); count > 0 {
-			assembled += sc.transfer(msg, msg[4+16*count:], true)
+	for _, m := range sc.recvd {
+		if count := pieceCount(m.Base); count > 0 {
+			assembled += sc.transfer(m.Base, m.Base[4+16*count:])
 		}
 	}
 	// The pieces cover the union; if they add up to more, two of them cover
@@ -1012,34 +1010,50 @@ func (f *File) writeReceived(is *issuer, sc *fileScratch) int64 {
 		panic(fmt.Sprintf("mpiio: overlapping collective write at [%d, %d)", off, off+n))
 	}
 	f.r.CopyCost(assembled) // pack into the collective buffer
-	sc.issueExtents(is, true)
+	sc.issueExtents(is)
 	return assembled
 }
 
-// readRequested is the aggregator half of a two-phase read's I/O phase,
-// writeReceived run the other way: the union of the requested extents, read
-// into their buffers, from which replyAndPlace answers. It returns the bytes
-// read.
+// readRequested is the aggregator half of a two-phase read's I/O phase: the
+// union of the requested extents, lent by the store one CBBufferSize chunk
+// at a time — the requests a read into a buffer would make — and kept as
+// parts at their file offsets (sc.extLent), which replyAndPlace answers
+// from by reference. It returns the bytes read.
 func (f *File) readRequested(is *issuer, sc *fileScratch) int64 {
 	sc.extentUnion(sc.recvd)
-	// The replies will repeat the requests' headers and, unless ranks read
-	// the same bytes, carry the extents' bytes once more.
-	replies := mpi.TotalLen(sc.extents)
-	for _, req := range sc.recvd {
-		replies += int64(len(req))
+	sc.extLent = sc.extLent[:0]
+	cb := f.hints.CBBufferSize
+	for _, ext := range sc.extents {
+		for base := int64(0); base < ext.Len; base += cb {
+			off := ext.Off + base
+			sc.lent.N, sc.lent.Pieces = min64(cb, ext.Len-base), sc.lent.Pieces[:0]
+			is.do(pfs.Req{Lend: &sc.lent, Off: off})
+			for _, p := range sc.lent.Pieces {
+				sc.extLent = append(sc.extLent, mpi.Part{Off: off, Bytes: p})
+				off += int64(len(p))
+			}
+		}
 	}
-	sc.allocExtents(replies)
-	sc.issueExtents(is, false)
+	clear(sc.lent.Pieces)
 	return mpi.TotalLen(sc.extents)
+}
+
+// partAt returns the index of the first of parts, ascending and disjoint,
+// that ends past off.
+func partAt(parts []mpi.Part, off int64) int {
+	i, _ := slices.BinarySearchFunc(parts, off, func(p mpi.Part, off int64) int {
+		return cmp.Compare(p.Off+int64(len(p.Bytes)), off+1)
+	})
+	return i
 }
 
 // overlapIn finds a byte range two of the pieces in msgs both cover, for the
 // panic that names it.
-func overlapIn(msgs [][]byte) (off, n int64) {
+func overlapIn(msgs []mpi.View) (off, n int64) {
 	var all []mpi.Run
-	for _, msg := range msgs {
-		for hp, end := 4, 4+16*pieceCount(msg); hp < end; hp += 16 {
-			o, l := pieceAt(msg, hp)
+	for _, m := range msgs {
+		for hp, end := 4, 4+16*pieceCount(m.Base); hp < end; hp += 16 {
+			o, l := pieceAt(m.Base, hp)
 			all = append(all, mpi.Run{Off: o, Len: l})
 		}
 	}
@@ -1076,19 +1090,35 @@ func (f *File) IssueReadAtAll(behind bool, runs []mpi.Run, buf []byte) *Pending 
 	if mpi.TotalLen(runs) != int64(len(buf)) {
 		panic("mpiio: ReadAtAll buf/runs length mismatch")
 	}
-	return f.readAtAll(behind, runs, buf, nil)
+	return f.readAtAll(behind, runs, buf, into{})
 }
 
 // IssueReadAtAllInto is IssueReadAtAll for a reader that brings no buffer:
-// *out receives a new one, valid when buf would be — on the two-phase path
-// the replies joined, never zeroed first.
-func (f *File) IssueReadAtAllInto(behind bool, runs []mpi.Run, out *[]byte) *Pending {
-	return f.readAtAll(behind, runs, nil, out)
+// it reads the block sel selects from the array stored at file offset base,
+// and *out receives the block as a view, valid when buf would be. On the
+// two-phase path the view is lent (mpi.View's Parts): it refers to the
+// pieces the store lent the aggregators, so no byte of the block has been
+// copied yet — the one copy is the reader's, wherever the block goes
+// (View.UnpackTo, View.Pack). Read-only, as every lent byte is, and sel is
+// the view's Sub, which nobody changes. On the independent path *out is a
+// new packed buffer.
+func (f *File) IssueReadAtAllInto(behind bool, sel *mpi.Subarray, base int64, out *mpi.View) *Pending {
+	f.runs = sel.AppendRuns(f.runs[:0], base)
+	return f.readAtAll(behind, f.runs, nil, into{out: out, sel: sel, base: base})
 }
 
-// readAtAll is the collective read, into buf or, when out is set, into a
-// buffer it makes.
-func (f *File) readAtAll(behind bool, runs []mpi.Run, buf []byte, out *[]byte) *Pending {
+// into is where a read that brings no buffer leaves its block: *out views
+// the block sel selects from the array at file offset base. A zero into
+// means the read fills a buffer instead.
+type into struct {
+	out  *mpi.View
+	sel  *mpi.Subarray
+	base int64
+}
+
+// readAtAll is the collective read, into buf or, when to.out is set, into a
+// view of the block.
+func (f *File) readAtAll(behind bool, runs []mpi.Run, buf []byte, to into) *Pending {
 	total := mpi.TotalLen(runs)
 	proc := f.client.Proc
 	allSp := obs.Begin(proc, obs.LayerMPIIO, pick(behind, "read_all", "read_all_begin")).Bytes(total)
@@ -1096,9 +1126,9 @@ func (f *File) readAtAll(behind bool, runs []mpi.Run, buf []byte, out *[]byte) *
 	offSp := obs.Begin(proc, obs.LayerMPIIO, "offsets")
 	lo, hi, interleaved, ext := f.accessRange(runs)
 	offSp.End()
-	if out != nil && (hi <= lo || !interleaved && !f.hints.CBForce) {
+	if to.out != nil && (hi <= lo || !interleaved && !f.hints.CBForce) {
 		buf = make([]byte, total)
-		*out = buf
+		*to.out = mpi.Packed(buf)
 	}
 	if hi <= lo {
 		f.r.Barrier()
@@ -1139,9 +1169,9 @@ func (f *File) readAtAll(behind bool, runs []mpi.Run, buf []byte, out *[]byte) *
 	f.r.ExchangeScratch(sc.recvd, sc.send, sc.sendTo, sc.recvFrom)
 	exch.End()
 
-	// I/O phase: aggregators read the coalesced union of requested extents.
-	// The requests (sc.recvd) and what was read for them (sc.extents,
-	// sc.extData) stay in sc for the reply phase.
+	// I/O phase: aggregators are lent the coalesced union of requested
+	// extents. The requests (sc.recvd) and the lent pieces (sc.extLent) stay
+	// in sc for the reply phase.
 	is := f.issuer(behind)
 	var scatter int64 // the aggregator's copy out of its collective buffer, when that waits for Wait
 	if f.myAggIndex(naggs, rot) >= 0 {
@@ -1161,7 +1191,7 @@ func (f *File) readAtAll(behind bool, runs []mpi.Run, buf []byte, out *[]byte) *
 		}
 		iop.End()
 	}
-	t := readTail{sc: sc, buf: buf, out: out, wants: wants, naggs: naggs, rot: rot, scatter: scatter}
+	t := readTail{sc: sc, buf: buf, to: to, wants: wants, naggs: naggs, rot: rot, scatter: scatter}
 	if !behind {
 		f.replyAndPlace(t)
 		return nil
@@ -1179,38 +1209,40 @@ func (f *File) readAtAll(behind bool, runs []mpi.Run, buf []byte, out *[]byte) *
 type readTail struct {
 	sc         *fileScratch
 	buf        []byte  // where the pieces land
-	out        *[]byte // or, when set, where the joined replies go
+	to         into    // or, when to.out is set, what views them
 	wants      []int64 // per aggregator: the pieces and the bytes requested of it
 	naggs, rot int
 	scatter    int64 // bytes of collective-buffer scatter still to charge (behind aggregators)
 }
 
 // replyAndPlace is the reply phase of a two-phase read: every aggregator
-// answers the ranks it heard from out of the extents it read, the pieces
-// land in the caller's buffer — or are joined into a new one — and the
-// trailing barrier keeps the participants in lockstep (and the scratch alive
-// until every peer has copied its reply out).
+// answers the ranks it heard from with references to the pieces it was lent,
+// every reader copies its pieces out of them into its buffer — or keeps the
+// references, as a view of its block — and the trailing barrier keeps the
+// participants in lockstep.
 func (f *File) replyAndPlace(t readTail) {
 	sc := t.sc
 	if t.scatter > 0 {
 		f.r.CopyCost(t.scatter)
 	}
-	// A reply is the request itself — same headers, same order — with the
-	// requested bytes behind it, straight out of the extent buffers.
+	// A reply is the lent parts that cover the request, charged as the
+	// request's headers with the requested bytes behind them — what the
+	// modelled aggregator copies out of its collective buffer and sends.
 	for s, req := range sc.recvd {
-		count := pieceCount(req)
+		msg := req.Base
+		count := pieceCount(msg)
 		if count == 0 {
 			continue
 		}
 		hdr, nb := 4+16*count, int64(0)
 		for hp := 4; hp < hdr; hp += 16 {
-			_, n := pieceAt(req, hp)
+			_, n := pieceAt(msg, hp)
 			nb += n
 		}
-		reply := sc.scratch.alloc(hdr + int(nb))
-		copy(reply, req[:hdr])
-		sc.transfer(req, reply[hdr:], false)
-		sc.replies[s] = reply
+		first, _ := pieceAt(msg, 4)
+		lastOff, lastN := pieceAt(msg, hdr-16)
+		i, j := partAt(sc.extLent, first), partAt(sc.extLent, lastOff+lastN-1)+1
+		sc.replies[s] = mpi.View{Parts: sc.extLent[i:j:j], Len: int64(hdr) + nb}
 	}
 	// Replies retrace the request phase: every aggregator answers exactly
 	// the ranks it heard from (an empty reply to an empty request).
@@ -1218,38 +1250,49 @@ func (f *File) replyAndPlace(t readTail) {
 	f.r.ExchangeScratch(sc.got, sc.replies, sc.recvFrom, sc.sendTo)
 	exch.End()
 
-	// Place the replies into buf. The requests went out in file order, which
-	// is buffer order (see sweep), so aggregator after aggregator each
-	// reply's bytes are the next stretch of buf.
+	// The requests went out in file order, which is buffer order (see
+	// sweep): aggregator after aggregator, each request's pieces are the
+	// next stretch of buf, and each reply's parts follow the last one's.
 	var pos int64
-	parts := sc.parts[:0]
+	nparts := 0
 	for a := 0; a < t.naggs; a++ {
 		count, nb := int(t.wants[2*a]), t.wants[2*a+1]
 		if count == 0 {
 			continue
 		}
-		reply := sc.got[f.aggRank(a, t.rot)]
-		if have := pieceCount(reply); have != count {
-			panic(fmt.Sprintf("mpiio: aggregator %d returned %d pieces, want %d", a, have, count))
+		d := f.aggRank(a, t.rot)
+		reply := sc.got[d]
+		if want := int64(4+16*count) + nb; reply.Bytes() != want {
+			panic(fmt.Sprintf("mpiio: aggregator %d answered %d bytes, want %d", a, reply.Bytes(), want))
 		}
-		if have := int64(len(reply) - 4 - 16*count); have != nb {
-			panic(fmt.Sprintf("mpiio: aggregator %d returned %d bytes, want %d", a, have, nb))
+		if t.to.out != nil {
+			nparts += len(reply.Parts)
+			continue
 		}
-		if t.out != nil {
-			parts = append(parts, reply[4+16*count:])
-		} else {
-			copy(t.buf[pos:pos+nb], reply[4+16*count:])
+		req, i := sc.send[d].Base, 0
+		for hp := 4; hp < 4+16*count; hp += 16 {
+			off, n := pieceAt(req, hp)
+			i = mpi.CopyParts(t.buf[pos:pos+n], reply.Parts, i, off)
+			pos += n
 		}
-		pos += nb
 	}
-	if t.out != nil {
-		// Join before the barrier: the replies lie in the aggregators'
-		// scratch.
-		*t.out = bytes.Join(parts, nil)
-		clear(parts)
+	if t.to.out != nil {
+		// The view's parts are the replies', placed in the block's array:
+		// collected before the barrier, since the aggregators' part lists
+		// are scratch.
+		parts := make([]mpi.Part, 0, nparts)
+		for a := 0; a < t.naggs; a++ {
+			if t.wants[2*a] == 0 {
+				continue
+			}
+			for _, p := range sc.got[f.aggRank(a, t.rot)].Parts {
+				parts = append(parts, mpi.Part{Off: p.Off - t.to.base, Bytes: p.Bytes})
+			}
+		}
+		*t.to.out = mpi.View{Sub: t.to.sel, Parts: parts}
 	}
-	sc.parts = parts
 	f.r.Barrier()
+	clear(sc.extLent) // the store's bytes are the file's, not the scratch's to keep alive
 }
 
 func max64(a, b int64) int64 {
