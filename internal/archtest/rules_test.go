@@ -256,11 +256,13 @@ var scratch sync.Pool`)},
 		mutation: mutant("internal/mpiio", "func direct(fh *File, b []byte) { fh.f.ReadAt(nil, b, 0) }")},
 
 	// One observer: pfs.Tap is the only wrapper that watches calls go by;
-	// obs and iotrace are its sinks. Seven handles implement Do: four models,
-	// the burst buffer, faultfs and the tap. An eighth is a hand-forwarded
-	// wrapper.
+	// obs and iotrace are its sinks. Five handles implement Do: the shared
+	// volume's (XFS, GPFS and PVFS), LocalFS's, the burst buffer, faultfs
+	// and the tap. A sixth is a hand-forwarded wrapper or a model's handle
+	// growing back. The row's name is historical: it counted seven before
+	// the three shared-namespace models shared one handle.
 	{name: "seven-do-impls", design: "§6", pr: 19, scope: scope{},
-		check:    count(7, decls(doImpl)),
+		check:    count(5, decls(doImpl)),
 		mutation: mutant("internal/enzo", "func (w *wrapper) Do(c pfs.Client, r pfs.Req) (float64, error) { return 0, nil }")},
 	{name: "no-do-in-obs-iotrace", design: "§6", pr: 19, scope: in("internal/obs", "internal/iotrace"),
 		check:    forbid(decls(doImpl)),
@@ -268,16 +270,25 @@ var scratch sync.Pool`)},
 
 	// One request primitive and one wrapper spine: the request shapes are
 	// spelled once, in pfs.go, over the single Do, and volume geometry,
-	// liveness and fault methods live on the striped models only; wrappers
-	// are reached through Unwrap.
+	// liveness and fault methods live on the striped volume only (a
+	// model keeps DegradeDataServer, which PVFS extends to its daemon CPU);
+	// wrappers are reached through Unwrap.
 	{name: "shapes-only-in-pfs-go", design: "§2", pr: 15, scope: scope{out: []string{"internal/pfs/pfs.go"}},
 		check:    forbid(decls(`^\(.*\)\.(WriteAtDeferred|ReadAtDeferred|ReadAtDeadline|WriteAtDeadline|LendAtDeadline)\(`)),
 		mutation: mutant("internal/pfs", "func (f *tapFile) ReadAtDeadline() {}")},
 	{name: "geometry-on-striped-models", design: "§2", pr: 15, scope: scope{},
 		check: forbid(unless(
 			decls(`^\(.*\)\.(NumDataServers|StripeUnit|DataServerFreeAt|DataServerFailAt|DegradeDataServer|FailDataServerAt)\(`),
-			`^\(\*(PVFS|GPFS)\)\.`)),
+			`^\(\*stripedVolume\)\.|^\(\*(PVFS|GPFS)\)\.DegradeDataServer\(`)),
 		mutation: mutant("internal/pfs", "func (f *tapFile) StripeUnit() int64 { return 0 }")},
+
+	// One volume: XFS, GPFS and PVFS share the namespace, the FileSystem
+	// metadata surface and the handle through the volume they embed, so a
+	// model declares only its devices. A metadata method on a model is a
+	// per-model copy of the surface growing back.
+	{name: "one-volume-surface", design: "§2", pr: 40, scope: in("internal/pfs"),
+		check:    forbid(decls(`^\(\*(XFS|GPFS|PVFS)\)\.(Name|Stats|Exists|Create|Open|Snapshot|Restore)\(`)),
+		mutation: mutant("internal/pfs", "func (fs *XFS) Exists(name string) bool { return false }")},
 
 	// One world builder: enzo.Assemble puts every simulated run together —
 	// engine, machine, file-system stack, worlds, tracer — for Run, the

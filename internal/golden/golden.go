@@ -169,6 +169,8 @@ var Inventory = []Artefact{
 		"length and SHA-256 of the Perfetto export of five Tiny/np=4 runs, a failed one included", []int{18, 20}},
 	{"internal/mpiio/testdata/twophase.golden", "TestTwoPhaseRequestGolden",
 		"every device request, message count, clock and file digest of 37 two-phase views × pvfs/gpfs × blocking/behind", []int{21}},
+	{"internal/pfs/testdata/models.golden", "TestModelScriptGolden",
+		"clocks as float bits, errors and Stats of one create/request/lend/deadline/close/placement/restore script on xfs, gpfs, pvfs and local", []int{40}},
 	{"internal/sim/testdata/dispatch.golden", "TestDispatchGolden",
 		"dispatch trace digest, Events, final clocks and error texts of 20 programs on both engines", []int{20}},
 }

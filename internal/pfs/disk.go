@@ -217,13 +217,3 @@ func (ls layouts) set(st *ByteStore, unit int64, servers, first int) {
 // pin places st on one server: the one-server layout with a stripe unit
 // larger than any file, so every byte sits at its own offset there.
 func (ls layouts) pin(st *ByteStore, server int) { ls.set(st, 1<<40, 1, server) }
-
-// pinExisting pins the file name of ns to one server (PlacementRestorer);
-// false if there is no such file.
-func (ls layouts) pinExisting(ns *namespace, name string, server int) bool {
-	st, err := ns.open(name)
-	if err == nil {
-		ls.pin(st, server)
-	}
-	return err == nil
-}

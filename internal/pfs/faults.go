@@ -70,12 +70,6 @@ type StripedVolume interface {
 	StripeUnit() int64
 }
 
-// NumDataServers implements StripeFaultInjector for PVFS (one per iod).
-func (fs *PVFS) NumDataServers() int { return fs.cfg.IODs }
-
-// StripeUnit implements StripedVolume for PVFS.
-func (fs *PVFS) StripeUnit() int64 { return fs.cfg.Unit }
-
 // DegradeDataServer implements StripeFaultInjector: both the iod's daemon
 // CPU and its disk slow down, like a node with a failing DIMM or a
 // background RAID rebuild.
@@ -84,25 +78,7 @@ func (fs *PVFS) DegradeDataServer(i int, factor float64) {
 	fs.disks[i].Server().SetSlowdown(factor)
 }
 
-// FailDataServerAt implements StripeFaultInjector: the iod's disk stops
-// completing requests at virtual time t.
-func (fs *PVFS) FailDataServerAt(i int, t float64) {
-	fs.disks[i].Server().SetFailAfter(t)
-}
-
-// NumDataServers implements StripeFaultInjector for GPFS (one per
-// VSD/NSD I/O server).
-func (fs *GPFS) NumDataServers() int { return fs.cfg.Servers }
-
-// StripeUnit implements StripedVolume for GPFS (the block size).
-func (fs *GPFS) StripeUnit() int64 { return fs.cfg.Unit }
-
 // DegradeDataServer implements StripeFaultInjector on the server's disk.
 func (fs *GPFS) DegradeDataServer(i int, factor float64) {
 	fs.disks[i].Server().SetSlowdown(factor)
-}
-
-// FailDataServerAt implements StripeFaultInjector on the server's disk.
-func (fs *GPFS) FailDataServerAt(i int, t float64) {
-	fs.disks[i].Server().SetFailAfter(t)
 }

@@ -48,18 +48,15 @@ func DefaultGPFS() GPFSConfig {
 
 // GPFS is the SP-2 parallel file system model.
 type GPFS struct {
-	cfg     GPFSConfig
-	mach    *machine.Machine
-	ns      *namespace
-	disks   []*Disk
-	ioNICs  []*sim.Server
-	vsd     map[int]*sim.Server // per compute node
-	lockMgr *sim.Server
-	owners  map[*ByteStore]map[int64]int // file -> token block -> last writer
-	meta    map[*ByteStore]*metanode     // file -> shared-file metanode state
-	layouts layouts                      // striping; placed files on one server
-	obs     sim.ServeObserver            // attached to lazily created servers too
-	stats   statsCollector
+	stripedVolume
+	cfg       GPFSConfig
+	mach      *machine.Machine
+	ioNICs    []*sim.Server
+	vsd       map[int]*sim.Server // per compute node
+	lockMgr   *sim.Server
+	owners    map[*ByteStore]map[int64]int // file -> token block -> last writer
+	metanodes map[*ByteStore]*metanode     // file -> shared-file metanode state
+	obs       sim.ServeObserver            // attached to lazily created servers too
 }
 
 // metanode tracks who last extended a file. In GPFS one node is the
@@ -81,19 +78,19 @@ func NewGPFS(mach *machine.Machine, cfg GPFSConfig) *GPFS {
 		panic("pfs: GPFS needs at least one I/O server")
 	}
 	fs := &GPFS{
-		cfg:     cfg,
-		mach:    mach,
-		ns:      newNamespace(),
-		vsd:     make(map[int]*sim.Server),
-		lockMgr: sim.NewServer("gpfs/tokenmgr"),
-		owners:  make(map[*ByteStore]map[int64]int),
-		meta:    make(map[*ByteStore]*metanode),
-		layouts: newLayouts(cfg.Unit, cfg.Servers),
+		cfg:       cfg,
+		mach:      mach,
+		vsd:       make(map[int]*sim.Server),
+		lockMgr:   sim.NewServer("gpfs/tokenmgr"),
+		owners:    make(map[*ByteStore]map[int64]int),
+		metanodes: make(map[*ByteStore]*metanode),
 	}
+	var disks []*Disk
 	for i := 0; i < cfg.Servers; i++ {
-		fs.disks = append(fs.disks, NewDisk(fmt.Sprintf("gpfs/disk%d", i), cfg.Disk))
+		disks = append(disks, NewDisk(fmt.Sprintf("gpfs/disk%d", i), cfg.Disk))
 		fs.ioNICs = append(fs.ioNICs, sim.NewServer(fmt.Sprintf("gpfs/ionic%d", i)))
 	}
+	fs.mount("gpfs", fs, cfg.Unit, disks)
 	return fs
 }
 
@@ -122,7 +119,7 @@ func (fs *GPFS) SetServeObserver(o sim.ServeObserver) {
 	for _, s := range fs.vsd {
 		s.SetObserver(o)
 	}
-	for _, mn := range fs.meta {
+	for _, mn := range fs.metanodes {
 		mn.srv.SetObserver(o)
 	}
 }
@@ -145,51 +142,13 @@ func (fs *GPFS) SetSchedPolicy(newPolicy func(server string) sim.SchedPolicy) {
 	}
 }
 
-// Name implements FileSystem.
-func (fs *GPFS) Name() string { return "gpfs" }
-
-// Stats implements FileSystem.
-func (fs *GPFS) Stats() Stats { return fs.stats.snapshot() }
-
-// Exists implements FileSystem.
-func (fs *GPFS) Exists(name string) bool { return fs.ns.exists(name) }
-
-// Create implements FileSystem.
-func (fs *GPFS) Create(c Client, name string) (File, error) {
-	c.Proc.Advance(fs.cfg.MetaTime)
-	fs.stats.create()
-	st := fs.ns.create(name)
-	fs.owners[st] = make(map[int64]int)
-	return File{&gpfsFile{fs: fs, name: name, store: st}}, nil
-}
-
-// Open implements FileSystem.
-func (fs *GPFS) Open(c Client, name string) (File, error) {
-	st, err := fs.ns.open(name)
-	if err != nil {
-		return File{}, err
-	}
-	c.Proc.Advance(fs.cfg.MetaTime)
-	fs.stats.open()
-	return File{&gpfsFile{fs: fs, name: name, store: st}}, nil
-}
-
-type gpfsFile struct {
-	fs    *GPFS
-	name  string
-	store *ByteStore
-}
-
-func (f *gpfsFile) Name() string        { return f.name }
-func (f *gpfsFile) Size(c Client) int64 { return f.store.Size() }
-func (f *gpfsFile) Close(c Client)      { c.Proc.Advance(f.fs.cfg.MetaTime / 2) }
+func (fs *GPFS) meta(c Client, op string) { metaTxn(c, op, fs.cfg.MetaTime) }
 
 // acquireTokens charges lock-manager time for every volume block (cfg.Unit)
 // the request touches, whatever the file's layout: token granularity is
 // not placement. Writes record ownership so a later writer from a
 // different client pays the revocation cost.
-func (f *gpfsFile) acquireTokens(c Client, off, n int64, write bool) {
-	fs := f.fs
+func (fs *GPFS) acquireTokens(c Client, f *volFile, off, n int64, write bool) {
 	me := c.Proc.ID()
 	owners := fs.owners[f.store]
 	if owners == nil {
@@ -215,13 +174,12 @@ func (f *gpfsFile) acquireTokens(c Client, off, n int64, write bool) {
 
 // metanodeUpdate charges the shared-file metanode when this write extends
 // the file and the previous extender was a different client.
-func (f *gpfsFile) metanodeUpdate(c Client, off, n int64) {
-	fs := f.fs
-	mn, ok := fs.meta[f.store]
+func (fs *GPFS) metanodeUpdate(c Client, f *volFile, off, n int64) {
+	mn, ok := fs.metanodes[f.store]
 	if !ok {
 		mn = &metanode{srv: sim.NewServer("gpfs/metanode/" + f.name), lastExtender: -1}
 		mn.srv.SetObserver(fs.obs)
-		fs.meta[f.store] = mn
+		fs.metanodes[f.store] = mn
 	}
 	if off+n <= mn.seenMax {
 		return
@@ -234,31 +192,18 @@ func (f *gpfsFile) metanodeUpdate(c Client, off, n int64) {
 	mn.seenMax = off + n
 }
 
-// Do implements Handle. The VSD queue, token acquisition and metanode
-// update are synchronous lock traffic and stay on the caller's clock at
-// issue in every mode (they really do block the client thread); settle
-// decides how the caller waits for the data transfer and the disk work.
-func (f *gpfsFile) Do(c Client, r Req) (float64, error) {
-	n := r.Len()
-	if n == 0 {
-		return idle(c, r)
-	}
-	return settle(c, r, f.issue(c, r.Write, r.Off, n), f.fs.Name(), f.name, f.store, &f.fs.stats)
-}
-
 // issue charges the synchronous lock traffic on the caller's clock and the
 // transfers plus disk work on the servers for a request of n bytes at off,
 // returning when the slowest server's part is done: a write's
-// acknowledgement, a read's last data arrival. It moves no bytes and
-// touches no stats — settle abandons requests whose completion lies past
-// their deadline while the devices stay charged.
-func (f *gpfsFile) issue(c Client, write bool, off, n int64) float64 {
-	fs := f.fs
+// acknowledgement, a read's last data arrival. The VSD queue, token
+// acquisition and metanode update stay on the caller's clock at issue in
+// every mode (they really do block the client thread).
+func (fs *GPFS) issue(c Client, f *volFile, write bool, off, n int64) float64 {
 	c.Proc.Advance(fs.cfg.PerCall)
 	fs.nodeVSD(c.Node).ServeAndWait(c.Proc, fs.cfg.VSDPerReq)
-	f.acquireTokens(c, off, n, write)
+	fs.acquireTokens(c, f, off, n, write)
 	if write {
-		f.metanodeUpdate(c, off, n)
+		fs.metanodeUpdate(c, f, off, n)
 	}
 	end := c.Proc.Now()
 	class := c.Proc.Class()
@@ -280,10 +225,3 @@ func (f *gpfsFile) issue(c Client, write bool, off, n int64) float64 {
 	}
 	return end
 }
-
-// Snapshot implements FileSystem (out-of-band staging).
-func (fs *GPFS) Snapshot() map[string][]byte { return fs.ns.snapshot() }
-
-// Restore implements FileSystem (out-of-band staging). Restored files
-// start with clean token and metanode state, as after a remount.
-func (fs *GPFS) Restore(files map[string][]byte) { fs.ns.restore(files) }

@@ -13,9 +13,10 @@ package pfs
 //     castore read path uses to route a chunk fetch to the least-loaded
 //     live replica and to skip servers already known dead.
 //
-// XFS and LocalFS implement neither (their storage is client-local);
-// replica placement degrades to plain files there and the replica count
-// clamps to one.
+// The striped models implement all three through their stripedVolume
+// (volume.go). XFS and LocalFS implement none (their storage is
+// client-local); replica placement degrades to plain files there and the
+// replica count clamps to one.
 
 // PlacedCreator is implemented by file systems that can pin a new file to
 // a single data server. server is taken modulo the volume's server count.
@@ -52,43 +53,3 @@ func CreatePlacedOn(fs FileSystem, c Client, name string, server int) (File, err
 	}
 	return fs.Create(c, name)
 }
-
-// CreatePlaced implements PlacedCreator for PVFS: a placed file is the
-// degenerate case of the per-file striping the paper's conclusion asks
-// for — one daemon, a stripe unit larger than any file.
-func (fs *PVFS) CreatePlaced(c Client, name string, server int) (File, error) {
-	return fs.CreateStriped(c, name, 1<<40, 1, server)
-}
-
-// PlaceExisting implements PlacementRestorer for PVFS.
-func (fs *PVFS) PlaceExisting(name string, server int) bool {
-	return fs.layouts.pinExisting(fs.ns, name, server)
-}
-
-// DataServerFreeAt implements ReplicaVolume for PVFS.
-func (fs *PVFS) DataServerFreeAt(i int) float64 { return fs.disks[i].Server().FreeAt() }
-
-// DataServerFailAt implements ReplicaVolume for PVFS.
-func (fs *PVFS) DataServerFailAt(i int) float64 { return fs.disks[i].Server().FailAt() }
-
-// CreatePlaced implements PlacedCreator for GPFS: the file's blocks all
-// land on one I/O server (GPFS can do this with single-disk storage
-// pools; the token and metanode protocols are unchanged).
-func (fs *GPFS) CreatePlaced(c Client, name string, server int) (File, error) {
-	f, err := fs.Create(c, name)
-	if err == nil {
-		fs.layouts.pin(f.Handle.(*gpfsFile).store, server)
-	}
-	return f, err
-}
-
-// PlaceExisting implements PlacementRestorer for GPFS.
-func (fs *GPFS) PlaceExisting(name string, server int) bool {
-	return fs.layouts.pinExisting(fs.ns, name, server)
-}
-
-// DataServerFreeAt implements ReplicaVolume for GPFS.
-func (fs *GPFS) DataServerFreeAt(i int) float64 { return fs.disks[i].Server().FreeAt() }
-
-// DataServerFailAt implements ReplicaVolume for GPFS.
-func (fs *GPFS) DataServerFailAt(i int) float64 { return fs.disks[i].Server().FailAt() }

@@ -15,10 +15,15 @@
 //
 // A file handle has one request method, Do, and a request (Req) carries its
 // own Mode; ReadAt, LendAt, WriteAt, WriteAtAsync, ReadAtDeadline and
-// LendAtDeadline are spelled once, in this file, as builders of a Req. A
-// model charges its devices (its one issue method, reads and writes alike)
-// and hands the completion to settle; a wrapper passes the Req down
-// unchanged. What differs between the three modes at the device,
+// LendAtDeadline are spelled once, in this file, as builders of a Req.
+//
+// A model is its devices: issue, one method for reads and writes alike, and
+// meta for create, open and close. XFS, GPFS and PVFS share everything else
+// through the volume they embed (volume.go): the namespace, Stats, the
+// FileSystem metadata surface and one handle, whose Do charges the model's
+// issue and hands the completion to settle. LocalFS, whose store is the
+// calling node's partition, keeps a handle of its own. A wrapper passes the
+// Req down unchanged. What differs between the three modes at the device,
 // exhaustively:
 //
 //  1. Block: the caller's clock advances to the completion.
@@ -58,14 +63,15 @@
 // capability only when it changes it; everything else is found below it.
 //
 //	capability                         declared on
-//	StripedVolume, ReplicaVolume,      *PVFS, *GPFS
-//	  StripeFaultInjector
+//	StripedVolume, ReplicaVolume,      stripedVolume, which *PVFS and *GPFS
+//	  StripeFaultInjector              embed (DegradeDataServer on the
+//	                                   models: PVFS slows its daemon CPU)
 //	ServeObservable                    the four models, BurstBuffer (staging
 //	                                   disks); Observe visits every layer
-//	PlacementRestorer                  *PVFS, *GPFS, prefix (renames)
+//	PlacementRestorer                  stripedVolume, prefix (renames)
 //	CodecReporter                      iotrace's tap (receiver: the recorder),
 //	                                   prefix (renames)
-//	PlacedCreator                      *PVFS, *GPFS and every wrapper (each
+//	PlacedCreator                      stripedVolume and every wrapper (each
 //	                                   wraps the handle it gets back: prefix
 //	                                   renames, the tap observes a create)
 //
@@ -84,8 +90,6 @@ package pfs
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/sim"
@@ -421,73 +425,4 @@ func (sc *statsCollector) snapshot() Stats {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return sc.s
-}
-
-// namespace is a simple shared-file directory used by the shared file
-// systems (XFS, GPFS, PVFS).
-type namespace struct {
-	mu    sync.Mutex
-	files map[string]*ByteStore
-}
-
-func newNamespace() *namespace {
-	return &namespace{files: make(map[string]*ByteStore)}
-}
-
-func (ns *namespace) create(name string) *ByteStore {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	st := NewByteStore()
-	ns.files[name] = st
-	return st
-}
-
-func (ns *namespace) open(name string) (*ByteStore, error) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	st, ok := ns.files[name]
-	if !ok {
-		return nil, fmt.Errorf("pfs: open %q: no such file", name)
-	}
-	return st, nil
-}
-
-func (ns *namespace) exists(name string) bool {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	_, ok := ns.files[name]
-	return ok
-}
-
-func (ns *namespace) snapshot() map[string][]byte {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	out := make(map[string][]byte, len(ns.files))
-	for name, st := range ns.files {
-		out[name] = st.Bytes()
-	}
-	return out
-}
-
-// restore adopts each file's bytes by reference, as a write does: a staged
-// Snapshot is a set of fresh copies nobody else holds.
-func (ns *namespace) restore(files map[string][]byte) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	for name, data := range files {
-		st := NewByteStore()
-		st.WriteAt(data, 0)
-		ns.files[name] = st
-	}
-}
-
-func (ns *namespace) list() []string {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	out := make([]string, 0, len(ns.files))
-	for n := range ns.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -40,18 +40,12 @@ func DefaultPVFS() PVFSConfig {
 // machine nodes [IODBase, IODBase+IODs), so their NICs are distinct from
 // the compute nodes' NICs but obey the same Ethernet parameters.
 type PVFS struct {
+	stripedVolume
 	cfg    PVFSConfig
 	mach   *machine.Machine
-	ns     *namespace
-	disks  []*Disk
 	iodNIC []*sim.Server
 	iodCPU []*sim.Server
 	mgr    *sim.Server
-	// layouts holds the per-file striping of files created with
-	// CreateStriped (the paper's future-work "flexible,
-	// application-specific disk file striping") or placed on one daemon.
-	layouts layouts
-	stats   statsCollector
 }
 
 // NewPVFS builds a PVFS file system with cfg.IODs daemons.
@@ -59,18 +53,16 @@ func NewPVFS(mach *machine.Machine, cfg PVFSConfig) *PVFS {
 	if cfg.IODs <= 0 {
 		panic("pfs: PVFS needs at least one iod")
 	}
-	fs := &PVFS{cfg: cfg, mach: mach, ns: newNamespace(), mgr: sim.NewServer("pvfs/mgr"),
-		layouts: newLayouts(cfg.Unit, cfg.IODs)}
+	fs := &PVFS{cfg: cfg, mach: mach, mgr: sim.NewServer("pvfs/mgr")}
+	var disks []*Disk
 	for i := 0; i < cfg.IODs; i++ {
-		fs.disks = append(fs.disks, NewDisk(fmt.Sprintf("pvfs/iod%d/disk", i), cfg.Disk))
+		disks = append(disks, NewDisk(fmt.Sprintf("pvfs/iod%d/disk", i), cfg.Disk))
 		fs.iodNIC = append(fs.iodNIC, sim.NewServer(fmt.Sprintf("pvfs/iod%d/nic", i)))
 		fs.iodCPU = append(fs.iodCPU, sim.NewServer(fmt.Sprintf("pvfs/iod%d/cpu", i)))
 	}
+	fs.mount("pvfs", fs, cfg.Unit, disks)
 	return fs
 }
-
-// Name implements FileSystem.
-func (fs *PVFS) Name() string { return "pvfs" }
 
 // SetServeObserver implements ServeObservable over the manager and every
 // iod's NIC, CPU and disk queues (all created eagerly).
@@ -101,24 +93,15 @@ func (fs *PVFS) SetSchedPolicy(newPolicy func(server string) sim.SchedPolicy) {
 	}
 }
 
-// Stats implements FileSystem.
-func (fs *PVFS) Stats() Stats { return fs.stats.snapshot() }
-
-// Exists implements FileSystem.
-func (fs *PVFS) Exists(name string) bool { return fs.ns.exists(name) }
-
-// metaOp models a round trip to the metadata manager over Ethernet.
-func (fs *PVFS) metaOp(c Client) {
+// meta models a create or open as a round trip to the metadata manager over
+// Ethernet; a close costs nothing.
+func (fs *PVFS) meta(c Client, op string) {
+	if op == "close" {
+		return
+	}
 	_, arr := fs.mach.TransferVia(fs.mach.NIC(c.Node), fs.mgr, fs.cfg.ReqMsg, c.Proc.Now())
 	_, done := fs.mgr.Serve(arr, fs.cfg.MetaTime)
 	c.Proc.AdvanceTo(done + fs.mach.Config().WireLatency)
-}
-
-// Create implements FileSystem.
-func (fs *PVFS) Create(c Client, name string) (File, error) {
-	fs.metaOp(c)
-	fs.stats.create()
-	return File{&pvfsFile{fs: fs, name: name, store: fs.ns.create(name)}}, nil
 }
 
 // CreateStriped creates a file with application-specific striping — the
@@ -130,55 +113,17 @@ func (fs *PVFS) CreateStriped(c Client, name string, unit int64, iods, first int
 	if unit <= 0 || iods <= 0 {
 		return File{}, fmt.Errorf("pfs: invalid striping unit=%d iods=%d for %q", unit, iods, name)
 	}
-	f, err := fs.Create(c, name)
-	if err != nil {
-		return File{}, err
-	}
-	fs.layouts.set(f.Handle.(*pvfsFile).store, unit, iods, first)
-	return f, nil
-}
-
-// Open implements FileSystem.
-func (fs *PVFS) Open(c Client, name string) (File, error) {
-	st, err := fs.ns.open(name)
-	if err != nil {
-		return File{}, err
-	}
-	fs.metaOp(c)
-	fs.stats.open()
-	return File{&pvfsFile{fs: fs, name: name, store: st}}, nil
-}
-
-type pvfsFile struct {
-	fs    *PVFS
-	name  string
-	store *ByteStore
-}
-
-func (f *pvfsFile) Name() string        { return f.name }
-func (f *pvfsFile) Size(c Client) int64 { return f.store.Size() }
-func (f *pvfsFile) Close(c Client)      {}
-
-// Do implements Handle: the client-library call and the request injections
-// onto the wire happen at issue (so iod NICs, CPUs and disks see the same
-// arrivals in every mode); settle decides how the caller waits for the
-// slowest daemon.
-func (f *pvfsFile) Do(c Client, r Req) (float64, error) {
-	n := r.Len()
-	if n == 0 {
-		return idle(c, r)
-	}
-	return settle(c, r, f.issue(c, r.Write, r.Off, n), f.fs.Name(), f.name, f.store, &f.fs.stats)
+	f := fs.create(c, name)
+	fs.layouts.set(f.store, unit, iods, first)
+	return File{f}, nil
 }
 
 // issue charges the client library, the wire and every involved iod's CPU
 // and disk for a request of n bytes at off, returning when the slowest
-// daemon's part is done: a write's ack, a read's last data message. It
-// moves no bytes and touches no stats — the split lets settle abandon a
-// request whose completion lies past its deadline while the devices stay
-// charged (they did the work).
-func (f *pvfsFile) issue(c Client, write bool, off, n int64) float64 {
-	fs := f.fs
+// daemon's part is done: a write's ack, a read's last data message. The
+// client-library call and the request injections onto the wire happen at
+// issue, so iod NICs, CPUs and disks see the same arrivals in every mode.
+func (fs *PVFS) issue(c Client, f *volFile, write bool, off, n int64) float64 {
 	class := c.Proc.Class()
 	c.Proc.Advance(fs.cfg.PerCall)
 	end := c.Proc.Now()
@@ -201,10 +146,3 @@ func (f *pvfsFile) issue(c Client, write bool, off, n int64) float64 {
 	}
 	return end
 }
-
-// Snapshot implements FileSystem (out-of-band staging).
-func (fs *PVFS) Snapshot() map[string][]byte { return fs.ns.snapshot() }
-
-// Restore implements FileSystem (out-of-band staging). Restored files use
-// the volume's default striping.
-func (fs *PVFS) Restore(files map[string][]byte) { fs.ns.restore(files) }

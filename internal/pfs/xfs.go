@@ -32,14 +32,15 @@ func DefaultXFS() XFSConfig {
 	}
 }
 
-// XFS is the shared-memory striped file system model.
+// XFS is the shared-memory striped file system model. Its LUNs are
+// client-local and cannot straggle or die, so a deadline is never missed:
+// By is Block here.
 type XFS struct {
+	volume
 	cfg    XFSConfig
 	mach   *machine.Machine
-	ns     *namespace
 	luns   []*Disk
 	stripe layout // every file's
-	stats  statsCollector
 }
 
 // NewXFS builds an XFS volume on the given machine.
@@ -47,55 +48,22 @@ func NewXFS(mach *machine.Machine, cfg XFSConfig) *XFS {
 	if cfg.Luns <= 0 {
 		panic("pfs: XFS needs at least one LUN")
 	}
-	fs := &XFS{cfg: cfg, mach: mach, ns: newNamespace(), stripe: volumeLayout(cfg.Unit, cfg.Luns)}
+	fs := &XFS{cfg: cfg, mach: mach, stripe: volumeLayout(cfg.Unit, cfg.Luns)}
 	for i := 0; i < cfg.Luns; i++ {
 		fs.luns = append(fs.luns, NewDisk(fmt.Sprintf("xfs/lun%d", i), cfg.Disk))
 	}
+	fs.mount("xfs", fs)
 	return fs
 }
 
-// Name implements FileSystem.
-func (fs *XFS) Name() string { return "xfs" }
-
-// Stats implements FileSystem.
-func (fs *XFS) Stats() Stats { return fs.stats.snapshot() }
-
-// Exists implements FileSystem.
-func (fs *XFS) Exists(name string) bool { return fs.ns.exists(name) }
-
-// Create implements FileSystem.
-func (fs *XFS) Create(c Client, name string) (File, error) {
-	c.Proc.Advance(fs.cfg.MetaTime)
-	fs.stats.create()
-	return File{&xfsFile{fs: fs, name: name, store: fs.ns.create(name)}}, nil
-}
-
-// Open implements FileSystem.
-func (fs *XFS) Open(c Client, name string) (File, error) {
-	st, err := fs.ns.open(name)
-	if err != nil {
-		return File{}, err
-	}
-	c.Proc.Advance(fs.cfg.MetaTime)
-	fs.stats.open()
-	return File{&xfsFile{fs: fs, name: name, store: st}}, nil
-}
-
-type xfsFile struct {
-	fs    *XFS
-	name  string
-	store *ByteStore
-}
-
-func (f *xfsFile) Name() string        { return f.name }
-func (f *xfsFile) Size(c Client) int64 { return f.store.Size() }
-func (f *xfsFile) Close(c Client)      { c.Proc.Advance(f.fs.cfg.MetaTime / 2) }
+func (fs *XFS) meta(c Client, op string) { metaTxn(c, op, fs.cfg.MetaTime) }
 
 // issue charges the syscall, buffer-cache copy and LUN queues for an access
-// of n bytes at off (reads and writes cost the same) and returns the
-// completion time without advancing the caller to it.
-func (f *xfsFile) issue(c Client, off, n int64) float64 {
-	fs := f.fs
+// of n bytes at off (reads and writes cost the same). Once the data is in
+// the buffer cache (the copy stays on the caller's clock) the LUN work
+// proceeds on its own, so a Behind request defers only the wait for the
+// last stripe.
+func (fs *XFS) issue(c Client, f *volFile, write bool, off, n int64) float64 {
 	c.Proc.Advance(fs.cfg.PerCall + fs.mach.CopyTime(n)) // syscall + buffer-cache copy
 	end := c.Proc.Now()
 	for sp := range fs.stripe.spans(off, n) {
@@ -106,40 +74,9 @@ func (f *xfsFile) issue(c Client, off, n int64) float64 {
 	return end
 }
 
-// Do implements Handle: once the data is in the buffer cache (the copy stays
-// on the caller's clock) the LUN work proceeds on its own, so a Behind
-// request defers only the wait for the last stripe. The LUNs are
-// client-local and cannot straggle or die, so a deadline is never missed:
-// By is Block here.
-func (f *xfsFile) Do(c Client, r Req) (float64, error) {
-	n := r.Len()
-	if n == 0 {
-		return idle(c, r)
-	}
-	if r.Mode == By {
-		r.Mode = Block
-	}
-	return settle(c, r, f.issue(c, r.Off, n), f.fs.Name(), f.name, f.store, &f.fs.stats)
-}
-
 // SetServeObserver implements ServeObservable over every LUN queue.
 func (fs *XFS) SetServeObserver(o sim.ServeObserver) {
 	for _, d := range fs.luns {
 		d.Server().SetObserver(o)
 	}
 }
-
-// SeekStats sums the seek-class statistics across all LUNs.
-func (fs *XFS) SeekStats() (seq, near, far int64) {
-	for _, d := range fs.luns {
-		s, n, f := d.SeekStats()
-		seq, near, far = seq+s, near+n, far+f
-	}
-	return
-}
-
-// Snapshot implements FileSystem (out-of-band staging).
-func (fs *XFS) Snapshot() map[string][]byte { return fs.ns.snapshot() }
-
-// Restore implements FileSystem (out-of-band staging).
-func (fs *XFS) Restore(files map[string][]byte) { fs.ns.restore(files) }
