@@ -102,6 +102,17 @@ var pieces sync.Pool`)},
 			decls(`^\(\*fileScratch\)\.transfer\(.*bool`)),
 		mutation: edit{path: "internal/mpiio/mpiio.go", new: "\nfunc join(parts [][]byte) []byte { return bytes.Join(parts, nil) }\n"}},
 
+	// One piece form: bytes at an offset are a pfs.Piece from the store's
+	// index, through a lend read and an aggregator's reply, to a view, and
+	// the one search and copy over pieces are pfs's. A private extent or
+	// part type, a second search or copy, or a join of lent pieces by
+	// position is a layer respelling the form.
+	{name: "one-piece-form", design: "§13", pr: 41,
+		scope: in("internal/mpi", "internal/mpiio", "internal/pfs", "internal/faultfs", "internal/hdf4", "internal/castore"),
+		check: forbid(decls(`^type (Part|extent)$`), decls(`^(CopyParts|partAt)\(|firstEndingAfter`),
+			calls(`^bytes\.Join$`, "")),
+		mutation: mutant("internal/pfs", "type extent struct{ off int64; data []byte }")},
+
 	// One matcher: the lzss chain links live in a 4 Ki ring in Compress's
 	// frame, and the chunker skips the bytes that cannot cut. An input-sized
 	// links array, a second Compress or SplitBounds, or unsafe is the

@@ -376,7 +376,7 @@ const readRounds = 6
 // rather than counted as a failover. The caller decompresses and
 // re-derives the content key, so a corrupted payload is detected there.
 // The payload is lent (pfs.Lend) and read-only: the container's own bytes
-// when one write stored them, else a join of the pieces — the caller only
+// when one write stored them, else a copy of the pieces — the caller only
 // decodes it.
 func (s *Store) Get(c pfs.Client, ref ChunkRef) ([]byte, error) {
 	s.stats.ChunkGets++
@@ -404,7 +404,7 @@ func (s *Store) Get(c pfs.Client, ref ChunkRef) ([]byte, error) {
 			}
 			s.stats.Failovers += int64(failovers)
 			obs.RecordChunkGet(c.Proc, failovers)
-			return pfs.LentRange(s.lend.Pieces, 0, ref.Phys), nil
+			return pfs.LentRange(s.lend.Pieces, rep.Off, ref.Phys), nil
 		}
 		timeout *= 2
 	}

@@ -208,14 +208,19 @@ func (h *h5File) open(gridID int, name string) *hdf5.Dataset {
 }
 
 // readInto issues an independent read of sel, a selection contiguous in the
-// file, that lends: buf is the stored bytes, or a join of the pieces they
-// span, and read-only either way. An unreadable container yields zeros.
+// file, that lends: buf is the stored bytes, or a copy of the pieces they
+// span, and read-only either way. The selection starts where the first piece
+// does; an empty one has no pieces. An unreadable container yields zeros.
 func (h *h5File) readInto(ds *hdf5.Dataset, sel mpi.Subarray) (buf []byte, settle func()) {
 	if ds == nil {
 		return make([]byte, sel.Bytes()), settled
 	}
 	pieces, settle := h.lend(xfer{kind: xSlabIndep, ds: ds, sel: sel, n: sel.Bytes()})
-	return pfs.LentRange(pieces, 0, sel.Bytes()), settle
+	var off int64
+	if len(pieces) > 0 {
+		off = pieces[0].Off
+	}
+	return pfs.LentRange(pieces, off, sel.Bytes()), settle
 }
 
 // readSegs issues the read of a compressed dataset's segment slot (every

@@ -178,11 +178,11 @@ func (s *Sim) gridExtent(gm core.GridMeta) (lo, hi int64) {
 
 // subgrid reads the grid's whole extent with one lend request. Its arrays
 // were written one request each, so each is the piece it lies in; one that
-// an aggregator's chunks split is joined.
+// an aggregator's chunks split is copied.
 func (rf *rawFile) subgrid(gm core.GridMeta) func() *amr.Grid {
 	lo, hi := rf.gridExtent(gm)
 	pieces, settle := rf.lend(xfer{kind: xAt, f: rf.f, n: hi - lo, off: lo})
-	at := func(off, n int64) []byte { return pfs.LentRange(pieces, off-lo, n) }
+	at := func(off, n int64) []byte { return pfs.LentRange(pieces, off, n) }
 	grid := newGrid(gm)
 	for fi, name := range amr.FieldNames {
 		grid.Fields[fi] = at(rf.offsets.ArrayOffset(gm.ID, name))

@@ -24,6 +24,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/obs"
+	"repro/internal/pfs"
 )
 
 type xferKind uint8
@@ -206,10 +207,10 @@ func (s *Sim) read(x xfer) func() {
 // lend is read for an xAt or xSlabIndep read of x.n contiguous bytes that
 // takes the store's read-only pieces (pfs.Lend), in the handle's scratch
 // until its next call. A tolerant read reads into zeros, as above.
-func (s *Sim) lend(x xfer) (pieces [][]byte, settle func()) {
+func (s *Sim) lend(x xfer) (pieces []pfs.Piece, settle func()) {
 	if s.tolerant {
 		x.buf = make([]byte, x.n)
-		return [][]byte{x.buf}, s.read(x)
+		return []pfs.Piece{{Off: x.off, Bytes: x.buf}}, s.read(x)
 	}
 	behind, t0 := s.rpend != nil, s.r.Now()
 	var p *mpiio.Pending

@@ -53,10 +53,8 @@ func (g *writeGuard) wrap(fs pfs.FileSystem) pfs.FileSystem {
 		case c.Req.Write && len(c.Req.Buf) > 0:
 			g.writes = append(g.writes, guard(c.File, c.Req.Off, c.Req.Buf))
 		case c.Req.Lend != nil:
-			off := c.Req.Off
 			for _, p := range c.Req.Lend.Pieces {
-				g.lends = append(g.lends, guard(c.File, off, p))
-				off += int64(len(p))
+				g.lends = append(g.lends, guard(c.File, p.Off, p.Bytes))
 			}
 		}
 	})
@@ -305,7 +303,7 @@ func TestGuardCatchesWriteThroughLend(t *testing.T) {
 	var g writeGuard
 	fs := pfs.Tap(g.wrap(bare), func(c pfs.Call) {
 		if c.Req.Lend != nil && c.Err == nil {
-			c.Req.Lend.Pieces[0][1] = 'X' // the violation, after the guard saw the piece
+			c.Req.Lend.Pieces[0].Bytes[1] = 'X' // the violation, after the guard saw the piece
 		}
 	})
 	var after [4]byte

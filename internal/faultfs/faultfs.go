@@ -13,7 +13,6 @@
 package faultfs
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 
@@ -246,7 +245,8 @@ func (ff *faultFile) maybeServeStale(r pfs.Req) {
 	}
 	buf := r.Buf
 	if r.Lend != nil {
-		buf = bytes.Join(r.Lend.Pieces, nil)
+		buf = make([]byte, n)
+		pfs.CopyPieces(buf, r.Lend.Pieces, 0, r.Off)
 	}
 	var overlaid int64
 	for i := int64(0); i < n; i++ {
@@ -259,7 +259,7 @@ func (ff *faultFile) maybeServeStale(r pfs.Req) {
 	if overlaid > 0 {
 		f.injected++
 		if r.Lend != nil {
-			r.Lend.Pieces = append(r.Lend.Pieces[:0], buf)
+			r.Lend.Pieces = append(r.Lend.Pieces[:0], pfs.Piece{Off: r.Off, Bytes: buf})
 		}
 	}
 }

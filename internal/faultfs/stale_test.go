@@ -162,14 +162,14 @@ func TestStaleReadThroughLend(t *testing.T) {
 		f.WriteAt(c, v2, 0) // v1 becomes the stale image; the store keeps v2 itself
 		l := pfs.Lend{N: 512}
 		f.LendAt(c, &l, 0)
-		if got := bytes.Join(l.Pieces, nil); !bytes.Equal(got, v1) {
+		if got := pfs.LentRange(l.Pieces, 0, 512); !bytes.Equal(got, v1) {
 			panic("lend read did not see the stale overlay")
 		}
 		f.LendAt(c, &l, 0)
-		if got := bytes.Join(l.Pieces, nil); !bytes.Equal(got, bytes.Repeat([]byte{0x55}, 512)) {
+		if got := pfs.LentRange(l.Pieces, 0, 512); !bytes.Equal(got, bytes.Repeat([]byte{0x55}, 512)) {
 			panic("the overlay reached the store: a later lend read still sees it")
 		}
-		if len(l.Pieces) != 1 || &l.Pieces[0][0] != &v2[0] {
+		if len(l.Pieces) != 1 || &l.Pieces[0].Bytes[0] != &v2[0] {
 			panic("an unfaulted lend read did not borrow the stored buffer")
 		}
 	})

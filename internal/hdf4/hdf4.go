@@ -196,7 +196,7 @@ func (s *SDFile) Lookup(name string) (SDSInfo, error) {
 
 // ReadSDS returns a named array's descriptor and data. The data is lent
 // (pfs.Lend) and read-only: the file's own bytes when one write stored them,
-// else a join of the pieces. A caller that needs to modify it copies it.
+// else a copy of the pieces. A caller that needs to modify it copies it.
 func (s *SDFile) ReadSDS(name string) (SDSInfo, []byte, error) {
 	s.check()
 	info, err := s.Lookup(name)
@@ -207,7 +207,7 @@ func (s *SDFile) ReadSDS(name string) (SDSInfo, []byte, error) {
 	defer sp.End()
 	s.lent.N = info.DataLen
 	s.f.LendAt(s.client, &s.lent, info.DataOff)
-	return info, pfs.LentRange(s.lent.Pieces, 0, info.DataLen), nil
+	return info, pfs.LentRange(s.lent.Pieces, info.DataOff, info.DataLen), nil
 }
 
 // List returns the container's datasets in file order.

@@ -565,7 +565,7 @@ func (d *Dataset) IssueReadHyperslabInto(behind bool, sel *mpi.Subarray, out *mp
 
 // IssueLendHyperslab is IssueReadHyperslab, lent, of a selection contiguous
 // in the file (mpiio.File.IssueLendRuns).
-func (d *Dataset) IssueLendHyperslab(behind bool, sel mpi.Subarray) ([][]byte, *mpiio.Pending) {
+func (d *Dataset) IssueLendHyperslab(behind bool, sel mpi.Subarray) ([]pfs.Piece, *mpiio.Pending) {
 	sp := d.dataSpan(behind, "data_read_indep").Bytes(sel.Bytes())
 	defer sp.End()
 	runs := d.slabRuns(sel)

@@ -22,16 +22,6 @@ func NewAccessor(app *Application, f *mpiio.File) *Accessor {
 	return &Accessor{App: app, F: f}
 }
 
-// shiftRuns offsets a subarray's flattened view to the array's file base.
-func shiftRuns(base int64, sub mpi.Subarray) []mpi.Run {
-	runs := sub.Flatten()
-	out := make([]mpi.Run, len(runs))
-	for i, run := range runs {
-		out[i] = mpi.Run{Off: run.Off + base, Len: run.Len}
-	}
-	return out
-}
-
 // WriteArray writes this rank's subarray of a registered dataset stored at
 // file offset base, using the advised method, and records the outcome.
 func (ac *Accessor) WriteArray(name string, base int64, sub mpi.Subarray, data []byte) error {
@@ -40,7 +30,7 @@ func (ac *Accessor) WriteArray(name string, base int64, sub mpi.Subarray, data [
 	if err != nil {
 		return err
 	}
-	runs := shiftRuns(base, sub)
+	runs := sub.AppendRuns(nil, base)
 	t0 := r.Now()
 	switch method {
 	case core.MethodCollective:
@@ -61,7 +51,7 @@ func (ac *Accessor) ReadArray(name string, base int64, sub mpi.Subarray, buf []b
 	if err != nil {
 		return err
 	}
-	runs := shiftRuns(base, sub)
+	runs := sub.AppendRuns(nil, base)
 	t0 := r.Now()
 	switch method {
 	case core.MethodCollective:

@@ -11,10 +11,10 @@
 // only where a caller may legitimately reuse its buffer. So Gatherv, Scatterv,
 // AlltoallvScratch and ExchangeScratch deliver by reference — the receiver
 // holds the sender's slice — and GathervView and ScattervView deliver a View,
-// a subarray of a buffer the sender owns or of pieces of a file it was lent,
-// likewise by reference: the block is not packed before it travels, and the
-// receiver copies it once, run by run, to where it goes (View.Pack,
-// View.UnpackTo). Send/Isend, Bcast, Allgatherv,
+// a subarray of a buffer the sender owns or of pieces of a file it was lent
+// (pfs.Piece, the store's own form, never converted), likewise by reference:
+// the block is not packed before it travels, and the receiver copies it once,
+// run by run, to where it goes (View.Pack, View.UnpackTo). Send/Isend, Bcast, Allgatherv,
 // Alltoallv and the reductions clone at post time and hand the buffer
 // straight back (MPI's blocking-send contract, which probes and tests rely
 // on; their payloads are small).
@@ -23,6 +23,8 @@ package mpi
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/pfs"
 )
 
 // Run is a contiguous byte extent at offset Off of length Len. Lists of
@@ -243,26 +245,20 @@ func (s Subarray) ScatterSub(dst, src []byte) {
 //   - Base, a buffer the sender owns; a nil Sub selects all of it (Packed): a
 //     packed block is a view of itself.
 //   - Parts, the lent form: read-only pieces of a larger address space (a
-//     file's bytes, lent by pfs), ascending and disjoint, with Base nil. With
-//     Sub, a part's Off is its place in the array Sub selects from, and the
-//     parts cover at least the selected elements. Without, the receiver
-//     knows which of their bytes it takes, and Len says how many.
+//     file's bytes, lent by pfs in the form the store keeps them), ascending
+//     and disjoint, with Base nil. With Sub, a piece's Off is its place in
+//     the array Sub selects from, and the pieces cover at least the selected
+//     elements. Without, the receiver knows which of their bytes it takes,
+//     and Len says how many.
 //
 // Wherever a transfer is priced a view counts as its packed size, Bytes, and
-// it falls under the package's write-once rule: nobody writes Base or a part
+// it falls under the package's write-once rule: nobody writes Base or a piece
 // while a view of it is held.
 type View struct {
 	Base  []byte
 	Sub   *Subarray
-	Parts []Part
+	Parts []pfs.Piece
 	Len   int64 // a lent view without Sub: its packed size
-}
-
-// Part is one piece of a lent view: the bytes at offset Off of the address
-// space its view's parts share.
-type Part struct {
-	Off   int64
-	Bytes []byte
 }
 
 // Packed is the view of all of b.
@@ -318,7 +314,7 @@ func (v View) Pack() []byte {
 	var p int64
 	i := 0
 	v.Sub.visitRuns(func(r Run) {
-		i = CopyParts(dst[p:p+r.Len], v.Parts, i, r.Off)
+		i = pfs.CopyPieces(dst[p:p+r.Len], v.Parts, i, r.Off)
 		p += r.Len
 	})
 	return dst
@@ -328,7 +324,7 @@ func (v View) Pack() []byte {
 // run. A packed view lands in any at of its length; a subarray view only
 // where it was cut from — at must select the same block of an array of the
 // same shape — so its runs are copied offset for offset, out of Base or out
-// of the parts that hold them.
+// of the pieces that hold them.
 func (v View) UnpackTo(dst []byte, at Subarray) {
 	if v.packed() {
 		at.ScatterSub(dst, v.Base)
@@ -343,26 +339,7 @@ func (v View) UnpackTo(dst []byte, at Subarray) {
 		return
 	}
 	i := 0
-	at.visitRuns(func(r Run) { i = CopyParts(dst[r.Off:r.Off+r.Len], v.Parts, i, r.Off) })
-}
-
-// CopyParts fills dst with the bytes at offset off of the address space
-// parts share, searching from parts[i] on, and returns the index of the part
-// that held dst's last byte: where a search for a later offset starts, so a
-// caller copying ascending ranges walks the parts once. It panics if the
-// parts do not hold every byte of the range.
-func CopyParts(dst []byte, parts []Part, i int, off int64) int {
-	for len(dst) > 0 {
-		for i < len(parts) && off >= parts[i].Off+int64(len(parts[i].Bytes)) {
-			i++
-		}
-		if i == len(parts) || off < parts[i].Off {
-			panic(fmt.Sprintf("mpi: no lent part holds offset %d", off))
-		}
-		n := copy(dst, parts[i].Bytes[off-parts[i].Off:])
-		dst, off = dst[n:], off+int64(n)
-	}
-	return i
+	at.visitRuns(func(r Run) { i = pfs.CopyPieces(dst[r.Off:r.Off+r.Len], v.Parts, i, r.Off) })
 }
 
 // BlockDecompose3D splits a 3-D domain of extent dims (ordered z,y,x) into

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/pfs"
 	"repro/internal/sim"
 )
 
@@ -181,11 +182,11 @@ func viewPayloadAllocation(t *testing.T) {
 // cutParts cuts b into parts of the given sizes, cycled, each at its offset
 // in b: a lent array as a store holds it, in pieces of whatever lengths its
 // writes had.
-func cutParts(b []byte, sizes ...int) []Part {
-	var parts []Part
+func cutParts(b []byte, sizes ...int) []pfs.Piece {
+	var parts []pfs.Piece
 	for off, i := 0, 0; off < len(b); i++ {
 		n := min(sizes[i%len(sizes)], len(b)-off)
-		parts = append(parts, Part{Off: int64(off), Bytes: b[off : off+n : off+n]})
+		parts = append(parts, pfs.Piece{Off: int64(off), Bytes: b[off : off+n : off+n]})
 		off += n
 	}
 	return parts
@@ -203,7 +204,7 @@ func TestLentViewIsItsParts(t *testing.T) {
 			sub := &subs[r]
 			want := sub.GatherSub(base)
 			// Keep only the parts a run of the block touches.
-			var held []Part
+			var held []pfs.Piece
 			for _, p := range all {
 				for _, run := range sub.Flatten() {
 					if p.Off < run.Off+run.Len && run.Off < p.Off+int64(len(p.Bytes)) {
@@ -212,7 +213,7 @@ func TestLentViewIsItsParts(t *testing.T) {
 					}
 				}
 			}
-			for _, parts := range [][]Part{all, held} {
+			for _, parts := range [][]pfs.Piece{all, held} {
 				v := View{Sub: sub, Parts: parts}
 				if v.Bytes() != sub.Bytes() {
 					t.Fatalf("sizes %v rank %d: a lent view is %d bytes, its block %d", sizes, r, v.Bytes(), sub.Bytes())
@@ -232,16 +233,16 @@ func TestLentViewIsItsParts(t *testing.T) {
 	}
 }
 
-// A lent view must hold every byte its selection asks for: a missing part
+// A lent view must hold every byte its selection asks for: a missing piece
 // is a programming error, named by the offset nobody holds.
 func TestCopyPartsPanicsOnAGap(t *testing.T) {
-	parts := []Part{{Off: 0, Bytes: make([]byte, 8)}, {Off: 12, Bytes: make([]byte, 8)}}
+	parts := []pfs.Piece{{Off: 0, Bytes: make([]byte, 8)}, {Off: 12, Bytes: make([]byte, 8)}}
 	defer func() {
-		if r := recover(); r != "mpi: no lent part holds offset 8" {
+		if r := recover(); r != "pfs: no lent piece holds offset 8" {
 			t.Fatalf("recovered %v", r)
 		}
 	}()
-	CopyParts(make([]byte, 10), parts, 0, 4)
+	pfs.CopyPieces(make([]byte, 10), parts, 0, 4)
 }
 
 // TestExchangeChargesLentViewsAtLen: a lent view without a selection travels
@@ -250,8 +251,8 @@ func TestCopyPartsPanicsOnAGap(t *testing.T) {
 func TestExchangeChargesLentViewsAtLen(t *testing.T) {
 	const np, n = 4, 3000
 	payload := bytes.Repeat([]byte{7}, 2*n)
-	run := func(lent bool) (string, [np][]Part) {
-		var got [np][]Part
+	run := func(lent bool) (string, [np][]pfs.Piece) {
+		var got [np][]pfs.Piece
 		now, sent := make([]float64, np), make([]int64, np)
 		tr := obs.NewTracer()
 		eng := sim.NewEngine()
@@ -260,7 +261,7 @@ func TestExchangeChargesLentViewsAtLen(t *testing.T) {
 			parts, out := make([]View, np), make([]View, np)
 			dst := (r.Rank() + 1) % np
 			if lent {
-				parts[dst] = View{Parts: []Part{{Off: 0, Bytes: payload}}, Len: n}
+				parts[dst] = View{Parts: []pfs.Piece{{Off: 0, Bytes: payload}}, Len: n}
 			} else {
 				parts[dst] = Packed(payload[:n])
 			}

@@ -190,7 +190,7 @@ var accessKinds = []accessKind{
 		func(f *File, behind bool, s share) *Pending { return f.IssueWriteAt(behind, s.data, s.off) },
 		func(f *File, behind bool, s share, buf []byte) *Pending {
 			pieces, p := f.IssueLendAt(behind, int64(len(buf)), s.off)
-			copy(buf, bytes.Join(pieces, nil))
+			pfs.CopyPieces(buf, pieces, 0, s.off)
 			return p
 		}},
 	{"at-all-into",

@@ -26,7 +26,7 @@
 // every piece at its offset within its extent (transfer) and writes the
 // extents out (issueExtents). A read aggregator copies nothing: the store
 // lends it the extents (pfs.Lend), and it answers every request with
-// references to the lent pieces (an mpi.View of its parts), so a reader
+// references to the lent pieces (an mpi.View of them, as lent), so a reader
 // copies each byte once — into its buffer, or, reading into a view, not at
 // all until the block reaches its owner. All of it works in a scratch bundle
 // that belongs to the rank (fileScratch).
@@ -168,9 +168,9 @@ type fileScratch struct {
 	// The aggregator's side of the I/O phase, rebuilt by extentUnion and
 	// allocExtents or readRequested whenever this rank is one; nobody else
 	// looks, but readers hold views of extLent until the trailing barrier.
-	extents []mpi.Run  // coalesced union of every extent named in recvd
-	extData [][]byte   // write: extData[i] holds the bytes of extents[i], in scratch
-	extLent []mpi.Part // read: the pieces the store lent for the extents, at their file offsets
+	extents []mpi.Run   // coalesced union of every extent named in recvd
+	extData []pfs.Piece // write: extData[i] is extents[i] and its bytes, in scratch
+	extLent []pfs.Piece // read: the pieces the store lent for the extents
 }
 
 // takeScratch pops a bundle off r's free list, or makes the rank a new one.
@@ -351,13 +351,13 @@ func (f *File) IssueReadAt(behind bool, buf []byte, off int64) *Pending {
 // lends the file's bytes [off, off+n), read-only (pfs.Lend). The slice
 // holding the pieces is the handle's, good until its next call; behind, the
 // pieces are known at issue and must not be consumed before Wait.
-func (f *File) IssueLendAt(behind bool, n, off int64) ([][]byte, *Pending) {
+func (f *File) IssueLendAt(behind bool, n, off int64) ([]pfs.Piece, *Pending) {
 	return f.lend(behind, pick(behind, "read_indep", "iread_indep"), n, off)
 }
 
 // IssueLendRuns is IssueReadRuns, lending as IssueLendAt does, over a view
 // of at most one run: a contiguous selection. It panics on more.
-func (f *File) IssueLendRuns(behind bool, runs []mpi.Run) ([][]byte, *Pending) {
+func (f *File) IssueLendRuns(behind bool, runs []mpi.Run) ([]pfs.Piece, *Pending) {
 	switch {
 	case len(runs) > 1:
 		panic("mpiio: a lend read takes at most one run")
@@ -368,7 +368,7 @@ func (f *File) IssueLendRuns(behind bool, runs []mpi.Run) ([][]byte, *Pending) {
 }
 
 // lend issues one lend read of n bytes at off under the span op.
-func (f *File) lend(behind bool, op string, n, off int64) ([][]byte, *Pending) {
+func (f *File) lend(behind bool, op string, n, off int64) ([]pfs.Piece, *Pending) {
 	is := f.issuer(behind)
 	sp := obs.Begin(f.client.Proc, obs.LayerMPIIO, op).Bytes(n)
 	f.lent.N, f.lent.Pieces = n, f.lent.Pieces[:0]
@@ -946,7 +946,7 @@ func (sc *fileScratch) allocExtents() {
 	sc.scratch.reserve(int(mpi.TotalLen(sc.extents)))
 	sc.extData = sc.extData[:0]
 	for _, ext := range sc.extents {
-		sc.extData = append(sc.extData, sc.scratch.alloc(int(ext.Len)))
+		sc.extData = append(sc.extData, pfs.Piece{Off: ext.Off, Bytes: sc.scratch.alloc(int(ext.Len))})
 	}
 }
 
@@ -956,10 +956,10 @@ func (sc *fileScratch) allocExtents() {
 // rank's arena, which the next collective overwrites.
 func (sc *fileScratch) issueExtents(is *issuer) {
 	cb := is.f.hints.CBBufferSize
-	for i, ext := range sc.extents {
-		for base := int64(0); base < ext.Len; base += cb {
-			n := min64(cb, ext.Len-base)
-			is.write(bytes.Clone(sc.extData[i][base:base+n]), ext.Off+base)
+	for _, ext := range sc.extData {
+		for base := int64(0); base < int64(len(ext.Bytes)); base += cb {
+			n := min64(cb, int64(len(ext.Bytes))-base)
+			is.write(bytes.Clone(ext.Bytes[base:base+n]), ext.Off+base)
 		}
 	}
 }
@@ -972,14 +972,14 @@ func (sc *fileScratch) transfer(msg, payload []byte) int64 {
 	ei, dp := 0, int64(0)
 	for hp, end := 4, 4+16*pieceCount(msg); hp < end; hp += 16 {
 		off, n := pieceAt(msg, hp)
-		for ei < len(sc.extents) && off >= sc.extents[ei].Off+sc.extents[ei].Len {
+		for ei < len(sc.extData) && off >= sc.extData[ei].End() {
 			ei++
 		}
-		if ei == len(sc.extents) || off < sc.extents[ei].Off || off+n > sc.extents[ei].Off+sc.extents[ei].Len {
+		if ei == len(sc.extData) || off < sc.extData[ei].Off || off+n > sc.extData[ei].End() {
 			panic("mpiio: piece outside the aggregator's extents")
 		}
-		at := off - sc.extents[ei].Off
-		copy(sc.extData[ei][at:at+n], payload[dp:dp+n])
+		at := off - sc.extData[ei].Off
+		copy(sc.extData[ei].Bytes[at:at+n], payload[dp:dp+n])
 		dp += n
 	}
 	return dp
@@ -1017,7 +1017,7 @@ func (f *File) writeReceived(is *issuer, sc *fileScratch) int64 {
 // readRequested is the aggregator half of a two-phase read's I/O phase: the
 // union of the requested extents, lent by the store one CBBufferSize chunk
 // at a time — the requests a read into a buffer would make — and kept as
-// parts at their file offsets (sc.extLent), which replyAndPlace answers
+// lent, at their file offsets (sc.extLent), which replyAndPlace answers
 // from by reference. It returns the bytes read.
 func (f *File) readRequested(is *issuer, sc *fileScratch) int64 {
 	sc.extentUnion(sc.recvd)
@@ -1025,26 +1025,13 @@ func (f *File) readRequested(is *issuer, sc *fileScratch) int64 {
 	cb := f.hints.CBBufferSize
 	for _, ext := range sc.extents {
 		for base := int64(0); base < ext.Len; base += cb {
-			off := ext.Off + base
 			sc.lent.N, sc.lent.Pieces = min64(cb, ext.Len-base), sc.lent.Pieces[:0]
-			is.do(pfs.Req{Lend: &sc.lent, Off: off})
-			for _, p := range sc.lent.Pieces {
-				sc.extLent = append(sc.extLent, mpi.Part{Off: off, Bytes: p})
-				off += int64(len(p))
-			}
+			is.do(pfs.Req{Lend: &sc.lent, Off: ext.Off + base})
+			sc.extLent = append(sc.extLent, sc.lent.Pieces...)
 		}
 	}
 	clear(sc.lent.Pieces)
 	return mpi.TotalLen(sc.extents)
-}
-
-// partAt returns the index of the first of parts, ascending and disjoint,
-// that ends past off.
-func partAt(parts []mpi.Part, off int64) int {
-	i, _ := slices.BinarySearchFunc(parts, off, func(p mpi.Part, off int64) int {
-		return cmp.Compare(p.Off+int64(len(p.Bytes)), off+1)
-	})
-	return i
 }
 
 // overlapIn finds a byte range two of the pieces in msgs both cover, for the
@@ -1225,7 +1212,7 @@ func (f *File) replyAndPlace(t readTail) {
 	if t.scatter > 0 {
 		f.r.CopyCost(t.scatter)
 	}
-	// A reply is the lent parts that cover the request, charged as the
+	// A reply is the lent pieces that cover the request, charged as the
 	// request's headers with the requested bytes behind them — what the
 	// modelled aggregator copies out of its collective buffer and sends.
 	for s, req := range sc.recvd {
@@ -1241,7 +1228,7 @@ func (f *File) replyAndPlace(t readTail) {
 		}
 		first, _ := pieceAt(msg, 4)
 		lastOff, lastN := pieceAt(msg, hdr-16)
-		i, j := partAt(sc.extLent, first), partAt(sc.extLent, lastOff+lastN-1)+1
+		i, j := pfs.PieceAt(sc.extLent, first), pfs.PieceAt(sc.extLent, lastOff+lastN-1)+1
 		sc.replies[s] = mpi.View{Parts: sc.extLent[i:j:j], Len: int64(hdr) + nb}
 	}
 	// Replies retrace the request phase: every aggregator answers exactly
@@ -1252,7 +1239,7 @@ func (f *File) replyAndPlace(t readTail) {
 
 	// The requests went out in file order, which is buffer order (see
 	// sweep): aggregator after aggregator, each request's pieces are the
-	// next stretch of buf, and each reply's parts follow the last one's.
+	// next stretch of buf, and each reply's pieces follow the last one's.
 	var pos int64
 	nparts := 0
 	for a := 0; a < t.naggs; a++ {
@@ -1272,21 +1259,21 @@ func (f *File) replyAndPlace(t readTail) {
 		req, i := sc.send[d].Base, 0
 		for hp := 4; hp < 4+16*count; hp += 16 {
 			off, n := pieceAt(req, hp)
-			i = mpi.CopyParts(t.buf[pos:pos+n], reply.Parts, i, off)
+			i = pfs.CopyPieces(t.buf[pos:pos+n], reply.Parts, i, off)
 			pos += n
 		}
 	}
 	if t.to.out != nil {
-		// The view's parts are the replies', placed in the block's array:
-		// collected before the barrier, since the aggregators' part lists
+		// The view's pieces are the replies', placed in the block's array:
+		// collected before the barrier, since the aggregators' piece lists
 		// are scratch.
-		parts := make([]mpi.Part, 0, nparts)
+		parts := make([]pfs.Piece, 0, nparts)
 		for a := 0; a < t.naggs; a++ {
 			if t.wants[2*a] == 0 {
 				continue
 			}
 			for _, p := range sc.got[f.aggRank(a, t.rot)].Parts {
-				parts = append(parts, mpi.Part{Off: p.Off - t.to.base, Bytes: p.Bytes})
+				parts = append(parts, pfs.Piece{Off: p.Off - t.to.base, Bytes: p.Bytes})
 			}
 		}
 		*t.to.out = mpi.View{Sub: t.to.sel, Parts: parts}

@@ -85,7 +85,7 @@ func runModelScript(t *testing.T, model string) []byte {
 		l := &Lend{N: 1 << 20}
 		end, err := f.Do(c, Req{Lend: l, Off: off})
 		step(fs, p, "lend 1048576", end, err)
-		fmt.Fprintf(&out, "%s   lent pieces=%d sha256=%x\n", model, len(l.Pieces), sha256.Sum256(bytes.Join(l.Pieces, nil)))
+		fmt.Fprintf(&out, "%s   lent pieces=%d sha256=%x\n", model, len(l.Pieces), sha256.Sum256(LentRange(l.Pieces, off, l.N)))
 		if fi, ok := As[StripeFaultInjector](fs); ok {
 			fi.FailDataServerAt(1, p.Now())
 		}

@@ -9,7 +9,9 @@
 // buffers writes handed it, kept by reference and never written through), so
 // the layers above can verify that data round-trips, while access costs
 // are charged to the calling process's virtual clock through sim.Server
-// queues that model disks, NICs and lock managers.
+// queues that model disks, NICs and lock managers. The index holds Pieces —
+// bytes at a file offset — and a lend read hands the same Pieces out, the
+// one form the layers above pass on (PieceAt, CopyPieces, LentRange).
 //
 // # One request primitive
 //
@@ -89,7 +91,6 @@
 package pfs
 
 import (
-	"bytes"
 	"sync"
 
 	"repro/internal/sim"
@@ -229,35 +230,28 @@ type Req struct {
 
 // Lend is the two ends of a lend read: the reader names N, and a read that
 // reaches the store leaves in Pieces the file's bytes [Off, Off+N) as the
-// store holds them (ByteStore.LendAt), with no copy made. The pieces are
-// read-only — a reader that changed one would change the file. The reader
-// owns the Lend and may reuse it, and Pieces' backing array, for its next.
+// store holds them (ByteStore.LendAt), each piece at its file offset, with no
+// copy made. The pieces are read-only — a reader that changed one would
+// change the file. The reader owns the Lend and may reuse it, and Pieces'
+// backing array, for its next.
 type Lend struct {
 	N      int64
-	Pieces [][]byte
+	Pieces []Piece
 }
 
-// LentRange returns bytes [at, at+n) of a read lent as pieces that lie back
-// to back from 0: a capped sub-slice of the piece they lie in, or a join of
-// the ones they span. Either way it is read-only.
-func LentRange(pieces [][]byte, at, n int64) []byte {
-	var parts [][]byte
-	for _, p := range pieces {
-		if at >= int64(len(p)) {
-			at -= int64(len(p))
-			continue
-		}
-		end := min(at+n, int64(len(p)))
-		if parts == nil && end == at+n {
-			return p[at:end:end]
-		}
-		parts = append(parts, p[at:end])
-		if n -= end - at; n == 0 {
-			break
-		}
-		at = 0
+// LentRange returns the bytes at file offsets [off, off+n) of a read lent as
+// pieces: a capped sub-slice of the piece they lie in, or a copy of the ones
+// they span. Either way it is read-only. It panics, naming the offset, if the
+// pieces do not hold every byte of the range.
+func LentRange(pieces []Piece, off, n int64) []byte {
+	i := PieceAt(pieces, off)
+	if i < len(pieces) && pieces[i].Off <= off && off+n <= pieces[i].End() {
+		at, end := off-pieces[i].Off, off+n-pieces[i].Off
+		return pieces[i].Bytes[at:end:end]
 	}
-	return bytes.Join(parts, nil)
+	buf := make([]byte, n)
+	CopyPieces(buf, pieces, i, off)
+	return buf
 }
 
 // Len returns the request's byte count.

@@ -190,7 +190,7 @@ func TestAllFileSystemsRoundTripData(t *testing.T) {
 				f.ReadAt(c, got, 12345)
 				// A lend that moves no bytes never reaches the store, so it
 				// must not hand back the pieces of the Lend's last read.
-				l := Lend{Pieces: [][]byte{data}}
+				l := Lend{Pieces: []Piece{{Off: 12345, Bytes: data}}}
 				if f.LendAt(c, &l, 12345); len(l.Pieces) != 0 {
 					panic("a zero-length lend kept the last read's pieces")
 				}
@@ -590,7 +590,7 @@ func BenchmarkByteStoreWrite(b *testing.B) {
 func BenchmarkByteStoreRead(b *testing.B) {
 	const req, fileSize = 1 << 20, 64 << 20
 	buf := make([]byte, req)
-	var pieces [][]byte
+	var pieces []Piece
 	src := make([]byte, fileSize)
 	rand.New(rand.NewSource(1)).Read(src) // touched: not 64 MiB of the shared zero page
 	for _, tc := range []struct {
@@ -641,24 +641,38 @@ func TestLendAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestLentRange holds the cut a lend reader makes of its pieces: a range
-// inside one piece is that piece's own memory, capped; one that spans pieces
-// is a join; an empty one at the end is empty.
+// TestLentRange holds the cut a lend reader makes of its pieces, by file
+// offset: a range inside one piece is that piece's own memory, capped; one
+// that spans pieces is a copy; an empty one is empty; and one that crosses
+// a gap panics, naming the first offset no piece holds. The
+// pieces lie at a nonzero base, so a cut that ignored their offsets misses.
 func TestLentRange(t *testing.T) {
-	pieces := [][]byte{[]byte("abcd"), []byte("ef"), []byte("ghij")}
+	const base, gap = 1000, -2 // gap: a row whose range the pieces do not cover
+	pieces := []Piece{{base, []byte("abcd")}, {base + 4, []byte("ef")}, {base + 6, []byte("ghij")}, {base + 12, []byte("mn")}}
+	cut := func(at, n int64) (got []byte, panicked any) {
+		defer func() { panicked = recover() }()
+		return LentRange(pieces, base+at, n), nil
+	}
 	for _, tc := range []struct {
 		at, n int64
-		want  string
-		piece int // the piece the result lies in, -1 for a join
-		from  int // where in it
+		want  string // the bytes, or the panic's text for a gap
+		piece int    // the piece the result lies in, -1 for a copy, gap for a panic
+		from  int    // where in it
 	}{{0, 4, "abcd", 0, 0}, {1, 2, "bc", 0, 1}, {4, 2, "ef", 1, 0}, {7, 3, "hij", 2, 1},
-		{3, 2, "de", -1, 0}, {2, 7, "cdefghi", -1, 0}, {0, 10, "abcdefghij", -1, 0}, {10, 0, "", -1, 0}} {
-		got := LentRange(pieces, tc.at, tc.n)
-		if string(got) != tc.want || cap(got) != len(got) {
-			t.Errorf("LentRange(%d, %d) = %q with capacity %d, want %q capped", tc.at, tc.n, got, cap(got), tc.want)
+		{3, 2, "de", -1, 0}, {2, 7, "cdefghi", -1, 0}, {0, 10, "abcdefghij", -1, 0}, {10, 0, "", -1, 0},
+		{8, 5, "pfs: no lent piece holds offset 1010", gap, 0}} {
+		got, panicked := cut(tc.at, tc.n)
+		if tc.piece == gap {
+			if panicked != tc.want {
+				t.Errorf("LentRange(%d, %d) across a gap recovered %v, want %q", base+tc.at, tc.n, panicked, tc.want)
+			}
+			continue
 		}
-		if tc.piece >= 0 && &got[0] != &pieces[tc.piece][tc.from] {
-			t.Errorf("LentRange(%d, %d) copied bytes that lie in piece %d", tc.at, tc.n, tc.piece)
+		if panicked != nil || string(got) != tc.want || cap(got) != len(got) {
+			t.Errorf("LentRange(%d, %d) = %q with capacity %d (panic %v), want %q capped", base+tc.at, tc.n, got, cap(got), panicked, tc.want)
+		}
+		if tc.piece >= 0 && &got[0] != &pieces[tc.piece].Bytes[tc.from] {
+			t.Errorf("LentRange(%d, %d) copied bytes that lie in piece %d", base+tc.at, tc.n, tc.piece)
 		}
 	}
 }

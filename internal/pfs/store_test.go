@@ -72,9 +72,9 @@ func (r *storeRun) write(off, n int64) {
 	before, shadowed, split := len(r.st.ext), 0, 0
 	for _, e := range r.st.ext {
 		switch {
-		case off <= e.off && e.end() <= off+n:
+		case off <= e.Off && e.End() <= off+n:
 			shadowed++
-		case e.off < off && off+n < e.end():
+		case e.Off < off && off+n < e.End():
 			split = 1
 		}
 	}
@@ -113,30 +113,44 @@ func (r *storeRun) read(off, n int64) {
 	}
 }
 
-// lend checks LendAt against ReadAt into a fresh buffer: the pieces, joined,
-// are the same bytes, holes as zeros; none is empty or owns capacity past its
-// bytes; and a range inside one extent comes back as that extent's own
-// memory, in one piece. Every piece is remembered, to be held to its bytes
-// after whatever the sequence does next (checkLent).
-func (r *storeRun) lend(off, n int64) {
+// lend checks LendAt against ReadAt into a fresh buffer: the pieces lie back
+// to back at their file offsets, from off to off+n, and hold the same bytes,
+// holes as zeros; none is empty or owns capacity past its bytes; and a range
+// inside one extent comes back as that extent's own memory, in one piece.
+// LentRange cuts a sub-range the record's cut byte picks to ReadAt's bytes
+// too. Every piece is remembered, to be held to its bytes after whatever the
+// sequence does next (checkLent).
+func (r *storeRun) lend(off, n int64, cut byte) {
 	want := make([]byte, n)
 	r.st.ReadAt(want, off)
 	pieces := r.st.LendAt(nil, off, n)
-	if got := bytes.Join(pieces, nil); !bytes.Equal(got, want) {
-		r.t.Fatalf("LendAt(%d bytes at %d) joined differs from ReadAt", n, off)
-	}
+	pos := off // the pieces so far cover [off, pos)
 	for i, p := range pieces {
-		if len(p) == 0 || cap(p) != len(p) {
-			r.t.Fatalf("LendAt(%d bytes at %d): piece %d is %d bytes with capacity %d", n, off, i, len(p), cap(p))
+		switch {
+		case p.Off != pos || p.End() > off+n:
+			r.t.Fatalf("LendAt(%d bytes at %d): piece %d is [%d, %d), want it to start at %d and end by %d", n, off, i, p.Off, p.End(), pos, off+n)
+		case len(p.Bytes) == 0 || cap(p.Bytes) != len(p.Bytes):
+			r.t.Fatalf("LendAt(%d bytes at %d): piece %d is %d bytes with capacity %d", n, off, i, len(p.Bytes), cap(p.Bytes))
+		case !bytes.Equal(p.Bytes, want[p.Off-off:p.End()-off]):
+			r.t.Fatalf("LendAt(%d bytes at %d): piece %d at %d differs from ReadAt", n, off, i, p.Off)
 		}
-		r.lent = append(r.lent, lent{p, bytes.Clone(p)})
+		pos = p.End()
+		r.lent = append(r.lent, lent{p.Bytes, bytes.Clone(p.Bytes)})
+	}
+	if pos != off+n {
+		r.t.Fatalf("LendAt(%d bytes at %d): the pieces end at %d", n, off, pos)
+	}
+	at := int64(cut) % (n + 1)
+	m := int64(cut/3) % (n - at + 1)
+	if got := LentRange(pieces, off+at, m); !bytes.Equal(got, want[at:at+m]) {
+		r.t.Fatalf("LentRange(%d bytes at %d) of a lend of %d bytes at %d differs from ReadAt", m, off+at, n, off)
 	}
 	if n == 0 {
 		return
 	}
 	for _, e := range r.st.ext {
-		if e.off <= off && off+n <= e.end() {
-			if len(pieces) != 1 || &pieces[0][0] != &e.data[off-e.off] {
+		if e.Off <= off && off+n <= e.End() {
+			if len(pieces) != 1 || &pieces[0].Bytes[0] != &e.Bytes[off-e.Off] {
 				r.t.Fatalf("LendAt(%d bytes at %d) inside one extent: %d pieces, not the extent's own bytes", n, off, len(pieces))
 			}
 		}
@@ -216,7 +230,7 @@ func (r *storeRun) apply(kind, a, b, c byte) {
 		r.st.Truncate()
 		r.model, r.past = r.model[:0], r.past[:0]
 	case opLend:
-		r.lend(off, n*5)
+		r.lend(off, n*5, b^c)
 	}
 	if got := r.st.Size(); got != int64(len(r.model)) {
 		r.t.Fatalf("Size() = %d, model %d", got, len(r.model))
@@ -235,21 +249,21 @@ func (r *storeRun) checkIndex() {
 	var prevEnd int64
 	for i, e := range ext {
 		switch {
-		case len(e.data) == 0:
-			r.t.Fatalf("extent %d at %d is empty", i, e.off)
-		case cap(e.data) != len(e.data):
-			r.t.Fatalf("extent %d at %d keeps %d bytes of capacity it was not given", i, e.off, cap(e.data)-len(e.data))
-		case e.off < prevEnd:
-			r.t.Fatalf("extent %d at %d starts before the previous one ends (%d)", i, e.off, prevEnd)
+		case len(e.Bytes) == 0:
+			r.t.Fatalf("extent %d at %d is empty", i, e.Off)
+		case cap(e.Bytes) != len(e.Bytes):
+			r.t.Fatalf("extent %d at %d keeps %d bytes of capacity it was not given", i, e.Off, cap(e.Bytes)-len(e.Bytes))
+		case e.Off < prevEnd:
+			r.t.Fatalf("extent %d at %d starts before the previous one ends (%d)", i, e.Off, prevEnd)
 		}
-		prevEnd = e.end()
+		prevEnd = e.End()
 	}
 	if prevEnd != r.st.size {
 		r.t.Fatalf("last extent ends at %d, Size is %d", prevEnd, r.st.size)
 	}
 	for i, e := range ext[len(ext):cap(ext)] {
-		if e.data != nil {
-			r.t.Fatalf("vacated index slot %d still holds a %d-byte buffer", len(ext)+i, len(e.data))
+		if e.Bytes != nil {
+			r.t.Fatalf("vacated index slot %d still holds a %d-byte buffer", len(ext)+i, len(e.Bytes))
 		}
 	}
 }
@@ -257,7 +271,7 @@ func (r *storeRun) checkIndex() {
 // finish compares the whole file, and a stretch past its end, once more.
 func (r *storeRun) finish() {
 	r.read(0, int64(len(r.model))+64)
-	r.lend(0, int64(len(r.model))+64)
+	r.lend(0, int64(len(r.model))+64, byte(len(r.model)))
 	if got := r.st.Bytes(); !bytes.Equal(got, r.model) {
 		r.t.Fatal("Bytes() differs from the flat model at the end of the sequence")
 	}
