@@ -3,6 +3,7 @@ package enzo
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -272,6 +273,193 @@ func TestConsolidateIsTheStoredArray(t *testing.T) {
 	})
 }
 
+// staleExtent is TestConsolidateIsTheStoredArray's stale-extent row: a
+// Tiny/np=4 mpiio run on chiba/pvfs that rewrites 256 bytes in the middle of
+// grid 1's first field after the setup: the file
+// stores the flipped bytes, and the one stale read faultfs serves — the
+// first read of at least 1 KiB that reaches them, an aggregator's extent —
+// overlays the bytes written first. key names the rewritten field.
+func staleExtent() (run assembly, key string) {
+	const n = 256
+	run = assembly{backend: BackendMPIIO, mach: machine.ChibaCity(), fs: "pvfs", cfg: Tiny(), np: 4,
+		fault: &faultfs.Config{Mode: faultfs.StaleRead, EveryN: 1, MinBytes: 1024, FileSubstr: icRawFile(), MaxInject: 1}}
+	run.before = func(r *mpi.Rank, fs pfs.FileSystem, s *Sim) {
+		if r.Rank() == 0 {
+			c := s.client()
+			f, err := fs.Open(c, icRawFile())
+			if err != nil {
+				panic(err)
+			}
+			off, length := s.offsets.ArrayOffset(1, amr.FieldNames[0])
+			at := off + length/2
+			flipped := make([]byte, n)
+			f.ReadAt(c, flipped, at)
+			for i := range flipped {
+				flipped[i] ^= 0xFF
+			}
+			f.WriteAt(c, flipped, at)
+			f.Close(c)
+		}
+		r.Barrier()
+	}
+	return run, fmt.Sprintf("g%04d/%s", 1, amr.FieldNames[0])
+}
+
+// adoption splits the assembled fields — one per subgrid field of cfg's
+// hierarchy — by whether each is the cached hierarchy's own array (the same
+// memory, not equal bytes), and reports a field that is neither that memory
+// nor equal to its bytes.
+func adoption(t *testing.T, cfg Config, assembled map[string][]byte) (adopted, copied []string) {
+	t.Helper()
+	h := hierEntryFor(cfg).hierarchy()
+	if want := (len(h.Grids) - 1) * len(amr.FieldNames); len(assembled) != want {
+		t.Fatalf("%d subgrid fields assembled, want %d", len(assembled), want)
+	}
+	for key, got := range assembled {
+		var id int
+		var field string
+		if _, err := fmt.Sscanf(key, "g%d/%s", &id, &field); err != nil {
+			t.Fatal(err)
+		}
+		ic := h.Grids[id].Fields[slices.Index(amr.FieldNames[:], field)]
+		switch {
+		case len(got) > 0 && len(got) == len(ic) && &got[0] == &ic[0]:
+			adopted = append(adopted, key)
+		case bytes.Equal(got, ic):
+			copied = append(copied, key)
+		default:
+			t.Errorf("%s: the owner's field is neither the initial-condition array nor equal to it", key)
+		}
+	}
+	slices.Sort(adopted)
+	slices.Sort(copied)
+	return adopted, copied
+}
+
+// TestOwnerAdoptsTheICArray: where the initial-condition file stores the
+// hierarchy's arrays by reference and every block reaches its owner as a
+// reference to them — the paper's three libraries on their home platforms,
+// and the collective-buffering variant — the owner keeps the hierarchy's
+// array instead of assembling a copy. Where a partition is a copy — a
+// node-local or compressed provisioning, a stale overlay — the owner
+// assembles one, equal to the array.
+func TestOwnerAdoptsTheICArray(t *testing.T) {
+	sizes := []struct {
+		name string
+		cfg  Config
+		np   int
+	}{{"Tiny/np4", Tiny(), 4}, {"AMR64/np8", AMR64(), 8}}
+	for _, row := range []struct {
+		backend Backend
+		fs      string
+	}{{BackendHDF4, "gpfs"}, {BackendMPIIO, "pvfs"}, {BackendMPIIOCB, "pvfs"}, {BackendHDF5, "xfs"}} {
+		for _, sz := range sizes {
+			t.Run(fmt.Sprintf("%s/%s/%s", row.backend, row.fs, sz.name), func(t *testing.T) {
+				t.Parallel()
+				assembled, stored, _ := assembledFields(t, assembly{backend: row.backend, mach: homeMachine(row.fs),
+					fs: row.fs, cfg: sz.cfg, np: sz.np})
+				checkAssembled(t, sz.cfg, assembled, stored)
+				if _, copied := adoption(t, sz.cfg, assembled); len(copied) > 0 {
+					t.Errorf("%d of %d fields copied, not adopted: %v", len(copied), len(assembled), copied)
+				}
+			})
+		}
+	}
+	lzss := Tiny()
+	lzss.Codec = "lzss"
+	for _, tc := range []struct {
+		name string
+		run  assembly
+	}{
+		{"mpiio/chiba/local", assembly{backend: BackendMPIIO, mach: machine.ChibaCity(), fs: "local", cfg: Tiny(), np: 4}},
+		{"mpiio/chiba/pvfs/lzss", assembly{backend: BackendMPIIO, mach: machine.ChibaCity(), fs: "pvfs", cfg: lzss, np: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			assembled, _, _ := assembledFields(t, tc.run)
+			if adopted, _ := adoption(t, tc.run.cfg, assembled); len(adopted) > 0 {
+				t.Errorf("fields adopted from a provisioned copy: %v", adopted)
+			}
+		})
+	}
+	t.Run("mpiio/pvfs/Tiny/np4/stale-extent", func(t *testing.T) {
+		run, key := staleExtent()
+		assembled, _, injected := assembledFields(t, run)
+		if injected != 1 {
+			t.Fatalf("%d stale reads served, want 1", injected)
+		}
+		adopted, copied := adoption(t, run.cfg, assembled)
+		if !slices.Contains(copied, key) {
+			t.Errorf("%s: the stale overlay was not copied into a grid of the owner's", key)
+		}
+		if len(adopted) == 0 {
+			t.Errorf("no field adopted: the overlay of one extent kept every field from its array")
+		}
+	})
+}
+
+// hierarchyDigest folds every field and particle array of a hierarchy,
+// grid by grid, into one hash.
+func hierarchyDigest(h *amr.Hierarchy) uint64 {
+	var d uint64
+	for _, g := range h.Grids {
+		for _, arrays := range [][][]byte{g.Fields, g.Particles.Arrays} {
+			for _, a := range arrays {
+				d = hashBytes(d, a)
+			}
+		}
+	}
+	return d
+}
+
+// TestRunsLeaveTheHierarchyUnchanged: an owned grid may be the cached
+// hierarchy's own array, which every later run of the problem in the process
+// reads, so no run may write into one — not the dumps, the refinement, the
+// write-behind pipeline, the chunk store and its scrub, nor a fault injector
+// corrupting what is written. Every backend runs each of these on its home
+// platform, one after another (two runs that flip the same byte would hide
+// each other), and the hierarchy's digest must not move.
+func TestRunsLeaveTheHierarchyUnchanged(t *testing.T) {
+	corrupt := func(fs pfs.FileSystem) pfs.FileSystem {
+		return faultfs.Wrap(fs, faultfs.Config{Mode: faultfs.CorruptWrite, EveryN: 3, MinBytes: 2048, MaxInject: 6})
+	}
+	variants := []struct {
+		name string
+		set  func(*Config)
+		wrap func(pfs.FileSystem) pfs.FileSystem
+	}{
+		{"plain", func(*Config) {}, nil},
+		{"refine", func(c *Config) { c.RefineCycles = 1 }, nil},
+		{"async", func(c *Config) { c.AsyncIO = true }, nil},
+		{"castore-scrub", func(c *Config) { c.CAStore, c.Replicas, c.ScrubOnDump = true, 2, true }, nil},
+		{"corrupt-write", func(*Config) {}, corrupt},
+	}
+	for _, sz := range []struct {
+		name string
+		cfg  Config
+		np   int
+	}{{"Tiny/np4", Tiny(), 4}, {"AMR64/np8", AMR64(), 8}} {
+		h := hierEntryFor(sz.cfg).hierarchy()
+		want := hierarchyDigest(h)
+		for _, backend := range []Backend{BackendHDF4, BackendMPIIO, BackendMPIIOCB, BackendHDF5} {
+			fsKind := map[Backend]string{BackendHDF4: "gpfs", BackendHDF5: "xfs"}[backend]
+			if fsKind == "" {
+				fsKind = "pvfs"
+			}
+			for _, v := range variants {
+				cfg := sz.cfg
+				v.set(&cfg)
+				if _, err := Run(RunSpec{Machine: homeMachine(fsKind), FS: fsKind, Procs: sz.np, Config: cfg,
+					Backend: backend, Wrap: v.wrap}); err != nil {
+					t.Fatalf("%s/%s/%s: %v", sz.name, backend, v.name, err)
+				}
+				if hierarchyDigest(h) != want {
+					t.Fatalf("%s/%s/%s: the run wrote into the cached hierarchy", sz.name, backend, v.name)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkHDF4InitialRead is HDF4's initial read of AMR64 at np=8 on
 // sp2/gpfs: processor 0 reads every array and scatters views of them, the
 // ranks pack their top-grid blocks and keep their subgrid views. One engine
@@ -306,5 +494,37 @@ func benchInitialRead(b *testing.B, backend Backend, mach machine.Config, fsKind
 	w := World{Procs: 8, Config: AMR64(), Backend: backend, Result: &Result{}, Body: body}
 	if _, err := Assemble(Allocation{Machine: mach, FS: fsKind}, w); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkConsolidate is the initial read and the load-balance
+// consolidation of AMR64 at np=8 for the paper's three libraries, each on its
+// home platform: one readInitial and one evolve per op, after one setup, in
+// one engine run; B/op sums the ranks. Where the owners adopt the
+// initial-condition arrays, the consolidation allocates no field.
+func BenchmarkConsolidate(b *testing.B) {
+	for _, row := range []struct {
+		backend Backend
+		fs      string
+	}{{BackendHDF4, "gpfs"}, {BackendMPIIO, "pvfs"}, {BackendHDF5, "xfs"}} {
+		b.Run(fmt.Sprintf("%s/%s", row.backend, row.fs), func(b *testing.B) {
+			body := func(r *mpi.Rank, _ pfs.FileSystem, s *Sim) {
+				s.setup()
+				r.Barrier()
+				if r.Rank() == 0 {
+					b.ReportAllocs()
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					s.readInitial()
+					s.evolve()
+					s.clearState()
+				}
+			}
+			w := World{Procs: 8, Config: AMR64(), Backend: row.backend, Result: &Result{}, Body: body}
+			if _, err := Assemble(Allocation{Machine: homeMachine(row.fs), FS: row.fs}, w); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

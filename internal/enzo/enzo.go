@@ -1082,19 +1082,32 @@ func (s *Sim) localCells() int64 {
 // consolidate gathers one block-partitioned subgrid onto its owner,
 // returning the assembled grid there (nil elsewhere). Every block travels
 // as a view, so the owner copies each run once, from wherever the block
-// lies into its place in the grid.
+// lies into its place in the grid — or not at all: where every block is
+// already the initial-condition array's own memory (a shared file that
+// stores the hierarchy's arrays by reference and lent them back), the
+// owner adopts that array. Adoption is decided by address (View.InPlace),
+// so a stale overlay, a corrupted or missing extent and a provisioned or
+// compressed partition, all copies, take the copying path. An owned grid
+// is read-only either way (DESIGN.md §13): it may be the hierarchy every
+// later run of the problem in the process reads. The modelled copy is
+// charged on both paths.
 func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 	var grid *amr.Grid
 	var subs []mpi.Subarray
+	var ic [][]byte
 	if s.r.Rank() == owner {
 		grid, subs = newGrid(g), s.rankSubarrays(g)
+		ic = s.hierEntry().hierarchy().Grids[g.ID].Fields
 	}
 	for f := range amr.FieldNames {
 		blocks := s.r.GathervView(owner, p.blocks[f])
 		if s.r.Rank() == owner {
-			full := make([]byte, g.Cells()*amr.FieldElemSize)
-			for rank, blk := range blocks {
-				blk.UnpackTo(full, subs[rank])
+			full := ic[f]
+			if !allInPlace(full, blocks, subs) {
+				full = make([]byte, g.Cells()*amr.FieldElemSize)
+				for rank, blk := range blocks {
+					blk.UnpackTo(full, subs[rank])
+				}
 			}
 			s.r.CopyCost(g.Cells() * amr.FieldElemSize)
 			grid.Fields[f] = full
@@ -1105,6 +1118,18 @@ func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 		grid.Particles = gatherColumns(gathered...)
 	}
 	return grid
+}
+
+// allInPlace reports whether every rank's block is already full's own memory
+// at its place in the grid, so that unpacking them all would change nothing.
+// A full of another length than the grid's is never in place.
+func allInPlace(full []byte, blocks []mpi.View, subs []mpi.Subarray) bool {
+	for rank, blk := range blocks {
+		if !blk.InPlace(full, subs[rank]) {
+			return false
+		}
+	}
+	return true
 }
 
 // rankSubarrays returns every rank's (Block,Block,Block) piece of grid g's

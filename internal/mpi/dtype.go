@@ -90,6 +90,15 @@ func (s Subarray) NumElems() int64 {
 // Bytes returns the byte size of the block.
 func (s Subarray) Bytes() int64 { return s.NumElems() * int64(s.ElemSize) }
 
+// arrayBytes returns the byte size of the whole array the block is cut from.
+func (s Subarray) arrayBytes() int64 {
+	n := int64(s.ElemSize)
+	for _, d := range s.Sizes {
+		n *= int64(d)
+	}
+	return n
+}
+
 // contigFrom returns the first dimension of the block's fully-spanned
 // suffix: every dim d >= m has Subsizes[d] == Sizes[d]. Consecutive
 // indices of dim m-1 are therefore adjacent in memory, so one coalesced
@@ -253,7 +262,9 @@ func (s Subarray) ScatterSub(dst, src []byte) {
 //
 // Wherever a transfer is priced a view counts as its packed size, Bytes, and
 // it falls under the package's write-once rule: nobody writes Base or a piece
-// while a view of it is held.
+// while a view of it is held. A receiver whose destination may already be
+// the memory the view refers to asks InPlace first: when every element is
+// already there, it keeps that array instead of unpacking into a new one.
 type View struct {
 	Base  []byte
 	Sub   *Subarray
@@ -289,11 +300,7 @@ func (v View) check() {
 	if v.Parts != nil {
 		return
 	}
-	n := int64(v.Sub.ElemSize)
-	for _, d := range v.Sub.Sizes {
-		n *= int64(d)
-	}
-	if n != int64(len(v.Base)) {
+	if n := v.Sub.arrayBytes(); n != int64(len(v.Base)) {
 		panic(fmt.Sprintf("mpi: view of a %d-byte array over a %d-byte base", n, len(v.Base)))
 	}
 }
@@ -330,8 +337,7 @@ func (v View) UnpackTo(dst []byte, at Subarray) {
 		at.ScatterSub(dst, v.Base)
 		return
 	}
-	if v.Sub == nil || !slices.Equal(v.Sub.Sizes, at.Sizes) || !slices.Equal(v.Sub.Subsizes, at.Subsizes) ||
-		!slices.Equal(v.Sub.Starts, at.Starts) || v.Sub.ElemSize != at.ElemSize {
+	if !v.cutAt(at) {
 		panic(fmt.Sprintf("mpi: view of %+v unpacked to %+v", v.Sub, at))
 	}
 	if v.Parts == nil {
@@ -340,6 +346,42 @@ func (v View) UnpackTo(dst []byte, at Subarray) {
 	}
 	i := 0
 	at.visitRuns(func(r Run) { i = pfs.CopyPieces(dst[r.Off:r.Off+r.Len], v.Parts, i, r.Off) })
+}
+
+// cutAt reports whether a subarray view selects at's block: the one place
+// UnpackTo lands it.
+func (v View) cutAt(at Subarray) bool {
+	return v.Sub != nil && slices.Equal(v.Sub.Sizes, at.Sizes) && slices.Equal(v.Sub.Subsizes, at.Subsizes) &&
+		slices.Equal(v.Sub.Starts, at.Starts) && v.Sub.ElemSize == at.ElemSize
+}
+
+// InPlace reports whether v.UnpackTo(dst, at) would copy every byte onto
+// itself: the view's elements are already dst's own memory at their places,
+// so dst needs no unpack. It tests addresses, never bytes — Base is dst's
+// backing, or each stretch of a run of at that a piece covers starts at
+// dst's own byte there (one test per run and piece it crosses) — so a copy
+// that holds the same bytes is not in place. A packed view, an empty dst, a
+// dst that is not at's array and a gap in the pieces are false.
+func (v View) InPlace(dst []byte, at Subarray) bool {
+	if v.packed() || len(dst) == 0 || !v.cutAt(at) || int64(len(dst)) != at.arrayBytes() {
+		return false
+	}
+	if v.Parts == nil {
+		return len(v.Base) == len(dst) && &v.Base[0] == &dst[0]
+	}
+	in, i := true, 0
+	at.visitRuns(func(r Run) {
+		for off, end := r.Off, r.Off+r.Len; in && off < end; off = min(end, v.Parts[i].End()) {
+			for i < len(v.Parts) && off >= v.Parts[i].End() {
+				i++
+			}
+			in = i < len(v.Parts) && off >= v.Parts[i].Off && &v.Parts[i].Bytes[off-v.Parts[i].Off] == &dst[off]
+			if !in {
+				return
+			}
+		}
+	})
+	return in
 }
 
 // BlockDecompose3D splits a 3-D domain of extent dims (ordered z,y,x) into

@@ -3,7 +3,9 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
@@ -286,6 +288,71 @@ func TestExchangeChargesLentViewsAtLen(t *testing.T) {
 	for r, parts := range got {
 		if len(parts) != 1 || &parts[0].Bytes[0] != &payload[0] {
 			t.Errorf("rank %d did not receive the sender's parts by reference", r)
+		}
+	}
+}
+
+// TestInPlaceIsAnIdentityUnpack: InPlace is true exactly when the view's
+// elements are dst's own memory at their places — the same backing, or
+// pieces cut from dst at any boundaries — and a clone, a piece shifted by a
+// byte, a gap or a packed view make it false without a panic. Whenever it is
+// true, UnpackTo into dst leaves every byte as it was.
+func TestInPlaceIsAnIdentityUnpack(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for c := 0; c < 400; c++ {
+		np := 1 + rng.Intn(8)
+		pz, py, px := ProcGrid3D(np)
+		dims := [3]int{pz + rng.Intn(7), py + rng.Intn(7), px + rng.Intn(7)}
+		sub := BlockDecompose3D(dims, pz, py, px, rng.Intn(np), 4)
+		dst := make([]byte, 4*dims[0]*dims[1]*dims[2])
+		rng.Read(dst)
+		sizes := make([]int, 1+rng.Intn(4))
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(max(1, len(dst)/2))
+		}
+		parts := cutParts(dst, sizes...)
+		// k is a piece the block's first run reads from.
+		first := sub.Flatten()[0]
+		k := pfs.PieceAt(parts, first.Off)
+		with := func(p pfs.Piece) []pfs.Piece {
+			changed := slices.Clone(parts)
+			changed[k] = p
+			return changed
+		}
+		p := parts[k]
+		shifted := p
+		if p.End() < int64(len(dst)) {
+			shifted.Bytes = dst[p.Off+1 : p.End()+1]
+		} else {
+			shifted.Bytes = dst[p.Off-1 : p.End()-1]
+		}
+		for _, tc := range []struct {
+			name string
+			v    View
+			want bool
+		}{
+			{"base is dst", View{Base: dst, Sub: &sub}, true},
+			{"base is a clone", View{Base: bytes.Clone(dst), Sub: &sub}, false},
+			{"parts cut from dst", View{Sub: &sub, Parts: parts}, true},
+			{"one part a clone", View{Sub: &sub, Parts: with(pfs.Piece{Off: p.Off, Bytes: bytes.Clone(p.Bytes)})}, false},
+			{"one part shifted", View{Sub: &sub, Parts: with(shifted)}, false},
+			{"a gap", View{Sub: &sub, Parts: slices.Delete(slices.Clone(parts), k, k+1)}, false},
+			{"packed", Packed(dst), false},
+		} {
+			if got := tc.v.InPlace(dst, sub); got != tc.want {
+				t.Fatalf("case %d (dims %v np %d, %d parts of %v) %s: InPlace %v, want %v",
+					c, dims, np, len(parts), sizes, tc.name, got, tc.want)
+			}
+			if tc.v.InPlace(nil, sub) {
+				t.Fatalf("case %d %s: in place in an empty dst", c, tc.name)
+			}
+			if tc.want {
+				before := bytes.Clone(dst)
+				tc.v.UnpackTo(dst, sub)
+				if !bytes.Equal(dst, before) {
+					t.Fatalf("case %d %s: an in-place unpack changed dst", c, tc.name)
+				}
+			}
 		}
 	}
 }
