@@ -290,10 +290,11 @@ func BenchmarkAblationParticleSort(b *testing.B) {
 					if mode == "parallel-sample-sort" {
 						psort.SampleSort(r, rows, rowSize, psort.IDKey(0))
 					} else {
-						gathered := r.Gatherv(0, rows)
+						gathered := r.Gatherv(0, mpi.Packed(rows))
 						if r.Rank() == 0 {
 							var all [][]byte
-							for _, chunk := range gathered {
+							for _, v := range gathered {
+								chunk := v.Base
 								for p := 0; p+rowSize <= len(chunk); p += rowSize {
 									all = append(all, chunk[p:p+rowSize])
 								}

@@ -201,6 +201,15 @@ func inTests(f finder) finder {
 	}
 }
 
+// inFile keeps the matches of f in the file at path p.
+func inFile(p string, f finder) finder {
+	return func(file *file, emit func(token.Pos, string, string)) {
+		if file.path == p {
+			f(file, emit)
+		}
+	}
+}
+
 // A check is a rule kind: it returns what violates the rule over the files
 // the row's scope selects, nothing when the rule holds.
 type check func(t *tree, s scope) []string

@@ -92,6 +92,15 @@ var pieces sync.Pool`)},
 		check:    count(1, decls(`^\(\*Rank\)\.ExchangeScratch\(`)),
 		mutation: edit{path: "internal/mpi/collectives.go", new: "\nfunc (r *Rank) ExchangeScratch() {}\n"}},
 
+	// One delivery rule: every collective passes its payload by reference,
+	// and each rooted collective has one form, over views. A second gather,
+	// scatter or all-to-all beside the one, or a collective that forwards
+	// with the cloning Send (or its post), is a second ownership rule.
+	{name: "mpi-one-delivery", design: "§13", pr: 43, scope: in("internal/mpi"),
+		check: forbid(decls(`^\(\*Rank\)\.(GathervView|ScattervView|Alltoallv)\(`),
+			inFile("internal/mpi/collectives.go", calls(`\.(Send|post)$`, ""))),
+		mutation: mutant("internal/mpi", "func (r *Rank) Alltoallv() {}")},
+
 	// One reply form: a two-phase read aggregator is lent its extents and
 	// answers with references to the lent pieces, so nobody copies a payload
 	// byte between the store and the reader. A join of the replies, a list

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/core"
+	"repro/internal/mpi"
 )
 
 // TestDumpGenerationsIdentical: the rooted collectives hand the root each
@@ -199,13 +200,13 @@ func BenchmarkColumnGather(b *testing.B) {
 	}
 	b.SetBytes(int64(n * rowSize()))
 	b.ReportAllocs()
-	msgs := make([][]byte, np)
+	msgs := make([]mpi.View, np)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := range pieces {
-			msgs[r] = columnBlocked(&pieces[r])
+			msgs[r] = mpi.Packed(columnBlocked(&pieces[r]))
 		}
-		if got := gatherColumns(msgs...); got.N != n {
+		if got := gatherColumns(msgs); got.N != n {
 			b.Fatal("lost particles")
 		}
 	}

@@ -144,9 +144,9 @@ func (w *casDump) putSubgrid(gm core.GridMeta, grid *amr.Grid) {
 // finish: every rank's manifest fragment gathers to rank 0, which stores
 // the framed, CRC-protected whole as a replicated named object.
 func (w *casDump) finish() {
-	frags := w.r.Gatherv(0, castore.EncodeItems(w.items))
+	frags := w.r.Gatherv(0, mpi.Packed(castore.EncodeItems(w.items)))
 	if w.r.Rank() == 0 {
-		blob := castore.EncodeManifest(w.d, w.r.Size(), frags)
+		blob := castore.EncodeManifest(w.d, w.r.Size(), bases(frags))
 		if err := w.cas.PutNamed(w.client(), casManifestName(w.d), blob); err != nil {
 			panic(err)
 		}

@@ -1100,7 +1100,7 @@ func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 		ic = s.hierEntry().hierarchy().Grids[g.ID].Fields
 	}
 	for f := range amr.FieldNames {
-		blocks := s.r.GathervView(owner, p.blocks[f])
+		blocks := s.r.Gatherv(owner, p.blocks[f])
 		if s.r.Rank() == owner {
 			full := ic[f]
 			if !allInPlace(full, blocks, subs) {
@@ -1113,9 +1113,9 @@ func (s *Sim) consolidate(g core.GridMeta, p *partition, owner int) *amr.Grid {
 			grid.Fields[f] = full
 		}
 	}
-	gathered := s.r.Gatherv(owner, columnBlocked(&p.particles))
+	gathered := s.r.Gatherv(owner, mpi.Packed(columnBlocked(&p.particles)))
 	if s.r.Rank() == owner {
-		grid.Particles = gatherColumns(gathered...)
+		grid.Particles = gatherColumns(gathered)
 	}
 	return grid
 }
@@ -1281,8 +1281,8 @@ func (s *Sim) verify(snap snapshotState) bool {
 		localOK = 0
 	}
 	// Exchange (gridID, hash) pairs via gather on rank 0.
-	before := s.r.Gatherv(0, encGridHashes(snap.grids))
-	after := s.r.Gatherv(0, encGridHashes(now.grids))
+	before := s.r.Gatherv(0, mpi.Packed(encGridHashes(snap.grids)))
+	after := s.r.Gatherv(0, mpi.Packed(encGridHashes(now.grids)))
 	if s.r.Rank() == 0 {
 		b, a := decGridHashes(before), decGridHashes(after)
 		if len(b) != len(a) {

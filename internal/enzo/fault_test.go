@@ -1,6 +1,7 @@
 package enzo
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -151,6 +152,50 @@ func TestStaleReadScrub(t *testing.T) {
 	}
 	if !res.Verified {
 		t.Fatal("restart not verified after stale-read recovery")
+	}
+}
+
+// TestHDF4StaleReadScrubEndsTyped runs the stale-read medium under HDF4,
+// whose per-grid containers a stale re-read can serve with an SD descriptor
+// of the previous generation: the SD lookup that then fails must count as a
+// damaged read-back, like a CRC mismatch on the other backends, so the run
+// ends verified or with a typed *RestartError — never in a rank's panic.
+func TestHDF4StaleReadScrubEndsTyped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		np   int
+	}{
+		{"Tiny/np4", Tiny(), 4},
+		{"AMR64/np8", AMR64(), 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.ScrubOnDump = true
+			cfg.MaxRedumps = 3
+			res, err := Run(RunSpec{Machine: machine.SP2(), FS: "gpfs", Procs: tc.np, Config: cfg, Backend: BackendHDF4,
+				Wrap: func(fs pfs.FileSystem) pfs.FileSystem {
+					stale := faultfs.Wrap(fs, faultfs.Config{Mode: faultfs.StaleRead, EveryN: 1, FileSubstr: "dump00"})
+					return faultfs.Wrap(stale, faultfs.Config{
+						Mode: faultfs.CorruptWrite, EveryN: 1, MinBytes: 2048, FileSubstr: "dump00", MaxInject: 1,
+					})
+				},
+			})
+			var rerr *RestartError
+			if err != nil && !errors.As(err, &rerr) {
+				t.Fatalf("err = %v, want a verified run or a *RestartError", err)
+			}
+			if res == nil {
+				t.Fatal("no Result")
+			}
+			t.Logf("err %v, verified %v, scrub failures %d, redumps %d", err, res.Verified, res.ScrubFailures, res.Redumps)
+			if err == nil && !res.Verified {
+				t.Fatal("the run neither verified nor reported a *RestartError")
+			}
+			if res.ScrubFailures < 1 {
+				t.Fatalf("ScrubFailures = %d, want >= 1: the corrupted generation went unnoticed", res.ScrubFailures)
+			}
+		})
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // plain-file baseline: it never touches the transport.
 //
 // On the host, processor 0 redistributes an initial or restart array as
-// views (mpi.ScattervView): each rank's (Block,Block,Block) subarray of
+// views (mpi.Scatterv): each rank's (Block,Block,Block) subarray of
 // the bytes the file lent it, packed nowhere at the root. A rank packs its
 // own top-grid block; an initial subgrid's blocks stay views until
 // consolidate copies them, run by run, into the owner's grid — one copy of
@@ -55,25 +55,52 @@ func writeGridSD(sd *hdf4.SDFile, g *amr.Grid) {
 	}
 }
 
-// readGridSD reads a whole grid back from an HDF4 container.
-func readGridSD(sd *hdf4.SDFile, g core.GridMeta) *amr.Grid {
+// open opens a container for reading. A tolerant read-back absorbs a
+// failure and returns nil, which readSDS reads as zeros.
+func (s hdf4IO) open(name string) *hdf4.SDFile {
+	sd, err := hdf4.Open(s.client(), s.fs, name)
+	if s.tolerate(err) {
+		return nil
+	}
+	return sd
+}
+
+// readSDS reads the named array, n bytes, lent: the caller adopts the
+// file's bytes. A tolerant read-back absorbs a container it could not open,
+// a missing array and one of another length (a stale descriptor) and reads
+// n zero bytes instead, so the root still feeds its scatter and the
+// manifest check rejects the generation.
+func (s hdf4IO) readSDS(sd *hdf4.SDFile, name string, n int64) []byte {
+	if sd != nil {
+		_, data, err := sd.ReadSDS(name)
+		if err == nil && int64(len(data)) != n {
+			err = fmt.Errorf("hdf4: SDS %q holds %d bytes, want %d", name, len(data), n)
+		}
+		if !s.tolerate(err) {
+			return data
+		}
+	}
+	return make([]byte, n)
+}
+
+// closeSD closes sd unless a tolerated failure left it nil.
+func closeSD(sd *hdf4.SDFile) {
+	if sd != nil {
+		sd.Close()
+	}
+}
+
+// readGrid reads a whole grid back from an HDF4 container.
+func (s hdf4IO) readGrid(sd *hdf4.SDFile, g core.GridMeta) *amr.Grid {
 	grid := newGrid(g)
 	for f, name := range amr.FieldNames {
-		_, data, err := sd.ReadSDS(name) // lent: the grid adopts the file's bytes
-		if err != nil {
-			panic(err)
-		}
-		grid.Fields[f] = data
+		grid.Fields[f] = s.readSDS(sd, name, g.Cells()*amr.FieldElemSize)
 	}
 	if g.NParticles == 0 {
 		return grid
 	}
 	for k, pa := range amr.ParticleArrays {
-		_, data, err := sd.ReadSDS(pa.Name)
-		if err != nil {
-			panic(err)
-		}
-		grid.Particles.Arrays[k] = data
+		grid.Particles.Arrays[k] = s.readSDS(sd, pa.Name, g.NParticles*int64(pa.ElemSize))
 	}
 	return grid
 }
@@ -106,13 +133,9 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 	p.blocks = make([]mpi.View, len(amr.FieldNames))
 
 	var sd *hdf4.SDFile
-	var parts []mpi.View // the root's, one per rank, re-based per field
+	var parts []mpi.View // the root's, one per rank, re-based per array
 	if s.r.Rank() == 0 {
-		var err error
-		sd, err = hdf4.Open(s.client(), s.fs, fname)
-		if err != nil {
-			panic(err)
-		}
+		sd = s.open(fname)
 		subs := s.rankSubarrays(g)
 		parts = make([]mpi.View, len(subs))
 		for rank := range subs {
@@ -122,16 +145,13 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 	for f, name := range amr.FieldNames {
 		if s.r.Rank() == 0 {
 			// Lent, not staged: every rank's view is of the file's bytes.
-			_, full, err := sd.ReadSDS(name)
-			if err != nil {
-				panic(err)
-			}
+			full := s.readSDS(sd, name, g.Cells()*amr.FieldElemSize)
 			for rank := range parts {
 				parts[rank].Base = full
 			}
 			s.r.CopyCost(int64(len(full)))
 		}
-		p.blocks[f] = s.r.ScattervView(0, parts)
+		p.blocks[f] = s.r.Scatterv(0, parts)
 	}
 
 	if g.NParticles == 0 {
@@ -146,30 +166,26 @@ func (s hdf4IO) readPartitioned(fname string, g core.GridMeta) *partition {
 		if s.r.Rank() == 0 {
 			cols = make([][]byte, len(amr.ParticleArrays))
 			for k, pa := range amr.ParticleArrays {
-				_, data, err := sd.ReadSDS(pa.Name)
-				if err != nil {
-					panic(err)
-				}
-				cols[k] = data
+				cols[k] = s.readSDS(sd, pa.Name, g.NParticles*int64(pa.ElemSize))
 			}
 			owners, counts = s.ownersByPosition(&amr.ParticleSet{N: int(g.NParticles), Arrays: cols}, g)
 			s.r.CopyCost(g.NParticles * amr.BytesPerParticle())
 		}
 		recvCols := make([][]byte, len(amr.ParticleArrays))
 		for k, pa := range amr.ParticleArrays {
-			var parts [][]byte
 			if s.r.Rank() == 0 {
-				parts = carve(counts, pa.ElemSize)
-				scatterColumn(parts, cols[k], pa.ElemSize, owners)
+				bufs := carve(counts, pa.ElemSize)
+				scatterColumn(bufs, cols[k], pa.ElemSize, owners)
+				for rank, b := range bufs {
+					parts[rank] = mpi.Packed(b)
+				}
 			}
-			recvCols[k] = s.r.Scatterv(0, parts)
+			recvCols[k] = s.r.Scatterv(0, parts).Base
 		}
 		n := len(recvCols[0]) / amr.ParticleArrays[0].ElemSize
 		p.particles = amr.ParticleSet{N: n, Arrays: recvCols}
 	}
-	if s.r.Rank() == 0 {
-		sd.Close()
-	}
+	closeSD(sd)
 	return p
 }
 
@@ -203,14 +219,14 @@ func (s hdf4IO) writeDump(d int) {
 		subs = s.rankSubarrays(g)
 	}
 	for f, name := range amr.FieldNames {
-		blocks := s.r.Gatherv(0, s.top.field(f))
+		blocks := s.r.Gatherv(0, mpi.Packed(s.top.field(f)))
 		if s.r.Rank() == 0 {
 			// Processor 0's staging array, one per field: WriteSDS hands it
 			// to pfs, which keeps it (DESIGN.md §13) — a staging array reused
 			// for the next field would rewrite this one's file bytes.
 			full := make([]byte, g.Cells()*amr.FieldElemSize)
 			for rank, blk := range blocks {
-				subs[rank].ScatterSub(full, blk)
+				blk.UnpackTo(full, subs[rank])
 			}
 			s.r.CopyCost(int64(len(full)))
 			if err := sd.WriteSDS(name, []int{g.Dims[0], g.Dims[1], g.Dims[2]},
@@ -221,10 +237,10 @@ func (s hdf4IO) writeDump(d int) {
 	}
 	rows := packRows(&s.top.particles)
 	s.r.CopyCost(int64(len(rows)))
-	gathered := s.r.Gatherv(0, rows)
+	gathered := s.r.Gatherv(0, mpi.Packed(rows))
 	if s.r.Rank() == 0 {
 		if g.NParticles > 0 {
-			sorted := s.sortRowsByIDLocal(gathered...)
+			sorted := s.sortRowsByIDLocal(bases(gathered)...)
 			_, cols := flatColumnsFromRows(sorted)
 			s.r.CopyCost(int64(len(sorted)))
 			for k, pa := range amr.ParticleArrays {
@@ -266,12 +282,9 @@ func (s hdf4IO) readRestart(d int) {
 			continue
 		}
 		sp := obs.Begin(s.r.Proc(), obs.LayerApp, "grid_read").Attr("grid", fmt.Sprint(g.ID))
-		sd, err := hdf4.Open(s.client(), s.fs, dumpGridFile(d, g.ID))
-		if err != nil {
-			panic(err)
-		}
-		s.owned[g.ID] = readGridSD(sd, g)
-		sd.Close()
+		sd := s.open(dumpGridFile(d, g.ID))
+		s.owned[g.ID] = s.readGrid(sd, g)
+		closeSD(sd)
 		sp.End()
 	}
 }

@@ -272,6 +272,16 @@ func newGrid(gm core.GridMeta) *amr.Grid {
 	return g
 }
 
+// bases returns the buffers of packed views, for a per-dump consumer that
+// takes byte chunks (a gathered manifest, the root's particle sort).
+func bases(vs []mpi.View) [][]byte {
+	out := make([][]byte, len(vs))
+	for i, v := range vs {
+		out[i] = v.Base
+	}
+	return out
+}
+
 // blockColumns turns this rank's block of sorted particle rows into the
 // file's column order and places it among the other ranks' blocks: the
 // block covers rows [lo, lo+n) of every particle array, column k of it is

@@ -21,19 +21,19 @@ import (
 func (s *Sim) scatterGridFromRoot(h *amr.Hierarchy, gm core.GridMeta) (fields [][]byte, rows []byte) {
 	fields = make([][]byte, len(amr.FieldNames))
 	var subs []mpi.Subarray
+	var parts []mpi.View // the root's, one per rank, refilled per array
 	if s.r.Rank() == 0 {
 		subs = s.rankSubarrays(gm)
+		parts = make([]mpi.View, len(subs))
 	}
 	for fi := range amr.FieldNames {
-		var parts [][]byte
 		if s.r.Rank() == 0 {
 			full := h.Grids[gm.ID].Fields[fi]
-			parts = make([][]byte, len(subs))
 			for rank, sub := range subs {
-				parts[rank] = sub.GatherSub(full)
+				parts[rank] = mpi.Packed(sub.GatherSub(full))
 			}
 		}
-		fields[fi] = s.r.Scatterv(0, parts)
+		fields[fi] = s.r.Scatterv(0, parts).Base
 		if s.compressed() && len(fields[fi]) > 0 {
 			s.primePackedIC(icKey{gm.ID, fi, s.r.Rank()}, fields[fi])
 		}
@@ -41,12 +41,12 @@ func (s *Sim) scatterGridFromRoot(h *amr.Hierarchy, gm core.GridMeta) (fields []
 	if gm.NParticles == 0 {
 		return fields, nil
 	}
-	var rowParts [][]byte
 	if s.r.Rank() == 0 {
-		rowParts = s.rowsByOwner(&h.Grids[gm.ID].Particles, gm)
+		for rank, b := range s.rowsByOwner(&h.Grids[gm.ID].Particles, gm) {
+			parts[rank] = mpi.Packed(b)
+		}
 	}
-	rows = s.r.Scatterv(0, rowParts)
-	return fields, rows
+	return fields, s.r.Scatterv(0, parts).Base
 }
 
 // primePackedIC makes part's container known to the rank's compressor before

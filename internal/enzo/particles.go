@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/psort"
 )
 
@@ -127,14 +128,16 @@ func columnBlocked(ps *amr.ParticleSet) []byte {
 	return bytes.Join(ps.Arrays, nil)
 }
 
-// gatherColumns assembles column-blocked chunks, taken in order, into one
-// set whose column k is the chunks' columns k back to back: the particles
-// keep the chunks' order, as unpackRows keeps it for rows.
-func gatherColumns(chunks ...[]byte) amr.ParticleSet {
+// gatherColumns assembles column-blocked chunks, taken in order and each
+// packed, into one set whose column k is the chunks' columns k back to
+// back: the particles keep the chunks' order, as unpackRows keeps it for
+// rows.
+func gatherColumns(chunks []mpi.View) amr.ParticleSet {
 	n := 0
 	pieces := make([][]byte, 0, 64) // on the stack for up to 8 chunks
 	for k := range len(rowOffsets) - 1 {
-		for _, c := range chunks {
+		for _, v := range chunks {
+			c := v.Base
 			m := len(c) / rowBytes
 			pieces = append(pieces, c[m*rowOffsets[k]:m*rowOffsets[k+1]])
 			if k == 0 {

@@ -337,16 +337,17 @@ func FuzzParticleKernels(f *testing.F) {
 			cuts = append(cuts, c.rng.Intn(ps.N+1))
 		}
 		slices.Sort(cuts)
-		var msgs, rowMsgs [][]byte
+		var msgs []mpi.View
+		var rowMsgs [][]byte
 		for r := 0; r < np; r++ {
 			piece := ps.Select(seq(cuts[r], cuts[r+1]))
 			msg := columnBlocked(&piece)
 			if len(msg) != piece.N*rowBytes {
 				t.Fatalf("consolidation message of %d particles is %d bytes", piece.N, len(msg))
 			}
-			msgs, rowMsgs = append(msgs, msg), append(rowMsgs, refPackRows(&piece))
+			msgs, rowMsgs = append(msgs, mpi.Packed(msg)), append(rowMsgs, refPackRows(&piece))
 		}
-		got, want := gatherColumns(msgs...), unpackRows(rowMsgs...)
+		got, want := gatherColumns(msgs), unpackRows(rowMsgs...)
 		if got.N != want.N {
 			t.Fatalf("gatherColumns has %d particles, the row gather %d", got.N, want.N)
 		}

@@ -73,7 +73,7 @@ func (s *Sim) contentHash() ContentHash {
 	for id, g := range s.owned {
 		local2[id] = gridHash(g)
 	}
-	gathered := s.r.Gatherv(0, encGridHashes(local2))
+	gathered := s.r.Gatherv(0, mpi.Packed(encGridHashes(local2)))
 	if s.r.Rank() == 0 {
 		ch.GridHashes = decGridHashes(gathered)
 	}

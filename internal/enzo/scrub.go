@@ -47,9 +47,10 @@ func encGridHashes(m map[int]uint64) []byte {
 	return out
 }
 
-func decGridHashes(chunks [][]byte) map[int]uint64 {
+func decGridHashes(chunks []mpi.View) map[int]uint64 {
 	m := make(map[int]uint64)
-	for _, c := range chunks {
+	for _, v := range chunks {
+		c := v.Base
 		for p := 0; p+16 <= len(c); p += 16 {
 			id := binary.LittleEndian.Uint64(c[p:])
 			m[int(id)] = binary.LittleEndian.Uint64(c[p+8:])
@@ -73,14 +74,14 @@ type manifest struct {
 	grids map[int]uint64
 }
 
-func encodeManifest(np int, rows [][]byte, grids []byte) []byte {
+func encodeManifest(np int, rows []mpi.View, grids []byte) []byte {
 	out := make([]byte, 0, 4+4+np*24+4+len(grids)+4)
 	out = append(out, sumMagic...)
 	var u [4]byte
 	binary.LittleEndian.PutUint32(u[:], uint32(np))
 	out = append(out, u[:]...)
 	for _, row := range rows {
-		out = append(out, row...)
+		out = append(out, row.Base...)
 	}
 	binary.LittleEndian.PutUint32(u[:], uint32(len(grids)/16))
 	out = append(out, u[:]...)
@@ -113,7 +114,7 @@ func decodeManifest(b []byte, np int) *manifest {
 	if p+ng*16 != len(body) {
 		return nil
 	}
-	m.grids = decGridHashes([][]byte{body[p:]})
+	m.grids = decGridHashes([]mpi.View{mpi.Packed(body[p:])})
 	return m
 }
 
@@ -121,8 +122,8 @@ func decodeManifest(b []byte, np int) *manifest {
 // generation's manifest (collective).
 func (s *Sim) writeManifest(d int, snap snapshotState) {
 	defer obs.Begin(s.r.Proc(), obs.LayerApp, "manifest_write").Attr("dump", fmt.Sprint(d)).End()
-	rows := s.r.Gatherv(0, topRow(snap))
-	gridChunks := s.r.Gatherv(0, encGridHashes(snap.grids))
+	rows := s.r.Gatherv(0, mpi.Packed(topRow(snap)))
+	gridChunks := s.r.Gatherv(0, mpi.Packed(encGridHashes(snap.grids)))
 	if s.r.Rank() == 0 {
 		all := encGridHashes(decGridHashes(gridChunks))
 		enc := encodeManifest(s.r.Size(), rows, all)
@@ -186,7 +187,7 @@ func (s *Sim) manifestCheck(d int) bool {
 			ok = 0
 		}
 	}
-	gridChunks := s.r.Gatherv(0, encGridHashes(now.grids))
+	gridChunks := s.r.Gatherv(0, mpi.Packed(encGridHashes(now.grids)))
 	if s.r.Rank() == 0 && m != nil {
 		got := decGridHashes(gridChunks)
 		if len(got) != len(m.grids) {

@@ -115,10 +115,10 @@ func decodeRuns(msg []byte) ([]mpi.Run, []byte) {
 // pieces to rank 0, which performs all file access.
 func (ac *Accessor) serialRootWrite(runs []mpi.Run, data []byte) {
 	r := ac.F.Rank()
-	gathered := r.Gatherv(0, encodeRuns(runs, data))
+	gathered := r.Gatherv(0, mpi.Packed(encodeRuns(runs, data)))
 	if r.Rank() == 0 {
 		for _, msg := range gathered {
-			rr, payload := decodeRuns(msg)
+			rr, payload := decodeRuns(msg.Base)
 			if len(rr) > 0 {
 				ac.F.WriteRuns(rr, payload)
 			}
@@ -130,19 +130,18 @@ func (ac *Accessor) serialRootWrite(runs []mpi.Run, data []byte) {
 // serialRootRead: rank 0 reads everyone's pieces and scatters them back.
 func (ac *Accessor) serialRootRead(runs []mpi.Run, buf []byte) {
 	r := ac.F.Rank()
-	gathered := r.Gatherv(0, encodeRuns(runs, nil))
-	var parts [][]byte
+	gathered := r.Gatherv(0, mpi.Packed(encodeRuns(runs, nil)))
+	var parts []mpi.View
 	if r.Rank() == 0 {
-		parts = make([][]byte, r.Size())
+		parts = make([]mpi.View, r.Size())
 		for src, msg := range gathered {
-			rr, _ := decodeRuns(msg)
+			rr, _ := decodeRuns(msg.Base)
 			payload := make([]byte, mpi.TotalLen(rr))
 			if len(rr) > 0 {
 				ac.F.ReadRuns(rr, payload)
 			}
-			parts[src] = payload
+			parts[src] = mpi.Packed(payload)
 		}
 	}
-	got := r.Scatterv(0, parts)
-	copy(buf, got)
+	copy(buf, r.Scatterv(0, parts).Base)
 }

@@ -30,14 +30,14 @@ func (r *Rank) Barrier() {
 	for step := 1; step < size; step <<= 1 {
 		dst := (r.rank + step) % size
 		src := (r.rank - step + size) % size
-		r.Send(dst, tag, nil)
+		r.sendScratch(dst, tag, nil)
 		r.Recv(src, tag)
 	}
 }
 
 // Bcast distributes data from root to every rank using a binomial tree.
-// Non-root ranks pass nil and receive the payload as the return value; the
-// root gets its own slice back.
+// Non-root ranks pass nil and receive root's slice itself as the return
+// value; the root gets it back too.
 func (r *Rank) Bcast(root int, data []byte) []byte {
 	sp := obs.Begin(r.proc, obs.LayerMPI, "bcast").Bytes(int64(len(data)))
 	defer sp.End()
@@ -67,76 +67,21 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 			if dst >= size {
 				dst -= size
 			}
-			r.Send(dst, tag, data)
+			r.sendScratch(dst, tag, data)
 		}
 		mask >>= 1
 	}
 	return data
 }
 
-// Gatherv collects each rank's buffer at root. On root the result has one
-// entry per rank; elsewhere the result is nil. Delivery is by reference (the
-// package's write-once rule): out[src] is the very slice rank src passed in,
-// root's own included, so from the call on both sides own it and neither may
-// write it. The root's local copy is still charged in virtual time. Arrivals
-// funnel through the root's NIC, so the incast serialization the original
-// ENZO HDF4 path suffers appears naturally.
-func (r *Rank) Gatherv(root int, data []byte) [][]byte {
-	defer obs.Begin(r.proc, obs.LayerMPI, "gatherv").Bytes(int64(len(data))).End()
-	tag := r.collTag()
-	size := r.Size()
-	if r.rank != root {
-		r.sendScratch(root, tag, data)
-		return nil
-	}
-	out := make([][]byte, size)
-	r.CopyCost(int64(len(data)))
-	out[root] = data
-	for src := 0; src < size; src++ {
-		if src == root {
-			continue
-		}
-		msg, _, _ := r.Recv(src, tag)
-		out[src] = msg
-	}
-	return out
-}
-
-// Scatterv distributes parts[i] from root to rank i; every rank returns its
-// own part. Non-root ranks pass nil. Delivery is by reference (the package's
-// write-once rule): a rank gets root's parts[i] itself, root included, so
-// from the call on both sides own it and neither may write it. The root's
-// local copy is still charged in virtual time.
-func (r *Rank) Scatterv(root int, parts [][]byte) []byte {
-	var total int64
-	for _, p := range parts {
-		total += int64(len(p))
-	}
-	defer obs.Begin(r.proc, obs.LayerMPI, "scatterv").Bytes(total).End()
-	tag := r.collTag()
-	size := r.Size()
-	if r.rank == root {
-		if len(parts) != size {
-			panic(fmt.Sprintf("mpi: Scatterv root has %d parts for %d ranks", len(parts), size))
-		}
-		for dst := 0; dst < size; dst++ {
-			if dst == root {
-				continue
-			}
-			r.sendScratch(dst, tag, parts[dst])
-		}
-		r.CopyCost(int64(len(parts[root])))
-		return parts[root]
-	}
-	data, _, _ := r.Recv(root, tag)
-	return data
-}
-
-// GathervView is Gatherv for a view: rank src's v arrives at root as out[src],
-// Base and Sub as sent, for root to unpack where it belongs (View.UnpackTo);
-// elsewhere the result is nil. Clocks, stats and span bytes are Gatherv's
-// with every view packed.
-func (r *Rank) GathervView(root int, v View) []View {
+// Gatherv collects each rank's view at root: rank src's v arrives as
+// out[src], Base, Sub and Parts as sent, for root to read (a packed view's
+// Base) or unpack where it belongs (View.UnpackTo); elsewhere the result is
+// nil. A view is charged at its packed size, and the root's own is still
+// charged as a local copy. Arrivals funnel through the root's NIC, so the
+// incast serialization the original ENZO HDF4 path suffers appears
+// naturally.
+func (r *Rank) Gatherv(root int, v View) []View {
 	defer obs.Begin(r.proc, obs.LayerMPI, "gatherv").Bytes(v.Bytes()).End()
 	v.check()
 	tag := r.collTag()
@@ -156,10 +101,11 @@ func (r *Rank) GathervView(root int, v View) []View {
 	return out
 }
 
-// ScattervView is Scatterv for views: rank i gets root's parts[i], Base and
-// Sub as sent, to pack or unpack itself (View.Pack, View.UnpackTo). Clocks,
-// stats and span bytes are Scatterv's with every view packed.
-func (r *Rank) ScattervView(root int, parts []View) View {
+// Scatterv distributes parts[i] from root to rank i; every rank returns its
+// own part, root included, as sent — to read, pack or unpack itself
+// (View.Pack, View.UnpackTo). Non-root ranks pass nil. A part is charged at
+// its packed size, and the root's own is still charged as a local copy.
+func (r *Rank) Scatterv(root int, parts []View) View {
 	var total int64
 	for _, p := range parts {
 		p.check()
@@ -172,7 +118,7 @@ func (r *Rank) ScattervView(root int, parts []View) View {
 		return r.recvView(root, tag)
 	}
 	if len(parts) != size {
-		panic(fmt.Sprintf("mpi: ScattervView root has %d parts for %d ranks", len(parts), size))
+		panic(fmt.Sprintf("mpi: Scatterv root has %d parts for %d ranks", len(parts), size))
 	}
 	for dst := 0; dst < size; dst++ {
 		if dst != root {
@@ -185,23 +131,23 @@ func (r *Rank) ScattervView(root int, parts []View) View {
 
 // Allgatherv gathers every rank's buffer on every rank using the ring
 // algorithm: P-1 steps, each forwarding the most recently received block to
-// the right neighbour.
+// the right neighbour. out[src] is rank src's slice itself, the caller's own
+// included.
 func (r *Rank) Allgatherv(data []byte) [][]byte {
 	defer obs.Begin(r.proc, obs.LayerMPI, "allgatherv").Bytes(int64(len(data))).End()
 	tag := r.collTag()
 	size := r.Size()
 	out := make([][]byte, size)
-	own := append([]byte{}, data...)
-	out[r.rank] = own
+	out[r.rank] = data
 	if size == 1 {
 		r.proc.Yield()
 		return out
 	}
 	right := (r.rank + 1) % size
 	left := (r.rank - 1 + size) % size
-	cur := own
+	cur := data
 	for step := 0; step < size-1; step++ {
-		r.Send(right, tag, cur)
+		r.sendScratch(right, tag, cur)
 		msg, _, _ := r.Recv(left, tag)
 		srcRank := (r.rank - 1 - step + 2*size) % size
 		out[srcRank] = msg
@@ -210,31 +156,21 @@ func (r *Rank) Allgatherv(data []byte) [][]byte {
 	return out
 }
 
-// Alltoallv sends parts[i] to rank i and returns the per-source received
-// buffers. Every rank first learns how much each peer has for it (a
-// log-round count exchange), then payloads move point-to-point between the
-// non-empty pairs only — an empty part costs no message.
-func (r *Rank) Alltoallv(parts [][]byte) [][]byte {
-	return r.alltoallv(parts, false)
-}
-
-// AlltoallvScratch is Alltoallv minus the per-destination payload clones:
-// messages deliver the caller's buffers by reference. The caller must
-// guarantee that no rank mutates or recycles its parts buffers until every
-// rank has left the enclosing operation — satisfied trivially when the
-// buffers become garbage right after the exchange, and by construction for
-// per-collective scratch arenas when the enclosing operation ends with a
-// barrier (no rank can re-enter and reset its arena before every receiver
-// has finished consuming the aliases). Virtual times, costs, and stats are
-// identical to Alltoallv.
+// AlltoallvScratch sends parts[i] to rank i and returns the per-source
+// received buffers, each the very slice its sender passed. Every rank first
+// learns how much each peer has for it (a log-round count exchange), then
+// payloads move point-to-point between the non-empty pairs only — an empty
+// part costs no message. The caller must guarantee that no rank mutates or
+// recycles its parts buffers until every rank has left the enclosing
+// operation — satisfied trivially when the buffers become garbage right
+// after the exchange, and by construction for per-collective scratch arenas
+// when the enclosing operation ends with a barrier (no rank can re-enter and
+// reset its arena before every receiver has finished consuming the
+// aliases).
 func (r *Rank) AlltoallvScratch(parts [][]byte) [][]byte {
-	return r.alltoallv(parts, true)
-}
-
-func (r *Rank) alltoallv(parts [][]byte, scratch bool) [][]byte {
 	size := r.Size()
 	if len(parts) != size {
-		panic(fmt.Sprintf("mpi: Alltoallv got %d parts for %d ranks", len(parts), size))
+		panic(fmt.Sprintf("mpi: AlltoallvScratch got %d parts for %d ranks", len(parts), size))
 	}
 	var total int64
 	counts := make([]int64, size)
@@ -254,21 +190,10 @@ func (r *Rank) alltoallv(parts [][]byte, scratch bool) [][]byte {
 	}
 	out := make([][]byte, size)
 	own := parts[r.rank]
-	if !scratch {
-		own = append([]byte{}, own...)
-	}
-	// The local copy is still charged in scratch mode so both variants keep
-	// identical virtual times.
 	r.CopyCost(int64(len(own)))
 	out[r.rank] = own
 	r.exchange(sendTo, recvFrom,
-		func(dst, tag int) {
-			if scratch {
-				r.sendScratch(dst, tag, parts[dst])
-			} else {
-				r.Send(dst, tag, parts[dst])
-			}
-		},
+		func(dst, tag int) { r.sendScratch(dst, tag, parts[dst]) },
 		func(src, tag int) { out[src], _, _ = r.Recv(src, tag) })
 	return out
 }
@@ -312,15 +237,15 @@ func (r *Rank) alltoallInt64(send []int64) []int64 {
 // ExchangeScratch is the sparse personalized exchange under two-phase I/O:
 // parts[d] goes to every rank d listed in sendTo, and the result holds one
 // message for every rank listed in recvFrom (zero views elsewhere). Unlike
-// Alltoallv there is no count round — the caller must already know both
-// lists, and they must agree across ranks (d is in s's sendTo exactly when s
-// is in d's recvFrom), or the exchange deadlocks. Both lists are ascending.
-// The caller's own part is always handed back, listed or not. Payloads are
-// views and travel by reference, each charged at its packed size:
-// AlltoallvScratch's aliasing contract applies, to a view's Base and parts
-// alike. The result lands in out, which the caller owns and reuses from call
-// to call: one entry per rank, distinct from parts, cleared here before it
-// is filled.
+// AlltoallvScratch there is no count round — the caller must already know
+// both lists, and they must agree across ranks (d is in s's sendTo exactly
+// when s is in d's recvFrom), or the exchange deadlocks. Both lists are
+// ascending. The caller's own part is always handed back, listed or not.
+// Payloads are views and travel by reference, each charged at its packed
+// size: AlltoallvScratch's aliasing contract applies, to a view's Base and
+// parts alike. The result lands in out, which the caller owns and reuses
+// from call to call: one entry per rank, distinct from parts, cleared here
+// before it is filled.
 func (r *Rank) ExchangeScratch(out, parts []View, sendTo, recvFrom []int) {
 	size := r.Size()
 	if len(parts) != size || len(out) != size {
@@ -429,7 +354,7 @@ func (r *Rank) reduceBytes(root int, data []byte, combine func(acc, in []byte) [
 	for mask < size {
 		if relrank&mask != 0 {
 			dst := (root + (relrank &^ mask)) % size
-			r.Send(dst, tag, acc)
+			r.sendScratch(dst, tag, acc)
 			return nil
 		}
 		srcRel := relrank | mask

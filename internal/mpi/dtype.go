@@ -7,17 +7,16 @@
 // Buffer ownership. A payload buffer is write-once: after it is sent,
 // gathered, scattered or handed to pfs nobody mutates it, and a receiver that
 // wants to change it clones it. The copies the modelled machine makes are
-// charged in virtual time (CopyCost, the transfer itself); the host makes one
-// only where a caller may legitimately reuse its buffer. So Gatherv, Scatterv,
-// AlltoallvScratch and ExchangeScratch deliver by reference — the receiver
-// holds the sender's slice — and GathervView and ScattervView deliver a View,
+// charged in virtual time (CopyCost, the transfer itself); the host makes
+// none of its own on a collective. So every collective delivers its payload
+// by reference — the receiver holds the sender's slice, or the View it sent:
 // a subarray of a buffer the sender owns or of pieces of a file it was lent
-// (pfs.Piece, the store's own form, never converted), likewise by reference:
-// the block is not packed before it travels, and the receiver copies it once,
-// run by run, to where it goes (View.Pack, View.UnpackTo). Send/Isend, Bcast, Allgatherv,
-// Alltoallv and the reductions clone at post time and hand the buffer
-// straight back (MPI's blocking-send contract, which probes and tests rely
-// on; their payloads are small).
+// (pfs.Piece, the store's own form, never converted), which the receiver
+// copies once, run by run, to where it goes (View.Pack, View.UnpackTo). The
+// rooted collectives carry Views, a byte buffer as its packed view (Packed,
+// read back from Base). Only the point-to-point Send, Isend and Sendrecv
+// clone at post time and hand the buffer straight back, MPI's blocking-send
+// contract, which benchmark probes and tests rely on.
 package mpi
 
 import (
@@ -244,8 +243,8 @@ func (s Subarray) ScatterSub(dst, src []byte) {
 	})
 }
 
-// View is a read-only payload of the view collectives (ScattervView,
-// GathervView) and of the two-phase exchange (ExchangeScratch): the elements
+// View is a read-only payload of the rooted collectives (Gatherv, Scatterv)
+// and of the two-phase exchange (ExchangeScratch): the elements
 // *Sub selects from an array the sender does not pack first — MPI's subarray
 // datatype on the sending side. Like a committed MPI datatype, Sub is a
 // handle that many views share and nobody changes. The array's bytes lie in

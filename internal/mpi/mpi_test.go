@@ -213,19 +213,15 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 func TestGathervScattervRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7} {
 		root := n / 2
-		var gathered [][]byte
+		var gathered []View
 		runWorld(t, n, func(r *Rank) {
 			mine := bytes.Repeat([]byte{byte(r.Rank() + 1)}, r.Rank()+1)
-			g := r.Gatherv(root, mine)
+			g := r.Gatherv(root, Packed(mine))
 			if r.Rank() == root {
 				gathered = g
 			}
 			// Scatter back.
-			var parts [][]byte
-			if r.Rank() == root {
-				parts = g
-			}
-			back := r.Scatterv(root, parts)
+			back := r.Scatterv(root, g).Base
 			if !bytes.Equal(back, mine) {
 				panic(fmt.Sprintf("rank %d scatter mismatch", r.Rank()))
 			}
@@ -235,7 +231,7 @@ func TestGathervScattervRoundTrip(t *testing.T) {
 		}
 		for i, g := range gathered {
 			want := bytes.Repeat([]byte{byte(i + 1)}, i+1)
-			if !bytes.Equal(g, want) {
+			if !bytes.Equal(g.Base, want) {
 				t.Fatalf("n=%d part %d = %v, want %v", n, i, g, want)
 			}
 		}
@@ -270,7 +266,7 @@ func TestAlltoallv(t *testing.T) {
 			for d := 0; d < n; d++ {
 				parts[d] = []byte{byte(r.Rank()), byte(d)} // (from, to)
 			}
-			got := r.Alltoallv(parts)
+			got := r.AlltoallvScratch(parts)
 			good := len(got) == n
 			for s := 0; good && s < n; s++ {
 				good = bytes.Equal(got[s], []byte{byte(s), byte(r.Rank())})
@@ -462,7 +458,7 @@ func TestGathervIncastSerializesAtRootNIC(t *testing.T) {
 	// must serialize ~70 MB of inbound traffic, so the gather takes at
 	// least 0.7 s (not the 0.1 s a single transfer would).
 	makespan := runWorld(t, 8, func(r *Rank) {
-		r.Gatherv(0, make([]byte, 10_000_000))
+		r.Gatherv(0, Packed(make([]byte, 10_000_000)))
 	})
 	if makespan < 0.69 {
 		t.Fatalf("gather makespan %g s, want >= 0.7 s (incast serialization)", makespan)

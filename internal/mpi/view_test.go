@@ -30,7 +30,7 @@ func viewArray(dims [3]int, np int) (base []byte, subs []Subarray) {
 }
 
 // viewRoundTrip scatters base's blocks from root and gathers them back, as
-// views or packed (GatherSub at the root, Scatterv and Gatherv), and returns
+// views of base or packed (GatherSub at the root), and returns
 // what the model saw, the part every rank was handed and the array the root
 // unpacked from the gathered blocks.
 func viewRoundTrip(t *testing.T, np, root int, dims [3]int, views bool) (model string, base []byte, subs []Subarray, held []View, back []byte) {
@@ -43,30 +43,12 @@ func viewRoundTrip(t *testing.T, np, root int, dims [3]int, views bool) (model s
 	eng := sim.NewEngine()
 	NewWorld(eng, machine.New(testConfig(np, 1)), np, func(r *Rank) {
 		tr.Attach(r.Proc(), r.Rank())
-		var blocks []View
-		if views {
-			var parts []View
-			if r.Rank() == root {
-				parts = make([]View, np)
-				for i := range parts {
-					parts[i] = View{Base: base, Sub: &subs[i]}
-				}
-			}
-			held[r.Rank()] = r.ScattervView(root, parts)
-			blocks = r.GathervView(root, held[r.Rank()])
-		} else {
-			var parts [][]byte
-			if r.Rank() == root {
-				parts = make([][]byte, np)
-				for i := range parts {
-					parts[i] = subs[i].GatherSub(base)
-				}
-			}
-			held[r.Rank()] = Packed(r.Scatterv(root, parts))
-			for _, b := range r.Gatherv(root, held[r.Rank()].Base) {
-				blocks = append(blocks, Packed(b))
-			}
+		var parts []View
+		if r.Rank() == root {
+			parts = blockParts(base, subs, views)
 		}
+		held[r.Rank()] = r.Scatterv(root, parts)
+		blocks := r.Gatherv(root, held[r.Rank()])
 		if r.Rank() == root {
 			back = make([]byte, len(base))
 			for i, v := range blocks {
@@ -86,8 +68,22 @@ func viewRoundTrip(t *testing.T, np, root int, dims [3]int, views bool) (model s
 	return model, base, subs, held, back
 }
 
-// TestViewCollectivesMatchPacked holds ScattervView and GathervView to the
-// packed collectives they replace — the same clocks, Events, BytesSent,
+// blockParts is one part per block of base: a view of base, or the block
+// packed.
+func blockParts(base []byte, subs []Subarray, views bool) []View {
+	parts := make([]View, len(subs))
+	for i := range parts {
+		if views {
+			parts[i] = View{Base: base, Sub: &subs[i]}
+		} else {
+			parts[i] = Packed(subs[i].GatherSub(base))
+		}
+	}
+	return parts
+}
+
+// TestViewCollectivesMatchPacked holds Scatterv and Gatherv of views to the
+// same collectives of packed blocks — the same clocks, Events, BytesSent,
 // MsgsSent and span bytes — over ragged blocks and blocks with no elements,
 // checks that a delivered view is the root's own array, not a copy, and
 // that no host allocation grows with the payload.
@@ -144,23 +140,9 @@ func viewPayloadAllocation(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		_, err := Simulate(testConfig(np, 1), np, func(r *Rank) {
 			for i := 0; i < trips; i++ {
-				if views {
-					var parts []View
-					if r.Rank() == 0 {
-						parts = make([]View, np)
-						for j := range parts {
-							parts[j] = View{Base: base, Sub: &subs[j]}
-						}
-					}
-					r.GathervView(0, r.ScattervView(0, parts))
-					continue
-				}
-				var parts [][]byte
+				var parts []View
 				if r.Rank() == 0 {
-					parts = make([][]byte, np)
-					for j := range parts {
-						parts[j] = subs[j].GatherSub(base)
-					}
+					parts = blockParts(base, subs, views)
 				}
 				r.Gatherv(0, r.Scatterv(0, parts))
 			}

@@ -246,9 +246,9 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 }
 
 // sendScratch is Send without the payload clone: the receiver gets the
-// caller's buffer by reference. Timing, stats, and matching are identical
-// to Send; only the defensive copy is skipped. See AlltoallvScratch for
-// the aliasing contract callers must uphold.
+// caller's buffer by reference, as every collective delivers (the package's
+// write-once rule). Timing, stats, and matching are identical to Send; only
+// the defensive copy is skipped.
 func (r *Rank) sendScratch(dst, tag int, data []byte) { r.sendView(dst, tag, Packed(data)) }
 
 // sendView is sendScratch for a view: the receiver gets the view as sent,
@@ -271,8 +271,8 @@ func (r *Rank) post(dst, tag int, data []byte) (senderFree float64) {
 
 // postRef is post minus the defensive clone: the message delivers payload
 // by reference, a view as a view. Callers must guarantee the buffer is not
-// mutated until the receiver has consumed it (see AlltoallvScratch for the
-// contract).
+// mutated until the receiver has consumed it (the package's write-once
+// rule).
 func (r *Rank) postRef(dst, tag int, payload View) (senderFree float64) {
 	if dst < 0 || dst >= r.world.size {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d", dst))
@@ -304,7 +304,8 @@ func (r *Rank) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 	return data, fromSrc, fromTag
 }
 
-// recvView is Recv for the view collectives: the payload as it was sent.
+// recvView is Recv for the collectives that carry views: the payload as it
+// was sent.
 func (r *Rank) recvView(src, tag int) View {
 	m := r.await(src, tag)
 	v := m.payload
