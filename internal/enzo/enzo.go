@@ -538,10 +538,16 @@ type Sim struct {
 	onChunkHit func(raw []byte, t chunkTable)
 
 	// ic is the problem's entry in the process-wide hierarchy cache, where
-	// setup finds the hierarchy (rank 0) and the packed initial conditions
-	// of earlier runs (every rank of a compressed run); hierEntry looks it
-	// up on first use.
+	// setup finds the hierarchy (rank 0), the packed initial conditions of
+	// earlier runs (every rank of a compressed run) and snapshot the field
+	// hashes of the grids it owns by identity; hierEntry looks it up on
+	// first use.
 	ic *hierEntry
+	// onSnapshot, when set, is shown every snapshot as it is taken, with
+	// the IDs of the owned grids whose field hash came from the hierarchy's
+	// memo. Tests set it to hash those grids afresh and compare; nothing
+	// else does.
+	onSnapshot func(snap snapshotState, memo []int)
 
 	// cas is non-nil when checkpoints route through the content-addressed
 	// chunk store (Config.CAStore; see casio.go).
@@ -1244,16 +1250,28 @@ func particleSetHash(ps *amr.ParticleSet) uint64 {
 	return sum
 }
 
-func gridHash(g *amr.Grid) uint64 {
+// fieldsHash chains hashBytes over a grid's fields in field order.
+func fieldsHash(fields [][]byte) uint64 {
 	var h uint64
-	for _, f := range g.Fields {
+	for _, f := range fields {
 		h = hashBytes(h, f)
 	}
-	return h + particleSetHash(&g.Particles)
+	return h
 }
 
+func gridHash(g *amr.Grid) uint64 {
+	return fieldsHash(g.Fields) + particleSetHash(&g.Particles)
+}
+
+// snapshot hashes the rank's state: the top grid's blocks and particles,
+// and every owned grid whole. An owned grid whose fields are its hierarchy
+// grid's own arrays — the shared-file, uncompressed rows, where the owner
+// adopted them before the dump and the restart was lent them back — takes
+// its field hash from the hierarchy's memo, so those immutable arrays are
+// hashed once per process, not twice per run; its particles, always a
+// fresh set, are hashed here. Every other grid is hashed byte for byte.
 func (s *Sim) snapshot() snapshotState {
-	snap := snapshotState{grids: make(map[int]uint64)}
+	snap := snapshotState{grids: make(map[int]uint64, len(s.owned))}
 	if s.top != nil {
 		var h uint64
 		for f := range s.top.blocks {
@@ -1263,8 +1281,18 @@ func (s *Sim) snapshot() snapshotState {
 		snap.topParticles = particleSetHash(&s.top.particles)
 		snap.topCount = int64(s.top.particles.N)
 	}
+	var memo []int
 	for id, g := range s.owned {
-		snap.grids[id] = gridHash(g)
+		h, hit := s.hierEntry().fieldHash(id, g.Fields)
+		if !hit {
+			h = fieldsHash(g.Fields)
+		} else if s.onSnapshot != nil {
+			memo = append(memo, id)
+		}
+		snap.grids[id] = h + particleSetHash(&g.Particles)
+	}
+	if s.onSnapshot != nil {
+		s.onSnapshot(snap, memo)
 	}
 	return snap
 }
@@ -1272,7 +1300,11 @@ func (s *Sim) snapshot() snapshotState {
 // verify compares the restart state against the pre-dump snapshot. Field
 // blocks must match per rank (the decomposition is identical); particles
 // must match as a per-rank multiset; subgrid hashes are compared globally
-// because restart ownership differs from dump ownership.
+// because restart ownership differs from dump ownership. A restarted grid
+// takes the memo only when its arrays are its own hierarchy grid's memory,
+// which no run writes (DESIGN.md §13), so it holds the dumped bytes; any
+// other array — a wrong grid's, a corrupted, dropped or torn extent, a
+// stale overlay — is hashed byte for byte.
 func (s *Sim) verify(snap snapshotState) bool {
 	now := s.snapshot()
 	localOK := int64(1)

@@ -66,10 +66,11 @@ func (s hdf4IO) open(name string) *hdf4.SDFile {
 }
 
 // readSDS reads the named array, n bytes, lent: the caller adopts the
-// file's bytes. A tolerant read-back absorbs a container it could not open,
-// a missing array and one of another length (a stale descriptor) and reads
-// n zero bytes instead, so the root still feeds its scatter and the
-// manifest check rejects the generation.
+// file's bytes, in tolerant mode too (DESIGN.md §13 names this read-back
+// beside castore's). A tolerant read-back absorbs a container it could not
+// open, a missing array and one of another length (a stale descriptor) and
+// hands back n fresh zero bytes instead, never a lent array, so the root
+// still feeds its scatter and the manifest check rejects the generation.
 func (s hdf4IO) readSDS(sd *hdf4.SDFile, name string, n int64) []byte {
 	if sd != nil {
 		_, data, err := sd.ReadSDS(name)

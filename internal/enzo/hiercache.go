@@ -24,11 +24,18 @@ type hierKey struct {
 }
 
 // hierEntry is one cached problem: the hierarchy, and beside it — sharing
-// its lifetime — the packed form of its field partitions.
+// its lifetime — what is derived from its immutable arrays: their field
+// hashes and the packed form of their partitions.
 type hierEntry struct {
 	// hierarchy builds on the first call and returns the same pointer to
 	// every caller, however many first callers race.
 	hierarchy func() *amr.Hierarchy
+
+	// fieldHashes[id] returns grid id's chained field hash (fieldsHash),
+	// computed on the first call. Set when the hierarchy is built, so every
+	// caller of hierarchy sees it; each entry is its own sync.OnceValue, as
+	// fleets and parallel tests hash one problem's grids at once.
+	fieldHashes []func() uint64
 
 	// Packed initial conditions. A rank's partition of a field of a grid is
 	// a pure function of the (immutable) hierarchy, the processor count and
@@ -55,9 +62,15 @@ func hierEntryFor(cfg Config) *hierEntry {
 	if v, ok := hierCache.Load(key); ok {
 		return v.(*hierEntry)
 	}
-	e := &hierEntry{hierarchy: sync.OnceValue(func() *amr.Hierarchy {
-		return amr.BuildHierarchy(cfg.Dims, cfg.NParticles, cfg.PreRefine, cfg.Threshold, cfg.Seed)
-	})}
+	e := new(hierEntry)
+	e.hierarchy = sync.OnceValue(func() *amr.Hierarchy {
+		h := amr.BuildHierarchy(cfg.Dims, cfg.NParticles, cfg.PreRefine, cfg.Threshold, cfg.Seed)
+		e.fieldHashes = make([]func() uint64, len(h.Grids))
+		for id, g := range h.Grids {
+			e.fieldHashes[id] = sync.OnceValue(func() uint64 { return fieldsHash(g.Fields) })
+		}
+		return h
+	})
 	v, _ := hierCache.LoadOrStore(key, e)
 	return v.(*hierEntry)
 }
@@ -68,6 +81,28 @@ func (s *Sim) hierEntry() *hierEntry {
 		s.ic = hierEntryFor(s.cfg)
 	}
 	return s.ic
+}
+
+// fieldHash returns the field hash of grid id when fields are that grid's
+// own hierarchy arrays — every one with the same first byte and length, the
+// identity View.InPlace tests — and false otherwise: a refined grid (its ID
+// is past the hierarchy's), a copy (node-local, compressed, castore, a
+// faulted or stale extent) and another grid's array are hashed by the
+// caller. The hierarchy is immutable (DESIGN.md §13), so its memory holds
+// what it held when the hash was taken. It builds the hierarchy if no one
+// has; a run's setup always has.
+func (e *hierEntry) fieldHash(id int, fields [][]byte) (uint64, bool) {
+	grids := e.hierarchy().Grids
+	if id >= len(grids) || len(fields) != len(grids[id].Fields) {
+		return 0, false
+	}
+	for f, b := range fields {
+		ic := grids[id].Fields[f]
+		if len(b) == 0 || len(b) != len(ic) || &b[0] != &ic[0] {
+			return 0, false
+		}
+	}
+	return e.fieldHashes[id](), true
 }
 
 // packedIC returns the filed container of partition k under (np, codec), or

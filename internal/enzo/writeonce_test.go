@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -328,5 +329,62 @@ func TestGuardCatchesWriteThroughLend(t *testing.T) {
 	}
 	if string(after[:]) != "AXAA" {
 		t.Fatalf("the file kept %q at offset 64: the read was not lent the stored bytes, and this guard guards nothing", after)
+	}
+}
+
+// TestHDF4TolerantReadBackLends: HDF4's SDS read-back lends in tolerant mode
+// too (DESIGN.md §13, the second exception beside castore). A clean
+// tolerant read-back of a dump hands out the arrays the dump stored — here
+// the owners' own grids, which the file keeps by reference — and an absorbed
+// failure, a container that does not open or an SDS that is not there,
+// yields zeros of the requested size and marks the rank damaged.
+func TestHDF4TolerantReadBackLends(t *testing.T) {
+	var fields, lent, bad int
+	body := func(r *mpi.Rank, _ pfs.FileSystem, s *Sim) {
+		s.setup()
+		s.readInitial()
+		s.evolve()
+		s.writeDump(0)
+		io := s.io.(hdf4IO)
+		s.tolerant = true
+		for _, id := range slices.Sorted(maps.Keys(s.owned)) {
+			sd := io.open(dumpGridFile(0, id))
+			back := io.readGrid(sd, s.meta.Grids[id])
+			closeSD(sd)
+			for f, b := range back.Fields {
+				fields++
+				if &b[0] == &s.owned[id].Fields[f][0] {
+					lent++
+				}
+			}
+		}
+		if s.damaged {
+			bad++
+		}
+		for _, id := range slices.Sorted(maps.Keys(s.owned))[:1] {
+			gm := s.meta.Grids[id]
+			missing := io.readGrid(io.open("no_such_grid.hdf"), gm)
+			sd := io.open(dumpGridFile(0, id))
+			absent := io.readSDS(sd, "no_such_sds", 64)
+			closeSD(sd)
+			if !s.damaged || len(absent) != 64 || slices.ContainsFunc(absent, func(c byte) bool { return c != 0 }) {
+				bad++
+			}
+			for _, b := range missing.Fields {
+				if int64(len(b)) != gm.Cells()*amr.FieldElemSize || slices.ContainsFunc(b, func(c byte) bool { return c != 0 }) {
+					bad++
+				}
+			}
+		}
+	}
+	w := World{Procs: 4, Config: Tiny(), Backend: BackendHDF4, Result: &Result{}, Body: body}
+	if _, err := Assemble(Allocation{Machine: machine.SP2(), FS: "gpfs"}, w); err != nil {
+		t.Fatal(err)
+	}
+	if fields == 0 || lent != fields {
+		t.Errorf("a clean tolerant read-back lent %d of %d field arrays", lent, fields)
+	}
+	if bad != 0 {
+		t.Errorf("%d ranks or arrays: a clean read-back marked damaged, or an absorbed failure not zeros", bad)
 	}
 }

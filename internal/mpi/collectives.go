@@ -236,16 +236,18 @@ func (r *Rank) alltoallInt64(send []int64) []int64 {
 
 // ExchangeScratch is the sparse personalized exchange under two-phase I/O:
 // parts[d] goes to every rank d listed in sendTo, and the result holds one
-// message for every rank listed in recvFrom (zero views elsewhere). Unlike
-// AlltoallvScratch there is no count round — the caller must already know
-// both lists, and they must agree across ranks (d is in s's sendTo exactly
-// when s is in d's recvFrom), or the exchange deadlocks. Both lists are
+// message for every rank listed in recvFrom. Unlike AlltoallvScratch there
+// is no count round — the caller must already know both lists, and they
+// must agree across ranks (d is in s's sendTo exactly when s is in d's
+// recvFrom), or the exchange deadlocks. Both lists are
 // ascending. The caller's own part is always handed back, listed or not.
 // Payloads are views and travel by reference, each charged at its packed
 // size: AlltoallvScratch's aliasing contract applies, to a view's Base and
 // parts alike. The result lands in out, which the caller owns and reuses
-// from call to call: one entry per rank, distinct from parts, cleared here
-// before it is filled.
+// from call to call: one entry per rank, distinct from parts. Only the
+// caller's own slot and those of recvFrom are written; the rest hold what
+// they held, so a caller reads the slots it listed and clears what it
+// filled, at the cost of its partners rather than of np.
 func (r *Rank) ExchangeScratch(out, parts []View, sendTo, recvFrom []int) {
 	size := r.Size()
 	if len(parts) != size || len(out) != size {
@@ -256,7 +258,6 @@ func (r *Rank) ExchangeScratch(out, parts []View, sendTo, recvFrom []int) {
 		total += parts[d].Bytes()
 	}
 	defer obs.Begin(r.proc, obs.LayerMPI, "exchange").Bytes(total).End()
-	clear(out)
 	own := parts[r.rank]
 	r.CopyCost(own.Bytes())
 	out[r.rank] = own
@@ -402,26 +403,28 @@ func (r *Rank) AllreduceFloat64(v float64, op Op) float64 {
 
 // AllgatherInt64 gathers one int64 per rank on every rank.
 func (r *Rank) AllgatherInt64(v int64) []int64 {
-	return r.AllgatherInt64s([]int64{v})
+	return r.AllgatherInt64s(nil, []int64{v})
 }
 
 // AllgatherInt64s gathers a fixed-size block of int64s from every rank on
-// every rank: the result holds rank i's block at [i*len(vals), (i+1)*len(vals)).
-// Every rank must pass the same number of values. It runs Bruck's algorithm —
+// every rank and appends them to dst, which it returns: the appended values
+// hold rank i's block at [i*len(vals), (i+1)*len(vals)). A caller that
+// passes a reused slice's [:0] decodes into it without allocating. Every
+// rank must pass the same number of values. It runs Bruck's algorithm —
 // ceil(log2 P) rounds for any P, round k shipping the 2^k blocks gathered so
 // far to the rank 2^k ahead — which suits these small latency-bound blocks;
 // Allgatherv keeps the bandwidth-friendly ring for variable, larger payloads.
 // Blocks flow towards higher ranks, as in Barrier: the engine runs equal
 // clocks in rank order, so a receive from a lower rank usually finds its
 // message already posted and does not have to park.
-func (r *Rank) AllgatherInt64s(vals []int64) []int64 {
+func (r *Rank) AllgatherInt64s(dst, vals []int64) []int64 {
 	n := len(vals)
 	defer obs.Begin(r.proc, obs.LayerMPI, "allgather").Bytes(int64(8 * n)).End()
 	tag := r.collTag()
 	size := r.Size()
 	if size == 1 {
 		r.proc.Yield()
-		return slices.Clone(vals)
+		return append(dst, vals...)
 	}
 	// buf holds the blocks of ranks rank, rank-1, rank-2, ... in that order;
 	// a sent prefix is never written again, so it can travel by reference.
@@ -435,14 +438,15 @@ func (r *Rank) AllgatherInt64s(vals []int64) []int64 {
 		in, _, _ := r.Recv((r.rank-have+size)%size, tag)
 		buf = append(buf, in...)
 	}
-	out := make([]int64, n*size)
+	dst = slices.Grow(dst, n*size)
+	out := dst[len(dst) : len(dst)+n*size]
 	for j := 0; j < size; j++ {
 		from := (r.rank - j + size) % size
 		for k := 0; k < n; k++ {
 			out[from*n+k] = decI64(buf[8*(j*n+k):])
 		}
 	}
-	return out
+	return dst[:len(dst)+n*size]
 }
 
 // ExscanInt64 returns the exclusive prefix sum of v over ranks: rank 0

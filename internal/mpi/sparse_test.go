@@ -122,9 +122,12 @@ func TestBruckAllgatherMatchesRing(t *testing.T) {
 			runWorld(t, np, func(r *Rank) {
 				want := ringAllgatherInt64s(r, vals[r.Rank()])
 				before := r.MsgsSent()
-				got := r.AllgatherInt64s(vals[r.Rank()])
+				got := r.AllgatherInt64s(nil, vals[r.Rank()])
 				msgs[r.Rank()] = r.MsgsSent() - before
 				ok[r.Rank()] = slices.Equal(got, want)
+				// Appended after what dst holds, which stays.
+				app := r.AllgatherInt64s([]int64{-1}, vals[r.Rank()])
+				ok[r.Rank()] = ok[r.Rank()] && app[0] == -1 && slices.Equal(app[1:], want)
 				if block == 1 {
 					ok[r.Rank()] = ok[r.Rank()] && slices.Equal(r.AllgatherInt64(vals[r.Rank()][0]), want)
 				}
@@ -142,7 +145,8 @@ func TestBruckAllgatherMatchesRing(t *testing.T) {
 }
 
 // ExchangeScratch moves exactly the listed pairs — one message each, empty
-// parts included — and always hands the caller its own part back.
+// parts included — always hands the caller its own part back, and leaves
+// every other result slot as it was.
 func TestExchangeScratchMovesListedPairsOnly(t *testing.T) {
 	for _, np := range collectiveSizes {
 		hops := []int{1, 3} // rank s sends to s+1 and s+3 (mod np)
@@ -179,12 +183,14 @@ func TestExchangeScratchMovesListedPairsOnly(t *testing.T) {
 				bad[me] = fmt.Sprintf("%d messages for %d remote destinations", n, remote)
 			}
 			for s := range got {
-				var want []byte
+				want := []byte{0xff}
 				switch {
 				case s == me:
 					want = parts[me].Base
 				case np > 1 && s == (me-1+np)%np:
 					want = []byte{byte(s), byte(me)}
+				case slices.Contains(recvFrom, s):
+					want = nil
 				}
 				if string(got[s].Base) != string(want) {
 					bad[me] = fmt.Sprintf("from %d got %v, want %v", s, got[s].Base, want)

@@ -148,16 +148,18 @@ type fileScratch struct {
 	scratch arena[byte]  // wire messages and the write aggregator's extent buffers
 	i64s    arena[int64] // sieving offsets, reply expectations, the merge tree's lists
 	dsBuf   []byte       // ReadRuns sieving buffer (cap DSBufferSize)
+	ext     []int64      // accessRange's gathered extents, dead once the partner lists are built
 	spans   []span       // accessRange's non-empty extents, sorted for the interleaving check
 	runs    []mpi.Run    // IssueReadAtAllInto's block as file runs, dead once the requests are out
 	lent    pfs.Lend     // a lend read's request and the pieces it was lent
 
-	// The two-phase exchange, one slot per rank each. What a rank sends is
-	// cleared at every entry (a previous collective had other partners, and
-	// the exchange hands a rank its own slot whether it is listed or not);
-	// what it receives is cleared by the exchange that fills it. What a rank
-	// received must outlive the I/O phase — until Wait, when behind — so the
-	// two receiving sides of a read never share a holder.
+	// The two-phase exchange, one slot per rank each. A collective fills
+	// only its partners' slots and its own, reads only those (walking
+	// sendTo and recvFrom, never all np), and clears them once its trailing
+	// barrier has passed (release), so no entry clears np slots and no
+	// message outlives its operation. What a rank received must outlive the
+	// I/O phase — until Wait, when behind — so the two receiving sides of a
+	// read never share a holder.
 	send     []mpi.View // this rank's messages: pieces (write) or requests (read)
 	recvd    []mpi.View // what the aggregator heard: pieces to place, or requests to answer
 	replies  []mpi.View // read: the aggregator's answers, references into extLent
@@ -529,7 +531,11 @@ func (f *File) accessRange(runs []mpi.Run) (lo, hi int64, interleaved bool, ext 
 		my[0] = runs[0].Off
 		my[1] = runs[len(runs)-1].Off + runs[len(runs)-1].Len
 	}
-	ext = f.r.AllgatherInt64s(my[:])
+	// Decoded into the handle's own slice, not its arena, which the two-phase
+	// entry resets after this: the extents are dead once partners has read
+	// them, before Begin returns, so a behind operation may borrow it too.
+	f.ext = f.r.AllgatherInt64s(f.ext[:0], my[:])
+	ext = f.ext
 	lo, hi = int64(math.MaxInt64), 0
 	spans := f.spans[:0] // dead on return, so a behind operation may borrow the handle's too
 	for i := 0; i < len(ext); i += 2 {
@@ -729,9 +735,22 @@ func (f *File) twoPhaseScratch(behind bool) *fileScratch {
 	size := f.r.Size()
 	sc.send, sc.recvd = sized(sc.send, size), sized(sc.recvd, size)
 	sc.replies, sc.got = sized(sc.replies, size), sized(sc.got, size)
-	clear(sc.send)
-	clear(sc.replies)
 	return sc
+}
+
+// release clears the exchange slots the collective just ended filled: its
+// partners' and its own. The sweep writes every aggregator's send slot, but
+// one it has nothing for holds no message, and a rank's own message is in
+// its partner lists whenever it has one. Called after the trailing barrier,
+// when every peer is done with the messages.
+func (sc *fileScratch) release(me int) {
+	for _, d := range sc.sendTo {
+		sc.send[d], sc.got[d] = mpi.View{}, mpi.View{}
+	}
+	for _, s := range sc.recvFrom {
+		sc.recvd[s], sc.replies[s] = mpi.View{}, mpi.View{}
+	}
+	sc.recvd[me], sc.got[me] = mpi.View{}, mpi.View{}
 }
 
 // WriteAtAll is a collective write: every rank of the communicator must
@@ -819,19 +838,23 @@ func (f *File) IssueWriteAtAll(behind bool, runs []mpi.Run, data []byte) *Pendin
 	// when blocking, inside Wait once the clock has settled when behind.
 	if !behind {
 		f.r.Barrier()
+		sc.release(f.r.Rank())
 		return nil
 	}
 	p := is.pending("write_all_end")
 	p.tail = func() {
 		f.r.Barrier()
+		sc.release(f.r.Rank())
 		putScratch(f.r, sc)
 	}
 	return p
 }
 
 // extentUnion leaves in sc.extents the coalesced union of the extents the
-// piece messages name — what the aggregator reads or writes: extents that
-// touch or overlap become one. The union of a set of intervals does not
+// piece messages of the sources listed in from name (msgs holds one slot
+// per rank, and only the listed ones are this collective's) — what the
+// aggregator reads or writes: extents that touch or overlap become one.
+// The union of a set of intervals does not
 // depend on the order they are visited in, so no piece is decoded or sorted:
 // each source's ascending header list is coalesced where it lies, then
 // neighbouring lists are merged pairwise, coalescing on the way up, between
@@ -839,22 +862,22 @@ func (f *File) IssueWriteAtAll(behind bool, runs []mpi.Run, data []byte) *Pendin
 // (Block,Block,Block) view, so their rows join at the first levels and the
 // lists shrink many times over before the merges get wide: O(n) then,
 // O(n log k) sequential reads and writes for k lists that never join.
-func (sc *fileScratch) extentUnion(msgs []mpi.View) {
+func (sc *fileScratch) extentUnion(msgs []mpi.View, from []int) {
 	sc.extents = sc.extents[:0]
 	n := 0
-	for _, msg := range msgs {
-		n += pieceCount(msg.Base)
+	for _, src := range from {
+		n += pieceCount(msgs[src].Base)
 	}
 	if n == 0 {
 		return
 	}
 	// Lists are (start, end) pairs, back to back in cur; list i of the k
 	// ends at cur[ends[i]].
-	sc.i64s.reserve(4*n + len(msgs))
-	cur, next, ends := sc.i64s.alloc(2*n), sc.i64s.alloc(2*n), sc.i64s.alloc(len(msgs))
+	sc.i64s.reserve(4*n + len(from))
+	cur, next, ends := sc.i64s.alloc(2*n), sc.i64s.alloc(2*n), sc.i64s.alloc(len(from))
 	w, k := 0, 0
-	for _, m := range msgs {
-		msg := m.Base
+	for _, src := range from {
+		msg := msgs[src].Base
 		count := pieceCount(msg)
 		if count == 0 {
 			continue
@@ -991,22 +1014,23 @@ func (sc *fileScratch) transfer(msg, payload []byte) int64 {
 // not depend on the order its pieces arrive in — and the extents written
 // out. It returns the bytes assembled.
 func (f *File) writeReceived(is *issuer, sc *fileScratch) int64 {
-	sc.extentUnion(sc.recvd)
+	sc.extentUnion(sc.recvd, sc.recvFrom)
 	if len(sc.extents) == 0 {
 		return 0
 	}
 	sc.allocExtents()
 	var assembled int64
-	for _, m := range sc.recvd {
-		if count := pieceCount(m.Base); count > 0 {
-			assembled += sc.transfer(m.Base, m.Base[4+16*count:])
+	for _, src := range sc.recvFrom {
+		m := sc.recvd[src].Base
+		if count := pieceCount(m); count > 0 {
+			assembled += sc.transfer(m, m[4+16*count:])
 		}
 	}
 	// The pieces cover the union; if they add up to more, two of them cover
 	// the same byte, and which one the file keeps would be an accident of
 	// rank order.
 	if assembled != mpi.TotalLen(sc.extents) {
-		off, n := overlapIn(sc.recvd)
+		off, n := overlapIn(sc.recvd, sc.recvFrom)
 		panic(fmt.Sprintf("mpiio: overlapping collective write at [%d, %d)", off, off+n))
 	}
 	f.r.CopyCost(assembled) // pack into the collective buffer
@@ -1020,7 +1044,7 @@ func (f *File) writeReceived(is *issuer, sc *fileScratch) int64 {
 // lent, at their file offsets (sc.extLent), which replyAndPlace answers
 // from by reference. It returns the bytes read.
 func (f *File) readRequested(is *issuer, sc *fileScratch) int64 {
-	sc.extentUnion(sc.recvd)
+	sc.extentUnion(sc.recvd, sc.recvFrom)
 	sc.extLent = sc.extLent[:0]
 	cb := f.hints.CBBufferSize
 	for _, ext := range sc.extents {
@@ -1034,11 +1058,12 @@ func (f *File) readRequested(is *issuer, sc *fileScratch) int64 {
 	return mpi.TotalLen(sc.extents)
 }
 
-// overlapIn finds a byte range two of the pieces in msgs both cover, for the
-// panic that names it.
-func overlapIn(msgs []mpi.View) (off, n int64) {
+// overlapIn finds a byte range two of the pieces in the messages of the
+// sources listed in from both cover, for the panic that names it.
+func overlapIn(msgs []mpi.View, from []int) (off, n int64) {
 	var all []mpi.Run
-	for _, m := range msgs {
+	for _, src := range from {
+		m := msgs[src]
 		for hp, end := 4, 4+16*pieceCount(m.Base); hp < end; hp += 16 {
 			o, l := pieceAt(m.Base, hp)
 			all = append(all, mpi.Run{Off: o, Len: l})
@@ -1215,11 +1240,11 @@ func (f *File) replyAndPlace(t readTail) {
 	// A reply is the lent pieces that cover the request, charged as the
 	// request's headers with the requested bytes behind them — what the
 	// modelled aggregator copies out of its collective buffer and sends.
-	for s, req := range sc.recvd {
-		msg := req.Base
+	for _, s := range sc.recvFrom {
+		msg := sc.recvd[s].Base
 		count := pieceCount(msg)
 		if count == 0 {
-			continue
+			continue // an empty reply: release left the slot clear
 		}
 		hdr, nb := 4+16*count, int64(0)
 		for hp := 4; hp < hdr; hp += 16 {
@@ -1279,6 +1304,7 @@ func (f *File) replyAndPlace(t readTail) {
 		*t.to.out = mpi.View{Sub: t.to.sel, Parts: parts}
 	}
 	f.r.Barrier()
+	sc.release(f.r.Rank())
 	clear(sc.extLent) // the store's bytes are the file's, not the scratch's to keep alive
 }
 
