@@ -144,6 +144,9 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 	if f.CAStore && spec.Backend == enzo.BackendHDF4 {
 		return spec, fmt.Errorf("-castore does not apply to the hdf4 backend")
 	}
+	if compress.Active(f.Codec) && spec.Backend == enzo.BackendHDF4 {
+		return spec, fmt.Errorf("-codec does not apply to the hdf4 backend (it writes uncompressed)")
+	}
 	cfg.CAStore, cfg.Replicas = f.CAStore, f.Replicas
 	spec.Config = cfg
 

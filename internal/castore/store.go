@@ -262,6 +262,18 @@ func (s *Store) placement(c pfs.Client, key Key) []int {
 	return live
 }
 
+// Holds reports whether a Put of key in the current generation is a dedup
+// hit: the rank stored the chunk within the retention window, and the
+// generation is not a re-dump. It is Put's own hit test, so a caller can ask
+// ahead of the Put what the Put will decide.
+func (s *Store) Holds(key Key) bool {
+	if s.force {
+		return false
+	}
+	e, ok := s.index[key]
+	return ok && (s.opt.Retain <= 0 || e.gen > s.gen-s.opt.Retain)
+}
+
 // Put stores one raw chunk under key, which must be KeyOf(raw) — an argument
 // so that a caller presenting an unchanged array again (the next generation,
 // a re-dump) supplies the key it derived the first time. Every decision and
@@ -276,15 +288,14 @@ func (s *Store) Put(c pfs.Client, raw []byte, key Key, pack func() []byte) (Chun
 	}
 	s.stats.ChunkPuts++
 	s.stats.LogicalBytes += int64(len(raw))
-	if !s.force {
-		if e, ok := s.index[key]; ok && (s.opt.Retain <= 0 || e.gen > s.gen-s.opt.Retain) {
-			e.gen = s.gen
-			s.index[key] = e
-			s.stats.ChunkHits++
-			s.stats.DedupedBytes += int64(len(raw))
-			obs.RecordChunkPut(c.Proc, int64(len(raw)), 0, true)
-			return e.ref, nil
-		}
+	if s.Holds(key) {
+		e := s.index[key]
+		e.gen = s.gen
+		s.index[key] = e
+		s.stats.ChunkHits++
+		s.stats.DedupedBytes += int64(len(raw))
+		obs.RecordChunkPut(c.Proc, int64(len(raw)), 0, true)
+		return e.ref, nil
 	}
 	payload := pack()
 	ref := ChunkRef{Key: key, Raw: int64(len(raw)), Phys: int64(len(payload))}

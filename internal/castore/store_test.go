@@ -277,3 +277,33 @@ func TestManifestRoundtrip(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldsIsPutsHitTest: asked before each Put, Holds says whether that
+// Put is a dedup hit — across a fresh generation, one inside the retention
+// window, one past it and a re-dump — and asking changes nothing.
+func TestHoldsIsPutsHitTest(t *testing.T) {
+	data := testData(200_000, 21)
+	run(t, Options{Replicas: 1, Retain: 2}, func(c pfs.Client, s *Store) {
+		chunks := Split(data, s.Params())
+		for _, gen := range []int{0, 1, 3, 3} {
+			s.BeginGeneration(gen)
+			hits := s.Stats().ChunkHits
+			for i, ch := range chunks {
+				held := s.Holds(KeyOf(ch))
+				if held != s.Holds(KeyOf(ch)) {
+					t.Fatalf("gen %d chunk %d: Holds changed its answer", gen, i)
+				}
+				packed := false
+				if _, err := s.Put(c, ch, KeyOf(ch), func() []byte { packed = true; return ch }); err != nil {
+					t.Fatalf("gen %d Put: %v", gen, err)
+				}
+				if held == packed {
+					t.Errorf("gen %d chunk %d: Holds said %v, Put packed: %v", gen, i, held, packed)
+				}
+			}
+			if gen == 1 && s.Stats().ChunkHits-hits != int64(len(chunks)) {
+				t.Errorf("gen 1: %d hits, want every chunk's %d", s.Stats().ChunkHits-hits, len(chunks))
+			}
+		}
+	})
+}

@@ -39,6 +39,31 @@ func BenchmarkPack(b *testing.B) {
 	}
 }
 
+// BenchmarkPackAll is a dump's batch: the 4 MiB field cut into 128 KiB
+// arrays, packed by one compressor on every core (the memo forgotten every
+// iteration). MB/s of raw bytes in; B/op is the containers, at their own
+// length, and the batch's bookkeeping.
+func BenchmarkPackAll(b *testing.B) {
+	field := benchField()
+	c, err := ByName("lzss")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var arrays [][]byte
+	for lo := 0; lo < len(field); lo += 128 << 10 {
+		arrays = append(arrays, field[lo:lo+128<<10])
+	}
+	z := NewCompressor(c, DefaultCostModel())
+	z.PackAll(arrays)
+	b.SetBytes(int64(len(field)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Forget()
+		z.PackAll(arrays)
+	}
+}
+
 // BenchmarkUnpack is the restart path's: MB/s of raw bytes out.
 func BenchmarkUnpack(b *testing.B) {
 	field := benchField()

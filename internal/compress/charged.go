@@ -1,6 +1,10 @@
 package compress
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -27,11 +31,18 @@ import (
 // container back — enzo's TestWriteOnceHolds and the re-pack check of
 // TestHitsAreRepacks are what hold callers to it.
 //
-// A Compressor belongs to one rank and is not safe for concurrent use.
+// A container the memo keeps is allocated at its own length: Pack stages it
+// in a worst-case buffer (every chunk stored raw, plus the encoder's slack),
+// which the compressor keeps and reuses — one per PackAll worker, the first
+// also Packed's — and the container is copied out of it.
+//
+// A Compressor belongs to one rank and is not safe for concurrent use;
+// PackAll's workers run inside one call and are joined before it returns.
 type Compressor struct {
-	codec Codec
-	cost  CostModel
-	memo  map[ArrayID][]byte
+	codec  Codec
+	cost   CostModel
+	memo   map[ArrayID][]byte
+	stages [][]byte // staging buffers by worker; stages[0] is the caller's
 
 	// OnHit, when set, is shown every remembered container before it is
 	// returned. Tests set it to pack again and compare; nothing else does.
@@ -52,7 +63,7 @@ func IDOf(raw []byte) ArrayID { return ArrayID{&raw[0], len(raw)} }
 // NewCompressor returns a compressor for codec c charging cost model m, with
 // nothing remembered.
 func NewCompressor(c Codec, m CostModel) *Compressor {
-	return &Compressor{codec: c, cost: m, memo: make(map[ArrayID][]byte)}
+	return &Compressor{codec: c, cost: m, memo: make(map[ArrayID][]byte), stages: make([][]byte, 1)}
 }
 
 // Codec returns the codec the compressor packs with.
@@ -68,11 +79,103 @@ func (z *Compressor) Packed(raw []byte) []byte {
 	id := IDOf(raw)
 	blob, ok := z.memo[id]
 	if !ok {
-		blob = Pack(z.codec, raw, DefaultChunkSize)
+		blob = z.pack(0, raw)
 		z.memo[id] = blob
 	} else if z.OnHit != nil {
 		z.OnHit(raw, blob)
 	}
+	return blob
+}
+
+// PackAll packs every non-empty array of raws the compressor does not
+// remember yet, each distinct array once, so that the Squeeze that presents
+// it later finds it remembered. The arrays are packed side by side, on up
+// to runtime.GOMAXPROCS(0) goroutines, the caller being one of them; all
+// are joined before PackAll returns, a worker's panic is raised again on
+// the caller, and only then are the containers filed, on the calling
+// goroutine. Containers are pure functions of the bytes, so which arrays a
+// batch holds changes host time and nothing else: PackAll touches no
+// clock, span, counter or OnHit, and a later Squeeze charges a container
+// packed here exactly as it charges one it packs itself.
+func (z *Compressor) PackAll(raws [][]byte) {
+	todo := make([][]byte, 0, len(raws))
+	queued := make(map[ArrayID]bool, len(raws))
+	for _, raw := range raws {
+		if len(raw) == 0 {
+			continue
+		}
+		id := IDOf(raw)
+		if _, ok := z.memo[id]; ok || queued[id] {
+			continue
+		}
+		queued[id] = true
+		todo = append(todo, raw)
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(todo))
+	if workers == 0 {
+		return
+	}
+	z.grow(workers)
+	b := &packBatch{z: z, todo: todo, blobs: make([][]byte, len(todo)), panics: make([]any, workers)}
+	b.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go b.work(w)
+	}
+	b.work(0)
+	b.wg.Wait()
+	for _, p := range b.panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	for i, raw := range todo {
+		z.memo[IDOf(raw)] = b.blobs[i]
+	}
+}
+
+// packBatch is one PackAll call: the arrays to pack, their containers by
+// index, the next index no worker has claimed, and each worker's panic.
+type packBatch struct {
+	z           *Compressor
+	todo, blobs [][]byte
+	panics      []any
+	next        atomic.Int64
+	wg          sync.WaitGroup
+}
+
+// work is worker w: it packs the arrays it claims, in its own staging
+// buffer, until none is left or one panics (which stops every worker at its
+// next claim).
+func (b *packBatch) work(w int) {
+	defer b.wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			b.panics[w] = p
+			b.next.Store(int64(len(b.todo)))
+		}
+	}()
+	for {
+		i := int(b.next.Add(1) - 1)
+		if i >= len(b.todo) {
+			return
+		}
+		b.blobs[i] = b.z.pack(w, b.todo[i])
+	}
+}
+
+// grow makes sure there is a staging buffer slot for each of n workers.
+func (z *Compressor) grow(n int) {
+	for len(z.stages) < n {
+		z.stages = append(z.stages, nil)
+	}
+}
+
+// pack packs raw in worker w's staging buffer and returns a copy of the
+// container at its own length.
+func (z *Compressor) pack(w int, raw []byte) []byte {
+	z.stages[w] = packInto(z.stages[w], z.codec, raw, DefaultChunkSize)
+	blob := make([]byte, len(z.stages[w]))
+	copy(blob, z.stages[w])
 	return blob
 }
 

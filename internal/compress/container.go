@@ -55,7 +55,12 @@ func capHint(rawLen int64) int {
 // chunk size (0 means DefaultChunkSize). Every chunk is encoded straight
 // onto the container, behind a chunk header patched once its stored length
 // and checksum are known.
-func Pack(c Codec, src []byte, chunkSize int) []byte {
+func Pack(c Codec, src []byte, chunkSize int) []byte { return packInto(nil, c, src, chunkSize) }
+
+// packInto is Pack in buf's room, whatever buf holds discarded: a staging
+// buffer reused across calls stops allocating once it has held the largest
+// array.
+func packInto(buf []byte, c Codec, src []byte, chunkSize int) []byte {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -63,7 +68,8 @@ func Pack(c Codec, src []byte, chunkSize int) []byte {
 	// Room for the largest container there is (every chunk stored raw) plus
 	// the slack an encoder may ask for before the fallback takes it back:
 	// the codecs never grow the buffer on data that compresses at all.
-	out := make([]byte, headerSize, headerSize+nChunks*(chunkHeaderSize+2)+len(src)+len(src)/8)
+	out := slices.Grow(buf[:0], headerSize+nChunks*(chunkHeaderSize+2)+len(src)+len(src)/8)[:headerSize]
+	clear(out)
 	copy(out, containerMagic)
 	out[4] = c.ID()
 	binary.LittleEndian.PutUint32(out[8:], uint32(chunkSize))

@@ -50,9 +50,28 @@ type casDump struct {
 }
 
 // createDump: a re-dump of a generation the store has already seen bypasses
-// the dedup index entirely — see Store.BeginGeneration.
+// the dedup index entirely — see Store.BeginGeneration. A compressed run
+// then packs, in one batch, one chunk of every content key among the
+// rank's field and owned particle arrays that the store does not hold: the
+// chunks the Puts of this generation will compress.
 func (l casLayout) createDump(d int) dumpWriter {
 	l.cas.BeginGeneration(d)
+	if l.compressed() {
+		var chunks [][]byte
+		queued := make(map[castore.Key]bool)
+		for _, raw := range l.dumpArrays(true) {
+			t := l.table(raw)
+			lo := 0
+			for i, hi := range t.bounds {
+				if k := t.keys[i]; !queued[k] && !l.cas.Holds(k) {
+					queued[k] = true
+					chunks = append(chunks, raw[lo:hi])
+				}
+				lo = hi
+			}
+		}
+		l.z.PackAll(chunks)
+	}
 	return &casDump{Sim: l.Sim, d: d}
 }
 
@@ -65,10 +84,14 @@ func (l casLayout) createDump(d int) dumpWriter {
 type chunkTable struct {
 	bounds []int
 	keys   []castore.Key
+	// presented: a put has used the table. Deriving it ahead of the walk
+	// (createDump) is not a presentation.
+	presented bool
 }
 
-// chunked returns raw's chunk table, deriving it on first sight.
-func (s *Sim) chunked(raw []byte) chunkTable {
+// table returns raw's chunk table, deriving and filing it on first sight,
+// without presenting raw.
+func (s *Sim) table(raw []byte) chunkTable {
 	if len(raw) == 0 {
 		return chunkTable{}
 	}
@@ -83,6 +106,20 @@ func (s *Sim) chunked(raw []byte) chunkTable {
 			lo = hi
 		}
 		s.chunks[id] = t
+	}
+	return t
+}
+
+// chunked returns raw's chunk table as a put presents raw: every
+// presentation after the first reuses the table.
+func (s *Sim) chunked(raw []byte) chunkTable {
+	if len(raw) == 0 {
+		return chunkTable{}
+	}
+	t := s.table(raw)
+	if !t.presented {
+		t.presented = true
+		s.chunks[compress.IDOf(raw)] = t
 	} else if s.onChunkHit != nil {
 		s.onChunkHit(raw, t)
 	}

@@ -533,7 +533,9 @@ type Sim struct {
 	// and are dropped with them (forgetDerived).
 	z      *compress.Compressor
 	chunks map[compress.ArrayID]chunkTable
-	// onChunkHit, when set, is shown every chunk table before it is reused.
+	// onChunkHit, when set, is shown every chunk table before it is reused
+	// (a table a dump writer derived ahead of the walk is used, not reused,
+	// when the walk first presents its array).
 	// Tests set it to split and key again and compare; nothing else does.
 	onChunkHit func(raw []byte, t chunkTable)
 
@@ -584,6 +586,26 @@ func (s *Sim) recordCodecBytes(file string, write bool, logical, physical int64)
 // squeeze/expand run the codec on the calling rank's clock; expand appends
 // to dst (nil for a fresh buffer) and returns nil on a tolerated failure.
 func (s *Sim) squeeze(raw []byte) []byte { return s.z.Squeeze(s.r.Proc(), raw) }
+
+// dumpArrays lists the arrays a dump writes from this rank, in the walk's
+// order: its top-grid field partitions, then every owned subgrid's fields
+// and, with particles, its particle arrays. Compressed dump writers hand
+// them to the compressor's PackAll before the walk presents them.
+func (s *Sim) dumpArrays(particles bool) [][]byte {
+	arrays := make([][]byte, 0, len(s.top.blocks)+len(s.owned)*(len(amr.FieldNames)+len(amr.ParticleArrays)))
+	for fi := range s.top.blocks {
+		arrays = append(arrays, s.top.field(fi))
+	}
+	for _, gm := range s.meta.Subgrids() {
+		if grid := s.owned[gm.ID]; grid != nil {
+			arrays = append(arrays, grid.Fields...)
+			if particles {
+				arrays = append(arrays, grid.Particles.Arrays...)
+			}
+		}
+	}
+	return arrays
+}
 
 func (s *Sim) expand(dst, blob []byte) []byte {
 	out, err := s.z.Expand(s.r.Proc(), dst, blob)

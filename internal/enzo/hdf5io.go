@@ -188,8 +188,12 @@ func (l h5Layout) openDump(d int) gridReader {
 
 // createDump switches the fresh container into write-behind metadata mode
 // when the dump is deferred (the library's metadata cache: header flushes
-// defer like data writes).
+// defer like data writes). A compressed run packs every field the walk
+// will squeeze in one batch first.
 func (l h5Layout) createDump(d int) dumpWriter {
+	if l.compressed() {
+		l.z.PackAll(l.dumpArrays(false))
+	}
 	file := l.create(dumpH5File(d))
 	file.hf.SetWriteBehindMeta(l.metaSink())
 	return file

@@ -1,7 +1,6 @@
 package enzo
 
 import (
-	"bytes"
 	"sync"
 
 	"repro/internal/amr"
@@ -116,13 +115,11 @@ func (e *hierEntry) packedIC(np int, codec uint8, k icKey) []byte {
 	return e.blobs[k]
 }
 
-// filePackedIC files a copy of blob as the container of partition k under
-// (np, codec), discarding the table of any other (np, codec) first. A copy,
-// because Pack's buffer has room for the array stored raw and a kept slice
-// pins all of it: the table would hold the problem's size, not its packed
-// size, for the life of the process.
+// filePackedIC files blob as the container of partition k under (np,
+// codec), discarding the table of any other (np, codec) first. The
+// compressor's containers are allocated at their own length, so the table
+// holds the problem's packed size, not room for it stored raw.
 func (e *hierEntry) filePackedIC(np int, codec uint8, k icKey, blob []byte) {
-	blob = bytes.Clone(blob)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.np != np || e.codec != codec { // np is never 0: the first filing lands here too

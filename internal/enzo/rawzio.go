@@ -270,9 +270,11 @@ func (l rawzLayout) writeIC(h *amr.Hierarchy) {
 
 // createDump packs every field this rank will write, before the first
 // write and before the particle sort, so that one batched allgather
-// settles every segment's place in the file.
+// settles every segment's place in the file. The compressor packs them
+// all in one batch first; the squeezes below find them remembered.
 func (l rawzLayout) createDump(d int) dumpWriter {
 	zf := l.open(dumpRawFile(d), mpiio.ModeCreate)
+	l.z.PackAll(l.dumpArrays(false))
 	pack := func(fields [][]byte) [][]byte {
 		blobs := make([][]byte, len(fields))
 		for fi, raw := range fields {
