@@ -35,7 +35,7 @@ type Dump struct {
 // Register declares -codec, -async and -autotune on fl.
 func (d *Dump) Register(fl *flag.FlagSet) {
 	fl.StringVar(&d.Codec, "codec", "none", "transparent field compression: none, rle, delta, lzss")
-	fl.BoolVar(&d.Async, "async", false, "write-behind checkpoint I/O: overlap dumps with the next step's compute")
+	fl.BoolVar(&d.Async, "async", false, "write-behind checkpoint I/O: overlap dumps with the next step's compute (not with -backend hdf4, which writes synchronously)")
 	fl.BoolVar(&d.AutoTune, "autotune", false, "tune the MPI-IO hint vector off a short probe run before the main run")
 }
 
@@ -146,6 +146,9 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 	}
 	if compress.Active(f.Codec) && spec.Backend == enzo.BackendHDF4 {
 		return spec, fmt.Errorf("-codec does not apply to the hdf4 backend (it writes uncompressed)")
+	}
+	if f.Async && spec.Backend == enzo.BackendHDF4 {
+		return spec, fmt.Errorf("-async does not apply to the hdf4 backend (it writes synchronously)")
 	}
 	cfg.CAStore, cfg.Replicas = f.CAStore, f.Replicas
 	spec.Config = cfg

@@ -41,6 +41,7 @@ func TestBadFlagsRejected(t *testing.T) {
 		{"replicas without castore", all, []string{"-replicas", "2"}},
 		{"castore on hdf4", all, []string{"-castore", "-backend", "hdf4"}},
 		{"codec on hdf4", all, []string{"-codec", "lzss", "-backend", "hdf4"}},
+		{"async on hdf4", all, []string{"-async", "-backend", "hdf4"}},
 		{"straggler below one", all, []string{"-straggler", "0.5"}},
 		{"straggler on plain fs", all, []string{"-fs", "xfs", "-straggler", "10"}},
 		{"negative corrupt", all, []string{"-corrupt", "-3"}},

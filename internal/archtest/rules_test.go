@@ -218,14 +218,15 @@ var scratch sync.Pool`)},
 	{name: "compress-castore-no-package-map", design: "§7, §12", pr: 24, scope: in("internal/compress", "internal/castore"),
 		check:    forbid(unless(pkgMaps(), `^var (byName|byID) `)),
 		mutation: mutant("internal/castore", "var seen = map[Key]bool{}")},
-	// One fan-out: the pure packer may run a dump's containers on every core
-	// (Compressor.PackAll, joined before it returns); the rank code above it
-	// stays one thread under the engine. A go statement anywhere else in
-	// the codec, the store or the rank's I/O stack is parallelism leaking
-	// into code the engine schedules.
+	// One fan-out: pure codec work may run on every core through the one
+	// worker loop, compress.Fanout, joined before it returns (PackAll's
+	// packs, the castore read-ahead's decodes); the rank code above it stays
+	// one thread under the engine. A go statement anywhere else in the
+	// codec, the store or the rank's I/O stack is parallelism leaking into
+	// code the engine schedules.
 	{name: "one-codec-fanout", design: "§7", pr: 45,
 		scope:    in("internal/compress", "internal/enzo", "internal/castore", "internal/hdf5", "internal/mpiio", "internal/mpi"),
-		check:    sites(goStmts(), "internal/compress/charged.go: (*Compressor).PackAll"),
+		check:    sites(goStmts(), "internal/compress/charged.go: Fanout"),
 		mutation: mutant("internal/enzo", "func spawn() { go spawn() }")},
 	{name: "memo-key-not-formatted", design: "§7, §12", pr: 24,
 		scope:    in("internal/compress/charged.go", "internal/enzo/hiercache.go"),

@@ -98,3 +98,83 @@ func TestGetLendsStoredChunk(t *testing.T) {
 		}
 	})
 }
+
+// TestPeekShowsWhatGetLends: Peek finds, without a read, the memory a Get of
+// the same chunk is lent — on every replica, since the replicas share the
+// payload buffer — while it moves no clock, counts in no statistic and
+// allocates nothing once a container's name is known. A chunk whose stored
+// range is not one extent (a torn write) shows nothing, and a stale overlay
+// makes Get lend other memory than Peek shows.
+func TestPeekShowsWhatGetLends(t *testing.T) {
+	chunk := testData(60_000, 43)
+	put := func(t *testing.T, c pfs.Client, s *Store) ChunkRef {
+		s.BeginGeneration(0)
+		ref, err := s.Put(c, chunk, KeyOf(chunk), rawPack(chunk))
+		if err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		return ref
+	}
+
+	t.Run("same-memory", func(t *testing.T) {
+		run(t, Options{Replicas: 2}, func(c pfs.Client, s *Store) {
+			ref := put(t, c, s)
+			now, stats := c.Proc.Now(), s.Stats()
+			peeked := s.Peek(c, ref)
+			if c.Proc.Now() != now || s.Stats() != stats {
+				t.Error("Peek moved the clock or a statistic")
+			}
+			got, err := s.Get(c, ref)
+			if err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+			if !sameBytes(peeked, got) || !sameBytes(peeked, chunk) {
+				t.Error("Peek did not show the memory Get lends")
+			}
+			for j := range ref.Reps {
+				one := ref
+				one.Reps = ref.Reps[j : j+1]
+				if !sameBytes(s.Peek(c, one), chunk) {
+					t.Errorf("replica %d shows other memory than the payload", j)
+				}
+			}
+			if n := testing.AllocsPerRun(20, func() { s.Peek(c, ref) }); n != 0 {
+				t.Errorf("Peek allocates %v times a call, want 0", n)
+			}
+		})
+	})
+
+	t.Run("torn", func(t *testing.T) {
+		torn := func(fs pfs.FileSystem) pfs.FileSystem {
+			return faultfs.Wrap(fs, faultfs.Config{Mode: faultfs.TornWrite, EveryN: 1, FileSubstr: "cas/"})
+		}
+		runOn(t, Options{Replicas: 1}, torn, func(c pfs.Client, s *Store) {
+			if b := s.Peek(c, put(t, c, s)); b != nil {
+				t.Errorf("Peek of a torn chunk shows %d bytes, want nil", len(b))
+			}
+		})
+	})
+
+	t.Run("stale-overlay", func(t *testing.T) {
+		stale := func(fs pfs.FileSystem) pfs.FileSystem {
+			return faultfs.Wrap(fs, faultfs.Config{Mode: faultfs.StaleRead, FileSubstr: "cas/"})
+		}
+		runOn(t, Options{Replicas: 1}, stale, func(c pfs.Client, s *Store) {
+			ref := put(t, c, s)
+			rep := ref.Reps[0]
+			f, err := s.readHandle(c, rep.Server, rep.Rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteAt(c, bytes.Repeat([]byte{0x5A}, len(chunk)), rep.Off)
+			peeked := s.Peek(c, ref)
+			got, err := s.Get(c, ref)
+			if err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+			if peeked == nil || sameBytes(peeked, got) {
+				t.Error("under a stale overlay Get lent the memory Peek shows")
+			}
+		})
+	})
+}

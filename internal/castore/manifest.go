@@ -51,19 +51,12 @@ type Manifest struct {
 	NP    int
 	Items []Item
 
-	byName map[string]*Item
+	byName map[string]*Item // built by DecodeManifest, read-only after
 }
 
-// Item returns the named item, or nil.
-func (m *Manifest) Item(name string) *Item {
-	if m.byName == nil {
-		m.byName = make(map[string]*Item, len(m.Items))
-		for i := range m.Items {
-			m.byName[m.Items[i].Name] = &m.Items[i]
-		}
-	}
-	return m.byName[name]
-}
+// Item returns the named item, or nil. DecodeManifest builds the index and
+// Item only reads it, so lookups need no lock and race with nothing.
+func (m *Manifest) Item(name string) *Item { return m.byName[name] }
 
 func putU32(b []byte, v uint32) []byte {
 	var u [4]byte
@@ -122,6 +115,13 @@ func EncodeManifest(gen, np int, fragments [][]byte) []byte {
 // Any damage — truncation, bit flips, inconsistent counts — yields an
 // error, so callers treat the generation as dirty rather than restoring
 // from a lying manifest.
+//
+// The body is walked twice: once to check every length and count the items,
+// chunks and replicas, then to fill one array of each — every item's Chunks
+// and every chunk's Reps is a capped stretch of them, and every name a
+// substring of one copy of the body — and the name index. A manifest is
+// decoded on every rank for every read-back, so it costs a handful of
+// allocations, not a few per chunk.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	if len(b) < len(manifestMagic)+4+4+4 || string(b[:4]) != manifestMagic {
 		return nil, fmt.Errorf("castore: bad manifest framing")
@@ -130,52 +130,75 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("castore: manifest CRC mismatch")
 	}
-	m := &Manifest{
-		Gen: int(binary.LittleEndian.Uint32(body[4:])),
-		NP:  int(binary.LittleEndian.Uint32(body[8:])),
-	}
-	p := 12
-	fail := func() (*Manifest, error) { return nil, fmt.Errorf("castore: truncated manifest") }
-	for p < len(body) {
+	const itemHead, chunkHead, repSize = 2 + 8 + 4, 29, 16 // fixed bytes, names aside
+	var nItems, nChunks, nReps int
+	for p := 12; p < len(body); nItems++ {
 		if p+2 > len(body) {
-			return fail()
+			return nil, errTruncated
 		}
 		nameLen := int(body[p]) | int(body[p+1])<<8
-		p += 2
-		if p+nameLen+8+4 > len(body) {
-			return fail()
+		if p+nameLen+itemHead > len(body) {
+			return nil, errTruncated
 		}
-		it := Item{Name: string(body[p : p+nameLen])}
+		nchunks := int(binary.LittleEndian.Uint32(body[p+2+nameLen+8:]))
+		p += nameLen + itemHead
+		for c := 0; c < nchunks; c++ {
+			if p+chunkHead > len(body) {
+				return nil, errTruncated
+			}
+			nreps := int(body[p+28])
+			p += chunkHead
+			if p+nreps*repSize > len(body) {
+				return nil, errTruncated
+			}
+			p += nreps * repSize
+			nReps += nreps
+		}
+		nChunks += nchunks
+	}
+	m := &Manifest{
+		Gen:    int(binary.LittleEndian.Uint32(body[4:])),
+		NP:     int(binary.LittleEndian.Uint32(body[8:])),
+		Items:  make([]Item, nItems),
+		byName: make(map[string]*Item, nItems),
+	}
+	refs, reps, names := make([]ChunkRef, nChunks), make([]Rep, nReps), string(body)
+	p := 12
+	for i := range m.Items {
+		it := &m.Items[i]
+		nameLen := int(body[p]) | int(body[p+1])<<8
+		p += 2
+		it.Name = names[p : p+nameLen]
 		p += nameLen
 		it.Raw = int64(binary.LittleEndian.Uint64(body[p:]))
-		p += 8
-		nchunks := int(binary.LittleEndian.Uint32(body[p:]))
-		p += 4
-		for c := 0; c < nchunks; c++ {
-			if p+8+4+8+8+1 > len(body) {
-				return fail()
-			}
-			ref := ChunkRef{}
+		nchunks := int(binary.LittleEndian.Uint32(body[p+8:]))
+		p += 12
+		if nchunks > 0 {
+			it.Chunks, refs = refs[:nchunks:nchunks], refs[nchunks:]
+		}
+		for c := range it.Chunks {
+			ref := &it.Chunks[c]
 			ref.Key.Sum = binary.LittleEndian.Uint64(body[p:])
 			ref.Key.N = binary.LittleEndian.Uint32(body[p+8:])
 			ref.Raw = int64(binary.LittleEndian.Uint64(body[p+12:]))
 			ref.Phys = int64(binary.LittleEndian.Uint64(body[p+20:]))
 			nreps := int(body[p+28])
-			p += 29
-			if p+nreps*16 > len(body) {
-				return fail()
+			p += chunkHead
+			if nreps > 0 {
+				ref.Reps, reps = reps[:nreps:nreps], reps[nreps:]
 			}
-			for r := 0; r < nreps; r++ {
-				ref.Reps = append(ref.Reps, Rep{
+			for r := range ref.Reps {
+				ref.Reps[r] = Rep{
 					Server: int(int32(binary.LittleEndian.Uint32(body[p:]))),
 					Rank:   int(binary.LittleEndian.Uint32(body[p+4:])),
 					Off:    int64(binary.LittleEndian.Uint64(body[p+8:])),
-				})
-				p += 16
+				}
+				p += repSize
 			}
-			it.Chunks = append(it.Chunks, ref)
 		}
-		m.Items = append(m.Items, it)
+		m.byName[it.Name] = it
 	}
 	return m, nil
 }
+
+var errTruncated = fmt.Errorf("castore: truncated manifest")

@@ -37,6 +37,7 @@ type Store struct {
 	// chain once (nil on a volume without data servers of its own).
 	rv     pfs.ReplicaVolume
 	placer pfs.PlacementRestorer
+	peeker pfs.Peeker
 
 	nsrv int // placed data servers (0: unplaced volume)
 	reps int // effective replica count
@@ -49,6 +50,7 @@ type Store struct {
 	index map[Key]idxEntry
 	heads map[containerKey]*container // write handles, append offsets
 	reads map[containerKey]pfs.File   // read-only handles opened on demand
+	names []string                    // Peek's container names (peekName), formatted once
 	lend  pfs.Lend                    // Get's lend read, reused
 	order []Rep                       // orderReps' result, reused
 
@@ -113,6 +115,7 @@ func New(fs pfs.FileSystem, opt Options) *Store {
 		reads: make(map[containerKey]pfs.File),
 	}
 	s.placer, _ = pfs.As[pfs.PlacementRestorer](fs)
+	s.peeker, _ = pfs.As[pfs.Peeker](fs)
 	if s.rv, _ = pfs.As[pfs.ReplicaVolume](fs); s.rv != nil {
 		s.nsrv = s.rv.NumDataServers()
 	}
@@ -331,6 +334,47 @@ func (s *Store) Put(c pfs.Client, raw []byte, key Key, pack func() []byte) (Chun
 	obs.RecordChunkPut(c.Proc, int64(len(raw)), ref.Phys*int64(len(ref.Reps)), false)
 	s.index[key] = idxEntry{gen: s.gen, ref: ref}
 	return ref, nil
+}
+
+// Peek returns the stored payload a Get of ref will most likely be lent,
+// found without a read: the first replica, on a server not already dead,
+// whose container holds the payload in one stored extent (pfs.Peeker). A
+// replica write hands every container the same payload buffer, so any
+// replica of a chunk written in this run shows the memory Get lends; nil
+// when no replica shows it, or the volume cannot be peeked. Peek opens
+// nothing, charges nothing and counts in no statistic: a caller that
+// decodes what it returns ahead of the Get uses that decode only if the Get
+// lends the very same memory.
+func (s *Store) Peek(c pfs.Client, ref ChunkRef) []byte {
+	if s.peeker == nil {
+		return nil
+	}
+	for _, rep := range ref.Reps {
+		if s.serverDead(c, rep.Server) {
+			continue
+		}
+		if b := s.peeker.Peek(c, s.peekName(rep), rep.Off, ref.Phys); b != nil {
+			return b
+		}
+	}
+	return nil
+}
+
+// peekName returns the name of rep's container, formatting it only the first
+// time: names are kept by rank, then by server (-1 first).
+func (s *Store) peekName(rep Rep) string {
+	k := containerKey{rep.Server, rep.Rank}
+	if k.rank < 0 || k.server < -1 || k.server >= s.nsrv {
+		return k.name() // not a container this volume can hold
+	}
+	i := k.rank*(s.nsrv+1) + k.server + 1
+	if i >= len(s.names) {
+		s.names = append(s.names, make([]string, i+1-len(s.names))...)
+	}
+	if s.names[i] == "" {
+		s.names[i] = k.name()
+	}
+	return s.names[i]
 }
 
 // ReadError reports that every replica of a chunk (or named object) failed.

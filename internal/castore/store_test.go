@@ -3,6 +3,7 @@ package castore
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/machine"
@@ -263,6 +264,23 @@ func TestManifestRoundtrip(t *testing.T) {
 	}
 	if m.Item("nope") != nil {
 		t.Fatal("lookup of missing item succeeded")
+	}
+	if !reflect.DeepEqual(m.Items, items) {
+		t.Fatalf("decoded items %+v, want %+v", m.Items, items)
+	}
+	// A fragment cut anywhere but between items decodes to an error, never a
+	// panic, even under a CRC that matches: the lengths are checked first.
+	frag := EncodeItems(items)
+	for k := range frag {
+		cut, err := DecodeManifest(EncodeManifest(3, 8, [][]byte{frag[:k]}))
+		switch {
+		case k == 0 || k == len(EncodeItems(items[:1])):
+			if err != nil || len(cut.Items) != min(k, 1) {
+				t.Errorf("cut at item boundary %d: %v", k, err)
+			}
+		case err == nil:
+			t.Errorf("fragment cut at %d of %d bytes decoded successfully", k, len(frag))
+		}
 	}
 	// Damage must decode to an error, never a plausible manifest.
 	for name, mut := range map[string]func([]byte) []byte{

@@ -89,13 +89,11 @@ func (z *Compressor) Packed(raw []byte) []byte {
 
 // PackAll packs every non-empty array of raws the compressor does not
 // remember yet, each distinct array once, so that the Squeeze that presents
-// it later finds it remembered. The arrays are packed side by side, on up
-// to runtime.GOMAXPROCS(0) goroutines, the caller being one of them; all
-// are joined before PackAll returns, a worker's panic is raised again on
-// the caller, and only then are the containers filed, on the calling
-// goroutine. Containers are pure functions of the bytes, so which arrays a
-// batch holds changes host time and nothing else: PackAll touches no
-// clock, span, counter or OnHit, and a later Squeeze charges a container
+// it later finds it remembered. The arrays are packed side by side by
+// Fanout, and only once all are joined are the containers filed, on the
+// calling goroutine. Containers are pure functions of the bytes, so which
+// arrays a batch holds changes host time and nothing else: PackAll touches
+// no clock, span, counter or OnHit, and a later Squeeze charges a container
 // packed here exactly as it charges one it packs itself.
 func (z *Compressor) PackAll(raws [][]byte) {
 	todo := make([][]byte, 0, len(raws))
@@ -111,55 +109,65 @@ func (z *Compressor) PackAll(raws [][]byte) {
 		queued[id] = true
 		todo = append(todo, raw)
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(todo))
-	if workers == 0 {
+	workers := Workers(len(todo))
+	z.grow(workers)
+	blobs := make([][]byte, len(todo))
+	Fanout(workers, len(todo), func(w, i int) { blobs[i] = z.pack(w, todo[i]) })
+	for i, raw := range todo {
+		z.memo[IDOf(raw)] = blobs[i]
+	}
+}
+
+// Workers returns how many goroutines Fanout should run n jobs on: one per
+// core (runtime.GOMAXPROCS), and never more than there are jobs.
+func Workers(n int) int { return min(runtime.GOMAXPROCS(0), n) }
+
+// Fanout is the package's one worker loop, the batch of pure work a rank
+// runs on every core inside one of its own steps (PackAll's packs, enzo's
+// castore read-ahead). It runs job(w, i) once for every i in [0, n) on
+// workers goroutines, the caller being worker 0 — w names the worker, for
+// state kept per worker — each claiming the next unclaimed index until none
+// is left. All are joined before Fanout returns, and a job's panic stops
+// every worker at its next claim and is raised again on the caller. The
+// jobs must touch no clock and share nothing they write; the engine stays
+// one thread, because the batch runs and joins inside one rank's step. With
+// one core, or one job, it is the sequential loop on the caller.
+func Fanout(workers, n int, job func(w, i int)) {
+	if n == 0 {
 		return
 	}
-	z.grow(workers)
-	b := &packBatch{z: z, todo: todo, blobs: make([][]byte, len(todo)), panics: make([]any, workers)}
-	b.wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go b.work(w)
+	workers = max(1, min(workers, n))
+	var (
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		panics = make([]any, workers)
+	)
+	work := func(w int) {
+		defer wg.Done()
+		defer func() {
+			if p := recover(); p != nil {
+				panics[w] = p
+				next.Store(int64(n))
+			}
+		}()
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			job(w, i)
+		}
 	}
-	b.work(0)
-	b.wg.Wait()
-	for _, p := range b.panics {
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work(w)
+	}
+	work(0)
+	wg.Wait()
+	for _, p := range panics {
 		if p != nil {
 			panic(p)
 		}
-	}
-	for i, raw := range todo {
-		z.memo[IDOf(raw)] = b.blobs[i]
-	}
-}
-
-// packBatch is one PackAll call: the arrays to pack, their containers by
-// index, the next index no worker has claimed, and each worker's panic.
-type packBatch struct {
-	z           *Compressor
-	todo, blobs [][]byte
-	panics      []any
-	next        atomic.Int64
-	wg          sync.WaitGroup
-}
-
-// work is worker w: it packs the arrays it claims, in its own staging
-// buffer, until none is left or one panics (which stops every worker at its
-// next claim).
-func (b *packBatch) work(w int) {
-	defer b.wg.Done()
-	defer func() {
-		if p := recover(); p != nil {
-			b.panics[w] = p
-			b.next.Store(int64(len(b.todo)))
-		}
-	}()
-	for {
-		i := int(b.next.Add(1) - 1)
-		if i >= len(b.todo) {
-			return
-		}
-		b.blobs[i] = b.z.pack(w, b.todo[i])
 	}
 }
 
@@ -206,18 +214,28 @@ func (z *Compressor) Squeeze(p *sim.Proc, raw []byte) []byte {
 // Expand decodes a container on p's clock, verifying every checksum, and
 // appends the decoded bytes to dst (nil for a buffer of its own). Nothing is
 // remembered on this side: a read that trusted a cache would verify nothing.
+// A decode done ahead of the read, off the clock (enzo's castore
+// read-ahead, by AppendUnpack), is no cache: it is of the very bytes the read
+// was lent, and the read still pays for it, through ChargeExpand.
 func (z *Compressor) Expand(p *sim.Proc, dst, blob []byte) ([]byte, error) {
-	sp := obs.Begin(p, obs.LayerCodec, "decompress")
-	start := p.Now()
-	out, err := appendUnpack(dst, blob)
+	out, err := AppendUnpack(dst, blob)
 	if err != nil {
-		sp.End()
+		obs.Begin(p, obs.LayerCodec, "decompress").End()
 		return nil, err
 	}
-	raw := int64(len(out) - len(dst))
-	sp.Bytes(raw)
+	z.ChargeExpand(p, int64(len(out)-len(dst)), int64(len(blob)))
+	return out, nil
+}
+
+// ChargeExpand is what decoding a stored-byte container into raw bytes costs
+// p: the span, the cost model's seconds and the record. Expand charges every
+// decode it does through it, and a reader that decoded a container ahead of
+// its read calls it at the read, so the two are the same on every clock and
+// in every trace.
+func (z *Compressor) ChargeExpand(p *sim.Proc, raw, stored int64) {
+	sp := obs.Begin(p, obs.LayerCodec, "decompress").Bytes(raw)
+	start := p.Now()
 	p.Advance(z.cost.DecompressSeconds(raw))
 	sp.End()
-	obs.RecordDecompress(p, raw, int64(len(blob)), p.Now()-start)
-	return out, nil
+	obs.RecordDecompress(p, raw, stored, p.Now()-start)
 }

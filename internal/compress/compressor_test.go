@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -235,6 +236,55 @@ func TestPackAllMatchesPacked(t *testing.T) {
 			t.Errorf("a batch that panicked filed %d containers", z.Remembered())
 		}
 	})
+}
+
+// TestChargeExpandIsExpandsCharge: a container decoded off the clock by
+// AppendUnpack and then charged by ChargeExpand costs the rank exactly what
+// Expand costs it — the clock, the span and the decompress record — and a
+// failed Expand still leaves its empty span.
+func TestChargeExpandIsExpandsCharge(t *testing.T) {
+	raw := bytes.Repeat([]byte("charged once, either way "), 40_000)
+	z := NewCompressor(rleCodec{}, CostModel{CompressBps: 1e6, DecompressBps: 3e6})
+	blob := Pack(rleCodec{}, raw, DefaultChunkSize)
+	bad := bytes.Clone(blob)
+	bad[len(bad)-1] ^= 0xFF
+	trace := func(body func(p *sim.Proc)) (float64, []obs.Span, obs.CodecCounters) {
+		tr := obs.NewTracer()
+		var end float64
+		onProc(t, func(p *sim.Proc) {
+			tr.Attach(p, 0)
+			body(p)
+			end = p.Now()
+		})
+		return end, tr.Spans(), *tr.CodecStats()[0]
+	}
+	endE, spansE, recE := trace(func(p *sim.Proc) {
+		if out, err := z.Expand(p, nil, blob); err != nil || !bytes.Equal(out, raw) {
+			t.Fatalf("Expand: %v", err)
+		}
+		if _, err := z.Expand(p, nil, bad); err == nil {
+			t.Fatal("Expand of a corrupted container succeeded")
+		}
+	})
+	endC, spansC, recC := trace(func(p *sim.Proc) {
+		out, err := AppendUnpack(make([]byte, 0, len(raw)), blob)
+		if err != nil || !bytes.Equal(out, raw) {
+			t.Fatalf("AppendUnpack: %v", err)
+		}
+		z.ChargeExpand(p, int64(len(out)), int64(len(blob)))
+		if _, err := z.Expand(p, nil, bad); err == nil {
+			t.Fatal("Expand of a corrupted container succeeded")
+		}
+	})
+	if endE != endC || endE == 0 {
+		t.Errorf("clock after Expand %g, after AppendUnpack and ChargeExpand %g", endE, endC)
+	}
+	if fmt.Sprint(spansE) != fmt.Sprint(spansC) || len(spansE) != 2 {
+		t.Errorf("spans differ:\n Expand      %v\n ChargeExpand %v", spansE, spansC)
+	}
+	if recE != recC || recE.DecompressCalls != 1 {
+		t.Errorf("decompress records differ: %+v vs %+v", recE, recC)
+	}
 }
 
 // settledGoroutines returns the goroutine count once it is down to want, or

@@ -106,12 +106,14 @@ func RawLen(blob []byte) (int64, error) {
 // Unpack decodes a container produced by Pack, verifying every chunk's
 // checksum and the declared lengths. Corruption yields an error naming
 // the failing chunk, never silently wrong data.
-func Unpack(blob []byte) ([]byte, error) { return appendUnpack(nil, blob) }
+func Unpack(blob []byte) ([]byte, error) { return AppendUnpack(nil, blob) }
 
-// appendUnpack is Unpack onto a buffer the caller owns: the decoded bytes
+// AppendUnpack is Unpack onto a buffer the caller owns: the decoded bytes
 // are appended to dst, whose contents are left alone, and every chunk is
-// decoded in place behind the previous one. On error the result is nil.
-func appendUnpack(dst, blob []byte) ([]byte, error) {
+// decoded in place behind the previous one — in dst's own array when its
+// capacity holds them. On error the result is nil. It is pure and touches no
+// clock; Expand is the same decode charged to a rank.
+func AppendUnpack(dst, blob []byte) ([]byte, error) {
 	if len(blob) < headerSize {
 		return nil, fmt.Errorf("compress: container truncated (%d bytes)", len(blob))
 	}

@@ -538,6 +538,15 @@ type Sim struct {
 	// when the walk first presents its array).
 	// Tests set it to split and key again and compare; nothing else does.
 	onChunkHit func(raw []byte, t chunkTable)
+	// onCasChunk, when set, is shown every chunk a castore read-back fetches:
+	// its item and whether the read-ahead's decode was taken (false: the
+	// chunk was decoded afresh). onReadAhead is shown every read-ahead as its
+	// read-back ends: how many items it decoded and how many of those the
+	// walk never fetched. Tests count with them; nothing else sets them.
+	onCasChunk  func(item string, ahead bool)
+	onReadAhead func(items, unfetched int)
+	// ahead is the castore read-back's batch (casio.go), kept for its room.
+	ahead readAhead
 
 	// ic is the problem's entry in the process-wide hierarchy cache, where
 	// setup finds the hierarchy (rank 0), the packed initial conditions of

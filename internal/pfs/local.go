@@ -131,6 +131,17 @@ func (fs *LocalFS) Open(c Client, name string) (File, error) {
 	return File{&localFile{fs: fs, name: name}}, nil
 }
 
+// Peek implements Peeker on the caller's node's partition.
+func (fs *LocalFS) Peek(c Client, name string, off, n int64) []byte {
+	fs.mu.Lock()
+	st := fs.files[name][c.Node]
+	fs.mu.Unlock()
+	if st == nil {
+		return nil
+	}
+	return st.Peek(off, n)
+}
+
 type localFile struct {
 	fs   *LocalFS
 	name string

@@ -12,11 +12,14 @@ package pfs
 //   - ReplicaVolume exposes per-data-server liveness and load, which the
 //     castore read path uses to route a chunk fetch to the least-loaded
 //     live replica and to skip servers already known dead.
+//   - Peeker shows a file's stored bytes without a read, so a castore
+//     reader can decode ahead of its fetches the payloads they will be lent.
 //
-// The striped models implement all three through their stripedVolume
-// (volume.go). XFS and LocalFS implement none (their storage is
+// The striped models implement the first three through their stripedVolume
+// (volume.go). XFS and LocalFS implement none of those (their storage is
 // client-local); replica placement degrades to plain files there and the
-// replica count clamps to one.
+// replica count clamps to one. Every model implements Peeker, and prefix
+// renames it.
 
 // PlacedCreator is implemented by file systems that can pin a new file to
 // a single data server. server is taken modulo the volume's server count.
@@ -41,6 +44,19 @@ type ReplicaVolume interface {
 // the file does not exist.
 type PlacementRestorer interface {
 	PlaceExisting(name string, server int) bool
+}
+
+// Peeker is implemented by the models, which hold their files' bytes, and by
+// prefix, which renames. Peek returns the bytes [off, off+n) of file name
+// when one stored extent holds them all — the very memory, capped, that a
+// lend read of that range would be handed (ByteStore.Peek) — and nil
+// otherwise: a missing file, a range across extents or holes. It opens
+// nothing, charges no clock, counts in no stats and passes no tap, so what
+// it returns is a guess at what a read will see, never a read: a caller
+// that acts on it checks that the read was lent that same memory. c names
+// the caller's node (LocalFS keeps a partition per node) and pays nothing.
+type Peeker interface {
+	Peek(c Client, name string, off, n int64) []byte
 }
 
 // CreatePlacedOn creates name pinned to the given data server when fs

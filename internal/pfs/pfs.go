@@ -76,6 +76,7 @@
 //	PlacedCreator                      stripedVolume and every wrapper (each
 //	                                   wraps the handle it gets back: prefix
 //	                                   renames, the tap observes a create)
+//	Peeker                             volume, LocalFS, prefix (renames)
 //
 // # One observer
 //

@@ -19,16 +19,18 @@ func WrapPrefix(fs FileSystem, prefix string) FileSystem {
 	p := &prefixFS{inner: fs, prefix: prefix}
 	p.placer, _ = As[PlacementRestorer](fs)
 	p.codec, _ = As[CodecReporter](fs)
+	p.peeker, _ = As[Peeker](fs)
 	return p
 }
 
 type prefixFS struct {
 	inner  FileSystem
 	prefix string
-	// The two capabilities whose file-name argument must be prefixed,
-	// resolved below this layer once (nil when no layer has them).
+	// The capabilities whose file-name argument must be prefixed, resolved
+	// below this layer once (nil when no layer has them).
 	placer PlacementRestorer
 	codec  CodecReporter
+	peeker Peeker
 }
 
 func (p *prefixFS) path(name string) string { return p.prefix + name }
@@ -62,6 +64,14 @@ func (p *prefixFS) CreatePlaced(c Client, name string, server int) (File, error)
 // PlaceExisting implements PlacementRestorer under the prefixed name.
 func (p *prefixFS) PlaceExisting(name string, server int) bool {
 	return p.placer != nil && p.placer.PlaceExisting(p.path(name), server)
+}
+
+// Peek implements Peeker under the prefixed name.
+func (p *prefixFS) Peek(c Client, name string, off, n int64) []byte {
+	if p.peeker == nil {
+		return nil
+	}
+	return p.peeker.Peek(c, p.path(name), off, n)
 }
 
 // RecordCodecBytes implements CodecReporter, prefixing the file so

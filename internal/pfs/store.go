@@ -163,6 +163,25 @@ func (s *ByteStore) LendAt(pieces []Piece, off, n int64) []Piece {
 	return pieces
 }
 
+// Peek returns the bytes [off, off+n) as LendAt would lend them when one
+// extent holds them all — a capped sub-slice of that extent, so the same
+// first byte and length as the lent range (LentRange) — and nil when no
+// extent does: a hole, a range across extents, or n < 1. Read-only.
+func (s *ByteStore) Peek(off, n int64) []byte {
+	if off < 0 || n < 1 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := PieceAt(s.ext, off)
+	if i == len(s.ext) || s.ext[i].Off > off || off+n > s.ext[i].End() {
+		return nil
+	}
+	e := s.ext[i]
+	at, end := off-e.Off, off+n-e.Off
+	return e.Bytes[at:end:end]
+}
+
 // Size returns the logical file size (highest written offset + 1).
 func (s *ByteStore) Size() int64 {
 	s.mu.Lock()

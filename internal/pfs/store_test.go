@@ -145,15 +145,30 @@ func (r *storeRun) lend(off, n int64, cut byte) {
 	if got := LentRange(pieces, off+at, m); !bytes.Equal(got, want[at:at+m]) {
 		r.t.Fatalf("LentRange(%d bytes at %d) of a lend of %d bytes at %d differs from ReadAt", m, off+at, n, off)
 	}
+	// Peek is the lend's one-extent case, without the read: the same memory
+	// and length LentRange returns for the whole range, and nil otherwise.
+	peek := r.st.Peek(off, n)
 	if n == 0 {
+		if peek != nil {
+			r.t.Fatalf("Peek(0 bytes at %d) = %d bytes, want nil", off, len(peek))
+		}
 		return
 	}
+	inOne := false
 	for _, e := range r.st.ext {
 		if e.Off <= off && off+n <= e.End() {
+			inOne = true
 			if len(pieces) != 1 || &pieces[0].Bytes[0] != &e.Bytes[off-e.Off] {
 				r.t.Fatalf("LendAt(%d bytes at %d) inside one extent: %d pieces, not the extent's own bytes", n, off, len(pieces))
 			}
 		}
+	}
+	whole := LentRange(pieces, off, n)
+	switch {
+	case !inOne && peek != nil:
+		r.t.Fatalf("Peek(%d bytes at %d) across extents or holes = %d bytes, want nil", n, off, len(peek))
+	case inOne && (int64(len(peek)) != n || cap(peek) != len(peek) || &peek[0] != &whole[0]):
+		r.t.Fatalf("Peek(%d bytes at %d) inside one extent is not the lent range's memory", n, off)
 	}
 }
 

@@ -244,17 +244,32 @@ func TestCapabilitiesThroughTheSpine(t *testing.T) {
 	if _, ok := pfs.As[pfs.CodecReporter](bb); ok {
 		t.Error("As[CodecReporter] found a receiver in a stack without a recorder")
 	}
+	if pk, ok := pfs.As[pfs.Peeker](stack); !ok || pk == pfs.Peeker(model) {
+		t.Errorf("As[Peeker] through the stack = %v, %v; want the prefix, which renames", pk, ok)
+	}
 
 	seen := serverLog{}
 	pfs.Observe(stack, seen)
 	eng := sim.NewEngine()
+	payload := make([]byte, 1<<20)
+	var peeked, bare []byte
 	eng.Spawn("c", func(p *sim.Proc) {
 		c := pfs.Client{Proc: p, Node: 3}
 		f, _ := stack.Create(c, "dump")
-		f.WriteAt(c, make([]byte, 1<<20), 0)
+		f.WriteAt(c, payload, 0)
+		pk, _ := pfs.As[pfs.Peeker](stack)
+		before := p.Now()
+		peeked, bare = pk.Peek(c, "dump", 4096, 512), pk.Peek(c, tenant+"dump", 4096, 512)
+		if p.Now() != before {
+			t.Errorf("Peek moved the clock from %g to %g", before, p.Now())
+		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(peeked) != 512 || &peeked[0] != &payload[4096] || bare != nil {
+		t.Errorf("Peek through the prefix: %d bytes (the written buffer: %v), under the prefixed name %d bytes; want 512 (true), 0",
+			len(peeked), len(peeked) > 0 && &peeked[0] == &payload[4096], len(bare))
 	}
 	for _, name := range []string{"pvfs/iod1/disk", "pvfs/mgr", "bb/node3"} {
 		if !seen[name] {

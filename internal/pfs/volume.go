@@ -104,6 +104,15 @@ func (v *volume) open(name string) (*ByteStore, error) {
 	return st, nil
 }
 
+// Peek implements Peeker.
+func (v *volume) Peek(_ Client, name string, off, n int64) []byte {
+	st, err := v.open(name)
+	if err != nil {
+		return nil
+	}
+	return st.Peek(off, n)
+}
+
 // Snapshot implements FileSystem (out-of-band staging).
 func (v *volume) Snapshot() map[string][]byte {
 	v.mu.Lock()
