@@ -340,11 +340,12 @@ func (s *Store) Put(c pfs.Client, raw []byte, key Key, pack func() []byte) (Chun
 // found without a read: the first replica, on a server not already dead,
 // whose container holds the payload in one stored extent (pfs.Peeker). A
 // replica write hands every container the same payload buffer, so any
-// replica of a chunk written in this run shows the memory Get lends; nil
-// when no replica shows it, or the volume cannot be peeked. Peek opens
-// nothing, charges nothing and counts in no statistic: a caller that
-// decodes what it returns ahead of the Get uses that decode only if the Get
-// lends the very same memory.
+// replica of a chunk written in this run shows the memory Get lends (a
+// restored one is its own copy of the same bytes); nil when no replica
+// shows it, or the volume cannot be peeked. Peek opens nothing, charges
+// nothing and counts in no statistic: a caller that decodes what it returns
+// ahead of the Get uses that decode only if the Get lends the very same
+// memory or the same bytes.
 func (s *Store) Peek(c pfs.Client, ref ChunkRef) []byte {
 	if s.peeker == nil {
 		return nil

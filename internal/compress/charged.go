@@ -2,6 +2,7 @@ package compress
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,17 +37,32 @@ import (
 // which the compressor keeps and reuses — one per PackAll worker, the first
 // also Packed's — and the container is copied out of it.
 //
+// Decoded ahead. The read side has the twin batch: ExpandAll decodes the
+// containers a reader is about to be lent, and Expand takes such a decode
+// only for the very memory it was decoded from (see Expand).
+//
 // A Compressor belongs to one rank and is not safe for concurrent use;
-// PackAll's workers run inside one call and are joined before it returns.
+// PackAll's and ExpandAll's workers run inside one call and are joined
+// before it returns.
 type Compressor struct {
 	codec  Codec
 	cost   CostModel
 	memo   map[ArrayID][]byte
 	stages [][]byte // staging buffers by worker; stages[0] is the caller's
 
+	// ahead holds ExpandAll's decodes not yet taken, by the identity of the
+	// container each was decoded from; decoded is ExpandAll's result slice,
+	// kept for its room.
+	ahead   map[ArrayID][]byte
+	decoded [][]byte
+
 	// OnHit, when set, is shown every remembered container before it is
 	// returned. Tests set it to pack again and compare; nothing else does.
 	OnHit func(raw, blob []byte)
+	// OnExpand, when set, is shown every Expand: whether it took a decode
+	// ExpandAll did (false: it decoded afresh). Tests count with it; nothing
+	// else sets it.
+	OnExpand func(batched bool)
 }
 
 // ArrayID is the identity of a non-empty array: its first byte's address and
@@ -63,7 +79,8 @@ func IDOf(raw []byte) ArrayID { return ArrayID{&raw[0], len(raw)} }
 // NewCompressor returns a compressor for codec c charging cost model m, with
 // nothing remembered.
 func NewCompressor(c Codec, m CostModel) *Compressor {
-	return &Compressor{codec: c, cost: m, memo: make(map[ArrayID][]byte), stages: make([][]byte, 1)}
+	return &Compressor{codec: c, cost: m, memo: make(map[ArrayID][]byte), stages: make([][]byte, 1),
+		ahead: make(map[ArrayID][]byte)}
 }
 
 // Codec returns the codec the compressor packs with.
@@ -123,11 +140,11 @@ func (z *Compressor) PackAll(raws [][]byte) {
 func Workers(n int) int { return min(runtime.GOMAXPROCS(0), n) }
 
 // Fanout is the package's one worker loop, the batch of pure work a rank
-// runs on every core inside one of its own steps (PackAll's packs, enzo's
-// castore read-ahead). It runs job(w, i) once for every i in [0, n) on
-// workers goroutines, the caller being worker 0 — w names the worker, for
-// state kept per worker — each claiming the next unclaimed index until none
-// is left. All are joined before Fanout returns, and a job's panic stops
+// runs on every core inside one of its own steps (PackAll's packs,
+// ExpandAll's decodes, enzo's castore read-ahead and chunk tables). It runs
+// job(w, i) once for every i in [0, n) on workers goroutines, the caller
+// being worker 0 — w names the worker, for state kept per worker — each
+// claiming the next unclaimed index until none is left. All are joined before Fanout returns, and a job's panic stops
 // every worker at its next claim and is raised again on the caller. The
 // jobs must touch no clock and share nothing they write; the engine stays
 // one thread, because the batch runs and joins inside one rank's step. With
@@ -211,20 +228,78 @@ func (z *Compressor) Squeeze(p *sim.Proc, raw []byte) []byte {
 	return blob
 }
 
+// ExpandAll decodes every non-empty container of blobs, side by side by
+// Fanout (AppendUnpack into a buffer of its own), and, once all are joined,
+// files each successful decode on the calling goroutine under the identity
+// of the container it was decoded from, for the Expand of that very memory
+// to take. A container that fails to decode is not filed: its Expand
+// decodes it again and fails as it always did. Decoding is a pure function of the bytes, so which containers a
+// batch holds changes host time and nothing else: ExpandAll touches no
+// clock, span, counter, record or OnExpand. The decodes are held until
+// taken or dropped (DropExpanded); a reader drops what it did not take when
+// it closes.
+func (z *Compressor) ExpandAll(blobs [][]byte) {
+	z.decoded = slices.Grow(z.decoded[:0], len(blobs))[:len(blobs)]
+	Fanout(Workers(len(blobs)), len(blobs), func(_, i int) {
+		if len(blobs[i]) > 0 {
+			z.decoded[i], _ = AppendUnpack(nil, blobs[i]) // a failure is Expand's to report
+		}
+	})
+	for i, out := range z.decoded {
+		if out != nil {
+			z.ahead[IDOf(blobs[i])] = out
+		}
+	}
+	clear(z.decoded)
+}
+
+// DropExpanded drops every decode ExpandAll filed that no Expand took, and
+// returns how many there were.
+func (z *Compressor) DropExpanded() int {
+	n := len(z.ahead)
+	clear(z.ahead)
+	return n
+}
+
 // Expand decodes a container on p's clock, verifying every checksum, and
 // appends the decoded bytes to dst (nil for a buffer of its own). Nothing is
-// remembered on this side: a read that trusted a cache would verify nothing.
-// A decode done ahead of the read, off the clock (enzo's castore
-// read-ahead, by AppendUnpack), is no cache: it is of the very bytes the read
-// was lent, and the read still pays for it, through ChargeExpand.
+// cached on this side: a read that trusted a cache would verify nothing.
+// A decode done ahead of the read, off the clock, is no cache: ExpandAll's
+// (and enzo's castore read-ahead's) is of the very bytes the read was lent,
+// checksums verified, and the read still pays for it, through ChargeExpand.
+// So Expand takes a decode ExpandAll filed only when dst is empty and blob
+// is the very memory it was decoded from — the same first byte and length
+// (ArrayID), which under the write-once rule are the same bytes — and
+// removes it; any other blob, equal bytes elsewhere included, and any
+// other dst are decoded here, and fail here, exactly as without a batch.
 func (z *Compressor) Expand(p *sim.Proc, dst, blob []byte) ([]byte, error) {
-	out, err := AppendUnpack(dst, blob)
-	if err != nil {
-		obs.Begin(p, obs.LayerCodec, "decompress").End()
-		return nil, err
+	out, batched := z.take(dst, blob)
+	if z.OnExpand != nil {
+		z.OnExpand(batched)
+	}
+	if !batched {
+		var err error
+		if out, err = AppendUnpack(dst, blob); err != nil {
+			obs.Begin(p, obs.LayerCodec, "decompress").End()
+			return nil, err
+		}
 	}
 	z.ChargeExpand(p, int64(len(out)-len(dst)), int64(len(blob)))
 	return out, nil
+}
+
+// take removes and returns the decode ExpandAll filed for blob's very
+// memory, when dst is empty and there is one.
+func (z *Compressor) take(dst, blob []byte) ([]byte, bool) {
+	if len(dst) > 0 || len(blob) == 0 || len(z.ahead) == 0 {
+		return nil, false
+	}
+	id := IDOf(blob)
+	out, ok := z.ahead[id]
+	if ok {
+		delete(z.ahead, id)
+	}
+	return out, ok
 }
 
 // ChargeExpand is what decoding a stored-byte container into raw bytes costs

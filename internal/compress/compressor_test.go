@@ -287,6 +287,111 @@ func TestChargeExpandIsExpandsCharge(t *testing.T) {
 	}
 }
 
+// TestExpandAllIsExpand: a decode ExpandAll did is taken only by an Expand
+// into an empty dst of the very memory it was decoded from, once, and then
+// costs the rank exactly what a fresh Expand costs — bytes, clock, span and
+// decompress record. Equal bytes at another address, a non-empty dst and a
+// container that failed in the batch all take the fresh path, with its
+// error; ExpandAll itself moves no clock, and DropExpanded drops the rest.
+func TestExpandAllIsExpand(t *testing.T) {
+	raw := bytes.Repeat([]byte("decoded ahead, charged at the read "), 30_000)
+	blob := Pack(rleCodec{}, raw, DefaultChunkSize)
+	bad := bytes.Clone(blob)
+	bad[len(bad)-1] ^= 0xFF
+	prefix := []byte("kept")
+	cost := CostModel{CompressBps: 1e6, DecompressBps: 3e6}
+	type outcome struct {
+		out     []byte
+		err     error
+		end     float64
+		spans   string
+		rec     obs.CodecCounters
+		batched []bool
+	}
+	// expand runs one Expand on a fresh rank, after the batch ran (when
+	// batch is non-nil) on its compressor.
+	expand := func(batch [][]byte, dst, blob []byte) (o outcome, z *Compressor) {
+		z = NewCompressor(rleCodec{}, cost)
+		z.OnExpand = func(b bool) { o.batched = append(o.batched, b) }
+		tr := obs.NewTracer()
+		onProc(t, func(p *sim.Proc) {
+			tr.Attach(p, 0)
+			if batch != nil {
+				z.ExpandAll(batch)
+				if p.Now() != 0 {
+					t.Errorf("ExpandAll moved the clock to %g", p.Now())
+				}
+			}
+			o.out, o.err = z.Expand(p, dst, blob)
+			o.end = p.Now()
+		})
+		o.spans = fmt.Sprint(tr.Spans())
+		if stats := tr.CodecStats(); len(stats) > 0 {
+			o.rec = *stats[0] // none after a failed decode
+		}
+		return o, z
+	}
+	same := func(name string, got, want outcome, batched bool) {
+		t.Helper()
+		if !bytes.Equal(got.out, want.out) || fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+			t.Errorf("%s: %d bytes, error %v; a fresh Expand gives %d bytes, error %v", name, len(got.out), got.err, len(want.out), want.err)
+		}
+		if got.end != want.end || got.spans != want.spans || got.rec != want.rec {
+			t.Errorf("%s: clock %g, spans %s, record %+v; a fresh Expand: %g, %s, %+v", name, got.end, got.spans, got.rec, want.end, want.spans, want.rec)
+		}
+		if len(got.batched) != 1 || got.batched[0] != batched {
+			t.Errorf("%s: OnExpand saw %v, want [%v]", name, got.batched, batched)
+		}
+	}
+
+	fresh, _ := expand(nil, nil, blob)
+	if !bytes.Equal(fresh.out, raw) || fresh.err != nil || fresh.end == 0 || fresh.rec.DecompressCalls != 1 {
+		t.Fatalf("fresh Expand: %d bytes, error %v, clock %g, record %+v", len(fresh.out), fresh.err, fresh.end, fresh.rec)
+	}
+	taken, z := expand([][]byte{nil, blob, bad}, nil, blob)
+	same("the very memory", taken, fresh, true)
+	if n := z.DropExpanded(); n != 0 {
+		t.Errorf("%d decodes left after the take; the failed container must not be filed", n)
+	}
+
+	clone := bytes.Clone(blob)
+	other, z := expand([][]byte{blob}, nil, clone)
+	same("equal bytes at another address", other, fresh, false)
+	if n := z.DropExpanded(); n != 1 {
+		t.Errorf("DropExpanded dropped %d decodes, want the 1 not taken", n)
+	}
+
+	freshDst, _ := expand(nil, prefix, blob)
+	withDst, _ := expand([][]byte{blob}, prefix, blob)
+	same("a non-empty dst", withDst, freshDst, false)
+	if !bytes.Equal(withDst.out[:len(prefix)], prefix) {
+		t.Error("a non-empty dst lost its bytes")
+	}
+
+	freshBad, _ := expand(nil, nil, bad)
+	if freshBad.err == nil {
+		t.Fatal("Expand of a corrupted container succeeded")
+	}
+	batchedBad, _ := expand([][]byte{bad}, nil, bad)
+	same("a corrupt container", batchedBad, freshBad, false)
+
+	// A take removes the decode: the next Expand of the same memory decodes.
+	z = NewCompressor(rleCodec{}, cost)
+	var seen []bool
+	z.OnExpand = func(b bool) { seen = append(seen, b) }
+	onProc(t, func(p *sim.Proc) {
+		z.ExpandAll([][]byte{blob, blob})
+		for range 2 {
+			if out, err := z.Expand(p, nil, blob); err != nil || !bytes.Equal(out, raw) {
+				t.Fatalf("Expand: %v", err)
+			}
+		}
+	})
+	if fmt.Sprint(seen) != "[true false]" {
+		t.Errorf("two Expands of one batched container took %v, want [true false]", seen)
+	}
+}
+
 // settledGoroutines returns the goroutine count once it is down to want, or
 // after a second. A worker signals the join before it exits, so the count
 // may lag PackAll's return by the few instructions of the worker's exit.

@@ -28,13 +28,15 @@
 // every core (readAhead, through compress.Fanout), each item into the buffer
 // the walk will return. The walk then fetches as before — per chunk a Get,
 // the decode's charge, the key check — and takes a chunk's decode from the
-// batch only when the Get lent the very memory the batch decoded and the
-// walk's destination is the very region it decoded into; any other payload
-// (a stale overlay, a corrupt copy, a torn range) or a decode that failed is
-// decoded afresh. The batch is dropped when the read-back ends.
+// batch only when the Get lent the very memory the batch decoded, or the
+// same bytes (another replica, after a restore), and the walk's destination
+// is the very region it decoded into; any other payload (a stale overlay, a
+// corrupt copy, a torn range) or a decode that failed is decoded afresh.
+// The batch is dropped when the read-back ends.
 package enzo
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strconv"
@@ -65,16 +67,19 @@ type casDump struct {
 }
 
 // createDump: a re-dump of a generation the store has already seen bypasses
-// the dedup index entirely — see Store.BeginGeneration. A compressed run
-// then packs, in one batch, one chunk of every content key among the
-// rank's field and owned particle arrays that the store does not hold: the
-// chunks the Puts of this generation will compress.
+// the dedup index entirely — see Store.BeginGeneration. The chunk tables of
+// the rank's field and owned particle arrays that it has not derived yet are
+// derived in one batch (deriveTables). A compressed run then packs, in one
+// batch, one chunk of every content key among those arrays that the store
+// does not hold: the chunks the Puts of this generation will compress.
 func (l casLayout) createDump(d int) dumpWriter {
 	l.cas.BeginGeneration(d)
+	raws := l.dumpArrays(true)
+	l.deriveTables(raws)
 	if l.compressed() {
 		var chunks [][]byte
 		queued := make(map[castore.Key]bool)
-		for _, raw := range l.dumpArrays(true) {
+		for _, raw := range raws {
 			t := l.table(raw)
 			lo := 0
 			for i, hi := range t.bounds {
@@ -113,16 +118,45 @@ func (s *Sim) table(raw []byte) chunkTable {
 	id := compress.IDOf(raw)
 	t, ok := s.chunks[id]
 	if !ok {
-		t.bounds = castore.SplitBounds(raw, s.cas.Params())
-		t.keys = make([]castore.Key, len(t.bounds))
-		lo := 0
-		for i, hi := range t.bounds {
-			t.keys[i] = castore.KeyOf(raw[lo:hi])
-			lo = hi
-		}
+		t = deriveTable(raw, s.cas.Params())
 		s.chunks[id] = t
 	}
 	return t
+}
+
+// deriveTable is raw's chunk table: where the chunker cuts raw under params
+// and each chunk's content key. It is the layout's one split site, pure, and
+// runs on a Fanout worker for deriveTables.
+func deriveTable(raw []byte, params castore.Params) chunkTable {
+	t := chunkTable{bounds: castore.SplitBounds(raw, params)}
+	t.keys = make([]castore.Key, len(t.bounds))
+	lo := 0
+	for i, hi := range t.bounds {
+		t.keys[i] = castore.KeyOf(raw[lo:hi])
+		lo = hi
+	}
+	return t
+}
+
+// deriveTables derives the chunk table of every non-empty array of raws
+// that has none, side by side on every core (compress.Fanout), and files
+// them, on the caller, once all are joined — as table would one by one,
+// presenting nothing.
+func (s *Sim) deriveTables(raws [][]byte) {
+	todo := make([][]byte, 0, len(raws))
+	for _, raw := range raws {
+		if len(raw) > 0 {
+			if _, ok := s.chunks[compress.IDOf(raw)]; !ok {
+				todo = append(todo, raw)
+			}
+		}
+	}
+	tables := make([]chunkTable, len(todo))
+	params := s.cas.Params()
+	compress.Fanout(compress.Workers(len(todo)), len(todo), func(_, i int) { tables[i] = deriveTable(todo[i], params) })
+	for i, raw := range todo {
+		s.chunks[compress.IDOf(raw)] = tables[i]
+	}
 }
 
 // chunked returns raw's chunk table as a put presents raw: every
@@ -394,17 +428,19 @@ func (a *readAhead) take(it *castore.Item) *aheadItem {
 
 // decoded returns chunk j's content key, and true, when the walk may take
 // the chunk's decode from the batch: the decode succeeded in place, the
-// payload Get lent is the very memory it decoded, and out — the walk's
-// result so far, the chunk's bytes to go behind it — continues into the
-// very region it decoded into.
+// payload Get lent is the very memory it decoded or holds the same bytes
+// (another replica of a restored snapshot is other memory; the decode is a
+// pure function of the bytes, and the key is still checked), and out — the
+// walk's result so far, the chunk's bytes to go behind it — continues into
+// the very region it decoded into.
 func (e *aheadItem) decoded(j int, payload, out []byte) (castore.Key, bool) {
 	if e == nil {
 		return castore.Key{}, false
 	}
 	c := e.chunks[j]
 	n := len(c.dst)
-	if n == 0 || !sameMemory(payload, c.payload) || cap(out)-len(out) < n ||
-		!sameMemory(out[len(out):len(out)+n], c.dst) {
+	if n == 0 || !(sameMemory(payload, c.payload) || bytes.Equal(payload, c.payload)) ||
+		cap(out)-len(out) < n || !sameMemory(out[len(out):len(out)+n], c.dst) {
 		return castore.Key{}, false
 	}
 	return c.key, true

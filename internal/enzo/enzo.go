@@ -547,6 +547,13 @@ type Sim struct {
 	onReadAhead func(items, unfetched int)
 	// ahead is the castore read-back's batch (casio.go), kept for its room.
 	ahead readAhead
+	// segs is a compressed reader's batch of segments (segsAhead), made by
+	// its first reader. onSegsAhead, when set, is shown every such batch as
+	// its reader closes: how many segments it held and how many of their
+	// decodes the walk never took. Tests count with it (and with
+	// Compressor.OnExpand); nothing else sets it.
+	segs        *segBatch
+	onSegsAhead func(listed, untaken int)
 
 	// ic is the problem's entry in the process-wide hierarchy cache, where
 	// setup finds the hierarchy (rank 0), the packed initial conditions of
@@ -614,6 +621,83 @@ func (s *Sim) dumpArrays(particles bool) [][]byte {
 		}
 	}
 	return arrays
+}
+
+// walkSegs shows seg every grid whose field segments the rank's walk
+// decodes, with the slots [lo, hi) it decodes them from: its own slot of
+// every grid for the initial conditions (each rank's partition segments);
+// for a restart its own slot of the top grid, then every slot of each
+// subgrid restartOwners gives it (the dump owner's is the one not empty).
+func (s *Sim) walkSegs(restart bool, seg func(g core.GridMeta, lo, hi int)) {
+	rank := s.r.Rank()
+	if !restart {
+		for _, g := range s.meta.Grids {
+			seg(g, rank, rank+1)
+		}
+		return
+	}
+	seg(s.meta.Top(), rank, rank+1)
+	owners := s.restartOwners()
+	for _, g := range s.meta.Subgrids() {
+		if owners[g.ID] == rank {
+			seg(g, 0, s.r.Size())
+		}
+	}
+}
+
+// segBatch is the rank's list of the segments a compressed reader's walk
+// will decode, kept for its room, with the scratch the HDF5 reader builds
+// dataset names in and the stack's pfs.Peeker (nil: none). Only compressed
+// runs make one, so the Sim of any other run stays as small as it was.
+type segBatch struct {
+	segs   [][]byte
+	listed int // how many segments the open reader's batch held
+	name   []byte
+	peeker pfs.Peeker
+}
+
+// segBatch returns the rank's segment batch, made at its first use.
+func (s *Sim) segBatch() *segBatch {
+	if s.segs == nil {
+		s.segs = new(segBatch)
+		s.segs.peeker, _ = pfs.As[pfs.Peeker](s.fs)
+	}
+	return s.segs
+}
+
+// peekSeg adds to the rank's segment list the stored bytes of segment
+// [off, off+n) of file, when one stored extent holds them: the very memory a
+// lend read of the segment will be handed. A segment nothing shows is left
+// out, and its read decodes it afresh.
+func (s *Sim) peekSeg(file string, off, n int64) {
+	b := s.segBatch()
+	if n == 0 || b.peeker == nil {
+		return
+	}
+	if seg := b.peeker.Peek(s.client(), file, off, n); seg != nil {
+		b.segs = append(b.segs, seg)
+	}
+}
+
+// segsAhead decodes the listed segments in one batch on every core
+// (compress.Compressor.ExpandAll), for the reads that are lent them to take.
+func (s *Sim) segsAhead() {
+	b := s.segBatch()
+	b.listed = len(b.segs)
+	s.z.ExpandAll(b.segs)
+	clear(b.segs)
+	b.segs = b.segs[:0]
+}
+
+// dropSegsAhead ends a compressed reader's batch of listed segments: the
+// decodes its walk did not take are dropped.
+func (s *Sim) dropSegsAhead() {
+	b := s.segBatch()
+	untaken := s.z.DropExpanded()
+	if s.onSegsAhead != nil {
+		s.onSegsAhead(b.listed, untaken)
+	}
+	b.listed = 0
 }
 
 func (s *Sim) expand(dst, blob []byte) []byte {

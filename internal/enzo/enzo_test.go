@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/amr"
@@ -249,6 +250,75 @@ func TestScaledRestartRejectsLocalDisks(t *testing.T) {
 		if err == nil || tc.footprint && !errors.As(err, &fe) {
 			t.Errorf("%s: err = %v, want a refusal", tc.name, err)
 		}
+	}
+}
+
+// TestScaledRestartRefusesPerRankLayouts: a checkpoint stored per writing
+// rank — castore items, with or without a codec, and a codec's per-rank
+// segments in the z-directory file or an HDF5 dataset — is refused, with a
+// plain error and before anything runs, when the reader's rank count is not
+// the writer's, either way; the uncompressed shared files still restart and
+// match.
+func TestScaledRestartRefusesPerRankLayouts(t *testing.T) {
+	type layoutRow struct {
+		name     string
+		backend  Backend
+		codec    string
+		castore  bool
+		refusing bool
+	}
+	rows := []layoutRow{
+		{"castore", BackendMPIIO, "", true, true},
+		{"castore+lzss", BackendMPIIO, "lzss", true, true},
+		{"mpiio+lzss", BackendMPIIO, "lzss", false, true},
+		{"hdf5+lzss", BackendHDF5, "lzss", false, true},
+		{"mpiio", BackendMPIIO, "", false, false},
+		{"hdf5", BackendHDF5, "", false, false},
+	}
+	for _, row := range rows {
+		for _, np := range [][2]int{{4, 2}, {2, 4}} {
+			t.Run(fmt.Sprintf("%s-%dto%d", row.name, np[0], np[1]), func(t *testing.T) {
+				cfg := tinyCfg()
+				cfg.Codec, cfg.CAStore = row.codec, row.castore
+				match, err := RunScaledRestart(machine.ChibaCity(), "pvfs", np[0], np[1], cfg, row.backend)
+				switch {
+				case row.refusing && err == nil:
+					t.Fatalf("restarted (match %v); want a refusal", match)
+				case row.refusing && !strings.Contains(err.Error(), "stored per writing rank"):
+					t.Fatalf("err = %v; want the per-writing-rank refusal", err)
+				case !row.refusing && err != nil:
+					t.Fatal(err)
+				case !row.refusing && !match:
+					t.Fatal("restart content differs from checkpoint content")
+				}
+			})
+		}
+	}
+}
+
+// TestScaledRestartTakesRestoredReplicas: after a checkpoint is staged onto
+// a fresh allocation (Snapshot, Restore), a castore chunk's replicas are
+// different memory, and the replica Get picks by load need not be the one
+// the read-ahead peeked — but it holds the same bytes, so every chunk of the
+// restart is still taken from the read-ahead.
+func TestScaledRestartTakesRestoredReplicas(t *testing.T) {
+	cfg := tinyCfg()
+	cfg.Codec, cfg.CAStore, cfg.Replicas = "lzss", true, 2
+	var taken, fresh int
+	match, err := scaledRestart(machine.ChibaCity(), "pvfs", 4, 4, cfg, BackendMPIIO, func(s *Sim) {
+		s.onCasChunk = func(_ string, ahead bool) {
+			if ahead {
+				taken++
+			} else {
+				fresh++
+			}
+		}
+	})
+	if err != nil || !match {
+		t.Fatalf("match %v, err %v", match, err)
+	}
+	if fresh != 0 || taken == 0 {
+		t.Errorf("%d chunks decoded afresh, %d taken from the read-ahead; want 0 and all", fresh, taken)
 	}
 }
 

@@ -2,6 +2,7 @@ package enzo
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/amr"
 	"repro/internal/core"
@@ -22,7 +23,22 @@ func icH5File() string { return "ic.h5" }
 
 func dumpH5File(d int) string { return fmt.Sprintf("dump%02d.h5", d) }
 
-func dsName(gridID int, array string) string { return fmt.Sprintf("g%04d/%s", gridID, array) }
+func dsName(gridID int, array string) string {
+	var buf [64]byte // hdf5 names are at most 64 bytes: one allocation, the string
+	return string(appendDsName(buf[:0], gridID, array))
+}
+
+// appendDsName appends dataset array of grid gridID's name to b:
+// "g<gridID, at least four digits>/<array>". A reader builds names in a
+// scratch buffer and looks them up by string(b), which allocates none.
+func appendDsName(b []byte, gridID int, array string) []byte {
+	b = append(b, 'g')
+	for d := 1000; d > 1 && gridID < d; d /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(gridID), 10)
+	return append(append(b, '/'), array...)
+}
 
 // fullSel selects an entire dataset.
 func fullSel(dims []int, elemSize int) mpi.Subarray {
@@ -66,6 +82,8 @@ type h5File struct {
 	// indep: field partitions are read independently (node-local initial
 	// conditions: each rank reads what it staged at setup).
 	indep bool
+	// name is the container's file name.
+	name string
 }
 
 // h5cfg is the HDF5 library configuration for file fname: compressed runs
@@ -167,7 +185,9 @@ func (l h5Layout) openIC() gridReader {
 	if err != nil {
 		panic(err)
 	}
-	return &h5File{Sim: l.Sim, hf: hf, indep: l.localMode}
+	h := &h5File{Sim: l.Sim, hf: hf, indep: l.localMode, name: icH5File()}
+	h.readAhead(false)
+	return h
 }
 
 func (l h5Layout) openDump(d int) gridReader {
@@ -183,7 +203,32 @@ func (l h5Layout) openDump(d int) gridReader {
 		l.damaged = true
 		hf = nil
 	}
-	return &h5File{Sim: l.Sim, hf: hf}
+	h := &h5File{Sim: l.Sim, hf: hf, name: dumpH5File(d)}
+	h.readAhead(true)
+	return h
+}
+
+// readAhead lists, from the broadcast index and with no read, the
+// compressed segments this rank's walk will decode (Sim.walkSegs), finds
+// each one's stored bytes (Sim.peekSeg) and decodes them all in one batch
+// (Sim.segsAhead). The reads then lend the same memory and
+// Compressor.Expand takes the decodes; close drops what it did not take.
+func (h *h5File) readAhead(restart bool) {
+	if !h.compressed() || h.hf == nil {
+		return
+	}
+	b := h.segBatch()
+	h.walkSegs(restart, func(g core.GridMeta, lo, hi int) {
+		for _, field := range amr.FieldNames {
+			b.name = appendDsName(b.name[:0], g.ID, field)
+			for slot := lo; slot < hi; slot++ {
+				if off, n, ok := h.hf.Segment(string(b.name), slot); ok {
+					h.peekSeg(h.name, off, n)
+				}
+			}
+		}
+	})
+	h.segsAhead()
 }
 
 // createDump switches the fresh container into write-behind metadata mode
@@ -305,6 +350,9 @@ func (h *h5File) subgrid(gm core.GridMeta) func() *amr.Grid {
 func (h *h5File) close() {
 	if h.hf != nil {
 		h.hf.Close()
+	}
+	if h.compressed() {
+		h.dropSegsAhead()
 	}
 }
 

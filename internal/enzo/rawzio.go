@@ -3,11 +3,13 @@ package enzo
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/amr"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/pfs"
 )
 
 // Compressed variant of the raw MPI-IO shared-file layout. Fixed offsets
@@ -37,20 +39,20 @@ type zLayout struct {
 	lens     []int64
 	offs     []int64
 	dirSize  int64
-	slot     map[string]int // "gridID/array" -> first slot index
-	regSlots []int          // first slot index of every regular array, global order
+	first    []int // grid ID -> the grid's first slot index
+	regSlots []int // first slot index of every regular array, global order
 	ngrids   int
 }
 
-func zkey(gridID int, name string) string { return fmt.Sprintf("%d/%s", gridID, name) }
-
 // newZLayout enumerates the slots for a hierarchy; regular-array lengths
-// stay zero until exchanged or decoded from a directory.
+// stay zero until exchanged or decoded from a directory. A grid's slots are
+// its fields', np each in field order, then one per particle array
+// (core.GridMeta.Arrays).
 func newZLayout(m *core.HierarchyMeta, np int) *zLayout {
-	z := &zLayout{np: np, slot: make(map[string]int), ngrids: len(m.Grids)}
+	z := &zLayout{np: np, first: make([]int, len(m.Grids)), ngrids: len(m.Grids)}
 	for _, g := range m.Grids {
+		z.first[g.ID] = len(z.lens)
 		for _, a := range g.Arrays() {
-			z.slot[zkey(g.ID, a.Name)] = len(z.lens)
 			if a.Pattern == core.PatternRegular {
 				z.regSlots = append(z.regSlots, len(z.lens))
 				for r := 0; r < np; r++ {
@@ -75,15 +77,18 @@ func (z *zLayout) finalize() {
 	}
 }
 
-// fieldSeg returns rank rk's segment of a regular array.
-func (z *zLayout) fieldSeg(gridID int, name string, rk int) (off, length int64) {
-	i := z.slot[zkey(gridID, name)] + rk
+// fieldSeg returns rank rk's segment of field fi of grid gridID.
+func (z *zLayout) fieldSeg(gridID, fi, rk int) (off, length int64) {
+	i := z.first[gridID] + fi*z.np + rk
 	return z.offs[i], z.lens[i]
 }
 
-// arraySeg returns an irregular array's raw region.
+// arraySeg returns a particle array's raw region.
 func (z *zLayout) arraySeg(gridID int, name string) (off, length int64) {
-	i := z.slot[zkey(gridID, name)]
+	i := z.first[gridID] + len(amr.FieldNames)*z.np
+	for k := 0; amr.ParticleArrays[k].Name != name; k++ {
+		i++
+	}
 	return z.offs[i], z.lens[i]
 }
 
@@ -91,17 +96,8 @@ func (z *zLayout) arraySeg(gridID int, name string) (off, length int64) {
 // slots are enumerated grid by grid, so a grid's segments are adjacent and
 // a restart reader can fetch the whole grid with one request.
 func (z *zLayout) gridExtent(gm core.GridMeta) (lo, hi int64) {
-	arrays := gm.Arrays()
-	first := z.slot[zkey(gm.ID, arrays[0].Name)]
-	count := 0
-	for _, a := range arrays {
-		if a.Pattern == core.PatternRegular {
-			count += z.np
-		} else {
-			count++
-		}
-	}
-	last := first + count - 1
+	first := z.first[gm.ID]
+	last := first + len(amr.FieldNames)*z.np + len(amr.ParticleArrays) - 1
 	return z.offs[first], z.offs[last] + z.lens[last]
 }
 
@@ -189,8 +185,9 @@ func (l rawzLayout) open(name string, mode mpiio.Mode) *rawzFile {
 // openRead opens a file and reads its directory (rank 0 reads, everyone
 // decodes). In tolerant mode an undecodable directory yields nil — every
 // rank sees the same broadcast bytes, so all ranks agree — and nothing of
-// the file is read.
-func (l rawzLayout) openRead(name string) gridReader {
+// the file is read. Then the segments the walk will decode are decoded
+// ahead (readAhead).
+func (l rawzLayout) openRead(name string, restart bool) gridReader {
 	zf := l.open(name, mpiio.ModeRead)
 	var dir []byte
 	if l.r.Rank() == 0 {
@@ -207,11 +204,39 @@ func (l rawzLayout) openRead(name string) gridReader {
 		zf.f.Close()
 		return nil
 	}
+	zf.readAhead(restart)
 	return zf
 }
 
-func (l rawzLayout) openIC() gridReader        { return l.openRead(icRawFile()) }
-func (l rawzLayout) openDump(d int) gridReader { return l.openRead(dumpRawFile(d)) }
+func (l rawzLayout) openIC() gridReader        { return l.openRead(icRawFile(), false) }
+func (l rawzLayout) openDump(d int) gridReader { return l.openRead(dumpRawFile(d), true) }
+
+// readAhead lists, from the directory and with no read, the segments this
+// rank's walk will decode (Sim.walkSegs), finds each one's stored bytes
+// (Sim.peekSeg) and decodes them all in one batch (Sim.segsAhead). field
+// and subgrid lend the same memory, and Compressor.Expand takes the
+// decodes; close drops what it did not take. A tolerant read-back lists
+// nothing: its reads fill zeros of their own (Sim.lend), which no batch
+// decode is of.
+func (zf *rawzFile) readAhead(restart bool) {
+	if zf.tolerant {
+		return
+	}
+	zf.walkSegs(restart, func(g core.GridMeta, lo, hi int) {
+		for fi := range amr.FieldNames {
+			for rk := lo; rk < hi; rk++ {
+				off, n := zf.z.fieldSeg(g.ID, fi, rk)
+				zf.peekSeg(zf.name, off, n)
+			}
+		}
+	})
+	zf.segsAhead()
+}
+
+func (zf *rawzFile) close() {
+	zf.rawFile.close()
+	zf.dropSegsAhead()
+}
 
 // writeIC stages compressed initial conditions: rank 0 scatters every
 // grid's partitions, each rank packs and writes its own field segments,
@@ -245,9 +270,9 @@ func (l rawzLayout) writeIC(h *amr.Hierarchy) {
 	}
 	z.exchangeLens(l.Sim, mine)
 	for gi, gm := range l.meta.Grids {
-		for fi, name := range amr.FieldNames {
+		for fi := range amr.FieldNames {
 			if blob := st[gi].fields[fi]; len(blob) > 0 {
-				off, _ := z.fieldSeg(gm.ID, name, l.r.Rank())
+				off, _ := z.fieldSeg(gm.ID, fi, l.r.Rank())
 				f.WriteAt(blob, off)
 				l.recordCodecBytes(icRawFile(), true, st[gi].raws[fi], int64(len(blob)))
 			}
@@ -316,7 +341,7 @@ func (zf *rawzFile) putSeg(gridID, fi int, raw, blob []byte) {
 		zf.putOwned(nil, 0, false)
 		return
 	}
-	off, _ := zf.z.fieldSeg(gridID, amr.FieldNames[fi], zf.r.Rank())
+	off, _ := zf.z.fieldSeg(gridID, fi, zf.r.Rank())
 	zf.putOwned(blob, off, true)
 	zf.recordCodecBytes(zf.name, true, int64(len(raw)), int64(len(blob)))
 }
@@ -346,15 +371,15 @@ func (zf *rawzFile) finish() {
 
 // field reads this rank's own segment of a regular array — the initial
 // conditions were provisioned per rank and a restart uses the dump
-// decomposition, so the segment is exactly the rank's partition — and
+// decomposition, so the segment is exactly the rank's partition — lent, and
 // unpacks it at settle, after the data has arrived.
 func (zf *rawzFile) field(g core.GridMeta, fi int, p *partition) func() {
-	off, n := zf.z.fieldSeg(g.ID, amr.FieldNames[fi], zf.r.Rank())
+	off, n := zf.z.fieldSeg(g.ID, fi, zf.r.Rank())
 	if n == 0 {
 		return settled
 	}
-	blob := make([]byte, n)
-	settle := zf.read(xfer{kind: xAt, f: zf.f, buf: blob, off: off})
+	pieces, settle := zf.lend(xfer{kind: xAt, f: zf.f, n: n, off: off})
+	blob := pfs.LentRange(pieces, off, n)
 	return func() {
 		settle()
 		p.blocks[fi] = mpi.Packed(zf.expand(nil, blob))
@@ -363,21 +388,25 @@ func (zf *rawzFile) field(g core.GridMeta, fi int, p *partition) func() {
 }
 
 // subgrid: a grid's slots are adjacent in the file, so the per-segment read
-// loop coalesces into one contiguous request per grid. The regular arrays'
-// per-rank segments are expanded in slot order, particle arrays are raw
-// slices.
+// loop coalesces into one contiguous lend request per grid, whose pieces are
+// copied at issue (the handle's are its scratch). The regular arrays'
+// per-rank segments are cut out of them and expanded in slot order, the
+// particle arrays are cut out as they are.
 func (zf *rawzFile) subgrid(gm core.GridMeta) func() *amr.Grid {
 	z := zf.z
 	lo, hi := z.gridExtent(gm)
-	buf := make([]byte, hi-lo)
+	var pieces []pfs.Piece
 	settle := settled
 	if hi > lo {
-		settle = zf.read(xfer{kind: xAt, f: zf.f, buf: buf, off: lo})
+		var lent []pfs.Piece
+		lent, settle = zf.lend(xfer{kind: xAt, f: zf.f, n: hi - lo, off: lo})
+		pieces = slices.Clone(lent)
 	}
+	at := func(off, n int64) []byte { return pfs.LentRange(pieces, off, n) }
 	return func() *amr.Grid {
 		settle()
 		grid := newGrid(gm)
-		for fi, name := range amr.FieldNames {
+		for fi := range amr.FieldNames {
 			// The dump owner's slot is the grid's single non-empty segment;
 			// concatenating the non-empty slots in rank order recovers the
 			// whole array without knowing who owned it. The first expansion
@@ -385,11 +414,11 @@ func (zf *rawzFile) subgrid(gm core.GridMeta) func() *amr.Grid {
 			// appended.
 			var full []byte
 			for rk := 0; rk < z.np; rk++ {
-				off, n := z.fieldSeg(gm.ID, name, rk)
+				off, n := z.fieldSeg(gm.ID, fi, rk)
 				if n == 0 {
 					continue
 				}
-				raw := zf.expand(nil, buf[off-lo:off-lo+n])
+				raw := zf.expand(nil, at(off, n))
 				zf.recordCodecBytes(zf.name, false, int64(len(raw)), n)
 				if full == nil {
 					full = raw
@@ -399,7 +428,7 @@ func (zf *rawzFile) subgrid(gm core.GridMeta) func() *amr.Grid {
 			}
 			grid.Fields[fi] = full
 		}
-		zf.sliceParticles(gm, grid, func(off, n int64) []byte { return buf[off-lo : off-lo+n] })
+		zf.sliceParticles(gm, grid, at)
 		return grid
 	}
 }

@@ -63,9 +63,9 @@ func TestReadAheadCoversTheWalk(t *testing.T) {
 }
 
 // TestReadAheadNeedsTheSameMemory: a chunk's decode is taken from the
-// read-ahead only when Get lent the very memory it decoded, the decode
-// succeeded in place and the walk's result continues into the very region it
-// decoded into. Each rank of an AMR64/np=2 lzss castore dump opens the
+// read-ahead only when Get lent the very memory it decoded or the same
+// bytes, the decode succeeded in place and the walk's result continues into
+// the very region it decoded into. Each rank of an AMR64/np=2 lzss castore dump opens the
 // generation once per case and fetches its item of the most chunks; the
 // decodes are counted by onCasChunk and the bytes held to a fetch with no
 // read-ahead at all.
@@ -80,6 +80,12 @@ func TestReadAheadNeedsTheSameMemory(t *testing.T) {
 		{"as decoded", func(rd *casReader, e *aheadItem) int { return 0 }},
 		{"same bytes at another address", func(rd *casReader, e *aheadItem) int {
 			e.chunks[0].payload = bytes.Clone(e.chunks[0].payload)
+			return 0 // another replica's memory after a restore: equal bytes decode alike
+		}},
+		{"other bytes at another address", func(rd *casReader, e *aheadItem) int {
+			other := bytes.Clone(e.chunks[0].payload)
+			other[len(other)/2] ^= 0xA5
+			e.chunks[0].payload = other
 			return 1
 		}},
 		{"decode failed", func(rd *casReader, e *aheadItem) int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/amr"
+	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -131,11 +132,35 @@ func (s *Sim) loadMetaFromFS(name string) error {
 // files onto a fresh instance of the same platform (as an operator would
 // copy checkpoint files between allocations), restarts with npRead ranks
 // and verifies the content. Node-local storage cannot stage between
-// different rank counts, so fsKind "local" is rejected.
+// different rank counts, so fsKind "local" is rejected. So is a rank count
+// change for a checkpoint stored per writing rank — the castore's per-rank
+// top-grid items (Config.CAStore) and a codec's per-rank field segments
+// (any active Config.Codec) — which only a reader with the writer's
+// decomposition can read; the same rank count restarts either, and HDF4,
+// which neither compresses nor uses the castore, restarts at any.
 func RunScaledRestart(machCfg machine.Config, fsKind string, npWrite, npRead int,
 	cfg Config, backend Backend) (match bool, err error) {
+	return scaledRestart(machCfg, fsKind, npWrite, npRead, cfg, backend, nil)
+}
+
+// scaledRestart is RunScaledRestart; prepare, which only in-package tests
+// pass, sees every restarting rank's Sim before it reads.
+func scaledRestart(machCfg machine.Config, fsKind string, npWrite, npRead int,
+	cfg Config, backend Backend, prepare func(*Sim)) (match bool, err error) {
 	if fsKind == "local" {
 		return false, fmt.Errorf("enzo: scaled restart is impossible on node-local storage")
+	}
+	if npWrite != npRead && backend != BackendHDF4 {
+		stored := ""
+		if codec, _ := compress.Resolve(cfg.Codec); codec != nil {
+			stored = "codec " + codec.Name() + " segments"
+		}
+		if cfg.CAStore {
+			stored = "castore items"
+		}
+		if stored != "" {
+			return false, fmt.Errorf("enzo: scaled restart of a checkpoint stored per writing rank (%s) is impossible: written by %d ranks, read by %d", stored, npWrite, npRead)
+		}
 	}
 	// Phase 1: write the checkpoint with npWrite ranks.
 	var written pfs.FileSystem
@@ -165,6 +190,9 @@ func RunScaledRestart(machCfg machine.Config, fsKind string, npWrite, npRead int
 		Wrap: func(fs pfs.FileSystem) (pfs.FileSystem, error) { fs.Restore(files); return fs, nil }},
 		World{Procs: npRead, Config: cfg, Backend: backend, Result: new(Result),
 			Body: func(r *mpi.Rank, _ pfs.FileSystem, s *Sim) {
+				if prepare != nil {
+					prepare(s)
+				}
 				if err := s.loadMetaFromFS(dumpHierarchyFile(0)); err != nil {
 					if r.Rank() == 0 {
 						restartErr = err

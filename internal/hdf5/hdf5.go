@@ -21,6 +21,7 @@ package hdf5
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/compress"
 	"repro/internal/mpi"
@@ -134,6 +135,8 @@ type File struct {
 	index  map[string]*datasetInfo
 	order  []string
 	runBuf []mpi.Run // slabRuns' result, rebuilt per selection
+	// readZDir's result, rebuilt per compressed read
+	segOffs, segLens []int64
 	// metaNote, when set by SetWriteBehindMeta, puts rank 0's internal
 	// metadata writes into write-behind mode.
 	metaNote func(end float64)
@@ -684,37 +687,58 @@ func (d *Dataset) IssueWriteCompressed(behind bool, raw []byte) *mpiio.Pending {
 // readZDir fetches the segment directory — from the index when it was
 // cached at open/write time (the usual case; on node-local disks the
 // on-disk copy exists only on rank 0's node), falling back to an
-// independent on-disk read otherwise.
+// independent on-disk read otherwise. The offsets and lengths are the file
+// handle's, good until its next call.
 func (d *Dataset) readZDir() ([]int64, []int64, error) {
+	h := d.h
+	h.segOffs, h.segLens = slices.Grow(h.segOffs[:0], d.info.Segs), slices.Grow(h.segLens[:0], d.info.Segs)
 	if d.info.ZLens != nil {
-		offs := make([]int64, d.info.Segs)
-		lens := make([]int64, d.info.Segs)
 		at := d.info.DataOff + zDirSize(d.info.Segs)
-		for i, l := range d.info.ZLens {
-			offs[i], lens[i] = at, l
+		for _, l := range d.info.ZLens {
+			h.segOffs, h.segLens = append(h.segOffs, at), append(h.segLens, l)
 			at += l
 		}
-		return offs, lens, nil
+		return h.segOffs, h.segLens, nil
 	}
 	dir := make([]byte, zDirSize(d.info.Segs))
-	d.h.mf.ReadAt(dir, d.info.DataOff)
+	h.mf.ReadAt(dir, d.info.DataOff)
 	if got := int(binary.LittleEndian.Uint32(dir)); got != d.info.Segs {
 		return nil, nil, fmt.Errorf("hdf5: dataset %q: segment directory says %d segments, header says %d",
 			d.info.Name, got, d.info.Segs)
 	}
-	offs := make([]int64, d.info.Segs)
-	lens := make([]int64, d.info.Segs)
 	for i := 0; i < d.info.Segs; i++ {
-		offs[i] = int64(binary.LittleEndian.Uint64(dir[8+16*i:]))
-		lens[i] = int64(binary.LittleEndian.Uint64(dir[16+16*i:]))
+		h.segOffs = append(h.segOffs, int64(binary.LittleEndian.Uint64(dir[8+16*i:])))
+		h.segLens = append(h.segLens, int64(binary.LittleEndian.Uint64(dir[16+16*i:])))
 	}
-	return offs, lens, nil
+	return h.segOffs, h.segLens, nil
+}
+
+// Segment returns the file extent of segment slot of compressed dataset
+// name as the index holds it, with no read and no allocation: ok is false
+// when there is no such dataset or slot, or the index holds no segment
+// lengths for it. A reader uses it to find a segment's stored bytes before
+// it reads them (pfs.Peeker).
+func (h *File) Segment(name string, slot int) (off, n int64, ok bool) {
+	info := h.index[name]
+	if info == nil || info.ZLens == nil || slot < 0 || slot >= len(info.ZLens) {
+		return 0, 0, false
+	}
+	off = info.DataOff + zDirSize(info.Segs)
+	for _, l := range info.ZLens[:slot] {
+		off += l
+	}
+	return off, info.ZLens[slot], true
 }
 
 // IssueReadCompressed is the one compressed-segment reader: it reads
 // segment slot — every non-empty segment in slot order when slot is
 // negative — verifies and unpacks the containers, and leaves the decoded
 // bytes, concatenated, in *out (nil if the segments are empty, or on error).
+// The segments are lent (mpiio.File.IssueLendAt): a segment is the stored
+// memory itself when one stored extent holds it, which is what lets the
+// rank's compressor take a decode ExpandAll did of that very memory. The
+// lent bytes are only ever decoded, never handed on, so a tolerant read
+// lends too: a failure it absorbs leaves *out nil, and the caller zeros.
 //
 // Blocking, each segment is read and then decoded in turn, and failures
 // return as errors. Behind, every blob transfer is charged now and the
@@ -754,8 +778,9 @@ func (d *Dataset) IssueReadCompressed(behind bool, slot int, out *[]byte) (*mpii
 		if lens[i] == 0 {
 			continue
 		}
-		blob := make([]byte, lens[i])
-		if p := d.h.mf.IssueReadAt(behind, blob, offs[i]); p != nil {
+		pieces, p := d.h.mf.IssueLendAt(behind, lens[i], offs[i])
+		blob := pfs.LentRange(pieces, offs[i], lens[i])
+		if p != nil {
 			if p.Completion() > end {
 				end = p.Completion()
 			}
