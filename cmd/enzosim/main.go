@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rf := runflags.Register(fl, runflags.Defaults{Machine: "origin2000", FS: "xfs", Problem: "AMR64"})
 	dumps := fl.Int("dumps", 1, "checkpoint dumps per run")
 	refine := fl.Int("refine", 0, "dynamic refinement passes during evolution")
-	generations := fl.Int("generations", 0, "dump generations the restart fallback scans, newest first (0 = all; needs -scrub)")
+	generations := fl.Int("generations", 0, "dump generations the restart fallback scans, newest first (0 = all; needs -scrub or -castore)")
 	trace := fl.Bool("trace", false, "print a Pablo-style I/O characterization of the run")
 	if err := fl.Parse(args); err != nil {
 		return 2
@@ -66,12 +66,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *generations < 0 {
 		return fail(fmt.Errorf("-generations must be >= 0 (got %d)", *generations))
 	}
-	if *generations > 0 && !rf.Scrub {
-		return fail(fmt.Errorf("-generations needs -scrub"))
-	}
 	spec.Config.Dumps = *dumps
 	spec.Config.RefineCycles = *refine
 	spec.Config.Generations = *generations
+	if err := runflags.Refused(spec); err != nil {
+		return fail(err)
+	}
 
 	var rec *iotrace.Recorder
 	if *trace {

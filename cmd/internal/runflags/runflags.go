@@ -6,6 +6,7 @@
 package runflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"slices"
@@ -34,8 +35,8 @@ type Dump struct {
 
 // Register declares -codec, -async and -autotune on fl.
 func (d *Dump) Register(fl *flag.FlagSet) {
-	fl.StringVar(&d.Codec, "codec", "none", "transparent field compression: none, rle, delta, lzss")
-	fl.BoolVar(&d.Async, "async", false, "write-behind checkpoint I/O: overlap dumps with the next step's compute (not with -backend hdf4, which writes synchronously)")
+	fl.StringVar(&d.Codec, "codec", "none", "transparent field compression: none, rle, delta, lzss (refused with -backend hdf4)")
+	fl.BoolVar(&d.Async, "async", false, "write-behind checkpoint I/O: overlap dumps with the next step's compute (refused with -backend hdf4)")
 	fl.BoolVar(&d.AutoTune, "autotune", false, "tune the MPI-IO hint vector off a short probe run before the main run")
 }
 
@@ -68,7 +69,7 @@ func Register(fl *flag.FlagSet, d Defaults) *Flags {
 	fl.StringVar(&f.Backend, "backend", "mpiio", "I/O backend: hdf4, mpiio, mpiio-cb, hdf5")
 	f.Dump.Register(fl)
 	fl.BoolVar(&f.Scrub, "scrub", false, "read-back scrub after each dump, with re-dump and generation-fallback recovery")
-	fl.BoolVar(&f.CAStore, "castore", false, "content-addressed checkpoint store: chunked dumps with cross-generation dedup (not with -backend hdf4)")
+	fl.BoolVar(&f.CAStore, "castore", false, "content-addressed checkpoint store: chunked dumps with cross-generation dedup (refused with -backend hdf4)")
 	fl.IntVar(&f.Replicas, "replicas", 1, "data servers each castore chunk/manifest is replicated on (needs -castore)")
 	if d.Quick {
 		fl.BoolVar(&f.Quick, "quick", false, "shrink the problem for a fast smoke run")
@@ -138,18 +139,6 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 	if f.Replicas < 1 {
 		return spec, fmt.Errorf("-replicas must be >= 1 (got %d)", f.Replicas)
 	}
-	if f.Replicas > 1 && !f.CAStore {
-		return spec, fmt.Errorf("-replicas needs -castore")
-	}
-	if f.CAStore && spec.Backend == enzo.BackendHDF4 {
-		return spec, fmt.Errorf("-castore does not apply to the hdf4 backend")
-	}
-	if compress.Active(f.Codec) && spec.Backend == enzo.BackendHDF4 {
-		return spec, fmt.Errorf("-codec does not apply to the hdf4 backend (it writes uncompressed)")
-	}
-	if f.Async && spec.Backend == enzo.BackendHDF4 {
-		return spec, fmt.Errorf("-async does not apply to the hdf4 backend (it writes synchronously)")
-	}
 	cfg.CAStore, cfg.Replicas = f.CAStore, f.Replicas
 	spec.Config = cfg
 
@@ -182,7 +171,17 @@ func (f *Flags) Resolve() (enzo.RunSpec, error) {
 		}
 	}
 	spec.Wrap = Chain(degrade, corrupt)
-	return spec, nil
+	return spec, Refused(spec)
+}
+
+// Refused returns the *enzo.SpecError of a composition enzo.RunSpec.Validate
+// refuses, a usage error; nil otherwise. The memory-footprint guard is left
+// to the run, which fails with it.
+func Refused(spec enzo.RunSpec) error {
+	if err := spec.Validate(); errors.As(err, new(*enzo.SpecError)) {
+		return err
+	}
+	return nil
 }
 
 // Chain composes file-system wrappers, innermost first, skipping nil ones;

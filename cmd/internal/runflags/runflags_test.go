@@ -1,6 +1,7 @@
 package runflags
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"testing"
@@ -22,8 +23,10 @@ func parse(t *testing.T, d Defaults, args ...string) (*Flags, error) {
 
 // TestBadFlagsRejected is the one table of usage errors for every command
 // built on this package; the commands' own tests only prove that such an
-// error reaches the user as exit 2 plus usage.
+// error reaches the user as exit 2 plus usage. A composition the run would
+// not change is refused by enzo.RunSpec.Validate, never by a check here.
 func TestBadFlagsRejected(t *testing.T) {
+	refused := map[string]bool{"replicas without castore": true, "castore on hdf4": true, "codec on hdf4": true, "async on hdf4": true}
 	all := Defaults{Machine: "chiba", FS: "pvfs", Problem: "AMR64", Quick: true}
 	cases := []struct {
 		name string
@@ -49,8 +52,12 @@ func TestBadFlagsRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := parse(t, tc.d, tc.args...); err == nil {
+			_, err := parse(t, tc.d, tc.args...)
+			if err == nil {
 				t.Fatalf("%v accepted", tc.args)
+			}
+			if errors.As(err, new(*enzo.SpecError)) != refused[tc.name] {
+				t.Fatalf("%v: %v, want a *enzo.SpecError: %v", tc.args, err, refused[tc.name])
 			}
 		})
 	}

@@ -94,6 +94,25 @@ func calls(fun, args string) finder {
 	})
 }
 
+// compares finds == and != comparisons, and switch cases, with an operand
+// whose text matches re.
+func compares(re string) finder {
+	r := regexp.MustCompile(re)
+	return nodes(func(n ast.Node) (string, bool) {
+		switch x := n.(type) {
+		case *ast.BinaryExpr:
+			return expr(x), (x.Op == token.EQL || x.Op == token.NEQ) && (r.MatchString(expr(x.X)) || r.MatchString(expr(x.Y)))
+		case *ast.CaseClause:
+			for _, e := range x.List {
+				if r.MatchString(expr(e)) {
+					return "case " + expr(e), true
+				}
+			}
+		}
+		return "", false
+	})
+}
+
 // decls finds declarations by key: "Name(T1, T2)" for a function,
 // "(Recv).Name(T1, T2)" for a method (parameter types only, receiver and
 // parameter names dropped) and "type Name" for a type, at any depth.

@@ -360,6 +360,12 @@ var scratch sync.Pool`)},
 			"internal/enzo/refine.go: (*Sim).refineOwned"),
 		mutation: mutant("internal/amr", "func (h *Hierarchy) again(g *Grid) { Refine(g, nil) }")},
 
+	// One validity rule: enzo.RunSpec.Validate decides which compositions
+	// run. A command that compares a backend is deciding for itself again.
+	{name: "one-validity-rule", design: "§2b", pr: 48, scope: in("cmd/..."),
+		check:    forbid(compares(`^enzo\.Backend[A-Z]`)),
+		mutation: mutant("cmd/internal/runflags", "func hdf4(spec enzo.RunSpec) {\n\tif spec.Backend == enzo.BackendHDF4 {\n\t}\n}")},
+
 	// One sweep table: a command reaches a sweep, a figure or a printer only
 	// through a row of experiments.Registry().
 	{name: "no-sweep-by-name-in-cmd", design: "§3", pr: 17, scope: scope{in: []string{"cmd/..."}, tests: true},

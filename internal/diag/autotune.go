@@ -92,8 +92,9 @@ func ProbeConfig(cfg enzo.Config) enzo.Config {
 // already-tuned configuration applies no deltas and returns it unchanged.
 //
 // The verification pass is what makes the loop closed rather than
-// open-loop heuristics: a delta is kept only if the probe, rerun with it on
-// top of the deltas already kept, spends strictly less I/O time. That drops
+// open-loop heuristics: a delta is dropped unrun if enzo.RunSpec.Validate
+// refuses the tuned spec, and kept only if the probe, rerun with it on top
+// of the deltas already kept, spends strictly less I/O time. That drops
 // a delta that regresses (write-behind's memcpy tax can exceed its overlap
 // gain when dumps are fast) and, as firmly, a delta the probe cannot see:
 // virtual time is exact, so an identical I/O time means the hint changed
@@ -116,6 +117,9 @@ func AutoTune(machCfg machine.Config, fsKind string, nprocs int,
 	for _, d := range Suggest(rep) {
 		cand := append(deltas[:len(deltas):len(deltas)], d)
 		spec.Config = ApplyAllConfig(cand, probeCfg)
+		if spec.Validate() != nil {
+			continue // the run refuses the composition: it cannot change it
+		}
 		vres, err := enzo.Run(spec)
 		if err != nil {
 			return cfg, nil, rep, fmt.Errorf("autotune verify: %w", err)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/enzo"
 	"repro/internal/obs"
 )
 
@@ -415,10 +416,13 @@ func detectUnhiddenAsync(rep *Report) []Finding {
 }
 
 // writeShare is the one test for a dominant synchronous write phase,
-// shared by detectUnhiddenAsync and Suggest's async rule: with AsyncIO off,
-// the write phase's seconds and whether they reach a fifth of the makespan.
+// shared by detectUnhiddenAsync and Suggest's async rule: with AsyncIO off
+// and not refused (enzo.RunSpec.Validate), the write phase's seconds and
+// whether they reach a fifth of the makespan.
 func writeShare(m RunMeta) (float64, bool) {
-	if m.Async || m.Makespan <= 0 {
+	b, err := enzo.BackendByName(m.Backend) // a meta naming none is not refused
+	async := enzo.RunSpec{FS: m.FS, Procs: m.Procs, Backend: b, Config: enzo.Config{AsyncIO: true}}
+	if m.Async || m.Makespan <= 0 || err == nil && async.Validate() != nil {
 		return 0, false
 	}
 	w := m.Phase("write")

@@ -212,6 +212,20 @@ func TestDetectUnhiddenAsync(t *testing.T) {
 	}
 }
 
+// TestAsyncAdviceAsksValidate: a write-heavy synchronous run gets the
+// write-behind advice and suggestion only where enzo.RunSpec.Validate takes
+// AsyncIO — on mpiio, not on hdf4.
+func TestAsyncAdviceAsksValidate(t *testing.T) {
+	for backend, want := range map[string]int{"mpiio": 1, "hdf4": 0} {
+		rep := &Report{Meta: RunMeta{Backend: backend, FS: "gpfs", Procs: 8, Makespan: 10,
+			Phases: []PhaseSecs{{Name: "write", Seconds: 2.4}}}}
+		fs, ds := findBy(Analyze(rep), "unhidden-async"), Suggest(rep)
+		if len(fs) != want || len(ds) != want {
+			t.Errorf("%s, write 24%% of the makespan: findings %+v, suggestions %+v; want %d of each", backend, fs, ds, want)
+		}
+	}
+}
+
 func TestDetectFaults(t *testing.T) {
 	rep := &Report{Timeouts: 3, Retries: 7}
 	fs := findBy(Analyze(rep), "io-faults")

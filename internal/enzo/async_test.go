@@ -2,6 +2,7 @@ package enzo
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -94,11 +95,19 @@ func TestAsyncHidesIOUnderCompute(t *testing.T) {
 	}
 }
 
-// TestAsyncHDF4StaysSynchronous: the HDF4 baseline ignores AsyncIO.
+// TestAsyncHDF4StaysSynchronous: HDF4 has no write-behind, so RunSpec
+// asking for it is refused before anything runs, and the plain HDF4 run
+// records no async dump accounting.
 func TestAsyncHDF4StaysSynchronous(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.AsyncIO = true
+	var se *SpecError
 	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendHDF4})
+	if res != nil || !errors.As(err, &se) || se.Axis != "async" {
+		t.Fatalf("hdf4 with AsyncIO: got result %v, err %v; want a *SpecError on axis async", res != nil, err)
+	}
+	cfg.AsyncIO = false
+	res, err = Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendHDF4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package enzo
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -89,12 +90,19 @@ func TestAsyncReadFasterRestart(t *testing.T) {
 	}
 }
 
-// TestAsyncReadHDF4StaysSynchronous: the HDF4 baseline ignores AsyncIO on
-// the read path too.
+// TestAsyncReadHDF4StaysSynchronous: HDF4 has no read-ahead, so RunSpec
+// asking for it is refused before the restart, and the plain HDF4 run
+// records no async restart-read accounting.
 func TestAsyncReadHDF4StaysSynchronous(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.AsyncIO = true
+	var se *SpecError
 	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendHDF4})
+	if res != nil || !errors.As(err, &se) || se.Axis != "async" {
+		t.Fatalf("hdf4 with AsyncIO: got result %v, err %v; want a *SpecError on axis async", res != nil, err)
+	}
+	cfg.AsyncIO = false
+	res, err = Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendHDF4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +117,14 @@ func TestAsyncReadHDF4StaysSynchronous(t *testing.T) {
 // TestAsyncReadStaysBlockingUnderRetry: deferred reads carry no deadline,
 // so a run with the retry policy armed must restart through the blocking
 // path (which can time out and retry) and record no read-ahead accounting.
+// Writes stay blocking too, so the run is its twin without AsyncIO: the
+// AsyncIO × IORetry equivalence RunSpec.Validate documents.
 func TestAsyncReadStaysBlockingUnderRetry(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.AsyncIO = true
 	cfg.IORetry = testRetryPolicy()
-	res, err := Run(RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO})
+	spec := RunSpec{Machine: faultMachCfg(), FS: "pvfs", Procs: 4, Config: cfg, Backend: BackendMPIIO}
+	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +133,10 @@ func TestAsyncReadStaysBlockingUnderRetry(t *testing.T) {
 	}
 	if res.ExposedRead != 0 || res.HiddenRead != 0 {
 		t.Fatal("retry-armed run must not use the read-ahead pipeline")
+	}
+	spec.Config.AsyncIO = false
+	if blocking, err := Run(spec); err != nil || !reflect.DeepEqual(res, blocking) {
+		t.Fatalf("AsyncIO under an armed retry policy changed the run (%v):\n got %+v\nwant %+v", err, res, blocking)
 	}
 }
 

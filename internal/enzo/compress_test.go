@@ -178,24 +178,3 @@ func TestUnknownCodecRejected(t *testing.T) {
 		t.Fatal("unknown codec accepted")
 	}
 }
-
-// TestHDF4IgnoresCodec: the HDF4 baseline stays uncompressed even when a
-// codec is configured, and still verifies.
-func TestHDF4IgnoresCodec(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Codec = "lzss"
-	res, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: cfg, Backend: BackendHDF4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verified {
-		t.Fatal("hdf4 run with codec configured failed verification")
-	}
-	base, err := Run(RunSpec{Machine: testMachineCfg(), FS: "xfs", Procs: 4, Config: tinyCfg(), Backend: BackendHDF4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BytesWritten != base.BytesWritten {
-		t.Fatalf("hdf4 byte volume changed with codec set: %d vs %d", res.BytesWritten, base.BytesWritten)
-	}
-}

@@ -29,7 +29,8 @@
 // Every transfer goes through the transport (transport.go): sync or
 // deferred, strict or tolerant. Integrity (scrub.go) sits on top: manifests,
 // read-back scrubs, re-dumps and the generation fallback. layoutFor is the
-// only place that looks at the backend, the codec and the castore switch.
+// only place that looks at the backend, the codec and the castore switch to
+// choose a path; RunSpec.Validate, to refuse a composition.
 package enzo
 
 import (
@@ -114,8 +115,8 @@ type Config struct {
 	// writes are issued through the nonblocking/split-collective MPI-IO
 	// interfaces, the rank computes the next evolution step while the
 	// devices drain, and the dump settles before the following one starts.
-	// The HDF4 backend ignores it and stays the synchronous baseline.
-	// Restart files are bit-identical to the synchronous path.
+	// The HDF4 backend refuses it. Restart files are bit-identical to the
+	// synchronous path.
 	AsyncIO bool
 
 	// CBNodes overrides the ROMIO cb_nodes hint (number of collective
@@ -137,7 +138,7 @@ type Config struct {
 	// arrays in the MPI-IO and HDF5 paths ("" or "none" = off; see
 	// compress.Names for the menu). Particle arrays stay raw — they are
 	// high-entropy and their block-range accesses need fixed addressing —
-	// and the HDF4 backend stays the uncompressed baseline.
+	// and the HDF4 backend refuses a codec.
 	Codec string
 
 	// ScrubOnDump enables checkpoint integrity protection: after the dump
@@ -147,11 +148,11 @@ type Config struct {
 	// manifest check passes. Off (the default), the run is bit-identical
 	// to a build without the feature.
 	ScrubOnDump bool
-	// Generations bounds how many generations the restart fallback scans,
-	// newest first (0 = all dumps). Only meaningful with ScrubOnDump.
+	// Generations bounds the generations the restart fallback scans, newest
+	// first, and castore retains (0 = all). Needs ScrubOnDump or CAStore.
 	Generations int
 	// MaxRedumps bounds the re-dump attempts per scrubbed generation
-	// (0 = default of 2). Only meaningful with ScrubOnDump.
+	// (0 = default of 2). Needs ScrubOnDump.
 	MaxRedumps int
 
 	// IORetry, when Enabled, is passed to the MPI-IO layer as its
@@ -163,12 +164,11 @@ type Config struct {
 	// split into content-defined chunks, deduplicated against the retained
 	// generations (a chunk already stored within the last Generations dumps
 	// is referenced, not rewritten), and each new chunk is replicated on
-	// Replicas data servers. The HDF4 backend ignores it and stays the
-	// unmodified baseline.
+	// Replicas data servers. The HDF4 backend refuses it.
 	CAStore bool
 	// Replicas is the number of data servers each castore chunk and
 	// manifest is placed on; normalize clamps it into [1, NumDataServers].
-	// Only meaningful with CAStore.
+	// Above 1 it needs CAStore.
 	Replicas int
 
 	// MemBudget caps the estimated host-memory footprint of the run (the
@@ -798,6 +798,45 @@ type RunSpec struct {
 	Tracer *obs.Tracer
 }
 
+// SpecError is a composition RunSpec.Validate refuses: Axis is the setting
+// that would not change the run the rest of the spec describes.
+type SpecError struct{ Axis, Reason string }
+
+func (e *SpecError) Error() string { return "enzo: " + e.Axis + " refused: " + e.Reason }
+
+// Validate is the one rule for which compositions run (DESIGN.md §2b), and
+// Assemble applies it to every world. Beside an unknown codec's error and a
+// *FootprintError, it refuses with a *SpecError what would change nothing:
+// a codec, CAStore or AsyncIO with BackendHDF4; Replicas > 1 without
+// CAStore; MaxRedumps without ScrubOnDump; Generations without ScrubOnDump
+// or CAStore.
+// Two accepted compositions run as a simpler spec does, by construction:
+// BackendMPIIOCB on "local" or with CAStore is BackendMPIIO, for node-local
+// files and chunk puts leave no collective to force; AsyncIO under an armed
+// IORetry runs blocking (asyncWrites), as a deferred request has no
+// deadline — the retry policy wins, so the autotuner may arm it anywhere.
+func (s RunSpec) Validate() error {
+	c := s.Config
+	if _, err := compress.Resolve(c.Codec); err != nil {
+		return err
+	}
+	switch hdf4 := s.Backend == BackendHDF4; {
+	case hdf4 && compress.Active(c.Codec):
+		return &SpecError{"codec", "hdf4 writes uncompressed"}
+	case hdf4 && c.CAStore:
+		return &SpecError{"castore", "hdf4 writes plain per-grid files"}
+	case hdf4 && c.AsyncIO:
+		return &SpecError{"async", "hdf4 writes synchronously"}
+	case c.Replicas > 1 && !c.CAStore:
+		return &SpecError{"replicas", "only castore replicates"}
+	case c.MaxRedumps > 0 && !c.ScrubOnDump:
+		return &SpecError{"max_redumps", "only a scrub re-dumps"}
+	case c.Generations > 0 && !c.ScrubOnDump && !c.CAStore:
+		return &SpecError{"generations", "only a scrub or castore keeps generations"}
+	}
+	return c.checkFootprint(s.Procs)
+}
+
 // RunOnce is Run with no wrapper and no tracer. Only the frozen bench/ calls
 // it; everything else calls Run.
 func RunOnce(machCfg machine.Config, fsKind string, nprocs int, cfg Config, backend Backend) (*Result, error) {
@@ -854,7 +893,7 @@ type World struct {
 	Procs int
 	Place mpi.Placement
 	// Result, when non-nil, makes the world an ENZO job of Config and
-	// Backend: Assemble checks Config before it builds anything, gives every
+	// Backend: Assemble validates them before it builds anything, gives every
 	// rank a Sim and fills Result the way Run does.
 	Config  Config
 	Backend Backend
@@ -867,21 +906,18 @@ type World struct {
 	Body func(r *mpi.Rank, fs pfs.FileSystem, s *Sim)
 }
 
-// Assemble is the one place a simulated run is put together. It checks every
-// ENZO world's Config, builds the engine, the machine and the file-system
-// stack (MakeFS, then a.Wrap, then the tracer's instrumentation), spawns the
-// worlds in order and runs the engine. It returns the makespan; after a
-// complete run whose restart found no clean generation, also the first such
-// world's *RestartError.
+// Assemble is the one place a simulated run is put together. It validates
+// every ENZO world (RunSpec.Validate, on the allocation's FS), builds the
+// engine, the machine and the file-system stack (MakeFS, then a.Wrap, then
+// the tracer's instrumentation), spawns the worlds in order and runs the
+// engine. It returns the makespan; after a complete run whose restart found
+// no clean generation, also the first such world's *RestartError.
 func Assemble(a Allocation, worlds ...World) (float64, error) {
 	for _, w := range worlds {
 		if w.Result == nil {
 			continue
 		}
-		if _, err := compress.Resolve(w.Config.Codec); err != nil {
-			return 0, err
-		}
-		if err := w.Config.checkFootprint(w.Procs); err != nil {
+		if err := (RunSpec{FS: a.FS, Procs: w.Procs, Config: w.Config, Backend: w.Backend}).Validate(); err != nil {
 			return 0, err
 		}
 	}

@@ -16,8 +16,9 @@ import (
 // individual per-grid files written by their owners in parallel without
 // communication; restart reads assign whole subgrids round-robin. There is
 // no partitioned access for the walk (layout.go) to drive, so hdf4IO
-// implements ioPath itself — and stays the uncompressed, synchronous,
-// plain-file baseline: it never touches the transport.
+// implements ioPath itself. RunSpec.Validate refuses a codec, castore and
+// AsyncIO with it, so it is the uncompressed, synchronous, plain-file
+// baseline: it never touches the transport.
 //
 // On the host, processor 0 redistributes an initial or restart array as
 // views (mpi.Scatterv): each rank's (Block,Block,Block) subarray of

@@ -85,9 +85,9 @@ type dumpWriter interface {
 }
 
 // layoutFor picks the run's I/O path — the only place that looks at the
-// backend, Config.Codec and Config.CAStore — and sets up the state those
-// choices need. HDF4 stays the uncompressed, synchronous, plain-file
-// baseline whatever the configuration asks for.
+// backend, Config.Codec and Config.CAStore to choose one — and sets up the
+// state those choices need. HDF4 returns before any of them is read:
+// RunSpec.Validate refuses a codec, castore and AsyncIO with it.
 func layoutFor(s *Sim) ioPath {
 	codec, err := compress.Resolve(s.cfg.Codec) // nil when compression is off
 	if err != nil {

@@ -137,7 +137,7 @@ func (s *Sim) loadMetaFromFS(name string) error {
 // top-grid items (Config.CAStore) and a codec's per-rank field segments
 // (any active Config.Codec) — which only a reader with the writer's
 // decomposition can read; the same rank count restarts either, and HDF4,
-// which neither compresses nor uses the castore, restarts at any.
+// which refuses both (RunSpec.Validate), restarts at any.
 func RunScaledRestart(machCfg machine.Config, fsKind string, npWrite, npRead int,
 	cfg Config, backend Backend) (match bool, err error) {
 	return scaledRestart(machCfg, fsKind, npWrite, npRead, cfg, backend, nil)

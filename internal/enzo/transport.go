@@ -16,7 +16,9 @@
 //   - strict vs tolerant (scrubs and generation-fallback restarts): a
 //     tolerant read absorbs an exhausted-retry failure into the rank's
 //     damaged flag, and replaces a collective read by its independent form —
-//     one rank's failure must not desynchronize a two-phase exchange.
+//     one rank's failure must not desynchronize a two-phase exchange — on a
+//     shared file system. On node-local disks, which have no data server to
+//     die, only the collective form finds the aggregators' bytes.
 package enzo
 
 import (
@@ -156,7 +158,7 @@ func settled() {}
 // x.out) is valid only after the settle ran. Blocking reads complete here and
 // return settled.
 func (s *Sim) read(x xfer) func() {
-	if s.tolerant {
+	if s.tolerant && !s.localMode {
 		switch x.kind {
 		case xAll:
 			x.kind = xRuns

@@ -2,7 +2,7 @@ package enzo
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"maps"
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/amr"
-	"repro/internal/golden"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
@@ -117,22 +116,6 @@ func (g *writeGuard) changed() []string {
 	return out
 }
 
-// refusedRows returns the names of the matrix rows that matrix_tiny.json
-// pins as ending in a typed error.
-func refusedRows(t *testing.T) map[string]bool {
-	var rows []matrixRow
-	if err := json.Unmarshal(golden.Read(t, matrixGolden), &rows); err != nil {
-		t.Fatal(err)
-	}
-	refused := map[string]bool{}
-	for _, r := range rows {
-		if r.Err != "" {
-			refused[r.Name] = true
-		}
-	}
-	return refused
-}
-
 // TestWriteOnceHolds runs the guard under every composition of backend × fs
 // × codec × transport × store+integrity on Tiny/np=4, and under the refining
 // three-dump castore run of the dedup benchmark: no buffer handed to pfs and
@@ -140,10 +123,8 @@ func refusedRows(t *testing.T) map[string]bool {
 // the HDF4 root scatters views of and the chunks castore's Get lends — and
 // the guard itself must be invisible to the run. Every uncompressed
 // shared-file run of a two-phase backend must have lent its aggregators
-// their extents of the initial conditions. A composition
-// the matrix golden pins as a typed refusal (scrub on node-local disks
-// without the castore ends in a *RestartError) is skipped, by the golden's
-// own row name.
+// their extents of the initial conditions. A composition RunSpec.Validate
+// refuses must be refused by Run before it writes a byte.
 func TestWriteOnceHolds(t *testing.T) {
 	type row struct {
 		name    string
@@ -184,7 +165,6 @@ func TestWriteOnceHolds(t *testing.T) {
 	refine.CAStore, refine.Replicas, refine.ScrubOnDump = true, 2, true
 	rows = append(rows, row{"mpiio/pvfs/lzss/cas2/scrub/refine", "pvfs", BackendMPIIO, refine})
 
-	refused := refusedRows(t)
 	var mu sync.Mutex
 	lent := 0 // pieces lent over the matrix: the read-side half must be exercised
 	t.Cleanup(func() {
@@ -194,12 +174,17 @@ func TestWriteOnceHolds(t *testing.T) {
 		}
 	})
 	for _, tc := range rows {
-		if refused[tc.name] {
-			continue
-		}
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel() // runs share nothing but the read-only hierarchy cache
 			spec := RunSpec{Machine: faultMachCfg(), FS: tc.fs, Procs: 4, Config: tc.cfg, Backend: tc.backend}
+			if spec.Validate() != nil {
+				var g writeGuard
+				spec.Wrap = g.wrap
+				if _, err := Run(spec); !errors.As(err, new(*SpecError)) || len(g.writes) > 0 {
+					t.Fatalf("a refused composition ran: %v, %d writes", err, len(g.writes))
+				}
+				return
+			}
 			bare, err := Run(spec)
 			if err != nil {
 				t.Fatal(err)

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -68,7 +69,8 @@ type Options struct {
 	// Async runs every figure case with the write-behind dump pipeline
 	// (Config.AsyncIO). File contents and byte accounting are unchanged;
 	// only who waits for the devices moves. The overlap sweep ignores this
-	// and runs both modes itself.
+	// and runs both modes itself. A case that refuses Codec or Async (see
+	// Options.axes) runs, and is labelled, without it.
 	Async bool
 
 	// AutoTune runs every case with the probe-based hint autotuner: runCase
@@ -94,9 +96,23 @@ func (o Options) problem(name string) enzo.Config {
 	if o.Quick {
 		cfg = cfg.Quick()
 	}
-	cfg.Codec = o.Codec
-	cfg.AsyncIO = o.Async
 	return cfg
+}
+
+// axes is spec with Codec, where the sweep left it unset, and Async applied,
+// each only if enzo.RunSpec.Validate accepts the result.
+func (o Options) axes(spec enzo.RunSpec) enzo.RunSpec {
+	for _, set := range []func(*enzo.Config){
+		func(c *enzo.Config) { c.Codec = cmp.Or(c.Codec, o.Codec) },
+		func(c *enzo.Config) { c.AsyncIO = c.AsyncIO || o.Async },
+	} {
+		try := spec
+		set(&try.Config)
+		if try.Validate() == nil {
+			spec = try
+		}
+	}
+	return spec
 }
 
 func mb(b int64) float64 { return float64(b) / (1 << 20) }
@@ -370,9 +386,8 @@ func OverlapSweep(o Options) ([]OverlapRow, error) {
 	for _, fs := range []string{"pvfs", "local"} {
 		for _, backend := range []enzo.Backend{enzo.BackendMPIIO, enzo.BackendHDF5} {
 			c := Case{"overlap", enzo.RunSpec{Machine: mach, FS: fs, Procs: np, Config: o.problem("AMR128"), Backend: backend}}
-			c.Config.AsyncIO = false // the sweep runs both modes itself
-			// The calibration run is not the one traced or diagnosed.
-			syncRes, err := runCase(c, "sync", Options{})
+			// The blocking calibration run is not the one traced or diagnosed.
+			syncRes, err := runCase(c, "sync", Options{Codec: o.Codec})
 			if err != nil {
 				return nil, err
 			}

@@ -356,3 +356,27 @@ func TestShapeOverlapHidesMostDumpTime(t *testing.T) {
 		}
 	}
 }
+
+// TestBlanketAxesSkipRefusedCells: a sweep's blanket codec and write-behind
+// reach every case that takes them and no other, and each row names what
+// ran — fig7's HDF4 cells run uncompressed and read codec none.
+func TestBlanketAxesSkipRefusedCells(t *testing.T) {
+	rows, err := runFigure("fig7", Options{Quick: true, Codec: "lzss", Async: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := map[string]bool{}
+	for _, r := range rows {
+		want := "lzss"
+		if r.Backend == "hdf4" {
+			want = "none"
+		}
+		if r.Codec != want || !r.Verified {
+			t.Errorf("%s np%d: codec %s, verified %v; want codec %s, verified", r.Backend, r.Procs, r.Codec, r.Verified, want)
+		}
+		backends[r.Backend] = true
+	}
+	if !backends["hdf4"] || len(backends) < 2 {
+		t.Fatalf("fig7 ran backends %v: the test needs hdf4 and another", backends)
+	}
+}

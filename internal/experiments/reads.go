@@ -30,8 +30,9 @@ type ReadRow struct {
 // cluster: shared PVFS and node-local disks, the HDF4 baseline against the
 // coalesced MPI-IO and HDF5 readers, AMR128 at 8 processors — the read-side
 // counterpart of the paper's Figure 8/9 write comparison. Each case runs
-// twice, blocking and with the read-ahead pipeline; HDF4 ignores AsyncIO, so
-// its two runs coincide and its exposed/hidden split stays zero.
+// twice, blocking and with the read-ahead pipeline. A backend that refuses
+// AsyncIO (enzo.RunSpec.Validate: HDF4) runs once, blocking: its pipelined
+// time is its blocking restart and its exposed/hidden split stays zero.
 //
 // The sweep shows both effects the restart rework targets: coalescing a
 // grid's arrays into one request beats the baseline's per-array reads
@@ -46,16 +47,23 @@ func ReadSweep(o Options) ([]ReadRow, error) {
 	for _, fs := range []string{"pvfs", "local"} {
 		for _, backend := range []enzo.Backend{enzo.BackendHDF4, enzo.BackendMPIIO, enzo.BackendHDF5} {
 			c := Case{"reads", enzo.RunSpec{Machine: mach, FS: fs, Procs: np, Config: o.problem("AMR128"), Backend: backend}}
-			c.Config.AsyncIO = false
-			// The pipelined run is the one traced and diagnosed.
-			syncRes, err := runCase(c, "blocking", Options{})
+			ahead := c
+			ahead.Config.AsyncIO = true
+			// The pipelined run is the one traced and diagnosed; where
+			// AsyncIO is refused, the one blocking run is.
+			blocking, variant := Options{Codec: o.Codec}, "blocking"
+			if ahead.Validate() != nil {
+				blocking, variant = o, ""
+			}
+			syncRes, err := runCase(c, variant, blocking)
 			if err != nil {
 				return nil, err
 			}
-			c.Config.AsyncIO = true
-			asyncRes, err := runCase(c, "", o)
-			if err != nil {
-				return nil, err
+			asyncRes := syncRes
+			if variant != "" {
+				if asyncRes, err = runCase(ahead, "", o); err != nil {
+					return nil, err
+				}
 			}
 			rows = append(rows, ReadRow{
 				Problem: syncRes.Problem, FS: fs, Backend: backend.String(), Procs: np,

@@ -18,7 +18,8 @@ type CaseFindings struct {
 	Findings []diag.Finding
 }
 
-// runCase is the one place a sweep runs a configuration. It wraps a failure
+// runCase is the one place a sweep runs a configuration. It applies the
+// blanket Options.Codec and Options.Async (Options.axes), wraps a failure
 // with the case's label, tunes the configuration first under
 // Options.AutoTune (the probe is never traced) and, under Options.TraceDir
 // or DiagnoseSink, attaches a stack-wide tracer, writes the case's artefacts
@@ -30,6 +31,7 @@ type CaseFindings struct {
 // configuration this is, a retention depth, a fault rate — so that no two
 // runs of a sweep share a label, and with it an artefact file.
 func runCase(c Case, variant string, o Options) (*enzo.Result, error) {
+	c.RunSpec = o.axes(c.RunSpec)
 	name := c.Name()
 	if variant != "" {
 		name += " " + variant

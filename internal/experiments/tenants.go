@@ -57,8 +57,9 @@ type tenantCase struct {
 // shared-cluster story needs.
 func tenantCases(o Options) []tenantCase {
 	amr := func(name, problem string, procs int, start float64) tenant.JobSpec {
+		spec := o.axes(enzo.RunSpec{Procs: procs, Config: o.problem(problem), Backend: enzo.BackendMPIIO})
 		return tenant.JobSpec{Name: name, Kind: tenant.KindEnzo, Procs: procs,
-			StartAt: start, Config: o.problem(problem), Backend: enzo.BackendMPIIO}
+			StartAt: start, Config: spec.Config, Backend: spec.Backend}
 	}
 	return []tenantCase{
 		{
