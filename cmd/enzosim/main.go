@@ -23,7 +23,8 @@
 // on K data servers so restart reads fail over past a dead server.
 //
 // Times are deterministic virtual seconds on the modelled platform, not
-// wall-clock time of the simulator.
+// wall-clock time of the simulator. The traced view of a run — counters, the
+// Pablo-style I/O characterization, findings — is iodoctor -format counters.
 package main
 
 import (
@@ -34,8 +35,6 @@ import (
 
 	"repro/cmd/internal/runflags"
 	"repro/internal/enzo"
-	"repro/internal/iotrace"
-	"repro/internal/pfs"
 )
 
 func main() {
@@ -49,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dumps := fl.Int("dumps", 1, "checkpoint dumps per run")
 	refine := fl.Int("refine", 0, "dynamic refinement passes during evolution")
 	generations := fl.Int("generations", 0, "dump generations the restart fallback scans, newest first (0 = all; needs -scrub or -castore)")
-	trace := fl.Bool("trace", false, "print a Pablo-style I/O characterization of the run")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
@@ -73,11 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	var rec *iotrace.Recorder
-	if *trace {
-		rec = iotrace.NewRecorder()
-		spec.Wrap = runflags.Chain(spec.Wrap, func(fs pfs.FileSystem) pfs.FileSystem { return iotrace.Wrap(fs, rec) })
-	}
 	tuneDeltas, _, err := rf.Tune(&spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "autotune failed:", err)
@@ -121,12 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "bytes read    %d (%.1f MB)\n", res.BytesRead, float64(res.BytesRead)/(1<<20))
 	fmt.Fprintf(stdout, "bytes written %d (%.1f MB)\n", res.BytesWritten, float64(res.BytesWritten)/(1<<20))
 	fmt.Fprintf(stdout, "verified     %v\n", res.Verified)
-	if rec != nil {
-		fmt.Fprintln(stdout)
-		rec.Report(stdout)
-		fmt.Fprintln(stdout)
-		rec.ReportPatterns(stdout)
-	}
 	if !res.Verified {
 		return 1
 	}

@@ -16,7 +16,10 @@
 //
 // -format counters prints the Darshan-style per-rank counter report, which
 // attributes virtual time across the stack (application, HDF, MPI-IO with
-// its two-phase exchange/io split, MPI, file system), followed by the
+// its two-phase exchange/io split, MPI, file system), then the Pablo-style
+// I/O characterization of the run's file-system calls (per-op totals and
+// percentiles, exposed vs hidden time per file, compression ratios, the
+// request-size histogram) and its access-pattern table, followed by the
 // findings. -trace writes the run's Chrome trace-event JSON timeline,
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
@@ -49,6 +52,7 @@ import (
 	"repro/cmd/internal/runflags"
 	"repro/internal/diag"
 	"repro/internal/enzo"
+	"repro/internal/iotrace"
 	"repro/internal/obs"
 )
 
@@ -125,6 +129,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 		spec.Config.CBNodes = *cbnodes
+		if err := runflags.Refused(spec); err != nil {
+			return fail("%v", err)
+		}
 
 		var probeRep *diag.Report
 		if tuneDeltas, probeRep, err = rf.Tune(&spec); err != nil {
@@ -194,6 +201,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diag.WriteOpenMetrics(out, rep, findings)
 	case "counters":
 		writeCounters(out, rf, tuneDeltas, res, tr)
+		fmt.Fprintln(out)
+		iotrace.Report(out, tr.Calls(), tr.CodecFiles())
+		fmt.Fprintln(out)
+		iotrace.ReportPatterns(out, tr.Calls())
 		fmt.Fprintln(out)
 		diag.WriteFindings(out, findings)
 	default:

@@ -3,13 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/enzo"
 	"repro/internal/golden"
+	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // rejected runs args and asserts a usage error: exit 2 plus usage.
@@ -45,6 +50,7 @@ func TestBadFlagsRejected(t *testing.T) {
 		{"straggler on unstriped fs", []string{"-fs", "xfs", "-straggler", "2"}},
 		{"negative cbnodes", []string{"-cbnodes", "-3"}},
 		{"cbnodes with report", []string{"-cbnodes", "4", "-report", "report.json"}},
+		{"cbnodes with hdf4", []string{"-backend", "hdf4", "-cbnodes", "4"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { rejected(t, tc.args...) })
@@ -272,5 +278,142 @@ func TestReportAndDiffRoundTrip(t *testing.T) {
 	}
 	if out := stdout.String(); !strings.Contains(out, "verified=true") || !strings.Contains(out, "diff-makespan") {
 		t.Fatalf("counters self-diff missing the header or the diff-makespan finding:\n%s", out)
+	}
+}
+
+// TestTraceIsZeroPerturbation: a traced run must not move virtual time —
+// every request passes through the tracer's tap in its own mode, read-ahead
+// included. For each -async composition, the Result of the traced run is
+// DeepEqual to an untraced enzo.Run of the same spec (the one iodoctor's
+// flags describe), and iodoctor prints the untraced run's phase times.
+func TestTraceIsZeroPerturbation(t *testing.T) {
+	for _, extra := range [][]string{
+		{"-async"},
+		{"-async", "-codec", "lzss"},
+		{"-async", "-backend", "hdf5"},
+	} {
+		cfg, err := enzo.ProblemByName("tiny")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.AsyncIO = true
+		backend := enzo.BackendMPIIO
+		switch strings.Join(extra, " ") {
+		case "-async -codec lzss":
+			cfg.Codec = "lzss"
+		case "-async -backend hdf5":
+			backend = enzo.BackendHDF5
+		}
+		spec := enzo.RunSpec{Machine: machine.ByName("chiba"), FS: "pvfs", Procs: 4, Config: cfg, Backend: backend}
+		plain, err := enzo.Run(spec)
+		if err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+		spec.Tracer = obs.NewTracer()
+		traced, err := enzo.Run(spec)
+		if err != nil {
+			t.Fatalf("%v traced: %v", extra, err)
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("%v: tracing moved the run:\nwithout: %+v\nwith:    %+v", extra, plain, traced)
+		}
+		if len(spec.Tracer.Calls()) == 0 {
+			t.Errorf("%v: the traced run logged no pfs call", extra)
+		}
+
+		var stdout, stderr bytes.Buffer
+		if code := run(tinyArgs(append(extra, "-format", "counters")...), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit code = %d, stderr: %s", extra, code, stderr.String())
+		}
+		phases := fmt.Sprintf("phases: read=%.3fs write=%.3fs restart=%.3fs\n", plain.ReadTime(), plain.WriteTime(), plain.RestartTime())
+		if !strings.Contains(stdout.String(), phases) {
+			t.Errorf("%v: iodoctor does not print the untraced run's %q:\n%s", extra, phases, stdout.String())
+		}
+	}
+}
+
+// traceReport runs iodoctor -format counters on Tiny/np=4, chiba/pvfs with
+// the extra flags and returns the I/O characterization and the
+// access-pattern table it prints between the counter report and the
+// findings.
+func traceReport(t *testing.T, extra ...string) string {
+	t.Helper()
+	args := tinyArgs(append([]string{"-machine", "chiba", "-fs", "pvfs", "-format", "counters"}, extra...)...)
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("%v: exit code = %d, stderr: %s", args, code, stderr.String())
+	}
+	out := stdout.String()
+	i := strings.Index(out, "\nI/O characterization")
+	k := strings.Index(out, "\naccess pattern classification:\n")
+	if i < 0 || k < i {
+		t.Fatalf("%v: no characterization and pattern table in:\n%s", args, out)
+	}
+	end := strings.Index(out[k+1:], "\n\n")
+	if end < 0 {
+		t.Fatalf("%v: nothing follows the pattern table in:\n%s", args, out)
+	}
+	return out[i+1 : k+1+end+1]
+}
+
+// TestTraceReportGolden pins the characterization -format counters prints —
+// per-op totals and percentiles, exposed vs hidden time per file,
+// compression ratios, the size histogram — and the pattern table, byte for
+// byte over blocking, behind, compressed, HDF5, placed-create and
+// faulted/re-dumped traffic. Regenerate with:
+// go test ./cmd/iodoctor -run '^TestTraceReportGolden$' -update
+func TestTraceReportGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, extra := range [][]string{
+		nil,
+		{"-async"},
+		{"-async", "-codec", "lzss"},
+		{"-async", "-backend", "hdf5"},
+		{"-castore", "-replicas", "2"},
+		{"-scrub", "-corrupt", "3", "-straggler", "2"},
+	} {
+		got.WriteString(strings.Join(append([]string{"== -trace"}, extra...), " ") + "\n")
+		got.WriteString(traceReport(t, extra...))
+	}
+
+	golden.Check(t, "testdata/trace_tiny.txt", got.Bytes())
+}
+
+// TestTraceReportsCompression follows the codec channel end to end: enzo
+// reports each compressed transfer to the pfs.CodecReporter it finds in the
+// stack, which is the tracer's tap, and -format counters prints its
+// per-file tallies. The section names the initial-conditions and the dump
+// file, every written ratio exceeds 1, and without -codec there is no
+// section.
+func TestTraceReportsCompression(t *testing.T) {
+	const section = "compression (logical vs physical bytes per file):\n"
+	for _, backend := range []string{"mpiio", "hdf5"} {
+		out := traceReport(t, "-backend", backend, "-codec", "lzss")
+		i := strings.Index(out, section)
+		if i < 0 {
+			t.Fatalf("%s: -codec lzss prints no compression section:\n%s", backend, out)
+		}
+		files := map[string]bool{}
+		for _, line := range strings.Split(out[i+len(section):], "\n") {
+			if !strings.HasPrefix(line, "  ") {
+				break
+			}
+			var file string
+			var logical, physical int64
+			var ratio float64
+			if _, err := fmt.Sscanf(line, " %s write %d -> %d (%fx)", &file, &logical, &physical, &ratio); err != nil {
+				t.Fatalf("%s: unparsable compression line %q: %v", backend, line, err)
+			}
+			if physical > 0 && ratio <= 1 {
+				t.Errorf("%s: %s written at ratio %.2f, want > 1", backend, file, ratio)
+			}
+			files[strings.SplitN(file, ".", 2)[0]] = true
+		}
+		if !files["ic"] || !files["dump00"] {
+			t.Errorf("%s: compression section names %v, want ic.* and dump00.*", backend, files)
+		}
+		if out := traceReport(t, "-backend", backend); strings.Contains(out, section) {
+			t.Errorf("%s: compression section printed without -codec", backend)
+		}
 	}
 }

@@ -286,7 +286,7 @@ var scratch sync.Pool`)},
 		mutation: mutant("internal/mpiio", "func direct(fh *File, b []byte) { fh.f.ReadAt(nil, b, 0) }")},
 
 	// One observer: pfs.Tap is the only wrapper that watches calls go by;
-	// obs and iotrace are its sinks. Five handles implement Do: the shared
+	// the obs tracer is its one sink. Five handles implement Do: the shared
 	// volume's (XFS, GPFS and PVFS), LocalFS's, the burst buffer, faultfs
 	// and the tap. A sixth is a hand-forwarded wrapper or a model's handle
 	// growing back. The row's name is historical: it counted seven before
@@ -297,6 +297,12 @@ var scratch sync.Pool`)},
 	{name: "no-do-in-obs-iotrace", design: "§6", pr: 19, scope: in("internal/obs", "internal/iotrace"),
 		check:    forbid(decls(doImpl)),
 		mutation: mutant("internal/iotrace", "func (f *file) Do(c pfs.Client, r pfs.Req) (float64, error) { return 0, nil }")},
+	// One tap sink: obs.WrapFS builds the only tap, so the tracer's call log
+	// is the one per-call store and iotrace reads it. A second pfs.Tap call
+	// is a second recorder, and a second store, growing back.
+	{name: "one-tap-sink", design: "§6", pr: 49, scope: scope{},
+		check:    sites(calls(`^pfs\.Tap$`, ""), "internal/obs/counters.go: WrapFS"),
+		mutation: mutant("internal/iotrace", "func wrap(fs pfs.FileSystem) pfs.FileSystem { return pfs.Tap(fs, func(pfs.Call) {}) }")},
 
 	// One request primitive and one wrapper spine: the request shapes are
 	// spelled once, in pfs.go, over the single Do, and volume geometry,

@@ -807,7 +807,9 @@ func (e *SpecError) Error() string { return "enzo: " + e.Axis + " refused: " + e
 // Validate is the one rule for which compositions run (DESIGN.md §2b), and
 // Assemble applies it to every world. Beside an unknown codec's error and a
 // *FootprintError, it refuses with a *SpecError what would change nothing:
-// a codec, CAStore or AsyncIO with BackendHDF4; Replicas > 1 without
+// a codec, CAStore, AsyncIO, an armed IORetry or an MPI-IO hint override
+// (CBNodes, CBBufferSize, SieveBufferSize, DataSieving) with BackendHDF4,
+// which issues no MPI-IO request; Replicas > 1 without
 // CAStore; MaxRedumps without ScrubOnDump; Generations without ScrubOnDump
 // or CAStore.
 // Two accepted compositions run as a simpler spec does, by construction:
@@ -827,6 +829,10 @@ func (s RunSpec) Validate() error {
 		return &SpecError{"castore", "hdf4 writes plain per-grid files"}
 	case hdf4 && c.AsyncIO:
 		return &SpecError{"async", "hdf4 writes synchronously"}
+	case hdf4 && c.IORetry.Enabled:
+		return &SpecError{"io_retry", "hdf4 issues no MPI-IO request to retry"}
+	case hdf4 && (c.CBNodes > 0 || c.CBBufferSize > 0 || c.SieveBufferSize > 0 || c.DataSieving != 0):
+		return &SpecError{"hints", "hdf4 opens no MPI-IO file"}
 	case c.Replicas > 1 && !c.CAStore:
 		return &SpecError{"replicas", "only castore replicates"}
 	case c.MaxRedumps > 0 && !c.ScrubOnDump:

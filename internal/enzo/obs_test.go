@@ -75,7 +75,10 @@ func TestTracedRunObservability(t *testing.T) {
 	}
 
 	// --- layer attribution ---
-	totals := tr.LayerTotals()
+	totals := map[obs.Layer]float64{}
+	for _, st := range tr.LayerStats() {
+		totals[st.Layer] += st.Exclusive
+	}
 	for _, layer := range []obs.Layer{obs.LayerApp, obs.LayerMPIIO, obs.LayerMPI, obs.LayerPFS} {
 		if totals[layer] <= 0 {
 			t.Errorf("layer %v has no exclusive virtual time (totals=%v)", layer, totals)

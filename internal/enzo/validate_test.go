@@ -23,6 +23,11 @@ func TestValidate(t *testing.T) {
 		{"hdf4 with a codec", "pvfs", BackendHDF4, func(c *Config) { c.Codec = "lzss" }, "codec"},
 		{"hdf4 with castore", "pvfs", BackendHDF4, func(c *Config) { c.CAStore = true }, "castore"},
 		{"hdf4 with async", "pvfs", BackendHDF4, func(c *Config) { c.AsyncIO = true }, "async"},
+		{"hdf4 with retry", "pvfs", BackendHDF4, func(c *Config) { c.IORetry = testRetryPolicy() }, "io_retry"},
+		{"hdf4 with cb_nodes", "pvfs", BackendHDF4, func(c *Config) { c.CBNodes = 4 }, "hints"},
+		{"hdf4 with cb_buffer_size", "pvfs", BackendHDF4, func(c *Config) { c.CBBufferSize = 1 << 20 }, "hints"},
+		{"hdf4 with ind_rd_buffer_size", "pvfs", BackendHDF4, func(c *Config) { c.SieveBufferSize = 1 << 20 }, "hints"},
+		{"hdf4 with data sieving off", "pvfs", BackendHDF4, func(c *Config) { c.DataSieving = -1 }, "hints"},
 		{"replicas without castore", "pvfs", BackendMPIIO, func(c *Config) { c.Replicas = 2 }, "replicas"},
 		{"max redumps without scrub", "pvfs", BackendMPIIO, func(c *Config) { c.MaxRedumps = 1 }, "max_redumps"},
 		{"generations without scrub or castore", "pvfs", BackendHDF5, func(c *Config) { c.Generations = 2 }, "generations"},

@@ -149,12 +149,12 @@ func (a Artefact) Command() string {
 // TestInventory holds it to the tree both ways, and Check refuses a path it
 // does not list.
 var Inventory = []Artefact{
-	{"cmd/enzosim/testdata/trace_tiny.txt", "TestTraceReportGolden",
-		"what enzosim -trace prints after the run summary, six Tiny/np=4 chiba/pvfs compositions", []int{19}},
 	{"cmd/iobench/testdata/quick_all.txt", "TestQuickAllGolden",
 		"stdout of iobench -exp all -quick, the scale table's events/sec cells masked to -", []int{17, 33}},
 	{"cmd/iodoctor/testdata/tiny_np4.json", "TestJSONGolden",
 		"the iodoctor -format json diagnosis document of Tiny/np=4", []int{6, 9, 13, 35}},
+	{"cmd/iodoctor/testdata/trace_tiny.txt", "TestTraceReportGolden",
+		"the I/O characterization and pattern table iodoctor -format counters prints, six Tiny/np=4 chiba/pvfs compositions", []int{19, 49}},
 	{"internal/amr/testdata/hierarchy.golden", "TestHierarchyGolden",
 		"every grid of Tiny, AMR64, AMR128 and AMR64 structure-only: tree, edges, dims, field and particle digests", []int{30}},
 	{"internal/castore/testdata/chunker.golden", "TestChunkerGolden",

@@ -1,172 +1,30 @@
 // Package iotrace provides Pablo-style I/O characterization — the kind of
 // instrumentation the paper's analysis was built on (its reference [20],
 // "Analysis of I/O Activity of the ENZO Code", used the Pablo toolkit).
-// A Recorder collects one event per file-system call (operation, offset,
-// request size, virtual start/end time, calling node) as a sink of the pfs
-// tap (Wrap), and produces the summaries an I/O study needs: request-size histograms, per-operation totals, bandwidth,
-// and inter-arrival gaps that reveal sequential vs strided access.
+// It is a view of the obs tracer's call log (obs.Tracer.Calls: one record per
+// file-system call — operation, offset, request size, virtual start/end time,
+// calling node) and produces the summaries an I/O study needs: request-size
+// histograms, per-operation totals, bandwidth, and inter-arrival gaps that
+// reveal sequential vs strided access.
 package iotrace
 
 import (
 	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/pfs"
 )
 
-// Op is the traced operation kind.
-type Op int
+// opOrder is the order the characterization lists operations in.
+var opOrder = []string{"read", "write", "create", "open", "close"}
 
-// Traced operations.
-const (
-	OpRead Op = iota
-	OpWrite
-	OpCreate
-	OpOpen
-	OpClose
-)
-
-func (o Op) String() string {
-	switch o {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpCreate:
-		return "create"
-	case OpOpen:
-		return "open"
-	case OpClose:
-		return "close"
-	}
-	return "unknown"
-}
-
-// Event is one traced file-system call.
-type Event struct {
-	Op     Op
-	File   string
-	Node   int
-	Offset int64
-	Bytes  int64
-	Start  float64 // virtual seconds
-	End    float64 // when the caller's clock resumed (issue end for async)
-	// Completion is the virtual time the operation finished on the device.
-	// For synchronous calls it equals End; for deferred (write-behind,
-	// read-ahead) calls it is later, and Completion-End is the per-call
-	// hidden time.
-	Completion float64
-}
-
-// Exposed returns the virtual time the caller's clock spent in the call.
-func (ev Event) Exposed() float64 { return ev.End - ev.Start }
-
-// Hidden returns the device time past the caller's return — zero for every
-// synchronous call.
-func (ev Event) Hidden() float64 {
-	if h := ev.Completion - ev.End; h > 0 {
-		return h
-	}
-	return 0
-}
-
-// CodecFileStats tallies transparently compressed transfers on one file:
-// logical bytes are the uncompressed array sizes the application moved,
-// physical bytes the container bytes that actually hit the file system.
-type CodecFileStats struct {
-	File            string
-	LogicalRead     int64
-	PhysicalRead    int64
-	LogicalWritten  int64
-	PhysicalWritten int64
-}
-
-// Ratio returns logical/physical for the given direction sums, or 0 when
-// no physical bytes moved (an all-raw or untouched file).
-func Ratio(logical, physical int64) float64 { return obs.Ratio(logical, physical) }
-
-// Recorder accumulates events. It is safe for use from the (serialized)
-// simulation and from tests.
-type Recorder struct {
-	mu         sync.Mutex
-	events     []Event
-	codec      map[string]*CodecFileStats
-	codecOrder []string
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Record appends one event. A zero Completion (every synchronous call
-// site) is normalized to End, so Hidden() is 0 unless a deferred request
-// recorded a later device completion.
-func (r *Recorder) Record(ev Event) {
-	if ev.Completion < ev.End {
-		ev.Completion = ev.End
-	}
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.mu.Unlock()
-}
-
-// Events returns a copy of the trace in record order.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
-// Reset clears the trace.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.events = nil
-	r.codec = nil
-	r.codecOrder = nil
-	r.mu.Unlock()
-}
-
-// RecordCodecBytes tallies one compressed transfer (see pfs.CodecReporter).
-func (r *Recorder) RecordCodecBytes(file string, write bool, logical, physical int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.codec == nil {
-		r.codec = make(map[string]*CodecFileStats)
-	}
-	cs, ok := r.codec[file]
-	if !ok {
-		cs = &CodecFileStats{File: file}
-		r.codec[file] = cs
-		r.codecOrder = append(r.codecOrder, file)
-	}
-	if write {
-		cs.LogicalWritten += logical
-		cs.PhysicalWritten += physical
-	} else {
-		cs.LogicalRead += logical
-		cs.PhysicalRead += physical
-	}
-}
-
-// CodecStats returns the per-file compression tallies in first-touch order
-// (empty when no compressed transfers were recorded).
-func (r *Recorder) CodecStats() []CodecFileStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]CodecFileStats, 0, len(r.codecOrder))
-	for _, f := range r.codecOrder {
-		out = append(out, *r.codec[f])
-	}
-	return out
-}
+func isData(op string) bool { return op == "read" || op == "write" }
 
 // OpStats aggregates one operation kind.
 type OpStats struct {
@@ -189,9 +47,9 @@ func (s OpStats) Bandwidth() float64 {
 	return float64(s.Bytes) / s.Seconds
 }
 
-// Summary is the full characterization of a trace.
+// Summary is the full characterization of a call log.
 type Summary struct {
-	PerOp map[Op]*OpStats
+	PerOp map[string]*OpStats
 	// SizeHistogram buckets request sizes by power of two: bucket i holds
 	// requests with 2^i <= bytes < 2^(i+1); bucket 0 also holds 0-byte
 	// and 1-byte requests.
@@ -202,35 +60,36 @@ type Summary struct {
 	Files int
 }
 
-// Summarize computes the characterization.
-func (r *Recorder) Summarize() Summary {
-	evs := r.Events()
-	s := Summary{PerOp: make(map[Op]*OpStats), SizeHistogram: make(map[int]int64)}
+// Summarize computes the characterization. A failed call counts with its
+// duration and moves no bytes.
+func Summarize(calls []obs.CallRecord) Summary {
+	s := Summary{PerOp: make(map[string]*OpStats), SizeHistogram: make(map[int]int64)}
 	lastEnd := make(map[string]int64) // file -> previous extent end
 	files := map[string]bool{}
-	durs := make(map[Op][]float64)
-	for i, ev := range evs {
+	durs := make(map[string][]float64)
+	for i, ev := range calls {
 		st := s.PerOp[ev.Op]
 		if st == nil {
 			st = &OpStats{MinBytes: math.MaxInt64}
 			s.PerOp[ev.Op] = st
 		}
+		n := ev.Moved()
 		durs[ev.Op] = append(durs[ev.Op], ev.End-ev.Start)
 		st.Count++
-		st.Bytes += ev.Bytes
+		st.Bytes += n
 		st.Seconds += ev.End - ev.Start
-		if ev.Bytes < st.MinBytes {
-			st.MinBytes = ev.Bytes
+		if n < st.MinBytes {
+			st.MinBytes = n
 		}
-		if ev.Bytes > st.MaxBytes {
-			st.MaxBytes = ev.Bytes
+		if n > st.MaxBytes {
+			st.MaxBytes = n
 		}
-		if ev.Op == OpRead || ev.Op == OpWrite {
+		if isData(ev.Op) {
 			if end, ok := lastEnd[ev.File]; ok && end == ev.Offset {
 				st.Sequential++
 			}
-			lastEnd[ev.File] = ev.Offset + ev.Bytes
-			s.SizeHistogram[obs.SizeBucket(ev.Bytes)]++
+			lastEnd[ev.File] = ev.Offset + n
+			s.SizeHistogram[obs.SizeBucket(n)]++
 		}
 		files[ev.File] = true
 		if i == 0 || ev.Start < s.Span[0] {
@@ -264,7 +123,7 @@ type FileOverlapStats struct {
 
 // FileOverlap aggregates exposed vs hidden virtual time per file, in file
 // name order.
-func (r *Recorder) FileOverlap() []FileOverlapStats {
+func FileOverlap(calls []obs.CallRecord) []FileOverlapStats {
 	type key struct {
 		file string
 		node int
@@ -272,17 +131,17 @@ func (r *Recorder) FileOverlap() []FileOverlapStats {
 	agg := make(map[string]*FileOverlapStats)
 	pending := make(map[key][][2]float64)
 	var names []string
-	for _, ev := range r.Events() {
+	for _, ev := range calls {
 		st, ok := agg[ev.File]
 		if !ok {
 			st = &FileOverlapStats{File: ev.File}
 			agg[ev.File] = st
 			names = append(names, ev.File)
 		}
-		st.Exposed += ev.Exposed()
+		st.Exposed += ev.End - ev.Start
 		if ev.Hidden() > 0 {
 			k := key{ev.File, ev.Node}
-			pending[k] = append(pending[k], [2]float64{ev.End, ev.Completion})
+			pending[k] = append(pending[k], [2]float64{ev.End, ev.Done})
 		}
 	}
 	// Sum per-node hidden time in (file, node) order: map order would make
@@ -324,21 +183,20 @@ func unionLen(ivs [][2]float64) float64 {
 	return total
 }
 
-// Report writes a human-readable characterization, in the style of the
-// Pablo I/O analysis reports.
-func (r *Recorder) Report(w io.Writer) {
-	s := r.Summarize()
+// Report writes a human-readable characterization of calls, in the style of
+// the Pablo I/O analysis reports, with the per-file compression tallies.
+func Report(w io.Writer, calls []obs.CallRecord, codec []obs.CodecFileStats) {
+	s := Summarize(calls)
 	fmt.Fprintf(w, "I/O characterization: %d files, window %.3fs..%.3fs\n",
 		s.Files, s.Span[0], s.Span[1])
-	ops := make([]Op, 0, len(s.PerOp))
-	for op := range s.PerOp {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
+	ops := slices.Collect(maps.Keys(s.PerOp))
+	slices.SortFunc(ops, func(a, b string) int {
+		return cmp.Compare(slices.Index(opOrder, a), slices.Index(opOrder, b))
+	})
 	for _, op := range ops {
 		st := s.PerOp[op]
 		fmt.Fprintf(w, "%-7s calls=%-7d bytes=%-12d", op, st.Count, st.Bytes)
-		if (op == OpRead || op == OpWrite) && st.Count > 0 {
+		if isData(op) && st.Count > 0 {
 			fmt.Fprintf(w, " min=%-8d max=%-10d seq=%5.1f%% bw=%.2f MB/s p50=%.2gs p95=%.2gs p99=%.2gs",
 				st.MinBytes, st.MaxBytes,
 				100*float64(st.Sequential)/float64(st.Count),
@@ -346,7 +204,7 @@ func (r *Recorder) Report(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	if fo := r.FileOverlap(); len(fo) > 0 {
+	if fo := FileOverlap(calls); len(fo) > 0 {
 		fmt.Fprintln(w, "per-file exposed vs hidden I/O time (hidden = write-behind and read-ahead work outstanding past issue):")
 		for _, o := range fo {
 			pct := 0.0
@@ -357,13 +215,13 @@ func (r *Recorder) Report(w io.Writer) {
 				o.File, o.Exposed, o.Hidden, pct)
 		}
 	}
-	if cs := r.CodecStats(); len(cs) > 0 {
+	if len(codec) > 0 {
 		fmt.Fprintln(w, "compression (logical vs physical bytes per file):")
-		for _, c := range cs {
+		for _, c := range codec {
 			fmt.Fprintf(w, "  %-16s write %12d -> %-12d (%.2fx)  read %12d -> %-12d (%.2fx)\n",
 				c.File,
-				c.LogicalWritten, c.PhysicalWritten, Ratio(c.LogicalWritten, c.PhysicalWritten),
-				c.LogicalRead, c.PhysicalRead, Ratio(c.LogicalRead, c.PhysicalRead))
+				c.LogicalWritten, c.PhysicalWritten, obs.Ratio(c.LogicalWritten, c.PhysicalWritten),
+				c.LogicalRead, c.PhysicalRead, obs.Ratio(c.LogicalRead, c.PhysicalRead))
 		}
 	}
 	if len(s.SizeHistogram) > 0 {
@@ -389,43 +247,4 @@ func (r *Recorder) Report(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
-}
-
-// Wrap returns a pfs.FileSystem that records every call into rec — the pfs
-// tap with the recorder as its sink — and receives the application's codec
-// accounting for it. Timing is unchanged: the tap observes the virtual clock
-// around the delegate call and passes every request down in its own mode.
-func Wrap(fs pfs.FileSystem, rec *Recorder) pfs.FileSystem {
-	return tracedFS{TapFS: pfs.Tap(fs, rec.observe), rec: rec}
-}
-
-// tracedFS embeds the tap's concrete type, not pfs.FileSystem: Unwrap and
-// CreatePlaced must stay visible to the capability walk.
-type tracedFS struct {
-	*pfs.TapFS
-	rec *Recorder
-}
-
-// RecordCodecBytes implements pfs.CodecReporter: the application layer
-// reports every compressed array transfer so the characterization can show
-// logical vs physical bytes and the achieved compression ratio per file.
-func (t tracedFS) RecordCodecBytes(file string, write bool, logical, physical int64) {
-	t.rec.RecordCodecBytes(file, write, logical, physical)
-}
-
-var opByName = map[string]Op{"read": OpRead, "write": OpWrite, "create": OpCreate, "open": OpOpen, "close": OpClose}
-
-// observe is the recorder's sink on the pfs tap: one event per call, failed
-// creates and opens included. Start..End is the interval the caller's clock
-// spent in the call — the issue interval of a Behind request, whose device
-// completion is recorded separately so the report can attribute exposed vs
-// hidden time per file. A request abandoned at its deadline moved no data and
-// is recorded with zero bytes; its wait still shows as the event duration.
-func (r *Recorder) observe(c pfs.Call) {
-	ev := Event{Op: opByName[c.Op], File: c.File, Node: c.Client.Node, Offset: c.Req.Off,
-		Bytes: c.Req.Len(), Start: c.Start, End: c.Now, Completion: c.Done}
-	if c.Err != nil {
-		ev.Bytes, ev.Completion = 0, 0
-	}
-	r.Record(ev)
 }

@@ -2,6 +2,7 @@ package iotrace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,16 +13,30 @@ import (
 	"repro/internal/sim"
 )
 
-func tracedXFS() (pfs.FileSystem, *Recorder) {
+// traced runs body as one rank with tr attached and returns tr's call log.
+func traced(t *testing.T, tr *obs.Tracer, body func(p *sim.Proc)) []obs.CallRecord {
+	t.Helper()
+	eng := sim.NewEngine()
+	eng.Spawn("c", func(p *sim.Proc) {
+		tr.Attach(p, 0)
+		body(p)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return tr.Calls()
+}
+
+// tracedXFS returns an XFS under the tracer's tap, and the tracer.
+func tracedXFS() (pfs.FileSystem, *obs.Tracer) {
 	mach := machine.New(machine.ByName("origin2000"))
-	rec := NewRecorder()
-	return Wrap(pfs.NewXFS(mach, pfs.DefaultXFS()), rec), rec
+	tr := obs.NewTracer()
+	return obs.WrapFS(pfs.NewXFS(mach, pfs.DefaultXFS()), tr), tr
 }
 
 func TestWrapperRecordsAndDelegates(t *testing.T) {
-	fs, rec := tracedXFS()
-	eng := sim.NewEngine()
-	eng.Spawn("c", func(p *sim.Proc) {
+	fs, tr := tracedXFS()
+	evs := traced(t, tr, func(p *sim.Proc) {
 		c := pfs.Client{Proc: p, Node: 2}
 		f, err := fs.Create(c, "data")
 		if err != nil {
@@ -42,11 +57,7 @@ func TestWrapperRecordsAndDelegates(t *testing.T) {
 			panic("size wrong through wrapper")
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	evs := rec.Events()
-	wantOps := []Op{OpCreate, OpWrite, OpRead, OpClose, OpOpen}
+	wantOps := []string{"create", "write", "read", "close", "open"}
 	if len(evs) != len(wantOps) {
 		t.Fatalf("events = %d, want %d: %+v", len(evs), len(wantOps), evs)
 	}
@@ -61,7 +72,7 @@ func TestWrapperRecordsAndDelegates(t *testing.T) {
 			t.Fatalf("event %d has negative duration", i)
 		}
 	}
-	if evs[1].Offset != 100 || evs[1].Bytes != 11 {
+	if evs[1].Offset != 100 || evs[1].Length != 11 {
 		t.Fatalf("write event = %+v", evs[1])
 	}
 	if !fs.Exists("data") || fs.Name() != "xfs" {
@@ -73,39 +84,35 @@ func TestWrapperRecordsAndDelegates(t *testing.T) {
 }
 
 func TestOpenMissingStillFails(t *testing.T) {
-	fs, rec := tracedXFS()
-	eng := sim.NewEngine()
+	fs, tr := tracedXFS()
 	var err error
-	eng.Spawn("c", func(p *sim.Proc) {
+	evs := traced(t, tr, func(p *sim.Proc) {
 		_, err = fs.Open(pfs.Client{Proc: p, Node: 0}, "missing")
 	})
-	if e := eng.Run(); e != nil {
-		t.Fatal(e)
-	}
 	if err == nil {
 		t.Fatal("wrapper swallowed the error")
 	}
-	if len(rec.Events()) != 1 || rec.Events()[0].Op != OpOpen {
-		t.Fatal("failed open not traced")
+	if len(evs) != 1 || evs[0].Op != "open" || !evs[0].Failed {
+		t.Fatalf("failed open not traced: %+v", evs)
 	}
 }
 
 func TestSummaryStatistics(t *testing.T) {
-	rec := NewRecorder()
 	// Three sequential writes then a far read on another file.
-	rec.Record(Event{Op: OpWrite, File: "a", Offset: 0, Bytes: 1024, Start: 0, End: 0.5})
-	rec.Record(Event{Op: OpWrite, File: "a", Offset: 1024, Bytes: 1024, Start: 0.5, End: 1.0})
-	rec.Record(Event{Op: OpWrite, File: "a", Offset: 4096, Bytes: 2048, Start: 1.0, End: 1.5})
-	rec.Record(Event{Op: OpRead, File: "b", Offset: 0, Bytes: 65536, Start: 2, End: 3})
-	s := rec.Summarize()
-	w := s.PerOp[OpWrite]
+	s := Summarize([]obs.CallRecord{
+		{Op: "write", File: "a", Offset: 0, Length: 1024, Start: 0, End: 0.5},
+		{Op: "write", File: "a", Offset: 1024, Length: 1024, Start: 0.5, End: 1.0},
+		{Op: "write", File: "a", Offset: 4096, Length: 2048, Start: 1.0, End: 1.5},
+		{Op: "read", File: "b", Offset: 0, Length: 65536, Start: 2, End: 3},
+	})
+	w := s.PerOp["write"]
 	if w.Count != 3 || w.Bytes != 4096 || w.Sequential != 1 {
 		t.Fatalf("write stats = %+v", w)
 	}
 	if w.MinBytes != 1024 || w.MaxBytes != 2048 {
 		t.Fatalf("write min/max = %d/%d", w.MinBytes, w.MaxBytes)
 	}
-	r := s.PerOp[OpRead]
+	r := s.PerOp["read"]
 	if r.Bandwidth() != 65536 {
 		t.Fatalf("read bandwidth = %g", r.Bandwidth())
 	}
@@ -122,17 +129,18 @@ func TestSummaryStatistics(t *testing.T) {
 }
 
 func TestFileOverlapSplitsExposedAndHidden(t *testing.T) {
-	rec := NewRecorder()
-	// Synchronous write: Completion normalized to End, nothing hidden.
-	rec.Record(Event{Op: OpWrite, File: "sync", Bytes: 10, Start: 0, End: 0.5})
-	// Deferred writes: the device finished after the caller returned. The
-	// third call's outstanding window sits inside the second's, so the
-	// union counts it once — hidden is (1.9-1.1) + (2.5-2.2), not the sum
-	// of the three per-call gaps.
-	rec.Record(Event{Op: OpWrite, File: "async", Bytes: 10, Start: 1, End: 1.1, Completion: 1.9})
-	rec.Record(Event{Op: OpWrite, File: "async", Bytes: 10, Start: 2, End: 2.2, Completion: 2.5})
-	rec.Record(Event{Op: OpWrite, File: "async", Bytes: 10, Start: 2.2, End: 2.3, Completion: 2.45})
-	fo := rec.FileOverlap()
+	calls := []obs.CallRecord{
+		// Synchronous write: done when the caller returns, nothing hidden.
+		{Op: "write", File: "sync", Length: 10, Start: 0, End: 0.5, Done: 0.5},
+		// Deferred writes: the device finished after the caller returned. The
+		// third call's outstanding window sits inside the second's, so the
+		// union counts it once — hidden is (1.9-1.1) + (2.5-2.2), not the sum
+		// of the three per-call gaps.
+		{Op: "write", File: "async", Length: 10, Start: 1, End: 1.1, Done: 1.9},
+		{Op: "write", File: "async", Length: 10, Start: 2, End: 2.2, Done: 2.5},
+		{Op: "write", File: "async", Length: 10, Start: 2.2, End: 2.3, Done: 2.45},
+	}
+	fo := FileOverlap(calls)
 	if len(fo) != 2 || fo[0].File != "async" || fo[1].File != "sync" {
 		t.Fatalf("overlap rows = %+v", fo)
 	}
@@ -143,7 +151,7 @@ func TestFileOverlapSplitsExposedAndHidden(t *testing.T) {
 		t.Fatalf("sync file split = %+v", s)
 	}
 	var buf bytes.Buffer
-	rec.Report(&buf)
+	Report(&buf, calls, nil)
 	if !strings.Contains(buf.String(), "exposed vs hidden") {
 		t.Fatalf("report missing overlap section:\n%s", buf.String())
 	}
@@ -158,26 +166,26 @@ func near(a, b float64) bool { return a-b < 1e-9 && b-a < 1e-9 }
 func TestFileOverlapDeterministic(t *testing.T) {
 	seen := map[float64]int{}
 	for i := 0; i < 200; i++ {
-		rec := NewRecorder()
+		var calls []obs.CallRecord
 		for node, hidden := range []float64{1e16, 1, 1} {
-			rec.Record(Event{Op: OpWrite, File: "f", Node: node, Bytes: 1, Completion: hidden})
+			calls = append(calls, obs.CallRecord{Op: "write", File: "f", Node: node, Length: 1, Done: hidden})
 		}
-		seen[rec.FileOverlap()[0].Hidden]++
+		seen[FileOverlap(calls)[0].Hidden]++
 	}
 	if len(seen) != 1 {
 		t.Fatalf("200 identical traces gave %d different hidden times: %v", len(seen), seen)
 	}
 }
 
-// TestDeferredWriteTraced drives a Behind write through the wrapper (PVFS
-// charges the devices at issue and returns a later completion) and checks
-// the trace separates the issue interval from the device completion.
+// TestDeferredWriteTraced drives a Behind write through the tracer's tap
+// (PVFS charges the devices at issue and returns a later completion) and
+// checks the call log separates the issue interval from the device
+// completion.
 func TestDeferredWriteTraced(t *testing.T) {
 	mach := machine.New(machine.ByName("chiba"))
-	rec := NewRecorder()
-	fs := Wrap(pfs.NewPVFS(mach, pfs.DefaultPVFS()), rec)
-	eng := sim.NewEngine()
-	eng.Spawn("c", func(p *sim.Proc) {
+	tr := obs.NewTracer()
+	fs := obs.WrapFS(pfs.NewPVFS(mach, pfs.DefaultPVFS()), tr)
+	evs := traced(t, tr, func(p *sim.Proc) {
 		c := pfs.Client{Proc: p, Node: 0}
 		f, err := fs.Create(c, "dump")
 		if err != nil {
@@ -190,34 +198,26 @@ func TestDeferredWriteTraced(t *testing.T) {
 		p.AdvanceTo(end)
 		f.Close(c)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var wr *Event
-	for i := range rec.Events() {
-		if ev := rec.Events()[i]; ev.Op == OpWrite {
-			wr = &ev
-			break
-		}
-	}
-	if wr == nil {
+	i := slices.IndexFunc(evs, func(ev obs.CallRecord) bool { return ev.Op == "write" })
+	if i < 0 {
 		t.Fatal("no write traced")
 	}
+	wr := evs[i]
 	if wr.Hidden() <= 0 {
 		t.Fatalf("deferred write recorded no hidden time: %+v", wr)
 	}
-	if wr.Exposed() >= wr.Hidden() {
-		t.Fatalf("issue cost %.6fs should be far below device time %.6fs", wr.Exposed(), wr.Hidden())
+	if exposed := wr.End - wr.Start; exposed >= wr.Hidden() {
+		t.Fatalf("issue cost %.6fs should be far below device time %.6fs", exposed, wr.Hidden())
 	}
 }
 
 func TestReportRenders(t *testing.T) {
-	rec := NewRecorder()
-	rec.Record(Event{Op: OpWrite, File: "a", Offset: 0, Bytes: 4096, Start: 0, End: 0.1})
-	rec.Record(Event{Op: OpRead, File: "a", Offset: 0, Bytes: 256, Start: 0.1, End: 0.2})
-	rec.Record(Event{Op: OpCreate, File: "a", Start: 0, End: 0})
 	var buf bytes.Buffer
-	rec.Report(&buf)
+	Report(&buf, []obs.CallRecord{
+		{Op: "write", File: "a", Offset: 0, Length: 4096, Start: 0, End: 0.1},
+		{Op: "read", File: "a", Offset: 0, Length: 256, Start: 0.1, End: 0.2},
+		{Op: "create", File: "a", Start: 0, End: 0},
+	}, nil)
 	out := buf.String()
 	for _, want := range []string{"read", "write", "create", "histogram", "MB/s"} {
 		if !strings.Contains(out, want) {
@@ -226,17 +226,23 @@ func TestReportRenders(t *testing.T) {
 	}
 }
 
+// TestResetAndEventsCopy: the views read the tracer's own log (Calls lends
+// it without a copy), so none of them may write it — not even the order of
+// its records.
 func TestResetAndEventsCopy(t *testing.T) {
-	rec := NewRecorder()
-	rec.Record(Event{Op: OpRead, File: "x", Bytes: 1})
-	evs := rec.Events()
-	evs[0].Bytes = 999 // must not affect the recorder
-	if rec.Events()[0].Bytes != 1 {
-		t.Fatal("Events returned a live reference")
+	calls := []obs.CallRecord{
+		{Op: "write", File: "b", Node: 1, Offset: 64, Length: 64, Start: 2, End: 2.1, Done: 3},
+		{Op: "write", File: "b", Node: 1, Offset: 0, Length: 64, Start: 1, End: 1.1, Done: 2.5},
+		{Op: "read", File: "a", Offset: 8, Length: 8, Start: 0, End: 1, Failed: true},
 	}
-	rec.Reset()
-	if len(rec.Events()) != 0 {
-		t.Fatal("Reset did not clear")
+	want := slices.Clone(calls)
+	Summarize(calls)
+	FileOverlap(calls)
+	DetectPatterns(calls)
+	Report(new(bytes.Buffer), calls, nil)
+	ReportPatterns(new(bytes.Buffer), calls)
+	if !slices.Equal(calls, want) {
+		t.Fatalf("the views wrote the log:\n got %+v\nwant %+v", calls, want)
 	}
 }
 
@@ -244,18 +250,18 @@ func TestResetAndEventsCopy(t *testing.T) {
 // any random trace.
 func TestSummaryConservesBytesProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		rec := NewRecorder()
+		var calls []obs.CallRecord
 		var want int64
 		for i, sz := range sizes {
-			op := OpRead
+			op := "read"
 			if i%2 == 0 {
-				op = OpWrite
+				op = "write"
 			}
-			rec.Record(Event{Op: op, File: "f", Offset: int64(i) * 100, Bytes: int64(sz),
+			calls = append(calls, obs.CallRecord{Op: op, File: "f", Offset: int64(i) * 100, Length: int64(sz),
 				Start: float64(i), End: float64(i) + 0.5})
 			want += int64(sz)
 		}
-		s := rec.Summarize()
+		s := Summarize(calls)
 		var got int64
 		for _, st := range s.PerOp {
 			got += st.Bytes
@@ -282,56 +288,57 @@ func TestSizeLabels(t *testing.T) {
 }
 
 func TestDetectPatternSequential(t *testing.T) {
-	rec := NewRecorder()
+	var calls []obs.CallRecord
 	for i := 0; i < 10; i++ {
-		rec.Record(Event{Op: OpWrite, File: "seq", Offset: int64(i) * 100, Bytes: 100})
+		calls = append(calls, obs.CallRecord{Op: "write", File: "seq", Offset: int64(i) * 100, Length: 100})
 	}
-	ps := rec.DetectPatterns()
+	ps := DetectPatterns(calls)
 	if len(ps) != 1 || ps[0].Kind != PatternSequential || ps[0].Fraction != 1 {
 		t.Fatalf("patterns = %+v", ps)
 	}
 }
 
 func TestDetectPatternStrided(t *testing.T) {
-	rec := NewRecorder()
+	var calls []obs.CallRecord
 	// 64-byte requests every 4096 bytes: the (Block,Block,Block) signature.
 	for i := 0; i < 20; i++ {
-		rec.Record(Event{Op: OpRead, File: "bbb", Offset: int64(i) * 4096, Bytes: 64})
+		calls = append(calls, obs.CallRecord{Op: "read", File: "bbb", Offset: int64(i) * 4096, Length: 64})
 	}
-	ps := rec.DetectPatterns()
+	ps := DetectPatterns(calls)
 	if len(ps) != 1 || ps[0].Kind != PatternStrided || ps[0].Stride != 4096 {
 		t.Fatalf("patterns = %+v", ps)
 	}
 }
 
 func TestDetectPatternRandom(t *testing.T) {
-	rec := NewRecorder()
+	var calls []obs.CallRecord
 	offsets := []int64{0, 77777, 12, 500000, 999, 123456, 42, 31337, 777, 2}
 	for _, off := range offsets {
-		rec.Record(Event{Op: OpRead, File: "rand", Offset: off, Bytes: 8})
+		calls = append(calls, obs.CallRecord{Op: "read", File: "rand", Offset: off, Length: 8})
 	}
-	ps := rec.DetectPatterns()
+	ps := DetectPatterns(calls)
 	if len(ps) != 1 || ps[0].Kind != PatternRandom {
 		t.Fatalf("patterns = %+v", ps)
 	}
 }
 
 func TestDetectPatternsSeparatesFilesAndOps(t *testing.T) {
-	rec := NewRecorder()
+	var calls []obs.CallRecord
 	for i := 0; i < 5; i++ {
-		rec.Record(Event{Op: OpWrite, File: "a", Offset: int64(i) * 10, Bytes: 10})
-		rec.Record(Event{Op: OpRead, File: "a", Offset: int64(i) * 1000, Bytes: 10})
-		rec.Record(Event{Op: OpWrite, File: "b", Offset: int64(i) * 10, Bytes: 10})
+		calls = append(calls,
+			obs.CallRecord{Op: "write", File: "a", Offset: int64(i) * 10, Length: 10},
+			obs.CallRecord{Op: "read", File: "a", Offset: int64(i) * 1000, Length: 10},
+			obs.CallRecord{Op: "write", File: "b", Offset: int64(i) * 10, Length: 10})
 	}
-	ps := rec.DetectPatterns()
+	ps := DetectPatterns(calls)
 	if len(ps) != 3 {
 		t.Fatalf("streams = %d, want 3: %+v", len(ps), ps)
 	}
 	// Sorted by file then op (read < write).
-	if ps[0].File != "a" || ps[0].Op != OpRead || ps[0].Kind != PatternStrided {
+	if ps[0].File != "a" || ps[0].Op != "read" || ps[0].Kind != PatternStrided {
 		t.Fatalf("ps[0] = %+v", ps[0])
 	}
-	if ps[1].File != "a" || ps[1].Op != OpWrite || ps[1].Kind != PatternSequential {
+	if ps[1].File != "a" || ps[1].Op != "write" || ps[1].Kind != PatternSequential {
 		t.Fatalf("ps[1] = %+v", ps[1])
 	}
 	if ps[2].File != "b" || ps[2].Kind != PatternSequential {
@@ -340,21 +347,19 @@ func TestDetectPatternsSeparatesFilesAndOps(t *testing.T) {
 }
 
 func TestSingleRequestIsSequential(t *testing.T) {
-	rec := NewRecorder()
-	rec.Record(Event{Op: OpWrite, File: "one", Offset: 5, Bytes: 10})
-	ps := rec.DetectPatterns()
+	ps := DetectPatterns([]obs.CallRecord{{Op: "write", File: "one", Offset: 5, Length: 10}})
 	if len(ps) != 1 || ps[0].Kind != PatternSequential || ps[0].Requests != 1 {
 		t.Fatalf("patterns = %+v", ps)
 	}
 }
 
 func TestReportPatternsRenders(t *testing.T) {
-	rec := NewRecorder()
+	var calls []obs.CallRecord
 	for i := 0; i < 4; i++ {
-		rec.Record(Event{Op: OpRead, File: "f", Offset: int64(i) * 512, Bytes: 64})
+		calls = append(calls, obs.CallRecord{Op: "read", File: "f", Offset: int64(i) * 512, Length: 64})
 	}
 	var buf bytes.Buffer
-	rec.ReportPatterns(&buf)
+	ReportPatterns(&buf, calls)
 	out := buf.String()
 	if !strings.Contains(out, "strided") || !strings.Contains(out, "stride=512") {
 		t.Fatalf("report:\n%s", out)
@@ -362,7 +367,7 @@ func TestReportPatternsRenders(t *testing.T) {
 }
 
 func TestPercentilesEmptyTrace(t *testing.T) {
-	s := NewRecorder().Summarize()
+	s := Summarize(nil)
 	if len(s.PerOp) != 0 {
 		t.Fatalf("empty trace produced per-op stats: %+v", s.PerOp)
 	}
@@ -372,9 +377,7 @@ func TestPercentilesEmptyTrace(t *testing.T) {
 }
 
 func TestPercentilesSingleEvent(t *testing.T) {
-	rec := NewRecorder()
-	rec.Record(Event{Op: OpWrite, File: "f", Bytes: 100, Start: 1.0, End: 1.5})
-	st := rec.Summarize().PerOp[OpWrite]
+	st := Summarize([]obs.CallRecord{{Op: "write", File: "f", Length: 100, Start: 1.0, End: 1.5}}).PerOp["write"]
 	if st == nil {
 		t.Fatal("no write stats")
 	}
@@ -386,17 +389,17 @@ func TestPercentilesSingleEvent(t *testing.T) {
 }
 
 func TestPercentilesMultiFile(t *testing.T) {
-	rec := NewRecorder()
+	var calls []obs.CallRecord
 	// 100 reads across two files with durations 0.01..1.00.
 	for i := 1; i <= 100; i++ {
 		file := "a"
 		if i%2 == 0 {
 			file = "b"
 		}
-		rec.Record(Event{Op: OpRead, File: file, Bytes: 10,
+		calls = append(calls, obs.CallRecord{Op: "read", File: file, Length: 10,
 			Start: float64(i), End: float64(i) + float64(i)/100})
 	}
-	st := rec.Summarize().PerOp[OpRead]
+	st := Summarize(calls).PerOp["read"]
 	approx := func(got, want float64) bool { d := got - want; return d > -1e-9 && d < 1e-9 }
 	if !approx(st.P50, 0.50) || !approx(st.P95, 0.95) || !approx(st.P99, 0.99) {
 		t.Fatalf("percentiles = %g/%g/%g, want 0.50/0.95/0.99", st.P50, st.P95, st.P99)
@@ -405,24 +408,28 @@ func TestPercentilesMultiFile(t *testing.T) {
 
 func TestReportZeroCountNoPanic(t *testing.T) {
 	// A read op whose only events carry Count>0 is normal; construct the
-	// degenerate summary path by reporting an empty recorder plus an
-	// open-only trace (no read/write events at all).
-	rec := NewRecorder()
-	rec.Record(Event{Op: OpOpen, File: "f"})
+	// degenerate summary path by reporting an open-only trace (no
+	// read/write calls at all).
 	var sb strings.Builder
-	rec.Report(&sb) // must not divide by zero
+	Report(&sb, []obs.CallRecord{{Op: "open", File: "f"}}, nil) // must not divide by zero
 	if !strings.Contains(sb.String(), "open") {
 		t.Fatalf("report missing open line:\n%s", sb.String())
 	}
 }
 
+// TestCodecStatsAccumulateAndReport: the tracer's tap receives the codec
+// accounting (pfs.CodecReporter), tallies it per file and Report prints it.
 func TestCodecStatsAccumulateAndReport(t *testing.T) {
-	rec := NewRecorder()
-	rec.RecordCodecBytes("dump.raw", true, 1000, 250)
-	rec.RecordCodecBytes("dump.raw", true, 1000, 250)
-	rec.RecordCodecBytes("dump.raw", false, 500, 125)
-	rec.RecordCodecBytes("ic.raw", true, 100, 100)
-	stats := rec.CodecStats()
+	fs, tr := tracedXFS()
+	cr, ok := pfs.As[pfs.CodecReporter](fs)
+	if !ok {
+		t.Fatal("the tracer's tap receives no codec accounting")
+	}
+	cr.RecordCodecBytes("dump.raw", true, 1000, 250)
+	cr.RecordCodecBytes("dump.raw", true, 1000, 250)
+	cr.RecordCodecBytes("dump.raw", false, 500, 125)
+	cr.RecordCodecBytes("ic.raw", true, 100, 100)
+	stats := tr.CodecFiles()
 	if len(stats) != 2 {
 		t.Fatalf("files = %d, want 2", len(stats))
 	}
@@ -436,7 +443,7 @@ func TestCodecStatsAccumulateAndReport(t *testing.T) {
 		t.Fatalf("read tally wrong: %+v", stats[0])
 	}
 	var buf bytes.Buffer
-	rec.Report(&buf)
+	Report(&buf, tr.Calls(), stats)
 	out := buf.String()
 	if !strings.Contains(out, "compression (logical vs physical bytes per file):") {
 		t.Fatalf("report missing compression section:\n%s", out)
@@ -444,38 +451,30 @@ func TestCodecStatsAccumulateAndReport(t *testing.T) {
 	if !strings.Contains(out, "4.00x") {
 		t.Fatalf("report missing ratio:\n%s", out)
 	}
-	rec.Reset()
-	if len(rec.CodecStats()) != 0 {
-		t.Fatal("Reset kept codec stats")
-	}
 }
 
 func TestRatioGuardsZeroPhysical(t *testing.T) {
-	if Ratio(100, 0) != 0 {
+	if obs.Ratio(100, 0) != 0 {
 		t.Fatal("zero physical bytes must yield ratio 0, not a division by zero")
 	}
-	if Ratio(0, 0) != 0 {
+	if obs.Ratio(0, 0) != 0 {
 		t.Fatal("empty transfer must yield ratio 0")
 	}
-	if Ratio(400, 100) != 4 {
+	if obs.Ratio(400, 100) != 4 {
 		t.Fatal("ratio wrong")
 	}
 }
 
 func TestUncompressedRunsOmitCodecSection(t *testing.T) {
-	fs, rec := tracedXFS()
-	eng := sim.NewEngine()
-	eng.Spawn("c", func(p *sim.Proc) {
+	fs, tr := tracedXFS()
+	calls := traced(t, tr, func(p *sim.Proc) {
 		c := pfs.Client{Proc: p, Node: 0}
 		f, _ := fs.Create(c, "plain")
 		f.WriteAt(c, []byte("data"), 0)
 		f.Close(c)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	rec.Report(&buf)
+	Report(&buf, calls, tr.CodecFiles())
 	if strings.Contains(buf.String(), "compression") {
 		t.Fatal("codec section printed for an uncompressed run")
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // PatternKind classifies a file's observed access pattern — the
@@ -39,7 +41,7 @@ func (k PatternKind) String() string {
 // FilePattern is the per-file, per-operation classification.
 type FilePattern struct {
 	File     string
-	Op       Op
+	Op       string // "read" or "write"
 	Kind     PatternKind
 	Stride   int64   // dominant start-to-start distance (strided only)
 	Fraction float64 // fraction of transitions matching the dominant behaviour
@@ -50,16 +52,15 @@ type FilePattern struct {
 // sequential/strided verdict.
 const classifyThreshold = 0.6
 
-// DetectPatterns classifies every (file, read/write) stream in the trace.
+// DetectPatterns classifies every (file, read/write) stream in calls.
 // Results are sorted by file then op for deterministic reporting.
-func (r *Recorder) DetectPatterns() []FilePattern {
+func DetectPatterns(calls []obs.CallRecord) []FilePattern {
 	type key struct {
-		file string
-		op   Op
+		file, op string
 	}
-	streams := make(map[key][]Event)
-	for _, ev := range r.Events() {
-		if ev.Op != OpRead && ev.Op != OpWrite {
+	streams := make(map[key][]obs.CallRecord)
+	for _, ev := range calls {
+		if !isData(ev.Op) {
 			continue
 		}
 		k := key{ev.File, ev.Op}
@@ -78,7 +79,7 @@ func (r *Recorder) DetectPatterns() []FilePattern {
 	return out
 }
 
-func classify(file string, op Op, evs []Event) FilePattern {
+func classify(file, op string, evs []obs.CallRecord) FilePattern {
 	fp := FilePattern{File: file, Op: op, Requests: int64(len(evs))}
 	if len(evs) < 2 {
 		fp.Kind = PatternSequential
@@ -89,7 +90,7 @@ func classify(file string, op Op, evs []Event) FilePattern {
 	strides := make(map[int64]int)
 	for i := 1; i < len(evs); i++ {
 		prev, cur := evs[i-1], evs[i]
-		if cur.Offset == prev.Offset+prev.Bytes {
+		if cur.Offset == prev.Offset+prev.Moved() {
 			seq++
 			continue
 		}
@@ -118,10 +119,10 @@ func classify(file string, op Op, evs []Event) FilePattern {
 	return fp
 }
 
-// ReportPatterns writes the per-file classification table.
-func (r *Recorder) ReportPatterns(w io.Writer) {
+// ReportPatterns writes the per-file classification table of calls.
+func ReportPatterns(w io.Writer, calls []obs.CallRecord) {
 	fmt.Fprintln(w, "access pattern classification:")
-	for _, fp := range r.DetectPatterns() {
+	for _, fp := range DetectPatterns(calls) {
 		extra := ""
 		if fp.Kind == PatternStrided {
 			extra = fmt.Sprintf(" stride=%d", fp.Stride)

@@ -114,10 +114,12 @@ func (t *Tracer) Counters() []*FileCounters {
 	return out
 }
 
-// WrapFS returns a pfs.FileSystem that records Darshan-style counters and
-// pfs-layer spans into tr for every call, then delegates to fs: the pfs tap
-// with the tracer as its sink. Like every obs hook it only reads the virtual
-// clock. Procs without a tracer attached pass through uncounted.
+// WrapFS returns a pfs.FileSystem that records every call into tr — one
+// call-log record, one pfs-layer span and the Darshan-style counters — then
+// delegates to fs: the pfs tap with the tracer as its one sink. It also
+// receives the application's codec accounting (pfs.CodecReporter). Like every
+// obs hook it only reads the virtual clock. Procs without a tracer attached
+// pass through unrecorded.
 //
 // It is the one place a tracer is attached to a file-system stack: it also
 // records the stack's geometry (the model's name, its striping when some
@@ -130,12 +132,12 @@ func WrapFS(fs pfs.FileSystem, tr *Tracer) pfs.FileSystem {
 	}
 	tr.SetFSInfo(fi)
 	pfs.Observe(fs, tr)
-	return pfs.Tap(fs, tr.observeCall)
+	return tracedFS{TapFS: pfs.Tap(fs, tr.observeCall), t: tr}
 }
 
-// observeCall is the tracer's sink on the pfs tap: one pfs-layer span and one
-// counter update per call, keyed on the operation, the request's mode and
-// whether it failed.
+// observeCall is the tracer's sink on the pfs tap: one call-log record, one
+// pfs-layer span and one counter update per call, keyed on the operation, the
+// request's mode and whether it failed.
 //
 // A create or open carries the file name; a failed one keeps its span and
 // books nothing. A blocking request's span covers issue and wait. A Behind
@@ -150,6 +152,10 @@ func (t *Tracer) observeCall(c pfs.Call) {
 		return
 	}
 	n, dur := c.Req.Len(), c.Now-c.Start
+	t.mu.Lock()
+	t.calls = append(t.calls, CallRecord{Op: c.Op, File: c.File, Node: c.Client.Node, Offset: c.Req.Off,
+		Length: n, Start: c.Start, End: c.Now, Done: c.Done, Failed: c.Err != nil})
+	t.mu.Unlock()
 	sp := &h.spans[h.add(Span{Layer: LayerPFS, Name: c.Op, Start: c.Start, End: c.Now, Bytes: n})]
 	if c.Op == "create" || c.Op == "open" {
 		sp.Attrs = append(sp.Attrs, Attr{Key: "file", Value: c.File})
@@ -170,7 +176,6 @@ func (t *Tracer) observeCall(c pfs.Call) {
 	if meta != nil {
 		*meta++
 		fc.MetaTime += dur
-		t.recordDur(c.Op, dur)
 		return
 	}
 	if c.Req.Mode == pfs.Behind {
@@ -202,7 +207,6 @@ func (t *Tracer) observeCall(c pfs.Call) {
 	}
 	*d.have = true
 	*d.lastEnd = c.Req.Off + n
-	t.recordDur(c.Op, dur)
 }
 
 // dirCounters addresses the read or the write half of a FileCounters.

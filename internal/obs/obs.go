@@ -107,7 +107,8 @@ type Tracer struct {
 	codecs map[int]*CodecCounters // per-rank compression counters
 	dedup  map[int]*DedupCounters // per-rank content-addressed store counters
 
-	durs map[string][]float64 // op -> per-call virtual durations, for percentiles
+	calls      []CallRecord     // the call log, in tap order (see Calls)
+	codecFiles []CodecFileStats // per-file codec tallies, first-touch order
 
 	fsInfo FSInfo        // run-level file-system geometry, see SetFSInfo
 	hints  []HintsRecord // per-file MPI-IO hints, first-open order
@@ -123,7 +124,6 @@ func NewTracer() *Tracer {
 	return &Tracer{
 		serverIdx: make(map[string]int),
 		counters:  make(map[counterKey]*FileCounters),
-		durs:      make(map[string][]float64),
 	}
 }
 
@@ -360,11 +360,4 @@ func (t *Tracer) ServerStreams() ([]string, [][]ServeEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.serverNames, t.serves
-}
-
-// recordDur appends one per-call duration for percentile computation.
-func (t *Tracer) recordDur(op string, d float64) {
-	t.mu.Lock()
-	t.durs[op] = append(t.durs[op], d)
-	t.mu.Unlock()
 }

@@ -123,7 +123,10 @@ func TestSpanNesting(t *testing.T) {
 	if excl["phase:read"] != 5 || excl["read_all"] != 2 || excl["read"] != 3 {
 		t.Errorf("exclusive times = %v", excl)
 	}
-	tot := tr.LayerTotals()
+	tot := map[Layer]float64{}
+	for _, st := range stats {
+		tot[st.Layer] += st.Exclusive
+	}
 	if tot[LayerApp] != 5 || tot[LayerMPIIO] != 2 || tot[LayerPFS] != 3 {
 		t.Errorf("layer totals = %v", tot)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"slices"
@@ -71,16 +72,6 @@ func (t *Tracer) LayerStats() []LayerStat {
 	return out
 }
 
-// LayerTotals returns exclusive virtual seconds per layer, summed across
-// ranks — the run's time-attribution across the stack.
-func (t *Tracer) LayerTotals() map[Layer]float64 {
-	totals := make(map[Layer]float64)
-	for _, st := range t.LayerStats() {
-		totals[st.Layer] += st.Exclusive
-	}
-	return totals
-}
-
 // Percentile returns the q-quantile (0 < q <= 1) of durs by the
 // nearest-rank method. It returns 0 for an empty slice. durs need not be
 // sorted.
@@ -114,23 +105,18 @@ type OpLatency struct {
 }
 
 // OpLatencies returns latency percentiles per pfs operation, ordered by
-// operation name.
+// operation name. The samples are the call log's successful calls.
 func (t *Tracer) OpLatencies() []OpLatency {
-	t.mu.Lock()
-	ops := make([]string, 0, len(t.durs))
-	for op := range t.durs {
-		ops = append(ops, op)
+	durs := make(map[string][]float64)
+	for _, c := range t.Calls() {
+		if !c.Failed {
+			durs[c.Op] = append(durs[c.Op], c.End-c.Start)
+		}
 	}
-	sort.Strings(ops)
-	durs := make([][]float64, len(ops))
-	for i, op := range ops {
-		durs[i] = slices.Clone(t.durs[op])
-	}
-	t.mu.Unlock()
-
+	ops := slices.Sorted(maps.Keys(durs))
 	out := make([]OpLatency, len(ops))
 	for i, op := range ops {
-		d := durs[i]
+		d := durs[op]
 		sort.Float64s(d)
 		out[i] = OpLatency{
 			Op:    op,

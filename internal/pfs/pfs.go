@@ -55,7 +55,7 @@
 //
 // The mode travels inside Do rather than the wait being hoisted above the
 // wrapper chain, because a wrapper in the middle must still see it: the
-// tap's sinks — obs's spans and counters, iotrace's events — distinguish
+// tap's sink — the obs tracer's spans, counters and call log — distinguishes
 // all three.
 //
 // # One wrapper spine
@@ -71,7 +71,7 @@
 //	ServeObservable                    the four models, BurstBuffer (staging
 //	                                   disks); Observe visits every layer
 //	PlacementRestorer                  stripedVolume, prefix (renames)
-//	CodecReporter                      iotrace's tap (receiver: the recorder),
+//	CodecReporter                      obs's tap (receiver: the tracer),
 //	                                   prefix (renames)
 //	PlacedCreator                      stripedVolume and every wrapper (each
 //	                                   wraps the handle it gets back: prefix
@@ -87,8 +87,9 @@
 // Now), the device completion the call returned (Done) and its error — a
 // failed create or open, or the *DeviceError of a missed deadline. That value
 // is the definition of an observed call; what to keep of it is the sink's
-// business. obs.WrapFS is the tap with a Tracer as sink, iotrace.Wrap the tap
-// with a Recorder, and a new recorder is a new sink, not a new wrapper.
+// business. obs.WrapFS is the tap with a Tracer as its one sink, and a new
+// recorder is a view of the tracer's call log or a new sink, not a new
+// wrapper.
 package pfs
 
 import (

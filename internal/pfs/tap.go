@@ -24,14 +24,13 @@ type Call struct {
 // Tap returns fs with sink called once after every create, open, close and
 // request — failed ones too — and nothing else changed: every call goes down
 // as it came, a request in its own mode, and sink only reads the clock. It is
-// the one wrapper that observes; a recorder is a sink (obs.WrapFS,
-// iotrace.Wrap).
+// the one wrapper that observes; a recorder is a sink (obs.WrapFS).
 func Tap(fs FileSystem, sink func(Call)) *TapFS {
 	return &TapFS{inner: fs, sink: sink}
 }
 
 // TapFS is the file system Tap returns, exported so that a recorder which
-// also receives a capability can embed it (iotrace.Wrap adds CodecReporter).
+// also receives a capability can embed it (obs.WrapFS adds CodecReporter).
 type TapFS struct {
 	inner FileSystem
 	sink  func(Call)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/faultfs"
-	"repro/internal/iotrace"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pfs"
@@ -47,7 +46,6 @@ var stacks = []struct {
 }{
 	{"prefix", func(fs pfs.FileSystem, _ *obs.Tracer) pfs.FileSystem { return pfs.WrapPrefix(fs, tenant) }, true},
 	{"obs", func(fs pfs.FileSystem, tr *obs.Tracer) pfs.FileSystem { return obs.WrapFS(fs, tr) }, false},
-	{"iotrace", func(fs pfs.FileSystem, _ *obs.Tracer) pfs.FileSystem { return iotrace.Wrap(fs, iotrace.NewRecorder()) }, false},
 	{"faultfs", func(fs pfs.FileSystem, _ *obs.Tracer) pfs.FileSystem { return neverFires(fs) }, false},
 	{"prefix(obs(faultfs))", func(fs pfs.FileSystem, tr *obs.Tracer) pfs.FileSystem {
 		return pfs.WrapPrefix(obs.WrapFS(neverFires(fs), tr), tenant)
@@ -278,36 +276,36 @@ func TestCapabilitiesThroughTheSpine(t *testing.T) {
 	}
 }
 
-// TestRecorderOnTheSpine: iotrace.Wrap adds one capability to the tap — it
-// receives the codec accounting — and hides none. Through
-// prefix(iotrace(model)) As[CodecReporter] finds the recorder, with the file
-// name prefixed; the walk goes on below it (Unwrap) and a placed create still
-// places (CreatePlaced).
+// TestRecorderOnTheSpine: obs.WrapFS adds one capability to the tap — it
+// receives the codec accounting — and hides none. Through prefix(obs(model))
+// As[CodecReporter] finds the tracer, with the file name prefixed; the walk
+// goes on below it (Unwrap) and a placed create still places (CreatePlaced).
 func TestRecorderOnTheSpine(t *testing.T) {
 	model := pfs.NewPVFS(machine.New(machine.ByName("chiba")), pfs.DefaultPVFS())
-	rec := iotrace.NewRecorder()
-	stack := pfs.WrapPrefix(iotrace.Wrap(model, rec), tenant)
+	tr := obs.NewTracer()
+	stack := pfs.WrapPrefix(obs.WrapFS(model, tr), tenant)
 
 	cr, ok := pfs.As[pfs.CodecReporter](stack)
 	if !ok {
-		t.Fatal("As[CodecReporter] did not find the recorder through prefix(iotrace(model))")
+		t.Fatal("As[CodecReporter] did not find the tracer through prefix(obs(model))")
 	}
 	cr.RecordCodecBytes("f", true, 100, 25)
-	want := []iotrace.CodecFileStats{{File: tenant + "f", LogicalWritten: 100, PhysicalWritten: 25}}
-	if got := rec.CodecStats(); !reflect.DeepEqual(got, want) {
-		t.Errorf("CodecStats = %+v, want %+v", got, want)
+	want := []obs.CodecFileStats{{File: tenant + "f", LogicalWritten: 100, PhysicalWritten: 25}}
+	if got := tr.CodecFiles(); !reflect.DeepEqual(got, want) {
+		t.Errorf("CodecFiles = %+v, want %+v", got, want)
 	}
 	if pfs.Base(stack) != pfs.FileSystem(model) {
 		t.Errorf("Base(stack) = %v, want the pvfs model", pfs.Base(stack))
 	}
 	if _, ok := pfs.As[pfs.StripedVolume](stack); !ok {
-		t.Error("As[StripedVolume] not found below the recorder")
+		t.Error("As[StripedVolume] not found below the tracer")
 	}
 
 	seen := serverLog{}
 	pfs.Observe(stack, seen)
 	eng := sim.NewEngine()
 	eng.Spawn("c", func(p *sim.Proc) {
+		tr.Attach(p, 0)
 		c := pfs.Client{Proc: p, Node: 3}
 		f, _ := pfs.CreatePlacedOn(stack, c, "obj", 2)
 		f.WriteAt(c, make([]byte, 1<<20), 0)
@@ -317,25 +315,26 @@ func TestRecorderOnTheSpine(t *testing.T) {
 	}
 	for name := range seen {
 		if strings.HasSuffix(name, "/disk") && name != "pvfs/iod2/disk" {
-			t.Errorf("placed create on server 2 through the recorder wrote to %s", name)
+			t.Errorf("placed create on server 2 through the tracer wrote to %s", name)
 		}
 	}
-	if evs := rec.Events(); len(evs) != 2 || evs[0].Op != iotrace.OpCreate || evs[0].File != tenant+"obj" || evs[1].Bytes != 1<<20 {
-		t.Errorf("recorder saw %+v, want the placed create and the write", evs)
+	if calls := tr.Calls(); len(calls) != 2 || calls[0].Op != "create" || calls[0].File != tenant+"obj" || calls[1].Length != 1<<20 {
+		t.Errorf("tracer logged %+v, want the placed create and the write", calls)
 	}
 }
 
-// TestSinksAgree: obs and iotrace are two sinks of one tap, so the same
-// request stream — the six shapes, healthy and past a deadline, on each model
-// — leaves the same calls in both: the recorder's events and the tracer's
-// pfs-layer spans match call for call, the per-file counters add up to the
-// event counts, and a behind write's hidden time is the file's
-// WriteBehindTime.
+// TestSinksAgree: the tracer is the tap's one sink, and each call leaves
+// three things in it — a call-log record, a pfs-layer span and a counter
+// update. Over the same request stream (the six shapes, healthy and past a
+// deadline, on each model) they agree call for call: the log's records match
+// the spans in order, name, clock and bytes, the per-file counters add up to
+// the log's counts, bytes and timeouts, and a behind write's hidden time is
+// the file's WriteBehindTime.
 func TestSinksAgree(t *testing.T) {
 	for _, m := range models {
 		t.Run(m.name, func(t *testing.T) {
-			tr, rec := obs.NewTracer(), iotrace.NewRecorder()
-			script(t, iotrace.Wrap(obs.WrapFS(m.make(), tr), rec), "f", tr)
+			tr := obs.NewTracer()
+			script(t, obs.WrapFS(m.make(), tr), "f", tr)
 
 			var spans []obs.Span
 			for _, sp := range tr.Spans() {
@@ -343,43 +342,42 @@ func TestSinksAgree(t *testing.T) {
 					spans = append(spans, sp)
 				}
 			}
-			evs := rec.Events()
-			if len(spans) != len(evs) {
-				t.Fatalf("%d pfs spans, %d events", len(spans), len(evs))
+			calls := tr.Calls()
+			if len(spans) != len(calls) {
+				t.Fatalf("%d pfs spans, %d logged calls", len(spans), len(calls))
 			}
 			type tally struct{ Creates, Opens, Closes, Reads, Writes, BytesRead, BytesWritten, Timeouts int64 }
 			var want, got tally
 			var hidden, behind float64
-			for i, ev := range evs {
-				if sp := spans[i]; sp.Name != ev.Op.String() || sp.Start != ev.Start || sp.End != ev.End {
-					t.Errorf("call %d: span %s [%v,%v], event %s [%v,%v]", i, sp.Name, sp.Start, sp.End, ev.Op, ev.Start, ev.End)
+			for i, c := range calls {
+				sp := spans[i]
+				if sp.Name != c.Op || sp.Start != c.Start || sp.End != c.End || sp.Bytes != c.Length {
+					t.Errorf("call %d: span %s [%v,%v] %d bytes, record %s [%v,%v] %d bytes",
+						i, sp.Name, sp.Start, sp.End, sp.Bytes, c.Op, c.Start, c.End, c.Length)
 				}
-				missed := slices.Contains(spans[i].Attrs, obs.Attr{Key: "timeout", Value: "1"})
-				if missed {
+				if missed := slices.Contains(sp.Attrs, obs.Attr{Key: "timeout", Value: "1"}); missed != (c.Failed && c.Length > 0) {
+					t.Errorf("call %d: span timeout=%v, record failed=%v with %d bytes", i, missed, c.Failed, c.Length)
+				}
+				if c.Failed && c.Length > 0 {
 					want.Timeouts++
-					if ev.Bytes != 0 {
-						t.Errorf("call %d: missed deadline recorded with %d bytes", i, ev.Bytes)
-					}
-				} else if spans[i].Bytes != ev.Bytes {
-					t.Errorf("call %d: span moved %d bytes, event %d", i, spans[i].Bytes, ev.Bytes)
 				}
-				switch ev.Op {
-				case iotrace.OpCreate:
+				switch c.Op {
+				case "create":
 					want.Creates++
-				case iotrace.OpOpen:
+				case "open":
 					want.Opens++
-				case iotrace.OpClose:
+				case "close":
 					want.Closes++
-				case iotrace.OpRead:
-					if !missed {
+				case "read":
+					if !c.Failed {
 						want.Reads++
-						want.BytesRead += ev.Bytes
+						want.BytesRead += c.Moved()
 					}
-				case iotrace.OpWrite:
-					if !missed {
+				case "write":
+					if !c.Failed {
 						want.Writes++
-						want.BytesWritten += ev.Bytes
-						hidden += ev.Hidden()
+						want.BytesWritten += c.Moved()
+						hidden += c.Hidden()
 					}
 				}
 			}
@@ -395,13 +393,13 @@ func TestSinksAgree(t *testing.T) {
 				behind += fc.WriteBehindTime
 			}
 			if got != want {
-				t.Errorf("counters sum to %+v, events to %+v", got, want)
+				t.Errorf("counters sum to %+v, the call log to %+v", got, want)
 			}
 			if striped := m.name == "pvfs" || m.name == "gpfs"; striped && want.Timeouts != 2 {
 				t.Errorf("Timeouts = %d, want the script's two missed deadlines", want.Timeouts)
 			}
 			if hidden <= 0 || behind != hidden {
-				t.Errorf("WriteBehindTime = %v, the behind write's Completion-End = %v", behind, hidden)
+				t.Errorf("WriteBehindTime = %v, the behind write's Done-End = %v", behind, hidden)
 			}
 		})
 	}
